@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-train bench-obs bench-serve bench-cold bench-predict vet lint autoviewlint check-bce
+.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-train bench-obs bench-serve bench-cold bench-predict bench-e2e bench-e2e-test vet lint autoviewlint check-bce
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,12 @@ test-race-full:
 # Allocation-regression gate: steady-state Predict must allocate zero,
 # the serve micro-batcher's per-pair cost must stay allocation-free, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
-# per-request budget, and fingerprinting itself must be zero-alloc (see
-# internal/widedeep/infer_test.go, internal/serve/alloc_test.go, and
-# internal/sqlparse/fingerprint_test.go).
+# per-request budget, fingerprinting itself must be zero-alloc, and the
+# DQN's warm QValues must cost its result slice and nothing per action
+# (see internal/widedeep/infer_test.go, internal/serve/alloc_test.go,
+# internal/sqlparse/fingerprint_test.go, and internal/rl/infer_test.go).
 test-alloc:
-	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ -v -count=1
+	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ -v -count=1
 
 # Crash-recovery fault injection (DURABILITY in SERVING.md): the WAL
 # sweep kills a child process at every record boundary and mid-record
@@ -86,6 +87,17 @@ bench-cold:
 # steady-state Model.Predict (EXPERIMENTS.md).
 bench-predict:
 	$(GO) test -bench=BenchmarkPredictAlloc -benchmem -run=^$$ .
+
+# The repo's one benchmark (BENCHMARK.json, bench/README.md): every
+# workload against the real viewserverd/viewgen, three runs each.
+bench-e2e:
+	bash bench/run.sh --workload all --runs 3 --seed 1
+
+# bench/ is its own module, so the root `go test ./...` does not descend
+# into it: this is what catches an API rename that breaks the harness
+# before a benchmark run does.
+bench-e2e-test:
+	cd bench && $(GO) vet . && $(GO) test -short ./...
 
 vet:
 	$(GO) vet ./...

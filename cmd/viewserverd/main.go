@@ -118,6 +118,13 @@ type options struct {
 }
 
 func run(o options) error {
+	// Catch SIGINT/SIGTERM before the port is bound: readiness is
+	// reported from inside Start, so a supervisor can signal the moment
+	// /v1/healthz turns 200 — or earlier, mid-bootstrap — and must get
+	// the drain below, never the default signal action.
+	sigCtx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stopSignals()
+
 	// The serve package mounts the obs endpoint itself, so Setup only
 	// wires stats + the event logger here (no separate obs listener).
 	if _, err := obs.Setup(true, "", o.logLevel, os.Stderr); err != nil {
@@ -192,7 +199,7 @@ func run(o options) error {
 	}
 
 	start := time.Now()
-	if err := srv.Start(context.Background(), dstore); err != nil {
+	if err := srv.Start(sigCtx, dstore); err != nil {
 		_ = httpSrv.Close()
 		if dstore != nil {
 			_ = dstore.Close()
@@ -202,11 +209,9 @@ func run(o options) error {
 	fmt.Fprintf(os.Stderr, "viewserverd: ready in %v, serving /v1 API and /metrics on http://%s\n",
 		time.Since(start).Round(time.Millisecond), ln.Addr())
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "viewserverd: %v received, draining (timeout %v)\n", sig, o.drainTimeout)
+	case <-sigCtx.Done():
+		fmt.Fprintf(os.Stderr, "viewserverd: signal received, draining (timeout %v)\n", o.drainTimeout)
 	case err := <-errCh:
 		// Serve only reports before Shutdown on a real listener failure;
 		// still drain so accepted ingest reaches the window and the WAL.

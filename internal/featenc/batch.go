@@ -6,8 +6,9 @@ import (
 	"autoview/internal/catalog"
 )
 
-// BatchExtractor amortizes ExtractPre across the pairs of one request
-// and across requests. Two costs of the plain function are hoisted:
+// BatchExtractor holds the feature-extraction loop and amortizes it
+// across the pairs of one request and across requests (Extract is the
+// one-shot form: a fresh extractor per call). Two costs are hoisted:
 //
 //   - Per-table work: catalog.Table.SchemaKeywords allocates a fresh
 //     keyword slice on every call and the stats are re-read per pair;
@@ -25,9 +26,8 @@ import (
 // after its request fully completes). Not safe for concurrent use; pool
 // extractors per request like any other scratch.
 //
-// Extraction is bit-identical to ExtractPre: the sorted-merge visit
-// order, the float summation order, and the keyword sequence are all
-// the same, only the provenance of the buffers differs (pinned by
+// A reused extractor returns exactly what a fresh one does — only the
+// provenance of the buffers differs (pinned by
 // TestBatchExtractorMatchesExtractPre).
 type BatchExtractor struct {
 	cat    *catalog.Catalog
@@ -83,16 +83,18 @@ func (ex *BatchExtractor) table(name string) *tableFeat {
 	return tf
 }
 
-// ExtractPre is the batched twin of the package-level ExtractPre:
-// identical output, amortized cost. See the type comment for the
-// aliasing contract on the returned slices.
+// ExtractPre is Extract over precomputed plan-local features, the form
+// used by the serving hot path. It never mutates q or v. See the type
+// comment for the aliasing contract on the returned slices.
 func (ex *BatchExtractor) ExtractPre(q, v *PlanFeat) Features {
 	f := Features{
 		QueryPlan: q.Ser,
 		ViewPlan:  v.Ser,
 	}
-	// The same sorted-merge visit order as the plain function: keyword
-	// sequence and float summation order must match bit for bit.
+	// Merge the two sorted table lists: the schema-keyword sequence and
+	// the float sums below must visit names in sorted order (map
+	// iteration order must never leak into features), and the summation
+	// order here matches what sorting the union produces.
 	schemaStart := len(ex.schema)
 	var numTables, numCols, totalRows, totalBytes, maxRows float64
 	qi, vi := 0, 0

@@ -317,90 +317,82 @@ func TestVocabFromWordsRequiresUnk(t *testing.T) {
 }
 
 // TestExtractPreParity pins the precompute split: ExtractPre over
-// Precompute results must reproduce Extract bit for bit (the serving
-// cache substitutes one for the other on warm requests), Precompute must
-// yield sorted deduplicated tables, and reusing a PlanFeat across calls
-// must not mutate it.
-func TestExtractPreParity(t *testing.T) {
+// TestBatchExtractorMatchesExtractPre pins the one extraction loop from
+// both ends. Precompute must yield sorted deduplicated tables. A reused
+// extractor must return exactly what Extract (a fresh extractor per
+// call) returns for every pairing, across Reset cycles (warm backing
+// arrays and a warm table memo must not change results), with earlier
+// pairs' slices intact while later pairs of the same batch are
+// extracted, without mutating the shared PlanFeats, and with a missing
+// table or a rebound catalog handled like a fresh extractor would.
+func TestBatchExtractorMatchesExtractPre(t *testing.T) {
 	cat := testCatalog(t)
 	q, v := examplePlans(t, cat)
 	pq, pv := Precompute(q), Precompute(v)
-	if !sort.StringsAreSorted(pq.Tables) || !sort.StringsAreSorted(pv.Tables) {
-		t.Fatalf("Precompute tables not sorted: %v / %v", pq.Tables, pv.Tables)
-	}
 	for _, pf := range []*PlanFeat{pq, pv} {
+		if !sort.StringsAreSorted(pf.Tables) {
+			t.Fatalf("Precompute tables not sorted: %v", pf.Tables)
+		}
 		for i := 1; i < len(pf.Tables); i++ {
 			if pf.Tables[i] == pf.Tables[i-1] {
 				t.Fatalf("duplicate table %q survived Precompute", pf.Tables[i])
 			}
 		}
 	}
-	cold := Extract(q, v, cat)
 	tablesBefore := append([]string(nil), pq.Tables...)
-	for round := 0; round < 3; round++ {
-		warm := ExtractPre(pq, pv, cat)
-		if !reflect.DeepEqual(cold, warm) {
-			t.Fatalf("round %d: ExtractPre diverges from Extract:\ncold %+v\nwarm %+v", round, cold, warm)
-		}
-	}
-	if !reflect.DeepEqual(tablesBefore, pq.Tables) {
-		t.Fatalf("ExtractPre mutated PlanFeat tables: %v -> %v", tablesBefore, pq.Tables)
+	ex := NewBatchExtractor(cat)
+
+	plans := [][2]*plan.Node{{q, v}, {v, q}, {q, q}, {v, v}}
+	pairs := [][2]*PlanFeat{{pq, pv}, {pv, pq}, {pq, pq}, {pv, pv}}
+	want := make([]Features, len(pairs))
+	for i, p := range plans {
+		want[i] = Extract(p[0], p[1], cat)
 	}
 	// Asymmetric pairing: the q/v halves must not be interchangeable by
 	// accident (Count and plan-length features are signed).
-	flipped := ExtractPre(pv, pq, cat)
-	if reflect.DeepEqual(cold.Numeric, flipped.Numeric) {
+	if reflect.DeepEqual(want[0].Numeric, want[1].Numeric) {
 		t.Fatal("flipped pairing produced identical numeric features")
 	}
-}
-
-// TestBatchExtractorMatchesExtractPre pins the batched extractor's
-// contract: bit-identical Features to the package-level ExtractPre for
-// every pairing, across Reset cycles (warm backing arrays and a warm
-// table memo must not change results), with earlier pairs' slices intact
-// while later pairs of the same batch are extracted, and with a missing
-// table degrading exactly like the plain function.
-func TestBatchExtractorMatchesExtractPre(t *testing.T) {
-	cat := testCatalog(t)
-	q, v := examplePlans(t, cat)
-	pq, pv := Precompute(q), Precompute(v)
-	ex := NewBatchExtractor(cat)
-
-	pairs := [][2]*PlanFeat{{pq, pv}, {pv, pq}, {pq, pq}, {pv, pv}}
 	for round := 0; round < 3; round++ {
 		ex.Reset(cat)
 		got := make([]Features, len(pairs))
-		want := make([]Features, len(pairs))
 		for i, p := range pairs {
 			got[i] = ex.ExtractPre(p[0], p[1])
-			want[i] = ExtractPre(p[0], p[1], cat)
 		}
 		// Compare only after the whole batch is out: this doubles as the
 		// aliasing check that pair i's carved-out slices survive the
 		// appends for pairs i+1..n.
 		for i := range pairs {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("round %d pair %d: batch extractor diverges:\n got %+v\nwant %+v", round, i, got[i], want[i])
+				t.Fatalf("round %d pair %d: reused extractor diverges from Extract:\n got %+v\nwant %+v", round, i, got[i], want[i])
 			}
 		}
 	}
+	if !reflect.DeepEqual(tablesBefore, pq.Tables) {
+		t.Fatalf("ExtractPre mutated PlanFeat tables: %v -> %v", tablesBefore, pq.Tables)
+	}
 
-	// A plan referencing an unknown table must degrade identically.
+	// A plan referencing an unknown table must degrade to the features
+	// of its known tables alone.
 	ghost := &PlanFeat{Tables: []string{"no_such_table", "user_memo"}, Ser: pq.Ser, Count: pq.Count}
-	sort.Strings(ghost.Tables)
+	known := &PlanFeat{Tables: []string{"user_memo"}, Ser: pq.Ser, Count: pq.Count}
 	ex.Reset(cat)
-	if got, want := ex.ExtractPre(ghost, pv), ExtractPre(ghost, pv, cat); !reflect.DeepEqual(got, want) {
+	if got, want := ex.ExtractPre(ghost, pv), ex.ExtractPre(known, pv); !reflect.DeepEqual(got, want) {
 		t.Fatalf("unknown-table pair diverges:\n got %+v\nwant %+v", got, want)
 	}
 
 	// Rebinding to a different catalog must drop the memo: extract under
-	// a second catalog with different stats and check against the plain
-	// function bound to that catalog.
+	// a second catalog with different stats and check against Extract
+	// bound to that catalog.
 	cat2 := testCatalog(t)
 	tb, _ := cat2.Table("user_memo")
 	tb.Stats.Rows *= 7
 	ex.Reset(cat2)
-	if got, want := ex.ExtractPre(pq, pv), ExtractPre(pq, pv, cat2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-rebind extraction diverges:\n got %+v\nwant %+v", got, want)
+	got, want2 := ex.ExtractPre(pq, pv), Extract(q, v, cat2)
+	if !reflect.DeepEqual(got, want2) {
+		t.Fatalf("post-rebind extraction diverges:\n got %+v\nwant %+v", got, want2)
+	}
+	if reflect.DeepEqual(got.Numeric, want[0].Numeric) {
+		t.Fatal("rebound extractor served the old catalog's statistics")
 	}
 }

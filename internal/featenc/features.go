@@ -63,68 +63,10 @@ func Precompute(n *plan.Node) *PlanFeat {
 
 // Extract gathers features for estimating A(q|v). Table statistics are
 // read from the catalog (the paper's metadata database); log scaling keeps
-// the magnitudes trainable before normalization.
+// the magnitudes trainable before normalization. It is the one-shot form
+// of (*BatchExtractor).ExtractPre, which holds the extraction loop.
 func Extract(q, v *plan.Node, cat *catalog.Catalog) Features {
-	return ExtractPre(Precompute(q), Precompute(v), cat)
-}
-
-// ExtractPre is Extract over precomputed plan-local features, the form
-// used by the serving hot path. It never mutates q or v.
-func ExtractPre(q, v *PlanFeat, cat *catalog.Catalog) Features {
-	f := Features{
-		QueryPlan: q.Ser,
-		ViewPlan:  v.Ser,
-	}
-	// Merge the two sorted table lists: the schema-keyword sequence and
-	// the float sums below must visit names in sorted order (map
-	// iteration order must never leak into features), and the summation
-	// order here matches what sorting the union produces.
-	var numTables, numCols, totalRows, totalBytes, maxRows float64
-	qi, vi := 0, 0
-	for qi < len(q.Tables) || vi < len(v.Tables) {
-		var name string
-		switch {
-		case vi >= len(v.Tables):
-			name = q.Tables[qi]
-			qi++
-		case qi >= len(q.Tables):
-			name = v.Tables[vi]
-			vi++
-		case q.Tables[qi] < v.Tables[vi]:
-			name = q.Tables[qi]
-			qi++
-		case q.Tables[qi] > v.Tables[vi]:
-			name = v.Tables[vi]
-			vi++
-		default:
-			name = q.Tables[qi]
-			qi++
-			vi++
-		}
-		t, ok := cat.Table(name)
-		if !ok {
-			continue
-		}
-		numTables++
-		numCols += float64(len(t.Columns))
-		totalRows += float64(t.Stats.Rows)
-		totalBytes += float64(t.Stats.Bytes)
-		if r := float64(t.Stats.Rows); r > maxRows {
-			maxRows = r
-		}
-		f.Schema = append(f.Schema, t.SchemaKeywords()...)
-	}
-	f.Numeric = []float64{
-		numTables,
-		numCols,
-		math.Log1p(totalRows),
-		math.Log1p(totalBytes),
-		math.Log1p(maxRows),
-		float64(q.Count),
-		float64(v.Count),
-		float64(len(f.QueryPlan) - len(f.ViewPlan)),
-	}
-	return f
+	return NewBatchExtractor(cat).ExtractPre(Precompute(q), Precompute(v))
 }
 
 // Normalizer standardizes numerical features to zero mean and unit
@@ -168,16 +110,10 @@ func FitNormalizer(rows [][]float64) *Normalizer {
 // Apply standardizes one feature vector (out of place).
 func (n *Normalizer) Apply(x []float64) []float64 {
 	out := make([]float64, len(x))
-	n.ApplyInto(out, x)
-	return out
-}
-
-// ApplyInto standardizes x into dst (same length), the allocation-free
-// form used by the inference fast path.
-func (n *Normalizer) ApplyInto(dst, x []float64) {
 	for i, v := range x {
-		dst[i] = (v - n.Mean[i]) / n.Std[i]
+		out[i] = (v - n.Mean[i]) / n.Std[i]
 	}
+	return out
 }
 
 func ones(n int) []float64 {

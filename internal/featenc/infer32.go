@@ -8,10 +8,11 @@ import (
 // Encoder32 is the float32 inference mirror of Encoder: the same
 // architecture over flat f32 weight copies and the blocked kernels of
 // internal/nn, materialized from a trained Encoder (NewEncoder32) and
-// rebuilt whenever the f64 weights change. Outputs agree with the f64
-// Infer* paths within the tolerance budgets pinned by the parity tests.
+// rebuilt whenever the f64 weights change. It is the encoder's only
+// forward-only path; outputs agree with the tape Encode* forward within
+// the tolerance budgets pinned by the parity tests.
 //
-// The mirror folds work that the f64 path redoes per token:
+// The mirror folds work that the tape forward redoes per token:
 //
 //   - kwPre1 precomputes B + Wx·code(kw) — the input half of LSTM1's
 //     gate pre-activations — for every vocabulary keyword, so the
@@ -54,7 +55,7 @@ func NewStringEncoder32(s *StringEncoder) *StringEncoder32 {
 }
 
 // Infer encodes a string forward-only (char embedding → two conv
-// blocks → row-average pooling), mirroring StringEncoder.Infer.
+// blocks → row-average pooling), mirroring StringEncoder.Encode.
 func (s *StringEncoder32) Infer(str string, a *nn.Arena) nn.Vec32 {
 	if len(str) == 0 {
 		return a.Vec32(s.dim)
@@ -164,7 +165,7 @@ func (m *Encoder32) tokenVecInto(dst nn.Vec32, t plan.Tok, a *nn.Arena) {
 	copy(dst, m.kwEmb.Row(m.vocab.ID(t.Text)))
 }
 
-// InferPlan mirrors Encoder.InferPlan: LSTM1 over each operator's
+// InferPlan mirrors Encoder.EncodePlan: LSTM1 over each operator's
 // tokens, LSTM2 over the operator codes; nested average pooling under
 // N-Exp.
 func (m *Encoder32) InferPlan(p [][]plan.Tok, a *nn.Arena) nn.Vec32 {
@@ -221,7 +222,7 @@ func (m *Encoder32) InferPlan(p [][]plan.Tok, a *nn.Arena) nn.Vec32 {
 	return h2
 }
 
-// InferSchema mirrors Encoder.InferSchema: average pooling of keyword
+// InferSchema mirrors Encoder.EncodeSchema: average pooling of keyword
 // codes. Under KeywordOneHot the average of one-hots is a scaled
 // count vector, computed directly without materializing the one-hots.
 func (m *Encoder32) InferSchema(keywords []string, a *nn.Arena) nn.Vec32 {

@@ -3,6 +3,10 @@
 // embedding, char-CNN string encoding, two-level LSTM plan encoding, and
 // average-pooled schema encoding. Ablation variants (N-Kw, N-Str, N-Exp)
 // are produced by the Config switches.
+//
+// The encoders exist twice: Encoder's Encode* methods are the float64
+// tape forward (training, and the reference), Encoder32's Infer* methods
+// the float32 forward-only mirror that serving runs (infer32.go).
 package featenc
 
 import (

@@ -7,8 +7,8 @@ import (
 
 // ArenaEscape checks the lifetime contract of nn.Arena scratch memory
 // (PERFORMANCE.md "Arena discipline"): a slice carved from an arena —
-// Arena.Vec / Vec32 / Vecs / Mat, anything derived from one by slicing
-// or row indexing, and anything a helper with an arena parameter hands
+// Arena.Vec / Vec32, anything derived from one by slicing or row
+// indexing, and anything a helper with an arena parameter hands
 // back — is valid only until the owner's next Reset. Storing such a
 // slice where it outlives the prediction (a struct field, a package
 // variable, a channel) or returning it from a function that does not
@@ -19,7 +19,7 @@ import (
 //
 //	s.buf = a.Vec(n)                 // field store outlives Reset
 //	global = a.Vec(n)[:2]            // derived slice, same memory
-//	ch <- m.Enc.InferPlan(p, a)      // helper result is arena-backed
+//	ch <- k.enc.InferPlan(p, a)      // helper result is arena-backed
 //	func f() nn.Vec {                // no arena parameter: the arena's
 //	    a := pool.Get().(*nn.Arena)  // owner resets it after f returns
 //	    return a.Vec(4)
@@ -46,7 +46,7 @@ var ArenaEscape = &Analyzer{
 }
 
 // arenaCarvers are the Arena methods that hand out carved memory.
-var arenaCarvers = map[string]bool{"Vec": true, "Vec32": true, "Vecs": true, "Mat": true}
+var arenaCarvers = map[string]bool{"Vec": true, "Vec32": true}
 
 // arenaEscapeFacts records, for every function with an *nn.Arena
 // parameter (or receiver), which result indices return arena-backed
@@ -410,8 +410,8 @@ func (a *arenaFlow) arenaResultIndices(call *ast.CallExpr) []int {
 	return pf.ArenaReturns[key]
 }
 
-// isArenaCarveCall matches a.Vec(n) / a.Vec32(n) / a.Vecs(n) /
-// a.Mat(t, d) on an nn.Arena receiver.
+// isArenaCarveCall matches a.Vec(n) / a.Vec32(n) on an nn.Arena
+// receiver.
 func isArenaCarveCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil || !arenaCarvers[fn.Name()] || !isNNPkg(fn.Pkg()) {

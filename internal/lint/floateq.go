@@ -23,7 +23,7 @@ import (
 // documented sentinel — suppress with //lint:allow floateq <reason>.
 //
 // Tolerance comparisons themselves live behind the vetted helpers
-// nn.AlmostEqual / nn.AlmostEqual32 / nn.ULPDiff32, whose internal
+// nn.AlmostEqual / nn.ULPDiff32, whose internal
 // exact-equality short-circuits carry the audit-tagged form
 // //lint:allow floateq(audit) <reason>. New non-test code comparing
 // f32-kernel outputs should call those helpers rather than add inline

@@ -353,7 +353,6 @@ func TestLintSelfClean(t *testing.T) {
 		{"autoview/internal/widedeep", "putter", "Model.putArena"},
 		{"autoview/internal/rl", "getter", "Agent.getArena"},
 		{"autoview/internal/rl", "putter", "Agent.putArena"},
-		{"autoview/internal/featenc", "arena", "Encoder.InferPlan"},
 		{"autoview/internal/featenc", "arena", "Encoder32.InferPlan"},
 	}
 	for _, c := range checks {

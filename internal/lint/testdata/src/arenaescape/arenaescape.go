@@ -7,8 +7,8 @@ import (
 )
 
 type model struct {
-	buf  nn.Vec
-	rows []nn.Vec
+	buf   nn.Vec
+	buf32 nn.Vec32
 }
 
 var global nn.Vec
@@ -32,9 +32,9 @@ func derivedStore(a *nn.Arena) {
 	global = v[:4] // want `package variable global`
 }
 
-func rowStore(m *model, a *nn.Arena) {
-	vs := a.Vecs(4)
-	m.rows = vs // want `struct field rows`
+func f32Store(m *model, a *nn.Arena) {
+	v := a.Vec32(4)
+	m.buf32 = v // want `struct field buf32`
 }
 
 func mapStore(a *nn.Arena) {
@@ -45,9 +45,10 @@ func channelSend(a *nn.Arena) {
 	resultCh <- a.Vec(8) // want `sent on a channel`
 }
 
-// Rows produced by ranging over a carved []Vec stay arena memory.
+// Rows produced by ranging over arena-backed rows stay arena memory.
 func rangeRows(m *model, a *nn.Arena) {
-	for _, row := range a.Vecs(3) {
+	rows := []nn.Vec{a.Vec(3), a.Vec(3)}
+	for _, row := range rows {
 		m.buf = row // want `struct field buf`
 	}
 }

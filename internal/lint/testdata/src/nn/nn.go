@@ -20,11 +20,5 @@ func (a *Arena) Vec(n int) Vec { a.used += n; return make(Vec, n) }
 // Vec32 mirrors (*Arena).Vec32.
 func (a *Arena) Vec32(n int) Vec32 { a.used += n; return make(Vec32, n) }
 
-// Vecs mirrors (*Arena).Vecs.
-func (a *Arena) Vecs(n int) []Vec { a.used += n; return make([]Vec, n) }
-
-// Mat mirrors (*Arena).Mat.
-func (a *Arena) Mat(t, d int) []Vec { a.used += t * d; return make([]Vec, t) }
-
 // Reset mirrors (*Arena).Reset.
 func (a *Arena) Reset() { a.used = 0 }

@@ -30,12 +30,6 @@ func AlmostEqual(a, b, rtol, atol float64) bool {
 	return diff <= atol+rtol*scale
 }
 
-// AlmostEqual32 is AlmostEqual over float32 values, evaluated in
-// float64 so the envelope arithmetic itself adds no rounding.
-func AlmostEqual32(a, b float32, rtol, atol float64) bool {
-	return AlmostEqual(float64(a), float64(b), rtol, atol)
-}
-
 // ULPDiff32 returns the distance between a and b in float32 units in
 // the last place: the number of representable float32 values strictly
 // between them, plus one if they differ. Equal values (including +0

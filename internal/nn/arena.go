@@ -14,10 +14,10 @@ package nn
 //
 // Contracts (the serving fast path depends on all three):
 //
-//   - Aliasing: every Vec/Vec32/Vecs/Mat call returns a slice disjoint
-//     from every other slice handed out since the last Reset, so
-//     kernels may assume their operands never overlap unless the caller
-//     aliased them deliberately (in-place activations do).
+//   - Aliasing: every Vec/Vec32 call returns a slice disjoint from
+//     every other slice handed out since the last Reset, so kernels may
+//     assume their operands never overlap unless the caller aliased
+//     them deliberately (in-place activations do).
 //   - Zero-alloc: once the arena has served a call sequence, replaying
 //     any sequence with the same-or-smaller shapes after Reset touches
 //     the Go allocator zero times (the allocation-regression tests pin
@@ -27,23 +27,18 @@ package nn
 //
 // An arena is NOT safe for concurrent use: give each worker its own
 // (widedeep keeps a pool of them, one handed to each ParallelFor
-// worker). Vectors returned by Vec/Vec32/Vecs/Mat are valid until the
-// next Reset; callers must not retain them across predictions.
+// worker). Vectors returned by Vec/Vec32 are valid until the next
+// Reset; callers must not retain them across predictions.
 type Arena struct {
 	floats   [][]float64 // float64 chunks
 	fi, foff int         // current float chunk and offset
-	vecs     [][]Vec     // []Vec-header chunks (for matrices)
-	vi, voff int         // current header chunk and offset
 	f32s     [][]float32 // float32 chunks (f32 kernel mirrors)
 	gi, goff int         // current float32 chunk and offset
 }
 
-// minFloatChunk and minVecChunk size freshly grown chunks; requests
-// larger than the minimum get a dedicated chunk of their own size.
-const (
-	minFloatChunk = 4096
-	minVecChunk   = 256
-)
+// minFloatChunk sizes freshly grown chunks; requests larger than the
+// minimum get a dedicated chunk of their own size.
+const minFloatChunk = 4096
 
 // NewArena returns an empty arena; it sizes itself to the model on
 // first use.
@@ -53,7 +48,6 @@ func NewArena() *Arena { return &Arena{} }
 // vector while keeping the chunks for reuse.
 func (a *Arena) Reset() {
 	a.fi, a.foff = 0, 0
-	a.vi, a.voff = 0, 0
 	a.gi, a.goff = 0, 0
 }
 
@@ -125,57 +119,12 @@ func (a *Arena) Vec32(n int) Vec32 {
 	}
 }
 
-// Vecs returns a cleared slice of n vector headers (all nil), for
-// building matrices row by row.
-func (a *Arena) Vecs(n int) []Vec {
-	if n == 0 {
-		return nil
-	}
-	for {
-		if a.vi < len(a.vecs) {
-			chunk := a.vecs[a.vi]
-			if a.voff+n <= len(chunk) {
-				v := chunk[a.voff : a.voff+n : a.voff+n]
-				a.voff += n
-				clear(v)
-				return v
-			}
-			if a.voff == 0 && n > len(chunk) {
-				a.vecs[a.vi] = make([]Vec, n)
-				continue
-			}
-			a.vi++
-			a.voff = 0
-			continue
-		}
-		size := n
-		if size < minVecChunk {
-			size = minVecChunk
-		}
-		a.vecs = append(a.vecs, make([]Vec, size))
-		a.voff = 0
-	}
-}
-
-// Mat returns a zeroed t×d matrix (t row vectors of width d) carved from
-// the arena.
-func (a *Arena) Mat(t, d int) []Vec {
-	m := a.Vecs(t)
-	for i := range m {
-		m[i] = a.Vec(d)
-	}
-	return m
-}
-
 // Bytes reports the arena's current footprint (the high-water scratch
 // size of the shapes it has served), for observability.
 func (a *Arena) Bytes() int {
 	total := 0
 	for _, c := range a.floats {
 		total += 8 * len(c)
-	}
-	for _, c := range a.vecs {
-		total += 24 * len(c)
 	}
 	for _, c := range a.f32s {
 		total += 4 * len(c)

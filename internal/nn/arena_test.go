@@ -49,8 +49,8 @@ func TestArenaConverges(t *testing.T) {
 		a.Vec(3)
 		a.Vec(minFloatChunk + 17) // oversized: needs a dedicated chunk
 		a.Vec(500)
-		a.Mat(9, 33)
-		a.Vecs(minVecChunk + 5) // oversized header request
+		a.Vec32(9 * 33)
+		a.Vec32(minFloatChunk + 5) // oversized f32 request
 		a.Vec(1)
 	}
 	for i := 0; i < 4; i++ {
@@ -101,10 +101,10 @@ func TestArenaBytes(t *testing.T) {
 	if a.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", a.Bytes(), want)
 	}
-	a.Vecs(10)
-	want += 24 * minVecChunk
+	a.Vec32(10)
+	want += 4 * minFloatChunk
 	if a.Bytes() != want {
-		t.Fatalf("Bytes after Vecs = %d, want %d", a.Bytes(), want)
+		t.Fatalf("Bytes after Vec32 = %d, want %d", a.Bytes(), want)
 	}
 	a.Reset()
 	if a.Bytes() != want {
@@ -117,8 +117,8 @@ func TestArenaZeroLength(t *testing.T) {
 	if v := a.Vec(0); v != nil {
 		t.Fatalf("Vec(0) = %v, want nil", v)
 	}
-	if v := a.Vecs(0); v != nil {
-		t.Fatalf("Vecs(0) = %v, want nil", v)
+	if v := a.Vec32(0); v != nil {
+		t.Fatalf("Vec32(0) = %v, want nil", v)
 	}
 	if a.Bytes() != 0 {
 		t.Fatalf("zero-length requests reserved memory: %d bytes", a.Bytes())

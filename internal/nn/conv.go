@@ -35,10 +35,9 @@ func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 // matStats accumulates the instance statistics of a T×D matrix in the
 // repo's canonical reduction order: a single accumulator walking rows
 // outer, columns inner (row-major), mean fully reduced before the
-// variance pass starts. Forward, InferInto and the float32 mirror
-// (BatchNorm32) all share this order — Forward/InferInto through this
-// helper, the f32 path by construction — so the f32-vs-f64 tolerance
-// bounds pinned in the tests do not depend on which path ran or on any
+// variance pass starts. Forward (through this helper) and the float32
+// mirror (BatchNorm32, by construction) share this order, so the
+// f32-vs-f64 tolerance bounds pinned in the tests do not depend on any
 // kernel block size. Documented in PERFORMANCE.md ("Accumulation
 // order").
 func matStats(m []Vec) (mu, variance float64) {

@@ -1,23 +1,43 @@
 package nn
 
-import "math"
-
-// Forward-only inference fast paths. Every method here computes exactly
-// what the corresponding Forward computes — same operation order, same
-// float64 accumulation, so results are bit-identical (the parity tests
-// in infer_test.go enforce `==` on every element) — but builds no
-// backward closures and allocates nothing: outputs live in caller-owned
-// buffers or in an Arena. This is the serving path: widedeep.Predict,
-// the serve micro-batcher, and the DQN's action scoring all run through
-// it.
+// Forward-only float64 inference for the dense stack — the DQN's action
+// scoring and bootstrap target (internal/rl). Results are bit-identical
+// to Forward (Linear.Forward computes its output through InferInto, and
+// the parity tests in infer_test.go enforce `==`), but no backward
+// closures are built and outputs live in caller-owned buffers or in an
+// Arena, so a warm evaluation allocates nothing. The W-D estimator does
+// not serve from here: its forward-only path is the float32 mirror
+// (infer32.go, kernels32.go).
 
 // InferInto applies the layer forward-only, writing the output into dst
-// (length OutDim). dst must not alias x.
+// (length OutDim). dst must not alias x. This is the package's one f64
+// matvec loop: Forward calls it too. Rows go four at a time so four
+// independent add chains are in flight (a single chain is bound by the
+// add latency, and that tight loop's speed swung 25% with where the
+// linker happened to place it); each row still accumulates bias first,
+// then columns left to right, so blocking never changes a result.
 func (l *Linear) InferInto(dst Vec, x Vec) {
-	out := l.W.Rows
-	for r := 0; r < out; r++ {
-		row := l.W.Row(r)
-		sum := l.B.Val[r]
+	out, in := l.W.Rows, l.W.Cols
+	w, b := l.W.Val, l.B.Val
+	n := len(x)
+	r := 0
+	for ; r+4 <= out; r += 4 {
+		r0 := w[r*in:][:n]
+		r1 := w[(r+1)*in:][:n]
+		r2 := w[(r+2)*in:][:n]
+		r3 := w[(r+3)*in:][:n]
+		s0, s1, s2, s3 := b[r], b[r+1], b[r+2], b[r+3]
+		for c, xv := range x {
+			s0 += r0[c] * xv
+			s1 += r1[c] * xv
+			s2 += r2[c] * xv
+			s3 += r3[c] * xv
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < out; r++ {
+		row := w[r*in:][:n]
+		sum := b[r]
 		for c, xv := range x {
 			sum += row[c] * xv
 		}
@@ -43,53 +63,6 @@ func ReLUInto(dst, x Vec) {
 	}
 }
 
-// SigmoidInto writes 1/(1+e^-x) elementwise into dst; dst may alias x.
-func SigmoidInto(dst, x Vec) {
-	for i, v := range x {
-		dst[i] = 1 / (1 + math.Exp(-v))
-	}
-}
-
-// TanhInto writes tanh(x) elementwise into dst; dst may alias x.
-func TanhInto(dst, x Vec) {
-	for i, v := range x {
-		dst[i] = math.Tanh(v)
-	}
-}
-
-// SumInto writes x ⊕ y (element-wise sum) into dst — the inference form
-// of Add. dst may alias either input.
-func SumInto(dst, x, y Vec) {
-	for i := range x {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// Infer looks up id forward-only, copying its row into the arena (the
-// copy keeps the learned table safe from downstream writes, matching
-// Forward's semantics). Unknown ids clamp to row 0.
-func (e *Embedding) Infer(id int, a *Arena) Vec {
-	if id < 0 || id >= e.W.Rows {
-		id = 0
-	}
-	dst := a.Vec(e.W.Cols)
-	copy(dst, e.W.Row(id))
-	return dst
-}
-
-// AvgPoolInto averages equal-length vectors into dst, in AvgPool's exact
-// accumulation order. dst must not alias any input.
-func AvgPoolInto(dst Vec, xs []Vec) {
-	clear(dst)
-	for _, x := range xs {
-		addInto(dst, x)
-	}
-	inv := 1 / float64(len(xs))
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
 // Infer applies all layers forward-only with ReLU between them. The
 // activations are applied in place on each layer's arena output.
 func (m *MLP) Infer(x Vec, a *Arena) Vec {
@@ -102,122 +75,4 @@ func (m *MLP) Infer(x Vec, a *Arena) Vec {
 		cur = y
 	}
 	return cur
-}
-
-// InferInto normalizes the matrix forward-only, writing into dst (same
-// shape as m). dst may alias m: the statistics are fully accumulated
-// before any element is written, and each output element depends only on
-// its own input element.
-func (bn *BatchNorm) InferInto(dst []Vec, m []Vec) {
-	T := len(m)
-	if T == 0 {
-		return
-	}
-	mu, variance := matStats(m)
-	std := math.Sqrt(variance + bnEps)
-	gamma, beta := bn.Gamma.Val[0], bn.Beta.Val[0]
-	for t := range m {
-		for d, v := range m[t] {
-			xh := (v - mu) / std
-			dst[t][d] = gamma*xh + beta
-		}
-	}
-}
-
-// Infer applies conv → norm → relu forward-only into an arena-backed
-// matrix (norm and relu run in place on the convolution output).
-func (b *ConvBlock) Infer(m []Vec, a *Arena) []Vec {
-	T := len(m)
-	if T == 0 {
-		return nil
-	}
-	D := len(m[0])
-	w0, w1, w2, bias := b.K.Val[0], b.K.Val[1], b.K.Val[2], b.K.Val[3]
-	conv := a.Mat(T, D)
-	for t := 0; t < T; t++ {
-		for d := 0; d < D; d++ {
-			sum := bias + w1*m[t][d]
-			if t > 0 {
-				sum += w0 * m[t-1][d]
-			}
-			if t < T-1 {
-				sum += w2 * m[t+1][d]
-			}
-			conv[t][d] = sum
-		}
-	}
-	b.BN.InferInto(conv, conv)
-	for t := 0; t < T; t++ {
-		ReLUInto(conv[t], conv[t])
-	}
-	return conv
-}
-
-// AvgPoolColsInto averages a matrix over its rows into dst (width = the
-// column dimension), in AvgPoolCols's exact accumulation order.
-func AvgPoolColsInto(dst Vec, m []Vec) {
-	clear(dst)
-	for _, row := range m {
-		addInto(dst, row)
-	}
-	inv := 1 / float64(len(m))
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
-// InferStep runs one forward-only time step: pre is caller scratch of
-// length 4*Hidden, overwritten. hNext may alias h and cNext may alias
-// cPrev (the pre-activations read h in full before any write, and the
-// state update is elementwise), which is how LSTM.Infer runs the whole
-// sequence in two buffers.
-func (c *LSTMCell) InferStep(hNext, cNext, pre, x, h, cPrev Vec) {
-	H := c.Hidden
-	for r := 0; r < 4*H; r++ {
-		row := c.W.Row(r)
-		sum := c.B.Val[r]
-		// Forward concatenates [x, h] and accumulates left to right;
-		// iterating x then h preserves that exact order without the
-		// concat allocation.
-		for k, v := range x {
-			sum += row[k] * v
-		}
-		for k, v := range h {
-			sum += row[len(x)+k] * v
-		}
-		pre[r] = sum
-	}
-	for j := 0; j < H; j++ {
-		i := sigmoid(pre[j])
-		f := sigmoid(pre[H+j])
-		g := math.Tanh(pre[2*H+j])
-		o := sigmoid(pre[3*H+j])
-		cj := f*cPrev[j] + i*g
-		cNext[j] = cj
-		hNext[j] = o * math.Tanh(cj)
-	}
-}
-
-// Infer encodes the sequence forward-only into the final hidden state,
-// reusing one hidden, one cell and one pre-activation buffer across all
-// time steps.
-func (l *LSTM) Infer(xs []Vec, a *Arena) Vec {
-	H := l.Cell.Hidden
-	h := a.Vec(H)
-	c := a.Vec(H)
-	pre := a.Vec(4 * H)
-	for _, x := range xs {
-		l.Cell.InferStep(h, c, pre, x, h, c)
-	}
-	return h
-}
-
-// ConcatInto copies the vectors into dst back to back (the inference
-// form of Concat); dst must have the summed length.
-func ConcatInto(dst Vec, vs ...Vec) {
-	off := 0
-	for _, v := range vs {
-		copy(dst[off:], v)
-		off += len(v)
-	}
 }

@@ -5,12 +5,12 @@ import "math"
 // Float32 inference mirrors. Each *32 type is a forward-only replica of
 // the corresponding float64 layer, materialized from the trained f64
 // parameters (New*32) and backed by the kernels in kernels32.go. The
-// mirrors exist only on the serving path: training, persistence and the
-// golden traces stay on the float64 layers bit-exactly, and a mirror is
-// rebuilt (cheaply — it is a flat copy of the weights) whenever the
-// underlying parameters change. Outputs agree with the f64 path within
-// the tolerance budgets pinned by the parity tests; see PERFORMANCE.md
-// for the f64-train / f32-infer contract.
+// mirrors exist only on the W-D serving path: training, persistence and
+// the golden traces stay on the float64 layers bit-exactly, and a mirror
+// is rebuilt (cheaply — it is a flat copy of the weights) whenever the
+// underlying parameters change. Outputs agree with the tape Forward of
+// the mirrored layer within the tolerance budgets pinned by the parity
+// tests; see PERFORMANCE.md for the f64-train / f32-infer contract.
 
 // Linear32 mirrors Linear: y = Wx + b over float32 with a row-major
 // flat weight copy.
@@ -62,58 +62,12 @@ func NewEmbedding32(e *Embedding) *Embedding32 {
 }
 
 // Row returns the id's row (the mirror's storage — read-only for
-// callers). Unknown ids clamp to row 0, matching Embedding.Infer.
+// callers). Unknown ids clamp to row 0, matching Embedding.Forward.
 func (e *Embedding32) Row(id int) Vec32 {
 	if id < 0 || id >= e.Rows {
 		id = 0
 	}
 	return e.W[id*e.Cols : id*e.Cols+e.Cols]
-}
-
-// MLP32 mirrors MLP: a stack of Linear32 with ReLU between layers.
-type MLP32 struct {
-	Layers          []*Linear32
-	FinalActivation bool
-}
-
-// NewMLP32 materializes the mirror of a trained MLP.
-func NewMLP32(m *MLP) *MLP32 {
-	cp := &MLP32{FinalActivation: m.FinalActivation}
-	for _, l := range m.Layers {
-		cp.Layers = append(cp.Layers, NewLinear32(l))
-	}
-	return cp
-}
-
-// Infer applies all layers forward-only (activations in place).
-func (m *MLP32) Infer(x Vec32, a *Arena) Vec32 {
-	cur := x
-	for i, l := range m.Layers {
-		y := l.Infer(cur, a)
-		if i < len(m.Layers)-1 || m.FinalActivation {
-			ReLU32(y)
-		}
-		cur = y
-	}
-	return cur
-}
-
-// InferBatch applies the stack to n inputs at once: x is row-major
-// [n × InDim], the result is arena-backed row-major [n × OutDim].
-// Each output row is bit-identical to a standalone Infer of that row
-// (MatMulT32 reduces in the canonical per-row order), so batching is a
-// pure throughput optimization.
-func (m *MLP32) InferBatch(x Vec32, n int, a *Arena) Vec32 {
-	cur := x
-	for i, l := range m.Layers {
-		y := a.Vec32(n * l.Out)
-		MatMulT32(y, cur, n, l.In, l.W, l.Out, l.B)
-		if i < len(m.Layers)-1 || m.FinalActivation {
-			ReLU32(y)
-		}
-		cur = y
-	}
-	return cur
 }
 
 // LSTMCell32 mirrors LSTMCell with the gate matrix split into its input
@@ -265,7 +219,7 @@ func (b *ConvBlock32) Infer(m Vec32, T, D int, a *Arena) Vec32 {
 
 // AvgPoolRows32 averages the T rows of a flat T×D matrix into dst
 // (length D): rows accumulate top to bottom, matching the f64
-// AvgPoolColsInto order.
+// AvgPoolCols order.
 func AvgPoolRows32(dst Vec32, m Vec32, T, D int) {
 	clear(dst)
 	for t := 0; t < T; t++ {

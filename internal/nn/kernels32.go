@@ -148,14 +148,6 @@ func MatMulT32(y Vec32, x Vec32, m, k int, w Vec32, n int, b Vec32) {
 	}
 }
 
-// Axpy32 computes dst += s·x, the sparse-input building block (e.g.
-// accumulating weighted weight-matrix columns for histogram inputs).
-func Axpy32(dst Vec32, s float32, x Vec32) {
-	for i, v := range x {
-		dst[i] += s * v
-	}
-}
-
 // Sum32 writes x ⊕ y elementwise into dst (the residual connection);
 // dst may alias either input.
 func Sum32(dst, x, y Vec32) {

@@ -266,22 +266,3 @@ func TestULPDiff32(t *testing.T) {
 		t.Fatalf("NaN: %d", d)
 	}
 }
-
-func TestMLP32InferBatchMatchesInfer(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m64 := NewMLP("t", []int{10, 16, 64, 16, 1}, rng)
-	m := NewMLP32(m64)
-	a := NewArena()
-	const n = 5
-	x := randVec32(rng, n*10, 1)
-	a.Reset()
-	batch := m.InferBatch(x, n, a)
-	single := NewArena()
-	for i := 0; i < n; i++ {
-		single.Reset()
-		y := m.Infer(x[i*10:i*10+10], single)
-		if batch[i] != y[0] { //lint:allow floateq batch-vs-single bit-identity is the property under test
-			t.Fatalf("row %d: batch %v != single %v", i, batch[i], y[0])
-		}
-	}
-}

@@ -34,18 +34,12 @@ func (l *Linear) InDim() int { return l.W.Cols }
 // OutDim returns the output dimension.
 func (l *Linear) OutDim() int { return l.W.Rows }
 
-// Forward applies the layer and returns the backward closure.
+// Forward applies the layer and returns the backward closure. The output
+// is computed by InferInto, so the two are bit-identical by construction.
 func (l *Linear) Forward(x Vec) (Vec, Backward) {
 	out := l.W.Rows
 	y := zeros(out)
-	for r := 0; r < out; r++ {
-		row := l.W.Row(r)
-		sum := l.B.Val[r]
-		for c, xv := range x {
-			sum += row[c] * xv
-		}
-		y[r] = sum
-	}
+	l.InferInto(y, x)
 	back := func(dy Vec) Vec {
 		dx := zeros(len(x))
 		for r := 0; r < out; r++ {

@@ -7,6 +7,14 @@
 // with a backward closure, so layers can be applied repeatedly within one
 // sample (LSTM time steps, shared embeddings) and gradients accumulate
 // correctly into the shared parameters.
+//
+// Besides the tape Forward, a layer has at most one forward-only
+// definition, chosen by which network uses it: the dense stack
+// (Linear, MLP — the DQN) has float64 Infer methods, bit-identical to
+// Forward (infer.go); every layer of the Wide-Deep estimator has a
+// float32 mirror (*32 types, infer32.go) over the blocked kernels of
+// kernels32.go. Both draw scratch from an Arena. The two element types
+// never share a caller, so there are no kernels generic over them.
 package nn
 
 import (

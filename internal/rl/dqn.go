@@ -5,6 +5,10 @@
 // four fully connected layers (16, 64, 16, 1 neurons, ReLU) predicts
 // Q(e,a); RLView (Algorithm 2) initializes from IterView and fine-tunes
 // the network online from an experience-replay memory.
+//
+// The DQN is float64 end to end, with two forwards: QNetwork.Forward
+// (tape, for the Learn update) and QNetwork.Infer (forward-only and
+// bit-identical — action scoring and the bootstrap target share it).
 package rl
 
 import (
@@ -157,11 +161,6 @@ type Agent struct {
 	// warm arena across GC cycles, which empty the sync.Pool wholesale.
 	arenas     sync.Pool
 	spareArena atomic.Pointer[nn.Arena]
-
-	// m32 caches the f32 scoring mirror (infer32.go); refF64 forces the
-	// f64 reference path for scoring (UseF64Scoring).
-	m32    atomic.Pointer[mirrorState]
-	refF64 atomic.Bool
 }
 
 // NewAgent allocates an initialized agent.
@@ -211,41 +210,25 @@ func (a *Agent) putArena(ar *nn.Arena) {
 	a.arenas.Put(ar)
 }
 
-// Q evaluates μ(e,a|θ) for one action's features through the
-// forward-only fast path: the f32 scoring mirror by default, the f64
-// reference forward (bit-identical to training) under UseF64Scoring or
-// when no mirror exists for the architecture.
+// Q evaluates μ(e,a|θ) for one action's features through the f64
+// forward-only path (QNetwork.Infer): bit-identical to the training
+// Forward, no backward closures, no allocations when warm.
 func (a *Agent) Q(feat []float64) float64 {
-	ar := a.getArena()
-	ar.Reset()
-	var y float64
-	if m := a.scorer(); m != nil {
-		y = m.infer(f32Feat(ar, feat), ar)
-	} else {
-		y = a.QNet.Infer(feat, ar)
-	}
-	a.putArena(ar)
-	return y
-}
-
-// scorer returns the f32 mirror to score with, or nil when scoring must
-// run the f64 reference path.
-func (a *Agent) scorer() *qMirror {
-	if a.refF64.Load() {
-		return nil
-	}
-	return a.mirror()
+	return a.infer(a.QNet, feat)
 }
 
 // targetQ evaluates the Q-learning bootstrap: the frozen target when
-// configured, else the online network — always through the f64 forward,
-// never the scoring mirror, so Learn's updates are bit-exact however
-// actions were scored.
+// configured, else the online network — the same forward-only path
+// action scoring uses.
 func (a *Agent) targetQ(feat []float64) float64 {
-	net := a.target
-	if net == nil {
-		net = a.QNet
+	if a.target != nil {
+		return a.infer(a.target, feat)
 	}
+	return a.infer(a.QNet, feat)
+}
+
+// infer runs one forward-only evaluation of net on a pooled arena.
+func (a *Agent) infer(net QNetwork, feat []float64) float64 {
 	ar := a.getArena()
 	ar.Reset()
 	y := net.Infer(feat, ar)
@@ -258,14 +241,9 @@ func (a *Agent) targetQ(feat []float64) float64 {
 func (a *Agent) QValues(feats [][]float64) []float64 {
 	out := make([]float64, len(feats))
 	ar := a.getArena()
-	m := a.scorer()
 	for j, f := range feats {
 		ar.Reset()
-		if m != nil {
-			out[j] = m.infer(f32Feat(ar, f), ar)
-		} else {
-			out[j] = a.QNet.Infer(f, ar)
-		}
+		out[j] = a.QNet.Infer(f, ar)
 	}
 	a.putArena(ar)
 	return out
@@ -276,16 +254,9 @@ func (a *Agent) QValues(feats [][]float64) []float64 {
 func (a *Agent) BestAction(feats [][]float64) int {
 	best, bestQ := 0, math.Inf(-1)
 	ar := a.getArena()
-	m := a.scorer()
 	for j, f := range feats {
 		ar.Reset()
-		var q float64
-		if m != nil {
-			q = m.infer(f32Feat(ar, f), ar)
-		} else {
-			q = a.QNet.Infer(f, ar)
-		}
-		if q > bestQ {
+		if q := a.QNet.Infer(f, ar); q > bestQ {
 			best, bestQ = j, q
 		}
 	}
@@ -333,7 +304,6 @@ func (a *Agent) Learn() float64 {
 	a.batchN = float64(n)
 	loss := a.trainer.Step(n)
 	a.opt.Step(a.QNet.Params())
-	a.InvalidateMirror() // weights moved; the scoring mirror is stale
 	a.learnCalls++
 	if a.target != nil && a.learnCalls%a.Cfg.TargetSync == 0 {
 		copyParams(a.target.Params(), a.QNet.Params())
@@ -383,7 +353,6 @@ func (a *Agent) Load(r io.Reader) error {
 	if a.target != nil {
 		copyParams(a.target.Params(), a.QNet.Params())
 	}
-	a.InvalidateMirror() // loaded weights obsolete any cached mirror
 	return nil
 }
 

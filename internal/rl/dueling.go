@@ -17,7 +17,7 @@ type QNetwork interface {
 	Forward(feat nn.Vec) (float64, func(dy float64))
 	// Infer returns Q(e,a) forward-only, drawing scratch from the
 	// arena: bit-identical to Forward but with no backward closures and
-	// no heap allocations — the action-scoring fast path.
+	// no heap allocations — action scoring and the Learn bootstrap.
 	Infer(feat nn.Vec, a *nn.Arena) float64
 	// Clone returns an architecture copy with independent parameters
 	// initialized to the same values (for target networks).

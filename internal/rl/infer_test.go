@@ -7,7 +7,7 @@ import (
 	"autoview/internal/nn"
 )
 
-// TestQNetworkInferParity pins the action-scoring fast path: Infer must
+// TestQNetworkInferParity pins the forward-only path: Infer must
 // return exactly what Forward returns, for both architectures, across
 // many random inputs and with a reused arena.
 func TestQNetworkInferParity(t *testing.T) {
@@ -38,83 +38,74 @@ func TestQNetworkInferParity(t *testing.T) {
 	}
 }
 
-// f32 scoring parity budget against the f64 training forward; same
-// rationale and headroom as widedeep's predict budget (observed worst
-// case on these networks is ~1e-7 relative). Documented in
-// PERFORMANCE.md.
-const (
-	scoreRTol = 1e-5
-	scoreATol = 1e-6
-)
-
-// TestAgentScoringUsesParityPath cross-checks the agent's scoring
-// surface (Q, QValues, BestAction) against direct Forward evaluation,
-// for both routing modes: the f64 reference path must be bit-identical
-// to Forward, the default f32 mirror path must agree within the pinned
-// tolerance while ranking actions identically — and targetQ (the Learn
-// bootstrap) must stay bit-exact f64 regardless of the scoring mode.
-func TestAgentScoringUsesParityPath(t *testing.T) {
-	for _, dueling := range []bool{false, true} {
-		ag := NewAgent(AgentConfig{Dueling: dueling, Seed: 5}, nil)
+// TestAgentScoringBitIdenticalToForward cross-checks the agent's whole
+// forward-only surface — Q, QValues, BestAction and the Learn bootstrap
+// targetQ — against direct Forward evaluation with ==, for both
+// architectures, with and without a frozen target network, before and
+// after a Learn step moves the weights (nothing may be cached across
+// an update).
+func TestAgentScoringBitIdenticalToForward(t *testing.T) {
+	for _, cfg := range []AgentConfig{
+		{Seed: 5},
+		{Seed: 5, Dueling: true},
+		{Seed: 5, TargetSync: 100},
+		{Seed: 5, Dueling: true, TargetSync: 100},
+	} {
+		ag := NewAgent(cfg, nil)
 		rng := rand.New(rand.NewSource(6))
 		feats := make([][]float64, 9)
-		want := make([]float64, len(feats))
-		bestJ, bestQ := 0, 0.0
 		for j := range feats {
 			feats[j] = make([]float64, FeatureDim)
 			for i := range feats[j] {
 				feats[j][i] = rng.NormFloat64()
 			}
-			want[j], _ = ag.QNet.Forward(feats[j])
-			if j == 0 || want[j] > bestQ {
-				bestJ, bestQ = j, want[j]
-			}
 		}
+		ag.Remember(Experience{State: feats, Action: 2, Reward: 1, NextState: feats})
+		for _, phase := range []string{"initial", "after Learn"} {
+			bootstrap := ag.QNet
+			if ag.target != nil {
+				bootstrap = ag.target
+			}
+			qv := ag.QValues(feats)
+			bestJ, bestQ := 0, 0.0
+			for j, f := range feats {
+				want, _ := ag.QNet.Forward(f)
+				if j == 0 || want > bestQ {
+					bestJ, bestQ = j, want
+				}
+				if got := ag.Q(f); got != want { //lint:allow floateq bit-identity is the property under test
+					t.Fatalf("%+v %s: Q(%d) = %v, Forward = %v", cfg, phase, j, got, want)
+				}
+				if qv[j] != want { //lint:allow floateq bit-identity is the property under test
+					t.Fatalf("%+v %s: QValues[%d] = %v, Forward = %v", cfg, phase, j, qv[j], want)
+				}
+				wantT, _ := bootstrap.Forward(f)
+				if got := ag.targetQ(f); got != wantT { //lint:allow floateq bit-identity is the property under test
+					t.Fatalf("%+v %s: targetQ(%d) = %v, Forward = %v", cfg, phase, j, got, wantT)
+				}
+			}
+			if got := ag.BestAction(feats); got != bestJ {
+				t.Fatalf("%+v %s: BestAction = %d, want %d (q=%v)", cfg, phase, got, bestJ, bestQ)
+			}
+			ag.Learn()
+		}
+	}
+}
 
-		// f64 reference path: bit-identical, kernel unchanged.
-		ag.UseF64Scoring(true)
-		for j := range feats {
-			if got := ag.Q(feats[j]); got != want[j] { //lint:allow floateq bit-identity of the f64 reference path is the property under test
-				t.Fatalf("dueling=%v: f64 Q(%d) = %v, Forward = %v", dueling, j, got, want[j])
+// TestQValuesAllocs pins the scoring cost model: once the pooled arena
+// is warm, QValues allocates its result slice and nothing per action.
+func TestQValuesAllocs(t *testing.T) {
+	for _, dueling := range []bool{false, true} {
+		ag := NewAgent(AgentConfig{Dueling: dueling, Seed: 5}, nil)
+		for _, n := range []int{8, 64} {
+			feats := make([][]float64, n)
+			for j := range feats {
+				feats[j] = make([]float64, FeatureDim)
+				feats[j][j%FeatureDim] = 1
 			}
-		}
-		qv := ag.QValues(feats)
-		for j := range want {
-			if qv[j] != want[j] { //lint:allow floateq bit-identity of the f64 reference path is the property under test
-				t.Fatalf("dueling=%v: f64 QValues[%d] = %v, Forward = %v", dueling, j, qv[j], want[j])
-			}
-		}
-		if got := ag.BestAction(feats); got != bestJ {
-			t.Fatalf("dueling=%v: f64 BestAction = %d, want %d (q=%v)", dueling, got, bestJ, bestQ)
-		}
-
-		// f32 mirror path: pinned tolerance, identical ranking,
-		// deterministic across warm-arena replays.
-		ag.UseF64Scoring(false)
-		for j := range feats {
-			got := ag.Q(feats[j])
-			if !nn.AlmostEqual(got, want[j], scoreRTol, scoreATol) {
-				t.Fatalf("dueling=%v: f32 Q(%d) = %v, Forward = %v (diff %g) outside rtol %g / atol %g",
-					dueling, j, got, want[j], got-want[j], scoreRTol, scoreATol)
-			}
-			if again := ag.Q(feats[j]); again != got { //lint:allow floateq warm-arena determinism of the f32 path is the property under test
-				t.Fatalf("dueling=%v: warm-arena f32 Q(%d) drifted: %v != %v", dueling, j, again, got)
-			}
-		}
-		qv32 := ag.QValues(feats)
-		for j := range want {
-			if !nn.AlmostEqual(qv32[j], want[j], scoreRTol, scoreATol) {
-				t.Fatalf("dueling=%v: f32 QValues[%d] = %v, Forward = %v outside tolerance", dueling, j, qv32[j], want[j])
-			}
-		}
-		if got := ag.BestAction(feats); got != bestJ {
-			t.Fatalf("dueling=%v: f32 BestAction = %d, want %d — action ranking flipped", dueling, got, bestJ)
-		}
-
-		// The Learn bootstrap never routes through the mirror.
-		for j := range feats {
-			if got := ag.targetQ(feats[j]); got != want[j] { //lint:allow floateq bit-identity of the f64 bootstrap is the property under test
-				t.Fatalf("dueling=%v: targetQ(%d) = %v, Forward = %v", dueling, j, got, want[j])
+			ag.QValues(feats) // warm the arena
+			if allocs := testing.AllocsPerRun(100, func() { ag.QValues(feats) }); allocs != 1 {
+				t.Fatalf("dueling=%v n=%d: warm QValues allocates %v allocs/op, want 1 (the result slice)", dueling, n, allocs)
 			}
 		}
 	}

@@ -304,12 +304,6 @@ func TestTargetNetworkSync(t *testing.T) {
 	f := make([]float64, FeatureDim)
 	f[0] = 1
 	a.Remember(Experience{State: [][]float64{f}, Action: 0, Reward: 1, NextState: [][]float64{f}})
-	// The sync property is about the f64 parameters, so score through
-	// the f64 reference path where equality is exact (the default f32
-	// scoring mirror only tracks within tolerance; see
-	// TestAgentScoringUsesParityPath).
-	a.UseF64Scoring(true)
-	defer a.UseF64Scoring(false)
 	// Before any sync the target diverges from the online net after
 	// learning; after TargetSync calls they coincide.
 	a.Learn()

@@ -64,17 +64,12 @@ func (m *Model) kernels() *kernels32 {
 // it themselves before serving.
 func (m *Model) InvalidateKernels() { m.k32.Store(nil) }
 
-// UseF64Kernels switches Predict/PredictBatch onto the float64
-// reference forward (true) or the float32 kernel mirror (false, the
-// default). The escape hatch exists for numerics triage — comparing a
-// suspect estimate against the bit-exact training forward — and for
-// the parity harness itself.
-func (m *Model) UseF64Kernels(v bool) { m.refF64.Store(v) }
-
-// inferForward32 is the f32 twin of inferForward: the same Figure-5
-// graph over the kernel mirrors. Agreement with the f64 path is
-// enforced by the tolerance harness in infer32_test.go (pinned
-// envelope + rank preservation), not bit-exactness.
+// inferForward is the serving twin of Model.forward: the same Figure-5
+// graph over the kernel mirrors, with every activation carved out of the
+// caller's arena and no backward closures built. Agreement with forward
+// is enforced by the tolerance harness in infer_test.go (pinned
+// envelope) and the rank-preservation gate in internal/experiments, not
+// bit-exactness.
 func (k *kernels32) inferForward(f featenc.Features, a *nn.Arena) float64 {
 	dc := a.Vec32(len(f.Numeric))
 	for i, v := range f.Numeric {
@@ -124,4 +119,30 @@ func (k *kernels32) inferForward(f featenc.Features, a *nn.Arena) float64 {
 	nn.ReLU32(h5)
 	out := k.fc6.Infer(h5, a)
 	return float64(out[0])
+}
+
+// getArena hands out a reusable inference arena (one per concurrent
+// predictor; warm arenas carry the model's scratch high-water mark, so
+// steady-state use allocates nothing). The pinned spare slot is tried
+// before the pool: it survives garbage collections, which empty a
+// sync.Pool wholesale, so even a GC-heavy process keeps at least one
+// warm arena and the single-predictor path stays allocation-free.
+func (m *Model) getArena() *nn.Arena {
+	if a := m.spare.Swap(nil); a != nil {
+		return a
+	}
+	if a, ok := m.arenas.Get().(*nn.Arena); ok {
+		return a
+	}
+	return nn.NewArena()
+}
+
+// putArena returns an arena to the spare slot (or the overflow pool)
+// and publishes its footprint.
+func (m *Model) putArena(a *nn.Arena) {
+	obsArenaBytes.Set(float64(a.Bytes()))
+	if m.spare.CompareAndSwap(nil, a) {
+		return
+	}
+	m.arenas.Put(a)
 }

@@ -22,11 +22,10 @@ func disableObs(t *testing.T) {
 }
 
 // The serving path (Predict/PredictBatch) runs the forward-only arena
-// fast path on float32 kernels; these tests pin its contracts: the f64
-// reference path (UseF64Kernels) stays bit-identical to the training
-// forward, the default f32 path stays inside the pinned tolerance
-// envelope and is itself deterministic, and the steady state allocates
-// nothing.
+// fast path on float32 kernels; these tests pin its contracts: it stays
+// inside the pinned tolerance envelope of the f64 training forward
+// (which PredictReference exposes unchanged), is itself deterministic,
+// and allocates nothing in the steady state.
 
 // f32 parity budget of the full forward against the f64 training
 // forward. Observed worst case across all variants on the seeded inputs
@@ -59,10 +58,10 @@ func inferTestModel(t *testing.T, enc featenc.Config, cfg Config) (*Model, []Sam
 
 // TestPredictMatchesForwardAllVariants is the parity harness for every
 // encoder variant and both wide/deep ablations, twice per input (the
-// second call replays a warm arena): the f64 reference path must equal
-// the training forward with == (that kernel is unchanged), and the
-// default f32 kernel path must agree within the pinned tolerance while
-// being bit-deterministic across warm-arena replays.
+// second call replays a warm arena): PredictReference must equal the
+// de-standardized training forward with ==, and the f32 kernel path
+// must agree with it within the pinned tolerance while being
+// bit-deterministic across warm-arena replays.
 func TestPredictMatchesForwardAllVariants(t *testing.T) {
 	variants := Variants()
 	names := make([]string, 0, len(variants))
@@ -93,14 +92,11 @@ func TestPredictMatchesForwardAllVariants(t *testing.T) {
 				want, _ := m.forward(f)
 				want = want*m.yStd + m.yMean
 
-				// f64 reference path: bit-identical, kernel unchanged.
-				m.UseF64Kernels(true)
-				if got := m.Predict(f); got != want { //lint:allow floateq bit-identity of the f64 reference path is the property under test
-					t.Fatalf("input %d: f64 Predict = %v, forward = %v (diff %g)", i, got, want, got-want)
+				if got := m.PredictReference(f); got != want { //lint:allow floateq bit-identity of the f64 reference is the property under test
+					t.Fatalf("input %d: PredictReference = %v, forward = %v (diff %g)", i, got, want, got-want)
 				}
 
 				// f32 kernel path: pinned tolerance + determinism.
-				m.UseF64Kernels(false)
 				got := m.Predict(f)
 				if !nn.AlmostEqual(got, want, predictRTol, predictATol) {
 					t.Fatalf("input %d: f32 Predict = %v, forward = %v (diff %g) outside rtol %g / atol %g",

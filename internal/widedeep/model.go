@@ -15,6 +15,11 @@
 // query and view plans (internal/featenc). Model.Fit runs the mini-batch
 // training loop of Algorithm 1 over measured (q, v, A(q|v)) samples;
 // Model.Predict serves Â(q|v) to the benefit estimator.
+//
+// The graph above is wired exactly twice: Model.forward (float64 tape —
+// training and the bit-exact reference, exposed to tests as
+// PredictReference) and kernels32.inferForward (the float32 mirror
+// behind Predict/PredictBatch). No option selects between them.
 package widedeep
 
 import (
@@ -93,10 +98,8 @@ type Model struct {
 
 	// k32 caches the float32 kernel mirror of the trained weights
 	// (built lazily, dropped by InvalidateKernels whenever the f64
-	// parameters change); refF64 forces Predict onto the float64
-	// reference forward (UseF64Kernels).
-	k32    atomic.Pointer[kernels32]
-	refF64 atomic.Bool
+	// parameters change).
+	k32 atomic.Pointer[kernels32]
 }
 
 // New builds an initialized model over the vocabulary.
@@ -153,7 +156,8 @@ func (m *Model) shareWeights() *Model {
 }
 
 // forward computes the standardized prediction and a backward closure
-// taking dL/dŷ.
+// taking dL/dŷ. It is the training forward and the bit-exact f64
+// reference the f32 serving mirror (kernels32.inferForward) is held to.
 func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
 	dc := m.Norm.Apply(f.Numeric)
 
@@ -246,13 +250,11 @@ func addVecs(a, b nn.Vec) nn.Vec {
 //
 // Predict runs the forward-only inference fast path: no backward
 // closures are built and every activation lives in a pooled nn.Arena,
-// so a steady-state call performs zero heap allocations. By default it
-// runs the float32 kernel mirror (blocked kernels, folded embedding
-// tables — see internal/nn kernels32), which agrees with the float64
-// training forward within the pinned tolerance and never flips a view
-// ranking (the parity harness enforces both); UseF64Kernels(true)
-// switches to the bit-exact float64 reference forward. Safe for
-// concurrent use.
+// so a steady-state call performs zero heap allocations. It runs the
+// float32 kernel mirror (blocked kernels, folded embedding tables — see
+// internal/nn kernels32), which agrees with the float64 training
+// forward within the pinned tolerance and never flips a view ranking
+// (the parity harness enforces both). Safe for concurrent use.
 func (m *Model) Predict(f featenc.Features) float64 {
 	defer obs.StartSpan("wd.infer")()
 	obsInferCount.Inc()
@@ -261,13 +263,18 @@ func (m *Model) Predict(f featenc.Features) float64 {
 	}
 	a := m.getArena()
 	a.Reset()
-	var y float64
-	if m.refF64.Load() {
-		y = m.inferForward(f, a)
-	} else {
-		y = m.kernels().inferForward(f, a)
-	}
+	y := m.kernels().inferForward(f, a)
 	m.putArena(a)
+	return y*m.yStd + m.yMean
+}
+
+// PredictReference estimates A(q|v) through the float64 training
+// forward — the bit-exact reference the f32 serving path is compared
+// against. Reference-only: it builds (and drops) the backward closures
+// and allocates, so nothing on a serving path should call it. The model
+// must have a fitted normalizer (Fit or Load).
+func (m *Model) PredictReference(f featenc.Features) float64 {
+	y, _ := m.forward(f)
 	return y*m.yStd + m.yMean
 }
 
@@ -297,18 +304,11 @@ func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
 	for w := range arenas {
 		arenas[w] = m.getArena()
 	}
-	var k *kernels32
-	if !m.refF64.Load() {
-		k = m.kernels() // resolve once; workers share the immutable mirror
-	}
+	k := m.kernels() // resolve once; workers share the immutable mirror
 	nn.ParallelForWorker(len(fs), parallelism, func(w, i int) {
 		a := arenas[w]
 		a.Reset()
-		if k != nil {
-			out[i] = k.inferForward(fs[i], a)*m.yStd + m.yMean
-		} else {
-			out[i] = m.inferForward(fs[i], a)*m.yStd + m.yMean
-		}
+		out[i] = k.inferForward(fs[i], a)*m.yStd + m.yMean
 	})
 	for _, a := range arenas {
 		m.putArena(a)
