@@ -27,12 +27,14 @@ test-race-full:
 # Allocation-regression gate: steady-state Predict must allocate zero,
 # the serve micro-batcher's per-pair cost must stay allocation-free, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
-# per-request budget, fingerprinting itself must be zero-alloc, and the
-# DQN's warm QValues must cost its result slice and nothing per action
-# (see internal/widedeep/infer_test.go, internal/serve/alloc_test.go,
-# internal/sqlparse/fingerprint_test.go, and internal/rl/infer_test.go).
+# per-request budget, fingerprinting itself must be zero-alloc, the
+# DQN's warm QValues must cost its result slice and nothing per action,
+# rl.Features two slices per state, and rewrite.Rewrite nothing per
+# non-matching view (see internal/widedeep/infer_test.go,
+# internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go,
+# internal/rl/infer_test.go, and internal/rewrite/multiview_test.go).
 test-alloc:
-	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ -v -count=1
+	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ -v -count=1
 
 # Crash-recovery fault injection (DURABILITY in SERVING.md): the WAL
 # sweep kills a child process at every record boundary and mid-record

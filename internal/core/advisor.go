@@ -73,8 +73,10 @@ type Problem struct {
 	// Instance is the ILP instance (benefits from the configured
 	// estimator; overlaps from Definition 5).
 	Instance *mvs.Instance
-	// QueryCost[i] is the measured cost A(q) of workload query i.
-	QueryCost []float64
+	// QueryCost[i] is the measured cost A(q) of workload query i, and
+	// QueryUsage[i] the metered usage it is priced from.
+	QueryCost  []float64
+	QueryUsage []engine.Usage
 	// Model is the trained W-D model when Estimator is EstimatorWideDeep.
 	Model *widedeep.Model
 
@@ -162,11 +164,13 @@ func (a *Advisor) BuildProblem(queries []*plan.Node, pre *equiv.Result) (*Proble
 func (a *Advisor) measureQueryCosts(p *Problem, queries []*plan.Node) error {
 	pricing := a.Cfg.Pricing
 	p.QueryCost = make([]float64, len(queries))
+	p.QueryUsage = make([]engine.Usage, len(queries))
 	for i, q := range queries {
 		u, err := a.Exec.Cost(q)
 		if err != nil {
 			return fmt.Errorf("core: measuring query %d: %w", i, err)
 		}
+		p.QueryUsage[i] = u
 		p.QueryCost[i] = u.Cost(pricing)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"autoview/internal/plan"
 	"autoview/internal/rewrite"
 	"math"
+	"runtime"
 	"testing"
 
 	"autoview/internal/engine"
@@ -100,6 +101,15 @@ func TestBuildProblemActualBenefits(t *testing.T) {
 	for j, o := range p.Instance.Overhead {
 		if o <= 0 {
 			t.Errorf("candidate %d overhead %v", j, o)
+		}
+	}
+	// Each raw query is metered once; its price is that usage's.
+	if len(p.QueryUsage) != len(p.Queries) || len(p.QueryCost) != len(p.Queries) {
+		t.Fatalf("%d usages, %d costs for %d queries", len(p.QueryUsage), len(p.QueryCost), len(p.Queries))
+	}
+	for i, u := range p.QueryUsage {
+		if u.Cost(a.Cfg.Pricing) != p.QueryCost[i] {
+			t.Fatalf("query %d: usage prices to %v, QueryCost is %v", i, u.Cost(a.Cfg.Pricing), p.QueryCost[i])
 		}
 	}
 	// Metadata database collected the measurements.
@@ -380,6 +390,43 @@ func TestApplyPrefersOutermostView(t *testing.T) {
 	}
 	if rep.RewrittenQueries == 0 {
 		t.Error("no queries rewritten with the overlapping pair")
+	}
+}
+
+// TestApplyParallelDeterminism: Apply fans its per-query rewrite and
+// execution out over GOMAXPROCS goroutines and reduces in query order, so
+// every float of the report — hence the printed line and r_c — must be
+// the same bit pattern on one core and on four. It runs under -race
+// -short on purpose: Apply spawns goroutines.
+func TestApplyParallelDeterminism(t *testing.T) {
+	w := smallWK()
+	a := newAdvisor(t, w, fastConfig())
+	p, err := a.BuildProblem(w.Plans(), a.Preprocess(w.Plans()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Cfg.Selector = SelectorLocalSearch
+	sel, err := a.Select(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAt := func(procs int) *Report {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, err := a.Apply(p, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	one, four := applyAt(1), applyAt(4)
+	if *one != *four {
+		t.Fatalf("reports differ:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", *one, *four)
+	}
+	if one.String() != four.String() {
+		t.Fatalf("report lines differ:\n%s\n%s", one, four)
+	}
+	if one.RewrittenQueries == 0 || one.RawLatency <= 0 || one.RewrittenLatency >= one.RawLatency {
+		t.Fatalf("degenerate report: %+v", *one)
 	}
 }
 

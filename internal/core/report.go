@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
+	"autoview/internal/engine"
 	"autoview/internal/metrics"
+	"autoview/internal/nn"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/rewrite"
@@ -43,8 +46,15 @@ func (r *Report) String() string {
 		r.NumViews, r.ViewOverhead, r.RewrittenQueries, r.RewriteBenefit, r.SavedRatio)
 }
 
-// Apply takes a selection, rewrites the full workload with the selected
-// views, executes it, and reports actual end-to-end savings.
+// Apply rewrites every workload query with all selected views at once,
+// executes the rewritten plans, and reports the measured end-to-end
+// savings. Which of several overlapping views serves a query is
+// rewrite.Rewrite's outermost-first rule, not a per-query Y-Opt over
+// measured benefits. Queries are rewritten and executed in parallel (the
+// executor only reads the store; each execution has its own meter) into
+// per-query slots that are summed in query order, so the report is
+// bit-identical at any GOMAXPROCS. The raw side comes from BuildProblem's
+// measurements; raw queries are not executed again.
 func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 	defer obs.StartSpan("advisor.rewrite")()
 	pricing := a.Cfg.Pricing
@@ -53,17 +63,6 @@ func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 		Selector:   sel.Method,
 		NumQueries: len(p.Queries),
 		Selection:  sel,
-	}
-
-	// Raw workload cost and latency (measured once in BuildProblem; the
-	// latency proxy is re-derived from CPU usage).
-	for i, q := range p.Queries {
-		rep.RawCost += p.QueryCost[i]
-		u, err := a.Exec.Cost(q)
-		if err != nil {
-			return nil, err
-		}
-		rep.RawLatency += u.CPUMinutes(pricing)
 	}
 
 	// Selected views, with overheads measured on the real builds.
@@ -78,21 +77,24 @@ func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 		rep.ViewOverhead += v.Overhead(pricing)
 	}
 
-	// Per query: solve the per-query view choice under the overlap
-	// constraint (Y-Opt against measured benefits is approximated by
-	// rewriting with all selected views; Rewrite applies outermost
-	// occurrences first, which is exactly the non-overlapping maximal
-	// choice for tree-shaped overlaps).
-	for i, q := range p.Queries {
-		rw, n := rewrite.Rewrite(q, orderOutermost(selected, q))
-		u, err := a.Exec.Cost(rw)
-		if err != nil {
-			return nil, err
+	usage := make([]engine.Usage, len(p.Queries))
+	replaced := make([]int, len(p.Queries))
+	errs := make([]error, len(p.Queries))
+	nn.ParallelFor(len(p.Queries), runtime.GOMAXPROCS(0), func(i int) {
+		var rw *plan.Node
+		rw, replaced[i] = rewrite.Rewrite(p.Queries[i], selected)
+		usage[i], errs[i] = a.Exec.Cost(rw)
+	})
+	for i, u := range usage {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		rep.RawCost += p.QueryCost[i]
+		rep.RawLatency += p.QueryUsage[i].CPUMinutes(pricing)
 		cost := u.Cost(pricing)
 		rep.RewrittenCost += cost
 		rep.RewrittenLatency += u.CPUMinutes(pricing)
-		if n > 0 {
+		if replaced[i] > 0 {
 			rep.RewrittenQueries++
 			rep.RewriteBenefit += p.QueryCost[i] - cost
 		}
@@ -105,37 +107,6 @@ func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 		"rewritten", rep.RewrittenQueries, "benefit", rep.RewriteBenefit,
 		"overhead", rep.ViewOverhead, "saved_ratio", rep.SavedRatio)
 	return rep, nil
-}
-
-// orderOutermost sorts views so that ones matching higher (closer to the
-// root) in q's plan are applied first; rewriting is then greedy-outermost,
-// which maximizes per-view coverage for nested matches.
-func orderOutermost(views []*rewrite.View, q *plan.Node) []*rewrite.View {
-	depth := func(v *rewrite.View) int {
-		best := 1 << 30
-		var walk func(n *plan.Node, d int)
-		walk = func(n *plan.Node, d int) {
-			if n.Op != plan.OpScan && plan.NormalizedFingerprint(n) == v.Fingerprint {
-				if d < best {
-					best = d
-				}
-				return
-			}
-			for _, c := range n.Children {
-				walk(c, d+1)
-			}
-		}
-		walk(q, 0)
-		return best
-	}
-	out := append([]*rewrite.View(nil), views...)
-	// Insertion sort by match depth (few views; stability irrelevant).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && depth(out[j]) < depth(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Run executes the full pipeline: pre-process, estimate, select, apply.

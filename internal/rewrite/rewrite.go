@@ -7,6 +7,7 @@ package rewrite
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"autoview/internal/catalog"
@@ -141,45 +142,116 @@ func (m *Manager) Views() []*View {
 	return out
 }
 
-// Rewrite returns a copy of root where every occurrence of each view's
-// subquery is replaced by a scan of the view's backing table, plus the
-// number of replacements. Views must be mutually non-overlapping for the
-// result to be well-defined; nested occurrences are rewritten outermost-
-// first, so an inner occurrence that disappears inside an already-replaced
-// subtree is simply not counted.
+// occurrence is a node of the plan being rewritten whose normalized
+// fingerprint is a view's.
+type occurrence struct {
+	node   *plan.Node
+	view   int // index into Rewrite's views
+	depth  int // distance from the root
+	parent int // nearest enclosing occurrence, -1 at the top
+	// replaced: now a scan of its view. spoiled: a replacement was made
+	// beneath it. A view plan never scans an mv_* table, so a spoiled
+	// subtree matches no view any more.
+	replaced, spoiled bool
+}
+
+// Rewrite returns a copy of root where occurrences of the views'
+// subqueries are replaced by scans of the views' backing tables, plus the
+// number of replacements. Occurrences match on normalized fingerprints,
+// so a query that spells the subquery in a different but equivalent form
+// (stacked filters, redundant projections, commuted joins) is rewritten
+// too; normalization preserves the root's output schema, so the in-place
+// replacement stays type- and position-correct.
+//
+// Views are applied outermost first: in stable order of the shallowest
+// depth at which each matches root, each replacing every occurrence that
+// is still intact — neither inside an earlier replacement nor around one.
+// Each node is fingerprinted at most once and looked up in a map, so views
+// that match nowhere cost a map entry each and nothing per node.
 func Rewrite(root *plan.Node, views []*View) (*plan.Node, int) {
 	cp := root.Clone()
+	first := make(map[plan.Fingerprint]int, len(views))
+	for i := len(views) - 1; i >= 0; i-- {
+		first[views[i].Fingerprint] = i // of equal views the first applies
+	}
+	var occ []occurrence
+	// find appends the occurrences under n, ancestors before descendants;
+	// unless deep, it does not look beneath an occurrence.
+	var find func(n *plan.Node, depth, parent int, deep bool)
+	find = func(n *plan.Node, depth, parent int, deep bool) {
+		if n.Op == plan.OpScan {
+			return // a base table or a view: nothing to replace
+		}
+		if v, ok := first[plan.NormalizedFingerprint(n)]; ok {
+			occ = append(occ, occurrence{node: n, view: v, depth: depth, parent: parent})
+			if !deep {
+				return
+			}
+			parent = len(occ) - 1
+		}
+		for _, c := range n.Children {
+			find(c, depth+1, parent, deep)
+		}
+	}
+	find(cp, 0, -1, false)
+
+	// When one view owns every topmost occurrence, whatever else matches
+	// lies beneath it, is ordered after it and disappears with it.
+	mixed := false
+	for _, o := range occ {
+		mixed = mixed || o.view != occ[0].view
+	}
+	if !mixed {
+		for _, o := range occ {
+			toViewScan(o.node, views[o.view])
+		}
+		return cp, len(occ)
+	}
+
+	// Otherwise a view ordered earlier may match inside a topmost
+	// occurrence of a later one and spoil it: look beneath them too.
+	for k, top := 0, len(occ); k < top; k++ {
+		for _, c := range occ[k].node.Children {
+			find(c, occ[k].depth+1, k, true)
+		}
+	}
+	shallowest := func(view int) int {
+		d := math.MaxInt
+		for _, o := range occ {
+			if o.view == view && o.depth < d {
+				d = o.depth
+			}
+		}
+		return d
+	}
+	order := make([]int, len(occ))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		va, vb := occ[order[a]].view, occ[order[b]].view
+		if da, db := shallowest(va), shallowest(vb); da != db {
+			return da < db
+		}
+		return va < vb
+	})
 	replaced := 0
-	for _, v := range views {
-		replaced += replaceOccurrences(cp, v)
+	for _, i := range order {
+		gone := occ[i].spoiled
+		for p := occ[i].parent; p >= 0 && !gone; p = occ[p].parent {
+			gone = occ[p].replaced
+		}
+		if gone {
+			continue
+		}
+		toViewScan(occ[i].node, views[occ[i].view])
+		occ[i].replaced = true
+		for p := occ[i].parent; p >= 0; p = occ[p].parent {
+			occ[p].spoiled = true
+		}
+		replaced++
 	}
 	return cp, replaced
-}
-
-// replaceOccurrences rewrites all occurrences of v's fingerprint in the
-// tree (pre-order, skipping descendants of replaced nodes).
-func replaceOccurrences(n *plan.Node, v *View) int {
-	if matchesView(n, v) {
-		toViewScan(n, v)
-		return 1
-	}
-	total := 0
-	for _, c := range n.Children {
-		total += replaceOccurrences(c, v)
-	}
-	return total
-}
-
-// matchesView compares normalized fingerprints, so an occurrence matches
-// even when the query spells the subquery in a different but equivalent
-// form (stacked filters, redundant projections, commuted joins).
-// Normalization preserves the root's output schema, so the in-place
-// replacement below stays type- and position-correct.
-func matchesView(n *plan.Node, v *View) bool {
-	if n.Op == plan.OpScan {
-		return false // already a base-table or view scan
-	}
-	return plan.NormalizedFingerprint(n) == v.Fingerprint
 }
 
 // toViewScan mutates n in place into a scan of the view's table. The

@@ -54,13 +54,17 @@ func Features(in *mvs.Instance, st *mvs.State, bcur []float64, bmax []float64, o
 	if scale <= 0 {
 		scale = 1
 	}
+	// One backing array for all rows; the capped slices cannot grow
+	// into their neighbours.
 	out := make([][]float64, nv)
+	buf := make([]float64, nv*FeatureDim)
 	for j := 0; j < nv; j++ {
 		z := 0.0
 		if st.Z[j] {
 			z = 1
 		}
-		out[j] = []float64{
+		row := buf[j*FeatureDim : (j+1)*FeatureDim : (j+1)*FeatureDim]
+		copy(row, []float64{
 			z,
 			safeRatio(in.Overhead[j], omax),
 			safeRatio(bmax[j], bmaxSum),
@@ -71,7 +75,8 @@ func Features(in *mvs.Instance, st *mvs.State, bcur []float64, bmax []float64, o
 			float64(selected) / float64(nv),
 			utility / scale,
 			1, // bias
-		}
+		})
+		out[j] = row
 	}
 	return out
 }
@@ -214,53 +219,50 @@ func (a *Agent) putArena(ar *nn.Arena) {
 // forward-only path (QNetwork.Infer): bit-identical to the training
 // Forward, no backward closures, no allocations when warm.
 func (a *Agent) Q(feat []float64) float64 {
-	return a.infer(a.QNet, feat)
+	_, q := a.maxQ(a.QNet, [][]float64{feat}, nil)
+	return q
 }
 
-// targetQ evaluates the Q-learning bootstrap: the frozen target when
-// configured, else the online network — the same forward-only path
-// action scoring uses.
-func (a *Agent) targetQ(feat []float64) float64 {
+// bootstrapNet is the network the Q-learning target is read from: the
+// frozen target when configured, else the online network.
+func (a *Agent) bootstrapNet() QNetwork {
 	if a.target != nil {
-		return a.infer(a.target, feat)
+		return a.target
 	}
-	return a.infer(a.QNet, feat)
+	return a.QNet
 }
 
-// infer runs one forward-only evaluation of net on a pooled arena.
-func (a *Agent) infer(net QNetwork, feat []float64) float64 {
-	ar := a.getArena()
-	ar.Reset()
-	y := net.Infer(feat, ar)
-	a.putArena(ar)
-	return y
-}
-
-// QValues evaluates the Q-vector Q(e) = [μ(e,a_1), ..., μ(e,a_n)],
-// reusing one inference arena across all actions.
-func (a *Agent) QValues(feats [][]float64) []float64 {
-	out := make([]float64, len(feats))
+// maxQ scores every action of one state with net on one pooled arena,
+// taken once for the whole sweep, and returns the first best action and
+// its value (0 and -Inf without actions). A non-nil out receives every
+// value. Action scoring and the Learn bootstrap both go through it.
+func (a *Agent) maxQ(net QNetwork, feats [][]float64, out []float64) (best int, bestQ float64) {
+	bestQ = math.Inf(-1)
 	ar := a.getArena()
 	for j, f := range feats {
 		ar.Reset()
-		out[j] = a.QNet.Infer(f, ar)
-	}
-	a.putArena(ar)
-	return out
-}
-
-// BestAction returns argmax_i Q(e)[i], reusing one inference arena
-// across all actions.
-func (a *Agent) BestAction(feats [][]float64) int {
-	best, bestQ := 0, math.Inf(-1)
-	ar := a.getArena()
-	for j, f := range feats {
-		ar.Reset()
-		if q := a.QNet.Infer(f, ar); q > bestQ {
+		q := net.Infer(f, ar)
+		if out != nil {
+			out[j] = q
+		}
+		if q > bestQ {
 			best, bestQ = j, q
 		}
 	}
 	a.putArena(ar)
+	return best, bestQ
+}
+
+// QValues evaluates the Q-vector Q(e) = [μ(e,a_1), ..., μ(e,a_n)].
+func (a *Agent) QValues(feats [][]float64) []float64 {
+	out := make([]float64, len(feats))
+	a.maxQ(a.QNet, feats, out)
+	return out
+}
+
+// BestAction returns argmax_i Q(e)[i].
+func (a *Agent) BestAction(feats [][]float64) int {
+	best, _ := a.maxQ(a.QNet, feats, nil)
 	return best
 }
 
@@ -323,12 +325,7 @@ func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
 		e := a.batch[i]
 		target := e.Reward
 		if !e.Terminal {
-			best := math.Inf(-1)
-			for _, f := range e.NextState {
-				if q := a.targetQ(f); q > best {
-					best = q
-				}
-			}
+			_, best := a.maxQ(a.bootstrapNet(), e.NextState, nil)
 			target += a.Cfg.Gamma * best
 		}
 		y, back := rep.Forward(e.State[e.Action])

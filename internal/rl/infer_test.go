@@ -1,9 +1,11 @@
 package rl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"autoview/internal/mvs"
 	"autoview/internal/nn"
 )
 
@@ -38,9 +40,16 @@ func TestQNetworkInferParity(t *testing.T) {
 	}
 }
 
+// targetQ is the Learn bootstrap value of one action.
+func targetQ(a *Agent, feat []float64) float64 {
+	_, q := a.maxQ(a.bootstrapNet(), [][]float64{feat}, nil)
+	return q
+}
+
 // TestAgentScoringBitIdenticalToForward cross-checks the agent's whole
 // forward-only surface — Q, QValues, BestAction and the Learn bootstrap
-// targetQ — against direct Forward evaluation with ==, for both
+// (maxQ over the bootstrap network: each action's value and the sweep's
+// maximum) — against direct Forward evaluation with ==, for both
 // architectures, with and without a frozen target network, before and
 // after a Learn step moves the weights (nothing may be cached across
 // an update).
@@ -67,7 +76,7 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 				bootstrap = ag.target
 			}
 			qv := ag.QValues(feats)
-			bestJ, bestQ := 0, 0.0
+			bestJ, bestQ, bestT := 0, 0.0, math.Inf(-1)
 			for j, f := range feats {
 				want, _ := ag.QNet.Forward(f)
 				if j == 0 || want > bestQ {
@@ -80,9 +89,13 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 					t.Fatalf("%+v %s: QValues[%d] = %v, Forward = %v", cfg, phase, j, qv[j], want)
 				}
 				wantT, _ := bootstrap.Forward(f)
-				if got := ag.targetQ(f); got != wantT { //lint:allow floateq bit-identity is the property under test
+				if got := targetQ(ag, f); got != wantT { //lint:allow floateq bit-identity is the property under test
 					t.Fatalf("%+v %s: targetQ(%d) = %v, Forward = %v", cfg, phase, j, got, wantT)
 				}
+				bestT = math.Max(bestT, wantT)
+			}
+			if _, got := ag.maxQ(bootstrap, feats, nil); got != bestT { //lint:allow floateq bit-identity is the property under test
+				t.Fatalf("%+v %s: bootstrap max = %v, want %v", cfg, phase, got, bestT)
 			}
 			if got := ag.BestAction(feats); got != bestJ {
 				t.Fatalf("%+v %s: BestAction = %d, want %d (q=%v)", cfg, phase, got, bestJ, bestQ)
@@ -108,5 +121,26 @@ func TestQValuesAllocs(t *testing.T) {
 				t.Fatalf("dueling=%v n=%d: warm QValues allocates %v allocs/op, want 1 (the result slice)", dueling, n, allocs)
 			}
 		}
+	}
+}
+
+// TestFeaturesAllocs: the per-action rows are carved from one backing
+// array, so a state costs two allocations however many actions it has
+// (it did cost |Z|+1, in every RLView step), and no row can grow into
+// the next.
+func TestFeaturesAllocs(t *testing.T) {
+	in := randomInstance(rand.New(rand.NewSource(9)), 12, 31)
+	st := mvs.NewState(in)
+	st.Z[0] = true
+	_, bcur := in.BestY(st.Z)
+	bmax := in.MaxBenefits()
+	feats := Features(in, st, bcur, bmax, 1, 1)
+	for j, row := range feats {
+		if len(row) != FeatureDim || cap(row) != FeatureDim {
+			t.Fatalf("row %d: len %d cap %d, want both %d", j, len(row), cap(row), FeatureDim)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Features(in, st, bcur, bmax, 1, 1) }); allocs != 2 {
+		t.Fatalf("Features allocates %v times for %d actions, want 2", allocs, in.NumViews())
 	}
 }

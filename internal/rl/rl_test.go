@@ -307,13 +307,13 @@ func TestTargetNetworkSync(t *testing.T) {
 	// Before any sync the target diverges from the online net after
 	// learning; after TargetSync calls they coincide.
 	a.Learn()
-	if a.Q(f) == a.targetQ(f) {
+	if a.Q(f) == targetQ(a, f) {
 		t.Fatal("target should lag the online network after one update")
 	}
 	a.Learn()
 	a.Learn() // third call triggers the sync
-	if a.Q(f) != a.targetQ(f) {
-		t.Errorf("target not synced: online %v, target %v", a.Q(f), a.targetQ(f))
+	if a.Q(f) != targetQ(a, f) {
+		t.Errorf("target not synced: online %v, target %v", a.Q(f), targetQ(a, f))
 	}
 }
 
