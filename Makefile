@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-train bench-obs bench-serve bench-cold bench-predict bench-e2e bench-e2e-test vet lint autoviewlint check-bce
+.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-obs bench-serve bench-cold bench-predict bench-e2e bench-e2e-test vet lint autoviewlint check-bce
 
 build:
 	$(GO) build ./...
@@ -12,9 +12,14 @@ test:
 # CI-friendly; the concurrent hot spots (the nn.Trainer worker pool,
 # core's parallel benefit measurement, rl's replay-batch Q-updates, the
 # obs HTTP endpoint, and the serve micro-batcher + view-set rotation)
-# all exercise their goroutines under -short.
+# all exercise their goroutines under -short. The second pass reruns the
+# determinism tests of the two places where worker count and scheduling
+# could change an answer — the trainer's ordered fold and the DQN's
+# fanned-out action sweep — at GOMAXPROCS 1, 2 and 8.
 test-race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
 # single-goroutine experiment pipelines skip themselves under the race
@@ -28,8 +33,9 @@ test-race-full:
 # the serve micro-batcher's per-pair cost must stay allocation-free, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
 # per-request budget, fingerprinting itself must be zero-alloc, the
-# DQN's warm QValues must cost its result slice and nothing per action,
-# rl.Features two slices per state, and rewrite.Rewrite nothing per
+# DQN's warm QValues must cost exactly its result slice (BestAction:
+# nothing) at Parallelism 1 and, fanned out, the same for 8, 64 and 124
+# actions, rl.Features two slices per state, and rewrite.Rewrite nothing per
 # non-matching view (see internal/widedeep/infer_test.go,
 # internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go,
 # internal/rl/infer_test.go, and internal/rewrite/multiview_test.go).
@@ -64,10 +70,6 @@ tournament-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Just the data-parallel trainer micro-benchmark (serial vs parallel).
-bench-train:
-	$(GO) test -bench=BenchmarkNNTrainStep -run=^$$ .
 
 # Disabled-path observability overhead guard (< 5 ns/op; OBSERVABILITY.md).
 bench-obs:

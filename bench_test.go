@@ -19,64 +19,12 @@ import (
 	"autoview/internal/core"
 	"autoview/internal/experiments"
 	"autoview/internal/featenc"
-	"autoview/internal/nn"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/serve"
 	"autoview/internal/widedeep"
 	"autoview/internal/workload"
 )
-
-// BenchmarkNNTrainStep measures one mini-batch forward+backward+reduce
-// through nn.Trainer, serial (Parallelism=1) vs parallel (NumCPU), at
-// several batch sizes. Both settings produce bit-identical gradients;
-// only wall-clock differs, so the serial/parallel ratio is the speedup
-// of the data-parallel trainer on this machine.
-func BenchmarkNNTrainStep(b *testing.B) {
-	const inDim = 64
-	layers := []int{inDim, 256, 256, 64, 1}
-	for _, cfg := range []struct {
-		name        string
-		parallelism int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // 0 → runtime.NumCPU()
-	} {
-		for _, batch := range []int{8, 32, 128} {
-			b.Run(cfg.name+"/batch"+itoa(batch), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				mlp := nn.NewMLP("bench", layers, rng)
-				params := mlp.Params()
-				samples := make([]nn.Vec, batch)
-				targets := make([]float64, batch)
-				for i := range samples {
-					samples[i] = make(nn.Vec, inDim)
-					for j := range samples[i] {
-						samples[i][j] = rng.Float64()*2 - 1
-					}
-					targets[i] = rng.Float64()
-				}
-				trainer := nn.NewTrainer(params, cfg.parallelism, func() ([]*nn.Param, nn.SampleFunc) {
-					rep := mlp.ShareWeights()
-					run := func(i int) float64 {
-						y, back := rep.Forward(samples[i])
-						d := y[0] - targets[i]
-						back(nn.Vec{2 * d / float64(batch)})
-						return d * d
-					}
-					return rep.Params(), run
-				})
-				opt := &nn.SGD{LR: 0.01}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					trainer.Step(batch)
-					opt.Step(params)
-				}
-				b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-			})
-		}
-	}
-}
 
 // BenchmarkServeEstimate measures request throughput through the online
 // advisor's estimate path: concurrent POST /v1/estimate requests (4

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -66,6 +67,36 @@ func TestLinearInferParity(t *testing.T) {
 		dst := make(Vec, out)
 		l.InferInto(dst, x)
 		assertBitEqual(t, "Linear.InferInto", want, dst)
+	}
+}
+
+// TestLSTMCellGatesMatchUnblockedDefinition: the cell's 4H gate
+// pre-activations run through the row-blocked matvec Linear uses; the
+// step's outputs must equal, bit for bit, the recurrence computed from
+// pre-activations accumulated one row at a time, bias first, then
+// columns left to right.
+func TestLSTMCellGatesMatchUnblockedDefinition(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(3000 + trial)))
+		in, H := 1+rng.Intn(9), 1+rng.Intn(7)
+		c := NewLSTMCell("t.lstm", in, H, rng)
+		x, h, cPrev := randVec(rng, in), randVec(rng, H), randVec(rng, H)
+		xh := Concat(x, h)
+		pre := make(Vec, 4*H)
+		for r := range pre {
+			pre[r] = c.B.Val[r]
+			for k, v := range xh {
+				pre[r] += c.W.Row(r)[k] * v
+			}
+		}
+		wantH, wantC := make(Vec, H), make(Vec, H)
+		for j := 0; j < H; j++ {
+			wantC[j] = sigmoid(pre[H+j])*cPrev[j] + sigmoid(pre[j])*math.Tanh(pre[2*H+j])
+			wantH[j] = sigmoid(pre[3*H+j]) * math.Tanh(wantC[j])
+		}
+		gotH, gotC, _ := c.Step(x, h, cPrev)
+		assertBitEqual(t, "LSTMCell.Step h", wantH, gotH)
+		assertBitEqual(t, "LSTMCell.Step c", wantC, gotC)
 	}
 }
 

@@ -52,16 +52,11 @@ type StepBackward func(dh, dc Vec) (dx, dhPrev, dcPrev Vec)
 func (c *LSTMCell) Step(x, h, cPrev Vec) (hNext, cNext Vec, back StepBackward) {
 	H := c.Hidden
 	xh := Concat(x, h)
-	// Pre-activations for the four gates: order i, f, g, o.
+	// Pre-activations for the four gates: order i, f, g, o. W and B are
+	// stacked like one Linear layer's, so they go through its matvec.
 	pre := zeros(4 * H)
-	for r := 0; r < 4*H; r++ {
-		row := c.W.Row(r)
-		sum := c.B.Val[r]
-		for k, v := range xh {
-			sum += row[k] * v
-		}
-		pre[r] = sum
-	}
+	gates := Linear{W: c.W, B: c.B}
+	gates.InferInto(pre, xh)
 	i, f, g, o := zeros(H), zeros(H), zeros(H), zeros(H)
 	for j := 0; j < H; j++ {
 		i[j] = sigmoid(pre[j])

@@ -340,6 +340,28 @@ func TestConcatSplit(t *testing.T) {
 	}
 }
 
+// TestAddIntoEveryTail: the four-wide fold must add every element exactly
+// once at lengths on both sides of each multiple of four, and leave dst
+// beyond len(src) alone.
+func TestAddIntoEveryTail(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		dst, src := make(Vec, n+1), make(Vec, n)
+		for i := range src {
+			dst[i], src[i] = float64(i), float64(10*i+1)
+		}
+		dst[n] = -7
+		addInto(dst, src)
+		for i := range src {
+			if want := float64(i) + float64(10*i+1); dst[i] != want {
+				t.Fatalf("n=%d: dst[%d] = %v, want %v", n, i, dst[i], want)
+			}
+		}
+		if dst[n] != -7 {
+			t.Fatalf("n=%d: addInto wrote past len(src)", n)
+		}
+	}
+}
+
 func TestParamHelpers(t *testing.T) {
 	p := NewParam("m", 2, 3)
 	if p.Size() != 6 {

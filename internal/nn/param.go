@@ -131,13 +131,23 @@ type Backward func(dy Vec) Vec
 func zeros(n int) Vec { return make(Vec, n) }
 
 // addInto accumulates src into dst (dst must be at least as long as src).
+// It is the trainer's gradient fold, a quarter of a serial step. Four
+// elements go per iteration: the one-element loop's speed depended on
+// where the linker placed it (the same source, inlined 32 bytes further
+// on, ran a whole Trainer.Step 7% faster or slower). Each element is
+// still one add of its own, so unrolling cannot change a result.
 func addInto(dst, src Vec) {
-	if len(src) == 0 {
-		return
-	}
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] += v
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+	}
+	for ; i < len(src); i++ {
+		dst[i] += src[i]
 	}
 }
 

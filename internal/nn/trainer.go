@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autoview/internal/obs"
@@ -36,23 +37,40 @@ type BindFunc func() (replica []*Param, run SampleFunc)
 
 // Trainer shards mini-batch gradient computation across workers. Each
 // sample's gradient is computed into a zeroed worker-private buffer and
-// reduced into the canonical gradients strictly in sample order, so the
+// folded into the canonical gradients strictly in sample order, so the
 // result is bit-for-bit identical for every Parallelism setting: the
 // floating-point operation sequence per sample is fixed (forward reads
-// only the shared weights, which are frozen during Step), and the
-// reduction order is fixed by sample index, not by worker scheduling.
+// only the shared weights, which are frozen during Step), and the fold
+// order is fixed by sample index, not by worker scheduling.
 //
 // Parallelism 1 therefore reproduces the multi-worker result exactly and
 // runs inline without spawning goroutines.
 type Trainer struct {
-	params  []*Param
-	workers []trainWorker
-	losses  []float64
+	params   []*Param
+	replicas []trainReplica // one per worker
+
+	// free holds the indices of the replicas no sample occupies; its
+	// capacity is len(replicas), so a send never blocks. Every replica
+	// is back in it when Step returns.
+	free chan int
+
+	// mu guards the fold state of the Step in flight. ready is a ring
+	// over sample indices: ready[i%len(ready)] is 1 + the replica that
+	// holds finished sample i, or 0. A sample holds a replica from claim
+	// to fold, so at most len(replicas) consecutive indices are pending
+	// and no two of them share a slot.
+	mu        sync.Mutex
+	ready     []int
+	head      int // next sample index to fold
+	total     float64
+	timing    bool
+	reduceDur time.Duration
 }
 
-type trainWorker struct {
-	replica []*Param
-	run     SampleFunc
+type trainReplica struct {
+	params []*Param
+	run    SampleFunc
+	loss   float64
 }
 
 // NewTrainer builds a trainer over the canonical parameters. parallelism
@@ -62,7 +80,11 @@ func NewTrainer(params []*Param, parallelism int, bind BindFunc) *Trainer {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	t := &Trainer{params: params, losses: make([]float64, parallelism)}
+	t := &Trainer{
+		params: params,
+		free:   make(chan int, parallelism),
+		ready:  make([]int, parallelism),
+	}
 	for w := 0; w < parallelism; w++ {
 		replica, run := bind()
 		if len(replica) != len(params) {
@@ -74,82 +96,118 @@ func NewTrainer(params []*Param, parallelism int, bind BindFunc) *Trainer {
 					i, p, p.Size(), params[i].Size()))
 			}
 		}
-		t.workers = append(t.workers, trainWorker{replica: replica, run: run})
+		t.replicas = append(t.replicas, trainReplica{params: replica, run: run})
+		t.free <- w
 	}
 	return t
 }
 
 // Parallelism returns the number of workers.
-func (t *Trainer) Parallelism() int { return len(t.workers) }
+func (t *Trainer) Parallelism() int { return len(t.replicas) }
 
 // Step zeroes the canonical gradients, computes the gradient of every
-// sample in the batch of size n, reduces them in sample order, and
+// sample in the batch of size n, folds them in sample order, and
 // returns the summed per-sample losses (also accumulated in sample
 // order). The caller applies the optimizer afterwards.
 func (t *Trainer) Step(n int) float64 {
-	timing := obs.Enabled()
+	t.timing = obs.Enabled()
 	var stepStart time.Time
-	var reduceDur time.Duration
-	if timing {
+	if t.timing {
 		stepStart = time.Now()
 	}
 	ZeroGrads(t.params)
-	var total float64
-	p := len(t.workers)
-	// The batch runs in waves of up to p samples: worker w computes
-	// sample base+w, then the wave's buffers merge in worker (= sample)
-	// order. The wave structure only controls scheduling — the reduce
-	// sequence is the same for every p.
-	for base := 0; base < n; base += p {
-		k := p
-		if base+k > n {
-			k = n - base
+	t.head, t.total, t.reduceDur = 0, 0, 0
+	if p := len(t.replicas); p == 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			r := <-t.free
+			t.runSample(r, i)
+			t.finish(r, i)
 		}
-		if k == 1 || p == 1 {
-			for w := 0; w < k; w++ {
-				t.runSample(w, base+w)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for w := 0; w < k; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					t.runSample(w, base+w)
-				}(w)
-			}
-			wg.Wait()
+	} else {
+		// One goroutine per worker for the whole batch, no barrier
+		// between samples: a worker stalls only while every replica is
+		// parked behind an unfinished earlier sample.
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < min(p, n); w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					// Replica first, sample second: a worker that
+					// claimed the head-of-line sample and then waited
+					// for a replica would wait forever once every
+					// replica is parked behind that sample.
+					r := <-t.free
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						t.free <- r
+						return
+					}
+					t.runSample(r, i)
+					t.mu.Lock()
+					t.finish(r, i)
+					t.mu.Unlock()
+					// A worker that loops from sample to sample never
+					// blocks, so whatever else is runnable — the
+					// daemon's request handlers, while it retrains —
+					// would wait for the 10 ms preemption tick. Yield
+					// once per sample; with nothing else to run this
+					// returns at once.
+					runtime.Gosched()
+				}
+			}()
 		}
-		var reduceStart time.Time
-		if timing {
-			reduceStart = time.Now()
-		}
-		for w := 0; w < k; w++ {
-			for pi, p := range t.params {
-				addInto(p.Grad, t.workers[w].replica[pi].Grad)
-			}
-			total += t.losses[w]
-		}
-		if timing {
-			reduceDur += time.Since(reduceStart)
-		}
+		wg.Wait()
 	}
 	obsTrainSamples.Add(int64(n))
 	obsTrainSteps.Inc()
-	if timing {
+	if t.timing {
 		stepDur := time.Since(stepStart)
 		obs.Default.ObserveSpan("nn.train.step", stepDur)
-		obs.Default.ObserveSpan("nn.train.reduce", reduceDur)
+		obs.Default.ObserveSpan("nn.train.reduce", t.reduceDur)
 		if s := stepDur.Seconds(); s > 0 {
 			obsTrainRate.Set(float64(n) / s)
 		}
 	}
-	return total
+	return t.total
 }
 
-// runSample computes sample i's loss and gradient on worker w.
-func (t *Trainer) runSample(w, i int) {
-	wk := t.workers[w]
-	ZeroGrads(wk.replica)
-	t.losses[w] = wk.run(i)
+// runSample computes sample i's loss and gradient into replica r.
+func (t *Trainer) runSample(r, i int) {
+	rep := &t.replicas[r]
+	ZeroGrads(rep.params)
+	rep.loss = rep.run(i)
+}
+
+// finish marks sample i, computed into replica r, as ready; when i is
+// the head of the line it folds i and every consecutive ready sample
+// after it into the canonical gradients and the loss total, in sample
+// order, and frees their replicas. Workers call it holding mu.
+func (t *Trainer) finish(r, i int) {
+	t.ready[i%len(t.ready)] = r + 1
+	if i != t.head {
+		return
+	}
+	var foldStart time.Time
+	if t.timing {
+		foldStart = time.Now()
+	}
+	for {
+		slot := &t.ready[t.head%len(t.ready)]
+		if *slot == 0 {
+			break
+		}
+		rep := &t.replicas[*slot-1]
+		for pi, p := range t.params {
+			addInto(p.Grad, rep.params[pi].Grad)
+		}
+		t.total += rep.loss
+		t.free <- *slot - 1
+		*slot = 0
+		t.head++
+	}
+	if t.timing {
+		t.reduceDur += time.Since(foldStart)
+	}
 }

@@ -3,7 +3,10 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // trainerFixture is a small supervised regression problem: an MLP with
@@ -169,8 +172,8 @@ func TestTrainerGoldenLossTrace(t *testing.T) {
 	}
 }
 
-// TestTrainerHandlesRaggedBatches exercises batch sizes that don't divide
-// evenly into waves, including a batch smaller than the worker count.
+// TestTrainerHandlesRaggedBatches exercises batch sizes that are not a
+// multiple of the worker count, including a batch smaller than it.
 func TestTrainerHandlesRaggedBatches(t *testing.T) {
 	for _, n := range []int{1, 3, 5, 8, 11} {
 		ref := newTrainerFixture(9)
@@ -205,6 +208,74 @@ func stepOnce(f *trainerFixture, parallelism, n int) float64 {
 	loss := trainer.Step(n)
 	(&SGD{LR: 0.05}).Step(params)
 	return loss
+}
+
+// skewedSteps runs three Steps of n samples whose cost depends on the
+// index — every third sample is nearly free, the others yield the
+// processor up to 48 times mid-sample — so samples finish out of order
+// and a worker regularly has to park a replica behind the head of the
+// line. It returns the summed losses and the final weights. Each replica
+// carries a busy flag that fails the test if two samples ever share it,
+// and a Step that has not returned within the deadline (a lost wake-up,
+// or every replica parked behind a sample no worker can start) fails
+// instead of hanging.
+func skewedSteps(t *testing.T, parallelism, n int) (float64, []float64) {
+	t.Helper()
+	f := newTrainerFixture(21)
+	params := f.mlp.Params()
+	trainer := NewTrainer(params, parallelism, func() ([]*Param, SampleFunc) {
+		rep := f.mlp.ShareWeights()
+		var busy atomic.Bool
+		run := func(i int) float64 {
+			if !busy.CompareAndSwap(false, true) {
+				t.Errorf("P=%d n=%d: sample %d started on a replica that is still running another", parallelism, n, i)
+			}
+			defer busy.Store(false)
+			s := i % len(f.samples)
+			y, back := rep.Forward(f.samples[s])
+			for k := 0; k < (i%3)*(i%7)*4; k++ {
+				runtime.Gosched()
+			}
+			d := y[0] - f.targets[s]
+			back(Vec{2 * d / float64(n)})
+			return d * d
+		}
+		return rep.Params(), run
+	})
+	var loss float64
+	for step := 0; step < 3; step++ {
+		done := make(chan float64, 1)
+		go func() { done <- trainer.Step(n) }()
+		select {
+		case l := <-done:
+			loss += l
+		case <-time.After(30 * time.Second):
+			t.Fatalf("P=%d n=%d: Step %d did not return within 30s", parallelism, n, step)
+		}
+		(&SGD{LR: 0.05}).Step(params)
+	}
+	return loss, f.weights()
+}
+
+// TestTrainerOrderedFoldUnderSkew: with sample costs skewed so that
+// completion order differs from sample order, every Parallelism and
+// every batch size around the worker count must reproduce the serial
+// run's loss and weights exactly.
+func TestTrainerOrderedFoldUnderSkew(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, p - 1, p, p + 1, 128} {
+			wantLoss, wantW := skewedSteps(t, 1, n)
+			loss, w := skewedSteps(t, p, n)
+			if loss != wantLoss {
+				t.Errorf("P=%d n=%d: loss %.17g, serial %.17g", p, n, loss, wantLoss)
+			}
+			for i := range wantW {
+				if w[i] != wantW[i] {
+					t.Fatalf("P=%d n=%d: weight[%d] = %.17g, serial %.17g", p, n, i, w[i], wantW[i])
+				}
+			}
+		}
+	}
 }
 
 // TestGradViewSharesWeights pins the replica contract: weight updates are

@@ -114,9 +114,10 @@ type AgentConfig struct {
 	// the standard DQN stabilization. Zero bootstraps from the online
 	// network, as in the paper's pseudocode.
 	TargetSync int
-	// Parallelism is the number of data-parallel workers per replay
-	// mini-batch (nn.Trainer). 0 selects runtime.NumCPU(); 1 runs
-	// serially. Results are bit-for-bit identical for every setting.
+	// Parallelism is the number of workers per replay mini-batch
+	// (nn.Trainer) and per greedy action sweep (BestAction, QValues).
+	// 0 selects runtime.NumCPU(); 1 runs serially. Results are
+	// bit-for-bit identical for every setting.
 	Parallelism int
 	Seed        int64
 }
@@ -159,6 +160,9 @@ type Agent struct {
 	trainer *nn.Trainer
 	batch   []Experience
 	batchN  float64
+
+	// scores is BestAction's Q-vector, kept across calls.
+	scores []float64
 
 	// arenas pools inference scratch for the forward-only Q evaluation
 	// fast path (action scoring and the Learn bootstrap target, which
@@ -253,16 +257,47 @@ func (a *Agent) maxQ(net QNetwork, feats [][]float64, out []float64) (best int, 
 	return best, bestQ
 }
 
+// score writes the online network's value of every action into q. The
+// rows split into contiguous chunks over Cfg.Parallelism workers, one
+// pooled arena each; every q[j] is computed alone and written to the
+// slot j owns, so the values do not depend on the worker count. Called
+// from the RLView loop; the Learn bootstrap runs inside the trainer's
+// workers and sweeps serially through maxQ.
+func (a *Agent) score(feats [][]float64, q []float64) {
+	n := len(feats)
+	w := nn.Workers(n, a.Cfg.Parallelism)
+	if w <= 1 {
+		a.maxQ(a.QNet, feats, q)
+		return
+	}
+	nn.ParallelFor(w, w, func(c int) {
+		lo, hi := c*n/w, (c+1)*n/w
+		a.maxQ(a.QNet, feats[lo:hi], q[lo:hi])
+	})
+}
+
 // QValues evaluates the Q-vector Q(e) = [μ(e,a_1), ..., μ(e,a_n)].
 func (a *Agent) QValues(feats [][]float64) []float64 {
 	out := make([]float64, len(feats))
-	a.maxQ(a.QNet, feats, out)
+	a.score(feats, out)
 	return out
 }
 
-// BestAction returns argmax_i Q(e)[i].
+// BestAction returns argmax_i Q(e)[i], the lowest index on a tie. It
+// scores into a buffer the agent keeps, so it is not safe for
+// concurrent use.
 func (a *Agent) BestAction(feats [][]float64) int {
-	best, _ := a.maxQ(a.QNet, feats, nil)
+	if cap(a.scores) < len(feats) {
+		a.scores = make([]float64, len(feats))
+	}
+	q := a.scores[:len(feats)]
+	a.score(feats, q)
+	best, bestQ := 0, math.Inf(-1)
+	for j, v := range q {
+		if v > bestQ {
+			best, bestQ = j, v
+		}
+	}
 	return best
 }
 

@@ -61,14 +61,7 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 		{Seed: 5, Dueling: true, TargetSync: 100},
 	} {
 		ag := NewAgent(cfg, nil)
-		rng := rand.New(rand.NewSource(6))
-		feats := make([][]float64, 9)
-		for j := range feats {
-			feats[j] = make([]float64, FeatureDim)
-			for i := range feats[j] {
-				feats[j][i] = rng.NormFloat64()
-			}
-		}
+		feats := randomFeats(rand.New(rand.NewSource(6)), 9)
 		ag.Remember(Experience{State: feats, Action: 2, Reward: 1, NextState: feats})
 		for _, phase := range []string{"initial", "after Learn"} {
 			bootstrap := ag.QNet
@@ -105,20 +98,80 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 	}
 }
 
-// TestQValuesAllocs pins the scoring cost model: once the pooled arena
-// is warm, QValues allocates its result slice and nothing per action.
+// randomFeats builds n random per-action feature rows.
+func randomFeats(rng *rand.Rand, n int) [][]float64 {
+	feats := make([][]float64, n)
+	for j := range feats {
+		feats[j] = make([]float64, FeatureDim)
+		for i := range feats[j] {
+			feats[j][i] = rng.NormFloat64()
+		}
+	}
+	return feats
+}
+
+// TestScoringFanOutBitIdentical: QValues and BestAction split the rows
+// over Cfg.Parallelism workers; at every worker count and row count
+// (fewer rows than workers, rows that do not divide evenly, the
+// benchmark's |Z|) they must equal a direct Forward sweep with ==, and
+// an exact tie — the best row copied to both ends, so the copies land in
+// different workers' chunks — must go to the lowest index.
+func TestScoringFanOutBitIdentical(t *testing.T) {
+	for _, dueling := range []bool{false, true} {
+		for _, p := range []int{1, 2, 8} {
+			for _, n := range []int{1, 3, 124} {
+				ag := NewAgent(AgentConfig{Seed: 5, Dueling: dueling, Parallelism: p}, nil)
+				feats := randomFeats(rand.New(rand.NewSource(int64(n))), n)
+				for _, tie := range []bool{false, true} {
+					want := make([]float64, n)
+					best := 0
+					for j, f := range feats {
+						want[j], _ = ag.QNet.Forward(f)
+						if want[j] > want[best] {
+							best = j
+						}
+					}
+					got := ag.QValues(feats)
+					for j := range want {
+						if got[j] != want[j] { //lint:allow floateq bit-identity is the property under test
+							t.Fatalf("dueling=%v P=%d n=%d tie=%v: QValues[%d] = %v, Forward = %v", dueling, p, n, tie, j, got[j], want[j])
+						}
+					}
+					if got := ag.BestAction(feats); got != best {
+						t.Fatalf("dueling=%v P=%d n=%d tie=%v: BestAction = %d, want %d", dueling, p, n, tie, got, best)
+					}
+					feats[0], feats[n-1] = feats[best], feats[best]
+				}
+			}
+		}
+	}
+}
+
+// TestQValuesAllocs pins the scoring cost model. Serially, once the
+// pooled arena is warm, QValues allocates its result slice and
+// BestAction (which keeps its score buffer) nothing. Fanned out, both
+// pay the goroutines of one fan-out and nothing per action: the count
+// is the same for 8, 64 and 124 actions.
 func TestQValuesAllocs(t *testing.T) {
 	for _, dueling := range []bool{false, true} {
-		ag := NewAgent(AgentConfig{Dueling: dueling, Seed: 5}, nil)
-		for _, n := range []int{8, 64} {
-			feats := make([][]float64, n)
-			for j := range feats {
-				feats[j] = make([]float64, FeatureDim)
-				feats[j][j%FeatureDim] = 1
-			}
-			ag.QValues(feats) // warm the arena
-			if allocs := testing.AllocsPerRun(100, func() { ag.QValues(feats) }); allocs != 1 {
-				t.Fatalf("dueling=%v n=%d: warm QValues allocates %v allocs/op, want 1 (the result slice)", dueling, n, allocs)
+		for _, p := range []int{1, 4} {
+			ag := NewAgent(AgentConfig{Dueling: dueling, Seed: 5, Parallelism: p}, nil)
+			var firstQ, firstBest float64
+			for k, n := range []int{8, 64, 124} {
+				feats := randomFeats(rand.New(rand.NewSource(3)), n)
+				ag.QValues(feats) // warm the arenas
+				ag.BestAction(feats)
+				q := testing.AllocsPerRun(100, func() { ag.QValues(feats) })
+				best := testing.AllocsPerRun(100, func() { ag.BestAction(feats) })
+				if k == 0 {
+					firstQ, firstBest = q, best
+				}
+				if p == 1 && (q != 1 || best != 0) {
+					t.Fatalf("dueling=%v n=%d: serial warm QValues allocates %v allocs/op, want 1 (the result slice); BestAction %v, want 0", dueling, n, q, best)
+				}
+				if q != firstQ || best != firstBest { //lint:allow floateq allocation counts are whole numbers
+					t.Fatalf("dueling=%v P=%d: QValues/BestAction allocate %v/%v for %d actions but %v/%v for 8", dueling, p, q, best, n, firstQ, firstBest)
+				}
 			}
 		}
 	}
@@ -138,6 +191,17 @@ func TestFeaturesAllocs(t *testing.T) {
 	for j, row := range feats {
 		if len(row) != FeatureDim || cap(row) != FeatureDim {
 			t.Fatalf("row %d: len %d cap %d, want both %d", j, len(row), cap(row), FeatureDim)
+		}
+	}
+	// unflatten carves stored replay rows the same way.
+	stored, err := unflatten(flatten(feats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range [][][]float64{feats, stored} {
+		next := rows[1][0]
+		if _ = append(rows[0], next+1); rows[1][0] != next { //lint:allow floateq the neighbour must be untouched
+			t.Fatalf("append to row 0 wrote into row 1 (%v -> %v)", next, rows[1][0])
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { Features(in, st, bcur, bmax, 1, 1) }); allocs != 2 {

@@ -53,7 +53,9 @@ func unflatten(flat []float64) ([][]float64, error) {
 	n := len(flat) / FeatureDim
 	out := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		out[i] = flat[i*FeatureDim : (i+1)*FeatureDim]
+		// Capped like Features' rows: an append cannot grow a row into
+		// the next one.
+		out[i] = flat[i*FeatureDim : (i+1)*FeatureDim : (i+1)*FeatureDim]
 	}
 	return out, nil
 }

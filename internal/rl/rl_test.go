@@ -179,6 +179,45 @@ func TestRLViewFeasibleAndTraced(t *testing.T) {
 	}
 }
 
+// TestRLViewBitIdenticalAcrossParallelism runs Algorithm 2 end to end —
+// the fanned-out action sweep picking every greedy action, the trainer
+// folding replay batches whose terminal samples cost almost nothing next
+// to the bootstrapping ones — at 1, 2 and 8 workers: the utility trace,
+// and the fine-tuned weights behind it, must not differ in a single bit.
+func TestRLViewBitIdenticalAcrossParallelism(t *testing.T) {
+	run := func(p int) (*Result, []float64) {
+		in := randomInstance(rand.New(rand.NewSource(7)), 10, 8)
+		res := RLView(in, Options{
+			InitIterations: 5,
+			Epochs:         10,
+			Agent:          AgentConfig{Parallelism: p},
+			Rand:           rand.New(rand.NewSource(8)),
+		})
+		var w []float64
+		for _, prm := range res.Agent.QNet.Params() {
+			w = append(w, prm.Val...)
+		}
+		return res, w
+	}
+	want, wantW := run(1)
+	for _, p := range []int{2, 8} {
+		got, w := run(p)
+		if len(got.Trace) != len(want.Trace) {
+			t.Fatalf("P=%d: %d trace entries, serial %d", p, len(got.Trace), len(want.Trace))
+		}
+		for i := range want.Trace {
+			if got.Trace[i] != want.Trace[i] { //lint:allow floateq bit-identity is the property under test
+				t.Fatalf("P=%d: trace[%d] = %.17g, serial %.17g", p, i, got.Trace[i], want.Trace[i])
+			}
+		}
+		for i := range wantW {
+			if w[i] != wantW[i] { //lint:allow floateq bit-identity is the property under test
+				t.Fatalf("P=%d: weight[%d] = %.17g, serial %.17g", p, i, w[i], wantW[i])
+			}
+		}
+	}
+}
+
 func TestRLViewNotWorseThanWarmStartAndNearOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomInstance(rng, 12, 8)
