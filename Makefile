@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-obs bench-serve bench-cold bench-predict bench-e2e bench-e2e-test vet lint autoviewlint check-bce
+.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-obs bench-e2e bench-e2e-test loc vet lint autoviewlint check-bce
 
 build:
 	$(GO) build ./...
@@ -61,10 +61,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzTournamentSpec -fuzztime 10s ./internal/experiments/
 
-# Tiny selector tournament as a differential gate: every selector
-# (Top-kBen, IterView, DQN, local search, exact ILP) completes on small
-# JOB rungs and holds its asserted optimality-gap bound; the run fails on
-# any violation (see EXPERIMENTS.md "Tournament" and BENCH_10.json).
+# Tiny selector tournament as a differential gate: each of the four
+# selectors (Top-kBen, IterView, DQN, local search) completes on small
+# JOB rungs and holds its asserted optimality-gap bound against
+# mvs.OptimalExact on every rung; the run fails on any violation (see
+# EXPERIMENTS.md "Tournament" and BENCH_10.json).
 tournament-smoke:
 	$(GO) run ./cmd/experiments -run tournament -spec "families=JOB;sizes=4,8"
 
@@ -74,23 +75,6 @@ bench:
 # Disabled-path observability overhead guard (< 5 ns/op; OBSERVABILITY.md).
 bench-obs:
 	$(GO) test -bench=ObsOverhead -run=^$$ ./internal/obs/
-
-# Online-serving throughput: req/s through the micro-batching inference
-# scheduler at Parallelism 1/4/8, cold (cache disabled) and warm
-# (fingerprint cache primed) — see SERVING.md and BENCH_6.json.
-bench-serve:
-	$(GO) test -bench=BenchmarkServeEstimate -benchmem -run=^$$ .
-
-# Cold estimate path only (caches disabled): SQL parse + batched featenc
-# + the f32 inference kernels, every request. This is the number BENCH_7
-# records; run with -benchtime 3s for stable pairs/s (PERFORMANCE.md).
-bench-cold:
-	$(GO) test -bench='BenchmarkServeEstimate/cold' -benchmem -benchtime 3s -run=^$$ .
-
-# Zero-allocation inference fast path: ns/op and allocs/op of a single
-# steady-state Model.Predict (EXPERIMENTS.md).
-bench-predict:
-	$(GO) test -bench=BenchmarkPredictAlloc -benchmem -run=^$$ .
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): every
 # workload against the real viewserverd/viewgen, three runs each.
@@ -102,6 +86,13 @@ bench-e2e:
 # before a benchmark run does.
 bench-e2e-test:
 	cd bench && $(GO) vet . && $(GO) test -short ./...
+
+# Non-test, non-testdata Go lines under internal/ and cmd/, per package
+# and in total: the size ROADMAP's pay-for-itself audit quotes.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 vet:
 	$(GO) vet ./...

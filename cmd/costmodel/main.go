@@ -50,7 +50,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s\n", h.Addr())
 	}
 
-	w, err := pickWorkload(*wl)
+	w, err := workload.Open(*wl, "", "")
 	if err != nil {
 		fail(err)
 	}
@@ -165,19 +165,6 @@ func measurePairs(w *workload.Workload) ([]costbase.Sample, error) {
 		}
 	}
 	return out, nil
-}
-
-func pickWorkload(name string) (*workload.Workload, error) {
-	switch strings.ToLower(name) {
-	case "job":
-		return workload.JOB(), nil
-	case "wk1":
-		return workload.WK1(), nil
-	case "wk2":
-		return workload.WK2(), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
 }
 
 func pickVariant(name string) (featenc.Config, error) {

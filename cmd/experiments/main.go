@@ -7,11 +7,11 @@
 //	            [-stats] [-obs-addr host:port] [-log-level debug|info|warn|error]
 //
 // -run tournament races every selector (Top-kBen, IterView, DQN, local
-// search, exact ILP where |Z| permits) across the workload families at
-// growing |Z|; -spec tunes the grid (see experiments.ParseTournamentSpec)
-// and -out writes the machine-readable frontier JSON. The run fails if
-// the differential gate (per-selector optimality-gap bounds on |Z| ≤
-// ilpmax rungs) does not hold.
+// search) across the workload families at growing |Z|, each rung against
+// its exact optimum; -spec tunes the grid (see
+// experiments.ParseTournamentSpec) and -out writes the machine-readable
+// frontier JSON. The run fails if the differential gate (per-selector
+// optimality-gap bounds, on every rung) does not hold.
 //
 // By default a reduced-budget ("quick") configuration is used; -full runs
 // the Table II budgets on the full-size workloads.

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"autoview/internal/core"
@@ -52,19 +51,11 @@ func main() {
 		fail(err)
 	}
 
-	var w *workload.Workload
-	var cfg core.Config
-	var err error
-	if *schemaPath != "" || *queriesPath != "" {
-		w, err = loadCustom(*schemaPath, *queriesPath)
-		cfg = core.WKConfig()
-		cfg.WDTrain.BatchSize = 16
-	} else {
-		w, cfg, err = pick(*wl)
-	}
+	w, err := workload.Open(*wl, *schemaPath, *queriesPath)
 	if err != nil {
 		fail(err)
 	}
+	cfg := configFor(w)
 	cfg.Seed = *seed
 	if cfg.Estimator, err = core.ParseEstimator(*est); err != nil {
 		fail(err)
@@ -141,39 +132,18 @@ func setupObs(stats bool, addr, level string) error {
 	return nil
 }
 
-// loadCustom reads a user-provided schema + queries pair.
-func loadCustom(schemaPath, queriesPath string) (*workload.Workload, error) {
-	if schemaPath == "" || queriesPath == "" {
-		return nil, fmt.Errorf("custom workloads need both -schema and -queries")
+// configFor picks the pipeline budgets for a workload: the paper's JOB
+// configuration, the WK one for the generated families, and the WK one
+// with a small W-D batch for custom workloads (typically few queries).
+func configFor(w *workload.Workload) core.Config {
+	cfg := core.WKConfig()
+	switch w.Name {
+	case "JOB":
+		cfg = core.DefaultConfig()
+	case "custom":
+		cfg.WDTrain.BatchSize = 16
 	}
-	sf, err := os.Open(schemaPath)
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	cat, err := workload.LoadCatalog(sf)
-	if err != nil {
-		return nil, err
-	}
-	qf, err := os.Open(queriesPath)
-	if err != nil {
-		return nil, err
-	}
-	defer qf.Close()
-	return workload.LoadQueries(qf, cat, "custom")
-}
-
-func pick(name string) (*workload.Workload, core.Config, error) {
-	switch strings.ToLower(name) {
-	case "job":
-		return workload.JOB(), core.DefaultConfig(), nil
-	case "wk1":
-		return workload.WK1(), core.WKConfig(), nil
-	case "wk2":
-		return workload.WK2(), core.WKConfig(), nil
-	default:
-		return nil, core.Config{}, fmt.Errorf("unknown workload %q", name)
-	}
+	return cfg
 }
 
 func fail(err error) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autoview/internal/core"
+	"autoview/internal/workload"
 )
 
 // selectorFlagDoc mirrors the -selector help text in main; the test pins
@@ -49,19 +50,22 @@ func TestSelectorFlagRejectsUnknown(t *testing.T) {
 
 func TestPickWorkloads(t *testing.T) {
 	for _, name := range []string{"job", "wk1", "wk2", "JOB"} {
-		w, cfg, err := pick(name)
+		w, err := workload.Open(name, "", "")
 		if err != nil {
-			t.Errorf("pick(%q): %v", name, err)
+			t.Errorf("Open(%q): %v", name, err)
 			continue
 		}
-		if w == nil || len(w.Queries) == 0 {
-			t.Errorf("pick(%q): empty workload", name)
+		if len(w.Queries) == 0 {
+			t.Errorf("Open(%q): empty workload", name)
 		}
-		if cfg.Selector != core.SelectorRLView {
-			t.Errorf("pick(%q): default selector %v", name, cfg.Selector)
+		if cfg := configFor(w); cfg.Selector != core.SelectorRLView {
+			t.Errorf("configFor(%q): default selector %v", name, cfg.Selector)
 		}
 	}
-	if _, _, err := pick("nope"); err == nil {
-		t.Errorf("pick should reject unknown workloads")
+	if _, err := workload.Open("nope", "", ""); err == nil {
+		t.Errorf("Open should reject unknown workloads")
+	}
+	if _, err := workload.Open("job", "schema.json", ""); err == nil || !strings.Contains(err.Error(), "need both -schema and -queries") {
+		t.Errorf("Open with only -schema: %v", err)
 	}
 }

@@ -9,10 +9,10 @@
 //	viewserverd [-addr host:port] [-workload job|wk1|wk2]
 //	            [-schema schema.json -queries queries.sql]
 //	            [-estimator actual|optimizer|wd]
-//	            [-selector rlview|bigsub|iterview|localsearch|topkfreq|topkover|topkben|topknorm]
+//	            [-selector localsearch|rlview|bigsub|iterview|topkfreq|topkover|topkben|topknorm]
 //	            [-seed N] [-parallelism N] [-window N]
 //	            [-advise-interval DUR] [-utility-tolerance F]
-//	            [-cache-size N] [-cache-ttl DUR]
+//	            [-cache-size N]
 //	            [-data-dir DIR] [-fsync always|interval|off] [-snapshot-every N]
 //	            [-log-level debug|info|warn|error]
 //
@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -56,14 +55,13 @@ func main() {
 	schemaPath := flag.String("schema", "", "JSON schema file for a custom workload (with -queries)")
 	queriesPath := flag.String("queries", "", "SQL file with the custom workload's queries")
 	est := flag.String("estimator", "wd", "benefit estimator: actual, optimizer, wd")
-	sel := flag.String("selector", "rlview", "view selector: rlview, bigsub, iterview, localsearch, topkfreq, topkover, topkben, topknorm")
+	sel := flag.String("selector", defaultSelector, "view selector: localsearch, rlview, bigsub, iterview, topkfreq, topkover, topkben, topknorm")
 	seed := flag.Int64("seed", 1, "random seed")
-	parallelism := flag.Int("parallelism", 0, "micro-batcher inference workers (0 = NumCPU, 1 = serial)")
+	parallelism := flag.Int("parallelism", 0, "workers for micro-batched inference and, inside every advise cycle, W-D retraining and the RLView action sweep (0 = NumCPU, 1 = serial)")
 	windowSize := flag.Int("window", 512, "rolling workload window capacity (queries)")
 	adviseEvery := flag.Duration("advise-interval", 0, "background re-advise period (0 disables the loop)")
 	utilityTol := flag.Float64("utility-tolerance", 0, "relative utility regression tolerated before a rotation rolls back")
 	cacheSize := flag.Int("cache-size", 0, "fingerprint-keyed estimate cache entries (0 = default 4096, negative disables)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "age bound on cached estimates (0 = version-invalidation only)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")
 	dataDir := flag.String("data-dir", "", "durable state directory: WAL + snapshots + model checkpoints (empty disables durability)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, off")
@@ -84,7 +82,6 @@ func main() {
 		adviseEvery:   *adviseEvery,
 		utilityTol:    *utilityTol,
 		cacheSize:     *cacheSize,
-		cacheTTL:      *cacheTTL,
 		drainTimeout:  *drainTimeout,
 		dataDir:       *dataDir,
 		fsync:         *fsync,
@@ -95,6 +92,12 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// defaultSelector is the serving default: local search reaches the exact
+// optimum on every tournament rung (EXPERIMENTS.md "Tournament") in
+// milliseconds, so the daemon does not pay RLView's training per advise
+// cycle. viewgen keeps rlview, the paper's reproduced algorithm.
+const defaultSelector = "localsearch"
 
 type options struct {
 	addr          string
@@ -109,7 +112,6 @@ type options struct {
 	adviseEvery   time.Duration
 	utilityTol    float64
 	cacheSize     int
-	cacheTTL      time.Duration
 	drainTimeout  time.Duration
 	dataDir       string
 	fsync         string
@@ -131,10 +133,11 @@ func run(o options) error {
 		return err
 	}
 
-	w, coreCfg, err := loadWorkload(o)
+	w, err := workload.Open(o.workload, o.schemaPath, o.queriesPath)
 	if err != nil {
 		return err
 	}
+	coreCfg := configFor(w)
 	coreCfg.Seed = o.seed
 	coreCfg.Parallelism = o.parallelism
 	if coreCfg.Estimator, err = core.ParseEstimator(o.estimator); err != nil {
@@ -153,7 +156,6 @@ func run(o options) error {
 		AdviseInterval:   o.adviseEvery,
 		UtilityTolerance: o.utilityTol,
 		CacheSize:        o.cacheSize,
-		CacheTTL:         o.cacheTTL,
 	})
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -251,41 +253,16 @@ func run(o options) error {
 	return nil
 }
 
-func loadWorkload(o options) (*workload.Workload, core.Config, error) {
-	if o.schemaPath != "" || o.queriesPath != "" {
-		if o.schemaPath == "" || o.queriesPath == "" {
-			return nil, core.Config{}, fmt.Errorf("custom workloads need both -schema and -queries")
-		}
-		sf, err := os.Open(o.schemaPath)
-		if err != nil {
-			return nil, core.Config{}, err
-		}
-		defer sf.Close()
-		cat, err := workload.LoadCatalog(sf)
-		if err != nil {
-			return nil, core.Config{}, err
-		}
-		qf, err := os.Open(o.queriesPath)
-		if err != nil {
-			return nil, core.Config{}, err
-		}
-		defer qf.Close()
-		w, err := workload.LoadQueries(qf, cat, "custom")
-		if err != nil {
-			return nil, core.Config{}, err
-		}
-		cfg := core.WKConfig()
+// configFor picks the pipeline budgets for a workload: the paper's JOB
+// configuration, the WK one for the generated families, and the WK one
+// with a small W-D batch for custom workloads (typically few queries).
+func configFor(w *workload.Workload) core.Config {
+	cfg := core.WKConfig()
+	switch w.Name {
+	case "JOB":
+		cfg = core.DefaultConfig()
+	case "custom":
 		cfg.WDTrain.BatchSize = 16
-		return w, cfg, nil
 	}
-	switch strings.ToLower(o.workload) {
-	case "job":
-		return workload.JOB(), core.DefaultConfig(), nil
-	case "wk1":
-		return workload.WK1(), core.WKConfig(), nil
-	case "wk2":
-		return workload.WK2(), core.WKConfig(), nil
-	default:
-		return nil, core.Config{}, fmt.Errorf("unknown workload %q", o.workload)
-	}
+	return cfg
 }

@@ -54,15 +54,15 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 }
 
 // TestSelectorFlagAcceptsEveryRegisteredName pins the -selector flag's
-// value domain to the core registry, localsearch included.
+// value domain to the core registry and its default to localsearch.
 func TestSelectorFlagAcceptsEveryRegisteredName(t *testing.T) {
 	for name := range core.SelectorNames() {
 		if _, err := core.ParseSelector(name); err != nil {
 			t.Errorf("selector %q rejected: %v", name, err)
 		}
 	}
-	if _, err := core.ParseSelector("localsearch"); err != nil {
-		t.Errorf("localsearch must be reachable from the flag: %v", err)
+	if sel, err := core.ParseSelector(defaultSelector); err != nil || sel != core.SelectorLocalSearch {
+		t.Errorf("daemon default selector = %v (%v), want localsearch", sel, err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"autoview/internal/equiv"
 	"autoview/internal/obs"
@@ -39,16 +38,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s\n", h.Addr())
 	}
 
-	var w *workload.Workload
-	switch strings.ToLower(*wl) {
-	case "job":
-		w = workload.JOB()
-	case "wk1":
-		w = workload.WK1()
-	case "wk2":
-		w = workload.WK2()
-	default:
-		fmt.Fprintf(os.Stderr, "workloadgen: unknown workload %q\n", *wl)
+	w, err := workload.Open(*wl, "", "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "workloadgen:", err)
 		os.Exit(1)
 	}
 

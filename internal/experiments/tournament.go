@@ -30,20 +30,10 @@ type TournamentSpec struct {
 	Seed int64
 	// Restarts is the local-search restart schedule (0 = its default).
 	Restarts int
-	// ILPMaxZ bounds the rungs on which the monolithic exact ILP runs
-	// (default 12, the differential-gate boundary); above it the ILP
-	// column reports DNF by construction, mirroring the paper's
-	// "solvers fail at scale" narrative.
-	ILPMaxZ int
-	// NodeBudget caps the ILP branch-and-bound (0 = solver default).
-	NodeBudget int
 }
 
 // withDefaults returns a copy with unset fields resolved.
 func (ts TournamentSpec) withDefaults() TournamentSpec {
-	if ts.ILPMaxZ == 0 {
-		ts.ILPMaxZ = 12
-	}
 	if ts.Seed == 0 {
 		ts.Seed = 1
 	}
@@ -70,20 +60,14 @@ func (ts *TournamentSpec) String() string {
 	if ts.Restarts != 0 {
 		parts = append(parts, "restarts="+strconv.Itoa(ts.Restarts))
 	}
-	if ts.ILPMaxZ != 0 {
-		parts = append(parts, "ilpmax="+strconv.Itoa(ts.ILPMaxZ))
-	}
-	if ts.NodeBudget != 0 {
-		parts = append(parts, "nodes="+strconv.Itoa(ts.NodeBudget))
-	}
 	return strings.Join(parts, ";")
 }
 
 // ParseTournamentSpec parses "key=value;key=value" with keys families
 // (comma-separated workload names), sizes (comma-separated positive
-// ints), seed, restarts, ilpmax, and nodes. Empty input yields the
-// default spec; unknown keys, malformed numbers, and out-of-range values
-// are errors, never panics.
+// ints), seed, and restarts. Empty input yields the default spec;
+// unknown keys, malformed numbers, and out-of-range values are errors,
+// never panics.
 func ParseTournamentSpec(s string) (*TournamentSpec, error) {
 	spec := &TournamentSpec{}
 	s = strings.TrimSpace(s)
@@ -137,24 +121,6 @@ func ParseTournamentSpec(s string) (*TournamentSpec, error) {
 				return nil, fmt.Errorf("tournament spec: restarts %d out of range [0, 64]", n)
 			}
 			spec.Restarts = n
-		case "ilpmax":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("tournament spec: ilpmax %q: %w", val, err)
-			}
-			if n < 0 || n > 64 {
-				return nil, fmt.Errorf("tournament spec: ilpmax %d out of range [0, 64]", n)
-			}
-			spec.ILPMaxZ = n
-		case "nodes":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("tournament spec: nodes %q: %w", val, err)
-			}
-			if n < 0 {
-				return nil, fmt.Errorf("tournament spec: nodes %d negative", n)
-			}
-			spec.NodeBudget = n
 		default:
 			return nil, fmt.Errorf("tournament spec: unknown key %q", key)
 		}
@@ -177,10 +143,6 @@ type TournamentCell struct {
 	// Selected lists the chosen view indices on the rung's (fingerprint-
 	// ordered) candidate axis.
 	Selected []int `json:"selected"`
-	// DNF marks an exact solver that exhausted its node budget (its
-	// Utility is then the incumbent, a valid lower bound) or a rung the
-	// ILP skips because |Z| > ilpmax.
-	DNF bool `json:"dnf,omitempty"`
 }
 
 // TournamentResult is the full grid plus the rendered frontier.
@@ -191,7 +153,7 @@ type TournamentResult struct {
 
 // TournamentSelectors lists the raced selector names in report order.
 func TournamentSelectors() []string {
-	return []string{"topkben", "iterview", "dqn", "localsearch", "ilp"}
+	return []string{"topkben", "iterview", "dqn", "localsearch"}
 }
 
 // tournamentRung races every selector on one projected instance.
@@ -200,7 +162,7 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 	if !opt.Optimal {
 		return fmt.Errorf("tournament: OptimalExact did not finish on %s |Z|=%d", family, sub.NumViews())
 	}
-	add := func(name string, st *mvs.State, reported float64, wall time.Duration, dnf bool) error {
+	add := func(name string, st *mvs.State, reported float64, wall time.Duration) error {
 		if !sub.Feasible(st) {
 			return fmt.Errorf("tournament: %s produced an infeasible selection on %s |Z|=%d", name, family, sub.NumViews())
 		}
@@ -216,7 +178,7 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 			Family: family, Z: sub.NumViews(), Selector: name,
 			Utility: reported, OptUtility: opt.Utility, Gap: gap,
 			WallMS:   float64(wall.Microseconds()) / 1000,
-			Selected: mvs.SelectedViews(st.Z), DNF: dnf,
+			Selected: mvs.SelectedViews(st.Z),
 		})
 		return nil
 	}
@@ -230,7 +192,7 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 		st.Z[j] = true
 	}
 	st.Y, _ = sub.BestY(st.Z)
-	if err := add("topkben", st, u, time.Since(start), false); err != nil {
+	if err := add("topkben", st, u, time.Since(start)); err != nil {
 		return err
 	}
 
@@ -240,7 +202,7 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 		Iterations: 60,
 		Rand:       rand.New(rand.NewSource(spec.Seed)),
 	})
-	if err := add("iterview", iv.Best, iv.BestUtility, time.Since(start), false); err != nil {
+	if err := add("iterview", iv.Best, iv.BestUtility, time.Since(start)); err != nil {
 		return err
 	}
 
@@ -255,7 +217,7 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 		Agent:           rl.AgentConfig{Gamma: 0.9, Seed: spec.Seed},
 		Rand:            rand.New(rand.NewSource(spec.Seed)),
 	})
-	if err := add("dqn", rv.Best, rv.BestUtility, time.Since(start), false); err != nil {
+	if err := add("dqn", rv.Best, rv.BestUtility, time.Since(start)); err != nil {
 		return err
 	}
 
@@ -282,32 +244,15 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 				family, sub.NumViews(), j)
 		}
 	}
-	if err := add("localsearch", ls.Best, ls.BestUtility, lsWall, false); err != nil {
-		return err
-	}
-
-	// Exact ILP, only where |Z| permits.
-	if sub.NumViews() <= spec.ILPMaxZ {
-		start = time.Now()
-		res := mvs.SolveILP(sub, spec.NodeBudget)
-		if err := add("ilp", res.State, res.Utility, time.Since(start), !res.Optimal); err != nil {
-			return err
-		}
-	} else {
-		*cells = append(*cells, TournamentCell{
-			Family: family, Z: sub.NumViews(), Selector: "ilp",
-			OptUtility: opt.Utility, Gap: 1, DNF: true,
-		})
-	}
-	return nil
+	return add("localsearch", ls.Best, ls.BestUtility, lsWall)
 }
 
-// Tournament races Top-kBen, IterView, DQN, local search, and the exact
-// ILP across the workload families at growing |Z|, on ground-truth
-// (measured-benefit) instances. Every rung's candidate subset is a
-// seeded sample of the family's fingerprint-ordered candidate axis, kept
-// in ascending index order so sub-instances inherit the fingerprint
-// ordering.
+// Tournament races Top-kBen, IterView, DQN and local search across the
+// workload families at growing |Z|, on ground-truth (measured-benefit)
+// instances, each rung against its exact optimum (mvs.OptimalExact).
+// Every rung's candidate subset is a seeded sample of the family's
+// fingerprint-ordered candidate axis, kept in ascending index order so
+// sub-instances inherit the fingerprint ordering.
 func Tournament(s Scale, spec *TournamentSpec) (*TournamentResult, error) {
 	ts := spec.withDefaults()
 	want := map[string]bool{}
@@ -359,34 +304,21 @@ func Tournament(s Scale, spec *TournamentSpec) (*TournamentResult, error) {
 }
 
 // tournamentGapBounds are the asserted per-selector optimality-gap
-// ceilings on differential rungs (|Z| ≤ ilpmax). They intentionally match
-// the property-layer bounds in internal/mvs: the tournament re-checks
-// them on measured (not synthetic) instances.
+// ceilings, on every rung. They intentionally match the property-layer
+// bounds in internal/mvs: the tournament re-checks them on measured (not
+// synthetic) instances.
 var tournamentGapBounds = map[string]float64{
 	"topkben":     0.15,
 	"iterview":    0.35,
 	"dqn":         0.35,
 	"localsearch": 1e-6,
-	"ilp":         1e-9,
 }
 
-// Check is the differential-correctness gate: on every rung small enough
-// for the exact ILP, each selector's gap must stay within its asserted
-// bound, and a finished ILP must hit the optimum exactly. It returns nil
-// when the grid holds.
+// Check is the differential-correctness gate: on every rung, each
+// selector's gap to the exact optimum must stay within its asserted bound
+// and never go negative. It returns nil when the grid holds.
 func (r *TournamentResult) Check() error {
-	spec, err := ParseTournamentSpec(r.Spec)
-	if err != nil {
-		return err
-	}
-	ts := spec.withDefaults()
 	for _, c := range r.Cells {
-		if c.Z > ts.ILPMaxZ {
-			continue
-		}
-		if c.Selector == "ilp" && c.DNF {
-			continue // honest DNF: incumbent is a lower bound, not gated
-		}
 		bound, ok := tournamentGapBounds[c.Selector]
 		if !ok {
 			return fmt.Errorf("tournament: no gap bound registered for selector %q", c.Selector)
@@ -434,16 +366,8 @@ func (r *TournamentResult) Render() string {
 			if !ok {
 				continue
 			}
-			if c.DNF && c.Selected == nil {
-				fmt.Fprintf(&b, "    %-12s (skipped: |Z| above ilpmax)\n", name)
-				continue
-			}
-			status := ""
-			if c.DNF {
-				status = " DNF(incumbent)"
-			}
-			fmt.Fprintf(&b, "    %-12s utility=$%-10.4f gap=%5.1f%% wall=%8.2fms views=%d%s\n",
-				name, c.Utility, 100*c.Gap, c.WallMS, len(c.Selected), status)
+			fmt.Fprintf(&b, "    %-12s utility=$%-10.4f gap=%5.1f%% wall=%8.2fms views=%d\n",
+				name, c.Utility, 100*c.Gap, c.WallMS, len(c.Selected))
 		}
 	}
 	return b.String()

@@ -9,11 +9,11 @@ package mvs
 //     the overlap graph — two non-overlapping views never constrain each
 //     other in any query, so per-query view choice (an independent-set
 //     problem on a disjoint graph union) decomposes, and so do overheads.
-//  3. Each component is solved exactly by the branch-and-bound of
-//     OptimalSeeded on its sub-instance.
+//  3. Each component is solved exactly by branchAndBound on its
+//     sub-instance.
 //
-// budgetPerComponent caps each component's search (0 = the OptimalSeeded
-// default); Optimal is false if any component exhausts its budget.
+// budgetPerComponent caps each component's search (0 = 2 million nodes);
+// Optimal is false if any component exhausts its budget.
 func OptimalExact(in *Instance, budgetPerComponent int) *OptResult {
 	nv := in.NumViews()
 	bmax := in.maxBenefits()
@@ -53,8 +53,8 @@ func OptimalExact(in *Instance, budgetPerComponent int) *OptResult {
 
 	total := &OptResult{State: NewState(in), Optimal: true}
 	for _, members := range components {
-		sub, queries := subInstance(in, members)
-		res := OptimalSeeded(sub, budgetPerComponent, nil)
+		sub, queries := Project(in, members)
+		res := branchAndBound(sub, budgetPerComponent)
 		total.Nodes += res.Nodes
 		if !res.Optimal {
 			total.Optimal = false
@@ -77,10 +77,13 @@ func OptimalExact(in *Instance, budgetPerComponent int) *OptResult {
 	return total
 }
 
-// subInstance projects the instance onto a view subset, keeping only
-// queries that can benefit from at least one member. It returns the
-// sub-instance and the original query indices.
-func subInstance(in *Instance, members []int) (*Instance, []int) {
+// Project returns the sub-instance induced by the given view indices
+// plus the original indices of the queries it keeps (those that benefit
+// from at least one member). members must be duplicate-free; the
+// sub-instance's view axis follows members order. OptimalExact solves
+// one projection per overlap component; the tournament harness races
+// selectors at growing |Z| on projections of one measured instance.
+func Project(in *Instance, members []int) (*Instance, []int) {
 	var queries []int
 	for i, row := range in.Benefit {
 		for _, j := range members {

@@ -31,13 +31,13 @@ func TestOptimalExactAgreesWithOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 20; trial++ {
 		in := randomInstance(rng, 10, 10)
-		a := Optimal(in, 0)
+		a := branchAndBound(in, 0)
 		b := OptimalExact(in, 0)
 		if !a.Optimal || !b.Optimal {
 			t.Fatal("both solvers should finish on small instances")
 		}
 		if math.Abs(a.Utility-b.Utility) > 1e-9 {
-			t.Fatalf("trial %d: Optimal %v != OptimalExact %v", trial, a.Utility, b.Utility)
+			t.Fatalf("trial %d: branchAndBound %v != OptimalExact %v", trial, a.Utility, b.Utility)
 		}
 	}
 }
@@ -58,14 +58,49 @@ func TestOptimalExactDominanceDropsUselessViews(t *testing.T) {
 	}
 }
 
-func TestOptimalSeededUsesIncumbent(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	in := randomInstance(rng, 8, 9)
-	opt := Optimal(in, 0)
-	// Seeding with the optimum must still return it, with fewer nodes
-	// than a tiny-budget unseeded run would find.
-	res := OptimalSeeded(in, 0, opt.State.Z)
-	if math.Abs(res.Utility-opt.Utility) > 1e-9 {
-		t.Errorf("seeded utility %v != optimum %v", res.Utility, opt.Utility)
+func TestProjectSubInstance(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	in := randomInstance(rng, 10, 8)
+
+	// Full projection preserves the optimum.
+	all := make([]int, in.NumViews())
+	for j := range all {
+		all[j] = j
+	}
+	sub, kept := Project(in, all)
+	if sub.NumViews() != in.NumViews() {
+		t.Fatalf("full projection dropped views: %d != %d", sub.NumViews(), in.NumViews())
+	}
+	full := OptimalExact(in, 0)
+	proj := OptimalExact(sub, 0)
+	// Queries with no applicable view are dropped by Project, but they
+	// contribute nothing, so the optima agree.
+	if math.Abs(full.Utility-proj.Utility) > 1e-9 {
+		t.Errorf("full projection optimum %v != original %v", proj.Utility, full.Utility)
+	}
+
+	// A strict subset: every kept query must benefit from some member,
+	// and the sub-optimum can never exceed the full optimum.
+	members := []int{1, 3, 4, 6}
+	sub, kept = Project(in, members)
+	if sub.NumViews() != len(members) {
+		t.Fatalf("projection has %d views, want %d", sub.NumViews(), len(members))
+	}
+	for si, qi := range kept {
+		any := false
+		for mj, j := range members {
+			if in.Benefit[qi][j] != sub.Benefit[si][mj] {
+				t.Fatalf("benefit mismatch at kept query %d view %d", qi, j)
+			}
+			if sub.Benefit[si][mj] > 0 {
+				any = true
+			}
+		}
+		if !any {
+			t.Errorf("kept query %d benefits from no member", qi)
+		}
+	}
+	if sup := OptimalExact(sub, 0); sup.Utility > full.Utility+1e-9 {
+		t.Errorf("sub-instance optimum %v exceeds full optimum %v", sup.Utility, full.Utility)
 	}
 }

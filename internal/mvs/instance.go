@@ -2,14 +2,13 @@
 // 7) as the paper's 0-1 ILP and implements its iterative optimizer
 // IterView with the Z-Opt / Y-Opt subroutines and the flipping
 // probabilities of Equation 3. The exact optimum (the experiments' OPT
-// column) is computed by branch and bound over Z with per-query
-// independent-set subproblems for Y.
+// column) is OptimalExact: dominance, then branch and bound over Z per
+// overlap component, with per-query independent-set subproblems for Y.
 package mvs
 
 import (
 	"fmt"
 
-	"autoview/internal/ilp"
 	"autoview/internal/obs"
 )
 
@@ -176,7 +175,7 @@ func (in *Instance) bestYRow(i int, z []bool) []bool {
 			conflict[a][b] = in.Overlap[j][k]
 		}
 	}
-	sel, _ := ilp.MaxWeightIndependentSet(w, conflict)
+	sel, _ := maxWeightIndependentSet(w, conflict)
 	for a, s := range sel {
 		if s {
 			row[idx[a]] = true

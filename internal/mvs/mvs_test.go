@@ -133,12 +133,12 @@ func TestOptimalAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		in := randomInstance(rng, 2+rng.Intn(5), 2+rng.Intn(7))
 		want := bruteForceOpt(in)
-		res := Optimal(in, 0)
+		res := branchAndBound(in, 0)
 		if !res.Optimal {
 			t.Fatalf("trial %d: budget exhausted unexpectedly", trial)
 		}
 		if math.Abs(res.Utility-want) > 1e-9 {
-			t.Fatalf("trial %d: Optimal %v, brute force %v", trial, res.Utility, want)
+			t.Fatalf("trial %d: branchAndBound %v, brute force %v", trial, res.Utility, want)
 		}
 		if !in.Feasible(res.State) {
 			t.Fatalf("trial %d: optimal state infeasible", trial)
@@ -152,7 +152,7 @@ func TestOptimalAgainstBruteForce(t *testing.T) {
 func TestOptimalBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	in := randomInstance(rng, 10, 14)
-	res := Optimal(in, 3)
+	res := branchAndBound(in, 3)
 	if res.Optimal {
 		t.Error("3-node budget cannot prove optimality for 14 views")
 	}
@@ -189,7 +189,7 @@ func TestIterViewProducesFeasibleStatesAndTrace(t *testing.T) {
 func TestIterViewApproachesOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomInstance(rng, 10, 8)
-	opt := Optimal(in, 0)
+	opt := branchAndBound(in, 0)
 	res := IterView(in, IterOptions{Iterations: 200, Rand: rand.New(rand.NewSource(10))})
 	if res.BestUtility > opt.Utility+1e-9 {
 		t.Fatalf("IterView best %v exceeds optimum %v", res.BestUtility, opt.Utility)

@@ -13,8 +13,10 @@ type OptResult struct {
 	Nodes   int
 }
 
-// Optimal computes the exact MVS optimum by branch and bound over Z. For
-// every partial assignment the bound is
+// branchAndBound computes the exact MVS optimum by branch and bound over
+// Z. OptimalExact runs it once per overlap component; in-package tests
+// call it on whole instances as the undecomposed reference. For every
+// partial assignment the bound is
 //
 //	Σ_q MWIS_q(selected ∪ undecided) − Σ_{j selected} O_j,
 //
@@ -25,15 +27,7 @@ type OptResult struct {
 // each branching step.
 //
 // nodeBudget caps the search (0 means 2 million nodes).
-func Optimal(in *Instance, nodeBudget int) *OptResult {
-	return OptimalSeeded(in, nodeBudget, nil)
-}
-
-// OptimalSeeded is Optimal with a warm-start incumbent: seedZ (when
-// non-nil) is evaluated first so the search starts with a strong lower
-// bound — e.g. the best heuristic solution found by RLView or the greedy
-// sweeps.
-func OptimalSeeded(in *Instance, nodeBudget int, seedZ []bool) *OptResult {
+func branchAndBound(in *Instance, nodeBudget int) *OptResult {
 	if nodeBudget <= 0 {
 		nodeBudget = 2_000_000
 	}
@@ -92,14 +86,6 @@ func OptimalSeeded(in *Instance, nodeBudget int, seedZ []bool) *OptResult {
 	}
 
 	res := &OptResult{Utility: 0, State: NewState(in)} // empty Z is feasible with utility 0
-	if seedZ != nil {
-		y, _ := in.BestY(seedZ)
-		st := &State{Z: append([]bool(nil), seedZ...), Y: y}
-		if u := in.Utility(st); u > res.Utility {
-			res.Utility = u
-			res.State = st
-		}
-	}
 	nodes := 0
 
 	// exclude sets status[j]=out, updating affected row bounds; the

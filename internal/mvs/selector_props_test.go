@@ -1,6 +1,6 @@
 // Package mvs_test hosts the cross-selector property layer: every
-// selector the advisor can run — Top-kBen, IterView, DQN, local search,
-// and the exact ILP — is driven through one shared set of invariants
+// selector the advisor can run — Top-kBen, IterView, DQN and local
+// search — is driven through one shared set of invariants
 // (feasibility, duplicate-free fingerprint-ordered selections, utility
 // bit-identical to core benefit accounting, determinism across seeds and
 // Parallelism) plus asserted optimality-gap bounds against OptimalExact.
@@ -84,14 +84,6 @@ func propSelectors() []propSelector {
 					Parallelism: parallelism,
 				})
 				return res.Best, res.BestUtility
-			},
-		},
-		{
-			name:   "ilp",
-			maxGap: 0,
-			run: func(in *mvs.Instance, seed int64, _ int) (*mvs.State, float64) {
-				res := mvs.SolveILP(in, 0)
-				return res.State, res.Utility
 			},
 		},
 	}

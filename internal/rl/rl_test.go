@@ -221,7 +221,7 @@ func TestRLViewBitIdenticalAcrossParallelism(t *testing.T) {
 func TestRLViewNotWorseThanWarmStartAndNearOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomInstance(rng, 12, 8)
-	opt := mvs.Optimal(in, 0)
+	opt := mvs.OptimalExact(in, 0)
 	warm := mvs.IterView(in, mvs.IterOptions{Iterations: 10, Rand: rand.New(rand.NewSource(10))})
 	res := RLView(in, Options{
 		InitIterations: 10,

@@ -117,7 +117,7 @@ func TestGreedyNeverBeatsOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 8, 7)
-		opt := mvs.Optimal(in, 0)
+		opt := mvs.OptimalExact(in, 0)
 		freq := make([]int, 7)
 		for j := range freq {
 			freq[j] = rng.Intn(5)

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"autoview/internal/obs"
 )
@@ -21,7 +20,7 @@ import (
 //     epoch-free (epoch stays 0 forever).
 var (
 	obsCacheHit       = obs.Default.Counter("serve.cache.hit", "estimate-cache hits on /v1/estimate pairs")
-	obsCacheMiss      = obs.Default.Counter("serve.cache.miss", "estimate-cache misses (stale-epoch and expired entries count as misses)")
+	obsCacheMiss      = obs.Default.Counter("serve.cache.miss", "estimate-cache misses (stale-epoch entries count as misses)")
 	obsCacheEvict     = obs.Default.Counter("serve.cache.evict", "estimate-cache entries evicted by LRU pressure or invalidation sweeps")
 	obsCacheSize      = obs.Default.Gauge("serve.cache.size", "live entries in the estimate cache")
 	obsPlanCacheHit   = obs.Default.Counter("serve.cache.plan.hit", "plan-cache hits on /v1/estimate SQL texts")
@@ -50,7 +49,6 @@ type centry[V any] struct {
 	key        cacheKey
 	val        V
 	epoch      uint64
-	exp        int64 // unix nanos; 0 = never expires
 	prev, next *centry[V]
 }
 
@@ -63,29 +61,25 @@ type cacheShard[V any] struct {
 }
 
 // cache is a bounded, sharded LRU with epoch-based versioned
-// invalidation and optional TTL. A nil *cache is a valid disabled cache:
-// get always misses, put and the invalidation hooks are no-ops — the
-// serve paths never branch on whether caching is configured.
+// invalidation. A nil *cache is a valid disabled cache: get always
+// misses, put and the invalidation hooks are no-ops — the serve paths
+// never branch on whether caching is configured.
 type cache[V any] struct {
 	shards   [cacheShards]cacheShard[V]
 	capShard int
-	ttl      time.Duration
-	now      func() time.Time // injectable for TTL tests
 	epoch    atomic.Uint64
 	met      cacheMetrics
 }
 
 // newCache builds a cache bounded to roughly size entries (rounded up to
 // a multiple of the shard count). size <= 0 disables caching entirely
-// (returns nil); ttl <= 0 means entries never expire by age.
-func newCache[V any](size int, ttl time.Duration, met cacheMetrics) *cache[V] {
+// (returns nil).
+func newCache[V any](size int, met cacheMetrics) *cache[V] {
 	if size <= 0 {
 		return nil
 	}
 	c := &cache[V]{
 		capShard: (size + cacheShards - 1) / cacheShards,
-		ttl:      ttl,
-		now:      time.Now,
 		met:      met,
 	}
 	for i := range c.shards {
@@ -117,9 +111,9 @@ func (c *cache[V]) shard(k cacheKey) *cacheShard[V] {
 	return &c.shards[k[0]&(cacheShards-1)]
 }
 
-// get returns the value cached under k, if it is live: present, stored
-// under the current epoch, and not expired. Stale hits are removed
-// eagerly and counted as misses.
+// get returns the value cached under k, if it is live: present and
+// stored under the current epoch. Stale hits are removed eagerly and
+// counted as misses.
 func (c *cache[V]) get(k cacheKey) (V, bool) {
 	var zero V
 	if c == nil {
@@ -134,7 +128,7 @@ func (c *cache[V]) get(k cacheKey) (V, bool) {
 		c.met.miss.Inc()
 		return zero, false
 	}
-	if e.epoch != epoch || (e.exp != 0 && c.now().UnixNano() >= e.exp) {
+	if e.epoch != epoch {
 		sh.unlink(e)
 		delete(sh.m, k)
 		sh.mu.Unlock()
@@ -157,19 +151,15 @@ func (c *cache[V]) put(k cacheKey, v V, epoch uint64) {
 	if c == nil {
 		return
 	}
-	var exp int64
-	if c.ttl > 0 {
-		exp = c.now().Add(c.ttl).UnixNano()
-	}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	if e, ok := sh.m[k]; ok {
-		e.val, e.epoch, e.exp = v, epoch, exp
+		e.val, e.epoch = v, epoch
 		sh.moveFront(e)
 		sh.mu.Unlock()
 		return
 	}
-	e := &centry[V]{key: k, val: v, epoch: epoch, exp: exp}
+	e := &centry[V]{key: k, val: v, epoch: epoch}
 	sh.m[k] = e
 	sh.pushFront(e)
 	evicted := 0
@@ -186,18 +176,14 @@ func (c *cache[V]) put(k cacheKey, v V, epoch uint64) {
 	}
 }
 
-// sweep removes every dead entry (stale epoch or expired TTL) so rotated
-// generations release memory promptly instead of lingering until LRU
-// pressure pushes them out. Runs after bumpEpoch at rotation time.
+// sweep removes every dead entry (stale epoch) so rotated generations
+// release memory promptly instead of lingering until LRU pressure pushes
+// them out. Runs after bumpEpoch at rotation time.
 func (c *cache[V]) sweep() {
 	if c == nil {
 		return
 	}
 	epoch := c.epoch.Load()
-	var nowNanos int64
-	if c.ttl > 0 {
-		nowNanos = c.now().UnixNano()
-	}
 	removed := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -206,7 +192,7 @@ func (c *cache[V]) sweep() {
 		// sweep's work order never depends on map iteration order.
 		var doomed []cacheKey
 		for k, e := range sh.m {
-			if e.epoch != epoch || (e.exp != 0 && nowNanos >= e.exp) {
+			if e.epoch != epoch {
 				doomed = append(doomed, k)
 			}
 		}

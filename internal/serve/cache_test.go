@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"autoview/internal/obs"
 )
@@ -28,7 +27,7 @@ func ck(b byte, rest ...byte) cacheKey {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	for _, c := range []*cache[int]{nil, newCache[int](0, 0, testCacheMetrics()), newCache[int](-1, 0, testCacheMetrics())} {
+	for _, c := range []*cache[int]{nil, newCache[int](0, testCacheMetrics()), newCache[int](-1, testCacheMetrics())} {
 		c.put(ck(1), 7, c.curEpoch())
 		if _, ok := c.get(ck(1)); ok {
 			t.Fatal("disabled cache returned a hit")
@@ -44,7 +43,7 @@ func TestCacheDisabled(t *testing.T) {
 func TestCachePutGetLRU(t *testing.T) {
 	met := testCacheMetrics()
 	// capacity 16 → 1 entry per shard; same-shard keys compete.
-	c := newCache[string](16, 0, met)
+	c := newCache[string](16, met)
 	a, b := ck(3, 1), ck(3, 2) // same shard (same first byte)
 	c.put(a, "a", 0)
 	if v, ok := c.get(a); !ok || v != "a" {
@@ -73,7 +72,7 @@ func TestCachePutGetLRU(t *testing.T) {
 
 func TestCacheLRUOrder(t *testing.T) {
 	// Shard capacity 2: touching the older entry must flip the victim.
-	c := newCache[int](32, 0, testCacheMetrics())
+	c := newCache[int](32, testCacheMetrics())
 	k1, k2, k3 := ck(5, 1), ck(5, 2), ck(5, 3)
 	c.put(k1, 1, 0)
 	c.put(k2, 2, 0)
@@ -93,7 +92,7 @@ func TestCacheLRUOrder(t *testing.T) {
 }
 
 func TestCacheUpdateExistingKey(t *testing.T) {
-	c := newCache[int](16, 0, testCacheMetrics())
+	c := newCache[int](16, testCacheMetrics())
 	k := ck(9)
 	c.put(k, 1, 0)
 	c.put(k, 2, 0)
@@ -107,7 +106,7 @@ func TestCacheUpdateExistingKey(t *testing.T) {
 
 func TestCacheEpochInvalidation(t *testing.T) {
 	met := testCacheMetrics()
-	c := newCache[int](64, 0, met)
+	c := newCache[int](64, met)
 	k := ck(1)
 	c.put(k, 41, c.curEpoch())
 	c.bumpEpoch()
@@ -130,37 +129,9 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-func TestCacheTTL(t *testing.T) {
-	met := testCacheMetrics()
-	c := newCache[int](64, time.Minute, met)
-	clock := time.Unix(1_700_000_000, 0)
-	var mu sync.Mutex
-	c.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	k := ck(8)
-	c.put(k, 5, 0)
-	if _, ok := c.get(k); !ok {
-		t.Fatal("entry expired immediately")
-	}
-	mu.Lock()
-	clock = clock.Add(59 * time.Second)
-	mu.Unlock()
-	if _, ok := c.get(k); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	mu.Lock()
-	clock = clock.Add(2 * time.Second) // get refreshed nothing: exp is set at put time
-	mu.Unlock()
-	if _, ok := c.get(k); ok {
-		t.Fatal("entry outlived its TTL")
-	}
-	if c.len() != 0 {
-		t.Fatal("expired entry not removed on read")
-	}
-}
-
 func TestCacheSweep(t *testing.T) {
 	met := testCacheMetrics()
-	c := newCache[int](256, 0, met)
+	c := newCache[int](256, met)
 	for i := 0; i < 100; i++ {
 		c.put(ck(byte(i), byte(i>>4)), i, c.curEpoch())
 	}
@@ -183,7 +154,7 @@ func TestCacheSweep(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := newCache[int](128, time.Hour, testCacheMetrics())
+	c := newCache[int](128, testCacheMetrics())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -102,10 +102,6 @@ type Config struct {
 	// cache shares the bound). 0 selects the default 4096; negative
 	// disables caching entirely.
 	CacheSize int
-	// CacheTTL expires cached entries by age on top of the LRU bound and
-	// epoch invalidation. 0 (the default) means entries never expire by
-	// age — rotation and hot-reload epochs already bound staleness.
-	CacheTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -240,9 +236,9 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 		stopBg:  make(chan struct{}),
 		started: time.Now(),
 	}
-	s.estCache = newCache[float64](cfg.CacheSize, cfg.CacheTTL,
+	s.estCache = newCache[float64](cfg.CacheSize,
 		cacheMetrics{hit: obsCacheHit, miss: obsCacheMiss, evict: obsCacheEvict, size: obsCacheSize})
-	s.planCache = newCache[*planEntry](cfg.CacheSize, cfg.CacheTTL,
+	s.planCache = newCache[*planEntry](cfg.CacheSize,
 		cacheMetrics{hit: obsPlanCacheHit, miss: obsPlanCacheMiss, evict: obsPlanCacheEvict, size: obsPlanCacheSize})
 	s.batcher = newBatcher(cfg, func() (*widedeep.Model, float64) {
 		m := s.model.Load()

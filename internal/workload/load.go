@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"autoview/internal/catalog"
@@ -141,4 +142,41 @@ func LoadQueries(r io.Reader, cat *catalog.Catalog, name string) (*Workload, err
 		return nil, fmt.Errorf("workload: query file contains no statements")
 	}
 	return w, nil
+}
+
+// Open resolves the -workload / -schema / -queries flags the cmd binaries
+// share: with either path set it loads a custom workload (named "custom")
+// from the JSON schema and SQL files, otherwise it builds the named
+// built-in one (job, wk1, wk2; case-insensitive).
+func Open(name, schemaPath, queriesPath string) (*Workload, error) {
+	if schemaPath != "" || queriesPath != "" {
+		if schemaPath == "" || queriesPath == "" {
+			return nil, fmt.Errorf("custom workloads need both -schema and -queries")
+		}
+		sf, err := os.Open(schemaPath)
+		if err != nil {
+			return nil, err
+		}
+		defer func() { _ = sf.Close() }() // read-only open; nothing to flush
+		cat, err := LoadCatalog(sf)
+		if err != nil {
+			return nil, err
+		}
+		qf, err := os.Open(queriesPath)
+		if err != nil {
+			return nil, err
+		}
+		defer func() { _ = qf.Close() }() // read-only open; nothing to flush
+		return LoadQueries(qf, cat, "custom")
+	}
+	switch strings.ToLower(name) {
+	case "job":
+		return JOB(), nil
+	case "wk1":
+		return WK1(), nil
+	case "wk2":
+		return WK2(), nil
+	default:
+		return nil, fmt.Errorf("unknown workload %q", name)
+	}
 }

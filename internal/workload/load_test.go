@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -107,5 +109,30 @@ func TestLoadQueriesErrors(t *testing.T) {
 	}
 	if _, err := LoadQueries(strings.NewReader("select broken from;"), cat, "x"); err == nil {
 		t.Error("syntax error should fail")
+	}
+}
+
+// TestOpen covers the file-backed half of Open (the built-in names and
+// the error strings are pinned where the flags live, cmd/viewgen and
+// cmd/viewserverd).
+func TestOpen(t *testing.T) {
+	dir := t.TempDir()
+	schema, queries := filepath.Join(dir, "schema.json"), filepath.Join(dir, "queries.sql")
+	if err := os.WriteFile(schema, []byte(sampleSchema), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(queries, []byte(sampleQueries), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The paths win over the built-in name.
+	w, err := Open("job", schema, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Name != "custom" || len(w.Queries) != 3 || w.Cat.Len() != 2 {
+		t.Errorf("Open = %q, %d queries, %d tables; want custom, 3, 2", w.Name, len(w.Queries), w.Cat.Len())
+	}
+	if _, err := Open("", schema, filepath.Join(dir, "missing.sql")); err == nil {
+		t.Error("a missing queries file should fail")
 	}
 }
