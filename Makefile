@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench bench-obs bench-e2e bench-e2e-test loc vet lint autoviewlint check-bce
+.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint autoviewlint check-bce
 
 build:
 	$(GO) build ./...
@@ -69,10 +69,8 @@ fuzz-smoke:
 tournament-smoke:
 	$(GO) run ./cmd/experiments -run tournament -spec "families=JOB;sizes=4,8"
 
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Disabled-path observability overhead guard (< 5 ns/op; OBSERVABILITY.md).
+# Disabled-path observability overhead guard (spans < 5 ns/op, a gated
+# log call ≈ 7 ns/op through slog's level check; OBSERVABILITY.md).
 bench-obs:
 	$(GO) test -bench=ObsOverhead -run=^$$ ./internal/obs/
 

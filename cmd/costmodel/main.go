@@ -39,15 +39,12 @@ func main() {
 	savePath := flag.String("save", "", "persist trained weights to this file")
 	loadPath := flag.String("load", "", "load weights instead of training")
 	seed := flag.Int64("seed", 17, "random seed")
-	stats := flag.Bool("stats", false, "print the observability registry snapshot after the run")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	logLevel := flag.String("log-level", "", "stream structured events to stderr at this level: debug, info, warn, error")
+	var obsFlags obs.Flags
+	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if h, err := obs.Setup(*stats, *obsAddr, *logLevel, os.Stderr); err != nil {
+	if err := obsFlags.Start(os.Stderr); err != nil {
 		fail(err)
-	} else if h.Addr() != "" {
-		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s\n", h.Addr())
 	}
 
 	w, err := workload.Open(*wl, "", "")
@@ -128,9 +125,7 @@ func main() {
 		fmt.Printf("weights saved to %s\n", *savePath)
 	}
 
-	if *stats {
-		fmt.Print("\nobservability snapshot:\n", obs.Default.Snapshot().Text())
-	}
+	obsFlags.Report(os.Stdout)
 }
 
 // measurePairs executes every (associated query, candidate view) rewrite
@@ -167,19 +162,16 @@ func measurePairs(w *workload.Workload) ([]costbase.Sample, error) {
 	return out, nil
 }
 
+// pickVariant looks name up among widedeep.Variants(), ignoring case and
+// accepting each label with or without its hyphen ("n-kw", "nkw").
 func pickVariant(name string) (featenc.Config, error) {
-	switch strings.ToLower(name) {
-	case "wd", "w-d":
-		return featenc.Config{}, nil
-	case "nkw", "n-kw":
-		return featenc.Config{KeywordOneHot: true}, nil
-	case "nstr", "n-str":
-		return featenc.Config{StringOneHot: true}, nil
-	case "nexp", "n-exp":
-		return featenc.Config{NoSequence: true}, nil
-	default:
-		return featenc.Config{}, fmt.Errorf("unknown variant %q", name)
+	want := strings.ToLower(name)
+	for label, cfg := range widedeep.Variants() {
+		if l := strings.ToLower(label); want == l || want == strings.ReplaceAll(l, "-", "") {
+			return cfg, nil
+		}
 	}
+	return featenc.Config{}, fmt.Errorf("unknown variant %q", name)
 }
 
 func fail(err error) {

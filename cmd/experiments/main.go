@@ -37,16 +37,13 @@ func main() {
 	full := flag.Bool("full", false, "use the full Table II budgets (slower)")
 	spec := flag.String("spec", "", "tournament grid spec, e.g. families=JOB;sizes=4,8,12;seed=1")
 	out := flag.String("out", "", "write the tournament frontier JSON to this file")
-	stats := flag.Bool("stats", false, "print the observability registry snapshot after the run")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	logLevel := flag.String("log-level", "", "stream structured events to stderr at this level: debug, info, warn, error")
+	var obsFlags obs.Flags
+	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if h, err := obs.Setup(*stats, *obsAddr, *logLevel, os.Stderr); err != nil {
+	if err := obsFlags.Start(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	} else if h.Addr() != "" {
-		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s\n", h.Addr())
 	}
 
 	scale := experiments.Quick
@@ -69,9 +66,7 @@ func main() {
 		fmt.Printf("  (%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if *stats {
-		fmt.Print("\nobservability snapshot:\n", obs.Default.Snapshot().Text())
-	}
+	obsFlags.Report(os.Stdout)
 }
 
 func runOne(id string, scale experiments.Scale, spec, out string) (string, error) {
@@ -98,57 +93,35 @@ func runOne(id string, scale experiments.Scale, spec, out string) (string, error
 			}
 		}
 		return r.Render(), nil
-	case "fig1":
-		r, err := experiments.Fig1(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "tab1":
-		r, err := experiments.Tab1(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
 	case "tab2":
 		return experiments.Tab2(), nil
-	case "tab3":
-		r, err := experiments.Tab3(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "fig9":
-		r, err := experiments.Fig9(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "tab4":
-		r, err := experiments.Tab4(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "fig10":
-		r, err := experiments.Fig10(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "tab5":
-		r, err := experiments.Tab5(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "ablation":
-		r, err := experiments.Ablations(scale)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
 	default:
+		if f, ok := rendered[id]; ok {
+			return f(scale)
+		}
 		return "", fmt.Errorf("unknown experiment %q", id)
+	}
+}
+
+// rendered maps an experiment id to its function, adapted to return the
+// rendered text.
+var rendered = map[string]func(experiments.Scale) (string, error){
+	"fig1":     render(experiments.Fig1),
+	"tab1":     render(experiments.Tab1),
+	"tab3":     render(experiments.Tab3),
+	"fig9":     render(experiments.Fig9),
+	"tab4":     render(experiments.Tab4),
+	"fig10":    render(experiments.Fig10),
+	"tab5":     render(experiments.Tab5),
+	"ablation": render(experiments.Ablations),
+}
+
+func render[R interface{ Render() string }](f func(experiments.Scale) (R, error)) func(experiments.Scale) (string, error) {
+	return func(s experiments.Scale) (string, error) {
+		r, err := f(s)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
 	}
 }

@@ -42,12 +42,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	verbose := flag.Bool("verbose", false, "print selected view plans")
 	ddl := flag.Bool("ddl", false, "print CREATE MATERIALIZED VIEW statements for the selection")
-	stats := flag.Bool("stats", false, "print the observability registry snapshot after the run")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	logLevel := flag.String("log-level", "", "stream structured events to stderr at this level: debug, info, warn, error")
+	var obsFlags obs.Flags
+	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := setupObs(*stats, *obsAddr, *logLevel); err != nil {
+	if err := obsFlags.Start(os.Stderr); err != nil {
 		fail(err)
 	}
 
@@ -55,7 +54,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := configFor(w)
+	cfg := core.ConfigFor(w.Name)
 	cfg.Seed = *seed
 	if cfg.Estimator, err = core.ParseEstimator(*est); err != nil {
 		fail(err)
@@ -112,38 +111,7 @@ func main() {
 	fmt.Println(rep)
 	fmt.Printf("done in %v\n", time.Since(start).Round(time.Millisecond))
 
-	if *stats {
-		fmt.Print("\nobservability snapshot:\n", obs.Default.Snapshot().Text())
-	}
-}
-
-// setupObs wires the shared observability flags: -stats and -obs-addr
-// enable the registry (so spans start timing), -obs-addr additionally
-// serves the HTTP endpoint, and -log-level attaches the event logger to
-// stderr.
-func setupObs(stats bool, addr, level string) error {
-	h, err := obs.Setup(stats, addr, level, os.Stderr)
-	if err != nil {
-		return err
-	}
-	if h.Addr() != "" {
-		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s (/metrics, /debug/vars, /debug/pprof)\n", h.Addr())
-	}
-	return nil
-}
-
-// configFor picks the pipeline budgets for a workload: the paper's JOB
-// configuration, the WK one for the generated families, and the WK one
-// with a small W-D batch for custom workloads (typically few queries).
-func configFor(w *workload.Workload) core.Config {
-	cfg := core.WKConfig()
-	switch w.Name {
-	case "JOB":
-		cfg = core.DefaultConfig()
-	case "custom":
-		cfg.WDTrain.BatchSize = 16
-	}
-	return cfg
+	obsFlags.Report(os.Stdout)
 }
 
 func fail(err error) {

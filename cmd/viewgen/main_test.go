@@ -58,8 +58,8 @@ func TestPickWorkloads(t *testing.T) {
 		if len(w.Queries) == 0 {
 			t.Errorf("Open(%q): empty workload", name)
 		}
-		if cfg := configFor(w); cfg.Selector != core.SelectorRLView {
-			t.Errorf("configFor(%q): default selector %v", name, cfg.Selector)
+		if cfg := core.ConfigFor(w.Name); cfg.Selector != core.SelectorRLView {
+			t.Errorf("ConfigFor(%q): default selector %v", name, cfg.Selector)
 		}
 	}
 	if _, err := workload.Open("nope", "", ""); err == nil {

@@ -50,44 +50,27 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8094", "address to serve the /v1 API and /metrics on")
-	wl := flag.String("workload", "wk1", "built-in workload: job, wk1, wk2")
-	schemaPath := flag.String("schema", "", "JSON schema file for a custom workload (with -queries)")
-	queriesPath := flag.String("queries", "", "SQL file with the custom workload's queries")
-	est := flag.String("estimator", "wd", "benefit estimator: actual, optimizer, wd")
-	sel := flag.String("selector", defaultSelector, "view selector: localsearch, rlview, bigsub, iterview, topkfreq, topkover, topkben, topknorm")
-	seed := flag.Int64("seed", 1, "random seed")
-	parallelism := flag.Int("parallelism", 0, "workers for micro-batched inference and, inside every advise cycle, W-D retraining and the RLView action sweep (0 = NumCPU, 1 = serial)")
-	windowSize := flag.Int("window", 512, "rolling workload window capacity (queries)")
-	adviseEvery := flag.Duration("advise-interval", 0, "background re-advise period (0 disables the loop)")
-	utilityTol := flag.Float64("utility-tolerance", 0, "relative utility regression tolerated before a rotation rolls back")
-	cacheSize := flag.Int("cache-size", 0, "fingerprint-keyed estimate cache entries (0 = default 4096, negative disables)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")
-	dataDir := flag.String("data-dir", "", "durable state directory: WAL + snapshots + model checkpoints (empty disables durability)")
-	fsync := flag.String("fsync", "interval", "WAL fsync policy: always, interval, off")
-	snapshotEvery := flag.Int("snapshot-every", 0, "WAL records between automatic snapshots (0 = default 1024, negative disables)")
-	logLevel := flag.String("log-level", "info", "structured event level on stderr: debug, info, warn, error")
+	var o options
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:8094", "address to serve the /v1 API and /metrics on")
+	flag.StringVar(&o.workload, "workload", "wk1", "built-in workload: job, wk1, wk2")
+	flag.StringVar(&o.schemaPath, "schema", "", "JSON schema file for a custom workload (with -queries)")
+	flag.StringVar(&o.queriesPath, "queries", "", "SQL file with the custom workload's queries")
+	flag.StringVar(&o.estimator, "estimator", "wd", "benefit estimator: actual, optimizer, wd")
+	flag.StringVar(&o.selector, "selector", defaultSelector, "view selector: localsearch, rlview, bigsub, iterview, topkfreq, topkover, topkben, topknorm")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "workers for micro-batched inference and, inside every advise cycle, W-D retraining and the RLView action sweep (0 = NumCPU, 1 = serial)")
+	flag.IntVar(&o.windowSize, "window", 512, "rolling workload window capacity (queries)")
+	flag.DurationVar(&o.adviseEvery, "advise-interval", 0, "background re-advise period (0 disables the loop)")
+	flag.Float64Var(&o.utilityTol, "utility-tolerance", 0, "relative utility regression tolerated before a rotation rolls back")
+	flag.IntVar(&o.cacheSize, "cache-size", 0, "fingerprint-keyed estimate cache entries (0 = default 4096, negative disables)")
+	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "bound on the shutdown drain")
+	flag.StringVar(&o.dataDir, "data-dir", "", "durable state directory: WAL + snapshots + model checkpoints (empty disables durability)")
+	flag.StringVar(&o.fsync, "fsync", "interval", "WAL fsync policy: always, interval, off")
+	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "WAL records between automatic snapshots (0 = default 1024, negative disables)")
+	flag.StringVar(&o.logLevel, "log-level", "info", "structured event level on stderr: debug, info, warn, error")
 	flag.Parse()
 
-	if err := run(options{
-		addr:          *addr,
-		workload:      *wl,
-		schemaPath:    *schemaPath,
-		queriesPath:   *queriesPath,
-		estimator:     *est,
-		selector:      *sel,
-		seed:          *seed,
-		parallelism:   *parallelism,
-		windowSize:    *windowSize,
-		adviseEvery:   *adviseEvery,
-		utilityTol:    *utilityTol,
-		cacheSize:     *cacheSize,
-		drainTimeout:  *drainTimeout,
-		dataDir:       *dataDir,
-		fsync:         *fsync,
-		snapshotEvery: *snapshotEvery,
-		logLevel:      *logLevel,
-	}); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "viewserverd:", err)
 		os.Exit(1)
 	}
@@ -127,9 +110,9 @@ func run(o options) error {
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSignals()
 
-	// The serve package mounts the obs endpoint itself, so Setup only
-	// wires stats + the event logger here (no separate obs listener).
-	if _, err := obs.Setup(true, "", o.logLevel, os.Stderr); err != nil {
+	// The serve package mounts the obs endpoint itself, so this only
+	// enables the registry and the event logger (no separate listener).
+	if err := (&obs.Flags{Stats: true, LogLevel: o.logLevel}).Start(os.Stderr); err != nil {
 		return err
 	}
 
@@ -137,7 +120,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	coreCfg := configFor(w)
+	coreCfg := core.ConfigFor(w.Name)
 	coreCfg.Seed = o.seed
 	coreCfg.Parallelism = o.parallelism
 	if coreCfg.Estimator, err = core.ParseEstimator(o.estimator); err != nil {
@@ -251,18 +234,4 @@ func run(o options) error {
 	}
 	fmt.Fprintln(os.Stderr, "viewserverd: drained cleanly")
 	return nil
-}
-
-// configFor picks the pipeline budgets for a workload: the paper's JOB
-// configuration, the WK one for the generated families, and the WK one
-// with a small W-D batch for custom workloads (typically few queries).
-func configFor(w *workload.Workload) core.Config {
-	cfg := core.WKConfig()
-	switch w.Name {
-	case "JOB":
-		cfg = core.DefaultConfig()
-	case "custom":
-		cfg.WDTrain.BatchSize = 16
-	}
-	return cfg
 }

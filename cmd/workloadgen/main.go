@@ -26,16 +26,13 @@ func main() {
 	wl := flag.String("workload", "job", "workload: job, wk1, wk2")
 	dumpSQL := flag.Bool("sql", false, "print every query's SQL")
 	redundancy := flag.Bool("redundancy", false, "print the per-project redundancy analysis (Figure 1)")
-	statsFlag := flag.Bool("stats", false, "print the observability registry snapshot after the run")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	logLevel := flag.String("log-level", "", "stream structured events to stderr at this level: debug, info, warn, error")
+	var obsFlags obs.Flags
+	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	if h, err := obs.Setup(*statsFlag, *obsAddr, *logLevel, os.Stderr); err != nil {
+	if err := obsFlags.Start(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "workloadgen:", err)
 		os.Exit(1)
-	} else if h.Addr() != "" {
-		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s\n", h.Addr())
 	}
 
 	w, err := workload.Open(*wl, "", "")
@@ -73,7 +70,5 @@ func main() {
 		}
 	}
 
-	if *statsFlag {
-		fmt.Print("\nobservability snapshot:\n", obs.Default.Snapshot().Text())
-	}
+	obsFlags.Report(os.Stdout)
 }

@@ -232,3 +232,18 @@ func WKConfig() Config {
 	cfg.RL.LearnEvery = 4
 	return cfg
 }
+
+// ConfigFor picks the pipeline budgets for a workload by its name: the
+// paper's JOB configuration, the WK one for the generated families, and
+// the WK one with a small W-D batch for custom workloads (typically few
+// queries).
+func ConfigFor(name string) Config {
+	cfg := WKConfig()
+	switch name {
+	case "JOB":
+		cfg = DefaultConfig()
+	case "custom":
+		cfg.WDTrain.BatchSize = 16
+	}
+	return cfg
+}

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI) on the laptop-scale workloads. Each experiment
 // returns a structured result plus a formatted rendering; cmd/experiments
-// prints them and bench_test.go wraps them in testing.B benchmarks.
+// prints them and experiments_test.go asserts the paper's claims on them.
 package experiments
 
 import (
@@ -65,13 +65,6 @@ func configFor(name string, s Scale) core.Config {
 		cfg.Iter.Iterations = min(cfg.Iter.Iterations, 60)
 	}
 	return cfg
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // groundTruthProblem assembles the ILP instance with measured benefits.

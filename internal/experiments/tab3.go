@@ -275,10 +275,3 @@ func find(rows []Tab3Row, method string) Tab3Row {
 	}
 	return Tab3Row{Method: method}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -152,21 +152,6 @@ func factsForCall(pass *Pass, call *ast.CallExpr) (string, *PackageFacts) {
 	return funcFactKey(fn), pf
 }
 
-// enclosingNamedFunc resolves the *types.Func of the FuncDecl the stack
-// is inside, or nil inside a FuncLit or at file scope.
-func enclosingNamedFunc(pass *Pass, stack []ast.Node) *types.Func {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch n := stack[i].(type) {
-		case *ast.FuncLit:
-			return nil
-		case *ast.FuncDecl:
-			fn, _ := pass.Info.ObjectOf(n.Name).(*types.Func)
-			return fn
-		}
-	}
-	return nil
-}
-
 // topoSort orders pkgs so every package follows all of its imports that
 // are also in pkgs (Go's importer rejects cycles, so plain DFS is
 // enough). Analyzers rely on this to see dependency facts before the

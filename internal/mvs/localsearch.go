@@ -29,9 +29,6 @@ type LocalSearchOptions struct {
 	// greedy-seeded (net-benefit density order); later restarts start
 	// from seeded random subsets.
 	Restarts int
-	// MaxMoves caps accepted moves per restart (default 4·|Z|); the
-	// climb also stops at the first local optimum.
-	MaxMoves int
 	// Rand seeds the restart initializations. Each restart's sub-seed
 	// is drawn up front, so neighbor evaluation order and parallelism
 	// never perturb the schedule. Defaults to a fixed seed-1 source.
@@ -43,12 +40,9 @@ type LocalSearchOptions struct {
 	Parallelism int
 }
 
-func (o LocalSearchOptions) withDefaults(nv int) LocalSearchOptions {
+func (o LocalSearchOptions) withDefaults() LocalSearchOptions {
 	if o.Restarts <= 0 {
 		o.Restarts = 4
-	}
-	if o.MaxMoves <= 0 {
-		o.MaxMoves = 4 * nv
 	}
 	if o.Rand == nil {
 		o.Rand = rand.New(rand.NewSource(1))
@@ -97,7 +91,7 @@ type move struct{ drop, add int }
 func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 	defer obs.StartSpan("mvs.localsearch")()
 	nv := in.NumViews()
-	opts = opts.withDefaults(nv)
+	opts = opts.withDefaults()
 	res := &LocalSearchResult{Best: NewState(in), BestUtility: 0, BestRestart: 0}
 	if nv == 0 {
 		return res
@@ -239,7 +233,9 @@ func (c *climber) climb(z []bool, res *LocalSearchResult) (*State, float64) {
 		scratch[w] = make([]bool, nv)
 	}
 
-	for step := 0; step < c.opts.MaxMoves; step++ {
+	// At most 4·|Z| accepted moves per restart; the climb also stops at
+	// the first local optimum.
+	for step := 0; step < 4*nv; step++ {
 		moves := c.enumerate(st.Z, ocur)
 		if len(moves) == 0 {
 			break

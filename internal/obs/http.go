@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"expvar"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -117,29 +118,50 @@ func Serve(addr string, r *Registry) (*Handle, error) {
 	return h, nil
 }
 
-// Setup wires the standard observability command-line surface shared by
-// the cmd/ binaries (-stats, -obs-addr, -log-level): it enables the
-// default registry when stats or addr is set, serves the HTTP endpoint on
-// addr, and attaches the event logger to w at the named level. It returns
-// the serving handle (nil when addr is empty; Handle methods are
-// nil-safe, so callers may use it unconditionally).
-func Setup(stats bool, addr, level string, w io.Writer) (*Handle, error) {
-	if stats || addr != "" {
+// Flags is the observability command-line surface shared by the cmd/
+// binaries: -stats, -obs-addr and -log-level (OBSERVABILITY.md).
+type Flags struct {
+	Stats    bool   // print the registry snapshot after the run
+	Addr     string // serve the HTTP endpoint here; empty serves nothing
+	LogLevel string // event level; empty leaves the logger silent
+}
+
+// Register declares the three flags on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.BoolVar(&f.Stats, "stats", false, "print the observability registry snapshot after the run")
+	fs.StringVar(&f.Addr, "obs-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
+	fs.StringVar(&f.LogLevel, "log-level", "", "stream structured events to stderr at this level: debug, info, warn, error")
+}
+
+// Start applies the flags: it enables the default registry when Stats or
+// Addr is set, serves the HTTP endpoint on Addr for the rest of the
+// process (reporting the bound address on w), and streams events to w at
+// LogLevel. The level is checked before the address is bound, so an
+// error never leaves a listener behind.
+func (f *Flags) Start(w io.Writer) error {
+	level, err := ParseLevel(f.LogLevel)
+	if err != nil {
+		return err
+	}
+	if f.Stats || f.Addr != "" {
 		Enable()
 	}
-	var h *Handle
-	if addr != "" {
-		var err error
-		if h, err = Serve(addr, Default); err != nil {
-			return nil, err
-		}
-	}
-	if level != "" {
-		lv, err := ParseLevel(level)
+	if f.Addr != "" {
+		h, err := Serve(f.Addr, Default)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		LogTo(w, lv)
+		// w is the process's diagnostic stream; a failed write has
+		// nowhere to be reported.
+		_, _ = fmt.Fprintf(w, "observability endpoint on http://%s\n", h.Addr())
 	}
-	return h, nil
+	LogTo(w, level)
+	return nil
+}
+
+// Report prints the registry snapshot to w when -stats was given.
+func (f *Flags) Report(w io.Writer) {
+	if f.Stats {
+		_, _ = fmt.Fprint(w, "\nobservability snapshot:\n", Default.Snapshot().Text())
+	}
 }

@@ -1,168 +1,97 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Level orders event severities. The zero logger sits at LevelOff, so all
-// logging is silent until a sink is attached.
-type Level int32
+// levelOff sits above every severity: a logger at this level is silent.
+const levelOff = slog.LevelError + 4
 
-// Severity levels, least to most severe. LevelOff disables logging.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-	LevelOff
-)
-
-// ParseLevel maps a -log-level flag value to a Level.
-func ParseLevel(s string) (Level, error) {
+// ParseLevel maps a -log-level flag value to a slog.Level; "off" (and
+// the empty string) is a level above error.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	case "off", "":
-		return LevelOff, nil
+		return levelOff, nil
 	default:
-		return LevelOff, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
+		return levelOff, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
 	}
 }
 
-// String returns the level's lowercase name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "off"
-	}
-}
+// logger backs the package-level event helpers: silent until LogTo.
+// The level gate is one atomic load plus slog's Enabled check, and
+// allocates nothing, so a gated call is cheap on hot paths.
+var logger atomic.Pointer[slog.Logger]
 
-// Logger emits structured key=value events to an io.Writer. The level
-// gate is a single atomic load, so a disabled logger costs nothing on hot
-// paths; the writer is serialized behind a mutex.
-type Logger struct {
-	level atomic.Int32
+func init() { LogTo(io.Discard, levelOff) }
 
-	mu  sync.Mutex
-	w   io.Writer
-	now func() time.Time // test hook; nil means time.Now
-}
-
-// NewLogger returns a silent logger (no writer, LevelOff).
-func NewLogger() *Logger {
-	l := &Logger{}
-	l.level.Store(int32(LevelOff))
-	return l
-}
-
-// DefaultLogger backs the package-level event helpers. Silent by default.
-var DefaultLogger = NewLogger()
-
-// LogTo points the default logger at w with the given level — the one
-// call a binary needs to surface pipeline events.
-func LogTo(w io.Writer, level Level) {
-	DefaultLogger.SetOutput(w)
-	DefaultLogger.SetLevel(level)
-}
-
-// SetOutput attaches the sink. A nil writer silences the logger.
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
-// SetLevel sets the minimum emitted level.
-func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
-
-// Enabled reports whether events at level would be emitted.
-func (l *Logger) Enabled(level Level) bool { return level >= Level(l.level.Load()) }
-
-// Log emits one event as a single key=value line:
+// LogTo points the event helpers at w with the given minimum level —
+// the one call a binary needs to surface pipeline events. Each event is
+// a single key=value line:
 //
 //	ts=2026-08-05T10:31:02.123Z level=info event=advisor.select selector=RLView views=3
 //
-// kv is alternating key, value pairs; values are formatted with strconv
-// for numbers and quoted only when they contain spaces or '='. Events
-// below the level gate return after one atomic load.
-func (l *Logger) Log(level Level, event string, kv ...any) {
-	if !l.Enabled(level) {
-		return
-	}
-	var b strings.Builder
-	now := time.Now
-	if l.now != nil {
-		now = l.now
-	}
-	b.WriteString("ts=")
-	b.WriteString(now().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" level=")
-	b.WriteString(level.String())
-	b.WriteString(" event=")
-	b.WriteString(event)
-	for i := 0; i+1 < len(kv); i += 2 {
-		b.WriteByte(' ')
-		fmt.Fprintf(&b, "%v", kv[i])
-		b.WriteByte('=')
-		b.WriteString(formatValue(kv[i+1]))
-	}
-	b.WriteByte('\n')
-	l.mu.Lock()
-	if l.w != nil {
-		// A failed log write has nowhere to be reported; drop it.
-		_, _ = io.WriteString(l.w, b.String())
-	}
-	l.mu.Unlock()
+// kv is alternating key, value pairs; floats print with six significant
+// digits, and values are quoted only when empty or containing spaces,
+// '=' or '"'.
+func LogTo(w io.Writer, level slog.Level) { logger.Store(slog.New(newHandler(w, level))) }
+
+func newHandler(w io.Writer, level slog.Level) slog.Handler {
+	return slog.NewTextHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: replaceAttr})
 }
 
-func formatValue(v any) string {
-	var s string
-	switch x := v.(type) {
-	case string:
-		s = x
-	case float64:
-		return strconv.FormatFloat(x, 'g', 6, 64)
-	case float32:
-		return strconv.FormatFloat(float64(x), 'g', 6, 32)
-	case error:
-		s = x.Error()
-	default:
-		s = fmt.Sprintf("%v", x)
+// replaceAttr turns slog's text line into the documented one: the
+// built-in time, level and msg attributes become ts= (UTC, millisecond),
+// a lowercase level= and event=, and floats are cut to six digits.
+// slog hands built-in and caller attributes to this function alike, so
+// a caller's own "msg" key would come out as event= too: no event uses
+// "time", "level" or "msg" as a key.
+func replaceAttr(_ []string, a slog.Attr) slog.Attr {
+	switch {
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.String("ts", a.Value.Time().UTC().Format("2006-01-02T15:04:05.000Z"))
+	case a.Key == slog.LevelKey:
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			a.Value = slog.StringValue(strings.ToLower(lv.String()))
+		}
+	case a.Key == slog.MessageKey:
+		a.Key = "event"
+	case a.Value.Kind() == slog.KindFloat64:
+		a.Value = slog.StringValue(strconv.FormatFloat(a.Value.Float64(), 'g', 6, 64))
 	}
-	if strings.ContainsAny(s, " =\"\n") || s == "" {
-		return strconv.Quote(s)
-	}
-	return s
+	return a
 }
 
-// Debug emits a debug event on the default logger.
-func Debug(event string, kv ...any) { DefaultLogger.Log(LevelDebug, event, kv...) }
+// Debug emits a debug event.
+func Debug(event string, kv ...any) {
+	logger.Load().Log(context.Background(), slog.LevelDebug, event, kv...)
+}
 
-// Info emits an info event on the default logger.
-func Info(event string, kv ...any) { DefaultLogger.Log(LevelInfo, event, kv...) }
+// Info emits an info event.
+func Info(event string, kv ...any) {
+	logger.Load().Log(context.Background(), slog.LevelInfo, event, kv...)
+}
 
-// Warn emits a warning event on the default logger.
-func Warn(event string, kv ...any) { DefaultLogger.Log(LevelWarn, event, kv...) }
+// Warn emits a warning event.
+func Warn(event string, kv ...any) {
+	logger.Load().Log(context.Background(), slog.LevelWarn, event, kv...)
+}
 
-// Error emits an error event on the default logger.
-func Error(event string, kv ...any) { DefaultLogger.Log(LevelError, event, kv...) }
+// Error emits an error event.
+func Error(event string, kv ...any) {
+	logger.Load().Log(context.Background(), slog.LevelError, event, kv...)
+}

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,27 +160,72 @@ func TestQuantile(t *testing.T) {
 
 func TestLoggerFormat(t *testing.T) {
 	var buf strings.Builder
-	l := NewLogger()
-	l.SetOutput(&buf)
-	l.SetLevel(LevelInfo)
-	l.now = func() time.Time { return time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC) }
-
-	l.Log(LevelDebug, "dropped.event") // below gate
-	l.Log(LevelInfo, "advisor.select", "selector", "RLView", "views", 3, "utility", 1.25, "note", "two words")
+	h := newHandler(&buf, slog.LevelInfo)
+	if h.Enabled(context.Background(), slog.LevelDebug) {
+		t.Error("debug event passes an info gate")
+	}
+	r := slog.NewRecord(time.Date(2026, 8, 5, 10, 0, 0, 0, time.UTC), slog.LevelInfo, "advisor.select", 0)
+	r.Add("selector", "RLView", "views", 3, "utility", 1.25, "note", "two words",
+		"detail", "a=b", "err", errors.New("disk full"), "empty", "", "mape", 0.646389123)
+	if err := h.Handle(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
 
 	got := buf.String()
-	want := `ts=2026-08-05T10:00:00.000Z level=info event=advisor.select selector=RLView views=3 utility=1.25 note="two words"` + "\n"
+	want := `ts=2026-08-05T10:00:00.000Z level=info event=advisor.select selector=RLView views=3 utility=1.25 note="two words"` +
+		` detail="a=b" err="disk full" empty="" mape=0.646389` + "\n"
 	if got != want {
 		t.Errorf("log line:\n got %q\nwant %q", got, want)
 	}
 }
 
+// TestLoggerSilentByDefault: with no sink attached the helpers emit
+// nothing, and "off" gates even errors on an attached one.
 func TestLoggerSilentByDefault(t *testing.T) {
-	l := NewLogger()
-	l.Log(LevelError, "nobody.listening", "k", "v") // must not panic, no writer
-	if l.Enabled(LevelError) {
-		t.Error("fresh logger should be off")
+	Error("nobody.listening", "k", "v") // must not panic, no writer
+	if logger.Load().Enabled(context.Background(), slog.LevelError) {
+		t.Error("the default logger should be off")
 	}
+	t.Cleanup(func() { LogTo(io.Discard, levelOff) })
+	var buf strings.Builder
+	off, err := ParseLevel("off")
+	if err != nil {
+		t.Fatal(err)
+	}
+	LogTo(&buf, off)
+	Error("gated.event", "k", "v")
+	LogTo(&buf, slog.LevelWarn)
+	Info("gated.event")
+	if buf.Len() != 0 {
+		t.Errorf("gated events were written: %q", buf.String())
+	}
+	Warn("passing.event", "k", "v")
+	if got := buf.String(); !strings.Contains(got, "level=warn event=passing.event k=v\n") {
+		t.Errorf("warn event at a warn gate: %q", got)
+	}
+}
+
+// TestFlagsStartChecksLevelBeforeBinding: a bad -log-level must fail
+// before -obs-addr is bound — Start returns no handle, so a listener
+// opened ahead of the error could never be closed.
+func TestFlagsStartChecksLevelBeforeBinding(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f := Flags{Addr: addr, LogLevel: "bogus"}
+	if err := f.Start(io.Discard); err == nil || !strings.Contains(err.Error(), "unknown log level") {
+		t.Fatalf("Start with a bogus level: %v", err)
+	}
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("Start left %s bound after failing: %v", addr, err)
+	}
+	ln.Close()
 }
 
 func TestHandlerServesMetricsExpvarPprof(t *testing.T) {
@@ -250,9 +298,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 	})
 	b.Run("log-disabled", func(b *testing.B) {
-		l := NewLogger()
 		for i := 0; i < b.N; i++ {
-			l.Log(LevelInfo, "bench.event", "k", 1)
+			Info("bench.event", "k", 1)
 		}
 	})
 	b.Run("counter-inc", func(b *testing.B) {

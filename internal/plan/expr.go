@@ -171,20 +171,8 @@ func AndPreds(ps []Pred) Pred {
 	return out
 }
 
-// PredTokens renders a predicate in prefix notation against the input
-// schema, as the sequence of tokens used by the feature extractor:
-// [AND, EQ, dt, '1010', EQ, memo_type, 'pen']. Constant literals are
-// flagged as strings (Tok.Str) so the encoder routes them through String
-// Encoding.
-func PredTokens(p Pred, schema []ColInfo) []Tok {
-	if p == nil {
-		return nil
-	}
-	return appendPredTokens(make([]Tok, 0, predTokenCount(p)), p, schema)
-}
-
 // predTokenCount sizes a predicate's token sequence without building it,
-// so PredTokens and serializeOp allocate exactly once.
+// so serializeOp allocates exactly once.
 func predTokenCount(p Pred) int {
 	switch x := p.(type) {
 	case nil:
@@ -198,8 +186,11 @@ func predTokenCount(p Pred) int {
 	}
 }
 
-// appendPredTokens appends p's prefix token sequence to dst, growing it
-// at most once when dst was sized with predTokenCount.
+// appendPredTokens appends p, rendered in prefix notation against the
+// input schema, to dst as the tokens the feature extractor reads:
+// [AND, EQ, dt, '1010', EQ, memo_type, 'pen']. Constant literals are
+// flagged as strings (Tok.Str) so the encoder routes them through String
+// Encoding. dst grows at most once when sized with predTokenCount.
 func appendPredTokens(dst []Tok, p Pred, schema []ColInfo) []Tok {
 	switch x := p.(type) {
 	case nil:

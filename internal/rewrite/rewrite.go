@@ -117,14 +117,6 @@ func (m *Manager) Drop(v *View) {
 	delete(m.views, v.Fingerprint)
 }
 
-// DropAll removes every managed view.
-func (m *Manager) DropAll() {
-	for _, v := range m.views {
-		m.Store.Drop(v.TableName)
-	}
-	m.views = make(map[plan.Fingerprint]*View)
-}
-
 // View returns the managed view for a fingerprint.
 func (m *Manager) View(fp plan.Fingerprint) (*View, bool) {
 	v, ok := m.views[fp]

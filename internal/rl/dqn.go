@@ -6,8 +6,8 @@
 // Q(e,a); RLView (Algorithm 2) initializes from IterView and fine-tunes
 // the network online from an experience-replay memory.
 //
-// The DQN is float64 end to end, with two forwards: QNetwork.Forward
-// (tape, for the Learn update) and QNetwork.Infer (forward-only and
+// The DQN is float64 end to end, with two forwards: nn.MLP.Forward
+// (tape, for the Learn update) and nn.MLP.Infer (forward-only and
 // bit-identical — action scoring and the bootstrap target share it).
 package rl
 
@@ -105,10 +105,6 @@ type AgentConfig struct {
 	BatchSize int
 	// MemoryCap bounds the replay buffer; oldest entries are evicted.
 	MemoryCap int
-	// Dueling switches to the dueling architecture (Q = V + A) the
-	// paper cites as reference [42]. Default is the plain four-layer
-	// network of Section V-B2.
-	Dueling bool
 	// TargetSync, when positive, maintains a frozen target network for
 	// the Q-learning bootstrap, synced every TargetSync Learn calls —
 	// the standard DQN stabilization. Zero bootstraps from the online
@@ -139,16 +135,12 @@ func (c AgentConfig) withDefaults() AgentConfig {
 }
 
 // Agent is the DQN: μ(e,a|θ) implemented with four fully connected layers
-// of 16, 64, 16 and 1 neurons (Section V-B2), or optionally the dueling
-// architecture.
+// of 16, 64, 16 and 1 neurons (Section V-B2).
 type Agent struct {
-	// Net is the plain MLP when the default architecture is used (nil
-	// under Dueling); QNet is always the active network.
-	Net  *nn.MLP
-	QNet QNetwork
-	Cfg  AgentConfig
+	Net *nn.MLP
+	Cfg AgentConfig
 
-	target     QNetwork // frozen bootstrap target (nil unless TargetSync > 0)
+	target     *nn.MLP // frozen bootstrap target (nil unless TargetSync > 0)
 	learnCalls int
 
 	opt *nn.Adam
@@ -172,6 +164,19 @@ type Agent struct {
 	spareArena atomic.Pointer[nn.Arena]
 }
 
+// newQNet builds the paper's four-layer Q-network (16-64-16-1, ReLU).
+func newQNet(rng *rand.Rand) *nn.MLP {
+	return nn.NewMLP("dqn", []int{FeatureDim, 16, 64, 16, 1}, rng)
+}
+
+// copyParams copies values positionally (architectures are identical by
+// construction).
+func copyParams(dst, src []*nn.Param) {
+	for i := range dst {
+		copy(dst[i].Val, src[i].Val)
+	}
+}
+
 // NewAgent allocates an initialized agent.
 func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 	cfg = cfg.withDefaults()
@@ -179,19 +184,16 @@ func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	a := &Agent{
+		Net: newQNet(rng),
 		Cfg: cfg,
 		opt: nn.NewAdam(cfg.LearnRate),
 		rng: rng,
 	}
-	if cfg.Dueling {
-		a.QNet = NewDuelingQ(rng)
-	} else {
-		mq := NewMLPQ(rng).(*mlpQ)
-		a.Net = mq.net
-		a.QNet = mq
-	}
 	if cfg.TargetSync > 0 {
-		a.target = a.QNet.Clone()
+		// A throwaway source: the target's own initialization is
+		// overwritten, and must not draw from the agent's rng.
+		a.target = newQNet(rand.New(rand.NewSource(0)))
+		copyParams(a.target.Params(), a.Net.Params())
 	}
 	a.opt.Clip = 1
 	return a
@@ -220,32 +222,32 @@ func (a *Agent) putArena(ar *nn.Arena) {
 }
 
 // Q evaluates μ(e,a|θ) for one action's features through the f64
-// forward-only path (QNetwork.Infer): bit-identical to the training
+// forward-only path (nn.MLP.Infer): bit-identical to the training
 // Forward, no backward closures, no allocations when warm.
 func (a *Agent) Q(feat []float64) float64 {
-	_, q := a.maxQ(a.QNet, [][]float64{feat}, nil)
+	_, q := a.maxQ(a.Net, [][]float64{feat}, nil)
 	return q
 }
 
 // bootstrapNet is the network the Q-learning target is read from: the
 // frozen target when configured, else the online network.
-func (a *Agent) bootstrapNet() QNetwork {
+func (a *Agent) bootstrapNet() *nn.MLP {
 	if a.target != nil {
 		return a.target
 	}
-	return a.QNet
+	return a.Net
 }
 
 // maxQ scores every action of one state with net on one pooled arena,
 // taken once for the whole sweep, and returns the first best action and
 // its value (0 and -Inf without actions). A non-nil out receives every
 // value. Action scoring and the Learn bootstrap both go through it.
-func (a *Agent) maxQ(net QNetwork, feats [][]float64, out []float64) (best int, bestQ float64) {
+func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, bestQ float64) {
 	bestQ = math.Inf(-1)
 	ar := a.getArena()
 	for j, f := range feats {
 		ar.Reset()
-		q := net.Infer(f, ar)
+		q := net.Infer(f, ar)[0]
 		if out != nil {
 			out[j] = q
 		}
@@ -267,12 +269,12 @@ func (a *Agent) score(feats [][]float64, q []float64) {
 	n := len(feats)
 	w := nn.Workers(n, a.Cfg.Parallelism)
 	if w <= 1 {
-		a.maxQ(a.QNet, feats, q)
+		a.maxQ(a.Net, feats, q)
 		return
 	}
 	nn.ParallelFor(w, w, func(c int) {
 		lo, hi := c*n/w, (c+1)*n/w
-		a.maxQ(a.QNet, feats[lo:hi], q[lo:hi])
+		a.maxQ(a.Net, feats[lo:hi], q[lo:hi])
 	})
 }
 
@@ -332,7 +334,7 @@ func (a *Agent) Learn() float64 {
 		n = len(a.mem)
 	}
 	if a.trainer == nil {
-		a.trainer = nn.NewTrainer(a.QNet.Params(), a.Cfg.Parallelism, a.bindWorker)
+		a.trainer = nn.NewTrainer(a.Net.Params(), a.Cfg.Parallelism, a.bindWorker)
 	}
 	a.batch = a.batch[:0]
 	for b := 0; b < n; b++ {
@@ -340,10 +342,10 @@ func (a *Agent) Learn() float64 {
 	}
 	a.batchN = float64(n)
 	loss := a.trainer.Step(n)
-	a.opt.Step(a.QNet.Params())
+	a.opt.Step(a.Net.Params())
 	a.learnCalls++
 	if a.target != nil && a.learnCalls%a.Cfg.TargetSync == 0 {
-		copyParams(a.target.Params(), a.QNet.Params())
+		copyParams(a.target.Params(), a.Net.Params())
 	}
 	obsLearnCount.Inc()
 	obsLearnLoss.Set(loss / float64(n))
@@ -355,7 +357,7 @@ func (a *Agent) Learn() float64 {
 // The bootstrap target is evaluated through the frozen target network
 // (or the online network) — pure reads, safe across workers.
 func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
-	rep := a.QNet.ShareWeights()
+	rep := a.Net.ShareWeights()
 	run := func(i int) float64 {
 		e := a.batch[i]
 		target := e.Reward
@@ -364,8 +366,8 @@ func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
 			target += a.Cfg.Gamma * best
 		}
 		y, back := rep.Forward(e.State[e.Action])
-		d := y - target
-		back(2 * d / a.batchN)
+		d := y[0] - target
+		back(nn.Vec{2 * d / a.batchN})
 		return d * d
 	}
 	return rep.Params(), run
@@ -373,17 +375,17 @@ func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
 
 // Save persists the Q-network weights.
 func (a *Agent) Save(w io.Writer) error {
-	return SaveQNetwork(w, a.QNet)
+	return nn.SaveParams(w, a.Net.Params())
 }
 
 // Load restores weights saved by Save into an identically configured
 // agent. The target network (when present) syncs to the loaded weights.
 func (a *Agent) Load(r io.Reader) error {
-	if err := LoadQNetwork(r, a.QNet); err != nil {
+	if err := nn.LoadParams(r, a.Net.Params()); err != nil {
 		return err
 	}
 	if a.target != nil {
-		copyParams(a.target.Params(), a.QNet.Params())
+		copyParams(a.target.Params(), a.Net.Params())
 	}
 	return nil
 }

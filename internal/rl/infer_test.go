@@ -9,35 +9,35 @@ import (
 	"autoview/internal/nn"
 )
 
-// TestQNetworkInferParity pins the forward-only path: Infer must
-// return exactly what Forward returns, for both architectures, across
-// many random inputs and with a reused arena.
-func TestQNetworkInferParity(t *testing.T) {
-	nets := map[string]func(*rand.Rand) QNetwork{
-		"mlp":     NewMLPQ,
-		"dueling": NewDuelingQ,
-	}
-	for _, name := range []string{"mlp", "dueling"} {
-		q := nets[name](rand.New(rand.NewSource(11)))
-		a := nn.NewArena()
-		rng := rand.New(rand.NewSource(12))
-		for trial := 0; trial < 120; trial++ {
-			feat := make(nn.Vec, FeatureDim)
-			for i := range feat {
-				feat[i] = rng.NormFloat64()
-			}
-			want, _ := q.Forward(feat)
-			a.Reset()
-			got := q.Infer(feat, a)
-			if got != want { //lint:allow floateq bit-identity is the property under test
-				t.Fatalf("%s trial %d: Infer = %v, Forward = %v", name, trial, got, want)
-			}
-			a.Reset()
-			if again := q.Infer(feat, a); again != got { //lint:allow floateq bit-identity is the property under test
-				t.Fatalf("%s trial %d: warm-arena Infer drifted: %v != %v", name, trial, again, got)
-			}
+// TestMLPInferParity pins the forward-only path: the Q-network's Infer
+// must return exactly what its Forward returns, across many random
+// inputs and with a reused arena.
+func TestMLPInferParity(t *testing.T) {
+	q := newQNet(rand.New(rand.NewSource(11)))
+	a := nn.NewArena()
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 120; trial++ {
+		feat := make(nn.Vec, FeatureDim)
+		for i := range feat {
+			feat[i] = rng.NormFloat64()
+		}
+		want := forwardQ(q, feat)
+		a.Reset()
+		got := q.Infer(feat, a)[0]
+		if got != want { //lint:allow floateq bit-identity is the property under test
+			t.Fatalf("trial %d: Infer = %v, Forward = %v", trial, got, want)
+		}
+		a.Reset()
+		if again := q.Infer(feat, a)[0]; again != got { //lint:allow floateq bit-identity is the property under test
+			t.Fatalf("trial %d: warm-arena Infer drifted: %v != %v", trial, again, got)
 		}
 	}
+}
+
+// forwardQ is Q(e,a) through the training (tape) forward.
+func forwardQ(net *nn.MLP, feat []float64) float64 {
+	y, _ := net.Forward(feat)
+	return y[0]
 }
 
 // targetQ is the Learn bootstrap value of one action.
@@ -49,29 +49,26 @@ func targetQ(a *Agent, feat []float64) float64 {
 // TestAgentScoringBitIdenticalToForward cross-checks the agent's whole
 // forward-only surface — Q, QValues, BestAction and the Learn bootstrap
 // (maxQ over the bootstrap network: each action's value and the sweep's
-// maximum) — against direct Forward evaluation with ==, for both
-// architectures, with and without a frozen target network, before and
-// after a Learn step moves the weights (nothing may be cached across
-// an update).
+// maximum) — against direct Forward evaluation with ==, with and
+// without a frozen target network, before and after a Learn step moves
+// the weights (nothing may be cached across an update).
 func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 	for _, cfg := range []AgentConfig{
 		{Seed: 5},
-		{Seed: 5, Dueling: true},
 		{Seed: 5, TargetSync: 100},
-		{Seed: 5, Dueling: true, TargetSync: 100},
 	} {
 		ag := NewAgent(cfg, nil)
 		feats := randomFeats(rand.New(rand.NewSource(6)), 9)
 		ag.Remember(Experience{State: feats, Action: 2, Reward: 1, NextState: feats})
 		for _, phase := range []string{"initial", "after Learn"} {
-			bootstrap := ag.QNet
+			bootstrap := ag.Net
 			if ag.target != nil {
 				bootstrap = ag.target
 			}
 			qv := ag.QValues(feats)
 			bestJ, bestQ, bestT := 0, 0.0, math.Inf(-1)
 			for j, f := range feats {
-				want, _ := ag.QNet.Forward(f)
+				want := forwardQ(ag.Net, f)
 				if j == 0 || want > bestQ {
 					bestJ, bestQ = j, want
 				}
@@ -81,7 +78,7 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 				if qv[j] != want { //lint:allow floateq bit-identity is the property under test
 					t.Fatalf("%+v %s: QValues[%d] = %v, Forward = %v", cfg, phase, j, qv[j], want)
 				}
-				wantT, _ := bootstrap.Forward(f)
+				wantT := forwardQ(bootstrap, f)
 				if got := targetQ(ag, f); got != wantT { //lint:allow floateq bit-identity is the property under test
 					t.Fatalf("%+v %s: targetQ(%d) = %v, Forward = %v", cfg, phase, j, got, wantT)
 				}
@@ -117,31 +114,29 @@ func randomFeats(rng *rand.Rand, n int) [][]float64 {
 // an exact tie — the best row copied to both ends, so the copies land in
 // different workers' chunks — must go to the lowest index.
 func TestScoringFanOutBitIdentical(t *testing.T) {
-	for _, dueling := range []bool{false, true} {
-		for _, p := range []int{1, 2, 8} {
-			for _, n := range []int{1, 3, 124} {
-				ag := NewAgent(AgentConfig{Seed: 5, Dueling: dueling, Parallelism: p}, nil)
-				feats := randomFeats(rand.New(rand.NewSource(int64(n))), n)
-				for _, tie := range []bool{false, true} {
-					want := make([]float64, n)
-					best := 0
-					for j, f := range feats {
-						want[j], _ = ag.QNet.Forward(f)
-						if want[j] > want[best] {
-							best = j
-						}
+	for _, p := range []int{1, 2, 8} {
+		for _, n := range []int{1, 3, 124} {
+			ag := NewAgent(AgentConfig{Seed: 5, Parallelism: p}, nil)
+			feats := randomFeats(rand.New(rand.NewSource(int64(n))), n)
+			for _, tie := range []bool{false, true} {
+				want := make([]float64, n)
+				best := 0
+				for j, f := range feats {
+					want[j] = forwardQ(ag.Net, f)
+					if want[j] > want[best] {
+						best = j
 					}
-					got := ag.QValues(feats)
-					for j := range want {
-						if got[j] != want[j] { //lint:allow floateq bit-identity is the property under test
-							t.Fatalf("dueling=%v P=%d n=%d tie=%v: QValues[%d] = %v, Forward = %v", dueling, p, n, tie, j, got[j], want[j])
-						}
-					}
-					if got := ag.BestAction(feats); got != best {
-						t.Fatalf("dueling=%v P=%d n=%d tie=%v: BestAction = %d, want %d", dueling, p, n, tie, got, best)
-					}
-					feats[0], feats[n-1] = feats[best], feats[best]
 				}
+				got := ag.QValues(feats)
+				for j := range want {
+					if got[j] != want[j] { //lint:allow floateq bit-identity is the property under test
+						t.Fatalf("P=%d n=%d tie=%v: QValues[%d] = %v, Forward = %v", p, n, tie, j, got[j], want[j])
+					}
+				}
+				if got := ag.BestAction(feats); got != best {
+					t.Fatalf("P=%d n=%d tie=%v: BestAction = %d, want %d", p, n, tie, got, best)
+				}
+				feats[0], feats[n-1] = feats[best], feats[best]
 			}
 		}
 	}
@@ -153,25 +148,23 @@ func TestScoringFanOutBitIdentical(t *testing.T) {
 // pay the goroutines of one fan-out and nothing per action: the count
 // is the same for 8, 64 and 124 actions.
 func TestQValuesAllocs(t *testing.T) {
-	for _, dueling := range []bool{false, true} {
-		for _, p := range []int{1, 4} {
-			ag := NewAgent(AgentConfig{Dueling: dueling, Seed: 5, Parallelism: p}, nil)
-			var firstQ, firstBest float64
-			for k, n := range []int{8, 64, 124} {
-				feats := randomFeats(rand.New(rand.NewSource(3)), n)
-				ag.QValues(feats) // warm the arenas
-				ag.BestAction(feats)
-				q := testing.AllocsPerRun(100, func() { ag.QValues(feats) })
-				best := testing.AllocsPerRun(100, func() { ag.BestAction(feats) })
-				if k == 0 {
-					firstQ, firstBest = q, best
-				}
-				if p == 1 && (q != 1 || best != 0) {
-					t.Fatalf("dueling=%v n=%d: serial warm QValues allocates %v allocs/op, want 1 (the result slice); BestAction %v, want 0", dueling, n, q, best)
-				}
-				if q != firstQ || best != firstBest { //lint:allow floateq allocation counts are whole numbers
-					t.Fatalf("dueling=%v P=%d: QValues/BestAction allocate %v/%v for %d actions but %v/%v for 8", dueling, p, q, best, n, firstQ, firstBest)
-				}
+	for _, p := range []int{1, 4} {
+		ag := NewAgent(AgentConfig{Seed: 5, Parallelism: p}, nil)
+		var firstQ, firstBest float64
+		for k, n := range []int{8, 64, 124} {
+			feats := randomFeats(rand.New(rand.NewSource(3)), n)
+			ag.QValues(feats) // warm the arenas
+			ag.BestAction(feats)
+			q := testing.AllocsPerRun(100, func() { ag.QValues(feats) })
+			best := testing.AllocsPerRun(100, func() { ag.BestAction(feats) })
+			if k == 0 {
+				firstQ, firstBest = q, best
+			}
+			if p == 1 && (q != 1 || best != 0) {
+				t.Fatalf("n=%d: serial warm QValues allocates %v allocs/op, want 1 (the result slice); BestAction %v, want 0", n, q, best)
+			}
+			if q != firstQ || best != firstBest { //lint:allow floateq allocation counts are whole numbers
+				t.Fatalf("P=%d: QValues/BestAction allocate %v/%v for %d actions but %v/%v for 8", p, q, best, n, firstQ, firstBest)
 			}
 		}
 	}

@@ -194,7 +194,7 @@ func TestRLViewBitIdenticalAcrossParallelism(t *testing.T) {
 			Rand:           rand.New(rand.NewSource(8)),
 		})
 		var w []float64
-		for _, prm := range res.Agent.QNet.Params() {
+		for _, prm := range res.Agent.Net.Params() {
 			w = append(w, prm.Val...)
 		}
 		return res, w
@@ -313,28 +313,6 @@ func TestAgentSaveLoad(t *testing.T) {
 	}
 }
 
-func TestDuelingAgentLearns(t *testing.T) {
-	a := NewAgent(AgentConfig{Dueling: true, LearnRate: 0.01, BatchSize: 8}, rand.New(rand.NewSource(30)))
-	if a.Net != nil {
-		t.Fatal("dueling agent should not expose the plain MLP")
-	}
-	f0 := make([]float64, FeatureDim)
-	f0[0] = 1
-	f1 := make([]float64, FeatureDim)
-	f1[1] = 1
-	state := [][]float64{f0, f1}
-	for i := 0; i < 40; i++ {
-		a.Remember(Experience{State: state, Action: 0, Reward: 1, NextState: state, Terminal: true})
-		a.Remember(Experience{State: state, Action: 1, Reward: 0, NextState: state, Terminal: true})
-	}
-	for i := 0; i < 400; i++ {
-		a.Learn()
-	}
-	if a.Q(f0) < a.Q(f1)+0.3 {
-		t.Errorf("dueling Q(a0)=%v should exceed Q(a1)=%v", a.Q(f0), a.Q(f1))
-	}
-}
-
 func TestTargetNetworkSync(t *testing.T) {
 	a := NewAgent(AgentConfig{TargetSync: 3, LearnRate: 0.05, BatchSize: 4}, rand.New(rand.NewSource(31)))
 	if a.target == nil {
@@ -353,38 +331,6 @@ func TestTargetNetworkSync(t *testing.T) {
 	a.Learn() // third call triggers the sync
 	if a.Q(f) != targetQ(a, f) {
 		t.Errorf("target not synced: online %v, target %v", a.Q(f), targetQ(a, f))
-	}
-}
-
-func TestDuelingGradients(t *testing.T) {
-	d := NewDuelingQ(rand.New(rand.NewSource(32))).(*DuelingQ)
-	feat := make([]float64, FeatureDim)
-	for i := range feat {
-		feat[i] = 0.1 * float64(i%5)
-	}
-	loss := func() float64 {
-		y, _ := d.Forward(feat)
-		return y * y
-	}
-	for _, p := range d.Params() {
-		p.ZeroGrad()
-	}
-	y, back := d.Forward(feat)
-	back(2 * y)
-	const eps = 1e-6
-	for _, p := range d.Params() {
-		for i := range p.Val {
-			orig := p.Val[i]
-			p.Val[i] = orig + eps
-			lp := loss()
-			p.Val[i] = orig - eps
-			lm := loss()
-			p.Val[i] = orig
-			want := (lp - lm) / (2 * eps)
-			if math.Abs(p.Grad[i]-want) > 1e-4*(1+math.Abs(want)) {
-				t.Fatalf("%s grad[%d] = %g, want %g", p, i, p.Grad[i], want)
-			}
-		}
 	}
 }
 
@@ -462,19 +408,19 @@ func seq(base float64) []float64 {
 	return out
 }
 
-func TestRLViewDuelingVariantRuns(t *testing.T) {
+func TestRLViewTargetSyncRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	in := randomInstance(rng, 8, 6)
 	res := RLView(in, Options{
 		InitIterations: 3,
 		Epochs:         5,
-		Agent:          AgentConfig{Dueling: true, TargetSync: 8},
+		Agent:          AgentConfig{TargetSync: 8},
 		Rand:           rand.New(rand.NewSource(35)),
 	})
 	if !in.Feasible(res.Best) {
-		t.Error("dueling RLView produced infeasible state")
+		t.Error("target-network RLView produced infeasible state")
 	}
 	if res.BestUtility <= 0 {
-		t.Errorf("dueling RLView best utility %v", res.BestUtility)
+		t.Errorf("target-network RLView best utility %v", res.BestUtility)
 	}
 }

@@ -18,6 +18,17 @@ var (
 	obsEpFlips    = obs.Default.Histogram("rl.episode.flips", "z-flips per episode", 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 )
 
+const (
+	// epsilon0 is the behaviour policy's initial exploration rate. The
+	// paper's pseudocode acts greedily; a small ε is the standard DQN
+	// exploration and decays linearly to 0 across epochs.
+	epsilon0 = 0.1
+	// maxStepsFactor bounds an episode at maxStepsFactor·|Z| steps —
+	// Algorithm 2 terminates an episode when t ≥ |Z| and the reward
+	// stops improving; the factor caps pathological runs.
+	maxStepsFactor = 2
+)
+
 // Options configures RLView (Algorithm 2).
 type Options struct {
 	// InitIterations is n1, the IterView warm-start budget.
@@ -27,14 +38,6 @@ type Options struct {
 	// MemoryThreshold is nm: online fine-tuning starts once the replay
 	// memory reaches this size.
 	MemoryThreshold int
-	// Epsilon is the exploration rate of the behaviour policy. The
-	// paper's pseudocode acts greedily; a small ε (default 0.1) is the
-	// standard DQN exploration and decays linearly to 0 across epochs.
-	Epsilon float64
-	// MaxStepsFactor bounds an episode at MaxStepsFactor·|Z| steps
-	// (default 2) — Algorithm 2 terminates an episode when t ≥ |Z| and
-	// the reward stops improving; the factor caps pathological runs.
-	MaxStepsFactor int
 	// LearnEvery fine-tunes the DQN every k environment steps (default
 	// 1, the paper's per-step update; larger values trade fidelity for
 	// speed on big instances).
@@ -60,14 +63,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemoryThreshold <= 0 {
 		o.MemoryThreshold = 20
-	}
-	if o.Epsilon < 0 {
-		o.Epsilon = 0
-	} else if o.Epsilon == 0 { //lint:allow floateq zero value is the unset-field sentinel
-		o.Epsilon = 0.1
-	}
-	if o.MaxStepsFactor <= 0 {
-		o.MaxStepsFactor = 2
 	}
 	if o.LearnEvery <= 0 {
 		o.LearnEvery = 1
@@ -130,13 +125,13 @@ func RLView(in *mvs.Instance, opts Options) *Result {
 	res.Best = z0.Clone()
 	res.BestUtility = in.Utility(z0)
 
-	maxSteps := opts.MaxStepsFactor * nv
+	maxSteps := maxStepsFactor * nv
 	if maxSteps < 1 {
 		maxSteps = 1
 	}
 
 	for ep := 0; ep < opts.Epochs; ep++ {
-		epsilon := opts.Epsilon * (1 - float64(ep)/float64(opts.Epochs))
+		epsilon := epsilon0 * (1 - float64(ep)/float64(opts.Epochs))
 		obsEpsilon.Set(epsilon)
 		// Line 7: e_0 = ⟨Z_0, Y_0⟩.
 		st := z0.Clone()

@@ -115,30 +115,23 @@ func BestK(in *mvs.Instance, freq []int, s Strategy) (int, float64) {
 type BigSubOptions struct {
 	// Iterations is the total iteration budget.
 	Iterations int
-	// FreezeAfter is the iteration after which selected subqueries may
-	// no longer be unselected (BigSub's convergence rule). Defaults to
-	// half the budget.
-	FreezeAfter int
-	Rand        *rand.Rand
+	Rand       *rand.Rand
 }
 
 // BigSub runs the iterative bipartite-labeling baseline [20]. Its labeling
 // iteration is operationally the same alternating Z/Y optimization as
 // IterView; the distinguishing feature reproduced here is the freeze rule
 // that forbids turning selected subqueries to unselected after a
-// threshold, which forces convergence at the price of greedy behaviour.
+// threshold — half the budget — which forces convergence at the price of
+// greedy behaviour.
 func BigSub(in *mvs.Instance, opts BigSubOptions) *mvs.IterResult {
 	iters := opts.Iterations
 	if iters <= 0 {
 		iters = 100
 	}
-	freeze := opts.FreezeAfter
-	if freeze <= 0 {
-		freeze = iters / 2
-	}
 	return mvs.IterView(in, mvs.IterOptions{
 		Iterations:  iters,
-		FreezeAfter: freeze,
+		FreezeAfter: iters / 2,
 		Rand:        opts.Rand,
 	})
 }

@@ -92,7 +92,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // event every error response carries.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
 	obsErrors.Inc()
-	obs.Warn("serve.http.error", "path", r.URL.Path, "status", status, "code", code, "msg", msg)
+	obs.Warn("serve.http.error", "path", r.URL.Path, "status", status, "code", code, "detail", msg)
 	s.writeJSON(w, status, errorResponse{Error: apiError{Code: code, Message: msg}})
 }
 

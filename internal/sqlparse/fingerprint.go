@@ -35,9 +35,6 @@ type FP struct {
 	Exact    [16]byte
 }
 
-// TemplateHex renders the template digest for logs and spans.
-func (f FP) TemplateHex() string { return hex.EncodeToString(f.Template[:]) }
-
 // ExactHex renders the exact digest for logs and spans.
 func (f FP) ExactHex() string { return hex.EncodeToString(f.Exact[:]) }
 
