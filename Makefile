@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint autoviewlint check-bce
+.PHONY: build test examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint autoviewlint check-bce
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The four examples/* mains are the documented way into the system
+# (README "Quickstart"), and `go build ./...` only compiles them: run
+# each to completion, failing on the first that exits non-zero.
+examples-smoke:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Race-detector pass over the whole tree. Short mode keeps it
 # CI-friendly; the concurrent hot spots (the nn.Trainer worker pool,

@@ -1,7 +1,9 @@
 // Offlinetraining demonstrates the paper's offline/online split (Fig. 3):
-// a first advisory run collects DQN replay experiences into the metadata
-// database; the database is persisted; a later run pretrains the DQN
-// offline from it and fine-tunes online, converging with less exploration.
+// a first advisory run returns its DQN replay pool (Selection.Replay);
+// the caller persists it (rl.SaveReplay); a later run loads it
+// (rl.LoadReplay), pretrains a DQN offline from it (rl.OfflineTrain),
+// hands that agent over as Config.RL.Pretrained and fine-tunes online,
+// converging with less exploration.
 package main
 
 import (
@@ -9,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	"autoview/internal/catalog"
 	"autoview/internal/core"
 	"autoview/internal/engine"
+	"autoview/internal/rl"
 	"autoview/internal/workload"
 )
 
@@ -37,26 +39,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, ne := adv1.Meta.Counts()
 	fmt.Printf("day 1: RLView selected %d views (utility $%.4f), %d experiences collected\n",
-		countTrue(sel1.Z), sel1.Utility, ne)
+		countTrue(sel1.Z), sel1.Utility, len(sel1.Replay))
 
-	// Persist the metadata database, as the paper's system stores the
-	// memory pool between sessions.
+	// Persist the replay pool, as the paper's system stores the memory
+	// pool between sessions.
 	var store bytes.Buffer
-	if err := adv1.Meta.Save(&store); err != nil {
+	if err := rl.SaveReplay(&store, sel1.Replay); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("metadata database persisted (%d bytes)\n", store.Len())
+	fmt.Printf("replay pool persisted (%d bytes)\n", store.Len())
 
 	// --- Day 2: fresh advisor, pretrained from the stored pool ---------
-	adv2 := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-	adv2.Meta = catalog.NewMetadataDB()
-	if err := adv2.Meta.Load(&store); err != nil {
+	pool, err := rl.LoadReplay(&store)
+	if err != nil {
 		log.Fatal(err)
 	}
-	adv2.Cfg.RLPretrainUpdates = 300
-	adv2.Cfg.RL.Epochs = 8 // fewer online episodes, thanks to pretraining
+	cfg.RL.Pretrained, err = rl.OfflineTrain(pool, cfg.RL.Agent, 300)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.RL.Epochs = 8 // fewer online episodes, thanks to pretraining
+	adv2 := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
 	p2, err := adv2.BuildProblem(w.Plans(), pre)
 	if err != nil {
 		log.Fatal(err)

@@ -1,5 +1,4 @@
-// Package catalog holds database schemas, table statistics and the
-// "metadata database" used by the paper's offline-training component.
+// Package catalog holds database schemas and table statistics.
 //
 // Everything in this package is engine-agnostic: the executor
 // (internal/engine), the feature encoders (internal/featenc) and the

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -130,57 +129,5 @@ func TestCatalogString(t *testing.T) {
 func TestColTypeByteWidth(t *testing.T) {
 	if TypeInt.ByteWidth() != 8 || TypeFloat.ByteWidth() != 8 || TypeString.ByteWidth() != 24 {
 		t.Error("byte widths changed")
-	}
-}
-
-func TestMetadataDBRoundTrip(t *testing.T) {
-	db := NewMetadataDB()
-	db.AddCostRecord(CostRecord{
-		QueryID:    "q1",
-		ViewID:     "v1",
-		QueryPlan:  [][]string{{"Scan", "t"}},
-		ViewPlan:   [][]string{{"Project", "a"}},
-		Tables:     []string{"t"},
-		ActualCost: 1.5,
-		RawCost:    2.5,
-	})
-	db.AddExperience(Experience{State: []float64{1, 0}, Action: 1, Reward: 0.5, NextState: []float64{1, 1}})
-	nc, ne := db.Counts()
-	if nc != 1 || ne != 1 {
-		t.Fatalf("Counts = %d,%d", nc, ne)
-	}
-
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2 := NewMetadataDB()
-	if err := db2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	recs := db2.CostRecords()
-	if len(recs) != 1 || recs[0].QueryID != "q1" || recs[0].ActualCost != 1.5 {
-		t.Errorf("cost records after round trip: %+v", recs)
-	}
-	exps := db2.Experiences()
-	if len(exps) != 1 || exps[0].Action != 1 || exps[0].Reward != 0.5 {
-		t.Errorf("experiences after round trip: %+v", exps)
-	}
-}
-
-func TestMetadataDBLoadError(t *testing.T) {
-	db := NewMetadataDB()
-	if err := db.Load(strings.NewReader("{not json")); err == nil {
-		t.Error("Load of invalid JSON should fail")
-	}
-}
-
-func TestMetadataDBCopiesAreIndependent(t *testing.T) {
-	db := NewMetadataDB()
-	db.AddCostRecord(CostRecord{QueryID: "q"})
-	recs := db.CostRecords()
-	recs[0].QueryID = "mutated"
-	if db.CostRecords()[0].QueryID != "q" {
-		t.Error("CostRecords returned shared slice")
 	}
 }

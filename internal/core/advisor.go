@@ -37,7 +37,6 @@ type Advisor struct {
 	Cat  *catalog.Catalog
 	Exec *engine.Executor
 	Mgr  *rewrite.Manager
-	Meta *catalog.MetadataDB
 	Cfg  Config
 }
 
@@ -47,7 +46,6 @@ func NewAdvisor(cat *catalog.Catalog, exec *engine.Executor, cfg Config) *Adviso
 		Cat:  cat,
 		Exec: exec,
 		Mgr:  rewrite.NewManager(exec.Store),
-		Meta: catalog.NewMetadataDB(),
 		Cfg:  cfg,
 	}
 }
@@ -118,8 +116,7 @@ func (a *Advisor) Preprocess(queries []*plan.Node) *equiv.Result {
 
 // BuildProblem materializes the candidate views, measures or estimates
 // benefits and overheads per the configured estimator, and assembles the
-// ILP instance. Measured (q, v, cost) triples are recorded in the
-// metadata database as training data.
+// ILP instance.
 func (a *Advisor) BuildProblem(queries []*plan.Node, pre *equiv.Result) (*Problem, error) {
 	p := &Problem{Queries: queries, Pre: pre, AssocQueries: pre.AssociatedQueries}
 	obsQueries.Add(int64(len(queries)))
@@ -230,7 +227,6 @@ func (a *Advisor) fillBenefits(p *Problem) error {
 			return err
 		}
 		for i, pk := range pairs {
-			a.recordPair(p, pk, costs[i])
 			p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - costs[i]
 		}
 	case EstimatorOptimizer:
@@ -317,7 +313,6 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 	scale := costScale(p.QueryCost)
 	for k, pk := range trainPairs {
 		cost := costs[k]
-		a.recordPair(p, pk, cost)
 		f := featenc.Extract(p.Queries[pk.qi], p.Candidates[pk.j].View.Plan, a.Cat)
 		samples = append(samples, widedeep.Sample{F: f, Y: cost * scale})
 		// Training pairs use their measured benefit directly.
@@ -360,20 +355,6 @@ func costScale(costs []float64) float64 {
 	return 1 / max
 }
 
-// recordPair persists a measured (q, v, cost) triple to the metadata
-// database (the paper's offline-training data collection).
-func (a *Advisor) recordPair(p *Problem, pk pairKey, cost float64) {
-	a.Meta.AddCostRecord(catalog.CostRecord{
-		QueryID:    fmt.Sprintf("q%d", pk.qi),
-		ViewID:     p.Candidates[pk.j].View.ID,
-		QueryPlan:  plan.SerializeTexts(p.Queries[pk.qi]),
-		ViewPlan:   plan.SerializeTexts(p.Candidates[pk.j].View.Plan),
-		Tables:     p.Queries[pk.qi].Tables(),
-		ActualCost: cost,
-		RawCost:    p.QueryCost[pk.qi],
-	})
-}
-
 // Selection is the outcome of the view-selection stage.
 type Selection struct {
 	Method  string
@@ -381,6 +362,10 @@ type Selection struct {
 	Utility float64 // estimated utility under the instance's benefits
 	Trace   []float64
 	K       int // top-k cut for greedy methods (0 otherwise)
+	// Replay is the RLView agent's replay memory (shared, not copied; nil
+	// for every other selector): what rl.SaveReplay persists and
+	// rl.OfflineTrain pretrains Config.RL.Pretrained from.
+	Replay []rl.Experience
 }
 
 // Selected returns the number of chosen views.
@@ -394,10 +379,9 @@ func (s *Selection) Selected() int {
 	return n
 }
 
-// Select runs the configured selection algorithm on the problem. Stage
-// errors (an unknown selector, a failed offline DQN pretraining) are
-// returned to the caller and logged as structured obs events rather than
-// silently folded into the selection.
+// Select runs the configured selection algorithm on the problem. An
+// unknown selector is returned to the caller and logged as a structured
+// obs event rather than silently folded into the selection.
 func (a *Advisor) Select(p *Problem) (*Selection, error) {
 	defer obs.StartSpan("advisor.select")()
 	sel, err := a.selectViews(p)
@@ -420,22 +404,8 @@ func (a *Advisor) selectViews(p *Problem) (*Selection, error) {
 		if opts.Agent.Parallelism == 0 {
 			opts.Agent.Parallelism = a.Cfg.Parallelism
 		}
-		// Offline training: when the metadata database already holds
-		// replay experiences (from earlier runs), pretrain the DQN on
-		// them and fine-tune online (Algorithm 2's DQN-offline path).
-		if a.Cfg.RLPretrainUpdates > 0 {
-			if _, ne := a.Meta.Counts(); ne > 0 {
-				agent, err := rl.OfflineTrain(a.Meta, opts.Agent, a.Cfg.RLPretrainUpdates)
-				if err != nil {
-					return nil, fmt.Errorf("core: offline DQN pretraining: %w", err)
-				}
-				opts.Pretrained = agent
-			}
-		}
 		res := rl.RLView(in, opts)
-		// Persist the replay pool for future offline training.
-		res.Agent.PersistMemory(a.Meta)
-		return &Selection{Method: "RLView", Z: res.Best.Z, Utility: res.BestUtility, Trace: res.Trace}, nil
+		return &Selection{Method: "RLView", Z: res.Best.Z, Utility: res.BestUtility, Trace: res.Trace, Replay: res.Agent.Memory()}, nil
 	case SelectorBigSub:
 		res := selbase.BigSub(in, selbase.BigSubOptions{
 			Iterations: a.Cfg.Iter.Iterations,

@@ -2,8 +2,9 @@
 // pipeline of Figure 3. An Advisor pre-processes a workload (subquery
 // extraction, equivalence detection, clustering), estimates costs and
 // utilities (measured, analytic-optimizer, or Wide-Deep), selects views
-// (RLView, BigSub, IterView, or greedy top-k), rewrites the workload, and
-// reports end-to-end savings.
+// (RLView, local search, BigSub, IterView, or greedy top-k), rewrites the
+// workload, and reports end-to-end savings. An Advisor keeps nothing
+// between runs but the views its Mgr materialized.
 //
 // Exported types map onto the paper's constructs as follows:
 //
@@ -15,9 +16,13 @@
 //     estimate, or the Wide-Deep model of Section IV — plus the view
 //     overheads O_vj and the Definition 5 overlap constants x_jk.
 //   - Advisor.Select solves the instance with the configured SelectorKind:
-//     SelectorRLView is the DQN-based Algorithm 2, SelectorIterView the
-//     iterative Z-Opt/Y-Opt optimizer, SelectorBigSub and the SelectorTopk*
-//     family the experiments' baselines.
+//     SelectorRLView is the DQN-based Algorithm 2, SelectorLocalSearch
+//     the restarted hill climb, SelectorIterView the iterative Z-Opt/Y-Opt
+//     optimizer, SelectorBigSub and the SelectorTopk* family the
+//     experiments' baselines. An RLView Selection carries the run's replay
+//     pool (Selection.Replay); the paper's offline DQN training is the
+//     caller's to spell: persist it with rl.SaveReplay, and on a later run
+//     set Config.RL.Pretrained = rl.OfflineTrain(pool, Config.RL.Agent, n).
 //   - Advisor.Apply rewrites and re-executes the workload, and Report
 //     carries Table V's columns (#q, c_q, #m, o_m, #(q|v), b_{q|v}) plus
 //     the saved-cost ratio r_c.
@@ -174,13 +179,9 @@ type Config struct {
 	// optional storage budget). Rand and Parallelism are filled by the
 	// advisor.
 	Local mvs.LocalSearchOptions
-	// RL configures RLView (Table II: n1, n2, nm, γ).
+	// RL configures RLView (Table II: n1, n2, nm, γ). RL.Pretrained, when
+	// set, is the offline-trained DQN the run fine-tunes (rl.OfflineTrain).
 	RL rl.Options
-	// RLPretrainUpdates, when positive, pretrains the DQN offline from
-	// the metadata database's stored replay pool (if any) before the
-	// online run — the paper's offline-training path. The online run's
-	// experiences are persisted back to the metadata database either way.
-	RLPretrainUpdates int
 
 	// Parallelism is the number of data-parallel workers every neural
 	// training loop (W-D Algorithm 1, DQN replay updates) shards its

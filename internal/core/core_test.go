@@ -4,7 +4,10 @@ import (
 	"autoview/internal/mvs"
 	"autoview/internal/plan"
 	"autoview/internal/rewrite"
+	"autoview/internal/rl"
+	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -111,11 +114,6 @@ func TestBuildProblemActualBenefits(t *testing.T) {
 		if u.Cost(a.Cfg.Pricing) != p.QueryCost[i] {
 			t.Fatalf("query %d: usage prices to %v, QueryCost is %v", i, u.Cost(a.Cfg.Pricing), p.QueryCost[i])
 		}
-	}
-	// Metadata database collected the measurements.
-	nc, _ := a.Meta.Counts()
-	if nc == 0 {
-		t.Error("no cost records persisted")
 	}
 }
 
@@ -319,7 +317,11 @@ func TestRewriteMatchesEquivalentSpelling(t *testing.T) {
 	}
 }
 
-func TestRLViewPersistsAndReusesExperiences(t *testing.T) {
+// TestRLViewOfflinePathIsExplicit walks the paper's DQN-offline path the
+// way a caller spells it: day 1's selection hands over its replay pool,
+// the pool survives SaveReplay/LoadReplay unchanged, and day 2 fine-tunes
+// the agent OfflineTrain built from it.
+func TestRLViewOfflinePathIsExplicit(t *testing.T) {
 	w := smallWK()
 	cfg := fastConfig()
 	cfg.Selector = SelectorRLView
@@ -329,15 +331,29 @@ func TestRLViewPersistsAndReusesExperiences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Select(p); err != nil {
+	day1, err := a.Select(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, ne := a.Meta.Counts()
-	if ne == 0 {
-		t.Fatal("RLView did not persist its replay pool to the metadata database")
+	if len(day1.Replay) == 0 {
+		t.Fatal("RLView selection carries no replay pool")
 	}
-	// A second selection with pretraining enabled consumes the pool.
-	a.Cfg.RLPretrainUpdates = 50
+	var store bytes.Buffer
+	if err := rl.SaveReplay(&store, day1.Replay); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := rl.LoadReplay(&store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pool, day1.Replay) {
+		t.Fatal("replay pool changed across SaveReplay/LoadReplay")
+	}
+	agent, err := rl.OfflineTrain(pool, cfg.RL.Agent, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Cfg.RL.Pretrained = agent
 	sel, err := a.Select(p)
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +363,50 @@ func TestRLViewPersistsAndReusesExperiences(t *testing.T) {
 	}
 	if !p.Instance.Feasible(&mvs.State{Z: sel.Z, Y: mustBestY(p, sel.Z)}) {
 		t.Error("pretrained selection infeasible")
+	}
+	if len(sel.Replay) == 0 || &sel.Replay[0] != &agent.Memory()[0] {
+		t.Error("day 2 did not fine-tune the pretrained agent")
+	}
+}
+
+// TestAdviseCyclesLeaveNothingBehind: one advisor, four RLView advise
+// cycles over the same window, as a daemon runs them. The live heap must
+// not grow by a replay pool per cycle (the advisor used to keep a
+// flattened copy of every cycle's pool, and a record of every measured
+// pair, for its whole life), and re-advising the same queries must
+// materialize no further views.
+func TestAdviseCyclesLeaveNothingBehind(t *testing.T) {
+	w := smallWK()
+	cfg := fastConfig()
+	cfg.Selector = SelectorRLView
+	a := newAdvisor(t, w, cfg)
+	var heap [5]uint64
+	var views [5]int
+	var replayBytes uint64
+	for cycle := 1; cycle <= 4; cycle++ {
+		p, sel, err := a.Advise(w.Plans())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayBytes = uint64(len(sel.Replay) * p.Instance.NumViews() * rl.FeatureDim * 8)
+		p, sel = nil, nil
+		// Twice: a sync.Pool's contents (the DQN's inference arenas)
+		// survive one collection in its victim cache.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap[cycle], views[cycle] = ms.HeapAlloc, len(a.Mgr.Views())
+	}
+	if replayBytes == 0 {
+		t.Fatal("RLView selection carries no replay pool")
+	}
+	if heap[4] >= heap[2]+replayBytes {
+		t.Errorf("live heap grew %d bytes from cycle 2 to cycle 4; one cycle's replay is %d",
+			heap[4]-heap[2], replayBytes)
+	}
+	if views[4] != views[1] {
+		t.Errorf("materialized views per cycle %v, want constant", views[1:])
 	}
 }
 

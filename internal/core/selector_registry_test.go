@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"autoview/internal/catalog"
 	"autoview/internal/equiv"
 	"autoview/internal/mvs"
 )
@@ -88,7 +87,7 @@ func TestSelectViewsEveryRegisteredSelector(t *testing.T) {
 			cfg.RL.InitIterations = 2
 			cfg.RL.Epochs = 2
 			cfg.RL.MemoryThreshold = 4
-			a := &Advisor{Cfg: cfg, Meta: catalog.NewMetadataDB()}
+			a := &Advisor{Cfg: cfg}
 			p := registryProblem()
 			sel, err := a.selectViews(p)
 			if err != nil {
@@ -102,6 +101,9 @@ func TestSelectViewsEveryRegisteredSelector(t *testing.T) {
 			}
 			if u := p.Instance.UtilityOfZ(sel.Z); u != sel.Utility {
 				t.Errorf("reported utility %v != core accounting %v", sel.Utility, u)
+			}
+			if (sel.Replay != nil) != (kind == SelectorRLView) {
+				t.Errorf("Replay has %d experiences; only RLView hands over a pool", len(sel.Replay))
 			}
 		})
 	}

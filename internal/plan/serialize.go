@@ -43,17 +43,6 @@ func Serialize(n *Node) []OpSeq {
 	return out
 }
 
-// SerializeTexts is Serialize with plain-string tokens, the form persisted
-// in the metadata database.
-func SerializeTexts(n *Node) [][]string {
-	seqs := Serialize(n)
-	out := make([][]string, len(seqs))
-	for i, s := range seqs {
-		out[i] = s.Texts()
-	}
-	return out
-}
-
 // serializeOp builds one operator's attribute sequence. Each case sizes
 // its sequence exactly before appending, so serialization performs one
 // allocation per operator — it is the dominant allocator on the serving

@@ -88,14 +88,15 @@ func safeRatio(a, b float64) float64 {
 	return a / b
 }
 
-// Experience is one replay tuple ⟨e_t, a_t, r_t, e_{t+1}⟩, stored as the
-// per-action feature matrices of both states.
+// Experience is one replay tuple ⟨e_t, a_t, r_t, e_{t+1}⟩, stored as what
+// Learn reads: the feature row of the action taken in e_t, and the
+// per-action feature matrix of e_{t+1} the bootstrap maximizes over. The
+// JSON tags are the persisted form (SaveReplay, LoadReplay).
 type Experience struct {
-	State     [][]float64
-	Action    int
-	Reward    float64
-	NextState [][]float64
-	Terminal  bool
+	Taken     []float64   `json:"taken"`
+	Reward    float64     `json:"reward"`
+	NextState [][]float64 `json:"next_state"`
+	Terminal  bool        `json:"terminal"`
 }
 
 // AgentConfig configures the DQN.
@@ -315,7 +316,7 @@ func (a *Agent) Remember(e Experience) {
 func (a *Agent) MemoryLen() int { return len(a.mem) }
 
 // Memory returns the replay buffer (shared slice; callers must not
-// mutate). Used for persisting the pool to the metadata database.
+// mutate) — the pool SaveReplay persists and OfflineTrain learns from.
 func (a *Agent) Memory() []Experience { return a.mem }
 
 // Learn runs one DQN update (the paper's function DQN): sample a batch,
@@ -365,7 +366,7 @@ func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
 			_, best := a.maxQ(a.bootstrapNet(), e.NextState, nil)
 			target += a.Cfg.Gamma * best
 		}
-		y, back := rep.Forward(e.State[e.Action])
+		y, back := rep.Forward(e.Taken)
 		d := y[0] - target
 		back(nn.Vec{2 * d / a.batchN})
 		return d * d
@@ -391,8 +392,7 @@ func (a *Agent) Load(r io.Reader) error {
 }
 
 // LearnFrom trains offline from an external replay dataset for the given
-// number of updates (the paper's offline DQN training from the metadata
-// database).
+// number of updates (the paper's offline DQN training).
 func (a *Agent) LearnFrom(data []Experience, updates int) float64 {
 	saved := a.mem
 	a.mem = data

@@ -59,7 +59,7 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 	} {
 		ag := NewAgent(cfg, nil)
 		feats := randomFeats(rand.New(rand.NewSource(6)), 9)
-		ag.Remember(Experience{State: feats, Action: 2, Reward: 1, NextState: feats})
+		ag.Remember(Experience{Taken: feats[2], Reward: 1, NextState: feats})
 		for _, phase := range []string{"initial", "after Learn"} {
 			bootstrap := ag.Net
 			if ag.target != nil {
@@ -186,16 +186,9 @@ func TestFeaturesAllocs(t *testing.T) {
 			t.Fatalf("row %d: len %d cap %d, want both %d", j, len(row), cap(row), FeatureDim)
 		}
 	}
-	// unflatten carves stored replay rows the same way.
-	stored, err := unflatten(flatten(feats))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rows := range [][][]float64{feats, stored} {
-		next := rows[1][0]
-		if _ = append(rows[0], next+1); rows[1][0] != next { //lint:allow floateq the neighbour must be untouched
-			t.Fatalf("append to row 0 wrote into row 1 (%v -> %v)", next, rows[1][0])
-		}
+	next := feats[1][0]
+	if _ = append(feats[0], next+1); feats[1][0] != next { //lint:allow floateq the neighbour must be untouched
+		t.Fatalf("append to row 0 wrote into row 1 (%v -> %v)", next, feats[1][0])
 	}
 	if allocs := testing.AllocsPerRun(100, func() { Features(in, st, bcur, bmax, 1, 1) }); allocs != 2 {
 		t.Fatalf("Features allocates %v times for %d actions, want 2", allocs, in.NumViews())

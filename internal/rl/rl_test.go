@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
-	"autoview/internal/catalog"
 	"autoview/internal/mvs"
 )
 
@@ -97,13 +98,13 @@ func TestAgentNetworkShape(t *testing.T) {
 func TestAgentMemoryEviction(t *testing.T) {
 	a := NewAgent(AgentConfig{MemoryCap: 5}, rand.New(rand.NewSource(3)))
 	for i := 0; i < 12; i++ {
-		a.Remember(Experience{Action: i, State: [][]float64{make([]float64, FeatureDim)}})
+		a.Remember(Experience{Reward: float64(i), Taken: make([]float64, FeatureDim)})
 	}
 	if a.MemoryLen() != 5 {
 		t.Fatalf("memory len %d, want 5", a.MemoryLen())
 	}
-	if a.Memory()[0].Action != 7 {
-		t.Errorf("oldest surviving action = %d, want 7", a.Memory()[0].Action)
+	if a.Memory()[0].Reward != 7 {
+		t.Errorf("oldest surviving reward = %v, want 7", a.Memory()[0].Reward)
 	}
 }
 
@@ -118,8 +119,8 @@ func TestAgentLearnsSimpleValue(t *testing.T) {
 	f1[1] = 1
 	state := [][]float64{f0, f1}
 	for i := 0; i < 40; i++ {
-		a.Remember(Experience{State: state, Action: 0, Reward: 1, NextState: state, Terminal: true})
-		a.Remember(Experience{State: state, Action: 1, Reward: 0, NextState: state, Terminal: true})
+		a.Remember(Experience{Taken: f0, Reward: 1, NextState: state, Terminal: true})
+		a.Remember(Experience{Taken: f1, Reward: 0, NextState: state, Terminal: true})
 	}
 	for i := 0; i < 300; i++ {
 		a.Learn()
@@ -142,9 +143,9 @@ func TestLearnEmptyMemoryIsNoop(t *testing.T) {
 
 func TestLearnFromRestoresMemory(t *testing.T) {
 	a := NewAgent(AgentConfig{BatchSize: 2}, rand.New(rand.NewSource(6)))
-	a.Remember(Experience{State: [][]float64{make([]float64, FeatureDim)}, Terminal: true})
+	a.Remember(Experience{Taken: make([]float64, FeatureDim), Terminal: true})
 	offline := []Experience{
-		{State: [][]float64{make([]float64, FeatureDim)}, Reward: 1, Terminal: true},
+		{Taken: make([]float64, FeatureDim), Reward: 1, Terminal: true},
 	}
 	a.LearnFrom(offline, 5)
 	if a.MemoryLen() != 1 {
@@ -320,7 +321,7 @@ func TestTargetNetworkSync(t *testing.T) {
 	}
 	f := make([]float64, FeatureDim)
 	f[0] = 1
-	a.Remember(Experience{State: [][]float64{f}, Action: 0, Reward: 1, NextState: [][]float64{f}})
+	a.Remember(Experience{Taken: f, Reward: 1, NextState: [][]float64{f}})
 	// Before any sync the target diverges from the online net after
 	// learning; after TargetSync calls they coincide.
 	a.Learn()
@@ -335,9 +336,8 @@ func TestTargetNetworkSync(t *testing.T) {
 }
 
 func TestOfflineTrainRoundTrip(t *testing.T) {
-	// Collect experiences online, persist to the metadata DB, train an
-	// agent offline, and verify it learned the same preference.
-	db := catalog.NewMetadataDB()
+	// Collect experiences online, persist the pool, load it back, train
+	// an agent offline, and verify it learned the same preference.
 	src := NewAgent(AgentConfig{}, rand.New(rand.NewSource(33)))
 	f0 := make([]float64, FeatureDim)
 	f0[0] = 1
@@ -345,15 +345,21 @@ func TestOfflineTrainRoundTrip(t *testing.T) {
 	f1[1] = 1
 	state := [][]float64{f0, f1}
 	for i := 0; i < 30; i++ {
-		src.Remember(Experience{State: state, Action: 0, Reward: 1, NextState: state, Terminal: true})
-		src.Remember(Experience{State: state, Action: 1, Reward: 0, NextState: state, Terminal: true})
+		src.Remember(Experience{Taken: f0, Reward: 1, NextState: state, Terminal: true})
+		src.Remember(Experience{Taken: f1, Reward: 0, NextState: state, Terminal: true})
 	}
-	src.PersistMemory(db)
-	_, ne := db.Counts()
-	if ne != 60 {
-		t.Fatalf("persisted %d experiences, want 60", ne)
+	var buf bytes.Buffer
+	if err := SaveReplay(&buf, src.Memory()); err != nil {
+		t.Fatal(err)
 	}
-	agent, err := OfflineTrain(db, AgentConfig{LearnRate: 0.01, BatchSize: 8}, 400)
+	pool, err := LoadReplay(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pool) != 60 {
+		t.Fatalf("loaded %d experiences, want 60", len(pool))
+	}
+	agent, err := OfflineTrain(pool, AgentConfig{LearnRate: 0.01, BatchSize: 8}, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,36 +372,54 @@ func TestOfflineTrainRoundTrip(t *testing.T) {
 }
 
 func TestOfflineTrainErrors(t *testing.T) {
-	if _, err := OfflineTrain(catalog.NewMetadataDB(), AgentConfig{}, 5); err == nil {
-		t.Error("empty metadata DB should error")
-	}
-	bad := catalog.NewMetadataDB()
-	bad.AddExperience(catalog.Experience{State: []float64{1, 2, 3}}) // not a multiple of FeatureDim
-	if _, err := OfflineTrain(bad, AgentConfig{}, 5); err == nil {
-		t.Error("malformed state should error")
+	if _, err := OfflineTrain(nil, AgentConfig{}, 5); err == nil {
+		t.Error("empty replay pool should error")
 	}
 }
 
-func TestMetadataRoundTripPreservesExperience(t *testing.T) {
-	e := Experience{
-		State:     [][]float64{seq(0), seq(10)},
-		Action:    1,
-		Reward:    0.25,
-		NextState: [][]float64{seq(20), seq(30)},
-		Terminal:  true,
+func TestReplayRoundTripPreservesExperience(t *testing.T) {
+	pool := []Experience{
+		{Taken: seq(10), Reward: 0.25, NextState: [][]float64{seq(20), seq(30)}},
+		{Taken: seq(0), Reward: -1, Terminal: true},
 	}
-	got, err := FromMetadata(ToMetadata(e))
+	var buf bytes.Buffer
+	if err := SaveReplay(&buf, pool); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadReplay(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Action != 1 || got.Reward != 0.25 || !got.Terminal {
-		t.Errorf("scalar fields lost: %+v", got)
+	if !reflect.DeepEqual(got, pool) {
+		t.Errorf("round trip changed the pool:\n got %+v\nwant %+v", got, pool)
 	}
-	for i := range e.State {
-		for j := range e.State[i] {
-			if got.State[i][j] != e.State[i][j] || got.NextState[i][j] != e.NextState[i][j] {
-				t.Fatal("feature matrices differ after round trip")
-			}
+}
+
+// TestLoadReplayRejects: a stored pool is input from outside the
+// program, and each of these made Learn either panic or train on
+// garbage. The first case is the parent format's crash: its loader
+// accepted any action index, and Learn indexed the state matrix with it.
+func TestLoadReplayRejects(t *testing.T) {
+	row := strings.Repeat("0,", FeatureDim-1) + "0"
+	good := `{"taken":[` + row + `],"reward":1,"next_state":[[` + row + `]],"terminal":false}`
+	if _, err := LoadReplay(strings.NewReader("[" + good + "]")); err != nil {
+		t.Fatalf("well-formed pool rejected: %v", err)
+	}
+	for _, tc := range []struct{ name, pool string }{
+		{"parent format, action index past the state's rows",
+			`[{"state":[` + row + `],"action":3,"reward":1,"next_state":[],"terminal":true}]`},
+		{"taken row too narrow", `[{"taken":[1,2,3],"reward":1,"terminal":true}]`},
+		{"taken row missing", `[{"reward":1,"terminal":true}]`},
+		{"next-state row too wide",
+			`[{"taken":[` + row + `],"next_state":[[` + row + `,0]],"terminal":false}]`},
+		{"non-terminal without a next state", `[{"taken":[` + row + `],"reward":1,"terminal":false}]`},
+		{"bad experience after a good one", `[` + good + `,{"taken":[],"terminal":true}]`},
+		{"overflowing reward", `[{"taken":[` + row + `],"reward":1e999,"terminal":true}]`},
+		{"NaN feature", `[{"taken":[NaN,` + row[2:] + `],"terminal":true}]`},
+		{"not JSON", `{not json`},
+	} {
+		if pool, err := LoadReplay(strings.NewReader(tc.pool)); err == nil {
+			t.Errorf("%s: accepted as %+v", tc.name, pool)
 		}
 	}
 }

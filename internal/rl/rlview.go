@@ -84,8 +84,8 @@ type Result struct {
 	Trace []float64
 	// Steps counts environment transitions.
 	Steps int
-	// Agent is the (fine-tuned) DQN, exposed so its replay memory can be
-	// persisted to the metadata database for offline training.
+	// Agent is the (fine-tuned) DQN; Agent.Memory() is the run's replay
+	// pool, which SaveReplay persists for offline training.
 	Agent *Agent
 }
 
@@ -165,8 +165,7 @@ func RLView(in *mvs.Instance, opts Options) *Result {
 			terminal := !(t+1 < nv || lastReward > 0) || t+1 >= maxSteps
 			// Line 14: store the experience.
 			agent.Remember(Experience{
-				State:     feats,
-				Action:    action,
+				Taken:     feats[action],
 				Reward:    lastReward,
 				NextState: nextFeats,
 				Terminal:  terminal,

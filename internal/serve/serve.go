@@ -197,7 +197,7 @@ type Server struct {
 	planCache *cache[*planEntry]
 
 	// adviseMu serializes re-advise cycles (the advisor mutates its
-	// store and metadata DB); TryLock turns concurrent triggers into 409.
+	// store); TryLock turns concurrent triggers into 409.
 	adviseMu sync.Mutex
 
 	mux *http.ServeMux
