@@ -19,12 +19,14 @@ examples-smoke:
 # core's parallel benefit measurement, rl's replay-batch Q-updates, the
 # obs HTTP endpoint, and the serve micro-batcher + view-set rotation)
 # all exercise their goroutines under -short. The second pass reruns the
-# determinism tests of the two places where worker count and scheduling
-# could change an answer — the trainer's ordered fold and the DQN's
-# fanned-out action sweep — at GOMAXPROCS 1, 2 and 8.
+# determinism tests of the places where worker count and scheduling
+# could change an answer — the trainer's ordered fold, W-D's three-pass
+# batch gradient built on it, and the DQN's fanned-out action sweep — at
+# GOMAXPROCS 1, 2 and 8.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
@@ -41,10 +43,14 @@ test-race-full:
 # per-request budget, fingerprinting itself must be zero-alloc, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:
 # nothing) at Parallelism 1 and, fanned out, the same for 8, 64 and 124
-# actions, rl.Features two slices per state, and rewrite.Rewrite nothing per
-# non-matching view (see internal/widedeep/infer_test.go,
+# actions, rl.Features two slices per state, rewrite.Rewrite nothing per
+# non-matching view, one LSTM forward+backward the same few allocations
+# at any sequence length, and one W-D training batch allocations linear
+# in its pairs and independent of how often its plans reuse an operator
+# (see internal/widedeep/infer_test.go and train_test.go,
 # internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go,
-# internal/rl/infer_test.go, and internal/rewrite/multiview_test.go).
+# internal/rl/infer_test.go, internal/rewrite/multiview_test.go, and
+# internal/nn/lstm_ref_test.go).
 test-alloc:
 	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ -v -count=1
 

@@ -18,6 +18,10 @@ var advisorSpans = []string{
 	"advisor.measure",
 	"advisor.materialize",
 	"advisor.estimate",
+	"wd.train",
+	"wd.train.encode",
+	"nn.train.step",
+	"wd.train.opgrad",
 	"advisor.select",
 	"advisor.rewrite",
 	"engine.exec",
@@ -32,7 +36,9 @@ func TestAdvisorRunEmitsDocumentedSpans(t *testing.T) {
 	defer obs.Disable()
 
 	w := smallWK()
-	a := newAdvisor(t, w, fastConfig())
+	cfg := fastConfig()
+	cfg.Estimator = EstimatorWideDeep // so the estimate stage trains
+	a := newAdvisor(t, w, cfg)
 	rep, err := a.Run(w.Plans())
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +78,11 @@ func TestAdvisorRunEmitsDocumentedSpans(t *testing.T) {
 	}
 	if ctrs["engine.exec.count"] == 0 {
 		t.Error("engine.exec.count not incremented")
+	}
+	// W-D training encodes at least one operator per batch and at most
+	// one per use.
+	if uses, distinct := ctrs["wd.train.ops"], ctrs["wd.train.ops.distinct"]; distinct == 0 || distinct > uses {
+		t.Errorf("wd.train.ops.distinct = %d, want in [1, wd.train.ops = %d]", distinct, uses)
 	}
 
 	// The Prometheus exposition of the same run must carry enough series

@@ -147,6 +147,16 @@ func NewEncoder(vocab *Vocab, cfg Config, rng *rand.Rand) *Encoder {
 
 // Params implements nn.Module.
 func (e *Encoder) Params() []*nn.Param {
+	out := e.OpParams()
+	if e.LSTM2 != nil {
+		out = append(out, e.LSTM2.Params()...)
+	}
+	return out
+}
+
+// OpParams returns the parameters EncodeOp reads — keyword embedding,
+// string encoder, LSTM1 — in Params order (they are its prefix).
+func (e *Encoder) OpParams() []*nn.Param {
 	var out []*nn.Param
 	if e.KwEmb != nil {
 		out = append(out, e.KwEmb.Params()...)
@@ -156,9 +166,6 @@ func (e *Encoder) Params() []*nn.Param {
 	}
 	if e.LSTM1 != nil {
 		out = append(out, e.LSTM1.Params()...)
-	}
-	if e.LSTM2 != nil {
-		out = append(out, e.LSTM2.Params()...)
 	}
 	return out
 }
@@ -254,61 +261,83 @@ func (e *Encoder) EncodeToken(t plan.Tok) (nn.Vec, nn.Backward) {
 	return padded, pback
 }
 
-// EncodePlan encodes a two-dimensional plan sequence into De: LSTM1 over
-// each operator's tokens, LSTM2 over the operator codes (Figure 7(a)); or
-// nested average pooling under N-Exp.
-func (e *Encoder) EncodePlan(p [][]plan.Tok) (nn.Vec, nn.Backward) {
-	if len(p) == 0 {
-		return make(nn.Vec, e.PlanDim()), func(nn.Vec) nn.Vec { return nil }
-	}
-	opVecs := make([]nn.Vec, len(p))
-	opBacks := make([]func(dy nn.Vec), len(p))
-	for i, seq := range p {
-		tokVecs := make([]nn.Vec, len(seq))
-		tokBacks := make([]nn.Backward, len(seq))
-		for j, tok := range seq {
-			tokVecs[j], tokBacks[j] = e.EncodeToken(tok)
-		}
-		if e.Cfg.NoSequence {
-			v, pb := nn.AvgPool(tokVecs)
-			opVecs[i] = v
-			opBacks[i] = func(dy nn.Vec) {
-				shared := pb(dy)
-				for _, tb := range tokBacks {
-					tb(shared)
-				}
-			}
-		} else {
-			v, lb := e.LSTM1.Forward(tokVecs)
-			opVecs[i] = v
-			opBacks[i] = func(dy nn.Vec) {
-				dts := lb(dy)
-				for j, tb := range tokBacks {
-					tb(dts[j])
-				}
-			}
-		}
+// EncodeOp encodes one operator's token sequence into its operator
+// vector: LSTM1 over the token codes (Figure 7(a), first layer), or
+// their average under N-Exp. The vector depends on the tokens and the
+// weights alone, not on the plan the operator sits in — which is what
+// lets training encode each distinct operator of a mini-batch once.
+func (e *Encoder) EncodeOp(seq []plan.Tok) (nn.Vec, nn.Backward) {
+	tokVecs := make([]nn.Vec, len(seq))
+	tokBacks := make([]nn.Backward, len(seq))
+	for j, tok := range seq {
+		tokVecs[j], tokBacks[j] = e.EncodeToken(tok)
 	}
 	if e.Cfg.NoSequence {
-		v, pb := nn.AvgPool(opVecs)
-		back := func(dy nn.Vec) nn.Vec {
+		v, pb := nn.AvgPool(tokVecs)
+		return v, func(dy nn.Vec) nn.Vec {
 			shared := pb(dy)
-			for _, ob := range opBacks {
-				ob(shared)
+			for _, tb := range tokBacks {
+				tb(shared)
 			}
 			return nil
 		}
-		return v, back
 	}
-	v, lb := e.LSTM2.Forward(opVecs)
-	back := func(dy nn.Vec) nn.Vec {
-		dops := lb(dy)
-		for i, ob := range opBacks {
-			ob(dops[i])
+	v, lb := e.LSTM1.Forward(tokVecs)
+	return v, func(dy nn.Vec) nn.Vec {
+		dts := lb(dy)
+		for j, tb := range tokBacks {
+			tb(dts[j])
 		}
 		return nil
 	}
-	return v, back
+}
+
+// EncodeOpVecs encodes a plan given as its operator vectors into De:
+// LSTM2 over them (Figure 7(a), second layer), or their average under
+// N-Exp; zeros for a plan with no operators. The backward closure
+// returns the gradient of each operator vector, read-only.
+func (e *Encoder) EncodeOpVecs(ops []nn.Vec) (nn.Vec, func(dy nn.Vec) []nn.Vec) {
+	if len(ops) == 0 {
+		return make(nn.Vec, e.PlanDim()), func(nn.Vec) []nn.Vec { return nil }
+	}
+	if e.Cfg.NoSequence {
+		v, pb := nn.AvgPool(ops)
+		return v, func(dy nn.Vec) []nn.Vec {
+			dops := make([]nn.Vec, len(ops))
+			shared := pb(dy)
+			for i := range dops {
+				dops[i] = shared
+			}
+			return dops
+		}
+	}
+	return e.LSTM2.Forward(ops)
+}
+
+// EncodeOps runs EncodeOp over every operator of a plan; the backward
+// closure takes one gradient per operator vector.
+func (e *Encoder) EncodeOps(p [][]plan.Tok) ([]nn.Vec, func(dops []nn.Vec)) {
+	ops := make([]nn.Vec, len(p))
+	backs := make([]nn.Backward, len(p))
+	for i, seq := range p {
+		ops[i], backs[i] = e.EncodeOp(seq)
+	}
+	return ops, func(dops []nn.Vec) {
+		for i, b := range backs {
+			b(dops[i])
+		}
+	}
+}
+
+// EncodePlan encodes a two-dimensional plan sequence into De: EncodeOps
+// on the operators' tokens, EncodeOpVecs over the results.
+func (e *Encoder) EncodePlan(p [][]plan.Tok) (nn.Vec, nn.Backward) {
+	ops, opsBack := e.EncodeOps(p)
+	v, pb := e.EncodeOpVecs(ops)
+	return v, func(dy nn.Vec) nn.Vec {
+		opsBack(pb(dy))
+		return nil
+	}
 }
 
 // EncodeSchema encodes the associated tables' keyword set into Dm by

@@ -7,7 +7,7 @@ import (
 )
 
 // Finite-difference gradient checks for the three structured layers
-// (ConvBlock, LSTMCell, BatchNorm), table-driven over shapes: every
+// (ConvBlock, LSTM, BatchNorm), table-driven over shapes: every
 // parameter is perturbed by ±fdEps and the analytic gradient must match
 // the central difference within fdTol relative error.
 const (
@@ -103,57 +103,39 @@ func TestConvBlockGradientsTableDriven(t *testing.T) {
 }
 
 func TestLSTMCellGradientsTableDriven(t *testing.T) {
-	shapes := []struct{ in, hidden int }{
-		{1, 1}, {2, 3}, {3, 2}, {4, 5},
+	shapes := []struct{ in, hidden, steps int }{
+		{1, 1, 1}, {2, 3, 2}, {3, 2, 3}, {4, 5, 4},
 	}
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(int64(10*sh.in + sh.hidden)))
-		c := NewLSTMCell("cell", sh.in, sh.hidden, rng)
-		x := make(Vec, sh.in)
-		h := make(Vec, sh.hidden)
-		cp := make(Vec, sh.hidden)
-		for i := range x {
-			x[i] = rng.Float64()*2 - 1
-		}
-		for j := range h {
-			h[j] = rng.Float64()*2 - 1
-			cp[j] = rng.Float64()*2 - 1
-		}
-		// Loss reads both outputs of one step so every gate contributes.
+		l := NewLSTM("cell", sh.in, sh.hidden, rng)
+		xs := randMat(rng, sh.steps, sh.in)
+		// From the second step on the recurrent state is non-zero, so
+		// every gate and both state paths contribute.
 		forward := func() float64 {
-			hn, cn, _ := c.Step(x, h, cp)
-			lh, _ := sumLoss(hn)
-			lc, _ := sumLoss(cn)
-			return lh + 0.5*lc
+			h, _ := l.Forward(xs)
+			loss, _ := sumLoss(h)
+			return loss
 		}
-		ZeroGrads(c.Params())
-		hn, cn, back := c.Step(x, h, cp)
-		_, dh := sumLoss(hn)
-		_, dcw := sumLoss(cn)
-		dc := make(Vec, len(dcw))
-		for j := range dcw {
-			dc[j] = 0.5 * dcw[j]
-		}
-		dx, dhPrev, dcPrev := back(dh, dc)
-		fdCheckParams(t, c.Params(), forward)
-
-		checkVec := func(name string, got Vec, xs Vec) {
-			for i := range xs {
-				orig := xs[i]
-				xs[i] = orig + fdEps
+		ZeroGrads(l.Params())
+		h, back := l.Forward(xs)
+		_, dh := sumLoss(h)
+		dxs := back(dh)
+		fdCheckParams(t, l.Params(), forward)
+		for s := range xs {
+			for i := range xs[s] {
+				orig := xs[s][i]
+				xs[s][i] = orig + fdEps
 				lp := forward()
-				xs[i] = orig - fdEps
+				xs[s][i] = orig - fdEps
 				lm := forward()
-				xs[i] = orig
+				xs[s][i] = orig
 				want := (lp - lm) / (2 * fdEps)
-				if math.Abs(got[i]-want) > fdTol*(1+math.Abs(want)) {
-					t.Errorf("in=%d hidden=%d: %s[%d] = %g, want %g", sh.in, sh.hidden, name, i, got[i], want)
+				if math.Abs(dxs[s][i]-want) > fdTol*(1+math.Abs(want)) {
+					t.Errorf("in=%d hidden=%d: dxs[%d][%d] = %g, want %g", sh.in, sh.hidden, s, i, dxs[s][i], want)
 				}
 			}
 		}
-		checkVec("dx", dx, x)
-		checkVec("dhPrev", dhPrev, h)
-		checkVec("dcPrev", dcPrev, cp)
 	}
 }
 

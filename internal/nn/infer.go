@@ -11,7 +11,7 @@ package nn
 
 // InferInto applies the layer forward-only, writing the output into dst
 // (length OutDim). dst must not alias x. This is the package's one f64
-// matvec loop: Forward calls it too, and LSTMCell.Step for its gate
+// matvec loop: Forward calls it too, and LSTM.Forward for its gate
 // pre-activations. Rows go four at a time so four
 // independent add chains are in flight (a single chain is bound by the
 // add latency, and that tight loop's speed swung 25% with where the

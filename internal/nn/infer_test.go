@@ -72,31 +72,33 @@ func TestLinearInferParity(t *testing.T) {
 
 // TestLSTMCellGatesMatchUnblockedDefinition: the cell's 4H gate
 // pre-activations run through the row-blocked matvec Linear uses; the
-// step's outputs must equal, bit for bit, the recurrence computed from
-// pre-activations accumulated one row at a time, bias first, then
-// columns left to right.
+// sequence's final hidden state must equal, bit for bit, the recurrence
+// computed from pre-activations accumulated one row at a time, bias
+// first, then columns left to right.
 func TestLSTMCellGatesMatchUnblockedDefinition(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
 		in, H := 1+rng.Intn(9), 1+rng.Intn(7)
-		c := NewLSTMCell("t.lstm", in, H, rng)
-		x, h, cPrev := randVec(rng, in), randVec(rng, H), randVec(rng, H)
-		xh := Concat(x, h)
-		pre := make(Vec, 4*H)
-		for r := range pre {
-			pre[r] = c.B.Val[r]
-			for k, v := range xh {
-				pre[r] += c.W.Row(r)[k] * v
+		l := NewLSTM("t.lstm", in, H, rng)
+		c := l.Cell
+		xs := randMat(rng, 1+rng.Intn(4), in)
+		h, cst := make(Vec, H), make(Vec, H)
+		for _, x := range xs {
+			xh := Concat(x, h)
+			pre := make(Vec, 4*H)
+			for r := range pre {
+				pre[r] = c.B.Val[r]
+				for k, v := range xh {
+					pre[r] += c.W.Row(r)[k] * v
+				}
+			}
+			for j := 0; j < H; j++ {
+				cst[j] = sigmoid(pre[H+j])*cst[j] + sigmoid(pre[j])*math.Tanh(pre[2*H+j])
+				h[j] = sigmoid(pre[3*H+j]) * math.Tanh(cst[j])
 			}
 		}
-		wantH, wantC := make(Vec, H), make(Vec, H)
-		for j := 0; j < H; j++ {
-			wantC[j] = sigmoid(pre[H+j])*cPrev[j] + sigmoid(pre[j])*math.Tanh(pre[2*H+j])
-			wantH[j] = sigmoid(pre[3*H+j]) * math.Tanh(wantC[j])
-		}
-		gotH, gotC, _ := c.Step(x, h, cPrev)
-		assertBitEqual(t, "LSTMCell.Step h", wantH, gotH)
-		assertBitEqual(t, "LSTMCell.Step c", wantC, gotC)
+		got, _ := l.Forward(xs)
+		assertBitEqual(t, "LSTM.Forward h", h, got)
 	}
 }
 

@@ -44,74 +44,6 @@ func (c *LSTMCell) ShareWeights() *LSTMCell {
 	return &LSTMCell{W: c.W.GradView(), B: c.B.GradView(), In: c.In, Hidden: c.Hidden}
 }
 
-// StepBackward propagates gradients of one step: given dh' and dc', it
-// returns dx, dh and dc.
-type StepBackward func(dh, dc Vec) (dx, dhPrev, dcPrev Vec)
-
-// Step runs one time step.
-func (c *LSTMCell) Step(x, h, cPrev Vec) (hNext, cNext Vec, back StepBackward) {
-	H := c.Hidden
-	xh := Concat(x, h)
-	// Pre-activations for the four gates: order i, f, g, o. W and B are
-	// stacked like one Linear layer's, so they go through its matvec.
-	pre := zeros(4 * H)
-	gates := Linear{W: c.W, B: c.B}
-	gates.InferInto(pre, xh)
-	i, f, g, o := zeros(H), zeros(H), zeros(H), zeros(H)
-	for j := 0; j < H; j++ {
-		i[j] = sigmoid(pre[j])
-		f[j] = sigmoid(pre[H+j])
-		g[j] = math.Tanh(pre[2*H+j])
-		o[j] = sigmoid(pre[3*H+j])
-	}
-	cNext = zeros(H)
-	tanhC := zeros(H)
-	hNext = zeros(H)
-	for j := 0; j < H; j++ {
-		cNext[j] = f[j]*cPrev[j] + i[j]*g[j]
-		tanhC[j] = math.Tanh(cNext[j])
-		hNext[j] = o[j] * tanhC[j]
-	}
-	back = func(dh, dc Vec) (Vec, Vec, Vec) {
-		dPre := zeros(4 * H)
-		dcTotal := zeros(H)
-		for j := 0; j < H; j++ {
-			dcj := dc[j] + dh[j]*o[j]*(1-tanhC[j]*tanhC[j])
-			dcTotal[j] = dcj
-			do := dh[j] * tanhC[j]
-			di := dcj * g[j]
-			df := dcj * cPrev[j]
-			dg := dcj * i[j]
-			dPre[j] = di * i[j] * (1 - i[j])
-			dPre[H+j] = df * f[j] * (1 - f[j])
-			dPre[2*H+j] = dg * (1 - g[j]*g[j])
-			dPre[3*H+j] = do * o[j] * (1 - o[j])
-		}
-		dxh := zeros(len(xh))
-		for r := 0; r < 4*H; r++ {
-			gr := dPre[r]
-			if gr == 0 { //lint:allow floateq exact-zero sparsity fast path in backprop
-				continue
-			}
-			row := c.W.Row(r)
-			grow := c.W.GradRow(r)
-			for k, v := range xh {
-				grow[k] += gr * v
-				dxh[k] += gr * row[k]
-			}
-			c.B.Grad[r] += gr
-		}
-		dx := append(Vec(nil), dxh[:c.In]...)
-		dhPrev := append(Vec(nil), dxh[c.In:]...)
-		dcPrev := zeros(H)
-		for j := 0; j < H; j++ {
-			dcPrev[j] = dcTotal[j] * f[j]
-		}
-		return dx, dhPrev, dcPrev
-	}
-	return hNext, cNext, back
-}
-
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // LSTM runs a cell over a sequence and exposes the final hidden state —
@@ -137,25 +69,100 @@ func (l *LSTM) ShareWeights() *LSTM {
 // Hidden returns the encoder's output dimension.
 func (l *LSTM) Hidden() int { return l.Cell.Hidden }
 
-// Forward encodes the sequence into the final hidden state. The backward
-// closure returns per-step input gradients.
+// Forward encodes the sequence into the final hidden state (zeros for an
+// empty sequence). The backward closure returns per-step input
+// gradients. The returned vectors are views into the pass's own
+// storage: callers read them, never write.
+//
+// The whole sequence's saved activations live in one slab and the
+// backward's scratch in another, so a pass costs a constant number of
+// allocations whatever the sequence length (pinned by
+// TestLSTMForwardBackwardAllocsLengthIndependent).
 func (l *LSTM) Forward(xs []Vec) (Vec, func(dh Vec) []Vec) {
-	H := l.Cell.Hidden
-	h, c := zeros(H), zeros(H)
-	backs := make([]StepBackward, len(xs))
+	c := l.Cell
+	H, in := c.Hidden, c.In
+	xhLen := in + H
+	// Slab: the zero initial cell state, then per step
+	// [x,h_prev | i f g o | c | tanh c | h].
+	stride := xhLen + 7*H
+	slab := zeros(H + len(xs)*stride)
+	gates := Linear{W: c.W, B: c.B}
+	hPrev, cPrev := slab[:H], slab[:H] // both zero; h_0 is only read
 	for t, x := range xs {
-		h, c, backs[t] = l.Cell.Step(x, h, c)
+		step := slab[H+t*stride:][:stride]
+		xh, g4 := step[:xhLen], step[xhLen:xhLen+4*H]
+		cNext, tanhC, h := step[xhLen+4*H:][:H], step[xhLen+5*H:][:H], step[xhLen+6*H:][:H]
+		copy(xh, x)
+		copy(xh[in:], hPrev)
+		// Pre-activations for the four gates, order i, f, g, o. W and B
+		// are stacked like one Linear layer's, so they go through its
+		// matvec; the activations then overwrite them in place.
+		gates.InferInto(g4, xh)
+		gi, gf, gg, go_ := g4[:H], g4[H:2*H], g4[2*H:3*H], g4[3*H:4*H]
+		for j := range gi {
+			gi[j] = sigmoid(gi[j])
+			gf[j] = sigmoid(gf[j])
+			gg[j] = math.Tanh(gg[j])
+			go_[j] = sigmoid(go_[j])
+		}
+		for j := range cNext {
+			cNext[j] = gf[j]*cPrev[j] + gi[j]*gg[j]
+			tanhC[j] = math.Tanh(cNext[j])
+			h[j] = go_[j] * tanhC[j]
+		}
+		hPrev, cPrev = h, cNext
 	}
 	back := func(dh Vec) []Vec {
 		dxs := make([]Vec, len(xs))
-		dc := zeros(H)
-		d := dh
+		// Slab: per step d[x,h_prev], then dPre and dc, reused by
+		// every step.
+		bslab := zeros(len(xs)*xhLen + 5*H)
+		dPre, dc := bslab[len(xs)*xhLen:][:4*H], bslab[len(xs)*xhLen+4*H:]
 		for t := len(xs) - 1; t >= 0; t-- {
-			var dx Vec
-			dx, d, dc = backs[t](d, dc)
-			dxs[t] = dx
+			step := slab[H+t*stride:][:stride]
+			xh, g4 := step[:xhLen], step[xhLen:xhLen+4*H]
+			tanhC := step[xhLen+5*H:][:H]
+			gi, gf, gg, go_ := g4[:H], g4[H:2*H], g4[2*H:3*H], g4[3*H:4*H]
+			cPrev := slab[:H]
+			if t > 0 {
+				cPrev = slab[H+(t-1)*stride+xhLen+4*H:][:H]
+			}
+			dhT := dh[:H]
+			for j := range gi {
+				i, f, g, o := gi[j], gf[j], gg[j], go_[j]
+				dcj := dc[j] + dhT[j]*o*(1-tanhC[j]*tanhC[j])
+				do := dhT[j] * tanhC[j]
+				di := dcj * g
+				df := dcj * cPrev[j]
+				dg := dcj * i
+				dPre[j] = di * i * (1 - i)
+				dPre[H+j] = df * f * (1 - f)
+				dPre[2*H+j] = dg * (1 - g*g)
+				dPre[3*H+j] = do * o * (1 - o)
+				dc[j] = dcj * f
+			}
+			// dW and d[x,h_prev] as two passes per gate row, each over
+			// slices of one known length: every element still receives
+			// its terms in row order, as the single loop did.
+			dxh := bslab[t*xhLen:][:xhLen]
+			for r, gr := range dPre {
+				if gr == 0 { //lint:allow floateq exact-zero sparsity fast path in backprop
+					continue
+				}
+				grow := c.W.GradRow(r)[:len(xh)]
+				for k, v := range xh {
+					grow[k] += gr * v
+				}
+				row := c.W.Row(r)[:len(dxh)]
+				for k, w := range row {
+					dxh[k] += gr * w
+				}
+				c.B.Grad[r] += gr
+			}
+			dxs[t] = dxh[:in:in]
+			dh = dxh[in:]
 		}
 		return dxs
 	}
-	return h, back
+	return hPrev, back
 }

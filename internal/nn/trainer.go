@@ -45,6 +45,10 @@ type BindFunc func() (replica []*Param, run SampleFunc)
 //
 // Parallelism 1 therefore reproduces the multi-worker result exactly and
 // runs inline without spawning goroutines.
+//
+// A gradient computed in two stages uses two trainers over the same
+// worker replicas: Step for the first, then Accumulate of a trainer
+// that may cover only the parameters the second stage touches.
 type Trainer struct {
 	params   []*Param
 	replicas []trainReplica // one per worker
@@ -116,50 +120,7 @@ func (t *Trainer) Step(n int) float64 {
 		stepStart = time.Now()
 	}
 	ZeroGrads(t.params)
-	t.head, t.total, t.reduceDur = 0, 0, 0
-	if p := len(t.replicas); p == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			r := <-t.free
-			t.runSample(r, i)
-			t.finish(r, i)
-		}
-	} else {
-		// One goroutine per worker for the whole batch, no barrier
-		// between samples: a worker stalls only while every replica is
-		// parked behind an unfinished earlier sample.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < min(p, n); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					// Replica first, sample second: a worker that
-					// claimed the head-of-line sample and then waited
-					// for a replica would wait forever once every
-					// replica is parked behind that sample.
-					r := <-t.free
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						t.free <- r
-						return
-					}
-					t.runSample(r, i)
-					t.mu.Lock()
-					t.finish(r, i)
-					t.mu.Unlock()
-					// A worker that loops from sample to sample never
-					// blocks, so whatever else is runnable — the
-					// daemon's request handlers, while it retrains —
-					// would wait for the 10 ms preemption tick. Yield
-					// once per sample; with nothing else to run this
-					// returns at once.
-					runtime.Gosched()
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	total := t.fold(n)
 	obsTrainSamples.Add(int64(n))
 	obsTrainSteps.Inc()
 	if t.timing {
@@ -170,6 +131,68 @@ func (t *Trainer) Step(n int) float64 {
 			obsTrainRate.Set(float64(n) / s)
 		}
 	}
+	return total
+}
+
+// Accumulate is Step without the zeroing: it folds the gradients of n
+// more items, in index order, onto whatever the canonical gradients
+// already hold, and returns the summed values of their runs. It is the
+// second pass of a step whose gradient is computed in two stages — the
+// items need not be the batch's samples and the trainer may cover a
+// subset of the model's parameters — so it counts neither samples nor
+// steps and records no trainer span.
+func (t *Trainer) Accumulate(n int) float64 {
+	t.timing = false
+	return t.fold(n)
+}
+
+// fold runs items 0..n-1 on the replicas and adds their gradients to
+// the canonical ones strictly in index order.
+func (t *Trainer) fold(n int) float64 {
+	t.head, t.total, t.reduceDur = 0, 0, 0
+	if p := len(t.replicas); p == 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			r := <-t.free
+			t.runSample(r, i)
+			t.finish(r, i)
+		}
+		return t.total
+	}
+	// One goroutine per worker for the whole batch, no barrier
+	// between samples: a worker stalls only while every replica is
+	// parked behind an unfinished earlier sample.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(len(t.replicas), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// Replica first, sample second: a worker that
+				// claimed the head-of-line sample and then waited
+				// for a replica would wait forever once every
+				// replica is parked behind that sample.
+				r := <-t.free
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					t.free <- r
+					return
+				}
+				t.runSample(r, i)
+				t.mu.Lock()
+				t.finish(r, i)
+				t.mu.Unlock()
+				// A worker that loops from sample to sample never
+				// blocks, so whatever else is runnable — the
+				// daemon's request handlers, while it retrains —
+				// would wait for the 10 ms preemption tick. Yield
+				// once per sample; with nothing else to run this
+				// returns at once.
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
 	return t.total
 }
 

@@ -219,6 +219,33 @@ func TestRLViewBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestUsedViewsUtilityMatchesInstanceUtility walks random flips the way
+// an episode does — flip z_j, RecomputeYForView, refresh — and holds the
+// O(used) reward to mvs.Instance.Utility's full scan, bit for bit, after
+// every step.
+func TestUsedViewsUtilityMatchesInstanceUtility(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := randomInstance(rng, 3+rng.Intn(12), 2+rng.Intn(10))
+		st := mvs.NewState(in)
+		for j := range st.Z {
+			st.Z[j] = rng.Intn(2) == 0
+		}
+		var bcur []float64
+		st.Y, bcur = in.BestY(st.Z)
+		used := newUsedViews(st.Y)
+		for step := 0; step <= 60; step++ {
+			if got, want := used.utility(in, st.Z), in.Utility(st); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: utility %.17g, Instance.Utility %.17g", seed, step, got, want)
+			}
+			j := rng.Intn(in.NumViews())
+			st.Z[j] = !st.Z[j]
+			in.RecomputeYForView(st, bcur, j)
+			used.refresh(in, st.Y, j)
+		}
+	}
+}
+
 func TestRLViewNotWorseThanWarmStartAndNearOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomInstance(rng, 12, 8)

@@ -137,7 +137,8 @@ func RLView(in *mvs.Instance, opts Options) *Result {
 		st := z0.Clone()
 		y, bcur := in.BestY(st.Z)
 		st.Y = y
-		rPrev := in.Utility(st)
+		used := newUsedViews(y)
+		rPrev := used.utility(in, st.Z)
 
 		feats := Features(in, st, bcur, bmax, omax, bmaxSum)
 		var lastReward float64
@@ -158,7 +159,8 @@ func RLView(in *mvs.Instance, opts Options) *Result {
 			// Lines 10-12: flip and let the ILP solver respond.
 			st.Z[action] = !st.Z[action]
 			in.RecomputeYForView(st, bcur, action)
-			rNext := in.Utility(st)
+			used.refresh(in, st.Y, action)
+			rNext := used.utility(in, st.Z)
 			lastReward = rNext - rPrev
 
 			nextFeats := Features(in, st, bcur, bmax, omax, bmaxSum)
@@ -197,6 +199,58 @@ func RLView(in *mvs.Instance, opts Options) *Result {
 		res.Final = z0.Clone()
 	}
 	return res
+}
+
+// usedViews lists, per query, the views an episode's state uses — the
+// true entries of its Y rows, ascending — so the reward sums the used
+// benefits instead of scanning |Q|×|Z| booleans on every step. It
+// belongs to the episode loop, which refreshes it after each
+// RecomputeYForView, not to mvs.State, where a direct write to Y would
+// leave it stale.
+type usedViews [][]int
+
+func newUsedViews(y [][]bool) usedViews {
+	u := make(usedViews, len(y))
+	for i, row := range y {
+		u.set(i, row)
+	}
+	return u
+}
+
+func (u usedViews) set(i int, row []bool) {
+	u[i] = u[i][:0]
+	for j, used := range row {
+		if used {
+			u[i] = append(u[i], j)
+		}
+	}
+}
+
+// refresh re-reads the rows RecomputeYForView(st, bcur, j) may have
+// changed: those of the queries view j can serve.
+func (u usedViews) refresh(in *mvs.Instance, y [][]bool, j int) {
+	for i, row := range in.Benefit {
+		if row[j] > 0 {
+			u.set(i, y[i])
+		}
+	}
+}
+
+// utility is mvs.Instance.Utility of the state u mirrors: the same terms
+// in the same row-major order, so the same float64.
+func (u usedViews) utility(in *mvs.Instance, z []bool) float64 {
+	var total float64
+	for i, js := range u {
+		for _, j := range js {
+			total += in.Benefit[i][j]
+		}
+	}
+	for j, set := range z {
+		if set {
+			total -= in.Overhead[j]
+		}
+	}
+	return total
 }
 
 // sampleFlip draws an action proportional to the flip probabilities,

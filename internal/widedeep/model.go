@@ -156,15 +156,34 @@ func (m *Model) shareWeights() *Model {
 }
 
 // forward computes the standardized prediction and a backward closure
-// taking dL/dŷ. It is the training forward and the bit-exact f64
-// reference the f32 serving mirror (kernels32.inferForward) is held to.
+// taking dL/dŷ. It is the bit-exact f64 reference the f32 serving mirror
+// (kernels32.inferForward) is held to, and the composition training
+// runs in pieces (train.go): EncodeOps on both plans, forwardOps above
+// the operator vectors.
 func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
+	qOps, bQ := m.Enc.EncodeOps(f.QueryPlan)
+	vOps, bV := m.Enc.EncodeOps(f.ViewPlan)
+	y, back := m.forwardOps(f, qOps, vOps)
+	return y, func(dy float64) {
+		dQ, dV := back(dy)
+		bQ(dQ)
+		bV(dV)
+	}
+}
+
+// forwardOps is the model above the operator vectors: the plan encoders
+// over qOps and vOps (the operator vectors of f.QueryPlan and
+// f.ViewPlan), schema encoding, wide part, ResNet blocks and regressor.
+// Its backward closure accumulates the gradients of those layers and
+// returns dL/d(operator vector) for every operator use of the query
+// and the view plan, read-only.
+func (m *Model) forwardOps(f featenc.Features, qOps, vOps []nn.Vec) (float64, func(dy float64) (dQ, dV []nn.Vec)) {
 	dc := m.Norm.Apply(f.Numeric)
 
 	dw, bWide := m.Wide.Forward(dc)
 	dm, bSchema := m.Enc.EncodeSchema(f.Schema)
-	deQ, bQ := m.Enc.EncodePlan(f.QueryPlan)
-	deV, bV := m.Enc.EncodePlan(f.ViewPlan)
+	deQ, bQ := m.Enc.EncodeOpVecs(qOps)
+	deV, bV := m.Enc.EncodeOpVecs(vOps)
 
 	dr := nn.Concat(dc, dm, deQ, deV)
 
@@ -196,7 +215,7 @@ func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
 	a5, ab5 := nn.ReLU(h5)
 	out, b6 := m.FC6.Forward(a5)
 
-	back := func(dy float64) {
+	back := func(dy float64) (dQ, dV []nn.Vec) {
 		dA5 := b6(nn.Vec{dy})
 		dH5 := ab5(dA5)
 		dReg := b5(dH5)
@@ -230,9 +249,9 @@ func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
 		dparts := nn.SplitBackward(dDr, len(dc), len(dm), len(deQ), len(deV))
 		// dc has no learnable upstream (normalized statistics), skip.
 		bSchema(dparts[1])
-		bQ(dparts[2])
-		bV(dparts[3])
+		dQ, dV = bQ(dparts[2]), bV(dparts[3])
 		bWide(dDw)
+		return dQ, dV
 	}
 	return out[0], back
 }
@@ -378,23 +397,9 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) ([]float64, error) {
 	opt := nn.NewAdam(cfg.LearnRate)
 	opt.Clip = 5
 
-	// Data-parallel mini-batch gradients: each worker owns a model
-	// replica over shared weights; batch and n are staged before every
-	// Step and read by the per-sample runners.
-	var batch []int
-	var n float64
-	trainer := nn.NewTrainer(params, cfg.Parallelism, func() ([]*nn.Param, nn.SampleFunc) {
-		rep := m.shareWeights()
-		run := func(i int) float64 {
-			s := samples[batch[i]]
-			target := (s.Y - m.yMean) / m.yStd
-			pred, back := rep.forward(s.F)
-			d := pred - target
-			back(2 * d / n)
-			return d * d
-		}
-		return rep.Params(), run
-	})
+	// Data-parallel mini-batch gradients, each distinct operator of a
+	// batch encoded once (train.go).
+	grad := m.newBatchGrad(samples, cfg.Parallelism)
 
 	idx := make([]int, len(samples))
 	for i := range idx {
@@ -410,11 +415,9 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) ([]float64, error) {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			batch = idx[start:end]
-			n = float64(end - start)
-			batchLoss := trainer.Step(end - start)
+			batchLoss := grad.step(idx[start:end])
 			opt.Step(params)
-			epochLoss += batchLoss / n
+			epochLoss += batchLoss / float64(end-start)
 			batches++
 		}
 		meanLoss := epochLoss / float64(batches)

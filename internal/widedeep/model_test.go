@@ -146,43 +146,49 @@ func TestFitReducesLoss(t *testing.T) {
 	}
 }
 
-// TestFitParallelismDeterminism trains the full W-D model from one seed
-// at Parallelism 1 and 8: weights, loss traces and predictions must be
-// bit-for-bit identical — the trainer computes every sample's gradient
-// from a zeroed per-worker buffer and reduces in sample order, so worker
-// count never changes the arithmetic.
+// TestFitParallelismDeterminism trains every encoder variant from one
+// seed at Parallelism 1, 2 and 8 — four epochs of two full batches and a
+// short one: weights and loss traces must be bit-for-bit identical, and
+// so the predictions. Each of the three passes of a batch gradient fixes
+// its summation order by index (operators in first-appearance order,
+// pairs and operator folds in index order from zeroed per-worker
+// buffers), so worker count never changes the arithmetic.
 func TestFitParallelismDeterminism(t *testing.T) {
 	cat := testCatalog(t)
 	vocab := featenc.NewVocab(cat, []string{"cnt"})
-	samples := syntheticSamples(t, cat, 24)
-	cfg := Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 4}}
+	samples := syntheticSamples(t, cat, 21)
 
-	fit := func(par int) (*Model, []float64) {
-		m := New(vocab, cfg, rand.New(rand.NewSource(31)))
-		losses, err := m.Fit(samples, TrainConfig{Epochs: 4, BatchSize: 8, Seed: 5, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, losses
-	}
-	m1, l1 := fit(1)
-	m8, l8 := fit(8)
-	for i := range l1 {
-		if l1[i] != l8[i] {
-			t.Fatalf("epoch %d loss: serial %.17g, parallel %.17g", i, l1[i], l8[i])
-		}
-	}
-	p1, p8 := m1.Params(), m8.Params()
-	for i := range p1 {
-		for j := range p1[i].Val {
-			if p1[i].Val[j] != p8[i].Val[j] {
-				t.Fatalf("%s weight[%d]: serial %.17g, parallel %.17g", p1[i], j, p1[i].Val[j], p8[i].Val[j])
+	for name, enc := range Variants() {
+		enc.EmbedDim, enc.Hidden = 4, 4
+		fit := func(par int) (*Model, []float64) {
+			m := New(vocab, Config{Encoder: enc}, rand.New(rand.NewSource(31)))
+			losses, err := m.Fit(samples, TrainConfig{Epochs: 4, BatchSize: 8, Seed: 5, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return m, losses
 		}
-	}
-	for _, s := range samples {
-		if m1.Predict(s.F) != m8.Predict(s.F) {
-			t.Fatal("predictions diverge between parallelism settings")
+		m1, l1 := fit(1)
+		for _, par := range []int{2, 8} {
+			mp, lp := fit(par)
+			for i := range l1 {
+				if math.Float64bits(l1[i]) != math.Float64bits(lp[i]) {
+					t.Fatalf("%s epoch %d loss: serial %.17g, P=%d %.17g", name, i, l1[i], par, lp[i])
+				}
+			}
+			p1, pp := m1.Params(), mp.Params()
+			for i := range p1 {
+				for j := range p1[i].Val {
+					if math.Float64bits(p1[i].Val[j]) != math.Float64bits(pp[i].Val[j]) {
+						t.Fatalf("%s %s weight[%d]: serial %.17g, P=%d %.17g", name, p1[i], j, p1[i].Val[j], par, pp[i].Val[j])
+					}
+				}
+			}
+			for _, s := range samples {
+				if m1.Predict(s.F) != mp.Predict(s.F) {
+					t.Fatalf("%s: predictions diverge between Parallelism 1 and %d", name, par)
+				}
+			}
 		}
 	}
 }
