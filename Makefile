@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint autoviewlint check-bce
+.PHONY: build test examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint check-bce
 
 build:
 	$(GO) build ./...
@@ -108,13 +108,14 @@ vet:
 	$(GO) vet ./...
 
 # Formatting (simplify mode) + vet + the repo's own analyzer suite
-# (LINTING.md) + the bounds-check-elimination gate over the f32 kernels;
-# fails listing any file gofmt -s would rewrite.
-lint: bin/autoviewlint check-bce
+# (LINTING.md; the same lint.Load + RunAnalyzers path TestLintSelfClean
+# runs) + the bounds-check-elimination gate over the f32 kernels; fails
+# listing any file gofmt -s would rewrite.
+lint: check-bce
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(CURDIR)/bin/autoviewlint ./...
+	$(GO) run ./cmd/autoviewlint ./...
 
 # Bounds-check-elimination regression gate: internal/nn's float32
 # kernels must keep the per-function counts pinned in
@@ -122,13 +123,3 @@ lint: bin/autoviewlint check-bce
 # deliberate change with: go run ./cmd/bcecheck -update
 check-bce:
 	$(GO) run ./cmd/bcecheck
-
-LINT_SRC := $(wildcard internal/lint/*.go cmd/autoviewlint/*.go) go.mod
-
-# Build the determinism/resource-discipline analyzer suite
-# (internal/lint) as a go vet tool. Also runnable standalone:
-# bin/autoviewlint ./...  Rebuilds only when analyzer sources change.
-bin/autoviewlint: $(LINT_SRC)
-	$(GO) build -o bin/autoviewlint ./cmd/autoviewlint
-
-autoviewlint: bin/autoviewlint

@@ -4,64 +4,35 @@
 // poolpair, atomicfield. See LINTING.md for the analyzer catalog and
 // the //lint:allow suppression syntax.
 //
-// Two modes share one binary:
+//	autoviewlint [-analyzers a,b] [packages]   # default ./...
 //
-//	autoviewlint [-analyzers a,b] [packages]   # standalone; default ./...
-//	go vet -vettool=$(pwd)/bin/autoviewlint ./...  # vet-driver protocol
-//
-// The vet mode speaks the go command's vettool contract (-V=full
-// version probe, then one JSON .cfg per package unit), so runs are
-// cached per package like any other vet pass. The dataflow analyzers
-// (arenaescape, poolpair, atomicfield) additionally export per-function
-// facts: in vet mode they travel between package units through the go
-// command's .vetx files (PackageVetx in, VetxOutput out), so a helper's
-// contract — "returns arena-backed memory", "hands out pooled values",
-// "this field is atomic" — is enforced at call sites in other packages.
+// The packages are listed and type-checked in process (lint.Load, one
+// `go list -export -deps`) and analyzed in dependency order, so the
+// dataflow analyzers' per-function facts — "returns arena-backed
+// memory", "hands out pooled values", "this field is atomic" — are
+// enforced at call sites in other packages. `make lint` and
+// internal/lint's TestLintSelfClean run this same path.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"autoview/internal/lint"
 )
 
 func main() {
-	versionFlag := flag.String("V", "", "print version and exit (go vet probe protocol)")
-	flagsFlag := flag.Bool("flags", false, "print flag descriptions as JSON and exit (go vet probe protocol)")
 	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	flag.Usage = usage
 	flag.Parse()
-
-	if *versionFlag != "" {
-		printVersion(*versionFlag)
-		return
-	}
-	if *flagsFlag {
-		printFlags()
-		return
-	}
 
 	analyzers, err := selectAnalyzers(*names)
 	if err != nil {
 		fatal(err)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVet(analyzers, args[0])
-		return
-	}
-	runStandalone(analyzers, args)
-}
-
-func runStandalone(analyzers []*lint.Analyzer, patterns []string) {
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -79,62 +50,6 @@ func runStandalone(analyzers []*lint.Analyzer, patterns []string) {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-func runVet(analyzers []*lint.Analyzer, cfgFile string) {
-	diags, err := lint.RunVetUnit(analyzers, cfgFile)
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s\n", d)
-	}
-	if len(diags) > 0 {
-		os.Exit(2) // vet convention: diagnostics found
-	}
-}
-
-// printVersion implements the -V=full probe: the go command hashes the
-// printed line into its action cache, so it must change when the tool's
-// behavior does — hashing the executable itself guarantees that.
-func printVersion(mode string) {
-	progname := filepath.Base(os.Args[0])
-	if mode != "full" {
-		fmt.Printf("%s version devel\n", progname)
-		return
-	}
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			_ = f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", progname, h.Sum(nil))
-}
-
-// printFlags implements the -flags probe: the go command asks for the
-// tool's flag set as a JSON array before driving it.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		getter, ok := f.Value.(flag.Getter)
-		isBool := false
-		if ok {
-			_, isBool = getter.Get().(bool)
-		}
-		flags = append(flags, jsonFlag{f.Name, isBool, f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		fatal(err)
-	}
-	_, _ = os.Stdout.Write(data)
 }
 
 func selectAnalyzers(names string) ([]*lint.Analyzer, error) {

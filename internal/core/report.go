@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -111,8 +112,8 @@ func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 
 // Run executes the full pipeline: pre-process, estimate, select, apply.
 func (a *Advisor) Run(queries []*plan.Node) (*Report, error) {
-	pre := a.Preprocess(queries)
-	if len(pre.Candidates) == 0 {
+	p, sel, err := a.Advise(queries)
+	if errors.Is(err, ErrNoCandidates) {
 		obs.Warn("advisor.run", "reason", "no candidates", "queries", len(queries))
 		return &Report{
 			Estimator:  a.Cfg.Estimator.String(),
@@ -121,11 +122,6 @@ func (a *Advisor) Run(queries []*plan.Node) (*Report, error) {
 			Selection:  &Selection{Method: a.Cfg.Selector.String()},
 		}, nil
 	}
-	p, err := a.BuildProblem(queries, pre)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := a.Select(p)
 	if err != nil {
 		return nil, err
 	}

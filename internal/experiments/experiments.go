@@ -48,12 +48,7 @@ func Workloads(s Scale) []*workload.Workload {
 
 // configFor returns the pipeline configuration for a workload name.
 func configFor(name string, s Scale) core.Config {
-	var cfg core.Config
-	if name == "JOB" {
-		cfg = core.DefaultConfig()
-	} else {
-		cfg = core.WKConfig()
-	}
+	cfg := core.ConfigFor(name)
 	if s == Quick {
 		// Quick-scale data sets are ~100-500 pairs; Table II's WK batch
 		// size (128) would give one optimizer step per epoch, so the

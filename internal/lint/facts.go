@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -12,9 +10,8 @@ import (
 // summary one package exports so its dependents can be checked without
 // re-analyzing the dependency: "Linear.Infer returns arena-backed
 // memory", "GetBuf hands out a pooled value", "Counter.n is accessed
-// atomically". Facts flow in dependency order — the drivers analyze a
-// package's imports first (topologically in standalone mode, via the go
-// command's .vetx files in vet mode) — so a helper in internal/nn
+// atomically". Facts flow in dependency order — RunAnalyzers analyzes a
+// package's imports first (topoSort) — so a helper in internal/nn
 // propagates its contract to call sites in widedeep, serve, and rl.
 
 // A FactStore holds the fact summaries of every package analyzed so
@@ -31,18 +28,18 @@ type PackageFacts struct {
 	// ArenaReturns maps a function key to the result indices that are
 	// backed by the *nn.Arena the function takes as a parameter (or
 	// receiver). Callers treat those results as arena-carved memory.
-	ArenaReturns map[string][]int `json:",omitempty"`
+	ArenaReturns map[string][]int
 	// PoolGetters maps a function key to the pool it hands values out
 	// of: the function's first result may come from that pool's Get and
 	// must eventually be returned to it.
-	PoolGetters map[string]string `json:",omitempty"`
+	PoolGetters map[string]string
 	// PoolPutters maps a function key to the pool its parameter is
 	// returned to.
-	PoolPutters map[string]PutterFact `json:",omitempty"`
+	PoolPutters map[string]PutterFact
 	// AtomicFields is the set of struct-field keys (Type.Field) the
 	// package accesses through sync/atomic functions; every other
 	// access to those fields, in any package, must be atomic too.
-	AtomicFields map[string]bool `json:",omitempty"`
+	AtomicFields map[string]bool
 }
 
 // A PutterFact records that calling the function returns parameter
@@ -76,48 +73,6 @@ func (s *FactStore) Pkg(path string) *PackageFacts {
 // concurrent-free read paths stay allocation-free).
 func (s *FactStore) lookup(path string) *PackageFacts {
 	return s.Pkgs[path]
-}
-
-// Merge folds every package fact set of other into s (other wins on
-// duplicate function keys; fact extraction is deterministic, so
-// duplicates are identical anyway).
-func (s *FactStore) Merge(other *FactStore) {
-	for path, theirs := range other.Pkgs {
-		mine := s.Pkg(path)
-		for k, v := range theirs.ArenaReturns {
-			mine.ArenaReturns[k] = v
-		}
-		for k, v := range theirs.PoolGetters {
-			mine.PoolGetters[k] = v
-		}
-		for k, v := range theirs.PoolPutters {
-			mine.PoolPutters[k] = v
-		}
-		for k := range theirs.AtomicFields {
-			mine.AtomicFields[k] = true
-		}
-	}
-}
-
-// EncodeFacts serializes the store for a .vetx file. encoding/json
-// writes map keys sorted, so the bytes are deterministic and safe to
-// feed the go command's action cache.
-func EncodeFacts(s *FactStore) ([]byte, error) {
-	return json.Marshal(s.Pkgs)
-}
-
-// DecodeFacts parses a .vetx payload produced by EncodeFacts. Empty
-// input (the pre-facts format, or a gated-out unit) decodes to an empty
-// store.
-func DecodeFacts(data []byte) (*FactStore, error) {
-	s := NewFactStore()
-	if len(data) == 0 {
-		return s, nil
-	}
-	if err := json.Unmarshal(data, &s.Pkgs); err != nil {
-		return nil, fmt.Errorf("decode facts: %v", err)
-	}
-	return s, nil
 }
 
 // funcFactKey returns the package-local fact key of fn: "Name" for a

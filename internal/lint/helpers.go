@@ -154,6 +154,14 @@ func isSyncPool(t types.Type) bool {
 		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }
 
+// isSyncPoolMethod reports whether fn is (*sync.Pool).<name>. Any other
+// method of that name — nn.ArenaPool's Get and Put — is a wrapper, paired
+// through its getter/putter fact.
+func isSyncPoolMethod(fn *types.Func, name string) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && fn.Name() == name && sig.Recv() != nil && isSyncPool(sig.Recv().Type())
+}
+
 // namedTypeOf unwraps pointers and returns the named type of t, or nil.
 func namedTypeOf(t types.Type) *types.Named {
 	if ptr, ok := t.(*types.Pointer); ok {

@@ -27,8 +27,12 @@
 // and field summaries ("facts", facts.go) so helper contracts in
 // internal/nn propagate to call sites in widedeep, serve, and rl.
 //
-// Analyzers inspect non-test files only (the loader feeds them GoFiles,
-// which excludes *_test.go); test-file hygiene stays with go vet.
+// One driver runs them: Load lists and type-checks the packages through
+// `go list`, RunAnalyzers applies the suite in dependency order —
+// cmd/autoviewlint (make lint) and TestLintSelfClean are the same two
+// calls. Analyzers inspect non-test files only (the loader feeds them
+// GoFiles, which excludes *_test.go); test-file hygiene stays with go
+// vet.
 // Intentional violations are suppressed with a trailing or preceding
 //
 //	//lint:allow <name> <reason>
@@ -56,7 +60,7 @@ type Analyzer struct {
 	// Run analyzes a single package.
 	Run func(*Pass) error
 	// Facts, if set, extracts the package's exported function/field
-	// summaries into pass.OwnFacts. The drivers call it for every
+	// summaries into pass.OwnFacts. RunAnalyzers calls it for every
 	// package — dependencies included, in dependency order — before any
 	// dependent's Run, so cross-package contracts propagate (facts.go).
 	Facts func(*Pass) error
@@ -116,7 +120,7 @@ func ByName(name string) *Analyzer {
 }
 
 // internalOnly marks analyzers that run only on packages under
-// internal/ (per-analyzer scope applied by the drivers, not by Run, so
+// internal/ (per-analyzer scope applied by RunAnalyzers, not by Run, so
 // fixture tests can exercise the analyzer on any package path).
 var internalOnly = map[string]bool{"errdiscard": true}
 
@@ -137,14 +141,13 @@ func AppliesTo(a *Analyzer, pkgPath string) bool {
 // consumers; fact-only packages (dependencies loaded just for their
 // summaries) contribute facts but no diagnostics.
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	return RunAnalyzersWithFacts(analyzers, pkgs, NewFactStore())
+	return runAnalyzers(analyzers, pkgs, NewFactStore())
 }
 
-// RunAnalyzersWithFacts is RunAnalyzers seeded with facts imported from
-// outside the package set (the unitchecker driver reads them from the
-// .vetx files of already-analyzed dependencies). The store accumulates
-// every analyzed package's own facts as a side effect.
-func RunAnalyzersWithFacts(analyzers []*Analyzer, pkgs []*Package, store *FactStore) ([]Diagnostic, error) {
+// runAnalyzers is RunAnalyzers over a caller-held store, which
+// accumulates every analyzed package's facts (TestLintSelfClean asserts
+// the load-bearing ones were extracted).
+func runAnalyzers(analyzers []*Analyzer, pkgs []*Package, store *FactStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range topoSort(pkgs) {
 		pass := &Pass{

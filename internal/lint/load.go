@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // A Package is one type-checked target package ready for analysis.
@@ -50,7 +49,7 @@ type listPkg struct {
 // Module-internal dependencies that match no pattern are loaded too,
 // marked FactOnly: the fact-producing analyzers (facts.go) need their
 // function summaries even when only a dependent package is being
-// checked (`bin/autoviewlint ./internal/serve` must still know which
+// checked (`autoviewlint ./internal/serve` must still know which
 // internal/nn helpers return arena-backed memory). Standard-library
 // dependencies export no facts and stay export-data-only.
 func Load(dir string, patterns ...string) ([]*Package, error) {
@@ -138,10 +137,4 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 		return nil, fmt.Errorf("typecheck %s: %v", importPath, err)
 	}
 	return &Package{Fset: fset, Files: asts, Pkg: pkg, Info: info}, nil
-}
-
-// isTestFile reports whether the file name is a _test.go file. GoFiles
-// never lists them, but vet configs can.
-func isTestFile(name string) bool {
-	return strings.HasSuffix(name, "_test.go")
 }

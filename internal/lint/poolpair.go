@@ -188,11 +188,9 @@ func poolGetKey(pass *Pass, expr ast.Expr) string {
 		if fn == nil {
 			return ""
 		}
-		if fn.Name() == "Get" {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isSyncPool(sig.Recv().Type()) {
-				if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-					return poolKeyOf(pass.Info, sel.X)
-				}
+		if isSyncPoolMethod(fn, "Get") {
+			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
+				return poolKeyOf(pass.Info, sel.X)
 			}
 			return ""
 		}
@@ -210,11 +208,9 @@ func poolPutSink(pass *Pass, call *ast.CallExpr) (string, int) {
 	if fn == nil {
 		return "", 0
 	}
-	if fn.Name() == "Put" {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isSyncPool(sig.Recv().Type()) {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				return poolKeyOf(pass.Info, sel.X), 0
-			}
+	if isSyncPoolMethod(fn, "Put") {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			return poolKeyOf(pass.Info, sel.X), 0
 		}
 		return "", 0
 	}

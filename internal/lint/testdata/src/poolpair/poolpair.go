@@ -72,6 +72,16 @@ func crossLeak(fail bool) error {
 	return nil
 }
 
+// Cross-package through wrapper methods named like the pool's own.
+func methodWrapperLeak(p *poolutil.BufPool, fail bool) error {
+	b := p.Get()
+	if fail {
+		return errBoom // want `not returned to the pool on this path`
+	}
+	p.Put(b)
+	return nil
+}
+
 // Guard: defer covers every exit.
 func deferPut(fail bool) error {
 	s := pool.Get().(*buffer)

@@ -21,3 +21,19 @@ func PutBuf(b *[]byte) {
 	}
 	bufPool.Put(b)
 }
+
+// BufPool wraps a pool behind methods that share sync.Pool's own names
+// (the shape of nn.ArenaPool): they are wrappers all the same, paired
+// through facts.
+type BufPool struct{ pool sync.Pool }
+
+// Get hands out a pooled buffer; callers must Put it.
+func (p *BufPool) Get() *[]byte {
+	if b, ok := p.pool.Get().(*[]byte); ok {
+		return b
+	}
+	return new([]byte)
+}
+
+// Put returns b to the pool.
+func (p *BufPool) Put(b *[]byte) { p.pool.Put(b) }

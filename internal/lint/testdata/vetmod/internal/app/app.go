@@ -1,7 +1,7 @@
 // Package app violates the cross-package contracts exported by enc and
-// bufpool. Both findings require facts to have traveled through the go
-// command's .vetx plumbing — an intra-package analysis cannot see
-// either one.
+// bufpool. Both findings require facts to have traveled from the
+// dependency packages — an intra-package analysis cannot see either
+// one.
 package app
 
 import (

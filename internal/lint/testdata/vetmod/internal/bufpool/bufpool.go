@@ -1,5 +1,5 @@
 // Package bufpool exports pool getter/putter facts consumed by the app
-// package across the vet unit boundary.
+// package across the package boundary.
 package bufpool
 
 import "sync"

@@ -1,6 +1,6 @@
 // Package enc exports an arena-helper fact: Embed returns arena-backed
-// memory. The app package consumes the fact through the .vetx files
-// the go command shuttles between vet units.
+// memory. The app package consumes the fact across the package
+// boundary.
 package enc
 
 import "autoviewvet/internal/nn"

@@ -1,5 +1,5 @@
-// Package nn shims the arena surface for the vet-driver end-to-end
-// test (TestVetToolCrossPackage): the module path ends in internal/nn,
+// Package nn shims the arena surface for the cross-package fixture
+// test (TestLoadCrossPackageFacts): the module path ends in internal/nn,
 // so the analyzers treat it as the real thing.
 package nn
 

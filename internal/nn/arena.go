@@ -1,5 +1,10 @@
 package nn
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Arena is a reusable bump allocator for inference scratch memory: the
 // forward-only Infer paths carve their activations out of it instead of
 // the heap, so a steady-state prediction performs zero allocations.
@@ -26,14 +31,18 @@ package nn
 //     computations cannot observe values from earlier predictions.
 //
 // An arena is NOT safe for concurrent use: give each worker its own
-// (widedeep keeps a pool of them, one handed to each ParallelFor
-// worker). Vectors returned by Vec/Vec32 are valid until the next
-// Reset; callers must not retain them across predictions.
+// (widedeep and rl each keep an ArenaPool, one arena handed to each
+// ParallelFor worker). Vectors returned by Vec/Vec32 are valid until
+// the next Reset; callers must not retain them across predictions.
 type Arena struct {
-	floats   [][]float64 // float64 chunks
-	fi, foff int         // current float chunk and offset
-	f32s     [][]float32 // float32 chunks (f32 kernel mirrors)
-	gi, goff int         // current float32 chunk and offset
+	f64 bump[float64]
+	f32 bump[float32] // f32 kernel mirrors
+}
+
+// bump is one element type's chunk list and carve position.
+type bump[T float64 | float32] struct {
+	chunks [][]T
+	i, off int // current chunk and offset into it
 }
 
 // minFloatChunk sizes freshly grown chunks; requests larger than the
@@ -47,75 +56,46 @@ func NewArena() *Arena { return &Arena{} }
 // Reset rewinds the arena, invalidating every previously returned
 // vector while keeping the chunks for reuse.
 func (a *Arena) Reset() {
-	a.fi, a.foff = 0, 0
-	a.gi, a.goff = 0, 0
+	a.f64.i, a.f64.off = 0, 0
+	a.f32.i, a.f32.off = 0, 0
 }
 
 // Vec returns a zeroed n-vector carved from the arena (same contract as
 // a fresh make: all elements 0).
-func (a *Arena) Vec(n int) Vec {
-	if n == 0 {
-		return nil
-	}
-	for {
-		if a.fi < len(a.floats) {
-			chunk := a.floats[a.fi]
-			if a.foff+n <= len(chunk) {
-				v := chunk[a.foff : a.foff+n : a.foff+n]
-				a.foff += n
-				clear(v)
-				return v
-			}
-			if a.foff == 0 && n > len(chunk) {
-				// This position's chunk can never fit the request: grow
-				// it in place so the next Reset walk succeeds directly.
-				a.floats[a.fi] = make([]float64, n)
-				continue
-			}
-			// Chunk full (or too small but partially handed out): advance.
-			a.fi++
-			a.foff = 0
-			continue
-		}
-		size := n
-		if size < minFloatChunk {
-			size = minFloatChunk
-		}
-		a.floats = append(a.floats, make([]float64, size))
-		a.foff = 0
-	}
-}
+func (a *Arena) Vec(n int) Vec { return a.f64.carve(n) }
 
 // Vec32 returns a zeroed n-vector of float32 carved from the arena —
 // the scratch source of the f32 inference mirrors. Same contract as
 // Vec: zeroed, disjoint from all other live slices, valid until Reset.
-func (a *Arena) Vec32(n int) Vec32 {
+func (a *Arena) Vec32(n int) Vec32 { return a.f32.carve(n) }
+
+// carve is the bump allocation behind Vec and Vec32.
+func (b *bump[T]) carve(n int) []T {
 	if n == 0 {
 		return nil
 	}
 	for {
-		if a.gi < len(a.f32s) {
-			chunk := a.f32s[a.gi]
-			if a.goff+n <= len(chunk) {
-				v := chunk[a.goff : a.goff+n : a.goff+n]
-				a.goff += n
+		if b.i < len(b.chunks) {
+			chunk := b.chunks[b.i]
+			if b.off+n <= len(chunk) {
+				v := chunk[b.off : b.off+n : b.off+n]
+				b.off += n
 				clear(v)
 				return v
 			}
-			if a.goff == 0 && n > len(chunk) {
-				a.f32s[a.gi] = make([]float32, n)
+			if b.off == 0 && n > len(chunk) {
+				// This position's chunk can never fit the request: grow
+				// it in place so the next Reset walk succeeds directly.
+				b.chunks[b.i] = make([]T, n)
 				continue
 			}
-			a.gi++
-			a.goff = 0
+			// Chunk full (or too small but partially handed out): advance.
+			b.i++
+			b.off = 0
 			continue
 		}
-		size := n
-		if size < minFloatChunk {
-			size = minFloatChunk
-		}
-		a.f32s = append(a.f32s, make([]float32, size))
-		a.goff = 0
+		b.chunks = append(b.chunks, make([]T, max(n, minFloatChunk)))
+		b.off = 0
 	}
 }
 
@@ -123,11 +103,43 @@ func (a *Arena) Vec32(n int) Vec32 {
 // size of the shapes it has served), for observability.
 func (a *Arena) Bytes() int {
 	total := 0
-	for _, c := range a.floats {
+	for _, c := range a.f64.chunks {
 		total += 8 * len(c)
 	}
-	for _, c := range a.f32s {
+	for _, c := range a.f32.chunks {
 		total += 4 * len(c)
 	}
 	return total
+}
+
+// ArenaPool hands out reusable arenas, one per concurrent predictor;
+// warm arenas carry their model's scratch high-water mark, so
+// steady-state use allocates nothing. The zero value is ready to use
+// and safe for concurrent use. One arena is pinned outside the
+// sync.Pool: a garbage collection empties a sync.Pool wholesale, and
+// the pinned slot keeps the single-predictor path allocation-free
+// through it.
+type ArenaPool struct {
+	spare atomic.Pointer[Arena]
+	pool  sync.Pool
+}
+
+// Get returns a pooled arena (the pinned one first), or a fresh one.
+// The caller Resets it before use and hands it back with Put.
+func (p *ArenaPool) Get() *Arena {
+	if a := p.spare.Swap(nil); a != nil {
+		return a
+	}
+	if a, ok := p.pool.Get().(*Arena); ok {
+		return a
+	}
+	return NewArena()
+}
+
+// Put returns an arena to the pinned slot, or to the overflow pool.
+func (p *ArenaPool) Put(a *Arena) {
+	if p.spare.CompareAndSwap(nil, a) {
+		return
+	}
+	p.pool.Put(a)
 }

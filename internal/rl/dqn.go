@@ -15,8 +15,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"autoview/internal/mvs"
 	"autoview/internal/nn"
@@ -159,10 +157,8 @@ type Agent struct {
 
 	// arenas pools inference scratch for the forward-only Q evaluation
 	// fast path (action scoring and the Learn bootstrap target, which
-	// the trainer's workers evaluate concurrently). spareArena pins one
-	// warm arena across GC cycles, which empty the sync.Pool wholesale.
-	arenas     sync.Pool
-	spareArena atomic.Pointer[nn.Arena]
+	// the trainer's workers evaluate concurrently).
+	arenas nn.ArenaPool
 }
 
 // newQNet builds the paper's four-layer Q-network (16-64-16-1, ReLU).
@@ -200,28 +196,6 @@ func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 	return a
 }
 
-// getArena hands out a pooled inference arena (one per concurrent
-// evaluator; warm arenas make steady-state Q evaluation allocation-free).
-// The pinned spare survives garbage collections, so serial scoring stays
-// allocation-free even in GC-heavy processes.
-func (a *Agent) getArena() *nn.Arena {
-	if ar := a.spareArena.Swap(nil); ar != nil {
-		return ar
-	}
-	if ar, ok := a.arenas.Get().(*nn.Arena); ok {
-		return ar
-	}
-	return nn.NewArena()
-}
-
-// putArena returns an arena to the spare slot or the overflow pool.
-func (a *Agent) putArena(ar *nn.Arena) {
-	if a.spareArena.CompareAndSwap(nil, ar) {
-		return
-	}
-	a.arenas.Put(ar)
-}
-
 // Q evaluates μ(e,a|θ) for one action's features through the f64
 // forward-only path (nn.MLP.Infer): bit-identical to the training
 // Forward, no backward closures, no allocations when warm.
@@ -245,7 +219,7 @@ func (a *Agent) bootstrapNet() *nn.MLP {
 // value. Action scoring and the Learn bootstrap both go through it.
 func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, bestQ float64) {
 	bestQ = math.Inf(-1)
-	ar := a.getArena()
+	ar := a.arenas.Get()
 	for j, f := range feats {
 		ar.Reset()
 		q := net.Infer(f, ar)[0]
@@ -256,7 +230,7 @@ func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, b
 			best, bestQ = j, q
 		}
 	}
-	a.putArena(ar)
+	a.arenas.Put(ar)
 	return best, bestQ
 }
 

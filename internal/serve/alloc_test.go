@@ -60,8 +60,8 @@ func allocModel(t *testing.T) (*widedeep.Model, featenc.Features) {
 }
 
 // TestBatcherSteadyStateAllocs pins the micro-batcher's allocation cost
-// model: a small per-batch constant (request bookkeeping, coalescing
-// timer, result slices) and zero per-element allocations — the model's
+// model: a small per-batch constant (request bookkeeping, result
+// slices) and zero per-element allocations — the model's
 // pooled inference arenas are reused across successive batches, so a
 // 32x larger request must not cost a single extra allocation.
 func TestBatcherSteadyStateAllocs(t *testing.T) {
@@ -79,8 +79,7 @@ func TestBatcherSteadyStateAllocs(t *testing.T) {
 	m, f := allocModel(t)
 	b := newBatcher(Config{
 		Parallelism: 1,
-		MaxBatch:    1, // any submit fills the batch: no window wait
-		BatchWindow: time.Millisecond,
+		MaxBatch:    1,
 		QueueDepth:  8,
 	}, func() (*widedeep.Model, float64) { return m, 2 })
 	defer b.close(context.Background())

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"autoview/internal/featenc"
 	"autoview/internal/obs"
@@ -41,27 +40,24 @@ type estRequest struct {
 
 // batcher is the micro-batching inference scheduler: concurrent
 // estimate requests queue onto a bounded channel, a single dispatcher
-// coalesces them — up to cfg.MaxBatch pairs, waiting at most
-// cfg.BatchWindow after the first request — and each micro-batch runs
-// through widedeep.PredictBatch's Parallelism-sized worker pool.
-// Per-pair results are bit-identical to sequential inference (see
-// PredictBatch), so batching is purely a throughput optimization.
+// coalesces whatever is queued — up to cfg.MaxBatch pairs — and each
+// micro-batch runs through widedeep.PredictBatch's Parallelism-sized
+// worker pool. Per-pair results are bit-identical to sequential
+// inference (see PredictBatch), so batching is purely a throughput
+// optimization.
 // PredictBatch's workers draw their scratch from the model's pooled
 // inference arenas, which persist across micro-batches — so after the
 // first few requests warm the pool, the per-pair serving cost performs
 // zero heap allocations (see TestBatcherSteadyStateAllocs).
 //
-// Idle bypass: the batch window exists to give concurrent requests a
-// chance to share a batch. When the dispatcher pulls a request and can
-// see nobody else is coming — empty queue and no submit in flight — it
-// runs the batch immediately instead of sleeping out the window, so a
-// lone request never pays window latency (or the timer wake-up that
-// follows it). Under load the queue is non-empty and coalescing behaves
-// exactly as before.
+// The dispatcher never waits for traffic: callers are optimizer threads
+// blocked on the reply, so requests coalesce while a batch runs (one
+// batch in flight, FIFO), not while a timer does. A lone request runs
+// at once; under load the queue is non-empty when the previous batch
+// finishes and the next one takes all of it.
 type batcher struct {
 	parallelism int
 	maxBatch    int
-	window      time.Duration
 
 	// model returns the current weights and cost scale (swapped
 	// atomically by the server on re-advise or hot-reload).
@@ -71,21 +67,12 @@ type batcher struct {
 	submits sync.WaitGroup
 	closed  atomic.Bool
 	done    chan struct{}
-
-	// pending counts submits that entered submit but have not yet
-	// enqueued (or bailed): together with len(queue) it is the
-	// dispatcher's "is anyone else coming" signal for the idle bypass.
-	// The count is advisory — a race in either direction costs at most
-	// one wasted window wait or one missed coalescing opportunity, never
-	// correctness.
-	pending atomic.Int64
 }
 
 func newBatcher(cfg Config, model func() (*widedeep.Model, float64)) *batcher {
 	b := &batcher{
 		parallelism: cfg.Parallelism,
 		maxBatch:    cfg.MaxBatch,
-		window:      cfg.BatchWindow,
 		model:       model,
 		queue:       make(chan *estRequest, cfg.QueueDepth),
 		done:        make(chan struct{}),
@@ -100,8 +87,6 @@ func newBatcher(cfg Config, model func() (*widedeep.Model, float64)) *batcher {
 func (b *batcher) submit(req *estRequest) error {
 	b.submits.Add(1)
 	defer b.submits.Done()
-	b.pending.Add(1)
-	defer b.pending.Add(-1)
 	if b.closed.Load() {
 		return errShuttingDown
 	}
@@ -114,9 +99,8 @@ func (b *batcher) submit(req *estRequest) error {
 	}
 }
 
-// dispatch is the scheduler loop: block for the first request, coalesce
-// follow-ups until the batch is full, the window expires, or the world
-// goes quiet (the idle bypass — see the type comment), run, repeat.
+// dispatch is the scheduler loop: block for the first request, take
+// whatever else is already queued until the batch is full, run, repeat.
 // When the queue is closed it drains every remaining request before
 // exiting, so accepted work always completes.
 func (b *batcher) dispatch() {
@@ -128,11 +112,8 @@ func (b *batcher) dispatch() {
 		}
 		batch := []*estRequest{req}
 		total := len(req.fs)
-		var timer *time.Timer
 	collect:
 		for total < b.maxBatch {
-			// Drain whatever is already queued without arming the
-			// window; only sleep when someone may still be coming.
 			select {
 			case next, more := <-b.queue:
 				if !more {
@@ -140,28 +121,9 @@ func (b *batcher) dispatch() {
 				}
 				batch = append(batch, next)
 				total += len(next.fs)
-				continue
 			default:
-			}
-			if b.pending.Load() == 0 {
-				break collect // idle: the window could only add latency
-			}
-			if timer == nil {
-				timer = time.NewTimer(b.window)
-			}
-			select {
-			case next, more := <-b.queue:
-				if !more {
-					break collect
-				}
-				batch = append(batch, next)
-				total += len(next.fs)
-			case <-timer.C:
 				break collect
 			}
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 		obsQueueDepth.Set(float64(len(b.queue)))
 		b.run(batch, total)

@@ -28,7 +28,7 @@ func onePairRequest() *estRequest {
 func gatedBatcher(queueDepth int) (*batcher, chan struct{}) {
 	gate := make(chan struct{})
 	b := newBatcher(
-		Config{MaxBatch: 1, BatchWindow: time.Millisecond, QueueDepth: queueDepth},
+		Config{MaxBatch: 1, QueueDepth: queueDepth},
 		func() (*widedeep.Model, float64) {
 			<-gate
 			return nil, 1
@@ -148,6 +148,74 @@ func TestBatcherCloseHonorsContext(t *testing.T) {
 	close(gate)
 	if err := b.close(context.Background()); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestBatcherCoalescesQueuedWithoutWaiting pins the dispatcher's only
+// coalescing rule: it takes what is already queued (up to MaxBatch) and
+// runs — requests share a batch because they queued behind a running
+// one, never because the dispatcher waited for them.
+func TestBatcherCoalescesQueuedWithoutWaiting(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{})
+	first := true // only the dispatcher goroutine touches it
+	b := newBatcher(Config{MaxBatch: 8, QueueDepth: 8},
+		func() (*widedeep.Model, float64) {
+			if first {
+				first = false
+				close(entered)
+				<-gate
+			}
+			return nil, 1
+		})
+	await := func(r *estRequest) {
+		t.Helper()
+		select {
+		case <-r.done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("request never completed")
+		}
+	}
+
+	held := onePairRequest()
+	if err := b.submit(held); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	// obsBatches ticks on entry to run, so once the held batch is at the
+	// gate the counter already includes it.
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first request never reached the dispatcher")
+	}
+	before := obsBatches.Value()
+	queued := []*estRequest{onePairRequest(), onePairRequest(), onePairRequest()}
+	for _, r := range queued {
+		if err := b.submit(r); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	close(gate)
+	await(held)
+	for _, r := range queued {
+		await(r)
+	}
+	if got := obsBatches.Value() - before; got != 1 {
+		t.Fatalf("three queued requests under MaxBatch ran as %d batches, want 1", got)
+	}
+
+	// A lone request on an idle batcher, far under MaxBatch, runs at
+	// once: there is nothing it could be waiting for.
+	before = obsBatches.Value()
+	lone := onePairRequest()
+	if err := b.submit(lone); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	await(lone)
+	if got := obsBatches.Value() - before; got != 1 {
+		t.Fatalf("lone request ran as %d batches, want 1", got)
+	}
+	if err := b.close(context.Background()); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 

@@ -33,29 +33,21 @@ type errorResponse struct {
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Default.Handler())
-	mux.HandleFunc("/v1/estimate", s.endpoint("serve.estimate", http.MethodPost, s.handleEstimate))
-	mux.HandleFunc("/v1/queries", s.endpoint("serve.ingest", http.MethodPost, s.handleQueries))
-	mux.HandleFunc("/v1/advise", s.endpoint("serve.advise.api", http.MethodPost, s.handleAdvise))
-	mux.HandleFunc("/v1/views", s.endpoint("serve.views", http.MethodGet, s.handleViews))
-	mux.HandleFunc("/v1/healthz", s.ungatedEndpoint("serve.healthz", http.MethodGet, s.handleHealthz))
-	mux.HandleFunc("/v1/admin/model", s.endpoint("serve.model.reload", http.MethodPost, s.handleReloadModel))
+	mux.HandleFunc("/v1/estimate", s.endpoint("serve.estimate", http.MethodPost, true, s.handleEstimate))
+	mux.HandleFunc("/v1/queries", s.endpoint("serve.ingest", http.MethodPost, true, s.handleQueries))
+	mux.HandleFunc("/v1/advise", s.endpoint("serve.advise.api", http.MethodPost, true, s.handleAdvise))
+	mux.HandleFunc("/v1/views", s.endpoint("serve.views", http.MethodGet, true, s.handleViews))
+	mux.HandleFunc("/v1/healthz", s.endpoint("serve.healthz", http.MethodGet, false, s.handleHealthz))
+	mux.HandleFunc("/v1/admin/model", s.endpoint("serve.model.reload", http.MethodPost, true, s.handleReloadModel))
 	return mux
 }
 
 // endpoint wraps a handler with the shared request surface: traffic
-// counting, a span, the method check, the draining gate, and the
-// readiness gate (requests before Start finishes recovery answer 503).
-func (s *Server) endpoint(span, method string, h http.HandlerFunc) http.HandlerFunc {
-	return s.wrap(span, method, true, h)
-}
-
-// ungatedEndpoint skips only the readiness gate: /v1/healthz must answer
-// while durable state is still replaying, reporting state "recovering".
-func (s *Server) ungatedEndpoint(span, method string, h http.HandlerFunc) http.HandlerFunc {
-	return s.wrap(span, method, false, h)
-}
-
-func (s *Server) wrap(span, method string, gated bool, h http.HandlerFunc) http.HandlerFunc {
+// counting, a span, the method check, the draining gate, and — when
+// gated — the readiness gate (requests before Start finishes recovery
+// answer 503). Only /v1/healthz is ungated: it must answer while durable
+// state is still replaying, reporting state "recovering".
+func (s *Server) endpoint(span, method string, gated bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		obsRequests.Inc()
 		defer obs.StartSpan(span)()
@@ -134,37 +126,47 @@ type estimateResponse struct {
 	ModelVersion int       `json:"model_version"`
 }
 
+// handleEstimate owns the request scratch: the one place it is taken
+// and the one place it goes back.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	sc := getEstScratch()
+	if !s.estimate(w, r, sc) {
+		// 504: the batcher may still write into sc.missOut — abandon the
+		// scratch rather than recycle a buffer under a live writer.
+		//lint:allow poolpair(audit) deliberate drop: recycling would put a buffer under a live batcher writer
+		return
+	}
+	putEstScratch(sc)
+}
+
+// estimate answers one /v1/estimate request out of sc and reports
+// whether sc may be recycled — false only when the request timed out
+// with its micro-batch still in flight.
+func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch) (recycle bool) {
 	if err := s.readBody(w, r, sc); err != nil {
 		status, code, msg := classifyBodyError(err)
 		s.writeError(w, r, status, code, msg)
-		putEstScratch(sc)
-		return
+		return true
 	}
 	if err := decodeEstimateBody(sc.body, sc); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_json", err.Error())
-		putEstScratch(sc)
-		return
+		return true
 	}
 	n := len(sc.pairs)
 	if n == 0 {
 		s.writeError(w, r, http.StatusBadRequest, "empty_request", "pairs must be non-empty")
-		putEstScratch(sc)
-		return
+		return true
 	}
 	if n > s.cfg.MaxPairs {
 		s.writeError(w, r, http.StatusBadRequest, "too_many_pairs",
 			fmt.Sprintf("%d pairs exceed the per-request limit %d", n, s.cfg.MaxPairs))
-		putEstScratch(sc)
-		return
+		return true
 	}
 	mSnap := s.model.Load()
 	if mSnap == nil {
 		s.writeError(w, r, http.StatusServiceUnavailable, "no_model",
 			"no W-D model is loaded (was the server bootstrapped with EstimatorWideDeep?)")
-		putEstScratch(sc)
-		return
+		return true
 	}
 
 	// Fingerprint every pair and consult the estimate cache. The epoch is
@@ -204,14 +206,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			qe, err := s.resolvePlan(sc.pairs[i].query, sc.qKeys[i], sc.keyOK[i])
 			if err != nil {
 				s.writeError(w, r, http.StatusBadRequest, "bad_sql", fmt.Sprintf("pairs[%d].query: %v", i, err))
-				putEstScratch(sc)
-				return
+				return true
 			}
 			ve, err := s.resolvePlan(sc.pairs[i].view, sc.vKeys[i], sc.keyOK[i])
 			if err != nil {
 				s.writeError(w, r, http.StatusBadRequest, "bad_sql", fmt.Sprintf("pairs[%d].view: %v", i, err))
-				putEstScratch(sc)
-				return
+				return true
 			}
 			sc.fs[j] = sc.ex.ExtractPre(qe.pf, ve.pf)
 		}
@@ -221,12 +221,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errQueueFull):
 			obsShed.Inc()
 			s.writeError(w, r, http.StatusTooManyRequests, "overloaded", "estimate queue is full, retry later")
-			putEstScratch(sc)
-			return
+			return true
 		case errors.Is(err, errShuttingDown):
 			s.writeError(w, r, http.StatusServiceUnavailable, "shutting_down", "server is draining")
-			putEstScratch(sc)
-			return
+			return true
 		}
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -235,17 +233,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		case <-est.done:
 			if est.err != nil {
 				s.writeError(w, r, http.StatusServiceUnavailable, "no_model", est.err.Error())
-				putEstScratch(sc)
-				return
+				return true
 			}
 		case <-ctx.Done():
 			obsTimeouts.Inc()
 			s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
 				fmt.Sprintf("estimate not ready within %v", s.cfg.RequestTimeout))
-			// The batcher may still write into missOut: abandon the
-			// scratch rather than recycle a buffer under a live writer.
-			//lint:allow poolpair(audit) deliberate drop: recycling would put a buffer under a live batcher writer
-			return
+			return false
 		}
 		for j, i := range sc.missIdx {
 			sc.out[i] = sc.missOut[j]
@@ -261,7 +255,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Count:        n,
 		ModelVersion: mSnap.version,
 	})
-	putEstScratch(sc)
+	return true
 }
 
 // --- POST /v1/queries --------------------------------------------------

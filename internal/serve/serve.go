@@ -70,9 +70,6 @@ type Config struct {
 	// MaxBatch caps the (query, view) pairs coalesced into one
 	// micro-batch. Default 32.
 	MaxBatch int
-	// BatchWindow is how long the dispatcher waits for more requests
-	// after the first one before running a partial batch. Default 2ms.
-	BatchWindow time.Duration
 	// QueueDepth bounds the estimate request queue; a full queue sheds
 	// with 429. Default 256.
 	QueueDepth int
@@ -107,9 +104,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256

@@ -177,7 +177,7 @@ func TestServeRoundTrip(t *testing.T) {
 // into batches, predicted through the worker pool) are byte-identical to
 // the same requests served one at a time.
 func TestServeEstimateDeterminism(t *testing.T) {
-	_, ts := newTestServer(t, Config{Parallelism: 4, MaxBatch: 16, BatchWindow: 3 * time.Millisecond})
+	_, ts := newTestServer(t, Config{Parallelism: 4, MaxBatch: 16})
 
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)
@@ -281,6 +281,41 @@ func TestServeModelReload(t *testing.T) {
 	}
 	if after.scale != before.scale { //lint:allow floateq the reload must keep the exact scale when none is given
 		t.Fatalf("reload without scale changed it: %v -> %v", before.scale, after.scale)
+	}
+
+	// A checkpoint whose normalizer is the wrong width is refused — it
+	// used to load and panic the batcher goroutine on the next estimate
+	// — and the old model keeps serving.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap["normalizer"] = map[string]any{"Mean": []float64{0, 0}, "Std": []float64{1, 1}}
+	if raw, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	badPath := t.TempDir() + "/bad.ckpt"
+	if err := os.WriteFile(badPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/admin/model", reloadRequest{Path: badPath})
+	var envelope errorResponse
+	if err := json.Unmarshal(body, &envelope); err != nil || resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "model_load_failed" {
+		t.Fatalf("bad checkpoint: status %d, body %s (err %v), want 400 model_load_failed", resp.StatusCode, body, err)
+	}
+	w := serveWK()
+	resp, body = postJSON(t, ts.URL+"/v1/estimate",
+		estimateRequest{Pairs: []estimatePair{{Query: w.Queries[0].SQL, View: w.Queries[1].SQL}}})
+	var est estimateResponse
+	if err := json.Unmarshal(body, &est); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("estimate after refused reload: status %d, body %s (err %v)", resp.StatusCode, body, err)
+	}
+	if est.ModelVersion != after.version {
+		t.Fatalf("estimate answered by model %d, want the pre-refusal %d", est.ModelVersion, after.version)
 	}
 }
 

@@ -2,6 +2,7 @@ package widedeep
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"autoview/internal/featenc"
@@ -47,5 +48,30 @@ func TestPredictBatchEmpty(t *testing.T) {
 	model := New(vocab, Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 4}}, rand.New(rand.NewSource(1)))
 	if got := model.PredictBatch(nil, 4); len(got) != 0 {
 		t.Fatalf("expected no results, got %d", len(got))
+	}
+}
+
+// TestPredictConcurrentOnFreshModel: Predict is safe for concurrent use
+// from the moment New returns — before any Fit or Load — so nothing a
+// first call does may write shared model state unsynchronised (run under
+// -race; the lazily installed normalizer used to be such a write).
+func TestPredictConcurrentOnFreshModel(t *testing.T) {
+	cat := testCatalog(t)
+	f := syntheticSamples(t, cat, 1)[0].F
+	vocab := featenc.NewVocab(cat, []string{"cnt"})
+	model := New(vocab, Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 4}}, rand.New(rand.NewSource(3)))
+
+	var got [2]float64
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = model.Predict(f)
+		}()
+	}
+	wg.Wait()
+	if got[0] != got[1] { //lint:allow floateq bit-identity is the property under test
+		t.Fatalf("concurrent first predictions differ: %v vs %v", got[0], got[1])
 	}
 }

@@ -120,29 +120,3 @@ func (k *kernels32) inferForward(f featenc.Features, a *nn.Arena) float64 {
 	out := k.fc6.Infer(h5, a)
 	return float64(out[0])
 }
-
-// getArena hands out a reusable inference arena (one per concurrent
-// predictor; warm arenas carry the model's scratch high-water mark, so
-// steady-state use allocates nothing). The pinned spare slot is tried
-// before the pool: it survives garbage collections, which empty a
-// sync.Pool wholesale, so even a GC-heavy process keeps at least one
-// warm arena and the single-predictor path stays allocation-free.
-func (m *Model) getArena() *nn.Arena {
-	if a := m.spare.Swap(nil); a != nil {
-		return a
-	}
-	if a, ok := m.arenas.Get().(*nn.Arena); ok {
-		return a
-	}
-	return nn.NewArena()
-}
-
-// putArena returns an arena to the spare slot (or the overflow pool)
-// and publishes its footprint.
-func (m *Model) putArena(a *nn.Arena) {
-	obsArenaBytes.Set(float64(a.Bytes()))
-	if m.spare.CompareAndSwap(nil, a) {
-		return
-	}
-	m.arenas.Put(a)
-}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"autoview/internal/featenc"
@@ -86,15 +85,11 @@ type Model struct {
 
 	cfg Config
 
-	// arenas pools per-worker inference scratch (nn.Arena) for the
-	// zero-allocation Predict/PredictBatch fast path. Warm arenas are
-	// reused across calls, batches and serving requests; the pool makes
-	// concurrent Predict calls safe without locking. spare pins one warm
-	// arena outside the pool: sync.Pool is emptied on every GC cycle,
-	// and without the pinned slot a collection would force the next
-	// Predict to rebuild its scratch from the heap.
-	arenas sync.Pool
-	spare  atomic.Pointer[nn.Arena]
+	// arenas pools per-worker inference scratch for the zero-allocation
+	// Predict/PredictBatch fast path. Warm arenas are reused across
+	// calls, batches and serving requests; the pool makes concurrent
+	// Predict calls safe without locking.
+	arenas nn.ArenaPool
 
 	// k32 caches the float32 kernel mirror of the trained weights
 	// (built lazily, dropped by InvalidateKernels whenever the f64
@@ -114,7 +109,10 @@ func New(vocab *featenc.Vocab, cfg Config, rng *rand.Rand) *Model {
 		regIn = dr
 	}
 	m := &Model{
-		Enc:  enc,
+		Enc: enc,
+		// Identity until Fit or Load: Predict is safe for concurrent use,
+		// so no forward may be the one that installs it.
+		Norm: featenc.FitNormalizer(nil),
 		cfg:  cfg,
 		Wide: nn.NewLinear("wide", featenc.NumericDim, cfg.WideDim, rng),
 		FC1:  nn.NewLinear("fc1", dr, cfg.DeepHidden, rng),
@@ -277,21 +275,18 @@ func addVecs(a, b nn.Vec) nn.Vec {
 func (m *Model) Predict(f featenc.Features) float64 {
 	defer obs.StartSpan("wd.infer")()
 	obsInferCount.Inc()
-	if m.Norm == nil {
-		m.Norm = featenc.FitNormalizer(nil)
-	}
-	a := m.getArena()
+	a := m.arenas.Get()
 	a.Reset()
 	y := m.kernels().inferForward(f, a)
-	m.putArena(a)
+	obsArenaBytes.Set(float64(a.Bytes()))
+	m.arenas.Put(a)
 	return y*m.yStd + m.yMean
 }
 
 // PredictReference estimates A(q|v) through the float64 training
 // forward — the bit-exact reference the f32 serving path is compared
 // against. Reference-only: it builds (and drops) the backward closures
-// and allocates, so nothing on a serving path should call it. The model
-// must have a fitted normalizer (Fit or Load).
+// and allocates, so nothing on a serving path should call it.
 func (m *Model) PredictReference(f featenc.Features) float64 {
 	y, _ := m.forward(f)
 	return y*m.yStd + m.yMean
@@ -309,9 +304,6 @@ func (m *Model) PredictReference(f featenc.Features) float64 {
 // on. Results are returned in input order.
 func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
 	defer obs.StartSpan("wd.infer.batch")()
-	if m.Norm == nil {
-		m.Norm = featenc.FitNormalizer(nil)
-	}
 	obsInferCount.Add(int64(len(fs)))
 	obsInferBatches.Inc()
 	out := make([]float64, len(fs))
@@ -321,7 +313,7 @@ func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
 	}
 	arenas := make([]*nn.Arena, workers)
 	for w := range arenas {
-		arenas[w] = m.getArena()
+		arenas[w] = m.arenas.Get()
 	}
 	k := m.kernels() // resolve once; workers share the immutable mirror
 	nn.ParallelForWorker(len(fs), parallelism, func(w, i int) {
@@ -330,7 +322,8 @@ func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
 		out[i] = k.inferForward(fs[i], a)*m.yStd + m.yMean
 	})
 	for _, a := range arenas {
-		m.putArena(a)
+		obsArenaBytes.Set(float64(a.Bytes()))
+		m.arenas.Put(a)
 	}
 	return out
 }

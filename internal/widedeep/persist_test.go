@@ -2,6 +2,7 @@ package widedeep
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -86,6 +87,64 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	m := New(vocab, Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 4}}, rand.New(rand.NewSource(4)))
 	if err := m.Load(strings.NewReader("{nope")); err == nil {
 		t.Error("garbage should not load")
+	}
+}
+
+// TestLoadRejectsBadNormalizer: a checkpoint is operator input, and one
+// whose scaling state the forward passes cannot index or divide by must
+// be refused before it touches the model — a 2-entry normalizer used to
+// load cleanly and panic inside the next Predict.
+func TestLoadRejectsBadNormalizer(t *testing.T) {
+	cat := testCatalog(t)
+	vocab := featenc.NewVocab(cat, []string{"cnt"})
+	cfg := Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 4}}
+	m := New(vocab, cfg, rand.New(rand.NewSource(5)))
+	samples := syntheticSamples(t, cat, 12)
+	if _, err := m.Fit(samples, TrainConfig{Epochs: 2, BatchSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if err := m.Save(&good); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(snap map[string]any)
+	}{
+		{"missing", func(snap map[string]any) { delete(snap, "normalizer") }},
+		{"short", func(snap map[string]any) {
+			snap["normalizer"] = map[string]any{"Mean": []float64{0, 0}, "Std": []float64{1, 1}}
+		}},
+		{"lengths differ", func(snap map[string]any) {
+			norm := snap["normalizer"].(map[string]any)
+			norm["Std"] = norm["Std"].([]any)[1:]
+		}},
+		{"zero std", func(snap map[string]any) {
+			snap["normalizer"].(map[string]any)["Std"].([]any)[0] = 0.0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap map[string]any
+			if err := json.Unmarshal(good.Bytes(), &snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(snap)
+			bad, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A differently seeded target: had Load written the weights
+			// before refusing, its prediction would move.
+			target := New(vocab, cfg, rand.New(rand.NewSource(6)))
+			want := target.Predict(samples[0].F)
+			if err := target.Load(bytes.NewReader(bad)); err == nil {
+				t.Fatal("checkpoint loaded")
+			}
+			if got := target.Predict(samples[0].F); got != want {
+				t.Errorf("rejected checkpoint changed the model: predicts %v, was %v", got, want)
+			}
+		})
 	}
 }
 
