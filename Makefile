@@ -21,12 +21,13 @@ examples-smoke:
 # all exercise their goroutines under -short. The second pass reruns the
 # determinism tests of the places where worker count and scheduling
 # could change an answer — the trainer's ordered fold, W-D's three-pass
-# batch gradient built on it, and the DQN's fanned-out action sweep — at
+# batch gradient built on it, PredictBatch's three steps over the same
+# operator interner, and the DQN's fanned-out action sweep — at
 # GOMAXPROCS 1, 2 and 8.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad' ./internal/widedeep/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
@@ -38,7 +39,9 @@ test-race-full:
 	$(GO) test -race -count=1 -timeout 20m ./...
 
 # Allocation-regression gate: steady-state Predict must allocate zero,
-# the serve micro-batcher's per-pair cost must stay allocation-free, the
+# PredictBatch the same few allocations at any batch size and any number
+# of operator uses, a warm sqlparse.Parse no token slice, the serve
+# micro-batcher's per-pair cost must stay allocation-free, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
 # per-request budget, fingerprinting itself must be zero-alloc, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:
@@ -48,7 +51,8 @@ test-race-full:
 # at any sequence length, and one W-D training batch allocations linear
 # in its pairs and independent of how often its plans reuse an operator
 # (see internal/widedeep/infer_test.go and train_test.go,
-# internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go,
+# internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go
+# and parser_test.go,
 # internal/rl/infer_test.go, internal/rewrite/multiview_test.go, and
 # internal/nn/lstm_ref_test.go).
 test-alloc:

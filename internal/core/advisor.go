@@ -330,13 +330,29 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 	}
 	p.Model = model
 
+	// The held-out pairs: plan-local features once per query and per
+	// candidate, one extractor, one batched forward.
+	ex := featenc.NewBatchExtractor(a.Cat)
+	qFeat := make([]*featenc.PlanFeat, len(p.Queries))
+	vFeat := make([]*featenc.PlanFeat, len(p.Candidates))
+	var held []pairKey
+	var fs []featenc.Features
 	for i, pk := range pairs {
 		if inTrain[i] {
 			continue
 		}
-		f := featenc.Extract(p.Queries[pk.qi], p.Candidates[pk.j].View.Plan, a.Cat)
-		predicted := model.Predict(f) / scale
-		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - predicted
+		if qFeat[pk.qi] == nil {
+			qFeat[pk.qi] = featenc.Precompute(p.Queries[pk.qi])
+		}
+		if vFeat[pk.j] == nil {
+			vFeat[pk.j] = featenc.Precompute(p.Candidates[pk.j].View.Plan)
+		}
+		held = append(held, pk)
+		fs = append(fs, ex.ExtractPre(qFeat[pk.qi], vFeat[pk.j]))
+	}
+	for k, predicted := range model.PredictBatch(fs, a.Cfg.Parallelism) {
+		pk := held[k]
+		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - predicted/scale
 	}
 	return nil
 }

@@ -165,61 +165,74 @@ func (m *Encoder32) tokenVecInto(dst nn.Vec32, t plan.Tok, a *nn.Arena) {
 	copy(dst, m.kwEmb.Row(m.vocab.ID(t.Text)))
 }
 
-// InferPlan mirrors Encoder.EncodePlan: LSTM1 over each operator's
-// tokens, LSTM2 over the operator codes; nested average pooling under
-// N-Exp.
-func (m *Encoder32) InferPlan(p [][]plan.Tok, a *nn.Arena) nn.Vec32 {
-	if len(p) == 0 {
-		return a.Vec32(m.planDim)
-	}
+// InferOp mirrors Encoder.EncodeOp: one operator's tokens → its vector
+// in dst (width PlanDim, overwritten) — LSTM1 from a zero state over the
+// folded keyword table and the string encoder, or the token average
+// under N-Exp. The vector depends on nothing but seq and the weights,
+// which is what lets PredictBatch encode an operator once per batch.
+func (m *Encoder32) InferOp(dst nn.Vec32, seq []plan.Tok, a *nn.Arena) {
 	if m.cfg.NoSequence {
-		opsBuf := a.Vec32(len(p) * m.tokDim)
-		for i, seq := range p {
-			tokBuf := a.Vec32(len(seq) * m.tokDim)
-			for j, tok := range seq {
-				m.tokenVecInto(tokBuf[j*m.tokDim:(j+1)*m.tokDim], tok, a)
-			}
-			nn.AvgPoolRows32(opsBuf[i*m.tokDim:(i+1)*m.tokDim], tokBuf, len(seq), m.tokDim)
+		tokBuf := a.Vec32(len(seq) * m.tokDim)
+		for j, tok := range seq {
+			m.tokenVecInto(tokBuf[j*m.tokDim:(j+1)*m.tokDim], tok, a)
 		}
-		out := a.Vec32(m.tokDim)
-		nn.AvgPoolRows32(out, opsBuf, len(p), m.tokDim)
-		return out
+		nn.AvgPoolRows32(dst, tokBuf, len(seq), m.tokDim)
+		return
 	}
-
-	H := m.lstm1.Hidden
-	H4 := 4 * H
-	opsBuf := a.Vec32(len(p) * H)
-	h := a.Vec32(H)
-	c := a.Vec32(H)
+	H4 := 4 * m.lstm1.Hidden
+	h := dst // the operator vector is LSTM1's final hidden state
+	clear(h)
+	c := a.Vec32(m.lstm1.Hidden)
 	pre := a.Vec32(H4)
 	preX := a.Vec32(H4)
-	for i, seq := range p {
-		clear(h)
-		clear(c)
-		for _, tok := range seq {
-			px := preX
-			if tok.Str {
-				s := m.stringVec(tok.Text, a)
-				m.lstm1.PreX(preX, s) // zero-padding beyond len(s) contributes nothing
-			} else {
-				id := m.vocab.ID(tok.Text)
-				px = m.kwPre1[id*H4 : id*H4+H4]
-			}
-			m.lstm1.Step(h, c, pre, px)
+	for _, tok := range seq {
+		px := preX
+		if tok.Str {
+			s := m.stringVec(tok.Text, a)
+			m.lstm1.PreX(preX, s) // zero-padding beyond len(s) contributes nothing
+		} else {
+			id := m.vocab.ID(tok.Text)
+			px = m.kwPre1[id*H4 : id*H4+H4]
 		}
-		copy(opsBuf[i*H:], h)
+		m.lstm1.Step(h, c, pre, px)
 	}
+}
 
-	// LSTM2: the input halves of every step are known up front — batch
-	// them in one matmul, leaving only the recurrent half sequential.
-	pre2 := a.Vec32(len(p) * H4)
-	nn.MatMulT32(pre2, opsBuf, len(p), H, m.lstm2.Wx, H4, m.lstm2.B)
-	h2 := a.Vec32(H)
-	c2 := a.Vec32(H)
-	for i := range p {
-		m.lstm2.Step(h2, c2, pre, pre2[i*H4:(i+1)*H4])
+// InferOpVecs mirrors Encoder.EncodeOpVecs: the plan code of n operator
+// vectors laid out back to back in opsBuf — LSTM2, or their average
+// under N-Exp.
+func (m *Encoder32) InferOpVecs(opsBuf nn.Vec32, n int, a *nn.Arena) nn.Vec32 {
+	out := a.Vec32(m.planDim)
+	if n == 0 {
+		return out
 	}
-	return h2
+	if m.cfg.NoSequence {
+		nn.AvgPoolRows32(out, opsBuf, n, m.tokDim)
+		return out
+	}
+	// The input halves of every step are known up front — batch them in
+	// one matmul, leaving only the recurrent half sequential.
+	H := m.lstm2.Hidden
+	H4 := 4 * H
+	pre2 := a.Vec32(n * H4)
+	nn.MatMulT32(pre2, opsBuf, n, H, m.lstm2.Wx, H4, m.lstm2.B)
+	pre := a.Vec32(H4)
+	c := a.Vec32(H)
+	for i := 0; i < n; i++ {
+		m.lstm2.Step(out, c, pre, pre2[i*H4:(i+1)*H4])
+	}
+	return out
+}
+
+// InferPlan mirrors Encoder.EncodePlan: InferOp over each operator,
+// InferOpVecs over the results.
+func (m *Encoder32) InferPlan(p [][]plan.Tok, a *nn.Arena) nn.Vec32 {
+	D := m.planDim // an operator vector is as wide as a plan code
+	opsBuf := a.Vec32(len(p) * D)
+	for i, seq := range p {
+		m.InferOp(opsBuf[i*D:(i+1)*D], seq, a)
+	}
+	return m.InferOpVecs(opsBuf, len(p), a)
 }
 
 // InferSchema mirrors Encoder.EncodeSchema: average pooling of keyword

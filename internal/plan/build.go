@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"autoview/internal/catalog"
@@ -397,14 +398,14 @@ func bindOperand(e sqlparse.Expr, schema []ColInfo) (Operand, error) {
 			return ConstOperand(storage.Str(x.Text)), nil
 		}
 		if strings.ContainsAny(x.Text, ".eE") {
-			var f float64
-			if _, err := fmt.Sscanf(x.Text, "%g", &f); err != nil {
+			f, err := strconv.ParseFloat(x.Text, 64)
+			if err != nil {
 				return Operand{}, bindErrf("bad numeric literal %q", x.Text)
 			}
 			return ConstOperand(storage.Float(f)), nil
 		}
-		var i int64
-		if _, err := fmt.Sscanf(x.Text, "%d", &i); err != nil {
+		i, err := strconv.ParseInt(x.Text, 10, 64)
+		if err != nil {
 			return Operand{}, bindErrf("bad integer literal %q", x.Text)
 		}
 		return ConstOperand(storage.Int(i)), nil

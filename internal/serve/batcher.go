@@ -43,8 +43,11 @@ type estRequest struct {
 // coalesces whatever is queued — up to cfg.MaxBatch pairs — and each
 // micro-batch runs through widedeep.PredictBatch's Parallelism-sized
 // worker pool. Per-pair results are bit-identical to sequential
-// inference (see PredictBatch), so batching is purely a throughput
-// optimization.
+// inference (see PredictBatch), so batching never changes an answer.
+// It does change the work: PredictBatch encodes each distinct operator
+// of a micro-batch once, so the pairs of a request — and of requests
+// coalesced with it — share their scans, filters and joins instead of
+// only sharing the fan-out.
 // PredictBatch's workers draw their scratch from the model's pooled
 // inference arenas, which persist across micro-batches — so after the
 // first few requests warm the pool, the per-pair serving cost performs

@@ -67,18 +67,27 @@ func newLexer(src string) *lexer { return &lexer{src: src} }
 
 // Lex tokenizes the entire input. It is exported for tests and tooling.
 func Lex(src string) ([]Token, error) {
-	lx := newLexer(src)
 	// SQL averages one token per ~6 bytes; sizing for that turns the
 	// append growth sequence into a single allocation for typical texts.
-	out := make([]Token, 0, 8+len(src)/6)
+	toks, err := lexInto(make([]Token, 0, 8+len(src)/6), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto appends src's tokens, through the closing TokenEOF, to dst;
+// on an error it returns what it had appended.
+func lexInto(dst []Token, src string) ([]Token, error) {
+	lx := newLexer(src)
 	for {
 		tok, err := lx.next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, tok)
+		dst = append(dst, tok)
 		if tok.Kind == TokenEOF {
-			return out, nil
+			return dst, nil
 		}
 	}
 }
@@ -115,7 +124,8 @@ func (l *lexer) next() (Token, error) {
 	switch ch {
 	case '(', ')', ',', '.', ';', '=', '<', '>', '*', '+', '-', '/':
 		l.pos++
-		return Token{Kind: TokenPunct, Text: string(ch), Pos: start}, nil
+		// A substring, not string(ch): that conversion allocates.
+		return Token{Kind: TokenPunct, Text: l.src[start:l.pos], Pos: start}, nil
 	}
 	return Token{}, l.errorf(start, "unexpected character %q", ch)
 }

@@ -3,14 +3,44 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
+// tokBufs recycles the token slice of a Parse call: the statement it
+// returns keeps strings (substrings of src, or a string literal's own
+// unescaped copy), never a Token or the slice, so the slice dies with
+// the call.
+var tokBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens caps what the pool retains, so one huge statement
+// cannot pin its token slice (32 bytes a token) forever.
+const maxPooledTokens = 1024
+
+func putTokBuf(buf *[]Token) {
+	if cap(*buf) > maxPooledTokens {
+		return
+	}
+	clear(*buf) // a pooled slice must not keep the statement's text alive
+	*buf = (*buf)[:0]
+	tokBufs.Put(buf)
+}
+
 // Parse parses a single SELECT statement (optionally terminated by ';').
+// Lexing is eager: an error anywhere in the text is reported before any
+// parse error.
 func Parse(src string) (*SelectStmt, error) {
-	toks, err := Lex(src)
+	buf := tokBufs.Get().(*[]Token)
+	defer putTokBuf(buf)
+	toks, err := lexInto(*buf, src)
+	*buf = toks // what putTokBuf clears, and what lexing grew
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses the tokens of one statement (ending in TokenEOF).
+func parseTokens(toks []Token) (*SelectStmt, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.parseSelect()
 	if err != nil {

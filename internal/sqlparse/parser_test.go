@@ -105,6 +105,8 @@ func TestParseErrors(t *testing.T) {
 		{"select a from t extra garbage ; more", "trailing"},
 		{"select a from t where a = 'unterminated", "unterminated"},
 		{"select a from t where a = 3.", "malformed number"},
+		// Lexing is eager: a late lex error wins over an early parse error.
+		{"select from t where a = 'unterminated", "unterminated"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -260,5 +262,50 @@ func TestSyntaxErrorPosition(t *testing.T) {
 	}
 	if se.Pos <= 0 {
 		t.Errorf("position = %d, want > 0", se.Pos)
+	}
+}
+
+// TestParseTokenBufferAllocs: Parse lexes into a pooled token slice, so
+// a warm call allocates exactly what parsing already-lexed tokens does —
+// the AST — however long the statement is (no string literals here: the
+// lexer unescapes each into a copy of its own). The statement keeps no
+// token, so the next Parse reusing the slice cannot change it.
+func TestParseTokenBufferAllocs(t *testing.T) {
+	short := "select a from t where b = 1"
+	long := "select a, b, c, d, count(*) as n from t inner join u on t.a = u.a where b = 1"
+	for i := 0; i < 40; i++ {
+		long += " and c <> 22"
+	}
+	long += " group by a, b, c, d"
+	for _, src := range []string{short, long} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := testing.AllocsPerRun(100, func() {
+			if _, err := parseTokens(toks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !raceEnabled && got != want {
+			t.Errorf("%d tokens: warm Parse allocates %v, parsing its tokens alone %v", len(toks), got, want)
+		}
+	}
+
+	stmt, err := Parse(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stmt.SQL()
+	if _, err := Parse("select zz from yy where xx = 99 group by zz"); err != nil {
+		t.Fatal(err)
+	}
+	if after := stmt.SQL(); after != before {
+		t.Errorf("a later Parse changed an earlier statement:\n  %s\n  %s", before, after)
 	}
 }

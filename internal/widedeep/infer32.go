@@ -71,6 +71,15 @@ func (m *Model) InvalidateKernels() { m.k32.Store(nil) }
 // envelope) and the rank-preservation gate in internal/experiments, not
 // bit-exactness.
 func (k *kernels32) inferForward(f featenc.Features, a *nn.Arena) float64 {
+	deQ := k.enc.InferPlan(f.QueryPlan, a)
+	deV := k.enc.InferPlan(f.ViewPlan, a)
+	return k.inferAbove(f, deQ, deV, a)
+}
+
+// inferAbove is the model above the plan codes deQ and deV (the
+// encodings of f.QueryPlan and f.ViewPlan): normalization, wide part,
+// schema encoding, ResNet blocks and regressor.
+func (k *kernels32) inferAbove(f featenc.Features, deQ, deV nn.Vec32, a *nn.Arena) float64 {
 	dc := a.Vec32(len(f.Numeric))
 	for i, v := range f.Numeric {
 		dc[i] = (float32(v) - k.mean[i]) / k.std[i]
@@ -78,8 +87,6 @@ func (k *kernels32) inferForward(f featenc.Features, a *nn.Arena) float64 {
 
 	dw := k.wide.Infer(dc, a)
 	dm := k.enc.InferSchema(f.Schema, a)
-	deQ := k.enc.InferPlan(f.QueryPlan, a)
-	deV := k.enc.InferPlan(f.ViewPlan, a)
 
 	dr := a.Vec32(len(dc) + len(dm) + len(deQ) + len(deV))
 	n := copy(dr, dc)

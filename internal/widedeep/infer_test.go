@@ -8,6 +8,7 @@ import (
 	"autoview/internal/featenc"
 	"autoview/internal/nn"
 	"autoview/internal/obs"
+	"autoview/internal/plan"
 )
 
 // disableObs pins the global obs registry off for one test: an enabled
@@ -111,26 +112,75 @@ func TestPredictMatchesForwardAllVariants(t *testing.T) {
 }
 
 // TestPredictBatchBitIdenticalAcrossParallelism checks every element of
-// PredictBatch against standalone Predict at several worker counts —
-// per-worker arenas must not leak state between elements (the -race run
-// covers the data-race side of the same property).
+// PredictBatch against standalone Predict, for all four encoder variants
+// at several worker counts: per-worker arenas must not leak state
+// between items, and an operator vector shared through the batch slab
+// must be the one Predict computes in place (the -race run covers the
+// data-race side of the same property). The batches are the seeded
+// synthetic pairs (with repeats) and hand-built ones whose sharing is
+// certain: a repeated pair, an operator used twice in one plan, a pair
+// with no view plan, and a one-pair batch.
 func TestPredictBatchBitIdenticalAcrossParallelism(t *testing.T) {
-	m, samples := inferTestModel(t, featenc.Config{EmbedDim: 4, Hidden: 4}, Config{WideDim: 4, DeepHidden: 6, RegHidden: 4})
-	fs := make([]featenc.Features, 40)
-	for i := range fs {
-		fs[i] = samples[i%len(samples)].F
-	}
-	want := make([]float64, len(fs))
-	for i, f := range fs {
-		want[i] = m.Predict(f)
-	}
-	for _, par := range []int{0, 1, 3, 8} {
-		got := m.PredictBatch(fs, par)
-		for i := range want {
-			if got[i] != want[i] { //lint:allow floateq bit-identity is the property under test
-				t.Fatalf("parallelism %d, element %d: %v != %v", par, i, got[i], want[i])
+	check := func(t *testing.T, m *Model, fs []featenc.Features) {
+		t.Helper()
+		want := make([]float64, len(fs))
+		for i, f := range fs {
+			want[i] = m.Predict(f)
+		}
+		for _, par := range []int{0, 1, 3, 8} {
+			got := m.PredictBatch(fs, par)
+			for i := range want {
+				if got[i] != want[i] { //lint:allow floateq bit-identity is the property under test
+					t.Fatalf("%d pairs, parallelism %d, element %d: %v != %v", len(fs), par, i, got[i], want[i])
+				}
 			}
 		}
+	}
+	shared := sharedOpSamples()
+	shared = append(shared, shared[0], shared[2]) // repeated pairs, one of them without a view plan
+	for name, enc := range Variants() {
+		enc.EmbedDim, enc.Hidden = 4, 4
+		t.Run(name, func(t *testing.T) {
+			m, samples := inferTestModel(t, enc, Config{WideDim: 4, DeepHidden: 6, RegHidden: 4})
+			fs := make([]featenc.Features, 40)
+			for i := range fs {
+				fs[i] = samples[i%len(samples)].F
+			}
+			check(t, m, fs)
+
+			m = fittedModel(enc, shared)
+			fs = fs[:0]
+			for _, s := range shared {
+				fs = append(fs, s.F)
+			}
+			check(t, m, fs)
+			check(t, m, fs[1:2]) // one pair, its operators 0 and 1 each used three times
+			check(t, m, fs[2:3]) // one pair, no view plan
+		})
+	}
+}
+
+// TestPredictBatchCountsOperatorSharing pins wd.infer.ops and
+// wd.infer.ops.distinct to a batch whose sharing is known — 23 operator
+// uses over 5 distinct operators — and Predict moves neither.
+func TestPredictBatchCountsOperatorSharing(t *testing.T) {
+	samples := sharedOpSamples()
+	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, samples)
+	fs := make([]featenc.Features, 4)
+	for i := range fs {
+		fs[i] = samples[i].F
+	}
+	uses, distinct := obsInferOps.Value(), obsInferOpsDistinct.Value()
+	m.Predict(fs[0])
+	if obsInferOps.Value() != uses || obsInferOpsDistinct.Value() != distinct {
+		t.Errorf("Predict moved the operator-sharing counters")
+	}
+	m.PredictBatch(fs, 1)
+	if got := obsInferOps.Value() - uses; got != 7+7+2+7 {
+		t.Errorf("wd.infer.ops moved by %d, want 23", got)
+	}
+	if got := obsInferOpsDistinct.Value() - distinct; got != 5 {
+		t.Errorf("wd.infer.ops.distinct moved by %d, want 5", got)
 	}
 }
 
@@ -178,5 +228,38 @@ func TestPredictBatchAllocsBatchSizeIndependent(t *testing.T) {
 	const maxPerBatch = 8
 	if aSmall > maxPerBatch {
 		t.Fatalf("PredictBatch per-batch allocs = %v, want <= %d", aSmall, maxPerBatch)
+	}
+}
+
+// TestPredictBatchAllocsIndependentOfOperatorUses: the interner's
+// table, the per-use indices and the operator slab all come from pooled
+// scratch, so the same four pairs over the same three operators cost
+// the same allocations whether each pair's plans hold 5 operator uses
+// or 31.
+func TestPredictBatchAllocsIndependentOfOperatorUses(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops random Put items under -race; allocation counts need the plain build")
+	}
+	disableObs(t)
+	base := sharedOpSamples()
+	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, base)
+	ops := base[0].F.QueryPlan[:3]
+	long := make([][]plan.Tok, 0, 24)
+	for len(long) < 24 {
+		long = append(long, ops...)
+	}
+	var short4, long4 []featenc.Features
+	for i := 0; i < 4; i++ {
+		f := base[i].F
+		f.QueryPlan, f.ViewPlan = ops, ops[:2]
+		short4 = append(short4, f)
+		f.QueryPlan, f.ViewPlan = long, long[:7]
+		long4 = append(long4, f)
+	}
+	m.PredictBatch(long4, 1) // grow the pooled scratch and the arena first
+	aShort := testing.AllocsPerRun(100, func() { m.PredictBatch(short4, 1) })
+	aLong := testing.AllocsPerRun(100, func() { m.PredictBatch(long4, 1) })
+	if aShort != aLong {
+		t.Fatalf("4 pairs, 3 distinct operators: %v allocations with 5 uses per pair, %v with 31", aShort, aLong)
 	}
 }

@@ -19,7 +19,9 @@
 // The graph above is wired exactly twice: Model.forward (float64 tape —
 // training and the bit-exact reference, exposed to tests as
 // PredictReference) and kernels32.inferForward (the float32 mirror
-// behind Predict/PredictBatch). No option selects between them.
+// behind Predict; PredictBatch runs the same pieces with each distinct
+// operator of the batch encoded once, batch.go). No option selects
+// between them.
 package widedeep
 
 import (
@@ -290,42 +292,6 @@ func (m *Model) Predict(f featenc.Features) float64 {
 func (m *Model) PredictReference(f featenc.Features) float64 {
 	y, _ := m.forward(f)
 	return y*m.yStd + m.yMean
-}
-
-// PredictBatch estimates A(q|v) for many feature sets at once, fanning
-// the forward-only passes across parallelism workers (0 selects
-// runtime.NumCPU(); 1 runs serially). Each worker owns one pooled
-// inference arena, reset per element and reused across the whole batch
-// (and, through the pool, across successive batches — the serving
-// micro-batcher's steady state). Forward passes only read the shared
-// weights, so each element of the result is bit-identical to a
-// standalone Predict call regardless of batch composition or
-// concurrency — the property the serving layer's micro-batcher depends
-// on. Results are returned in input order.
-func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
-	defer obs.StartSpan("wd.infer.batch")()
-	obsInferCount.Add(int64(len(fs)))
-	obsInferBatches.Inc()
-	out := make([]float64, len(fs))
-	workers := nn.Workers(len(fs), parallelism)
-	if workers <= 0 {
-		return out
-	}
-	arenas := make([]*nn.Arena, workers)
-	for w := range arenas {
-		arenas[w] = m.arenas.Get()
-	}
-	k := m.kernels() // resolve once; workers share the immutable mirror
-	nn.ParallelForWorker(len(fs), parallelism, func(w, i int) {
-		a := arenas[w]
-		a.Reset()
-		out[i] = k.inferForward(fs[i], a)*m.yStd + m.yMean
-	})
-	for _, a := range arenas {
-		obsArenaBytes.Set(float64(a.Bytes()))
-		m.arenas.Put(a)
-	}
-	return out
 }
 
 // Sample is one training example: features plus the measured cost A(q|v).

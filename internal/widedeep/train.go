@@ -1,9 +1,6 @@
 package widedeep
 
 import (
-	"strconv"
-	"strings"
-
 	"autoview/internal/nn"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
@@ -64,28 +61,11 @@ type batchGrad struct {
 // target scale must be fitted.
 func (m *Model) newBatchGrad(samples []Sample, parallelism int) *batchGrad {
 	g := &batchGrad{m: m, samples: samples, dim: m.Enc.PlanDim()}
-	ids := make(map[string]int)
-	var key strings.Builder
+	var ops opInterner
 	intern := func(p [][]plan.Tok) []int {
 		out := make([]int, len(p))
 		for i, seq := range p {
-			key.Reset()
-			for _, t := range seq {
-				key.WriteString(strconv.Itoa(len(t.Text)))
-				if t.Str {
-					key.WriteByte('s')
-				} else {
-					key.WriteByte('k')
-				}
-				key.WriteString(t.Text)
-			}
-			id, ok := ids[key.String()]
-			if !ok {
-				id = len(g.seqs)
-				ids[key.String()] = id
-				g.seqs = append(g.seqs, seq)
-			}
-			out[i] = id
+			out[i] = ops.intern(seq)
 		}
 		return out
 	}
@@ -93,6 +73,7 @@ func (m *Model) newBatchGrad(samples []Sample, parallelism int) *batchGrad {
 	for i, s := range samples {
 		g.qIDs[i], g.vIDs[i] = intern(s.F.QueryPlan), intern(s.F.ViewPlan)
 	}
+	g.seqs = ops.seqs
 	g.slot = make([]int, len(g.seqs))
 	for i := range g.slot {
 		g.slot[i] = -1
