@@ -9,8 +9,8 @@
 // The packages are listed and type-checked in process (lint.Load, one
 // `go list -export -deps`) and analyzed in dependency order, so the
 // dataflow analyzers' per-function facts — "returns arena-backed
-// memory", "hands out pooled values", "this field is atomic" — are
-// enforced at call sites in other packages. `make lint` and
+// memory", "hands out pooled values", "returns its parameter to the
+// pool" — are enforced at call sites in other packages. `make lint` and
 // internal/lint's TestLintSelfClean run this same path.
 package main
 

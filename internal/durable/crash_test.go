@@ -161,7 +161,7 @@ func compareState(t *testing.T, label string, got *State, k int) {
 		t.Fatalf("%s: viewset = %s, want %s", label, got.ViewSet, want.ViewSet)
 	}
 	if got.ModelPath != want.ModelPath || got.ModelVersion != want.ModelVersion ||
-		got.ModelScale != want.ModelScale { //lint:allow floateq the scale must survive the JSON round trip bit-exactly
+		got.ModelScale != want.ModelScale { // the scale must survive the JSON round trip bit-exactly
 		t.Fatalf("%s: model = %q v%d scale %v, want %q v%d scale %v", label,
 			got.ModelPath, got.ModelVersion, got.ModelScale, want.ModelPath, want.ModelVersion, want.ModelScale)
 	}

@@ -77,7 +77,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if st.WindowTotal != 3 {
 		t.Fatalf("total = %d", st.WindowTotal)
 	}
-	if st.ModelPath != "model-v1.ckpt" || st.ModelScale != 2.5 || st.ModelVersion != 1 { //lint:allow floateq scale must round-trip bit-exactly
+	if st.ModelPath != "model-v1.ckpt" || st.ModelScale != 2.5 || st.ModelVersion != 1 { // scale must round-trip bit-exactly
 		t.Fatalf("model = %+v", st)
 	}
 	if string(st.ViewSet) != `{"version":7}` {

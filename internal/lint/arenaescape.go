@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // ArenaEscape checks the lifetime contract of nn.Arena scratch memory
@@ -94,18 +95,12 @@ func runArenaEscape(pass *Pass) error {
 			// Function literals are their own scopes: a captured arena
 			// slice crossing the closure boundary is out of reach for
 			// this intra-procedural pass, but carving and leaking
-			// entirely inside the literal is not.
+			// entirely inside the literal is not. A literal exports no
+			// fact, so one that returns a carve is a finding even when
+			// the arena is its parameter: name the helper.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					litTakes := false
-					if sig, ok := pass.Info.TypeOf(lit).(*types.Signature); ok {
-						for i := 0; i < sig.Params().Len(); i++ {
-							if isNNArena(sig.Params().At(i).Type()) {
-								litTakes = true
-							}
-						}
-					}
-					checkArenaScope(pass, lit.Body, litTakes)
+					checkArenaScope(pass, lit.Body, false)
 				}
 				return true
 			})
@@ -334,28 +329,14 @@ func (a *arenaFlow) tainted(expr ast.Expr) bool {
 		if indices := a.arenaResultIndices(e); containsIndex(indices, 0) && singleResult(a.pass.Info, e) {
 			return true
 		}
-		// append taints when it can keep arena-backed memory alive: a
+		// append with any arena-backed argument is arena-backed: a
 		// tainted destination may be grown in place, and a tainted
-		// slice stored as an element keeps its header. Spreading with
-		// `append(dst, src...)` copies src's elements, which detaches
-		// scalars (but not element slices — their headers are copied).
+		// slice stored or spread as an element keeps its header.
+		// (Spreading tainted scalars does copy them out; copy() into
+		// a made slice is the form that says so.)
 		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-			if b, ok := a.pass.Info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "append" && len(e.Args) > 0 {
-				if a.tainted(e.Args[0]) {
-					return true
-				}
-				for _, arg := range e.Args[1:] {
-					if !a.tainted(arg) {
-						continue
-					}
-					if e.Ellipsis.IsValid() && arg == e.Args[len(e.Args)-1] {
-						if st, ok := a.pass.Info.TypeOf(arg).Underlying().(*types.Slice); ok && sliceTyped(st.Elem()) {
-							return true
-						}
-						continue
-					}
-					return true
-				}
+			if b, ok := a.pass.Info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "append" {
+				return slices.ContainsFunc(e.Args, a.tainted)
 			}
 		}
 		return false

@@ -2,127 +2,44 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// AtomicField checks access-mode consistency for struct fields that go
-// through sync/atomic: a field updated with atomic.AddUint64 (or any of
-// the function-style atomics) anywhere in the module must be accessed
-// atomically everywhere. A single plain read racing an atomic writer is
-// undefined under the Go memory model — and it is exactly the bug the
-// race detector only catches when the schedule cooperates, which is why
-// it belongs to a static gate.
+// AtomicField bans the function-style sync/atomic API
+// (atomic.AddInt64(&c.n, 1), atomic.LoadPointer, ...). A word driven
+// through those functions is an ordinary field or variable that any
+// other line may also touch plainly, and one plain read racing an atomic
+// writer is undefined under the Go memory model — the bug the race
+// detector only catches when the schedule cooperates. The typed atomics
+// (atomic.Int64, atomic.Pointer[T], ...) make the mix unrepresentable,
+// and the tree uses nothing else.
 //
 // Flagged:
 //
-//	atomic.AddUint64(&c.hits, 1)   // one goroutine
-//	...
-//	total := c.hits                // another: plain read of an atomic field
+//	atomic.AddUint64(&c.hits, 1)
+//	total := atomic.LoadUint64(&c.hits)
 //
 // Conforming:
 //
-//	total := atomic.LoadUint64(&c.hits)
-//
-//	c := &Counter{}
-//	c.hits = restored              // recognized idiom: the struct is
-//	go c.serve()                   // function-local here, not yet
-//	                               // shared, so plain init is safe
-//
-// The recognized idiom covers single-goroutine initialization: plain
-// access through a variable declared in the same function body (the
-// value cannot be shared yet). Plain access before a `go` statement in
-// some other shape needs a //lint:allow atomicfield waiver — tag vetted
-// single-writer sites atomicfield(audit) (LINTING.md "Audit notes").
-//
-// Fields are tracked by their declaring package/type/name through the
-// fact store (facts.go), so a field driven atomically in internal/serve
-// is protected against plain touches in every dependent package.
-//
-// Typed atomics (atomic.Int64, atomic.Pointer[T]) make this class of
-// bug unrepresentable and are the preferred fix; the analyzer concerns
-// itself with the function-style API where mixing remains possible.
+//	type counter struct{ hits atomic.Uint64 }
+//	c.hits.Add(1)
+//	total := c.hits.Load()
 var AtomicField = &Analyzer{
-	Name:  "atomicfield",
-	Doc:   "a struct field accessed via sync/atomic anywhere must be accessed atomically everywhere",
-	Run:   runAtomicField,
-	Facts: atomicFieldFacts,
-}
-
-// atomicFieldFacts records every struct field this package passes by
-// address into a function-style sync/atomic call, keyed by declaring
-// package/type/field.
-func atomicFieldFacts(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicFnCall(pass.Info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				if sel := addressedField(arg); sel != nil {
-					if key := fieldKeyOf(pass.Info, sel); key != "" {
-						pass.OwnFacts.AtomicFields[key] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
+	Name: "atomicfield",
+	Doc:  "no function-style sync/atomic calls: declare the word as a typed atomic (atomic.Int64, atomic.Pointer[T])",
+	Run:  runAtomicField,
 }
 
 func runAtomicField(pass *Pass) error {
 	for _, f := range pass.Files {
-		// Selector nodes that are the &field argument of an atomic call:
-		// these are the sanctioned accesses.
-		sanctioned := make(map[*ast.SelectorExpr]bool)
-		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok && isAtomicFnCall(pass.Info, call) {
-				for _, arg := range call.Args {
-					if sel := addressedField(arg); sel != nil {
-						sanctioned[sel] = true
-					}
-				}
-				return true
+				pass.Reportf(call.Pos(), "function-style atomic.%s leaves its operand open to plain access that races it; declare the word as a typed atomic (atomic.Int64, atomic.Pointer[T], ...) and call its method", calleeFunc(pass.Info, call).Name())
 			}
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || sanctioned[sel] {
-				return true
-			}
-			key := fieldKeyOf(pass.Info, sel)
-			if key == "" || !fieldIsAtomic(pass, key) {
-				return true
-			}
-			// Single-goroutine-init idiom: the struct value is a local of
-			// the enclosing function (parameters and receivers live in
-			// the func type, outside the body, so they don't qualify),
-			// meaning nothing else can observe the plain access yet.
-			if base := baseIdent(sel.X); base != nil {
-				obj := pass.Info.ObjectOf(base)
-				if fn := enclosingFunc(stack); fn != nil && declaredWithin(obj, funcBody(fn)) {
-					return true
-				}
-			}
-			pass.Reportf(sel.Pos(), "field %s is accessed via sync/atomic elsewhere; this plain access races with the atomic users — use atomic.Load/Store (or migrate the field to a typed atomic)", shortKey(key))
 			return true
 		})
 	}
 	return nil
-}
-
-// fieldIsAtomic reports whether any analyzed package (this one included)
-// recorded an atomic access to the field key.
-func fieldIsAtomic(pass *Pass, key string) bool {
-	if pass.OwnFacts.AtomicFields[key] {
-		return true
-	}
-	for _, pf := range pass.Facts.Pkgs {
-		if pf.AtomicFields[key] {
-			return true
-		}
-	}
-	return false
 }
 
 // isAtomicFnCall reports whether the call invokes a function-style
@@ -136,15 +53,4 @@ func isAtomicFnCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
-}
-
-// addressedField returns the field selector inside an &x.f argument, or
-// nil.
-func addressedField(arg ast.Expr) *ast.SelectorExpr {
-	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil
-	}
-	sel, _ := ast.Unparen(un.X).(*ast.SelectorExpr)
-	return sel
 }

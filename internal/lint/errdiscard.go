@@ -7,8 +7,8 @@ import (
 )
 
 // neverFails recognizes writes whose error is documented to always be
-// nil: *bytes.Buffer and *strings.Builder methods, and formatted
-// writes (fmt.Fprint*, io.WriteString) targeting one of those.
+// nil: *bytes.Buffer and *strings.Builder methods, and fmt.Fprint*
+// targeting one of those.
 func neverFails(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -17,10 +17,7 @@ func neverFails(info *types.Info, call *ast.CallExpr) bool {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		return isInfallibleWriter(sig.Recv().Type())
 	}
-	pkg := fn.Pkg().Path()
-	writerArg := pkg == "fmt" && strings.HasPrefix(fn.Name(), "Fprint") ||
-		pkg == "io" && fn.Name() == "WriteString"
-	if writerArg && len(call.Args) > 0 {
+	if fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Fprint") && len(call.Args) > 0 {
 		if t := info.TypeOf(call.Args[0]); t != nil {
 			return isInfallibleWriter(t)
 		}
@@ -56,7 +53,7 @@ func isInfallibleWriter(t types.Type) bool {
 //
 // Writes that are documented to never fail carry no signal and are
 // excluded: methods on *bytes.Buffer and *strings.Builder, and
-// fmt.Fprint* / io.WriteString whose destination is one of those.
+// fmt.Fprint* whose destination is one of those.
 //
 // The analyzer runs only on packages under internal/ (the drivers apply
 // the scope), matching the issue's contract.

@@ -6,13 +6,13 @@ import (
 )
 
 // Cross-package fact plumbing for the resource-discipline analyzers
-// (arenaescape, poolpair, atomicfield). A fact is a function or field
-// summary one package exports so its dependents can be checked without
-// re-analyzing the dependency: "Linear.Infer returns arena-backed
-// memory", "GetBuf hands out a pooled value", "Counter.n is accessed
-// atomically". Facts flow in dependency order — RunAnalyzers analyzes a
-// package's imports first (topoSort) — so a helper in internal/nn
-// propagates its contract to call sites in widedeep, serve, and rl.
+// (arenaescape, poolpair). A fact is a function summary one package
+// exports so its dependents can be checked without re-analyzing the
+// dependency: "Linear.Infer returns arena-backed memory", "GetBuf hands
+// out a pooled value", "PutBuf returns its parameter to that pool".
+// Facts flow in dependency order — RunAnalyzers analyzes a package's
+// imports first (topoSort) — so a helper in internal/nn propagates its
+// contract to call sites in widedeep, serve, and rl.
 
 // A FactStore holds the fact summaries of every package analyzed so
 // far, keyed by import path. The zero value is not usable; call
@@ -36,10 +36,6 @@ type PackageFacts struct {
 	// PoolPutters maps a function key to the pool its parameter is
 	// returned to.
 	PoolPutters map[string]PutterFact
-	// AtomicFields is the set of struct-field keys (Type.Field) the
-	// package accesses through sync/atomic functions; every other
-	// access to those fields, in any package, must be atomic too.
-	AtomicFields map[string]bool
 }
 
 // A PutterFact records that calling the function returns parameter
@@ -62,7 +58,6 @@ func (s *FactStore) Pkg(path string) *PackageFacts {
 			ArenaReturns: make(map[string][]int),
 			PoolGetters:  make(map[string]string),
 			PoolPutters:  make(map[string]PutterFact),
-			AtomicFields: make(map[string]bool),
 		}
 		s.Pkgs[path] = pf
 	}

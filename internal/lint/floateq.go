@@ -13,10 +13,9 @@ import (
 // bit-identical guarantee exists to prevent. Compare against an epsilon
 // or math.Abs(a-b) <= tol instead.
 //
-// Two shapes are deliberately not flagged:
-//
-//   - constant comparisons (both operands compile-time constants);
-//   - the NaN self-test `x != x` / `x == x`.
+// One shape is deliberately not flagged: a comparison whose operands are
+// both compile-time constants, which folds exactly. The NaN self-test
+// `x != x` is flagged like any other; write math.IsNaN(x).
 //
 // Comparisons against an exact sentinel (x == 0) are still flagged;
 // when the zero truly is exact — an uninitialized-field check, a
@@ -31,7 +30,7 @@ import (
 // greppable and distinct from ordinary sentinel waivers (LINTING.md).
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "flag ==/!= between floating-point operands outside _test.go",
+	Doc:  "flag ==/!= between floating-point operands",
 	Run:  runFloatEq,
 }
 
@@ -49,10 +48,7 @@ func runFloatEq(pass *Pass) error {
 			if xt.Value != nil && yt.Value != nil {
 				return true // constant-folded: exact by construction
 			}
-			if isSelfCompare(pass.Info, bin) {
-				return true // NaN test
-			}
-			pass.Reportf(bin.OpPos, "floating-point %s comparison is exact and breaks under re-ordered reductions; compare with a tolerance (or //lint:allow floateq if the value is a never-computed sentinel)", bin.Op)
+			pass.Reportf(bin.OpPos, "floating-point %s comparison is exact and breaks under re-ordered reductions; compare with a tolerance (math.IsNaN for a NaN test; //lint:allow floateq if the value is a never-computed sentinel)", bin.Op)
 			return true
 		})
 	}
@@ -66,23 +62,4 @@ func defaultType(tv types.TypeAndValue) types.Type {
 		return types.Typ[types.Invalid]
 	}
 	return types.Default(tv.Type)
-}
-
-// isSelfCompare reports whether both operands are the same simple
-// variable or selector chain (`x != x`, `s.v == s.v`) — the idiomatic
-// NaN check.
-func isSelfCompare(info *types.Info, bin *ast.BinaryExpr) bool {
-	return samePath(info, ast.Unparen(bin.X), ast.Unparen(bin.Y))
-}
-
-func samePath(info *types.Info, a, b ast.Expr) bool {
-	switch a := a.(type) {
-	case *ast.Ident:
-		b, ok := b.(*ast.Ident)
-		return ok && info.ObjectOf(a) != nil && info.ObjectOf(a) == info.ObjectOf(b)
-	case *ast.SelectorExpr:
-		b, ok := b.(*ast.SelectorExpr)
-		return ok && a.Sel.Name == b.Sel.Name && samePath(info, ast.Unparen(a.X), ast.Unparen(b.X))
-	}
-	return false
 }

@@ -246,62 +246,3 @@ func baseIdent(expr ast.Expr) *ast.Ident {
 func isPackageLevel(obj types.Object) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }
-
-// elseStmts flattens an else arm (block or else-if chain) into a
-// statement list.
-func elseStmts(s ast.Stmt) []ast.Stmt {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return s.List
-	case nil:
-		return nil
-	default: // else-if
-		return []ast.Stmt{s}
-	}
-}
-
-// callsBuiltinCap reports whether the expression contains a call to the
-// builtin cap — the signature of the pooled-buffer retention-cap drop
-// idiom (`if cap(b) > limit { return }`).
-func callsBuiltinCap(info *types.Info, expr ast.Expr) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if b, ok := info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "cap" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isPanicOrExit reports whether the statement unconditionally aborts
-// control flow (panic, os.Exit, log.Fatal*): paths through it never
-// reach the function's normal exits.
-func isPanicOrExit(info *types.Info, s ast.Stmt) bool {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "panic" {
-			return true
-		}
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	path, name := fn.Pkg().Path(), fn.Name()
-	return path == "os" && name == "Exit" ||
-		path == "log" && strings.HasPrefix(name, "Fatal")
-}

@@ -13,19 +13,19 @@
 //   - maporder: no map-iteration-order leakage into slices, float
 //     accumulators, or RNG draws.
 //   - spanend: every obs.StartSpan result is ended (normally by defer).
-//   - floateq: no ==/!= between floating-point operands outside tests.
+//   - floateq: no ==/!= between floating-point operands.
 //   - errdiscard: no silently dropped error returns in internal/.
 //   - arenaescape: memory carved from an *nn.Arena must not outlive
 //     the arena's Reset (no stores to fields, globals, or channels; no
 //     returns except through an arena-parameter helper).
-//   - poolpair: every sync.Pool Get reaches a matching Put on all
-//     paths (the retention-cap drop idiom is recognized).
-//   - atomicfield: a struct field accessed through sync/atomic
-//     anywhere is accessed atomically everywhere.
+//   - poolpair: after v := Get from a sync.Pool, a Put of v comes
+//     before anything that can leave the block (write defer, or waive).
+//   - atomicfield: no function-style sync/atomic calls; shared words
+//     are typed atomics.
 //
-// The last three are dataflow-aware and exchange cross-package function
-// and field summaries ("facts", facts.go) so helper contracts in
-// internal/nn propagate to call sites in widedeep, serve, and rl.
+// arenaescape and poolpair exchange cross-package function summaries
+// ("facts", facts.go) so helper contracts in internal/nn propagate to
+// call sites in widedeep, serve, and rl.
 //
 // One driver runs them: Load lists and type-checks the packages through
 // `go list`, RunAnalyzers applies the suite in dependency order —
@@ -45,6 +45,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,7 +60,7 @@ type Analyzer struct {
 	Doc string
 	// Run analyzes a single package.
 	Run func(*Pass) error
-	// Facts, if set, extracts the package's exported function/field
+	// Facts, if set, extracts the package's exported function
 	// summaries into pass.OwnFacts. RunAnalyzers calls it for every
 	// package — dependencies included, in dependency order — before any
 	// dependent's Run, so cross-package contracts propagate (facts.go).
@@ -141,12 +142,17 @@ func AppliesTo(a *Analyzer, pkgPath string) bool {
 // consumers; fact-only packages (dependencies loaded just for their
 // summaries) contribute facts but no diagnostics.
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	return runAnalyzers(analyzers, pkgs, NewFactStore())
+	diags, err := runAnalyzers(analyzers, pkgs, NewFactStore())
+	if err != nil {
+		return nil, err
+	}
+	return filterSuppressed(diags, pkgs), nil
 }
 
-// runAnalyzers is RunAnalyzers over a caller-held store, which
-// accumulates every analyzed package's facts (TestLintSelfClean asserts
-// the load-bearing ones were extracted).
+// runAnalyzers is RunAnalyzers before suppression, over a caller-held
+// store that accumulates every analyzed package's facts. The whole-module
+// tests read both: the load-bearing facts must have been extracted, and
+// every waiver must still cover a finding.
 func runAnalyzers(analyzers []*Analyzer, pkgs []*Package, store *FactStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range topoSort(pkgs) {
@@ -181,7 +187,6 @@ func runAnalyzers(analyzers []*Analyzer, pkgs []*Package, store *FactStore) ([]D
 			}
 		}
 	}
-	diags = filterSuppressed(diags, pkgs)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -195,16 +200,22 @@ func runAnalyzers(analyzers []*Analyzer, pkgs []*Package, store *FactStore) ([]D
 	return diags, nil
 }
 
-// allowKey identifies a (file, line) pair that a suppression comment
-// covers.
-type allowKey struct {
-	file string
-	line int
+// A waiver is one //lint:allow comment: where it sits and the analyzer
+// names it waives. A trailing comment covers its own line; a standalone
+// comment line covers the line below it.
+type waiver struct {
+	file  string
+	line  int
+	names []string
 }
 
-// allowedLines maps every line covered by a //lint:allow comment to the
-// analyzer names it waives. A trailing comment covers its own line; a
-// standalone comment line covers the line below it.
+// covers reports whether the waiver suppresses d.
+func (w waiver) covers(d Diagnostic) bool {
+	return d.Pos.Filename == w.file && (d.Pos.Line == w.line || d.Pos.Line == w.line+1) &&
+		(slices.Contains(w.names, d.Analyzer) || slices.Contains(w.names, "all"))
+}
+
+// waivers lists the //lint:allow comments of files.
 //
 // A name may carry the audit tag — `//lint:allow floateq(audit) <why>` —
 // marking the suppression as part of a vetted comparison helper (the
@@ -213,8 +224,8 @@ type allowKey struct {
 // self-documenting for reviewers and greppable (`rg 'floateq\(audit\)'`
 // lists every audited comparison); an unknown tag waives nothing, so a
 // typo fails loud by letting the diagnostic through.
-func allowedLines(fset *token.FileSet, files []*ast.File) map[allowKey][]string {
-	allowed := make(map[allowKey][]string)
+func waivers(fset *token.FileSet, files []*ast.File) []waiver {
+	var out []waiver
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -222,20 +233,13 @@ func allowedLines(fset *token.FileSet, files []*ast.File) map[allowKey][]string 
 				if !ok {
 					continue
 				}
-				names := strings.FieldsFunc(strings.TrimSpace(text), func(r rune) bool {
-					return r == ',' || r == ' '
-				})
-				if len(names) == 0 {
-					continue
-				}
-				// Everything after the first comma-free token run is a
-				// free-form reason; only leading tokens that match an
-				// analyzer name count.
-				var waived []string
-				for _, n := range names {
+				// Everything after the leading run of analyzer names is a
+				// free-form reason.
+				pos := fset.Position(c.Pos())
+				w := waiver{file: pos.Filename, line: pos.Line}
+				for _, n := range strings.FieldsFunc(text, func(r rune) bool { return r == ',' || r == ' ' }) {
 					if base, tag, tagged := strings.Cut(n, "("); tagged {
-						tag, closed := strings.CutSuffix(tag, ")")
-						if !closed || tag != "audit" {
+						if tag != "audit)" {
 							break // unknown tag: waive nothing
 						}
 						n = base
@@ -243,39 +247,21 @@ func allowedLines(fset *token.FileSet, files []*ast.File) map[allowKey][]string 
 					if ByName(n) == nil && n != "all" {
 						break
 					}
-					waived = append(waived, n)
+					w.names = append(w.names, n)
 				}
-				pos := fset.Position(c.Pos())
-				for _, l := range []int{pos.Line, pos.Line + 1} {
-					k := allowKey{pos.Filename, l}
-					allowed[k] = append(allowed[k], waived...)
-				}
+				out = append(out, w)
 			}
 		}
 	}
-	return allowed
+	return out
 }
 
 func filterSuppressed(diags []Diagnostic, pkgs []*Package) []Diagnostic {
-	allowed := make(map[allowKey][]string)
+	var ws []waiver
 	for _, pkg := range pkgs {
-		for k, v := range allowedLines(pkg.Fset, pkg.Files) {
-			allowed[k] = append(allowed[k], v...)
-		}
+		ws = append(ws, waivers(pkg.Fset, pkg.Files)...)
 	}
-	kept := diags[:0]
-	for _, d := range diags {
-		names := allowed[allowKey{d.Pos.Filename, d.Pos.Line}]
-		waived := false
-		for _, n := range names {
-			if n == d.Analyzer || n == "all" {
-				waived = true
-				break
-			}
-		}
-		if !waived {
-			kept = append(kept, d)
-		}
-	}
-	return kept
+	return slices.DeleteFunc(diags, func(d Diagnostic) bool {
+		return slices.ContainsFunc(ws, func(w waiver) bool { return w.covers(d) })
+	})
 }

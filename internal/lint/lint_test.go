@@ -10,11 +10,14 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -54,9 +57,9 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	}
 
 	wants := parseWants(t, l.fset, pkg.Files)
-	got := make(map[allowKey][]Diagnostic)
+	got := make(map[lineKey][]Diagnostic)
 	for _, d := range diags {
-		k := allowKey{d.Pos.Filename, d.Pos.Line}
+		k := lineKey{d.Pos.Filename, d.Pos.Line}
 		got[k] = append(got[k], d)
 	}
 	for k, res := range wants {
@@ -85,10 +88,16 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
+// lineKey is one source line, for matching diagnostics to expectations.
+type lineKey struct {
+	file string
+	line int
+}
+
 // parseWants extracts the backquoted "// want" regexes, keyed by line.
-func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[allowKey][]*regexp.Regexp {
+func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[lineKey][]*regexp.Regexp {
 	t.Helper()
-	wants := make(map[allowKey][]*regexp.Regexp)
+	wants := make(map[lineKey][]*regexp.Regexp)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -97,7 +106,7 @@ func parseWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[allowK
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				k := allowKey{pos.Filename, pos.Line}
+				k := lineKey{pos.Filename, pos.Line}
 				for _, pat := range strings.Split(text, "`") {
 					pat = strings.TrimSpace(pat)
 					if pat == "" {
@@ -319,27 +328,39 @@ func cmp(a, b float64) bool {
 	}
 }
 
+// loadModule loads the whole module once for the tests that read it and
+// runs the full suite over it: the packages, the diagnostics before
+// suppression, and the facts extracted on the way. These are the two
+// calls `make lint` makes through cmd/autoviewlint, split at
+// suppression so the waivers themselves can be checked.
+var loadModule = sync.OnceValues(func() (m struct {
+	pkgs  []*Package
+	raw   []Diagnostic
+	store *FactStore
+}, err error) {
+	if m.pkgs, err = Load("../..", "./..."); err != nil {
+		return m, err
+	}
+	m.store = NewFactStore()
+	m.raw, err = runAnalyzers(Analyzers(), m.pkgs, m.store)
+	return m, err
+})
+
 // TestLintSelfClean runs the full eight-analyzer suite over the
 // repository itself, in-process: the tree must stay free of
 // unsuppressed findings (every intentional violation carries a
-// //lint:allow reason, vetted sites the (audit) tag; LINTING.md).
-// These are the two calls `make lint` makes through cmd/autoviewlint,
-// kept as a test so a new analyzer (or a regression in an old one)
-// cannot land findings silently.
+// //lint:allow reason, vetted sites the (audit) tag; LINTING.md), kept
+// as a test so a new analyzer (or a regression in an old one) cannot
+// land findings silently.
 func TestLintSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module; skipped in -short")
 	}
-	pkgs, err := Load("../..", "./...")
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewFactStore()
-	diags, err := runAnalyzers(Analyzers(), pkgs, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	for _, d := range filterSuppressed(slices.Clone(m.raw), m.pkgs) {
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 
@@ -357,7 +378,7 @@ func TestLintSelfClean(t *testing.T) {
 		{"autoview/internal/featenc", "arena", "Encoder32.InferPlan"},
 	}
 	for _, c := range checks {
-		pf := store.lookup(c.pkg)
+		pf := m.store.lookup(c.pkg)
 		if pf == nil {
 			t.Errorf("no facts recorded for %s", c.pkg)
 			continue
@@ -374,6 +395,211 @@ func TestLintSelfClean(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: missing %s fact %q\n  getters=%v\n  putters=%v\n  arena=%v",
 				c.pkg, c.kind, c.key, pf.PoolGetters, pf.PoolPutters, pf.ArenaReturns)
+		}
+	}
+
+	// Test files are not analyzed (Load reads GoFiles), so a waiver in
+	// one waives nothing and teaches the wrong habit. internal/lint's
+	// own tests quote the syntax; bench/ is a separate, frozen module.
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if rel, _ := filepath.Rel("../..", path); d.IsDir() && (rel == "bench" || rel == filepath.Join("internal", "lint")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.Contains(line, "//lint:allow ") {
+				t.Errorf("%s:%d: //lint:allow in a test file waives nothing (test files are not analyzed); delete it", path, i+1)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaiversLoadBearing fails naming any //lint:allow in the module
+// that suppresses nothing: every analyzer a waiver names must report on
+// the line it covers, so a waiver cannot outlive the code it excused
+// (and one whose names were all mistyped — it waives nothing — fails
+// here too).
+func TestWaiversLoadBearing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the whole module; skipped in -short")
+	}
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, pkg := range m.pkgs {
+		for _, w := range waivers(pkg.Fset, pkg.Files) {
+			n++
+			if len(w.names) == 0 {
+				t.Errorf("%s:%d: //lint:allow names no analyzer", w.file, w.line)
+			}
+			for _, name := range w.names {
+				one := waiver{file: w.file, line: w.line, names: []string{name}}
+				if !slices.ContainsFunc(m.raw, one.covers) {
+					t.Errorf("%s:%d: stale waiver: %s reports nothing on this line or the next; delete the //lint:allow", w.file, w.line, name)
+				}
+			}
+		}
+	}
+	// The count is the "waivers" column of PERFORMANCE.md's audit rows
+	// (o)–(w); a change here is a change there.
+	if n != 18 {
+		t.Errorf("module carries %d waivers, PERFORMANCE.md's audit table says 18", n)
+	}
+}
+
+// TestReintroducedBugs puts one historical (or one-edit-away) bug back
+// into the real file each analyzer protects and requires exactly that
+// analyzer to fire on the mutated line — the fixtures prove the rules,
+// this proves the rules still meet the code. Each case type-checks the
+// real package with one file swapped for a mutated copy; the text to
+// mutate is matched, not positioned, so a case whose site was rewritten
+// fails instead of rotting.
+func TestReintroducedBugs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the whole module; skipped in -short")
+	}
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, exports, err := goList("../..", []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, analyzer string
+		pkg, file      string
+		old, new       string // old occurs exactly once in file
+		at             string // text on the line the diagnostic must land on
+	}{{
+		name: "PR 3: Manager.Views returned map order", analyzer: "maporder",
+		pkg: "autoview/internal/rewrite", file: "rewrite.go",
+		old: "\tsort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })\n",
+		at:  "out = append(out, v)",
+	}, {
+		name: "PR 3: obs swallowed srv.Serve's error", analyzer: "errdiscard",
+		pkg: "autoview/internal/obs", file: "http.go",
+		old: "\t\tdefer close(h.done)\n",
+		new: "\t\tdefer close(h.done)\n\t\th.srv.Serve(ln)\n",
+		at:  "h.srv.Serve(ln)",
+	}, {
+		name: "PR 8: the 504 path drops its scratch, unwaived", analyzer: "poolpair",
+		pkg: "autoview/internal/serve", file: "handlers.go",
+		old: "\t\t//lint:allow poolpair(audit) deliberate drop: recycling would put a buffer under a live batcher writer\n",
+		at:  "return",
+	}, {
+		name: "early return between arenas.Get and Put in Predict", analyzer: "poolpair",
+		pkg: "autoview/internal/widedeep", file: "model.go",
+		old: "\ty := m.kernels().inferForward(f, a)\n",
+		new: "\ty := m.kernels().inferForward(f, a)\n\tif y < 0 {\n\t\treturn 0\n\t}\n",
+		at:  "return 0",
+	}, {
+		name: "batch slab carved from a pooled arena", analyzer: "arenaescape",
+		pkg: "autoview/internal/widedeep", file: "batch.go",
+		old: "sc.slab = make(nn.Vec32, len(distinct)*dim)",
+		new: "sc.slab = m.arenas.Get().Vec32(len(distinct) * dim)",
+		at:  "sc.slab = m.arenas.Get()",
+	}, {
+		name: "defer StartSpan without the trailing ()", analyzer: "spanend",
+		pkg: "autoview/internal/widedeep", file: "model.go",
+		old: "\tdefer obs.StartSpan(\"wd.infer\")()\n",
+		new: "\tdefer obs.StartSpan(\"wd.infer\")\n",
+		at:  "defer obs.StartSpan",
+	}, {
+		name: "ambient rand in the workload generator", analyzer: "randsource",
+		pkg: "autoview/internal/workload", file: "wk.go",
+		old: "Rows: 200 + rng.Intn(200)",
+		new: "Rows: 200 + rand.Intn(200)",
+		at:  "rand.Intn(200)",
+	}, {
+		name: "a counter driven by function-style atomics", analyzer: "atomicfield",
+		pkg: "autoview/internal/obs", file: "metric.go",
+		old: "\tname, help string\n}\n\n// Inc adds one.\nfunc (c *Counter) Inc() { c.v.Add(1) }\n",
+		new: "\tname, help string\n\tn          int64\n}\n\n// Inc adds one.\nfunc (c *Counter) Inc() { atomic.AddInt64(&c.n, 1) }\n",
+		at:  "atomic.AddInt64(&c.n, 1)",
+	}, {
+		name: "AlmostEqual's exact short-circuit, unwaived", analyzer: "floateq",
+		pkg: "autoview/internal/nn", file: "almost.go",
+		old: "if a == b { //lint:allow floateq(audit) exact-equality short-circuit of the vetted tolerance helper (handles equal infinities)\n",
+		new: "if a == b {\n",
+		at:  "if a == b {",
+	}}
+	covered := make(map[string]bool)
+	for _, c := range cases {
+		covered[c.analyzer] = true
+		t.Run(c.analyzer+"/"+c.file, func(t *testing.T) {
+			var target *listPkg
+			for _, lp := range targets {
+				if lp.ImportPath == c.pkg {
+					target = lp
+				}
+			}
+			if target == nil {
+				t.Fatalf("package %s is gone; move the case to where %q lives now", c.pkg, c.name)
+			}
+			src, err := os.ReadFile(filepath.Join(target.Dir, c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(src), c.old); n != 1 {
+				t.Fatalf("%s/%s: the text to mutate occurs %d times, want 1 — the site changed; rewrite the case against what protects it now:\n%s", c.pkg, c.file, n, c.old)
+			}
+			mutated := filepath.Join(t.TempDir(), c.file)
+			text := strings.Replace(string(src), c.old, c.new, 1)
+			if err := os.WriteFile(mutated, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			files := slices.Clone(target.GoFiles)
+			files[slices.Index(files, c.file)] = mutated
+			fset := token.NewFileSet()
+			pkg, err := checkPackage(fset, exportImporter(fset, exports), c.pkg, target.Dir, files)
+			if err != nil {
+				t.Fatalf("mutated %s no longer type-checks: %v", c.file, err)
+			}
+			// Every other module package rides along fact-only, as Load
+			// would hand them over for `autoviewlint ./<pkg>`.
+			pkgs := []*Package{pkg}
+			for _, p := range m.pkgs {
+				if p.Pkg.Path() != c.pkg {
+					dep := *p
+					dep.FactOnly = true
+					pkgs = append(pkgs, &dep)
+				}
+			}
+			diags, err := RunAnalyzers(Analyzers(), pkgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(diags) != 1 || diags[0].Analyzer != c.analyzer || diags[0].Pos.Filename != mutated ||
+				!strings.Contains(strings.Split(text, "\n")[diags[0].Pos.Line-1], c.at) {
+				t.Fatalf("%s: want exactly one %s finding on the line holding %q, got %v", c.name, c.analyzer, c.at, diags)
+			}
+			// And it is that analyzer's catch: the suite without it is blind
+			// to the mutation.
+			rest := slices.DeleteFunc(Analyzers(), func(a *Analyzer) bool { return a.Name == c.analyzer })
+			if diags, err = RunAnalyzers(rest, pkgs); err != nil || len(diags) != 0 {
+				t.Fatalf("%s: without %s the suite should report nothing, got %v (err %v)", c.name, c.analyzer, diags, err)
+			}
+		})
+	}
+	for _, a := range Analyzers() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no reintroduction case", a.Name)
 		}
 	}
 }

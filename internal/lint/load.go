@@ -53,38 +53,10 @@ type listPkg struct {
 // internal/nn helpers return arena-backed memory). Standard-library
 // dependencies export no facts and stay export-data-only.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+	targets, exports, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
-
-	exports := make(map[string]string)
-	var targets []*listPkg
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly || !p.Standard {
-			q := p
-			targets = append(targets, &q)
-		}
-	}
-
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, exports)
 	var pkgs []*Package
@@ -97,6 +69,41 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// goList runs the listing half of Load: the non-standard-library
+// packages to type-check from source, and every package's export data
+// file by import path.
+func goList(dir string, patterns []string) (targets []*listPkg, exports map[string]string, err error) {
+	args := append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+	}
+
+	exports = make(map[string]string)
+	dec := json.NewDecoder(&stdout)
+	for {
+		var p listPkg
+		if err := dec.Decode(&p); err == io.EOF {
+			return targets, exports, nil
+		} else if err != nil {
+			return nil, nil, fmt.Errorf("go list output: %v", err)
+		}
+		if p.Error != nil {
+			return nil, nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if !p.DepOnly || !p.Standard {
+			targets = append(targets, &p)
+		}
+	}
 }
 
 // exportImporter resolves imports from compiler export data files.

@@ -4,50 +4,57 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // PoolPair checks that every value taken from a sync.Pool goes back:
-// each Get — a direct (sync.Pool).Get or a call to a getter wrapper
-// like serve.getEstScratch — must reach a Put on the same pool (direct,
-// or through a putter wrapper) on every path to the function's exit. A
-// path that drops the value silently defeats the pooling that the
-// zero-allocation serving contract (PERFORMANCE.md) rests on, and a
-// pool that slowly "drains" this way is invisible to every test that
-// samples only the happy path.
+// after `v := Get` — a direct (sync.Pool).Get or a call to a getter
+// wrapper like serve.getEstScratch — a Put of v on the same pool (direct,
+// or through a putter wrapper) must come, in the Get's own block, before
+// anything that can leave the block. A path that drops the value
+// silently defeats the pooling that the zero-allocation serving contract
+// (PERFORMANCE.md) rests on, and a pool that slowly "drains" this way is
+// invisible to every test that samples only the happy path.
 //
-// Flagged shapes:
+// The rule looks at one statement list — what follows the Get in its
+// block (the then-branch for a comma-ok Get in an if-init) — and follows
+// no path. Reading it top down, the first of these decides:
+//
+//	defer p.Put(v)  or  p.Put(v)    // paired: silent
+//	return v                        // handed to the caller: silent
+//	a statement containing a return, break, continue or goto
+//	                                // reported at that exit
+//	the end of the list             // reported at the Get
+//
+// So these are flagged:
 //
 //	s := p.Get().(*T)
-//	if err != nil { return }    // leaks s on the error path
+//	if err != nil { return }    // leaves before the Put
 //	p.Put(s)
+//
+//	s := p.Get().(*T)
+//	if bad { p.Put(s); return } // a Put inside a branch proves nothing
+//	p.Put(s)                    // about the other branch: not counted
 //
 //	p.Get()                     // result discarded outright
 //
-// Conforming shapes:
-//
-//	s := p.Get().(*T)
-//	defer p.Put(s)              // covers every exit
-//
-//	s := p.Get().(*T)
-//	if cap(s.b) > max { return }  // retention-cap drop idiom: a
-//	p.Put(s)                      // deliberate shed of an oversized
-//	                              // buffer is part of the discipline
-//
-//	func get() *T { return p.Get().(*T) }  // wrapper: exports a
-//	    // getter fact; its callers are checked instead
-//
-// Ownership transfers end the obligation: returning the value, storing
-// it into a struct field / global / channel, and panicking paths are
-// all treated as handled. Deliberate drops outside the cap idiom need
-// a //lint:allow poolpair waiver naming the reason (use the
-// poolpair(audit) tag for vetted drop sites; LINTING.md "Audit notes").
+// and the fix is always the same: `defer p.Put(s)` on the line after the
+// Get. A panic is not an exit (the value is garbage either way), and a
+// return inside a function literal leaves the literal, not the block.
+// A drop that is deliberate — a retention cap, a buffer still under a
+// live writer — takes a //lint:allow poolpair(audit) waiver naming the
+// reason (LINTING.md "Audit notes"). The rule fails closed: a shape it
+// does not recognize (a Put in every arm of a switch, a store into a
+// field) is a finding, never silence.
 //
 // Getter/putter wrappers propagate across packages through the fact
 // store (facts.go), so a pool wrapped in one package is paired at call
-// sites in another.
+// sites in another; a getter's own `return p.Get()` is not an
+// assignment and is checked at its callers.
 var PoolPair = &Analyzer{
 	Name:  "poolpair",
-	Doc:   "every sync.Pool Get must reach a matching Put on all paths (retention-cap drops recognized)",
+	Doc:   "after v := Get, a Put of v (or return v) must come before any statement that can leave the block; otherwise defer the Put",
 	Run:   runPoolPair,
 	Facts: poolPairFacts,
 }
@@ -225,15 +232,13 @@ func poolPutSink(pass *Pass, call *ast.CallExpr) (string, int) {
 func runPoolPair(pass *Pass) error {
 	for _, f := range pass.Files {
 		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-			assign, ok := n.(*ast.AssignStmt)
-			if ok {
-				checkPoolAssign(pass, assign, stack)
-				return true
-			}
-			// A bare `p.Get()` statement drops the value on the spot.
-			if es, ok := n.(*ast.ExprStmt); ok {
-				if pool := poolGetKey(pass, es.X); pool != "" {
-					pass.Reportf(es.Pos(), "result of Get from pool %s is discarded; the pooled value can never be Put back", shortKey(pool))
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				checkPoolAssign(pass, n, stack)
+			case *ast.ExprStmt:
+				// A bare `p.Get()` statement drops the value on the spot.
+				if pool := poolGetKey(pass, n.X); pool != "" {
+					pass.Reportf(n.Pos(), "result of Get from pool %s is discarded; the pooled value can never be Put back", shortKey(pool))
 				}
 			}
 			return true
@@ -242,363 +247,112 @@ func runPoolPair(pass *Pass) error {
 	return nil
 }
 
-// checkPoolAssign drives the leak-path analysis for one `v := Get`.
+// checkPoolAssign applies the block rule to each `v := Get` of one
+// assignment.
 func checkPoolAssign(pass *Pass, assign *ast.AssignStmt, stack []ast.Node) {
-	fnNode := enclosingFunc(stack)
-	body := funcBody(fnNode)
-	if body == nil {
-		return
-	}
 	for i, rhs := range assign.Rhs {
 		pool := poolGetKey(pass, rhs)
 		if pool == "" || i >= len(assign.Lhs) {
 			continue
 		}
 		id, ok := ast.Unparen(assign.Lhs[i]).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			if ok { // explicitly blanked
-				pass.Reportf(rhs.Pos(), "result of Get from pool %s assigned to _; the pooled value can never be Put back", shortKey(pool))
-			}
+		if !ok {
 			continue
 		}
-		obj := pass.Info.ObjectOf(id)
-		if obj == nil {
+		if id.Name == "_" {
+			pass.Reportf(rhs.Pos(), "result of Get from pool %s assigned to _; the pooled value can never be Put back", shortKey(pool))
 			continue
 		}
-		c := &poolLeakCheck{pass: pass, v: obj, pool: pool, getPos: rhs.Pos(), budget: 4096}
-		seq, fromIfInit := continuationAfterGet(body, assign, stack)
-		if seq == nil && !fromIfInit {
+		v := pass.Info.ObjectOf(id)
+		if v == nil {
 			continue
 		}
-		for _, leak := range dedupePos(c.leaks(seq)) {
-			if leak == c.getPos {
-				pass.Reportf(leak, "pooled value %s from pool %s never reaches a Put before the function exits", id.Name, shortKey(pool))
-			} else {
-				pass.Reportf(leak, "pooled value %s from pool %s is not returned to the pool on this path; Put it, or waive with //lint:allow poolpair", id.Name, shortKey(pool))
-			}
+		switch exit, paired := firstExit(pass, v, pool, stmtsAfter(assign, stack)); {
+		case paired:
+		case exit == token.NoPos:
+			pass.Reportf(rhs.Pos(), "pooled value %s from pool %s never reaches a Put before its block ends; `defer` the Put right after the Get", id.Name, shortKey(pool))
+		default:
+			pass.Reportf(exit, "pooled value %s from pool %s is not returned to the pool on this path; `defer` the Put right after the Get, or waive with //lint:allow poolpair", id.Name, shortKey(pool))
 		}
 	}
 }
 
-// continuationAfterGet builds the linear statement continuation that
-// executes after the Get assignment: the rest of every enclosing block
-// from the innermost out. A comma-ok Get in an if-init
+// stmtsAfter returns the statements that follow the Get assignment in
+// its own statement list. A comma-ok Get in an if-init
 // (`if v, ok := p.Get().(*T); ok { ... }`) carries the value only into
-// the then-branch, so the continuation starts there.
-func continuationAfterGet(body *ast.BlockStmt, assign *ast.AssignStmt, stack []ast.Node) ([]ast.Stmt, bool) {
-	// If-init form: the assignment's parent is the IfStmt itself.
-	if len(stack) > 0 {
-		if ifs, ok := stack[len(stack)-1].(*ast.IfStmt); ok && ifs.Init == assign {
-			rest, found := continuationAfter(body.List, ifs)
-			if !found {
-				rest = nil
-			}
-			return append(append([]ast.Stmt{}, ifs.Body.List...), rest...), true
-		}
-	}
-	rest, found := continuationAfter(body.List, assign)
-	if !found {
-		return nil, false
-	}
-	return rest, false
-}
-
-// continuationAfter returns the statements that execute after target
-// finishes, flattened innermost-first, when target (or a statement
-// containing it) is found in list.
-func continuationAfter(list []ast.Stmt, target ast.Stmt) ([]ast.Stmt, bool) {
-	for i, s := range list {
-		if s == target {
-			return append([]ast.Stmt{}, list[i+1:]...), true
-		}
-		if inner, ok := continuationWithin(s, target); ok {
-			return append(inner, list[i+1:]...), true
-		}
-	}
-	return nil, false
-}
-
-func continuationWithin(s ast.Stmt, target ast.Stmt) ([]ast.Stmt, bool) {
-	switch s := s.(type) {
+// the then-branch, so the list is that branch. Any other position (a
+// switch or for init) has no list: nil, which the caller reports.
+func stmtsAfter(assign *ast.AssignStmt, stack []ast.Node) []ast.Stmt {
+	var list []ast.Stmt
+	switch parent := stack[len(stack)-1].(type) {
 	case *ast.BlockStmt:
-		return continuationAfter(s.List, target)
-	case *ast.IfStmt:
-		if cont, ok := continuationAfter(s.Body.List, target); ok {
-			return cont, true
-		}
-		if s.Else != nil {
-			if cont, ok := continuationWithin(s.Else, target); ok {
-				return cont, true
-			}
-			if cont, ok := continuationAfter(elseStmts(s.Else), target); ok {
-				return cont, true
-			}
-		}
-	case *ast.ForStmt:
-		return continuationAfter(s.Body.List, target)
-	case *ast.RangeStmt:
-		return continuationAfter(s.Body.List, target)
-	case *ast.SwitchStmt:
-		return continuationInClauses(s.Body, target)
-	case *ast.TypeSwitchStmt:
-		return continuationInClauses(s.Body, target)
-	case *ast.SelectStmt:
-		return continuationInClauses(s.Body, target)
-	case *ast.LabeledStmt:
-		if s.Stmt == target {
-			return nil, true
-		}
-		return continuationWithin(s.Stmt, target)
+		list = parent.List
+	case *ast.CaseClause:
+		list = parent.Body
+	case *ast.CommClause:
+		list = parent.Body
+	case *ast.IfStmt: // the assignment is its Init
+		return parent.Body.List
 	}
-	return nil, false
-}
-
-func continuationInClauses(body *ast.BlockStmt, target ast.Stmt) ([]ast.Stmt, bool) {
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-		case *ast.CommClause:
-			stmts = c.Body
-		}
-		if cont, ok := continuationAfter(stmts, target); ok {
-			return cont, true
+	for i, s := range list {
+		if s == assign {
+			return list[i+1:]
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// poolLeakCheck walks the continuation of a Get, collecting the exit
-// positions the pooled value can leak through.
-type poolLeakCheck struct {
-	pass   *Pass
-	v      types.Object
-	pool   string
-	getPos token.Pos
-	budget int
-}
-
-// leaks returns the positions of paths through seq that exit without a
-// Put (token.NoPos never appears; the Get position marks falling off
-// the end of the function).
-func (c *poolLeakCheck) leaks(seq []ast.Stmt) []token.Pos {
-	c.budget--
-	if c.budget < 0 {
-		return nil // pathological branching: stay silent, never flaky
+// firstExit scans the statements after a Get of v in order. It reports
+// paired when a Put of v (plain or deferred, direct or through a putter
+// fact) or a `return v` comes before any statement from which control
+// can leave the list; otherwise exit is the first return, break,
+// continue or goto inside such a statement, or NoPos when the list
+// simply ends. No path is followed: a Put nested in a branch proves
+// nothing about the other branches, so it does not count.
+func firstExit(pass *Pass, v types.Object, pool string, stmts []ast.Stmt) (exit token.Pos, paired bool) {
+	isV := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && pass.Info.ObjectOf(id) == v
 	}
-	for i, s := range seq {
-		rest := seq[i+1:]
+	for _, s := range stmts {
+		var call *ast.CallExpr
 		switch s := s.(type) {
 		case *ast.DeferStmt:
-			if pool, argIdx := poolPutSink(c.pass, s.Call); pool == c.pool && c.argIsV(s.Call, argIdx) {
-				return nil // defer covers every exit from here on
-			}
-			if c.valueEscapes(s) {
-				return nil
-			}
+			call = s.Call
+		case *ast.ExprStmt:
+			call, _ = ast.Unparen(s.X).(*ast.CallExpr)
 		case *ast.ReturnStmt:
-			if c.mentionsV(s) {
-				return nil // handed to the caller (getter wrapper shape)
-			}
-			return []token.Pos{s.Pos()}
-		case *ast.BranchStmt:
-			return nil // break/continue/goto: out of scope, stay silent
-		case *ast.IfStmt:
-			if s.Init != nil && c.stmtSatisfies(s.Init) {
-				return nil
-			}
-			if callsBuiltinCap(c.pass.Info, s.Cond) {
-				// Retention-cap drop idiom: the guarded branch sheds the
-				// value deliberately; only the fall-through path owes a
-				// Put.
-				continue
-			}
-			thenSeq := append(append([]ast.Stmt{}, s.Body.List...), rest...)
-			elseSeq := rest
-			if s.Else != nil {
-				elseSeq = append(append([]ast.Stmt{}, elseStmts(s.Else)...), rest...)
-			}
-			return append(c.leaks(thenSeq), c.leaks(elseSeq)...)
-		case *ast.BlockStmt:
-			return c.leaks(append(append([]ast.Stmt{}, s.List...), rest...))
-		case *ast.SwitchStmt:
-			return c.leakClauses(s.Body, rest, !switchHasDefault(s.Body))
-		case *ast.TypeSwitchStmt:
-			return c.leakClauses(s.Body, rest, !switchHasDefault(s.Body))
-		case *ast.SelectStmt:
-			// A default-free select blocks until one case runs; there is
-			// no implicit fall-through path either way.
-			return c.leakClauses(s.Body, rest, false)
-		case *ast.ForStmt:
-			// One unrolled iteration plus the zero-iterations path: Puts
-			// on early-return paths inside the body stay path-local
-			// instead of discharging the whole continuation. An infinite
-			// loop (no condition) never reaches the continuation.
-			bodySeq := append(append([]ast.Stmt{}, s.Body.List...), rest...)
-			if s.Cond == nil {
-				return c.leaks(bodySeq)
-			}
-			return append(c.leaks(bodySeq), c.leaks(rest)...)
-		case *ast.RangeStmt:
-			bodySeq := append(append([]ast.Stmt{}, s.Body.List...), rest...)
-			return append(c.leaks(bodySeq), c.leaks(rest)...)
-		case *ast.LabeledStmt:
-			return c.leaks(append([]ast.Stmt{s.Stmt}, rest...))
-		default:
-			if c.stmtSatisfies(s) {
-				return nil
+			if slices.ContainsFunc(s.Results, isV) {
+				return token.NoPos, true // handed to the caller (getter wrapper shape)
 			}
 		}
-	}
-	// Fell off the end of the function without a Put.
-	return []token.Pos{c.getPos}
-}
-
-func (c *poolLeakCheck) leakClauses(body *ast.BlockStmt, rest []ast.Stmt, fallThrough bool) []token.Pos {
-	var out []token.Pos
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch cl := clause.(type) {
-		case *ast.CaseClause:
-			stmts = cl.Body
-		case *ast.CommClause:
-			stmts = cl.Body
-		}
-		out = append(out, c.leaks(append(append([]ast.Stmt{}, stmts...), rest...))...)
-	}
-	if fallThrough {
-		out = append(out, c.leaks(rest)...)
-	}
-	return out
-}
-
-// stmtSatisfies reports whether executing s discharges the Put
-// obligation on this path: a Put of v, an ownership transfer (store
-// into a field / global / channel / container, reassignment of v), or
-// an unconditional abort.
-func (c *poolLeakCheck) stmtSatisfies(s ast.Stmt) bool {
-	if isPanicOrExit(c.pass.Info, s) {
-		return true
-	}
-	satisfied := false
-	ast.Inspect(s, func(n ast.Node) bool {
-		if satisfied {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// The value captured by a closure is out of intra-procedural
-			// reach; treat the capture as a handoff.
-			if c.exprMentionsV(n.Body) {
-				satisfied = true
+		if call != nil {
+			if p, arg := poolPutSink(pass, call); p == pool && arg < len(call.Args) && isV(call.Args[arg]) {
+				return token.NoPos, true
 			}
-			return false
-		case *ast.CallExpr:
-			if pool, argIdx := poolPutSink(c.pass, n); pool == c.pool && c.argIsV(n, argIdx) {
-				satisfied = true
-				return false
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				// v stored somewhere that outlives the function: the
-				// new owner inherits the obligation.
-				if i < len(n.Rhs) && c.isV(n.Rhs[i]) && !isBlankOrLocalIdent(c.pass.Info, lhs) {
-					satisfied = true
-					return false
-				}
-				// v reassigned: tracking ends (conservative).
-				if c.isV(lhs) {
-					satisfied = true
-					return false
+		}
+		ast.Inspect(s, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // its returns leave the literal, not this function
+			case *ast.ReturnStmt:
+				exit = n.Pos()
+			case *ast.BranchStmt:
+				if n.Tok != token.FALLTHROUGH {
+					exit = n.Pos()
 				}
 			}
-		case *ast.SendStmt:
-			if c.isV(n.Value) {
-				satisfied = true
-				return false
-			}
-		case *ast.GoStmt:
-			if c.exprMentionsV(n.Call) {
-				satisfied = true
-				return false
-			}
-		}
-		return true
-	})
-	return satisfied
-}
-
-// valueEscapes reports whether the statement hands v off through a
-// composite/call boundary other than a recognized Put (e.g. deferring a
-// closure over v): treated as handled.
-func (c *poolLeakCheck) valueEscapes(s ast.Stmt) bool {
-	d, ok := s.(*ast.DeferStmt)
-	return ok && c.exprMentionsV(d.Call)
-}
-
-func (c *poolLeakCheck) argIsV(call *ast.CallExpr, argIdx int) bool {
-	return argIdx < len(call.Args) && c.isV(call.Args[argIdx])
-}
-
-func (c *poolLeakCheck) isV(expr ast.Expr) bool {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	return ok && c.pass.Info.ObjectOf(id) == c.v
-}
-
-func (c *poolLeakCheck) mentionsV(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if id, ok := x.(*ast.Ident); ok && c.pass.Info.ObjectOf(id) == c.v {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func (c *poolLeakCheck) exprMentionsV(n ast.Node) bool { return c.mentionsV(n) }
-
-func switchHasDefault(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if cc, ok := clause.(*ast.CaseClause); ok && cc.List == nil {
-			return true
+			return exit == token.NoPos
+		})
+		if exit != token.NoPos {
+			return exit, false
 		}
 	}
-	return false
-}
-
-func isBlankOrLocalIdent(info *types.Info, lhs ast.Expr) bool {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return false // field/index/deref store: escapes
-	}
-	if id.Name == "_" {
-		return true
-	}
-	return !isPackageLevel(info.ObjectOf(id))
-}
-
-func dedupePos(ps []token.Pos) []token.Pos {
-	seen := make(map[token.Pos]bool, len(ps))
-	out := ps[:0]
-	for _, p := range ps {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
+	return token.NoPos, false
 }
 
 // shortKey trims the package path from a pool key for readable
 // diagnostics (autoview/internal/serve.estPool -> serve.estPool).
 func shortKey(key string) string {
-	slash := -1
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			slash = i
-		}
-	}
-	return key[slash+1:]
+	return key[strings.LastIndexByte(key, '/')+1:]
 }

@@ -94,9 +94,11 @@ func carveLocal(a *nn.Arena, n int) nn.Vec {
 	return a.Vec(n)
 }
 
-// Guard: a literal that takes the arena is the same helper shape.
+// A literal exports no fact, so its callers cannot be checked: returning
+// a carve from one is a finding even when the arena is its parameter.
+// carveLocal above is the conforming form.
 func litWithArena() {
-	carve := func(a *nn.Arena) nn.Vec { return a.Vec(4) }
+	carve := func(a *nn.Arena) nn.Vec { return a.Vec(4) } // want `without an arena parameter`
 	a := nn.NewArena()
 	_ = carve(a)
 }
@@ -115,9 +117,17 @@ func copyOut(a *nn.Arena) {
 	global = dst
 }
 
-// Guard: spreading scalars with append copies them to the heap.
+// append with an arena-backed argument is arena-backed, spread or not;
+// copyOut above is the conforming way to detach.
 func appendOut(a *nn.Arena) {
 	var dst nn.Vec
 	dst = append(dst, a.Vec(8)...)
-	global = dst
+	global = dst // want `package variable global`
+}
+
+// An arena-backed row appended as an element keeps its header.
+func appendRow(a *nn.Arena) {
+	var rows []nn.Vec
+	rows = append(rows, a.Vec(8))
+	global = rows[0] // want `package variable global`
 }

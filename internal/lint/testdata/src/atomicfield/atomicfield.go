@@ -1,10 +1,10 @@
-// Fixtures for the atomicfield analyzer.
+// Fixtures for the atomicfield analyzer: the function-style sync/atomic
+// API is banned outright.
 package atomicfield
 
 import (
 	"sync/atomic"
-
-	"atomdep"
+	"unsafe"
 )
 
 type gauge struct {
@@ -12,55 +12,62 @@ type gauge struct {
 	name string
 }
 
-// The atomic writer that puts val under the atomic regime.
-func (g *gauge) bump() { atomic.AddInt64(&g.val, 1) }
+// Every function-style operation is a finding, reads and writes alike.
+func (g *gauge) bump() { atomic.AddInt64(&g.val, 1) } // want `function-style atomic.AddInt64`
 
-// Plain read racing the atomic writer.
-func (g *gauge) read() int64 {
-	return g.val // want `plain access races`
+func (g *gauge) readAtomic() int64 {
+	return atomic.LoadInt64(&g.val) // want `function-style atomic.LoadInt64`
 }
 
-// Plain write races the same way.
-func (g *gauge) resetRacy() {
-	g.val = 0 // want `plain access races`
+func (g *gauge) set(v int64) {
+	atomic.StoreInt64(&g.val, v) // want `function-style atomic.StoreInt64`
 }
 
-// Plain read-modify-write is the worst of both.
-func (g *gauge) bumpRacy() {
-	g.val++ // want `plain access races`
+func (g *gauge) cas(old, v int64) bool {
+	return atomic.CompareAndSwapInt64(&g.val, old, v) // want `function-style atomic.CompareAndSwapInt64`
 }
 
-// Cross-package: atomdep drives Counter.Hits atomically; a plain read
-// here races it. The field's regime rides facts.
-func Total(c *atomdep.Counter) uint64 {
-	return c.Hits // want `accessed via sync/atomic elsewhere`
+// Not only struct fields: a package-level word or a pointer is the same
+// hazard.
+var hits uint64
+
+var head unsafe.Pointer
+
+func hit() uint64 {
+	atomic.AddUint64(&hits, 1)         // want `function-style atomic.AddUint64`
+	_ = atomic.LoadPointer(&head)      // want `function-style atomic.LoadPointer`
+	return atomic.SwapUint64(&hits, 0) // want `function-style atomic.SwapUint64`
 }
 
-// Guard: atomic access is the sanctioned mode, in-package and cross.
-func (g *gauge) readAtomic() int64 { return atomic.LoadInt64(&g.val) }
+// The mixed-mode race the ban makes unreachable: these plain accesses
+// can only race an atomic user, and every atomic user of val above is
+// already a finding.
+func (g *gauge) read() int64 { return g.val }
 
-// IncTotal bumps the cross-package counter atomically.
-func IncTotal(c *atomdep.Counter) { atomic.AddUint64(&c.Hits, 1) }
+func (g *gauge) resetRacy() { g.val = 0 }
+
+// Guard: the typed atomics are the conforming form; their methods have
+// a receiver and are not the function-style API.
+type counter struct {
+	n   atomic.Int64
+	cur atomic.Pointer[gauge]
+	ok  atomic.Bool
+}
+
+func (c *counter) inc() int64 { return c.n.Add(1) }
+
+func (c *counter) publish(g *gauge) {
+	c.cur.Store(g)
+	c.ok.Store(true)
+}
+
+func (c *counter) snapshot() (*gauge, int64) { return c.cur.Load(), c.n.Load() }
 
 // Guard: fields never touched atomically stay unconstrained.
 func (g *gauge) title() string { return g.name }
 
-// Guard: same field name on an unrelated type is a different field.
-type other struct{ val int64 }
-
-func (o *other) touch() { o.val++ }
-
-// Guard: single-goroutine-init idiom — the struct is function-local,
-// so nothing can observe the plain write yet.
-func newGauge(v int64) *gauge {
-	g := &gauge{}
-	g.val = v
-	return g
-}
-
-// A single-writer restore through a parameter is not the recognized
-// idiom; vetted sites are waived with the audit tag.
-func restore(g *gauge, v int64) {
-	//lint:allow atomicfield(audit) single-writer restore before serving starts
-	g.val = v
+// A vetted holdout is waived with the audit tag like any other finding.
+func legacy(p *int32) int32 {
+	//lint:allow atomicfield(audit) mirrors a C struct layout that cannot hold a typed atomic
+	return atomic.LoadInt32(p)
 }

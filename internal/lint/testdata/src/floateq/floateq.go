@@ -1,6 +1,8 @@
 // Fixtures for the floateq analyzer.
 package floateq
 
+import "math"
+
 func exact(a, b float64) bool {
 	return a == b // want `floating-point == comparison`
 }
@@ -13,9 +15,14 @@ func mixedConst(x float64) bool {
 	return x == 0.5 // want `floating-point == comparison`
 }
 
-// Guard: the NaN self-test is the one meaningful exact comparison.
+// The NaN self-test is an exact comparison like any other.
 func nanCheck(x float64) bool {
-	return x != x
+	return x != x // want `floating-point != comparison`
+}
+
+// Guard: math.IsNaN says what the self-test means.
+func isNaN(x float64) bool {
+	return math.IsNaN(x)
 }
 
 // Guard: two compile-time constants fold exactly.

@@ -92,24 +92,49 @@ func deferPut(fail bool) error {
 	return nil
 }
 
-// Guard: every path Puts.
+// Every path Puts, but the rule follows no path: the Put inside the
+// branch is not counted, so the return after it is reported.
 func bothPaths(fail bool) {
 	s := pool.Get().(*buffer)
 	if fail {
 		pool.Put(s)
+		return // want `not returned to the pool on this path`
+	}
+	pool.Put(s)
+}
+
+// Guard: the defer form of bothPaths.
+func bothPathsDefer(fail bool) {
+	s := pool.Get().(*buffer)
+	defer pool.Put(s)
+	if fail {
+		return
+	}
+}
+
+// A retention-cap drop is a deliberate shed, and deliberate drops are
+// waived, not recognized.
+func capDrop() {
+	s := pool.Get().(*buffer)
+	if cap(s.b) > maxRetain {
+		return // want `not returned to the pool on this path`
+	}
+	pool.Put(s)
+}
+
+// Guard: the cap decision moves into the putter and the call site
+// defers it.
+func putCapped(s *buffer) {
+	if cap(s.b) > maxRetain {
 		return
 	}
 	pool.Put(s)
 }
 
-// Guard: the retention-cap drop idiom is a deliberate shed, so only
-// the fall-through path owes a Put.
-func capDrop() {
+func capDropDefer() {
 	s := pool.Get().(*buffer)
-	if cap(s.b) > maxRetain {
-		return
-	}
-	pool.Put(s)
+	defer putCapped(s)
+	s.b = append(s.b[:0], 'x')
 }
 
 // Guard: comma-ok Get in an if-init carries the value only into the
@@ -121,12 +146,20 @@ func commaOk() *buffer {
 	return &buffer{}
 }
 
-// Guard: ownership transfer — the new owner inherits the obligation.
+// Ownership transfer is not a Put: the block ends without one.
 type server struct{ cur *buffer }
 
 func (sv *server) adopt() {
-	s := pool.Get().(*buffer)
+	s := pool.Get().(*buffer) // want `never reaches a Put`
 	sv.cur = s
+}
+
+// Guard: a constructor that keeps a pooled value hands it out as a
+// getter does, with `return v`; its caller owes the Put.
+func adoptReturned() *buffer {
+	s := pool.Get().(*buffer)
+	s.b = s.b[:0]
+	return s
 }
 
 // Guard: a panic path never reaches the normal exits.
@@ -138,9 +171,9 @@ func mustHave(fail bool) {
 	pool.Put(s)
 }
 
-// Guard: a switch with a default Puts on every path.
+// A switch whose every arm Puts is still a Put nested in a branch.
 func switchPaths(mode int) {
-	s := pool.Get().(*buffer)
+	s := pool.Get().(*buffer) // want `never reaches a Put`
 	switch mode {
 	case 0:
 		pool.Put(s)
@@ -149,14 +182,43 @@ func switchPaths(mode int) {
 	}
 }
 
+// Guard: the defer form of switchPaths.
+func switchPathsDefer(mode int) {
+	s := pool.Get().(*buffer)
+	defer pool.Put(s)
+	switch mode {
+	case 0:
+		s.b = s.b[:0]
+	}
+}
+
+// A continue out of the loop body that holds the Get skips the Put
+// like a return does.
+func loopLeak(modes []int) {
+	for _, m := range modes {
+		s := pool.Get().(*buffer)
+		if m == 0 {
+			continue // want `not returned to the pool on this path`
+		}
+		pool.Put(s)
+	}
+}
+
+// Guard: a return inside a function literal leaves the literal.
+func closureReturn(each func(func() bool)) {
+	s := pool.Get().(*buffer)
+	each(func() bool { return len(s.b) > 0 })
+	pool.Put(s)
+}
+
 // Guard: cross-package pairing satisfied by defer.
 func crossPaired() {
 	b := poolutil.GetBuf()
 	defer poolutil.PutBuf(b)
 }
 
-// Guard: a deliberate drop outside the cap idiom, waived and tagged
-// for audit (LINTING.md "Audit notes").
+// Guard: a deliberate drop, waived and tagged for audit (LINTING.md
+// "Audit notes").
 func auditedDrop(oversized bool) {
 	s := pool.Get().(*buffer)
 	if oversized {

@@ -10,17 +10,17 @@ func TestArenaVecZeroedAndDisjoint(t *testing.T) {
 	}
 	v2 := a.Vec(8)
 	for i, x := range v2 {
-		if x != 0 { //lint:allow floateq zeroing contract is exact
+		if x != 0 { // zeroing contract is exact
 			t.Fatalf("Vec not zeroed at %d: %v", i, x)
 		}
 	}
 	v2[0] = 99
-	if v1[0] != 1 { //lint:allow floateq disjointness check is exact
+	if v1[0] != 1 { // disjointness check is exact
 		t.Fatalf("arena vectors overlap: v1 = %v", v1)
 	}
 	// Capacity is clamped, so append must not grow into the next carve.
 	v1 = append(v1, 7)
-	if v2[0] != 99 { //lint:allow floateq disjointness check is exact
+	if v2[0] != 99 { // disjointness check is exact
 		t.Fatalf("append on an arena vec clobbered its neighbor")
 	}
 }
@@ -34,7 +34,7 @@ func TestArenaResetReusesSameBacking(t *testing.T) {
 	if &v1[0] != &v2[0] {
 		t.Fatalf("Reset did not rewind to the same backing chunk")
 	}
-	if v2[3] != 0 { //lint:allow floateq zeroing contract is exact
+	if v2[3] != 0 { // zeroing contract is exact
 		t.Fatalf("Vec after Reset not zeroed: %v", v2[3])
 	}
 }
@@ -69,7 +69,7 @@ func TestArenaGrowth(t *testing.T) {
 		a.Reset()
 		v := a.Vec(minFloatChunk * (round + 1))
 		for i := range v {
-			if v[i] != 0 { //lint:allow floateq zeroing contract is exact
+			if v[i] != 0 { // zeroing contract is exact
 				t.Fatalf("round %d: grown chunk not zeroed", round)
 			}
 		}
@@ -78,7 +78,7 @@ func TestArenaGrowth(t *testing.T) {
 	big := a.Vec(minFloatChunk * 3)
 	small := a.Vec(4)
 	big[0], small[0] = 1, 2
-	if big[0] != 1 { //lint:allow floateq disjointness check is exact
+	if big[0] != 1 { // disjointness check is exact
 		t.Fatalf("grown chunk overlaps next carve")
 	}
 	run := func() {

@@ -25,7 +25,7 @@ func assertBitEqual(t *testing.T, ctx string, want, got Vec) {
 		t.Fatalf("%s: length %d != %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if want[i] != got[i] { //lint:allow floateq bit-identity is the property under test
+		if want[i] != got[i] { // bit-identity is the property under test
 			t.Fatalf("%s: element %d: %v != %v (diff %g)", ctx, i, got[i], want[i], got[i]-want[i])
 		}
 	}

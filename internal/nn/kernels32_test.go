@@ -44,7 +44,7 @@ func TestMatVec32CanonicalOrder(t *testing.T) {
 			MatVec32(dst, w, rows, cols, b, x)
 			for r := 0; r < rows; r++ {
 				want := b[r] + refDot32(w[r*cols:r*cols+cols], x)
-				if dst[r] != want { //lint:allow floateq bit-identity across block sizes is the property under test
+				if dst[r] != want { // bit-identity across block sizes is the property under test
 					t.Fatalf("rows=%d cols=%d r=%d: blocked %v != canonical %v", rows, cols, r, dst[r], want)
 				}
 			}
@@ -67,7 +67,7 @@ func TestMatVec32PaddedInput(t *testing.T) {
 	MatVec32(got, w, rows, cols, b, x)
 	MatVec32(want, w, rows, cols, b, padded)
 	for r := range got {
-		if got[r] != want[r] { //lint:allow floateq zero columns contribute exactly nothing
+		if got[r] != want[r] { // zero columns contribute exactly nothing
 			t.Fatalf("row %d: short-input %v != padded %v", r, got[r], want[r])
 		}
 	}
@@ -89,7 +89,7 @@ func TestMatMulT32MatchesMatVec(t *testing.T) {
 		for i := 0; i < m; i++ {
 			MatVec32(row, w, n, k, b, x[i*k:i*k+k])
 			for j := 0; j < n; j++ {
-				if y[i*n+j] != row[j] { //lint:allow floateq batch-vs-single bit-identity is the property under test
+				if y[i*n+j] != row[j] { // batch-vs-single bit-identity is the property under test
 					t.Fatalf("shape %v i=%d j=%d: batch %v != single %v", shape, i, j, y[i*n+j], row[j])
 				}
 			}
@@ -185,10 +185,10 @@ func TestSigmoid32Accuracy(t *testing.T) {
 	if maxAbs > 2e-7 {
 		t.Fatalf("Sigmoid32 max abs error %.3g exceeds budget 2e-7", maxAbs)
 	}
-	if got := Sigmoid32(40); got != 1 { //lint:allow floateq exact saturation at the clamp bound
+	if got := Sigmoid32(40); got != 1 { // exact saturation at the clamp bound
 		t.Fatalf("Sigmoid32(40) = %v, want exact 1", got)
 	}
-	if got := Sigmoid32(-40); got != 0 { //lint:allow floateq exact saturation at the clamp bound
+	if got := Sigmoid32(-40); got != 0 { // exact saturation at the clamp bound
 		t.Fatalf("Sigmoid32(-40) = %v, want exact 0", got)
 	}
 }
@@ -212,7 +212,7 @@ func TestArenaVec32(t *testing.T) {
 	a.Reset()
 	v3 := a.Vec32(10)
 	for _, x := range v3 {
-		if x != 0 { //lint:allow floateq zeroed-memory contract
+		if x != 0 { // zeroed-memory contract
 			t.Fatal("Vec32 must hand out zeroed memory after Reset")
 		}
 	}

@@ -26,7 +26,7 @@ func TestParallelForMatchesSerial(t *testing.T) {
 	got := make([]float64, n)
 	ParallelFor(n, 8, func(i int) { got[i] = float64(i) * 1.5 })
 	for i := range want {
-		if want[i] != got[i] { //lint:allow floateq bit-identity is the property under test
+		if want[i] != got[i] { // bit-identity is the property under test
 			t.Fatalf("index %d: serial %v parallel %v", i, want[i], got[i])
 		}
 	}

@@ -24,11 +24,11 @@ func TestMLPInferParity(t *testing.T) {
 		want := forwardQ(q, feat)
 		a.Reset()
 		got := q.Infer(feat, a)[0]
-		if got != want { //lint:allow floateq bit-identity is the property under test
+		if got != want { // bit-identity is the property under test
 			t.Fatalf("trial %d: Infer = %v, Forward = %v", trial, got, want)
 		}
 		a.Reset()
-		if again := q.Infer(feat, a)[0]; again != got { //lint:allow floateq bit-identity is the property under test
+		if again := q.Infer(feat, a)[0]; again != got { // bit-identity is the property under test
 			t.Fatalf("trial %d: warm-arena Infer drifted: %v != %v", trial, again, got)
 		}
 	}
@@ -72,19 +72,19 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 				if j == 0 || want > bestQ {
 					bestJ, bestQ = j, want
 				}
-				if got := ag.Q(f); got != want { //lint:allow floateq bit-identity is the property under test
+				if got := ag.Q(f); got != want { // bit-identity is the property under test
 					t.Fatalf("%+v %s: Q(%d) = %v, Forward = %v", cfg, phase, j, got, want)
 				}
-				if qv[j] != want { //lint:allow floateq bit-identity is the property under test
+				if qv[j] != want { // bit-identity is the property under test
 					t.Fatalf("%+v %s: QValues[%d] = %v, Forward = %v", cfg, phase, j, qv[j], want)
 				}
 				wantT := forwardQ(bootstrap, f)
-				if got := targetQ(ag, f); got != wantT { //lint:allow floateq bit-identity is the property under test
+				if got := targetQ(ag, f); got != wantT { // bit-identity is the property under test
 					t.Fatalf("%+v %s: targetQ(%d) = %v, Forward = %v", cfg, phase, j, got, wantT)
 				}
 				bestT = math.Max(bestT, wantT)
 			}
-			if _, got := ag.maxQ(bootstrap, feats, nil); got != bestT { //lint:allow floateq bit-identity is the property under test
+			if _, got := ag.maxQ(bootstrap, feats, nil); got != bestT { // bit-identity is the property under test
 				t.Fatalf("%+v %s: bootstrap max = %v, want %v", cfg, phase, got, bestT)
 			}
 			if got := ag.BestAction(feats); got != bestJ {
@@ -129,7 +129,7 @@ func TestScoringFanOutBitIdentical(t *testing.T) {
 				}
 				got := ag.QValues(feats)
 				for j := range want {
-					if got[j] != want[j] { //lint:allow floateq bit-identity is the property under test
+					if got[j] != want[j] { // bit-identity is the property under test
 						t.Fatalf("P=%d n=%d tie=%v: QValues[%d] = %v, Forward = %v", p, n, tie, j, got[j], want[j])
 					}
 				}
@@ -163,7 +163,7 @@ func TestQValuesAllocs(t *testing.T) {
 			if p == 1 && (q != 1 || best != 0) {
 				t.Fatalf("n=%d: serial warm QValues allocates %v allocs/op, want 1 (the result slice); BestAction %v, want 0", n, q, best)
 			}
-			if q != firstQ || best != firstBest { //lint:allow floateq allocation counts are whole numbers
+			if q != firstQ || best != firstBest { // allocation counts are whole numbers
 				t.Fatalf("P=%d: QValues/BestAction allocate %v/%v for %d actions but %v/%v for 8", p, q, best, n, firstQ, firstBest)
 			}
 		}
@@ -187,7 +187,7 @@ func TestFeaturesAllocs(t *testing.T) {
 		}
 	}
 	next := feats[1][0]
-	if _ = append(feats[0], next+1); feats[1][0] != next { //lint:allow floateq the neighbour must be untouched
+	if _ = append(feats[0], next+1); feats[1][0] != next { // the neighbour must be untouched
 		t.Fatalf("append to row 0 wrote into row 1 (%v -> %v)", next, feats[1][0])
 	}
 	if allocs := testing.AllocsPerRun(100, func() { Features(in, st, bcur, bmax, 1, 1) }); allocs != 2 {

@@ -207,12 +207,12 @@ func TestRLViewBitIdenticalAcrossParallelism(t *testing.T) {
 			t.Fatalf("P=%d: %d trace entries, serial %d", p, len(got.Trace), len(want.Trace))
 		}
 		for i := range want.Trace {
-			if got.Trace[i] != want.Trace[i] { //lint:allow floateq bit-identity is the property under test
+			if got.Trace[i] != want.Trace[i] { // bit-identity is the property under test
 				t.Fatalf("P=%d: trace[%d] = %.17g, serial %.17g", p, i, got.Trace[i], want.Trace[i])
 			}
 		}
 		for i := range wantW {
-			if w[i] != wantW[i] { //lint:allow floateq bit-identity is the property under test
+			if w[i] != wantW[i] { // bit-identity is the property under test
 				t.Fatalf("P=%d: weight[%d] = %.17g, serial %.17g", p, i, w[i], wantW[i])
 			}
 		}

@@ -240,7 +240,7 @@ func TestServeEstimateDeterminism(t *testing.T) {
 					errs <- fmt.Errorf("concurrent estimate %d: %w", i, err)
 					return
 				}
-				if got != want[i] { //lint:allow floateq bit-identity to sequential serving is the property under test
+				if got != want[i] { // bit-identity to sequential serving is the property under test
 					errs <- fmt.Errorf("pair %d: concurrent %v != sequential %v", i, got, want[i])
 				}
 			}(i, p)
@@ -279,7 +279,7 @@ func TestServeModelReload(t *testing.T) {
 	if out.ModelVersion != before.version+1 || after.version != out.ModelVersion {
 		t.Fatalf("model version %d -> %d (response %d), want +1", before.version, after.version, out.ModelVersion)
 	}
-	if after.scale != before.scale { //lint:allow floateq the reload must keep the exact scale when none is given
+	if after.scale != before.scale { // the reload must keep the exact scale when none is given
 		t.Fatalf("reload without scale changed it: %v -> %v", before.scale, after.scale)
 	}
 

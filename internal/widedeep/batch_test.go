@@ -35,7 +35,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatalf("parallelism %d: %d results for %d inputs", par, len(got), len(fs))
 		}
 		for i := range want {
-			if got[i] != want[i] { //lint:allow floateq bit-identity is the property under test
+			if got[i] != want[i] { // bit-identity is the property under test
 				t.Fatalf("parallelism %d: element %d: batch %v sequential %v", par, i, got[i], want[i])
 			}
 		}
@@ -71,7 +71,7 @@ func TestPredictConcurrentOnFreshModel(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got[0] != got[1] { //lint:allow floateq bit-identity is the property under test
+	if got[0] != got[1] { // bit-identity is the property under test
 		t.Fatalf("concurrent first predictions differ: %v vs %v", got[0], got[1])
 	}
 }

@@ -93,7 +93,7 @@ func TestPredictMatchesForwardAllVariants(t *testing.T) {
 				want, _ := m.forward(f)
 				want = want*m.yStd + m.yMean
 
-				if got := m.PredictReference(f); got != want { //lint:allow floateq bit-identity of the f64 reference is the property under test
+				if got := m.PredictReference(f); got != want { // bit-identity of the f64 reference is the property under test
 					t.Fatalf("input %d: PredictReference = %v, forward = %v (diff %g)", i, got, want, got-want)
 				}
 
@@ -103,7 +103,7 @@ func TestPredictMatchesForwardAllVariants(t *testing.T) {
 					t.Fatalf("input %d: f32 Predict = %v, forward = %v (diff %g) outside rtol %g / atol %g",
 						i, got, want, got-want, predictRTol, predictATol)
 				}
-				if again := m.Predict(f); again != got { //lint:allow floateq warm-arena determinism of the f32 path is the property under test
+				if again := m.Predict(f); again != got { // warm-arena determinism of the f32 path is the property under test
 					t.Fatalf("input %d: warm-arena f32 Predict drifted: %v != %v", i, again, got)
 				}
 			}
@@ -130,7 +130,7 @@ func TestPredictBatchBitIdenticalAcrossParallelism(t *testing.T) {
 		for _, par := range []int{0, 1, 3, 8} {
 			got := m.PredictBatch(fs, par)
 			for i := range want {
-				if got[i] != want[i] { //lint:allow floateq bit-identity is the property under test
+				if got[i] != want[i] { // bit-identity is the property under test
 					t.Fatalf("%d pairs, parallelism %d, element %d: %v != %v", len(fs), par, i, got[i], want[i])
 				}
 			}
