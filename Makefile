@@ -22,12 +22,12 @@ examples-smoke:
 # determinism tests of the places where worker count and scheduling
 # could change an answer — the trainer's ordered fold, W-D's three-pass
 # batch gradient built on it, PredictBatch's three steps over the same
-# operator interner, and the DQN's fanned-out action sweep — at
-# GOMAXPROCS 1, 2 and 8.
+# operator interner and its plan-code memo (filled concurrently), and
+# the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestInternDistinguishes' ./internal/widedeep/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
@@ -40,7 +40,8 @@ test-race-full:
 
 # Allocation-regression gate: steady-state Predict must allocate zero,
 # PredictBatch the same few allocations at any batch size and any number
-# of operator uses, a warm sqlparse.Parse no token slice, the serve
+# of operator uses — no more with every plan memoized, two objects per
+# plan it memoizes — a warm sqlparse.Parse no token slice, the serve
 # micro-batcher's per-pair cost must stay allocation-free, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
 # per-request budget, fingerprinting itself must be zero-alloc, the
@@ -68,12 +69,14 @@ test-crash:
 	$(GO) test -run 'TestCrash|TestServeCrash' -count=1 -v ./internal/durable/ ./internal/serve/
 
 # Short native-fuzz pass over the API JSON decode paths, the query
-# fingerprint canonicalizer, the WAL record decoder, and the tournament
-# spec parser (seeds + 10s of mutation per target).
+# fingerprint canonicalizer, the SQL parser and its pooled token slice,
+# the WAL record decoder, and the tournament spec parser (seeds + 10s of
+# mutation per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEstimateDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzAdviseDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 10s ./internal/sqlparse/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzTournamentSpec -fuzztime 10s ./internal/experiments/
 

@@ -90,6 +90,8 @@ func (ex *BatchExtractor) ExtractPre(q, v *PlanFeat) Features {
 	f := Features{
 		QueryPlan: q.Ser,
 		ViewPlan:  v.Ser,
+		QueryFeat: q,
+		ViewFeat:  v,
 	}
 	// Merge the two sorted table lists: the schema-keyword sequence and
 	// the float sums below must visit names in sorted order (map

@@ -325,7 +325,22 @@ func TestVocabFromWordsRequiresUnk(t *testing.T) {
 // pairs' slices intact while later pairs of the same batch are
 // extracted, without mutating the shared PlanFeats, and with a missing
 // table or a rebound catalog handled like a fresh extractor would.
+//
+// Features are compared field by field — the *PlanFeat pair by what it
+// points to, never by address (Extract precomputes its own) and never
+// through the memo slot.
 func TestBatchExtractorMatchesExtractPre(t *testing.T) {
+	sameDerived := func(a, b Features) bool {
+		return reflect.DeepEqual(a.QueryPlan, b.QueryPlan) && reflect.DeepEqual(a.ViewPlan, b.ViewPlan) &&
+			reflect.DeepEqual(a.Schema, b.Schema) && reflect.DeepEqual(a.Numeric, b.Numeric)
+	}
+	samePlanFeat := func(a, b *PlanFeat) bool {
+		return reflect.DeepEqual(a.Ser, b.Ser) && reflect.DeepEqual(a.Tables, b.Tables) && a.Count == b.Count
+	}
+	same := func(a, b Features) bool {
+		return sameDerived(a, b) && samePlanFeat(a.QueryFeat, b.QueryFeat) && samePlanFeat(a.ViewFeat, b.ViewFeat)
+	}
+
 	cat := testCatalog(t)
 	q, v := examplePlans(t, cat)
 	pq, pv := Precompute(q), Precompute(v)
@@ -362,9 +377,12 @@ func TestBatchExtractorMatchesExtractPre(t *testing.T) {
 		// Compare only after the whole batch is out: this doubles as the
 		// aliasing check that pair i's carved-out slices survive the
 		// appends for pairs i+1..n.
-		for i := range pairs {
-			if !reflect.DeepEqual(got[i], want[i]) {
+		for i, p := range pairs {
+			if !same(got[i], want[i]) {
 				t.Fatalf("round %d pair %d: reused extractor diverges from Extract:\n got %+v\nwant %+v", round, i, got[i], want[i])
+			}
+			if got[i].QueryFeat != p[0] || got[i].ViewFeat != p[1] {
+				t.Fatalf("round %d pair %d: ExtractPre did not hand its PlanFeat pair through", round, i)
 			}
 		}
 	}
@@ -373,11 +391,11 @@ func TestBatchExtractorMatchesExtractPre(t *testing.T) {
 	}
 
 	// A plan referencing an unknown table must degrade to the features
-	// of its known tables alone.
+	// of its known tables alone (the two PlanFeats differ by design).
 	ghost := &PlanFeat{Tables: []string{"no_such_table", "user_memo"}, Ser: pq.Ser, Count: pq.Count}
 	known := &PlanFeat{Tables: []string{"user_memo"}, Ser: pq.Ser, Count: pq.Count}
 	ex.Reset(cat)
-	if got, want := ex.ExtractPre(ghost, pv), ex.ExtractPre(known, pv); !reflect.DeepEqual(got, want) {
+	if got, want := ex.ExtractPre(ghost, pv), ex.ExtractPre(known, pv); !sameDerived(got, want) {
 		t.Fatalf("unknown-table pair diverges:\n got %+v\nwant %+v", got, want)
 	}
 
@@ -389,7 +407,7 @@ func TestBatchExtractorMatchesExtractPre(t *testing.T) {
 	tb.Stats.Rows *= 7
 	ex.Reset(cat2)
 	got, want2 := ex.ExtractPre(pq, pv), Extract(q, v, cat2)
-	if !reflect.DeepEqual(got, want2) {
+	if !same(got, want2) {
 		t.Fatalf("post-rebind extraction diverges:\n got %+v\nwant %+v", got, want2)
 	}
 	if reflect.DeepEqual(got.Numeric, want[0].Numeric) {

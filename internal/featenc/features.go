@@ -3,8 +3,10 @@ package featenc
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"autoview/internal/catalog"
+	"autoview/internal/nn"
 	"autoview/internal/plan"
 )
 
@@ -19,6 +21,12 @@ type Features struct {
 	ViewPlan  [][]plan.Tok
 	Schema    []string  // keyword set of associated tables
 	Numeric   []float64 // length NumericDim
+
+	// QueryFeat and ViewFeat are the plan-local halves QueryPlan and
+	// ViewPlan came from, whose memo slots widedeep.PredictBatch reads
+	// and fills; nil in hand-built Features, which are plans that never
+	// have a memo. Whoever replaces a plan must clear its Feat.
+	QueryFeat, ViewFeat *PlanFeat
 }
 
 // toks converts an OpSeq slice into a plain [][]Tok.
@@ -38,10 +46,30 @@ func toks(seqs []plan.OpSeq) [][]plan.Tok {
 // after Precompute; ExtractPre shares its Ser slices into the returned
 // Features, so callers must treat Features plans as read-only (the
 // encoders do).
+//
+// The one exception is the code slot: the plan's code under one f32
+// mirror (Encoder32.InferOpVecsMemo fills it, Encoder32.PlanCode reads
+// it). A code is a function of Ser and the mirror's weights alone, so
+// the slot can only ever hold what recomputing would return: concurrent
+// fills under one mirror store the same bits through one atomic
+// pointer, and a fill under another mirror carries another generation.
+// It lives and dies with the PlanFeat — in serving, with the plan-cache
+// entry that owns it.
 type PlanFeat struct {
 	Ser    [][]plan.Tok
 	Tables []string // sorted, deduplicated
 	Count  int
+
+	code atomic.Pointer[planCode]
+}
+
+// planCode is one memoized plan code: InferOpVecs's output on the
+// heap, tagged with the generation of the mirror that computed it. The
+// tag is a number, not the mirror's address: a cold plan-cache entry
+// must not keep a replaced mirror's folded keyword table reachable.
+type planCode struct {
+	gen uint64
+	vec nn.Vec32
 }
 
 // Precompute derives the plan-local features of one plan.

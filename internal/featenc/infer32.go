@@ -1,6 +1,8 @@
 package featenc
 
 import (
+	"sync/atomic"
+
 	"autoview/internal/nn"
 	"autoview/internal/plan"
 )
@@ -35,7 +37,16 @@ type Encoder32 struct {
 	kwPre1       nn.Vec32       // [vocab × 4H] folded keyword gate pre-activations
 
 	planDim, schemaDim int
+
+	// gen names this mirror among all ever built: the tag on the plan
+	// codes it leaves in PlanFeat memo slots. A rebuilt mirror (Fit,
+	// Load, hot-reload, InvalidateKernels) draws a new one, which is
+	// what makes every code of the old weights stale.
+	gen uint64
 }
+
+// mirrorGen hands out Encoder32 generations, starting at 1.
+var mirrorGen atomic.Uint64
 
 // StringEncoder32 mirrors StringEncoder over flat f32 matrices.
 type StringEncoder32 struct {
@@ -84,6 +95,7 @@ func NewEncoder32(e *Encoder) *Encoder32 {
 		tokDim:    e.tokDim,
 		planDim:   e.PlanDim(),
 		schemaDim: e.SchemaDim(),
+		gen:       mirrorGen.Add(1),
 	}
 	if e.KwEmb != nil {
 		m.kwEmb = nn.NewEmbedding32(e.KwEmb)
@@ -222,6 +234,37 @@ func (m *Encoder32) InferOpVecs(opsBuf nn.Vec32, n int, a *nn.Arena) nn.Vec32 {
 		m.lstm2.Step(out, c, pre, pre2[i*H4:(i+1)*H4])
 	}
 	return out
+}
+
+// PlanCode returns the code this mirror left in pf's memo slot, or nil:
+// pf is nil (hand-built Features), the slot is empty, or another
+// mirror's weights computed what it holds. The result is heap memory,
+// shared and read-only.
+func (m *Encoder32) PlanCode(pf *PlanFeat) nn.Vec32 {
+	if pf == nil {
+		return nil
+	}
+	if memo := pf.code.Load(); memo != nil && memo.gen == m.gen {
+		return memo.vec
+	}
+	return nil
+}
+
+// InferOpVecsMemo is InferOpVecs for the plan pf was precomputed from,
+// leaving the code in pf's memo slot (none when pf is nil) for PlanCode
+// to find under this mirror. The slot gets a heap copy, assigned as a
+// field so that arenaescape sees the line: the returned vector is arena
+// memory, recycled at the caller's next Reset. Two allocations per
+// plan, the code and its tag, and nothing per operator.
+func (m *Encoder32) InferOpVecsMemo(pf *PlanFeat, opsBuf nn.Vec32, n int, a *nn.Arena) nn.Vec32 {
+	code := m.InferOpVecs(opsBuf, n, a)
+	if pf != nil {
+		memo := &planCode{gen: m.gen}
+		memo.vec = make(nn.Vec32, len(code))
+		copy(memo.vec, code)
+		pf.code.Store(memo)
+	}
+	return code
 }
 
 // InferPlan mirrors Encoder.EncodePlan: InferOp over each operator,

@@ -515,6 +515,12 @@ func TestReintroducedBugs(t *testing.T) {
 		new: "sc.slab = m.arenas.Get().Vec32(len(distinct) * dim)",
 		at:  "sc.slab = m.arenas.Get()",
 	}, {
+		name: "plan-code memo stores the arena vector, not a copy", analyzer: "arenaescape",
+		pkg: "autoview/internal/featenc", file: "infer32.go",
+		old: "\t\tmemo.vec = make(nn.Vec32, len(code))\n\t\tcopy(memo.vec, code)\n",
+		new: "\t\tmemo.vec = code\n",
+		at:  "memo.vec = code",
+	}, {
 		name: "defer StartSpan without the trailing ()", analyzer: "spanend",
 		pkg: "autoview/internal/widedeep", file: "model.go",
 		old: "\tdefer obs.StartSpan(\"wd.infer\")()\n",

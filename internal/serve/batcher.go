@@ -12,7 +12,10 @@ import (
 )
 
 // Micro-batcher metrics: queue pressure in a gauge, work in counters,
-// coalescing behaviour in a histogram.
+// coalescing behaviour in a histogram. The time a request spends in the
+// queue is the serve.batch.wait span (histogram
+// serve.batch.wait.seconds): submit opens it, run closes it as the
+// micro-batch that holds the request starts.
 var (
 	obsBatches    = obs.Default.Counter("serve.batch.count", "micro-batches run by the inference scheduler")
 	obsBatchSize  = obs.Default.Histogram("serve.batch.size", "(query, view) pairs coalesced per micro-batch", 1, 2, 4, 8, 16, 32, 64, 128)
@@ -36,6 +39,8 @@ type estRequest struct {
 	out  []float64
 	err  error
 	done chan struct{}
+
+	waited func() // ends the request's serve.batch.wait span; set by submit
 }
 
 // batcher is the micro-batching inference scheduler: concurrent
@@ -93,6 +98,7 @@ func (b *batcher) submit(req *estRequest) error {
 	if b.closed.Load() {
 		return errShuttingDown
 	}
+	req.waited = obs.StartSpan("serve.batch.wait") // a shed request never waited: its span is dropped
 	select {
 	case b.queue <- req:
 		obsQueueDepth.Set(float64(len(b.queue)))
@@ -135,6 +141,9 @@ func (b *batcher) dispatch() {
 
 // run executes one micro-batch and completes its requests.
 func (b *batcher) run(batch []*estRequest, total int) {
+	for _, r := range batch {
+		r.waited()
+	}
 	defer obs.StartSpan("serve.batch")()
 	obsBatches.Inc()
 	obsBatchSize.Observe(float64(total))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"autoview/internal/featenc"
+	"autoview/internal/obs"
 	"autoview/internal/widedeep"
 )
 
@@ -34,6 +35,24 @@ func gatedBatcher(queueDepth int) (*batcher, chan struct{}) {
 			return nil, 1
 		})
 	return b, gate
+}
+
+// firstBatchGatedBatcher builds a batcher (MaxBatch and QueueDepth 8)
+// whose first micro-batch closes entered and then blocks inside run
+// until gate is closed; later batches run straight through.
+func firstBatchGatedBatcher() (b *batcher, gate, entered chan struct{}) {
+	gate, entered = make(chan struct{}), make(chan struct{})
+	first := true // only the dispatcher goroutine touches it
+	b = newBatcher(Config{MaxBatch: 8, QueueDepth: 8},
+		func() (*widedeep.Model, float64) {
+			if first {
+				first = false
+				close(entered)
+				<-gate
+			}
+			return nil, 1
+		})
+	return b, gate, entered
 }
 
 // waitQueueEmpty blocks until the dispatcher has pulled everything off
@@ -156,17 +175,7 @@ func TestBatcherCloseHonorsContext(t *testing.T) {
 // runs — requests share a batch because they queued behind a running
 // one, never because the dispatcher waited for them.
 func TestBatcherCoalescesQueuedWithoutWaiting(t *testing.T) {
-	gate, entered := make(chan struct{}), make(chan struct{})
-	first := true // only the dispatcher goroutine touches it
-	b := newBatcher(Config{MaxBatch: 8, QueueDepth: 8},
-		func() (*widedeep.Model, float64) {
-			if first {
-				first = false
-				close(entered)
-				<-gate
-			}
-			return nil, 1
-		})
+	b, gate, entered := firstBatchGatedBatcher()
 	await := func(r *estRequest) {
 		t.Helper()
 		select {
@@ -213,6 +222,54 @@ func TestBatcherCoalescesQueuedWithoutWaiting(t *testing.T) {
 	await(lone)
 	if got := obsBatches.Value() - before; got != 1 {
 		t.Fatalf("lone request ran as %d batches, want 1", got)
+	}
+	if err := b.close(context.Background()); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestBatcherRecordsQueueWait: serve.batch.wait.seconds is submit to
+// the start of the micro-batch that ran the request, so a request
+// queued behind a running batch records at least what that batch had
+// left to run — here, the time the test holds the gate shut — and a
+// request that finds the dispatcher idle records next to nothing.
+func TestBatcherRecordsQueueWait(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		t.Cleanup(obs.Disable)
+	}
+	wait := obs.Default.Histogram("serve.batch.wait.seconds", "")
+	b, gate, entered := firstBatchGatedBatcher()
+	held := onePairRequest()
+	if err := b.submit(held); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	<-entered // the held batch is running: its own (idle-dispatcher) wait is recorded
+	count, sum := wait.Count(), wait.Sum()
+	if count == 0 || sum > 1 {
+		t.Fatalf("a lone request on an idle dispatcher recorded %d waits totalling %v s", count, sum)
+	}
+	queued := []*estRequest{onePairRequest(), onePairRequest()}
+	for _, r := range queued {
+		if err := b.submit(r); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	const remaining = 30 * time.Millisecond
+	time.Sleep(remaining)
+	close(gate)
+	for _, r := range append(queued, held) {
+		select {
+		case <-r.done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("request never completed")
+		}
+	}
+	if n := wait.Count() - count; n != int64(len(queued)) {
+		t.Fatalf("%d waits recorded for %d queued requests", n, len(queued))
+	}
+	if got, floor := wait.Sum()-sum, float64(len(queued))*remaining.Seconds(); got < floor {
+		t.Fatalf("%d requests queued behind a batch with %v left recorded %v s of wait in all, want >= %v", len(queued), remaining, got, floor)
 	}
 	if err := b.close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)

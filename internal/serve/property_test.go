@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,8 +15,11 @@ import (
 	"time"
 
 	"autoview/internal/catalog"
+	"autoview/internal/featenc"
+	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/sqlparse"
+	"autoview/internal/widedeep"
 	"autoview/internal/workload"
 )
 
@@ -286,4 +291,134 @@ func TestEstimateCacheServerParallelismLevels(t *testing.T) {
 		bodies = bodies[:4] // a subset: the full sweep runs in TestEstimateCacheByteIdentity
 	}
 	expectIdentical(t, coldTS.URL, serialTS.URL, bodies, "parallelism-1")
+}
+
+// TestPlanMemoByteIdentityAcrossSwaps drives advise_mixed-shaped
+// traffic — a fixed set of texts, every pair new — through one server
+// whose plan-cache entries carry their plans' codes, before a model
+// hot-reload, after it, and after a forced re-advise. Every response
+// must equal, byte for byte, what a memo-free oracle answers under the
+// model that was live: Predict, pair by pair, over plans parsed and
+// precomputed afresh. And the memo must be doing the work: once every
+// text has been seen under the live model, wd.infer.plans.encoded stops
+// moving while wd.infer.plans keeps counting two per pair.
+func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
+	w := serveWK()
+	s, ts := newTestServer(t, Config{Parallelism: 2, MaxBatch: 16})
+	var vs ViewSet
+	getJSON(t, ts.URL+"/v1/views", &vs)
+	if len(vs.Views) < 2 {
+		t.Fatalf("%d bootstrap views; the stream needs texts to repeat across pairs", len(vs.Views))
+	}
+
+	// warm covers every text once; stream is a seeded sample of the
+	// remaining (query, view) pairs, so no pair of a phase repeats and
+	// the estimate cache (swept at every swap) never answers.
+	var warm, stream []estimatePair
+	seen := make(map[string]bool) // the workload repeats some query texts
+	for i, q := range w.Queries {
+		if seen[q.SQL] {
+			continue
+		}
+		seen[q.SQL] = true
+		warm = append(warm, estimatePair{Query: q.SQL, View: vs.Views[i%len(vs.Views)].SQL})
+		for j, v := range vs.Views {
+			if j != i%len(vs.Views) {
+				stream = append(stream, estimatePair{Query: q.SQL, View: v.SQL})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(28))
+	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+	stream = stream[:min(len(stream), 320)]
+
+	oracle := func(pairs []estimatePair) []byte {
+		t.Helper()
+		live := s.model.Load()
+		out := make([]float64, len(pairs))
+		for i, p := range pairs {
+			q, err := plan.Parse(p.Query, s.adv.Cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := plan.Parse(p.View, s.adv.Cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = live.m.Predict(featenc.Extract(q, v, s.adv.Cat)) / live.scale
+		}
+		rec := httptest.NewRecorder()
+		s.writeJSON(rec, http.StatusOK, estimateResponse{Estimates: out, Count: len(out), ModelVersion: live.version})
+		return rec.Body.Bytes()
+	}
+	send := func(phase string, pairs []estimatePair) {
+		t.Helper()
+		const perBody = 16
+		for at := 0; at < len(pairs); at += perBody {
+			chunk := pairs[at:min(at+perBody, len(pairs))]
+			raw, err := json.Marshal(estimateRequest{Pairs: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, got := postRaw(t, ts.URL+"/v1/estimate", raw)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", phase, status, got)
+			}
+			if want := oracle(chunk); !bytes.Equal(got, want) {
+				t.Fatalf("%s: pairs %d..: response diverges from the memo-free oracle:\n got %s\nwant %s", phase, at, got, want)
+			}
+		}
+	}
+	plans := obs.Default.Counter("wd.infer.plans", "")
+	encoded := obs.Default.Counter("wd.infer.plans.encoded", "")
+	phase := func(name string) {
+		t.Helper()
+		e0 := encoded.Value()
+		send(name+", first sight", warm)
+		if encoded.Value() == e0 {
+			t.Fatalf("%s: no plan was encoded under a model that had seen none", name)
+		}
+		p0, e0 := plans.Value(), encoded.Value()
+		send(name, stream)
+		if p, e := plans.Value()-p0, encoded.Value()-e0; p != int64(2*len(stream)) || e != 0 {
+			t.Fatalf("%s: %d plan uses (want %d, two per pair), %d of them encoded (want 0: every text was seen under this model)",
+				name, p, 2*len(stream), e)
+		}
+	}
+
+	phase("bootstrap model")
+
+	// Hot-reload a checkpoint with other weights: the live architecture,
+	// every parameter scaled.
+	cur := s.model.Load()
+	var ckpt bytes.Buffer
+	if err := cur.m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	other := widedeep.New(cur.m.Enc.Vocab, s.adv.Cfg.WDModel, rand.New(rand.NewSource(1)))
+	if err := other.Load(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range other.Params() {
+		for i := range p.Val {
+			p.Val[i] *= 0.75
+		}
+	}
+	path := t.TempDir() + "/other.ckpt"
+	if err := saveModel(other, path); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/admin/model", reloadRequest{Path: path}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", resp.StatusCode, body)
+	}
+	phase("after hot-reload")
+
+	reloaded := s.model.Load()
+	if resp, body := postJSON(t, ts.URL+"/v1/advise", adviseRequest{Force: true}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("advise: status %d: %s", resp.StatusCode, body)
+	}
+	if s.model.Load().m == reloaded.m {
+		t.Fatal("the forced re-advise did not swap the model")
+	}
+	phase("after forced re-advise")
 }

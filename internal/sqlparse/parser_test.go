@@ -89,26 +89,29 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// parseErrorCases are statements Parse must reject, with a fragment of
+// the message; FuzzParse seeds from them too.
+var parseErrorCases = []struct {
+	src  string
+	want string
+}{
+	{"", "expected"},
+	{"select", "expected"},
+	{"select a", `expected "from"`},
+	{"select a from", "expected table"},
+	{"select a from t where", "expected"},
+	{"select a from t where a", "comparison"},
+	{"select a from t where a ** 1", "unsupported operator"},
+	{"select a from (select b from u)", "alias"},
+	{"select a from t extra garbage ; more", "trailing"},
+	{"select a from t where a = 'unterminated", "unterminated"},
+	{"select a from t where a = 3.", "malformed number"},
+	// Lexing is eager: a late lex error wins over an early parse error.
+	{"select from t where a = 'unterminated", "unterminated"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"", "expected"},
-		{"select", "expected"},
-		{"select a", `expected "from"`},
-		{"select a from", "expected table"},
-		{"select a from t where", "expected"},
-		{"select a from t where a", "comparison"},
-		{"select a from t where a ** 1", "unsupported operator"},
-		{"select a from (select b from u)", "alias"},
-		{"select a from t extra garbage ; more", "trailing"},
-		{"select a from t where a = 'unterminated", "unterminated"},
-		{"select a from t where a = 3.", "malformed number"},
-		// Lexing is eager: a late lex error wins over an early parse error.
-		{"select from t where a = 'unterminated", "unterminated"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse(c.src)
 		if err == nil {
 			t.Errorf("Parse(%q): want error containing %q, got nil", c.src, c.want)
@@ -308,4 +311,51 @@ func TestParseTokenBufferAllocs(t *testing.T) {
 	if after := stmt.SQL(); after != before {
 		t.Errorf("a later Parse changed an earlier statement:\n  %s\n  %s", before, after)
 	}
+}
+
+// FuzzParse drives the parser — which lexes into a pooled token slice —
+// with arbitrary text and checks what every caller assumes: Parse never
+// panics; the SQL a parsed statement prints parses again and prints the
+// same text (printing is a fixed point of parse∘print); and a statement
+// already returned cannot be changed by a later Parse that reuses the
+// slice. Seeds: the first queries of wk1 and JOB, the fingerprint
+// templates and the statements TestParseErrors rejects.
+func FuzzParse(f *testing.F) {
+	first := []string{
+		`select t2.attr, count(*) as cnt, sum(t1.val) as total from ( select key, val from p07_fact1 where status = 3 and dt = 'v7' and val < 200.25 ) t1 inner join ( select id, attr, grp from p07_dim1 where grp = 3 and attr = 'v0' and id < 289 ) t2 on t1.key = t2.id group by t2.attr;`,
+		`select t1.movie_id, count(*) as cnt from ( select movie_id, company_id from movie_companies where company_type_id = 0 ) t1 inner join ( select id, phonetic_code from title where production_year = 0 and kind_id = 0 ) t2 on t1.movie_id = t2.id group by t1.movie_id;`,
+	}
+	for i, sql := range first {
+		f.Add(sql, first[1-i])
+	}
+	for _, sql := range fpTemplates {
+		f.Add(sql, first[0])
+	}
+	for _, c := range parseErrorCases {
+		f.Add(c.src, first[1])
+	}
+	f.Fuzz(func(t *testing.T, src, other string) {
+		stmt, err := Parse(src)
+		if err != nil {
+			if stmt != nil {
+				t.Fatalf("Parse(%q) returned a statement with error %v", src, err)
+			}
+			return
+		}
+		printed := stmt.SQL()
+		// other is lexed into the slice src's tokens just left.
+		if o, err := Parse(other); err == nil {
+			_ = o.SQL()
+		}
+		if again := stmt.SQL(); again != printed {
+			t.Fatalf("a later Parse(%q) changed an earlier statement:\nbefore %s\nafter  %s", other, printed, again)
+		}
+		re, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("Parse(%q) printed %q, which does not parse: %v", src, printed, err)
+		}
+		if reprinted := re.SQL(); reprinted != printed {
+			t.Fatalf("printing is not a fixed point for %q:\nfirst  %s\nsecond %s", src, printed, reprinted)
+		}
+	})
 }

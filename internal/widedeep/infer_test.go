@@ -160,9 +160,13 @@ func TestPredictBatchBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestPredictBatchCountsOperatorSharing pins wd.infer.ops and
-// wd.infer.ops.distinct to a batch whose sharing is known — 23 operator
-// uses over 5 distinct operators — and Predict moves neither.
+// TestPredictBatchCountsOperatorSharing pins the four sharing counters
+// to batches whose sharing is known. Hand-built pairs, which have no
+// memo slot: 8 plan uses, all encoded, 23 operator uses over 5 distinct
+// operators, however often the batch is served. PlanFeat-backed pairs:
+// encoded = uses cold and 0 warm, and a warm batch counts no operators
+// (wd.infer.ops is the operator uses of the plans that were encoded).
+// Predict moves none of them.
 func TestPredictBatchCountsOperatorSharing(t *testing.T) {
 	samples := sharedOpSamples()
 	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, samples)
@@ -170,18 +174,50 @@ func TestPredictBatchCountsOperatorSharing(t *testing.T) {
 	for i := range fs {
 		fs[i] = samples[i].F
 	}
-	uses, distinct := obsInferOps.Value(), obsInferOpsDistinct.Value()
+	counters := []*obs.Counter{obsInferPlans, obsInferPlansEncoded, obsInferOps, obsInferOpsDistinct}
+	var base [4]int64
+	mark := func() {
+		for i, c := range counters {
+			base[i] = c.Value()
+		}
+	}
+	moved := func(what string, want [4]int64) {
+		t.Helper()
+		for i, c := range counters {
+			if got := c.Value() - base[i]; got != want[i] {
+				t.Errorf("%s: %s moved by %d, want %d", what, c.Name(), got, want[i])
+			}
+		}
+		mark()
+	}
+	mark()
 	m.Predict(fs[0])
-	if obsInferOps.Value() != uses || obsInferOpsDistinct.Value() != distinct {
-		t.Errorf("Predict moved the operator-sharing counters")
-	}
+	moved("Predict", [4]int64{})
 	m.PredictBatch(fs, 1)
-	if got := obsInferOps.Value() - uses; got != 7+7+2+7 {
-		t.Errorf("wd.infer.ops moved by %d, want 23", got)
+	moved("hand-built batch", [4]int64{8, 8, 7 + 7 + 2 + 7, 5})
+	m.PredictBatch(fs, 1)
+	moved("hand-built batch again", [4]int64{8, 8, 7 + 7 + 2 + 7, 5})
+
+	im, _ := inferTestModel(t, featenc.Config{EmbedDim: 4, Hidden: 4}, Config{WideDim: 4, DeepHidden: 6, RegHidden: 4})
+	mp := newMemoPlans(t)
+	fs = mp.batch([]memoPair{{0, view(0)}, {0, view(1)}, {1, view(0)}})
+	var ops int64
+	var distinct opInterner
+	for _, f := range fs {
+		for _, p := range [][][]plan.Tok{f.QueryPlan, f.ViewPlan} {
+			ops += int64(len(p))
+			for _, seq := range p {
+				distinct.intern(seq)
+			}
+		}
 	}
-	if got := obsInferOpsDistinct.Value() - distinct; got != 5 {
-		t.Errorf("wd.infer.ops.distinct moved by %d, want 5", got)
-	}
+	mark()
+	im.PredictBatch(fs, 1)
+	moved("cold PlanFeat batch", [4]int64{6, 6, ops, int64(len(distinct.seqs))})
+	im.Predict(fs[0])
+	moved("Predict", [4]int64{})
+	im.PredictBatch(fs, 1)
+	moved("warm PlanFeat batch", [4]int64{6, 0, 0, 0})
 }
 
 // TestPredictZeroAlloc is the allocation-regression gate on the single
