@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"autoview/internal/catalog"
 	"autoview/internal/costbase"
@@ -247,18 +246,18 @@ func (a *Advisor) fillBenefits(p *Problem) error {
 }
 
 // measureAll measures A(q|v) for every pair by executing the rewritten
-// queries, fanned out over the available CPUs (nn.ParallelFor). The
-// executor only reads the store (views are already materialized) and each
-// execution carries its own meter, so concurrent measurement is safe;
-// results are returned in pair order so downstream consumers stay
-// deterministic.
+// queries, fanned out over Cfg.Parallelism workers (nn.ParallelFor; 0
+// selects runtime.NumCPU()). The executor only reads the store (views
+// are already materialized) and each execution carries its own meter,
+// so concurrent measurement is safe; results are returned in pair order
+// so downstream consumers stay deterministic.
 func (a *Advisor) measureAll(p *Problem, pairs []pairKey) ([]float64, error) {
 	obsPairsMeasured.Add(int64(len(pairs)))
 	costs := make([]float64, len(pairs))
 	errs := make([]error, len(pairs))
 	pricing := a.Cfg.Pricing
 
-	nn.ParallelFor(len(pairs), runtime.GOMAXPROCS(0), func(i int) {
+	nn.ParallelFor(len(pairs), a.Cfg.Parallelism, func(i int) {
 		pk := pairs[i]
 		rw, n := rewrite.Rewrite(p.Queries[pk.qi], []*rewrite.View{p.Candidates[pk.j].View})
 		if n == 0 {
@@ -436,9 +435,6 @@ func (a *Advisor) selectViews(p *Problem) (*Selection, error) {
 	case SelectorLocalSearch:
 		opts := a.Cfg.Local
 		opts.Rand = rng
-		if opts.Parallelism == 0 {
-			opts.Parallelism = a.Cfg.Parallelism
-		}
 		res := mvs.LocalSearch(in, opts)
 		return &Selection{Method: "LocalSearch", Z: res.Best.Z, Utility: res.BestUtility, Trace: res.Trace}, nil
 	default:

@@ -176,8 +176,7 @@ type Config struct {
 	// the iteration budget n for the convergence experiment).
 	Iter mvs.IterOptions
 	// Local configures the hill-climbing local search (restart schedule,
-	// optional storage budget). Rand and Parallelism are filled by the
-	// advisor.
+	// optional storage budget). Rand is filled by the advisor.
 	Local mvs.LocalSearchOptions
 	// RL configures RLView (Table II: n1, n2, nm, γ). RL.Pretrained, when
 	// set, is the offline-trained DQN the run fine-tunes (rl.OfflineTrain).
@@ -185,10 +184,12 @@ type Config struct {
 
 	// Parallelism is the number of data-parallel workers every neural
 	// training loop (W-D Algorithm 1, DQN replay updates) shards its
-	// mini-batches across. 0 selects runtime.NumCPU(); 1 runs serially.
-	// Gradients are reduced in sample order, so results are bit-for-bit
-	// identical for every setting. Per-stage settings (WDTrain, RL.Agent)
-	// take precedence when non-zero.
+	// mini-batches across, and the fan-out of the engine's pair
+	// measurement and the held-out W-D predictions. 0 selects
+	// runtime.NumCPU(); 1 runs serially. Gradients are reduced in sample
+	// order and fanned-out results land in index order, so results are
+	// bit-for-bit identical for every setting. Per-stage settings
+	// (WDTrain, RL.Agent) take precedence when non-zero.
 	Parallelism int
 
 	Seed int64

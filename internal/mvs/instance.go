@@ -163,8 +163,20 @@ func (in *Instance) bestYRow(i int, z []bool) []bool {
 		}
 	}
 	row := make([]bool, nv)
+	for a, s := range in.rowMWIS(i, idx) {
+		if s {
+			row[idx[a]] = true
+		}
+	}
+	return row
+}
+
+// rowMWIS solves query i's independent-set subproblem over idx, its
+// ascending materialized positive-benefit views, and returns the chosen
+// subset as a mask over idx.
+func (in *Instance) rowMWIS(i int, idx []int) []bool {
 	if len(idx) == 0 {
-		return row
+		return nil
 	}
 	w := make([]float64, len(idx))
 	conflict := make([][]bool, len(idx))
@@ -176,12 +188,42 @@ func (in *Instance) bestYRow(i int, z []bool) []bool {
 		}
 	}
 	sel, _ := maxWeightIndependentSet(w, conflict)
-	for a, s := range sel {
-		if s {
-			row[idx[a]] = true
+	return sel
+}
+
+// rowValue returns the benefit of query i's Y-Opt row under z — the
+// Σ B_ij over the row bestYRow selects, summed in ascending j, so the
+// two agree bit for bit. views must be the query's ascending
+// positive-benefit views and sel scratch of at least their length. A
+// conflict-free applicable set is its own maximum-weight independent set
+// (every weight is positive), so that common case sums the set without
+// allocating; only a row with an overlapping pair runs the solver.
+func (in *Instance) rowValue(i int, z []bool, views, sel []int) float64 {
+	sel = sel[:0]
+	for _, j := range views {
+		if z[j] {
+			sel = append(sel, j)
 		}
 	}
-	return row
+	ben := in.Benefit[i]
+	for a, j := range sel {
+		for _, k := range sel[a+1:] {
+			if in.Overlap[j][k] {
+				var v float64
+				for b, s := range in.rowMWIS(i, sel) {
+					if s {
+						v += ben[sel[b]]
+					}
+				}
+				return v
+			}
+		}
+	}
+	var v float64
+	for _, j := range sel {
+		v += ben[j]
+	}
+	return v
 }
 
 // RecomputeYForView re-solves the Y rows of every query that view j can

@@ -4,17 +4,17 @@ import (
 	"math/rand"
 	"sort"
 
-	"autoview/internal/nn"
 	"autoview/internal/obs"
 )
 
 // Local-search metrics: restarts started, hill-climbing moves accepted,
-// and neighbor utilities evaluated (the dominant cost — each evaluation
-// re-solves the Y rows the move can affect).
+// neighbor utilities evaluated, and the Y-Opt row solves those
+// evaluations and the accepted moves actually ran (the dominant cost).
 var (
-	obsLSRestarts = obs.Default.Counter("mvs.localsearch.restarts", "local-search restarts run")
-	obsLSMoves    = obs.Default.Counter("mvs.localsearch.moves", "accepted hill-climbing moves")
-	obsLSEvals    = obs.Default.Counter("mvs.localsearch.evals", "neighbor utility evaluations")
+	obsLSRestarts  = obs.Default.Counter("mvs.localsearch.restarts", "local-search restarts run")
+	obsLSMoves     = obs.Default.Counter("mvs.localsearch.moves", "accepted hill-climbing moves")
+	obsLSEvals     = obs.Default.Counter("mvs.localsearch.evals", "neighbor utility evaluations")
+	obsLSRowSolves = obs.Default.Counter("mvs.localsearch.rowsolves", "Y-Opt row solves run by the local-search climb")
 )
 
 // LocalSearchOptions configures LocalSearch.
@@ -30,14 +30,9 @@ type LocalSearchOptions struct {
 	// from seeded random subsets.
 	Restarts int
 	// Rand seeds the restart initializations. Each restart's sub-seed
-	// is drawn up front, so neighbor evaluation order and parallelism
-	// never perturb the schedule. Defaults to a fixed seed-1 source.
+	// is drawn up front, so neighbor evaluation order never perturbs
+	// the schedule. Defaults to a fixed seed-1 source.
 	Rand *rand.Rand
-	// Parallelism fans neighbor evaluation across workers
-	// (nn.ParallelFor). The chosen move is the argmax reduced in move
-	// order, so the selection is byte-identical for every setting.
-	// 0 and 1 both run serially.
-	Parallelism int
 }
 
 func (o LocalSearchOptions) withDefaults() LocalSearchOptions {
@@ -46,9 +41,6 @@ func (o LocalSearchOptions) withDefaults() LocalSearchOptions {
 	}
 	if o.Rand == nil {
 		o.Rand = rand.New(rand.NewSource(1))
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 1
 	}
 	return o
 }
@@ -85,9 +77,9 @@ type move struct{ drop, add int }
 // materialized view selection using local search* argues beats learned
 // selection at scale.
 //
-// Determinism: for a fixed Rand seed the result is byte-identical across
-// every Parallelism setting — randomness only picks restart starting
-// points, and the move argmax ties break toward the lowest move index.
+// Determinism: for a fixed Rand seed the result is byte-identical —
+// randomness only picks restart starting points, and the move argmax
+// ties break toward the lowest move index.
 func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 	defer obs.StartSpan("mvs.localsearch")()
 	nv := in.NumViews()
@@ -105,18 +97,7 @@ func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 		seeds[r] = opts.Rand.Int63()
 	}
 
-	bmax := in.maxBenefits()
-	// queriesOf[j] lists the rows a flip of z_j can change.
-	queriesOf := make([][]int, nv)
-	for i, row := range in.Benefit {
-		for j, b := range row {
-			if b > 0 {
-				queriesOf[j] = append(queriesOf[j], i)
-			}
-		}
-	}
-
-	c := &climber{in: in, opts: opts, queriesOf: queriesOf, bmax: bmax}
+	c := newClimber(in, opts)
 	for r := 0; r < opts.Restarts; r++ {
 		var z []bool
 		if r == 0 {
@@ -134,16 +115,59 @@ func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 	res.Evaluations = c.evals
 	obsLSMoves.Add(int64(res.Moves))
 	obsLSEvals.Add(int64(c.evals))
+	obsLSRowSolves.Add(int64(c.rowSolves))
 	return res
 }
 
 // climber carries the per-run constants and scratch of the hill climb.
 type climber struct {
-	in        *Instance
-	opts      LocalSearchOptions
-	queriesOf [][]int
-	bmax      []float64
-	evals     int
+	in   *Instance
+	opts LocalSearchOptions
+	bmax []float64
+	// queriesOf[j] lists, ascending, the rows a flip of z_j can change
+	// (B_ij > 0); viewsOf[i] lists, ascending, row i's positive-benefit
+	// views.
+	queriesOf, viewsOf [][]int
+	// flipVal[flipAt[j]+p] memoizes row queriesOf[j][p]'s Y-Opt benefit
+	// with z_j flipped; it is current while flipGen at the same index
+	// equals gen, which every climb step advances.
+	flipAt  []int
+	flipVal []float64
+	flipGen []int
+	gen     int
+	sel     []int // rowValue scratch
+	evals   int
+	// rowSolves counts the Y-Opt row solves the climb ran.
+	rowSolves int
+}
+
+func newClimber(in *Instance, opts LocalSearchOptions) *climber {
+	nv := in.NumViews()
+	c := &climber{
+		in:        in,
+		opts:      opts,
+		bmax:      in.maxBenefits(),
+		queriesOf: make([][]int, nv),
+		viewsOf:   make([][]int, in.NumQueries()),
+		flipAt:    make([]int, nv+1),
+	}
+	widest := 0
+	for i, row := range in.Benefit {
+		for j, b := range row {
+			if b > 0 {
+				c.queriesOf[j] = append(c.queriesOf[j], i)
+				c.viewsOf[i] = append(c.viewsOf[i], j)
+			}
+		}
+		widest = max(widest, len(c.viewsOf[i]))
+	}
+	for j, rows := range c.queriesOf {
+		c.flipAt[j+1] = c.flipAt[j] + len(rows)
+	}
+	c.flipVal = make([]float64, c.flipAt[nv])
+	c.flipGen = make([]int, c.flipAt[nv])
+	c.sel = make([]int, widest)
+	return c
 }
 
 // overhead returns Σ_j z_j·O_j.
@@ -214,24 +238,8 @@ func (c *climber) climb(z []bool, res *LocalSearchResult) (*State, float64) {
 	nv := in.NumViews()
 	y, _ := in.BestY(z)
 	st := &State{Z: z, Y: y}
-	// rowBen[i] caches the current Y-Opt benefit of row i so move deltas
-	// only re-solve affected rows.
-	rowBen := make([]float64, in.NumQueries())
-	for i, row := range st.Y {
-		for j, used := range row {
-			if used {
-				rowBen[i] += in.Benefit[i][j]
-			}
-		}
-	}
+	rowBen := c.rowBenefits(st)
 	ocur := c.overhead(z)
-
-	// Per-worker scratch copies of Z for hypothetical evaluations
-	// (sized by the parallelism cap: the move count varies per step).
-	scratch := make([][]bool, c.opts.Parallelism)
-	for w := range scratch {
-		scratch[w] = make([]bool, nv)
-	}
 
 	// At most 4·|Z| accepted moves per restart; the climb also stops at
 	// the first local optimum.
@@ -240,11 +248,7 @@ func (c *climber) climb(z []bool, res *LocalSearchResult) (*State, float64) {
 		if len(moves) == 0 {
 			break
 		}
-		deltas := make([]float64, len(moves))
-		c.evals += len(moves)
-		nn.ParallelForWorker(len(moves), c.opts.Parallelism, func(w, m int) {
-			deltas[m] = c.delta(st, rowBen, scratch[w], moves[m])
-		})
+		deltas := c.deltas(st.Z, rowBen, moves)
 		best, bestDelta := -1, 1e-9
 		for m, d := range deltas {
 			if d > bestDelta {
@@ -263,6 +267,20 @@ func (c *climber) climb(z []bool, res *LocalSearchResult) (*State, float64) {
 	// Instance.Utility.
 	st.Y, _ = in.BestY(st.Z)
 	return st, in.Utility(st)
+}
+
+// rowBenefits returns each row's current Y-Opt benefit, summed in
+// ascending j, so move deltas only re-solve affected rows.
+func (c *climber) rowBenefits(st *State) []float64 {
+	rowBen := make([]float64, len(st.Y))
+	for i, row := range st.Y {
+		for j, used := range row {
+			if used {
+				rowBen[i] += c.in.Benefit[i][j]
+			}
+		}
+	}
+	return rowBen
 }
 
 // enumerate lists the budget-respecting neighborhood of z in a fixed
@@ -297,30 +315,89 @@ func (c *climber) enumerate(z []bool, ocur float64) []move {
 	return moves
 }
 
-// delta evaluates a move's utility change without mutating the state:
-// only rows served by the flipped views can change, and each is
-// re-solved by the exact Y-Opt row solver on the hypothetical Z.
-func (c *climber) delta(st *State, rowBen []float64, zScratch []bool, mv move) float64 {
-	in := c.in
-	copy(zScratch, st.Z)
-	var d float64
-	if mv.drop >= 0 {
-		zScratch[mv.drop] = false
-		d += in.Overhead[mv.drop]
-	}
-	if mv.add >= 0 {
-		zScratch[mv.add] = true
-		d -= in.Overhead[mv.add]
-	}
-	for _, i := range c.affected(mv) {
-		row := in.bestYRow(i, zScratch)
-		var nb float64
-		for j, used := range row {
-			if used {
-				nb += in.Benefit[i][j]
-			}
+// solve returns row i's Y-Opt benefit under z, counting the solve.
+func (c *climber) solve(i int, z []bool) float64 {
+	c.rowSolves++
+	return c.in.rowValue(i, z, c.viewsOf[i], c.sel)
+}
+
+// deltas evaluates every move's utility change against z (restored
+// before return). The rows a single flip of z_j changes are solved at
+// most once per step and memoized: the add or drop of j reads them, and
+// so does a swap drop j → add k on a row only j serves — k has no
+// positive benefit there, so the row's candidate set is the one the
+// flip of j alone leaves (likewise for k's own rows). A swap solves
+// afresh only the rows both views serve. Each delta is accumulated as
+// a per-move evaluation would: overheads first, then nb − rowBen[i]
+// over the affected rows in ascending order.
+func (c *climber) deltas(z []bool, rowBen []float64, moves []move) []float64 {
+	c.evals += len(moves)
+	c.gen++
+	out := make([]float64, len(moves))
+	for m, mv := range moves {
+		var d float64
+		switch {
+		case mv.add < 0:
+			d += c.in.Overhead[mv.drop]
+			z[mv.drop] = false
+			d = c.flipDelta(d, z, rowBen, mv.drop)
+			z[mv.drop] = true
+		case mv.drop < 0:
+			d -= c.in.Overhead[mv.add]
+			z[mv.add] = true
+			d = c.flipDelta(d, z, rowBen, mv.add)
+			z[mv.add] = false
+		default:
+			d += c.in.Overhead[mv.drop]
+			d -= c.in.Overhead[mv.add]
+			z[mv.drop], z[mv.add] = false, true
+			d = c.swapDelta(d, z, rowBen, mv)
+			z[mv.drop], z[mv.add] = true, false
 		}
-		d += nb - rowBen[i]
+		out[m] = d
+	}
+	return out
+}
+
+// flipRow returns the memoized value of row queriesOf[j][p] with z_j
+// flipped, solving it under z (which must leave that row's candidate
+// set as the single flip does) when this step has not yet.
+func (c *climber) flipRow(z []bool, j, p int) float64 {
+	at := c.flipAt[j] + p
+	if c.flipGen[at] != c.gen {
+		c.flipVal[at] = c.solve(c.queriesOf[j][p], z)
+		c.flipGen[at] = c.gen
+	}
+	return c.flipVal[at]
+}
+
+// flipDelta adds the row changes of the single flip of z_j, already
+// applied to z, to d.
+func (c *climber) flipDelta(d float64, z []bool, rowBen []float64, j int) float64 {
+	for p, i := range c.queriesOf[j] {
+		d += c.flipRow(z, j, p) - rowBen[i]
+	}
+	return d
+}
+
+// swapDelta adds the row changes of a swap, already applied to z, to d,
+// merging the two views' row lists in ascending order.
+func (c *climber) swapDelta(d float64, z []bool, rowBen []float64, mv move) float64 {
+	a, b := c.queriesOf[mv.drop], c.queriesOf[mv.add]
+	ia, ib := 0, 0
+	for ia < len(a) || ib < len(b) {
+		switch {
+		case ib == len(b) || (ia < len(a) && a[ia] < b[ib]):
+			d += c.flipRow(z, mv.drop, ia) - rowBen[a[ia]]
+			ia++
+		case ia == len(a) || b[ib] < a[ia]:
+			d += c.flipRow(z, mv.add, ib) - rowBen[b[ib]]
+			ib++
+		default:
+			d += c.solve(a[ia], z) - rowBen[a[ia]]
+			ia++
+			ib++
+		}
 	}
 	return d
 }
@@ -368,6 +445,7 @@ func (c *climber) apply(st *State, rowBen []float64, ocur float64, mv move) floa
 		ocur += in.Overhead[mv.add]
 	}
 	for _, i := range c.affected(mv) {
+		c.rowSolves++
 		st.Y[i] = in.bestYRow(i, st.Z)
 		rowBen[i] = 0
 		for j, used := range st.Y[i] {

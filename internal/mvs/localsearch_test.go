@@ -77,40 +77,6 @@ func TestLocalSearchBudget(t *testing.T) {
 	}
 }
 
-func TestLocalSearchDeterministicAcrossParallelism(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 5; trial++ {
-		in := randomInstance(rng, 4+rng.Intn(12), 4+rng.Intn(8))
-		var ref *LocalSearchResult
-		for _, par := range []int{1, 4, 8} {
-			res := LocalSearch(in, LocalSearchOptions{
-				Rand:        rand.New(rand.NewSource(21)),
-				Parallelism: par,
-			})
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if res.BestUtility != ref.BestUtility {
-				t.Errorf("trial %d P=%d: utility %v != P=1 %v", trial, par, res.BestUtility, ref.BestUtility)
-			}
-			for j := range res.Best.Z {
-				if res.Best.Z[j] != ref.Best.Z[j] {
-					t.Fatalf("trial %d P=%d: selection differs at view %d", trial, par, j)
-				}
-			}
-			if len(res.Trace) != len(ref.Trace) {
-				t.Fatalf("trial %d P=%d: trace length %d != %d", trial, par, len(res.Trace), len(ref.Trace))
-			}
-			for i := range res.Trace {
-				if res.Trace[i] != ref.Trace[i] {
-					t.Fatalf("trial %d P=%d: trace diverges at move %d", trial, par, i)
-				}
-			}
-		}
-	}
-}
-
 func TestLocalSearchAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	in := randomInstance(rng, 15, 9)

@@ -75,18 +75,45 @@ func propSelectors() []propSelector {
 			},
 		},
 		{
-			name:     "localsearch",
-			maxGap:   1e-6, // hits the exact optimum on every property instance
-			parallel: true,
-			run: func(in *mvs.Instance, seed int64, parallelism int) (*mvs.State, float64) {
-				res := mvs.LocalSearch(in, mvs.LocalSearchOptions{
-					Rand:        rand.New(rand.NewSource(seed)),
-					Parallelism: parallelism,
-				})
+			name:   "localsearch",
+			maxGap: 1e-6, // hits the exact optimum on every property instance
+			run: func(in *mvs.Instance, seed int64, _ int) (*mvs.State, float64) {
+				res := mvs.LocalSearch(in, mvs.LocalSearchOptions{Rand: rand.New(rand.NewSource(seed))})
 				return res.Best, res.BestUtility
 			},
 		},
 	}
+}
+
+// seededInstance builds a random instance: overheads in [0.1, 2.1), each
+// view pair overlapping with probability overlapP, and each benefit
+// positive (uniform in [0, 3)) with probability benefitP.
+func seededInstance(rng *rand.Rand, nq, nv int, overlapP, benefitP float64) *mvs.Instance {
+	in := &mvs.Instance{
+		Benefit:  make([][]float64, nq),
+		Overhead: make([]float64, nv),
+		Overlap:  make([][]bool, nv),
+	}
+	for j := range in.Overlap {
+		in.Overhead[j] = rng.Float64()*2 + 0.1
+		in.Overlap[j] = make([]bool, nv)
+	}
+	for j := 0; j < nv; j++ {
+		for k := j + 1; k < nv; k++ {
+			if rng.Float64() < overlapP {
+				in.Overlap[j][k], in.Overlap[k][j] = true, true
+			}
+		}
+	}
+	for i := range in.Benefit {
+		in.Benefit[i] = make([]float64, nv)
+		for j := range in.Benefit[i] {
+			if rng.Float64() < benefitP {
+				in.Benefit[i][j] = rng.Float64() * 3
+			}
+		}
+	}
+	return in
 }
 
 // propInstances builds the shared instance pool: seeded random instances
@@ -98,32 +125,7 @@ func propInstances() map[string]*mvs.Instance {
 	pool := map[string]*mvs.Instance{}
 	for trial := 0; trial < 6; trial++ {
 		nq, nv := 3+rng.Intn(8), 3+rng.Intn(7)
-		in := &mvs.Instance{
-			Benefit:  make([][]float64, nq),
-			Overhead: make([]float64, nv),
-			Overlap:  make([][]bool, nv),
-		}
-		for j := 0; j < nv; j++ {
-			in.Overhead[j] = rng.Float64()*2 + 0.1
-			in.Overlap[j] = make([]bool, nv)
-		}
-		for j := 0; j < nv; j++ {
-			for k := j + 1; k < nv; k++ {
-				if rng.Float64() < 0.25 {
-					in.Overlap[j][k] = true
-					in.Overlap[k][j] = true
-				}
-			}
-		}
-		for i := 0; i < nq; i++ {
-			in.Benefit[i] = make([]float64, nv)
-			for j := 0; j < nv; j++ {
-				if rng.Float64() < 0.5 {
-					in.Benefit[i][j] = rng.Float64() * 3
-				}
-			}
-		}
-		pool["random-"+string(rune('a'+trial))] = in
+		pool["random-"+string(rune('a'+trial))] = seededInstance(rng, nq, nv, 0.25, 0.5)
 	}
 
 	clique := &mvs.Instance{

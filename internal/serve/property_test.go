@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -291,6 +293,93 @@ func TestEstimateCacheServerParallelismLevels(t *testing.T) {
 		bodies = bodies[:4] // a subset: the full sweep runs in TestEstimateCacheByteIdentity
 	}
 	expectIdentical(t, coldTS.URL, serialTS.URL, bodies, "parallelism-1")
+}
+
+// TestAdviseWorkersLeaveReadersACore pins how many workers each advise
+// cycle gives the advisor, read from the serve.advise.workers gauge:
+// with Parallelism 0 the bootstrap takes GOMAXPROCS and a forced
+// re-advise max(1, GOMAXPROCS−1), while an explicit setting is used as
+// given. The count must change nothing: after the re-advise, every
+// server's view set and a seeded batch of /v1/estimate responses are
+// byte-identical to the Parallelism 1 server's.
+func TestAdviseWorkersLeaveReadersACore(t *testing.T) {
+	w := serveWK()
+	procs := runtime.GOMAXPROCS(0)
+
+	type outcome struct {
+		boot, readvise int
+		views          []byte
+		responses      [][]byte
+	}
+	var bodies [][]byte
+	run := func(par int) outcome {
+		coreCfg := serveCoreCfg()
+		coreCfg.Parallelism = par
+		s, err := New(w, coreCfg, Config{Parallelism: par})
+		if err != nil {
+			t.Fatalf("P=%d: New: %v", par, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Close(ctx); err != nil {
+				t.Errorf("P=%d: Close: %v", par, err)
+			}
+		}()
+		out := outcome{boot: int(obsAdviseWorkers.Value())}
+		resp, body := postJSON(t, ts.URL+"/v1/advise", adviseRequest{Force: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("P=%d: advise status %d: %s", par, resp.StatusCode, body)
+		}
+		out.readvise = int(obsAdviseWorkers.Value())
+
+		var vs ViewSet
+		getJSON(t, ts.URL+"/v1/views", &vs)
+		if vs.Version != 2 {
+			t.Fatalf("P=%d: view-set version %d after a forced advise, want 2", par, vs.Version)
+		}
+		vs.CreatedAt = time.Time{} // the wall-clock stamp is the one legitimate difference
+		if out.views, err = json.Marshal(vs); err != nil {
+			t.Fatal(err)
+		}
+		if bodies == nil {
+			bodies = propertyBodies(t, w, vs)[:6]
+		}
+		for i, b := range bodies {
+			status, got := postRaw(t, ts.URL+"/v1/estimate", b)
+			if status != http.StatusOK {
+				t.Fatalf("P=%d: estimate body %d: status %d: %s", par, i, status, got)
+			}
+			out.responses = append(out.responses, got)
+		}
+		return out
+	}
+
+	serial := run(1)
+	for _, tc := range []struct{ par, boot, readvise int }{
+		{1, 1, 1},
+		{0, procs, max(1, procs-1)},
+		{3, 3, 3},
+	} {
+		got := serial
+		if tc.par != 1 {
+			got = run(tc.par)
+		}
+		if got.boot != tc.boot || got.readvise != tc.readvise {
+			t.Errorf("P=%d: advisor workers %d at bootstrap, %d at re-advise; want %d, %d",
+				tc.par, got.boot, got.readvise, tc.boot, tc.readvise)
+		}
+		if !bytes.Equal(got.views, serial.views) {
+			t.Errorf("P=%d: view set diverges from P=1:\n%s\n%s", tc.par, got.views, serial.views)
+		}
+		for i := range bodies {
+			if !bytes.Equal(got.responses[i], serial.responses[i]) {
+				t.Errorf("P=%d: estimate body %d diverges from P=1:\n%s\n%s", tc.par, i, got.responses[i], serial.responses[i])
+			}
+		}
+	}
 }
 
 // TestPlanMemoByteIdentityAcrossSwaps drives advise_mixed-shaped

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -17,6 +18,10 @@ import (
 )
 
 var errAdviseBusy = errors.New("serve: an advise cycle is already running")
+
+// obsAdviseWorkers reports the advisor worker count of the last cycle
+// (see adviseWorkers).
+var obsAdviseWorkers = obs.Default.Gauge("serve.advise.workers", "advisor workers the last advise cycle ran with")
 
 // ViewInfo is one materialized view of the active set.
 type ViewInfo struct {
@@ -93,7 +98,12 @@ func (s *Server) advise(ctx context.Context, trigger string, force bool) (*Advis
 	queries := s.window.Snapshot()
 	cur := s.views.Load()
 
-	p, sel, err := s.adv.Advise(queries)
+	// The cycle runs on a copy of the advisor sized for its moment: the
+	// stores are shared, only the worker count differs.
+	adv := *s.adv
+	adv.Cfg.Parallelism = s.adviseWorkers(trigger == "bootstrap")
+	obsAdviseWorkers.Set(float64(adv.Cfg.Parallelism))
+	p, sel, err := adv.Advise(queries)
 	if errors.Is(err, core.ErrNoCandidates) {
 		obsCycles.Inc()
 		res := &AdviseResult{NoCandidates: true, Window: len(queries)}
@@ -162,6 +172,24 @@ func (s *Server) advise(ctx context.Context, trigger string, force bool) (*Advis
 		s.maybeSnapshot()
 	}
 	return res, nil
+}
+
+// adviseWorkers is the worker count an advise cycle runs the advisor
+// with (W-D training, the held-out predictions, pair measurement, the
+// RLView sweep). An explicit core Parallelism is used as given. Under 0
+// the bootstrap takes every core, since nothing is served until it
+// finishes, and every later cycle leaves one to the readers it runs
+// beside. Training is bit-identical at any worker count, so the choice
+// never changes a model or a view set.
+func (s *Server) adviseWorkers(bootstrap bool) int {
+	if p := s.adv.Cfg.Parallelism; p > 0 {
+		return p
+	}
+	n := runtime.GOMAXPROCS(0)
+	if !bootstrap {
+		n = max(1, n-1)
+	}
+	return n
 }
 
 // ingestBarrier flushes the ingest queue into the window, so an advise
