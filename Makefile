@@ -23,9 +23,14 @@ examples-smoke:
 # could change an answer — the trainer's ordered fold, W-D's three-pass
 # batch gradient built on it, PredictBatch's three steps over the same
 # operator interner and its plan-code memo (filled concurrently), and
-# the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8.
+# the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8. The
+# serve line does the same for the two guarantees scheduling decides:
+# every /v1/estimate reply is computed by the model its model_version
+# names while hot-reloads race the readers, and concurrent swaps never
+# share a model version.
 test-race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
@@ -69,9 +74,10 @@ test-crash:
 	$(GO) test -run 'TestCrash|TestServeCrash' -count=1 -v ./internal/durable/ ./internal/serve/
 
 # Short native-fuzz pass over the API JSON decode paths, the query
-# fingerprint canonicalizer, the SQL parser and its pooled token slice,
-# the WAL record decoder, and the tournament spec parser (seeds + 10s of
-# mutation per target).
+# fingerprint (one digest per statement: lexer agreement, determinism,
+# and any literal change moving it), the SQL parser and its pooled token
+# slice, the WAL record decoder, and the tournament spec parser (seeds +
+# 10s of mutation per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEstimateDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzAdviseDecode -fuzztime 10s ./internal/serve/

@@ -321,9 +321,7 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 		return fmt.Errorf("core: no W-D training pairs (workload too small?)")
 	}
 	trainCfg := a.Cfg.WDTrain
-	if trainCfg.Parallelism == 0 {
-		trainCfg.Parallelism = a.Cfg.Parallelism
-	}
+	trainCfg.Parallelism = a.Cfg.Parallelism
 	if _, err := model.Fit(samples, trainCfg); err != nil {
 		return err
 	}
@@ -416,9 +414,7 @@ func (a *Advisor) selectViews(p *Problem) (*Selection, error) {
 	case SelectorRLView:
 		opts := a.Cfg.RL
 		opts.Rand = rng
-		if opts.Agent.Parallelism == 0 {
-			opts.Agent.Parallelism = a.Cfg.Parallelism
-		}
+		opts.Agent.Parallelism = a.Cfg.Parallelism
 		res := rl.RLView(in, opts)
 		return &Selection{Method: "RLView", Z: res.Best.Z, Utility: res.BestUtility, Trace: res.Trace, Replay: res.Agent.Memory()}, nil
 	case SelectorBigSub:

@@ -175,8 +175,8 @@ type Config struct {
 	// Iter configures IterView/BigSub (Table II: n1 as warm start, and
 	// the iteration budget n for the convergence experiment).
 	Iter mvs.IterOptions
-	// Local configures the hill-climbing local search (restart schedule,
-	// optional storage budget). Rand is filled by the advisor.
+	// Local configures the hill-climbing local search (its restart
+	// schedule). Rand is filled by the advisor.
 	Local mvs.LocalSearchOptions
 	// RL configures RLView (Table II: n1, n2, nm, γ). RL.Pretrained, when
 	// set, is the offline-trained DQN the run fine-tunes (rl.OfflineTrain).
@@ -188,8 +188,9 @@ type Config struct {
 	// measurement and the held-out W-D predictions. 0 selects
 	// runtime.NumCPU(); 1 runs serially. Gradients are reduced in sample
 	// order and fanned-out results land in index order, so results are
-	// bit-for-bit identical for every setting. Per-stage settings
-	// (WDTrain, RL.Agent) take precedence when non-zero.
+	// bit-for-bit identical for every setting. It is the only worker
+	// count an advisor honours: WDTrain.Parallelism and
+	// RL.Agent.Parallelism are overwritten with it.
 	Parallelism int
 
 	Seed int64

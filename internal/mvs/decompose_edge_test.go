@@ -1,9 +1,6 @@
 package mvs
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestDecomposeEdgeCases drives OptimalExact through the degenerate
 // windows the advisor can hand it, against hand-computed optima: empty
@@ -73,26 +70,5 @@ func TestDecomposeEdgeCases(t *testing.T) {
 				t.Errorf("infeasible state")
 			}
 		})
-	}
-}
-
-// TestDecomposeBudgetSemantics pins the storage-budget edge cases on the
-// budgeted selector: budget 0 (unbounded by convention), and budget ≥ the
-// total overhead, which must match the unbounded optimum exactly.
-func TestDecomposeBudgetSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	in := randomInstance(rng, 8, 6)
-	var total float64
-	for _, o := range in.Overhead {
-		total += o
-	}
-	opt := OptimalExact(in, 0)
-	zero := LocalSearch(in, LocalSearchOptions{Budget: 0, Rand: rand.New(rand.NewSource(5))})
-	if zero.BestUtility != opt.Utility {
-		t.Errorf("budget 0 (unbounded): %v != optimum %v", zero.BestUtility, opt.Utility)
-	}
-	ge := LocalSearch(in, LocalSearchOptions{Budget: total + 1, Rand: rand.New(rand.NewSource(5))})
-	if ge.BestUtility != opt.Utility {
-		t.Errorf("budget ≥ total: %v != optimum %v", ge.BestUtility, opt.Utility)
 	}
 }

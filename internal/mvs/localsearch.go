@@ -2,7 +2,6 @@ package mvs
 
 import (
 	"math/rand"
-	"sort"
 
 	"autoview/internal/obs"
 )
@@ -18,16 +17,13 @@ var (
 )
 
 // LocalSearchOptions configures LocalSearch.
+//
+// The problem is the paper's Definition 7, with no storage budget: the
+// net-utility objective already charges every view's overhead.
 type LocalSearchOptions struct {
-	// Budget caps the total materialization overhead Σ_j z_j·O_j of the
-	// selection (the storage budget of the local-search literature).
-	// Zero or negative means unbounded: the net-utility objective
-	// already charges overheads, so the unbounded problem is the
-	// paper's Definition 7.
-	Budget float64
 	// Restarts is the restart schedule length (default 4). Restart 0 is
-	// greedy-seeded (net-benefit density order); later restarts start
-	// from seeded random subsets.
+	// greedy-seeded (every view whose benefit ceiling clears its
+	// overhead); later restarts start from seeded random subsets.
 	Restarts int
 	// Rand seeds the restart initializations. Each restart's sub-seed
 	// is drawn up front, so neighbor evaluation order never perturbs
@@ -69,8 +65,8 @@ type LocalSearchResult struct {
 type move struct{ drop, add int }
 
 // LocalSearch is a steepest-ascent hill climber over view subsets: the
-// neighborhood of Z is every single add, single drop, and add/drop swap
-// that respects the storage budget, and the climb takes the best
+// neighborhood of Z is every single add, single drop, and add/drop swap,
+// and the climb takes the best
 // improving neighbor until a local optimum. A short restart schedule
 // (greedy-seeded first, seeded-random after) escapes poor basins —
 // the "simple local search" that *Workload acceleration by optimizing
@@ -97,7 +93,7 @@ func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 		seeds[r] = opts.Rand.Int63()
 	}
 
-	c := newClimber(in, opts)
+	c := newClimber(in)
 	for r := 0; r < opts.Restarts; r++ {
 		var z []bool
 		if r == 0 {
@@ -122,7 +118,6 @@ func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 // climber carries the per-run constants and scratch of the hill climb.
 type climber struct {
 	in   *Instance
-	opts LocalSearchOptions
 	bmax []float64
 	// queriesOf[j] lists, ascending, the rows a flip of z_j can change
 	// (B_ij > 0); viewsOf[i] lists, ascending, row i's positive-benefit
@@ -141,11 +136,10 @@ type climber struct {
 	rowSolves int
 }
 
-func newClimber(in *Instance, opts LocalSearchOptions) *climber {
+func newClimber(in *Instance) *climber {
 	nv := in.NumViews()
 	c := &climber{
 		in:        in,
-		opts:      opts,
 		bmax:      in.maxBenefits(),
 		queriesOf: make([][]int, nv),
 		viewsOf:   make([][]int, in.NumQueries()),
@@ -170,63 +164,23 @@ func newClimber(in *Instance, opts LocalSearchOptions) *climber {
 	return c
 }
 
-// overhead returns Σ_j z_j·O_j.
-func (c *climber) overhead(z []bool) float64 {
-	var o float64
-	for j, set := range z {
-		if set {
-			o += c.in.Overhead[j]
-		}
-	}
-	return o
-}
-
-// fits reports whether a selection overhead respects the budget.
-func (c *climber) fits(o float64) bool {
-	return c.opts.Budget <= 0 || o <= c.opts.Budget+1e-9
-}
-
-// greedySeed selects views in decreasing net-benefit-ceiling order while
-// they fit the budget and their ceiling clears their overhead.
+// greedySeed selects every view whose net-benefit ceiling Bmax_j clears
+// its overhead.
 func (c *climber) greedySeed() []bool {
-	nv := c.in.NumViews()
-	order := make([]int, nv)
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return c.bmax[order[a]]-c.in.Overhead[order[a]] > c.bmax[order[b]]-c.in.Overhead[order[b]]
-	})
-	z := make([]bool, nv)
-	var ocur float64
-	for _, j := range order {
-		if c.bmax[j] <= c.in.Overhead[j] {
-			continue
-		}
-		if !c.fits(ocur + c.in.Overhead[j]) {
-			continue
-		}
-		z[j] = true
-		ocur += c.in.Overhead[j]
+	z := make([]bool, c.in.NumViews())
+	for j := range z {
+		z[j] = c.bmax[j] > c.in.Overhead[j]
 	}
 	return z
 }
 
-// randomSeed includes each view with probability ½ in a seeded
-// permutation order, skipping views that would break the budget.
+// randomSeed includes each view with probability ½, drawn in a seeded
+// permutation order.
 func (c *climber) randomSeed(rng *rand.Rand) []bool {
 	nv := c.in.NumViews()
 	z := make([]bool, nv)
-	var ocur float64
 	for _, j := range rng.Perm(nv) {
-		if rng.Intn(2) == 0 {
-			continue
-		}
-		if !c.fits(ocur + c.in.Overhead[j]) {
-			continue
-		}
-		z[j] = true
-		ocur += c.in.Overhead[j]
+		z[j] = rng.Intn(2) != 0
 	}
 	return z
 }
@@ -239,12 +193,11 @@ func (c *climber) climb(z []bool, res *LocalSearchResult) (*State, float64) {
 	y, _ := in.BestY(z)
 	st := &State{Z: z, Y: y}
 	rowBen := c.rowBenefits(st)
-	ocur := c.overhead(z)
 
 	// At most 4·|Z| accepted moves per restart; the climb also stops at
 	// the first local optimum.
 	for step := 0; step < 4*nv; step++ {
-		moves := c.enumerate(st.Z, ocur)
+		moves := c.enumerate(st.Z)
 		if len(moves) == 0 {
 			break
 		}
@@ -258,7 +211,7 @@ func (c *climber) climb(z []bool, res *LocalSearchResult) (*State, float64) {
 		if best < 0 {
 			break
 		}
-		ocur = c.apply(st, rowBen, ocur, moves[best])
+		c.apply(st, rowBen, moves[best])
 		res.Moves++
 		res.Trace = append(res.Trace, in.Utility(st))
 	}
@@ -283,9 +236,9 @@ func (c *climber) rowBenefits(st *State) []float64 {
 	return rowBen
 }
 
-// enumerate lists the budget-respecting neighborhood of z in a fixed
-// order: adds (ascending j), drops (ascending j), swaps (drop-major).
-func (c *climber) enumerate(z []bool, ocur float64) []move {
+// enumerate lists the neighborhood of z in a fixed order: adds
+// (ascending j), drops (ascending j), swaps (drop-major).
+func (c *climber) enumerate(z []bool) []move {
 	nv := len(z)
 	var sel, unsel []int
 	for j := 0; j < nv; j++ {
@@ -298,18 +251,14 @@ func (c *climber) enumerate(z []bool, ocur float64) []move {
 	}
 	moves := make([]move, 0, len(unsel)+len(sel)+len(sel)*len(unsel))
 	for _, k := range unsel {
-		if c.fits(ocur + c.in.Overhead[k]) {
-			moves = append(moves, move{drop: -1, add: k})
-		}
+		moves = append(moves, move{drop: -1, add: k})
 	}
 	for _, j := range sel {
 		moves = append(moves, move{drop: j, add: -1})
 	}
 	for _, j := range sel {
 		for _, k := range unsel {
-			if c.fits(ocur - c.in.Overhead[j] + c.in.Overhead[k]) {
-				moves = append(moves, move{drop: j, add: k})
-			}
+			moves = append(moves, move{drop: j, add: k})
 		}
 	}
 	return moves
@@ -432,17 +381,14 @@ func (c *climber) affected(mv move) []int {
 	return append(out, b[ib:]...)
 }
 
-// apply commits a move, re-solving the affected Y rows in place, and
-// returns the updated overhead.
-func (c *climber) apply(st *State, rowBen []float64, ocur float64, mv move) float64 {
+// apply commits a move, re-solving the affected Y rows in place.
+func (c *climber) apply(st *State, rowBen []float64, mv move) {
 	in := c.in
 	if mv.drop >= 0 {
 		st.Z[mv.drop] = false
-		ocur -= in.Overhead[mv.drop]
 	}
 	if mv.add >= 0 {
 		st.Z[mv.add] = true
-		ocur += in.Overhead[mv.add]
 	}
 	for _, i := range c.affected(mv) {
 		c.rowSolves++
@@ -454,7 +400,6 @@ func (c *climber) apply(st *State, rowBen []float64, ocur float64, mv move) floa
 			}
 		}
 	}
-	return ocur
 }
 
 // SelectedViews returns the ascending indices of the selected views of
@@ -470,8 +415,8 @@ func SelectedViews(z []bool) []int {
 	return out
 }
 
-// SelectionOverhead returns Σ_j z_j·O_j, the storage budget consumption
-// of a selection.
+// SelectionOverhead returns Σ_j z_j·O_j, the total materialization
+// overhead of a selection.
 func (in *Instance) SelectionOverhead(z []bool) float64 {
 	var o float64
 	for j, set := range z {

@@ -49,7 +49,7 @@ func localSearchOracle(in *Instance, opts LocalSearchOptions, step func(z []bool
 	for r := range seeds {
 		seeds[r] = opts.Rand.Int63()
 	}
-	c := newClimber(in, opts)
+	c := newClimber(in)
 	zScratch := make([]bool, nv)
 	solves := 0
 	for r := 0; r < opts.Restarts; r++ {
@@ -62,9 +62,8 @@ func localSearchOracle(in *Instance, opts LocalSearchOptions, step func(z []bool
 		y, _ := in.BestY(z)
 		st := &State{Z: z, Y: y}
 		rowBen := c.rowBenefits(st)
-		ocur := c.overhead(z)
 		for s := 0; s < 4*nv; s++ {
-			moves := c.enumerate(st.Z, ocur)
+			moves := c.enumerate(st.Z)
 			if len(moves) == 0 {
 				break
 			}
@@ -86,7 +85,7 @@ func localSearchOracle(in *Instance, opts LocalSearchOptions, step func(z []bool
 				break
 			}
 			solves += len(c.affected(moves[best]))
-			ocur = c.apply(st, rowBen, ocur, moves[best])
+			c.apply(st, rowBen, moves[best])
 			res.Moves++
 			res.Trace = append(res.Trace, in.Utility(st))
 		}

@@ -1,7 +1,6 @@
 package mvs
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -27,52 +26,6 @@ func TestLocalSearchMatchesOptimumOnSmallInstances(t *testing.T) {
 		}
 		if u := in.Utility(ls.Best); u != ls.BestUtility {
 			t.Errorf("trial %d: reported utility %v != recomputed %v", trial, ls.BestUtility, u)
-		}
-	}
-}
-
-func TestLocalSearchBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	in := randomInstance(rng, 12, 8)
-	var minOver, totalOver float64
-	minOver = math.Inf(1)
-	for _, o := range in.Overhead {
-		totalOver += o
-		if o < minOver {
-			minOver = o
-		}
-	}
-
-	cases := []struct {
-		name   string
-		budget float64
-	}{
-		{"below-min-overhead", minOver * 0.5},
-		{"mid", totalOver * 0.3},
-		{"exactly-total", totalOver},
-		{"unbounded-zero", 0},
-		{"unbounded-negative", -1},
-	}
-	unbounded := LocalSearch(in, LocalSearchOptions{Rand: rand.New(rand.NewSource(2))})
-	for _, tc := range cases {
-		res := LocalSearch(in, LocalSearchOptions{Budget: tc.budget, Rand: rand.New(rand.NewSource(2))})
-		over := in.SelectionOverhead(res.Best.Z)
-		if tc.budget > 0 && over > tc.budget+1e-9 {
-			t.Errorf("%s: overhead %v exceeds budget %v", tc.name, over, tc.budget)
-		}
-		if !in.Feasible(res.Best) {
-			t.Errorf("%s: infeasible", tc.name)
-		}
-		switch tc.name {
-		case "below-min-overhead":
-			if len(SelectedViews(res.Best.Z)) != 0 || res.BestUtility != 0 {
-				t.Errorf("%s: want empty selection, got %v ($%v)", tc.name, SelectedViews(res.Best.Z), res.BestUtility)
-			}
-		case "unbounded-zero", "unbounded-negative", "exactly-total":
-			// Σ O_j can never be exceeded, so these are all unbounded.
-			if res.BestUtility != unbounded.BestUtility {
-				t.Errorf("%s: utility %v != unbounded %v", tc.name, res.BestUtility, unbounded.BestUtility)
-			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,35 +18,31 @@ import (
 	"autoview/internal/widedeep"
 )
 
-// allocModel builds a small standalone W-D model plus one real feature
-// set, bypassing the full server bootstrap so the allocation
-// measurements stay fast and deterministic.
-func allocModel(t *testing.T) (*widedeep.Model, featenc.Features) {
-	t.Helper()
-	cat := catalog.New()
-	for _, tb := range []*catalog.Table{
-		{
-			Name: "user_memo",
-			Columns: []catalog.Column{
-				{Name: "user_id", Type: catalog.TypeInt, Distinct: 40},
-				{Name: "memo_type", Type: catalog.TypeString, Distinct: 4},
-				{Name: "dt", Type: catalog.TypeString, Distinct: 5},
-			},
-			Stats: catalog.TableStats{Rows: 400, Bytes: 12800},
-		},
-	} {
-		if err := cat.Add(tb); err != nil {
-			t.Fatal(err)
+// smallGen is one generation over a small standalone W-D model, plus
+// one real feature set, bypassing the full server bootstrap so the
+// batcher tests and allocation measurements stay fast and deterministic.
+var smallGen = sync.OnceValues(func() (*model, featenc.Features) {
+	must := func(err error) {
+		if err != nil {
+			panic(err)
 		}
 	}
+	cat := catalog.New()
+	must(cat.Add(&catalog.Table{
+		Name: "user_memo",
+		Columns: []catalog.Column{
+			{Name: "user_id", Type: catalog.TypeInt, Distinct: 40},
+			{Name: "memo_type", Type: catalog.TypeString, Distinct: 4},
+			{Name: "dt", Type: catalog.TypeString, Distinct: 5},
+		},
+		Stats: catalog.TableStats{Rows: 400, Bytes: 12800},
+	}))
 	sql := `select user_id from ( select user_id, dt from user_memo where memo_type = 'pen' ) t1 where dt = '10'`
 	q, err := plan.Parse(sql, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(err)
 	subs := plan.ExtractSubqueries(q)
 	if len(subs) == 0 {
-		t.Fatal("no subqueries extracted")
+		panic("no subqueries extracted")
 	}
 	f := featenc.Extract(q, subs[0].Root, cat)
 	vocab := featenc.NewVocab(cat, nil)
@@ -56,8 +53,8 @@ func allocModel(t *testing.T) (*widedeep.Model, featenc.Features) {
 		RegHidden:  4,
 	}, rand.New(rand.NewSource(3)))
 	m.Norm = featenc.FitNormalizer([][]float64{f.Numeric})
-	return m, f
-}
+	return &model{m: m, scale: 2, version: 1}, f
+})
 
 // TestBatcherSteadyStateAllocs pins the micro-batcher's allocation cost
 // model: a small per-batch constant (request bookkeeping, result
@@ -76,23 +73,20 @@ func TestBatcherSteadyStateAllocs(t *testing.T) {
 		obs.Disable()
 		t.Cleanup(obs.Enable)
 	}
-	m, f := allocModel(t)
+	g, f := smallGen()
 	b := newBatcher(Config{
 		Parallelism: 1,
 		MaxBatch:    1,
 		QueueDepth:  8,
-	}, func() (*widedeep.Model, float64) { return m, 2 })
+	})
 	defer b.close(context.Background())
 
 	cycle := func(fs []featenc.Features, out []float64) {
-		req := &estRequest{fs: fs, out: out, done: make(chan struct{})}
+		req := &estRequest{gen: g, fs: fs, out: out, done: make(chan struct{})}
 		if err := b.submit(req); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 		<-req.done
-		if req.err != nil {
-			t.Fatalf("batch: %v", req.err)
-		}
 	}
 	small := []featenc.Features{f}
 	large := make([]featenc.Features, 32)

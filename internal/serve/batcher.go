@@ -8,7 +8,6 @@ import (
 
 	"autoview/internal/featenc"
 	"autoview/internal/obs"
-	"autoview/internal/widedeep"
 )
 
 // Micro-batcher metrics: queue pressure in a gauge, work in counters,
@@ -26,18 +25,18 @@ var (
 var (
 	errQueueFull    = errors.New("serve: bounded queue full")
 	errShuttingDown = errors.New("serve: shutting down")
-	errNoModel      = errors.New("serve: no W-D model is loaded")
 )
 
 // estRequest is one estimate request's slice of the micro-batch: the
-// extracted features, a result slot per pair, and a completion channel.
-// The batcher owns out/err until done is closed; after that the
-// submitting handler owns them (or nobody does, if the handler timed
-// out — the slots are then written but never read).
+// model generation the handler loaded, the extracted features, a result
+// slot per pair, and a completion channel. The batcher owns out until
+// done is closed; after that the submitting handler owns it (or nobody
+// does, if the handler timed out — the slots are then written but never
+// read).
 type estRequest struct {
+	gen  *model
 	fs   []featenc.Features
 	out  []float64
-	err  error
 	done chan struct{}
 
 	waited func() // ends the request's serve.batch.wait span; set by submit
@@ -67,9 +66,9 @@ type batcher struct {
 	parallelism int
 	maxBatch    int
 
-	// model returns the current weights and cost scale (swapped
-	// atomically by the server on re-advise or hot-reload).
-	model func() (*widedeep.Model, float64)
+	// hold, when set, runs as each micro-batch starts: the seam tests use
+	// to keep a batch in flight. Set it before the first submit.
+	hold func()
 
 	queue   chan *estRequest
 	submits sync.WaitGroup
@@ -77,11 +76,10 @@ type batcher struct {
 	done    chan struct{}
 }
 
-func newBatcher(cfg Config, model func() (*widedeep.Model, float64)) *batcher {
+func newBatcher(cfg Config) *batcher {
 	b := &batcher{
 		parallelism: cfg.Parallelism,
 		maxBatch:    cfg.MaxBatch,
-		model:       model,
 		queue:       make(chan *estRequest, cfg.QueueDepth),
 		done:        make(chan struct{}),
 	}
@@ -139,7 +137,10 @@ func (b *batcher) dispatch() {
 	}
 }
 
-// run executes one micro-batch and completes its requests.
+// run executes one micro-batch and completes its requests. Each request
+// is answered by the generation it carries: one PredictBatch per
+// distinct generation in the batch, which is almost always one (two only
+// when a swap lands between two coalesced requests' loads).
 func (b *batcher) run(batch []*estRequest, total int) {
 	for _, r := range batch {
 		r.waited()
@@ -147,31 +148,48 @@ func (b *batcher) run(batch []*estRequest, total int) {
 	defer obs.StartSpan("serve.batch")()
 	obsBatches.Inc()
 	obsBatchSize.Observe(float64(total))
-	m, scale := b.model()
-	if m == nil {
-		for _, r := range batch {
-			r.err = errNoModel
-			close(r.done)
-		}
-		return
+	if b.hold != nil {
+		b.hold()
 	}
 	flat := make([]featenc.Features, 0, total)
-	for _, r := range batch {
-		flat = append(flat, r.fs...)
-	}
-	preds := m.PredictBatch(flat, b.parallelism)
-	k := 0
-	for _, r := range batch {
-		for i := range r.fs {
-			// The same scale division the pipeline's benefit
-			// estimator applies to Predict, so batched results stay
-			// bit-identical to sequential serving.
-			r.out[i] = preds[k] / scale
-			k++
+	for i, r := range batch {
+		if ranEarlier(batch[:i], r.gen) {
+			continue
 		}
-		close(r.done)
+		flat = flat[:0]
+		for _, o := range batch[i:] {
+			if o.gen == r.gen {
+				flat = append(flat, o.fs...)
+			}
+		}
+		preds := r.gen.m.PredictBatch(flat, b.parallelism)
+		k := 0
+		for _, o := range batch[i:] {
+			if o.gen != r.gen {
+				continue
+			}
+			for j := range o.fs {
+				// The same scale division the pipeline's benefit
+				// estimator applies to Predict, so batched results stay
+				// bit-identical to sequential serving.
+				o.out[j] = preds[k] / r.gen.scale
+				k++
+			}
+			close(o.done)
+		}
 	}
 	obs.Debug("serve.batch", "requests", len(batch), "pairs", total)
+}
+
+// ranEarlier reports whether g already ran: some request of earlier
+// carries it.
+func ranEarlier(earlier []*estRequest, g *model) bool {
+	for _, r := range earlier {
+		if r.gen == g {
+			return true
+		}
+	}
+	return false
 }
 
 // close stops intake, waits for queued work to drain (bounded by ctx),

@@ -12,12 +12,13 @@ import (
 
 	"autoview/internal/featenc"
 	"autoview/internal/obs"
-	"autoview/internal/widedeep"
 )
 
 func onePairRequest() *estRequest {
+	g, f := smallGen()
 	return &estRequest{
-		fs:   make([]featenc.Features, 1),
+		gen:  g,
+		fs:   []featenc.Features{f},
 		out:  make([]float64, 1),
 		done: make(chan struct{}),
 	}
@@ -28,12 +29,8 @@ func onePairRequest() *estRequest {
 // the queue while the test probes shedding and draining.
 func gatedBatcher(queueDepth int) (*batcher, chan struct{}) {
 	gate := make(chan struct{})
-	b := newBatcher(
-		Config{MaxBatch: 1, QueueDepth: queueDepth},
-		func() (*widedeep.Model, float64) {
-			<-gate
-			return nil, 1
-		})
+	b := newBatcher(Config{MaxBatch: 1, QueueDepth: queueDepth})
+	b.hold = func() { <-gate }
 	return b, gate
 }
 
@@ -43,15 +40,14 @@ func gatedBatcher(queueDepth int) (*batcher, chan struct{}) {
 func firstBatchGatedBatcher() (b *batcher, gate, entered chan struct{}) {
 	gate, entered = make(chan struct{}), make(chan struct{})
 	first := true // only the dispatcher goroutine touches it
-	b = newBatcher(Config{MaxBatch: 8, QueueDepth: 8},
-		func() (*widedeep.Model, float64) {
-			if first {
-				first = false
-				close(entered)
-				<-gate
-			}
-			return nil, 1
-		})
+	b = newBatcher(Config{MaxBatch: 8, QueueDepth: 8})
+	b.hold = func() {
+		if first {
+			first = false
+			close(entered)
+			<-gate
+		}
+	}
 	return b, gate, entered
 }
 
@@ -90,9 +86,6 @@ func TestBatcherShedsWhenFull(t *testing.T) {
 	for _, r := range []*estRequest{r1, r2} {
 		select {
 		case <-r.done:
-			if !errors.Is(r.err, errNoModel) {
-				t.Fatalf("request err = %v, want errNoModel (gated model func returns nil)", r.err)
-			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("accepted request never completed")
 		}
@@ -276,21 +269,19 @@ func TestBatcherRecordsQueueWait(t *testing.T) {
 	}
 }
 
-// gateServerModel wraps the server's model getter so the next micro-batch
-// signals entered and then blocks until the returned gate closes.
-// Installing the wrapper before any estimate traffic is sent gives the
-// dispatcher's read a happens-before edge through the queue channel.
-func gateServerModel(s *Server) (gate, entered chan struct{}) {
+// gateServerBatch holds the server's next micro-batch: it signals
+// entered and then blocks until the returned gate closes. Installing the
+// hook before any estimate traffic is sent gives the dispatcher's read a
+// happens-before edge through the queue channel.
+func gateServerBatch(s *Server) (gate, entered chan struct{}) {
 	gate = make(chan struct{})
 	entered = make(chan struct{}, 1)
-	orig := s.batcher.model
-	s.batcher.model = func() (*widedeep.Model, float64) {
+	s.batcher.hold = func() {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-gate
-		return orig()
 	}
 	return gate, entered
 }
@@ -299,7 +290,7 @@ func gateServerModel(s *Server) (gate, entered chan struct{}) {
 // and expects a structured 504.
 func TestServeEstimateTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{Parallelism: 1, RequestTimeout: 50 * time.Millisecond})
-	gate, _ := gateServerModel(s)
+	gate, _ := gateServerBatch(s)
 	defer close(gate)
 
 	w := serveWK()
@@ -325,7 +316,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	gate, entered := gateServerModel(s)
+	gate, entered := gateServerBatch(s)
 
 	inflight := make(chan error, 1)
 	go func() {

@@ -28,12 +28,10 @@ func ck(b byte, rest ...byte) cacheKey {
 
 func TestCacheDisabled(t *testing.T) {
 	for _, c := range []*cache[int]{nil, newCache[int](0, testCacheMetrics()), newCache[int](-1, testCacheMetrics())} {
-		c.put(ck(1), 7, c.curEpoch())
+		c.put(ck(1), 7)
 		if _, ok := c.get(ck(1)); ok {
 			t.Fatal("disabled cache returned a hit")
 		}
-		c.bumpEpoch()
-		c.sweep()
 		if c.len() != 0 {
 			t.Fatalf("disabled cache len = %d", c.len())
 		}
@@ -45,11 +43,11 @@ func TestCachePutGetLRU(t *testing.T) {
 	// capacity 16 → 1 entry per shard; same-shard keys compete.
 	c := newCache[string](16, met)
 	a, b := ck(3, 1), ck(3, 2) // same shard (same first byte)
-	c.put(a, "a", 0)
+	c.put(a, "a")
 	if v, ok := c.get(a); !ok || v != "a" {
 		t.Fatalf("get(a) = %q, %v", v, ok)
 	}
-	c.put(b, "b", 0) // evicts a (shard capacity 1)
+	c.put(b, "b") // evicts a (shard capacity 1)
 	if _, ok := c.get(a); ok {
 		t.Fatal("a survived past shard capacity")
 	}
@@ -64,7 +62,7 @@ func TestCachePutGetLRU(t *testing.T) {
 	}
 	// Different shards don't compete.
 	other := ck(4, 9)
-	c.put(other, "o", 0)
+	c.put(other, "o")
 	if _, ok := c.get(b); !ok {
 		t.Fatal("cross-shard insert evicted b")
 	}
@@ -74,12 +72,12 @@ func TestCacheLRUOrder(t *testing.T) {
 	// Shard capacity 2: touching the older entry must flip the victim.
 	c := newCache[int](32, testCacheMetrics())
 	k1, k2, k3 := ck(5, 1), ck(5, 2), ck(5, 3)
-	c.put(k1, 1, 0)
-	c.put(k2, 2, 0)
+	c.put(k1, 1)
+	c.put(k2, 2)
 	if _, ok := c.get(k1); !ok { // k1 now most recent
 		t.Fatal("k1 missing")
 	}
-	c.put(k3, 3, 0) // must evict k2, the LRU
+	c.put(k3, 3) // must evict k2, the LRU
 	if _, ok := c.get(k2); ok {
 		t.Fatal("k2 should have been the LRU victim")
 	}
@@ -94,62 +92,13 @@ func TestCacheLRUOrder(t *testing.T) {
 func TestCacheUpdateExistingKey(t *testing.T) {
 	c := newCache[int](16, testCacheMetrics())
 	k := ck(9)
-	c.put(k, 1, 0)
-	c.put(k, 2, 0)
+	c.put(k, 1)
+	c.put(k, 2)
 	if v, ok := c.get(k); !ok || v != 2 {
 		t.Fatalf("get = %d, %v; want 2, true", v, ok)
 	}
 	if c.len() != 1 {
 		t.Fatalf("len = %d after same-key update", c.len())
-	}
-}
-
-func TestCacheEpochInvalidation(t *testing.T) {
-	met := testCacheMetrics()
-	c := newCache[int](64, met)
-	k := ck(1)
-	c.put(k, 41, c.curEpoch())
-	c.bumpEpoch()
-	if _, ok := c.get(k); ok {
-		t.Fatal("stale-epoch entry survived the bump")
-	}
-	if met.miss.Value() == 0 {
-		t.Fatal("stale read not counted as a miss")
-	}
-	// A put captured before the bump lands dead: never visible.
-	old := c.curEpoch() - 1
-	c.put(ck(2), 13, old)
-	if _, ok := c.get(ck(2)); ok {
-		t.Fatal("doomed-epoch put became visible")
-	}
-	// Fresh puts at the current epoch work.
-	c.put(k, 42, c.curEpoch())
-	if v, ok := c.get(k); !ok || v != 42 {
-		t.Fatalf("get = %d, %v; want 42, true", v, ok)
-	}
-}
-
-func TestCacheSweep(t *testing.T) {
-	met := testCacheMetrics()
-	c := newCache[int](256, met)
-	for i := 0; i < 100; i++ {
-		c.put(ck(byte(i), byte(i>>4)), i, c.curEpoch())
-	}
-	if c.len() != 100 {
-		t.Fatalf("len = %d, want 100", c.len())
-	}
-	c.bumpEpoch()
-	// Survivors stored under the new epoch must not be swept.
-	c.put(ck(200), 7, c.curEpoch())
-	c.sweep()
-	if c.len() != 1 {
-		t.Fatalf("len after sweep = %d, want 1", c.len())
-	}
-	if v, ok := c.get(ck(200)); !ok || v != 7 {
-		t.Fatal("current-epoch entry lost in sweep")
-	}
-	if got := met.size.Value(); got != 1 {
-		t.Fatalf("size gauge after sweep = %v, want 1", got)
 	}
 }
 
@@ -162,17 +111,10 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := ck(byte(i%32), byte(g))
-				if i%7 == 0 {
-					c.bumpEpoch()
-				}
-				ep := c.curEpoch()
 				if v, ok := c.get(k); ok && v < 0 {
 					t.Error("impossible cached value")
 				}
-				c.put(k, i, ep)
-				if i%50 == 0 {
-					c.sweep()
-				}
+				c.put(k, i)
 			}
 		}(g)
 	}

@@ -141,7 +141,7 @@ func (s *Server) restore(st *durable.State) error {
 			// hot-reload can override the checkpoint's).
 			scale = st.ModelScale
 		}
-		s.model.Store(&model{m: m, scale: scale, version: st.ModelVersion})
+		s.model.Store(s.newModel(m, scale, st.ModelVersion))
 		obsModelVer.Set(float64(st.ModelVersion))
 	}
 

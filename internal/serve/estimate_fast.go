@@ -159,7 +159,7 @@ func (s *Server) resolvePlan(sql []byte, key cacheKey, keyOK bool) (*planEntry, 
 	}
 	e := &planEntry{node: n, pf: featenc.Precompute(n)}
 	if keyOK {
-		s.planCache.put(key, e, s.planCache.curEpoch())
+		s.planCache.put(key, e)
 	}
 	return e, nil
 }

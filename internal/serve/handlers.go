@@ -162,18 +162,18 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 			fmt.Sprintf("%d pairs exceed the per-request limit %d", n, s.cfg.MaxPairs))
 		return true
 	}
-	mSnap := s.model.Load()
-	if mSnap == nil {
+	// One generation answers the whole request: its cache's hits, and its
+	// weights and scale for the misses, which go back into its cache. The
+	// reply's model_version names it.
+	g := s.model.Load()
+	if g == nil {
 		s.writeError(w, r, http.StatusServiceUnavailable, "no_model",
 			"no W-D model is loaded (was the server bootstrapped with EstimatorWideDeep?)")
 		return true
 	}
 
-	// Fingerprint every pair and consult the estimate cache. The epoch is
-	// captured before any estimate is computed, so results can only land
-	// in the cache under the world (view set + model) observed here.
+	// Fingerprint every pair and consult the generation's estimate cache.
 	sc.reset(n)
-	epoch := s.estCache.curEpoch()
 	fpDone := obs.StartSpan("serve.fingerprint")
 	for i := range sc.pairs {
 		qfp, qerr := sqlparse.FingerprintBytes(sc.pairs[i].query)
@@ -188,7 +188,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		sc.qKeys[i] = planKey(qfp.Exact)
 		sc.vKeys[i] = planKey(vfp.Exact)
 		sc.keyOK[i] = true
-		if v, ok := s.estCache.get(sc.keys[i]); ok {
+		if v, ok := g.est.get(sc.keys[i]); ok {
 			sc.out[i] = v
 			continue
 		}
@@ -216,7 +216,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 			sc.fs[j] = sc.ex.ExtractPre(qe.pf, ve.pf)
 		}
 
-		est := &estRequest{fs: sc.fs[:len(sc.missIdx)], out: sc.missOut[:len(sc.missIdx)], done: make(chan struct{})}
+		est := &estRequest{gen: g, fs: sc.fs[:len(sc.missIdx)], out: sc.missOut[:len(sc.missIdx)], done: make(chan struct{})}
 		switch err := s.batcher.submit(est); {
 		case errors.Is(err, errQueueFull):
 			obsShed.Inc()
@@ -231,10 +231,6 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		defer cancel()
 		select {
 		case <-est.done:
-			if est.err != nil {
-				s.writeError(w, r, http.StatusServiceUnavailable, "no_model", est.err.Error())
-				return true
-			}
 		case <-ctx.Done():
 			obsTimeouts.Inc()
 			s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
@@ -244,7 +240,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		for j, i := range sc.missIdx {
 			sc.out[i] = sc.missOut[j]
 			if sc.keyOK[i] {
-				s.estCache.put(sc.keys[i], sc.out[i], epoch)
+				g.est.put(sc.keys[i], sc.out[i])
 			}
 		}
 	}
@@ -253,7 +249,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 	s.writeJSON(w, http.StatusOK, estimateResponse{
 		Estimates:    sc.out,
 		Count:        n,
-		ModelVersion: mSnap.version,
+		ModelVersion: g.version,
 	})
 	return true
 }
@@ -445,7 +441,7 @@ func (s *Server) handleReloadModel(w http.ResponseWriter, r *http.Request) {
 	if req.Scale > 0 {
 		scale = req.Scale
 	}
-	s.swapModel(fresh, scale)
+	version := s.swapModel(fresh, scale)
 	obsReloads.Inc()
-	s.writeJSON(w, http.StatusOK, reloadResponse{ModelVersion: s.model.Load().version})
+	s.writeJSON(w, http.StatusOK, reloadResponse{ModelVersion: version})
 }

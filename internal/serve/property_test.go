@@ -43,9 +43,9 @@ func postRaw(t testing.TB, url string, body []byte) (int, []byte) {
 }
 
 // bumpLiterals rewrites every literal in sql (numbers get a digit
-// appended, strings a suffix) so the variant shares the query's template
-// fingerprint but not its exact fingerprint. Returns "" when sql has no
-// literals or the variant no longer parses.
+// appended, strings a suffix) so the variant keeps the query's shape
+// but not its literals, and so not its exact fingerprint. Returns ""
+// when sql has no literals or the variant no longer parses.
 func bumpLiterals(t *testing.T, sql, suffix string, cat *catalog.Catalog) string {
 	t.Helper()
 	toks, err := sqlparse.Lex(sql)
@@ -173,8 +173,9 @@ func expectIdentical(t *testing.T, coldURL, cachedURL string, bodies [][]byte, p
 // cached server — bootstrapped identically — must return byte-identical
 // /v1/estimate responses on cold, populating, and fully warm passes; the
 // identity must hold at every client parallelism level and across
-// view-set rotation and model hot-reload boundaries, with stale entries
-// never surviving a version bump. Run with -race in CI.
+// view-set rotation and model hot-reload boundaries, where each new
+// model generation starts with an empty estimate cache. Run with -race
+// in CI.
 func TestEstimateCacheByteIdentity(t *testing.T) {
 	w := serveWK()
 	baseCfg := Config{Parallelism: 4, MaxBatch: 16}
@@ -197,7 +198,7 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 
 	// Phase 1: cold vs populate vs warm.
 	want := expectIdentical(t, coldTS.URL, cachedTS.URL, bodies, "bootstrap")
-	if cached.estCache.len() == 0 {
+	if cached.model.Load().est.len() == 0 {
 		t.Fatal("estimate cache never populated")
 	}
 	if cached.planCache.len() == 0 {
@@ -235,23 +236,23 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 
 	// Phase 3: view-set rotation. Both servers re-advise over identical
 	// windows (nothing was ingested), so they stay comparable; the
-	// cached server's estimate cache must come out empty — the epoch
-	// bump plus sweep may leave nothing from the previous generation.
+	// retrained model is a new generation, whose estimate cache starts
+	// empty — nothing the previous weights computed can answer for it.
 	for _, u := range []string{coldTS.URL, cachedTS.URL} {
 		resp, body := postJSON(t, u+"/v1/advise", adviseRequest{Force: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("advise on %s: status %d: %s", u, resp.StatusCode, body)
 		}
 	}
-	if n := cached.estCache.len(); n != 0 {
-		t.Fatalf("%d stale estimate-cache entries survived the rotation sweep", n)
+	if n := cached.model.Load().est.len(); n != 0 {
+		t.Fatalf("the live generation's estimate cache starts with %d entries after the swap, want 0", n)
 	}
 	want = expectIdentical(t, coldTS.URL, cachedTS.URL, bodies, "post-rotation")
 
-	// Phase 4: model hot-reload with a changed cost scale. Halving the
-	// scale doubles every estimate, so any stale entry surviving the
-	// bump would be caught by the cold comparison below — and the
-	// responses must visibly change.
+	// Phase 4: model hot-reload with a changed cost scale. Doubling the
+	// scale halves every estimate, so any entry of the previous
+	// generation answering for the new one would be caught by the cold
+	// comparison below — and the responses must visibly change.
 	cur := cached.model.Load()
 	path := t.TempDir() + "/wd.ckpt"
 	if err := saveModel(cur.m, path); err != nil {
@@ -272,7 +273,7 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 		}
 	}
 	if !changed {
-		t.Fatal("scale-doubling reload left every response unchanged: stale estimates survived the version bump")
+		t.Fatal("scale-doubling reload left every response unchanged: the previous generation's estimates answered for the new one")
 	}
 }
 
@@ -402,7 +403,7 @@ func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 
 	// warm covers every text once; stream is a seeded sample of the
 	// remaining (query, view) pairs, so no pair of a phase repeats and
-	// the estimate cache (swept at every swap) never answers.
+	// the estimate cache (new with every model) never answers.
 	var warm, stream []estimatePair
 	seen := make(map[string]bool) // the workload repeats some query texts
 	for i, q := range w.Queries {

@@ -95,9 +95,9 @@ type Config struct {
 	// is below (1-UtilityTolerance) times the active set's. Default 0
 	// (any regression rolls back).
 	UtilityTolerance float64
-	// CacheSize bounds the fingerprint-keyed estimate cache (the plan
-	// cache shares the bound). 0 selects the default 4096; negative
-	// disables caching entirely.
+	// CacheSize bounds each model generation's fingerprint-keyed
+	// estimate cache (the plan cache shares the bound). 0 selects the
+	// default 4096; negative disables caching entirely.
 	CacheSize int
 }
 
@@ -135,12 +135,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// model pairs W-D weights with the cost scale that maps its predictions
-// back to dollars, swapped atomically as one unit.
+// model is one generation of the served estimator: W-D weights, the
+// cost scale that maps their predictions back to dollars, the version
+// replies name, and the estimates those weights computed, swapped
+// atomically as one unit. An estimate depends only on the two SQL texts
+// and the weights, so a generation's cache never needs invalidating; the
+// next generation starts with an empty one.
 type model struct {
 	m       *widedeep.Model
 	scale   float64 // predictions are divided by this (1 when unscaled)
 	version int
+	est     *cache[float64] // nil when caching is disabled
+}
+
+// newModel builds a generation with an empty estimate cache.
+func (s *Server) newModel(m *widedeep.Model, scale float64, version int) *model {
+	return &model{m: m, scale: scale, version: version, est: newCache[float64](s.cfg.CacheSize, estCacheMetrics)}
 }
 
 // ingestMsg carries parsed plans (tagged with the SQL they were parsed
@@ -182,12 +192,10 @@ type Server struct {
 	batcher *batcher
 	ingest  chan ingestMsg
 
-	// estCache maps (query, view) exact-fingerprint pairs to final cost
-	// estimates, epoch-invalidated on rotation and hot-reload; planCache
-	// maps one exact fingerprint to its parsed plan + precomputed
-	// features (epoch-free: plans depend only on SQL text and the
-	// immutable catalog). Both are nil (disabled) when CacheSize < 0.
-	estCache  *cache[float64]
+	// planCache maps one exact fingerprint to its parsed plan +
+	// precomputed features (plans depend only on SQL text and the
+	// immutable catalog); nil (disabled) when CacheSize < 0. Estimates
+	// are cached per model generation (model.est).
 	planCache *cache[*planEntry]
 
 	// adviseMu serializes re-advise cycles (the advisor mutates its
@@ -230,17 +238,8 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 		stopBg:  make(chan struct{}),
 		started: time.Now(),
 	}
-	s.estCache = newCache[float64](cfg.CacheSize,
-		cacheMetrics{hit: obsCacheHit, miss: obsCacheMiss, evict: obsCacheEvict, size: obsCacheSize})
-	s.planCache = newCache[*planEntry](cfg.CacheSize,
-		cacheMetrics{hit: obsPlanCacheHit, miss: obsPlanCacheMiss, evict: obsPlanCacheEvict, size: obsPlanCacheSize})
-	s.batcher = newBatcher(cfg, func() (*widedeep.Model, float64) {
-		m := s.model.Load()
-		if m == nil {
-			return nil, 1
-		}
-		return m.m, m.scale
-	})
+	s.planCache = newCache[*planEntry](cfg.CacheSize, planCacheMetrics)
+	s.batcher = newBatcher(cfg)
 	s.mux = s.routes()
 	return s
 }

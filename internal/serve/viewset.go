@@ -74,21 +74,13 @@ type AdviseResult struct {
 // back when the candidate's estimated utility regresses (force
 // overrides the rollback guard). Cycles are serialized; a concurrent
 // trigger fails fast with errAdviseBusy. A freshly trained W-D model is
-// hot-swapped into the batcher whether or not the view set rotates.
+// hot-swapped in whether or not the view set rotates.
 func (s *Server) advise(ctx context.Context, trigger string, force bool) (*AdviseResult, error) {
 	if !s.adviseMu.TryLock() {
 		return nil, errAdviseBusy
 	}
 	defer s.adviseMu.Unlock()
 	defer obs.StartSpan("serve.advise")()
-	// Every cycle invalidates the estimate cache on the way out, after
-	// any model swap and view-set store have been published: stale
-	// entries can then only exist under an already-dead epoch. The sweep
-	// releases the invalidated generation's memory promptly.
-	defer func() {
-		s.estCache.bumpEpoch()
-		s.estCache.sweep()
-	}()
 
 	if trigger != "bootstrap" { // the ingester starts after bootstrap
 		if err := s.ingestBarrier(ctx); err != nil {
@@ -176,7 +168,7 @@ func (s *Server) advise(ctx context.Context, trigger string, force bool) (*Advis
 
 // adviseWorkers is the worker count an advise cycle runs the advisor
 // with (W-D training, the held-out predictions, pair measurement, the
-// RLView sweep). An explicit core Parallelism is used as given. Under 0
+// RLView episodes). An explicit core Parallelism is used as given. Under 0
 // the bootstrap takes every core, since nothing is served until it
 // finishes, and every later cycle leaves one to the readers it runs
 // beside. Training is bit-identical at any worker count, so the choice
@@ -210,31 +202,36 @@ func (s *Server) ingestBarrier(ctx context.Context) error {
 	}
 }
 
-// swapModel atomically publishes new weights and their cost scale as
-// one unit; in-flight micro-batches keep the model they loaded. When
+// swapModel atomically publishes new weights and their cost scale as a
+// new generation with an empty estimate cache, and returns its version.
+// Requests in flight finish on the generation they loaded, estimates
+// and cache included; the replaced generation's cached estimates leave
+// with it. The version is assigned under durMu, which serializes swaps,
+// so two swaps never share a version (or a checkpoint name). When
 // running durably the checkpoint and its WAL record are persisted under
 // the same durMu hold as the publish, so a snapshot sees either both or
 // neither side of the swap.
-func (s *Server) swapModel(m2 *widedeep.Model, scale float64) {
+func (s *Server) swapModel(m2 *widedeep.Model, scale float64) int {
 	if scale <= 0 {
 		scale = 1
 	}
-	version := 1
-	if cur := s.model.Load(); cur != nil {
-		version = cur.version + 1
-	}
-	next := &model{m: m2, scale: scale, version: version}
 	s.durMu.Lock()
+	prev := s.model.Load()
+	version := 1
+	if prev != nil {
+		version = prev.version + 1
+	}
+	next := s.newModel(m2, scale, version)
 	s.model.Store(next)
+	obsCacheSize.Set(0)
 	s.persistModel(next)
-	s.durMu.Unlock()
-	// Invalidate cached estimates only after the new model is visible:
-	// a concurrent put that captured the old epoch lands dead, and a
-	// fresh request after the bump recomputes against the new weights.
-	s.estCache.bumpEpoch()
-	s.estCache.sweep()
 	obsModelVer.Set(float64(version))
+	s.durMu.Unlock()
+	if prev != nil {
+		obsCacheEvict.Add(int64(prev.est.len()))
+	}
 	obs.Info("serve.model", "event", "swap", "version", version, "scale", scale)
+	return version
 }
 
 // refreshViewPlans precomputes the parsed plan + plan-local features of
@@ -258,7 +255,7 @@ func (s *Server) refreshViewPlans(vs *ViewSet) {
 		if err != nil {
 			continue
 		}
-		s.planCache.put(planKey(fp.Exact), &planEntry{node: n, pf: featenc.Precompute(n)}, s.planCache.curEpoch())
+		s.planCache.put(planKey(fp.Exact), &planEntry{node: n, pf: featenc.Precompute(n)})
 	}
 }
 

@@ -11,28 +11,22 @@ import (
 // lexical level (no parse, no catalog binding) so the serving hot path
 // can identify repeated queries before doing any per-request work.
 //
-// Two digests are derived from one token scan:
+// Exact is one digest over the statement's token stream: identifiers and
+// punctuation verbatim, each literal as a placeholder, followed by the
+// literal values (kind plus raw bytes, length-prefixed, in source
+// order). Whitespace and -- comments never contribute. Equal Exact
+// fingerprints imply equal token streams, hence equal parse results —
+// Exact is the key under which the serving layer may reuse parsed plans,
+// feature tensors, and cost estimates without changing any response
+// byte.
 //
-//   - Template is literal-normalized: every number and string literal is
-//     replaced by a placeholder before hashing, so queries that differ
-//     only in literal values — the dominant shape of production
-//     template traffic — share a Template. Whitespace and -- comments
-//     never contribute.
-//   - Exact extends Template with the literal values (kind plus raw
-//     bytes, length-prefixed, in source order). Equal Exact fingerprints
-//     imply equal token streams, hence equal parse results — Exact is
-//     the key under which the serving layer may reuse parsed plans,
-//     feature tensors, and cost estimates without changing any response
-//     byte.
-//
-// Both digests are truncated SHA-256 over an unambiguous rendering of
-// the token stream, so they are deterministic across processes and
-// machines (no per-process hash seeding). The zero FP is not the
-// fingerprint of any lexable input's canonical stream and can serve as
-// an "unset" sentinel.
+// The digest is truncated SHA-256 over an unambiguous rendering of the
+// token stream, so it is deterministic across processes and machines
+// (no per-process hash seeding). The zero FP is not the fingerprint of
+// any lexable input's canonical stream and can serve as an "unset"
+// sentinel.
 type FP struct {
-	Template [16]byte
-	Exact    [16]byte
+	Exact [16]byte
 }
 
 // ExactHex renders the exact digest for logs and spans.
@@ -52,7 +46,7 @@ const (
 type fpScratch struct {
 	tmpl []byte // canonical template token stream
 	lit  []byte // literal section: kind byte, uvarint length, raw bytes
-	ex   []byte // exact digest input: template digest ++ literal section
+	ex   []byte // digest input: uvarint len(tmpl) ++ tmpl ++ lit
 	src  []byte // copy buffer for the string entry point
 }
 
@@ -63,7 +57,7 @@ var fpPool = sync.Pool{New: func() any { return new(fpScratch) }}
 const fpScratchMax = 64 << 10
 
 func putFPScratch(s *fpScratch) {
-	if cap(s.tmpl) > fpScratchMax || cap(s.lit) > fpScratchMax || cap(s.src) > fpScratchMax {
+	if cap(s.tmpl) > fpScratchMax || cap(s.lit) > fpScratchMax || cap(s.ex) > fpScratchMax || cap(s.src) > fpScratchMax {
 		return
 	}
 	fpPool.Put(s)
@@ -95,15 +89,14 @@ func fingerprint(s *fpScratch, src []byte) (FP, error) {
 	if err := canonicalize(s, src); err != nil {
 		return FP{}, err
 	}
-	var fp FP
-	sum := sha256.Sum256(s.tmpl)
-	copy(fp.Template[:], sum[:16])
-	// The exact stream prefixes the fixed-width template digest, so the
-	// template/literal boundary is unambiguous even though identifier
-	// bytes are unconstrained.
-	s.ex = append(s.ex[:0], fp.Template[:]...)
+	// The template stream's length prefix makes the template/literal
+	// boundary unambiguous even though identifier bytes are
+	// unconstrained.
+	s.ex = binary.AppendUvarint(s.ex[:0], uint64(len(s.tmpl)))
+	s.ex = append(s.ex, s.tmpl...)
 	s.ex = append(s.ex, s.lit...)
-	sum = sha256.Sum256(s.ex)
+	sum := sha256.Sum256(s.ex)
+	var fp FP
 	copy(fp.Exact[:], sum[:16])
 	return fp, nil
 }

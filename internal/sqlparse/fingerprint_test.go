@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Distinct query templates: pairwise-distinct Template (and Exact)
-// fingerprints are required — a collision would let the serving cache
-// return one query's estimate for another.
+// Distinct query templates: pairwise-distinct Exact fingerprints are
+// required — a collision would let the serving cache return one query's
+// estimate for another.
 var fpTemplates = []string{
 	`select a from t`,
 	`select a from tt`,
@@ -49,27 +49,22 @@ func TestFingerprintDeterministic(t *testing.T) {
 }
 
 func TestFingerprintCollisionFree(t *testing.T) {
-	tmpl := map[[16]byte]string{}
 	exact := map[[16]byte]string{}
 	for _, sql := range fpTemplates {
 		fp, err := Fingerprint(sql)
 		if err != nil {
 			t.Fatalf("Fingerprint(%q): %v", sql, err)
 		}
-		if prev, dup := tmpl[fp.Template]; dup {
-			t.Fatalf("template collision: %q vs %q", prev, sql)
-		}
 		if prev, dup := exact[fp.Exact]; dup {
 			t.Fatalf("exact collision: %q vs %q", prev, sql)
 		}
-		tmpl[fp.Template] = sql
 		exact[fp.Exact] = sql
 	}
 }
 
-// TestFingerprintLiteralNormalization pins the template property the
-// serving cache leans on: queries differing only in literal values share
-// a Template but never an Exact digest.
+// TestFingerprintLiteralNormalization pins the property the serving
+// cache leans on: queries differing only in literal values — same
+// template, other literals — never share an Exact digest.
 func TestFingerprintLiteralNormalization(t *testing.T) {
 	groups := [][]string{
 		{
@@ -96,9 +91,6 @@ func TestFingerprintLiteralNormalization(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Fingerprint(%q): %v", sql, err)
 			}
-			if fp.Template != base.Template {
-				t.Errorf("templates differ: %q vs %q", group[0], sql)
-			}
 			if prev, dup := seen[fp.Exact]; dup {
 				t.Errorf("exact digests coincide for different literals: %q vs %q", prev, sql)
 			}
@@ -108,7 +100,7 @@ func TestFingerprintLiteralNormalization(t *testing.T) {
 }
 
 // TestFingerprintIgnoresLayout: whitespace and comments never reach the
-// canonical stream, so reformatting a query keeps both digests.
+// canonical stream, so reformatting a query keeps its digest.
 func TestFingerprintIgnoresLayout(t *testing.T) {
 	a, err := Fingerprint(`select a from t where b = 1`)
 	if err != nil {
@@ -165,9 +157,9 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 
 // FuzzFingerprint drives the fingerprint scanner with arbitrary SQL
 // bytes plus a literal mutation, checking the full contract:
-// determinism, string/bytes agreement, lexer agreement, and literal
-// normalization (a literal-only rewrite keeps Template; a literal value
-// change moves Exact).
+// determinism, string/bytes agreement, lexer agreement, and the
+// literal-rewrite property of Exact (changing any literal's bytes moves
+// it).
 func FuzzFingerprint(f *testing.F) {
 	for _, sql := range fpTemplates {
 		f.Add(sql, "42")
@@ -197,9 +189,8 @@ func FuzzFingerprint(f *testing.F) {
 		if err1 != nil {
 			return
 		}
-		// Rewrite every literal to a sanitized variant of lit: the
-		// template must survive, and changing any literal's bytes must
-		// move the exact digest.
+		// Rewrite every literal to a sanitized variant of lit: changing
+		// any literal's bytes must move the exact digest.
 		toks, err := Lex(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -211,9 +202,6 @@ func FuzzFingerprint(f *testing.F) {
 		vfp, err := Fingerprint(variant)
 		if err != nil {
 			t.Fatalf("literal rewrite broke lexing: %q -> %q: %v", sql, variant, err)
-		}
-		if vfp.Template != fp1.Template {
-			t.Fatalf("literal rewrite moved the template: %q vs %q", sql, variant)
 		}
 		if changed && vfp.Exact == fp1.Exact {
 			t.Fatalf("different literals, same exact digest: %q vs %q", sql, variant)
