@@ -26,11 +26,12 @@ examples-smoke:
 # the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8. The
 # serve line does the same for the two guarantees scheduling decides:
 # every /v1/estimate reply is computed by the model its model_version
-# names while hot-reloads race the readers, and concurrent swaps never
-# share a model version.
+# names while hot-reloads race the readers, concurrent swaps never
+# share a model version, and /v1/healthz and /v1/views only ever report
+# a generation some publish installed whole.
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/

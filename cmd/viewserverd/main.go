@@ -16,9 +16,9 @@
 //	            [-data-dir DIR] [-fsync always|interval|off] [-snapshot-every N]
 //	            [-log-level debug|info|warn|error]
 //
-// With -data-dir the advisor state is durable: ingested queries, model
-// swaps, and view-set rotations are logged to a write-ahead log with
-// periodic snapshots, and a restart (even after a crash or kill -9)
+// With -data-dir the advisor state is durable: ingested queries and
+// published generations (W-D weights with the view set they judged) are
+// logged to a write-ahead log with periodic snapshots, and a restart (even after a crash or kill -9)
 // recovers the rolling window, view set, and W-D model byte-identically
 // instead of re-bootstrapping. While recovery replays, /v1/healthz
 // reports state "recovering" with 503 and every other endpoint answers

@@ -21,29 +21,39 @@ const (
 	crashDirEnv    = "AUTOVIEW_TEST_CRASH_DIR"
 )
 
-// crashOp is one scripted append. Exactly one field group is set,
-// selected by t.
+// crashOp is one scripted append: an ingest batch (t RecordIngest) or a
+// published generation (t RecordGeneration).
 type crashOp struct {
-	t       RecordType
-	sqls    []string
-	model   ModelRecord
-	viewset string
+	t    RecordType
+	sqls []string
+	gen  GenerationRecord
 }
 
-// crashScript is the scripted session: ingest and rotation records
+// crashGen is a generation record over the version-v checkpoint.
+func crashGen(v int, scale float64, viewset string) GenerationRecord {
+	return GenerationRecord{
+		Model:   ModelRecord{Path: ModelCheckpointName(v), Scale: scale, Version: v},
+		ViewSet: json.RawMessage(viewset),
+	}
+}
+
+// crashScript is the scripted session: ingest and generation records
 // around a mid-script snapshot (taken after record 5), mirroring the
-// serving layer's bootstrap -> ingest -> advise -> ingest life cycle.
+// serving layer's life cycle — a bootstrap publishes weights with
+// views, a forced advise new weights with new views, a hot-reload new
+// weights beside the same views.
 func crashScript() []crashOp {
 	return []crashOp{
 		{t: RecordIngest, sqls: []string{"SELECT a FROM t1", "SELECT b FROM t1"}},
 		{t: RecordIngest, sqls: []string{"SELECT c FROM t2"}},
-		{t: RecordModel, model: ModelRecord{Path: "model-v1.ckpt", Scale: 1.5, Version: 1}},
-		{t: RecordViewSet, viewset: `{"version":1,"views":["view_t1"]}`},
+		{t: RecordGeneration, gen: crashGen(1, 1.5, `{"version":1,"views":["view_t1"]}`)},
 		{t: RecordIngest, sqls: []string{"SELECT d FROM t3", "SELECT e FROM t3", "SELECT f FROM t3"}},
 		{t: RecordIngest, sqls: []string{"SELECT g FROM t4"}},
-		{t: RecordModel, model: ModelRecord{Path: "model-v2.ckpt", Scale: 1.75, Version: 2}},
-		{t: RecordViewSet, viewset: `{"version":2,"views":["view_t3"]}`},
+		{t: RecordGeneration, gen: crashGen(2, 1.75, `{"version":2,"views":["view_t3"]}`)},
+		{t: RecordGeneration, gen: crashGen(3, 3.5, `{"version":2,"views":["view_t3"]}`)},
 		{t: RecordIngest, sqls: []string{"SELECT h FROM t5"}},
+		{t: RecordGeneration, gen: crashGen(4, 1.625, `{"version":3,"views":["view_t3","view_t5"]}`)},
+		{t: RecordIngest, sqls: []string{"SELECT i FROM t5"}},
 	}
 }
 
@@ -61,10 +71,10 @@ func crashStateAfter(k int) *State {
 		case RecordIngest:
 			st.WindowSQL = append(st.WindowSQL, op.sqls...)
 			st.WindowTotal += uint64(len(op.sqls))
-		case RecordModel:
-			st.ModelPath, st.ModelScale, st.ModelVersion = op.model.Path, op.model.Scale, op.model.Version
-		case RecordViewSet:
-			st.ViewSet = json.RawMessage(op.viewset)
+		case RecordGeneration:
+			m := op.gen.Model
+			st.ModelPath, st.ModelScale, st.ModelVersion = m.Path, m.Scale, m.Version
+			st.ViewSet = op.gen.ViewSet
 		}
 	}
 	return st
@@ -81,10 +91,8 @@ func runCrashScript(dir string) error {
 		switch op.t {
 		case RecordIngest:
 			err = s.AppendIngest(op.sqls)
-		case RecordModel:
-			err = s.AppendModel(op.model)
-		case RecordViewSet:
-			err = s.AppendViewSet(json.RawMessage(op.viewset))
+		case RecordGeneration:
+			err = s.AppendGeneration(op.gen)
 		}
 		if err != nil {
 			return fmt.Errorf("append %d: %w", i+1, err)

@@ -57,6 +57,8 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(appendFrame(appendHeader(nil), RecordIngest, []byte(`{"sqls":["q"]}`)))
 	f.Add(appendFrame(appendHeader(nil), 200, []byte("unknown type")))
 	f.Add(append(appendHeader(nil), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1)) // absurd length prefix
+	f.Add(appendFrame(appendHeader(nil), RecordGeneration,
+		[]byte(`{"model":{"path":"model-v1.ckpt","scale":1.5,"version":1},"view_set":{"version":1}}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, consumed, clean, err := collectScan(data)

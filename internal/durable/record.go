@@ -14,14 +14,18 @@ const (
 	// RecordIngest carries a batch of ingested query SQL texts
 	// (payload: ingestPayload JSON).
 	RecordIngest RecordType = 1
-	// RecordModel marks a model swap (payload: ModelRecord JSON).
-	RecordModel RecordType = 2
-	// RecordViewSet marks a view-set rotation (payload: the serving
-	// layer's ViewSet JSON, opaque to this package).
+	// RecordModel and RecordViewSet are the two halves of a generation
+	// as earlier builds logged them: a model swap (payload: ModelRecord
+	// JSON) and a view-set rotation (payload: the serving layer's ViewSet
+	// JSON). Recovery still reads them; nothing writes them.
+	RecordModel   RecordType = 2
 	RecordViewSet RecordType = 3
+	// RecordGeneration marks one published generation (payload:
+	// GenerationRecord JSON).
+	RecordGeneration RecordType = 4
 )
 
-func (t RecordType) valid() bool { return t >= RecordIngest && t <= RecordViewSet }
+func (t RecordType) valid() bool { return t >= RecordIngest && t <= RecordGeneration }
 
 // Segment header: 4-byte magic, 1-byte format version, 3 reserved zero
 // bytes. Replay rejects unknown versions loudly instead of guessing.

@@ -43,12 +43,20 @@ type Snapshot struct {
 	ModelVersion int     `json:"model_version,omitempty"`
 }
 
-// ModelRecord is the RecordModel payload: the durable pointer one model
-// swap publishes.
+// ModelRecord is the durable pointer to one set of W-D weights: the
+// checkpoint, its cost scale and its version (the RecordModel payload).
 type ModelRecord struct {
 	Path    string  `json:"path"` // relative to the data dir
 	Scale   float64 `json:"scale"`
 	Version int     `json:"version"`
+}
+
+// GenerationRecord is the RecordGeneration payload: the whole serving
+// state one publish installs. A zero Model means no weights; an empty
+// ViewSet (the serving layer's JSON, opaque here), no view set yet.
+type GenerationRecord struct {
+	Model   ModelRecord     `json:"model"`
+	ViewSet json.RawMessage `json:"view_set,omitempty"`
 }
 
 // ingestPayload is the RecordIngest payload.
@@ -84,45 +92,6 @@ func parseSegmentName(name string) (uint64, bool) {
 	}
 	lsn, err := strconv.ParseUint(rest, 16, 64)
 	return lsn, err == nil
-}
-
-// writeSnapshot persists snap atomically: marshal to a .tmp file, fsync
-// it, rename into place, and fsync the directory so the name survives a
-// crash. Either the complete snapshot is visible under its final name or
-// it never existed.
-func writeSnapshot(dir string, snap *Snapshot) error {
-	snap.FormatVersion = snapFormatVersion
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("durable: marshal snapshot: %w", err)
-	}
-	final := filepath.Join(dir, snapshotName(snap.LSN))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmp) // best effort; the write already failed
-		return fmt.Errorf("durable: write snapshot: %w", werr)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	obsSnapshots.Inc()
-	obsSnapBytes.Set(float64(len(data)))
-	obsSnapLSN.Set(float64(snap.LSN))
-	return nil
 }
 
 // loadSnapshot reads and validates one snapshot file.
@@ -247,6 +216,33 @@ func parseModelName(name string) (int, bool) {
 	}
 	v, err := strconv.Atoi(rest)
 	return v, err == nil
+}
+
+// WriteFile writes data to path atomically and durably: a .tmp file is
+// written and fsynced, renamed into place, and the directory fsynced so
+// the name survives a crash. Either the complete file is visible under
+// path or it never was.
+func WriteFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, werr := f.Write(data)
+	if werr == nil {
+		werr = f.Sync()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		_ = os.Remove(tmp) // best effort; the write already failed
+		return werr
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so renames and removals in it are durable.

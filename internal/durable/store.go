@@ -40,6 +40,13 @@ func (st *State) apply(t RecordType, payload []byte, windowCap int) error {
 			// copy frequency and the slack memory during long replays.
 			st.WindowSQL = append([]string(nil), st.WindowSQL[len(st.WindowSQL)-windowCap:]...)
 		}
+	case RecordGeneration:
+		var g GenerationRecord
+		if err := json.Unmarshal(payload, &g); err != nil {
+			return fmt.Errorf("durable: generation record: %w", err)
+		}
+		st.ModelPath, st.ModelScale, st.ModelVersion = g.Model.Path, g.Model.Scale, g.Model.Version
+		st.ViewSet = append(json.RawMessage(nil), g.ViewSet...)
 	case RecordModel:
 		var m ModelRecord
 		if err := json.Unmarshal(payload, &m); err != nil {
@@ -220,20 +227,13 @@ func (s *Store) AppendIngest(sqls []string) error {
 	return err
 }
 
-// AppendModel logs a model swap.
-func (s *Store) AppendModel(rec ModelRecord) error {
+// AppendGeneration logs one published generation.
+func (s *Store) AppendGeneration(rec GenerationRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	_, err = s.w.append(RecordModel, payload)
-	return err
-}
-
-// AppendViewSet logs a view-set rotation (raw is the serving layer's
-// ViewSet JSON).
-func (s *Store) AppendViewSet(raw json.RawMessage) error {
-	_, err := s.w.append(RecordViewSet, raw)
+	_, err = s.w.append(RecordGeneration, payload)
 	return err
 }
 
@@ -252,13 +252,13 @@ func (s *Store) ShouldSnapshot() bool {
 	return s.w.lastLSN() >= s.lastSnapLSN+uint64(s.opts.SnapshotEvery)
 }
 
-// WriteSnapshot persists a snapshot. snap.LSN must be the store's
-// LastLSN captured atomically with the state (the caller holds whatever
-// lock orders its appends). The WAL is flushed first so the snapshot
-// never claims coverage of records that could still be lost, the log
-// rotates so a fresh segment starts after the snapshot point, and older
-// generations (plus segments and checkpoints wholly below the oldest
-// retained snapshot) are pruned.
+// WriteSnapshot persists a snapshot with WriteFile, named by its LSN.
+// snap.LSN must be the store's LastLSN captured atomically with the
+// state (the caller holds whatever lock orders its appends). The WAL is
+// flushed first so the snapshot never claims coverage of records that
+// could still be lost, the log rotates so a fresh segment starts after
+// the snapshot point, and older generations (plus segments and
+// checkpoints wholly below the oldest retained snapshot) are pruned.
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	defer obs.StartSpan("durable.snapshot")()
 	s.mu.Lock()
@@ -266,9 +266,17 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	if err := s.w.sync(); err != nil {
 		return err
 	}
-	if err := writeSnapshot(s.opts.Dir, snap); err != nil {
-		return err
+	snap.FormatVersion = snapFormatVersion
+	data, err := json.Marshal(snap)
+	if err != nil {
+		return fmt.Errorf("durable: marshal snapshot: %w", err)
 	}
+	if err := WriteFile(filepath.Join(s.opts.Dir, snapshotName(snap.LSN)), data); err != nil {
+		return fmt.Errorf("durable: write snapshot: %w", err)
+	}
+	obsSnapshots.Inc()
+	obsSnapBytes.Set(float64(len(data)))
+	obsSnapLSN.Set(float64(snap.LSN))
 	s.lastSnapLSN = snap.LSN
 	s.w.rotate()
 	minVersion := s.minRetainedModelVersion()

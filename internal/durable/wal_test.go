@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -60,10 +61,11 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal("fresh dir reported recovered state")
 	}
 	ingestN(t, s, 0, 3)
-	if err := s.AppendModel(ModelRecord{Path: "model-v1.ckpt", Scale: 2.5, Version: 1}); err != nil {
-		t.Fatal(err)
+	gen := GenerationRecord{
+		Model:   ModelRecord{Path: "model-v1.ckpt", Scale: 2.5, Version: 1},
+		ViewSet: json.RawMessage(`{"version":7}`),
 	}
-	if err := s.AppendViewSet(json.RawMessage(`{"version":7}`)); err != nil {
+	if err := s.AppendGeneration(gen); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -83,8 +85,60 @@ func TestWALRoundTrip(t *testing.T) {
 	if string(st.ViewSet) != `{"version":7}` {
 		t.Fatalf("viewset = %s", st.ViewSet)
 	}
-	if st.LSN != 5 {
-		t.Fatalf("LSN = %d, want 5", st.LSN)
+	if st.LSN != 4 {
+		t.Fatalf("LSN = %d, want 4", st.LSN)
+	}
+}
+
+// TestRecoverReadsLegacyRecords: a segment that logged each generation
+// as the separate model and view-set records of earlier builds — a
+// rollback as a model record alone — recovers the same state as the
+// equivalent generation records.
+func TestRecoverReadsLegacyRecords(t *testing.T) {
+	ingest := []byte(`{"sqls":["q0","q1"]}`)
+	model := func(v int, scale float64) ModelRecord {
+		return ModelRecord{Path: ModelCheckpointName(v), Scale: scale, Version: v}
+	}
+	vs1, vs2 := json.RawMessage(`{"version":1,"views":["a"]}`), json.RawMessage(`{"version":2,"views":["b"]}`)
+	mustJSON := func(v any) []byte {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	recoverSeg := func(frames func(seg []byte) []byte) *State {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), frames(appendHeader(nil)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, _, err := Recover(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	legacy := recoverSeg(func(seg []byte) []byte {
+		seg = appendFrame(seg, RecordIngest, ingest)
+		seg = appendFrame(seg, RecordModel, mustJSON(model(1, 1.5))) // bootstrap
+		seg = appendFrame(seg, RecordViewSet, vs1)
+		seg = appendFrame(seg, RecordModel, mustJSON(model(2, 1.25))) // rollback
+		seg = appendFrame(seg, RecordModel, mustJSON(model(3, 1.75))) // swap
+		return appendFrame(seg, RecordViewSet, vs2)
+	})
+	gens := recoverSeg(func(seg []byte) []byte {
+		seg = appendFrame(seg, RecordIngest, ingest)
+		seg = appendFrame(seg, RecordGeneration, mustJSON(GenerationRecord{Model: model(1, 1.5), ViewSet: vs1}))
+		seg = appendFrame(seg, RecordGeneration, mustJSON(GenerationRecord{Model: model(2, 1.25), ViewSet: vs1}))
+		return appendFrame(seg, RecordGeneration, mustJSON(GenerationRecord{Model: model(3, 1.75), ViewSet: vs2}))
+	})
+	if legacy.LSN != 6 || gens.LSN != 4 {
+		t.Fatalf("LSNs %d and %d, want 6 legacy records and 4 generation records", legacy.LSN, gens.LSN)
+	}
+	legacy.LSN, gens.LSN = 0, 0
+	if !reflect.DeepEqual(legacy, gens) {
+		t.Fatalf("legacy records recover %+v, generation records %+v", legacy, gens)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // smallGen is one generation over a small standalone W-D model, plus
 // one real feature set, bypassing the full server bootstrap so the
 // batcher tests and allocation measurements stay fast and deterministic.
-var smallGen = sync.OnceValues(func() (*model, featenc.Features) {
+var smallGen = sync.OnceValues(func() (*generation, featenc.Features) {
 	must := func(err error) {
 		if err != nil {
 			panic(err)
@@ -53,7 +53,7 @@ var smallGen = sync.OnceValues(func() (*model, featenc.Features) {
 		RegHidden:  4,
 	}, rand.New(rand.NewSource(3)))
 	m.Norm = featenc.FitNormalizer([][]float64{f.Numeric})
-	return &model{m: m, scale: 2, version: 1}, f
+	return &generation{m: m, scale: 2, version: 1}, f
 })
 
 // TestBatcherSteadyStateAllocs pins the micro-batcher's allocation cost
@@ -152,7 +152,7 @@ func TestEstimateWarmAlloc(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	})
-	vs := s.views.Load()
+	vs := s.gen.Load().views
 	if vs == nil || len(vs.Views) == 0 {
 		t.Fatal("no bootstrap views")
 	}

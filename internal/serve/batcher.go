@@ -34,7 +34,7 @@ var (
 // does, if the handler timed out — the slots are then written but never
 // read).
 type estRequest struct {
-	gen  *model
+	gen  *generation
 	fs   []featenc.Features
 	out  []float64
 	done chan struct{}
@@ -183,7 +183,7 @@ func (b *batcher) run(batch []*estRequest, total int) {
 
 // ranEarlier reports whether g already ran: some request of earlier
 // carries it.
-func ranEarlier(earlier []*estRequest, g *model) bool {
+func ranEarlier(earlier []*estRequest, g *generation) bool {
 	for _, r := range earlier {
 		if r.gen == g {
 			return true

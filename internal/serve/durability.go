@@ -29,43 +29,26 @@ type checkpointFile struct {
 	Model         json.RawMessage `json:"model"`
 }
 
-// saveCheckpoint persists a swapped-in model to the data directory under
-// name, atomically (tmp + fsync + rename): recovery either sees the
-// whole checkpoint or none.
-func (s *Server) saveCheckpoint(name string, m *model) error {
+// saveCheckpoint persists g's weights to the data directory under name
+// with durable.WriteFile: recovery either sees the whole checkpoint or
+// none.
+func (s *Server) saveCheckpoint(name string, g *generation) error {
 	var buf bytes.Buffer
-	if err := m.m.Save(&buf); err != nil {
+	if err := g.m.Save(&buf); err != nil {
 		return err
 	}
 	ck := checkpointFile{
 		FormatVersion: ckptFormatVersion,
-		VocabWords:    m.m.Enc.Vocab.Words(),
-		Scale:         m.scale,
-		Version:       m.version,
+		VocabWords:    g.m.Enc.Vocab.Words(),
+		Scale:         g.scale,
+		Version:       g.version,
 		Model:         buf.Bytes(),
 	}
 	data, err := json.Marshal(ck)
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(s.dur.Dir(), name)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(tmp) // best effort; the write already failed
-		return werr
-	}
-	return os.Rename(tmp, final)
+	return durable.WriteFile(filepath.Join(s.dur.Dir(), name), data)
 }
 
 // loadCheckpoint rebuilds a model from a checkpoint written by
@@ -94,31 +77,39 @@ func (s *Server) loadCheckpoint(path string) (*widedeep.Model, float64, error) {
 	return m, ck.Scale, nil
 }
 
-// persistModel saves next's checkpoint and logs the model record. The
-// caller holds durMu (the store + record pair must be atomic against
-// snapshot capture) and has already published next. On checkpoint-save
-// failure the swap stays in memory only: serving continues on the new
-// weights, recovery falls back to the previous durable model, and the
-// failure is loud in the event log.
-func (s *Server) persistModel(next *model) {
-	if s.dur == nil {
-		return
+// persist saves a checkpoint of next's weights when they have none and
+// logs next as one WAL record, under the durMu hold that stores next: a
+// snapshot sees the record and the state together or neither. A failed
+// checkpoint leaves the weights in memory only: serving continues on
+// them, next keeps pointing at the previous durable checkpoint (which
+// recovery falls back to), and the failure is loud in the event log.
+func (s *Server) persist(next *generation) {
+	if next.m != nil && next.ckpt.Version != next.version {
+		name := durable.ModelCheckpointName(next.version)
+		if err := s.saveCheckpoint(name, next); err != nil {
+			obs.Error("serve.durable", "event", "checkpoint_save_failed", "version", next.version, "err", err)
+		} else {
+			next.ckpt = durable.ModelRecord{Path: name, Scale: next.scale, Version: next.version}
+		}
 	}
-	name := durable.ModelCheckpointName(next.version)
-	if err := s.saveCheckpoint(name, next); err != nil {
-		obs.Error("serve.durable", "event", "checkpoint_save_failed", "version", next.version, "err", err)
-		return
+	rec := durable.GenerationRecord{Model: next.ckpt}
+	var err error
+	if next.views != nil {
+		rec.ViewSet, err = json.Marshal(next.views)
 	}
-	rec := durable.ModelRecord{Path: name, Scale: next.scale, Version: next.version}
-	if err := s.dur.AppendModel(rec); err != nil {
-		obs.Error("serve.durable", "event", "model_record_failed", "version", next.version, "err", err)
+	if err == nil {
+		err = s.dur.AppendGeneration(rec)
+	}
+	if err != nil {
+		obs.Error("serve.durable", "event", "generation_record_failed", "model_version", next.version, "err", err)
 	}
 }
 
 // restore rebuilds the serving state a recovered durable.State describes:
 // the rolling window re-parsed from its original SQL (plan parsing is
 // deterministic, so the window is byte-identical to the pre-crash one),
-// the versioned view set, and the model loaded from its checkpoint.
+// and the generation — its model loaded from the checkpoint, its view
+// set — stored as recovered, without logging it again.
 func (s *Server) restore(st *durable.State) error {
 	defer obs.StartSpan("serve.restore")()
 	plans := make([]*plan.Node, len(st.WindowSQL))
@@ -131,6 +122,8 @@ func (s *Server) restore(st *durable.State) error {
 	}
 	s.window.Restore(plans, st.WindowSQL, st.WindowTotal)
 
+	g := &generation{}
+	viewVersion := 0
 	if st.ModelPath != "" {
 		m, scale, err := s.loadCheckpoint(filepath.Join(s.dur.Dir(), st.ModelPath))
 		if err != nil {
@@ -141,31 +134,23 @@ func (s *Server) restore(st *durable.State) error {
 			// hot-reload can override the checkpoint's).
 			scale = st.ModelScale
 		}
-		s.model.Store(s.newModel(m, scale, st.ModelVersion))
-		obsModelVer.Set(float64(st.ModelVersion))
+		g.m, g.scale, g.version = m, scale, st.ModelVersion
+		g.est = newCache[float64](s.cfg.CacheSize, estCacheMetrics)
+		g.ckpt = durable.ModelRecord{Path: st.ModelPath, Scale: scale, Version: st.ModelVersion}
 	}
-
 	if len(st.ViewSet) > 0 {
-		var vs ViewSet
-		if err := json.Unmarshal(st.ViewSet, &vs); err != nil {
+		g.views = new(ViewSet)
+		if err := json.Unmarshal(st.ViewSet, g.views); err != nil {
 			return fmt.Errorf("serve: restore view set: %w", err)
 		}
-		s.views.Store(&vs)
-		s.refreshViewPlans(&vs)
-		obsViewsVer.Set(float64(vs.Version))
-		obsViewsCount.Set(float64(len(vs.Views)))
-		obsUtility.Set(vs.Utility)
+		viewVersion = g.views.Version
+		s.refreshViewPlans(g.views)
 	}
+	s.gen.Store(g)
+	setGauges(g)
 	obs.Info("serve.restore", "window", s.window.Len(), "window_total", s.window.Total(),
-		"view_version", viewVersion(s.views.Load()), "model_version", st.ModelVersion, "lsn", st.LSN)
+		"view_version", viewVersion, "model_version", g.version, "lsn", st.LSN)
 	return nil
-}
-
-func viewVersion(vs *ViewSet) int {
-	if vs == nil {
-		return 0
-	}
-	return vs.Version
 }
 
 // writeSnapshot captures the serving state atomically against concurrent
@@ -174,23 +159,18 @@ func (s *Server) writeSnapshot() error {
 	s.durMu.Lock()
 	_, sqls := s.window.SnapshotTagged()
 	total := s.window.Total()
-	vs := s.views.Load()
-	m := s.model.Load()
+	g := s.gen.Load()
 	lsn := s.dur.LastLSN()
 	s.durMu.Unlock()
 
-	snap := &durable.Snapshot{LSN: lsn, WindowSQL: sqls, WindowTotal: total}
-	if vs != nil {
-		raw, err := json.Marshal(vs)
+	snap := &durable.Snapshot{LSN: lsn, WindowSQL: sqls, WindowTotal: total,
+		ModelPath: g.ckpt.Path, ModelScale: g.ckpt.Scale, ModelVersion: g.ckpt.Version}
+	if g.views != nil {
+		raw, err := json.Marshal(g.views)
 		if err != nil {
 			return fmt.Errorf("serve: snapshot view set: %w", err)
 		}
 		snap.ViewSet = raw
-	}
-	if m != nil {
-		snap.ModelPath = durable.ModelCheckpointName(m.version)
-		snap.ModelScale = m.scale
-		snap.ModelVersion = m.version
 	}
 	return s.dur.WriteSnapshot(snap)
 }

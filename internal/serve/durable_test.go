@@ -172,7 +172,7 @@ func TestServeDurableRestartRoundTrip(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 
 	// Ingest two queries and force a rotation so the durable state holds
-	// a non-trivial history: seed ingest, model v1+v2, view set v1+v2.
+	// a non-trivial history: seed ingest, generations 1 and 2.
 	resp, body := postJSON(t, ts1.URL+"/v1/queries", ingestRequest{Queries: []string{w.Queries[0].SQL, w.Queries[1].SQL}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
@@ -182,14 +182,14 @@ func TestServeDurableRestartRoundTrip(t *testing.T) {
 	}
 
 	pairs := []estimatePair{
-		{Query: w.Queries[3].SQL, View: s1.views.Load().Views[0].SQL},
-		{Query: w.Queries[4].SQL, View: s1.views.Load().Views[0].SQL},
+		{Query: w.Queries[3].SQL, View: s1.gen.Load().views.Views[0].SQL},
+		{Query: w.Queries[4].SQL, View: s1.gen.Load().views.Views[0].SQL},
 	}
 	wantViews := viewsBytes(t, ts1.URL)
 	wantEst := estimateBytes(t, ts1.URL, pairs)
 	_, wantSQLs := s1.window.SnapshotTagged()
 	wantTotal := s1.window.Total()
-	wantModelVer := s1.model.Load().version
+	wantModelVer := s1.gen.Load().version
 
 	ts1.Close()
 	closeDurable(t, s1, st1)
@@ -199,10 +199,10 @@ func TestServeDurableRestartRoundTrip(t *testing.T) {
 	defer ts2.Close()
 	defer closeDurable(t, s2, st2)
 
-	if got := s2.views.Load(); got == nil || got.Version != 2 {
+	if got := s2.gen.Load().views; got == nil || got.Version != 2 {
 		t.Fatalf("restart view set = %+v, want recovered v2 (not re-bootstrapped)", got)
 	}
-	if got := s2.model.Load().version; got != wantModelVer {
+	if got := s2.gen.Load().version; got != wantModelVer {
 		t.Fatalf("restart model version = %d, want %d", got, wantModelVer)
 	}
 	_, gotSQLs := s2.window.SnapshotTagged()
@@ -243,10 +243,9 @@ func serveCrashIngestB() []string {
 // runServeCrashScript drives a scripted serving session against dir. The
 // WAL record sequence it produces:
 //
-//	1  seed ingest (bootstrap)     5  model v2   (forced advise)
-//	2  model v1    (bootstrap)     6  view set v2 (forced advise)
-//	3  view set v1 (bootstrap)     7  ingest B
-//	4  ingest A
+//	1  seed ingest                      4  generation 2 (forced advise)
+//	2  generation 1 (bootstrap)         5  ingest B
+//	3  ingest A
 //
 // Under AUTOVIEW_WAL_CRASHPOINT the process dies inside the WAL writer
 // at the chosen record; otherwise it drains and exits cleanly.
@@ -322,11 +321,17 @@ func runServeCrashChild(t *testing.T, dir, crashpoint string) {
 // from an in-process never-crashed run of the same script.
 type crashReference struct {
 	seedSQLs []string
-	views1   *ViewSet // bootstrap view set (CreatedAt zeroed)
-	views2   *ViewSet // post-advise view set (CreatedAt zeroed)
 	pairs    []estimatePair
-	est1     []byte // /v1/estimate body under model v1
-	est2     []byte // /v1/estimate body under model v2
+	// gens are the generations the reference published, in order:
+	// bootstrap, then the forced advise.
+	gens [2]crashGen
+}
+
+// crashGen is one published generation as a client observes it.
+type crashGen struct {
+	modelVer int
+	views    *ViewSet // CreatedAt zeroed
+	est      []byte   // the /v1/estimate body of pairs under its model
 }
 
 func zeroCreatedAt(vs *ViewSet) *ViewSet {
@@ -355,12 +360,16 @@ func buildCrashReference(t *testing.T) *crashReference {
 	defer ts.Close()
 	defer closeDurable(t, s, st)
 
-	ref.views1 = zeroCreatedAt(s.views.Load())
-	ref.pairs = []estimatePair{
-		{Query: w.Queries[3].SQL, View: ref.views1.Views[0].SQL},
-		{Query: w.Queries[4].SQL, View: ref.views1.Views[0].SQL},
+	observe := func() crashGen {
+		g := s.gen.Load()
+		return crashGen{modelVer: g.version, views: zeroCreatedAt(g.views), est: estimateBytes(t, ts.URL, ref.pairs)}
 	}
-	ref.est1 = estimateBytes(t, ts.URL, ref.pairs)
+	boot := s.gen.Load().views
+	ref.pairs = []estimatePair{
+		{Query: w.Queries[3].SQL, View: boot.Views[0].SQL},
+		{Query: w.Queries[4].SQL, View: boot.Views[0].SQL},
+	}
+	ref.gens[0] = observe()
 
 	plans := make([]*plan.Node, len(serveCrashIngestA()))
 	for i, sql := range serveCrashIngestA() {
@@ -378,19 +387,17 @@ func buildCrashReference(t *testing.T) *crashReference {
 	if _, err := s.advise(context.Background(), "reference", true); err != nil {
 		t.Fatalf("advise: %v", err)
 	}
-	ref.views2 = zeroCreatedAt(s.views.Load())
-	ref.est2 = estimateBytes(t, ts.URL, ref.pairs)
+	ref.gens[1] = observe()
 	return ref
 }
 
 // crashExpect describes the reference state after a surviving record
-// prefix, per the record map in runServeCrashScript.
+// prefix, per the record map in runServeCrashScript: gen is nil before
+// the bootstrap generation's record survives.
 type crashExpect struct {
-	window   []string
-	total    uint64
-	modelVer int
-	views    *ViewSet
-	est      []byte
+	window []string
+	total  uint64
+	gen    *crashGen
 }
 
 func (ref *crashReference) after(k int) crashExpect {
@@ -398,24 +405,18 @@ func (ref *crashReference) after(k int) crashExpect {
 	if k >= 1 {
 		e.window = append(e.window, ref.seedSQLs...)
 	}
-	if k >= 4 {
+	if k >= 3 {
 		e.window = append(e.window, serveCrashIngestA()...)
 	}
-	if k >= 7 {
+	if k >= 5 {
 		e.window = append(e.window, serveCrashIngestB()...)
 	}
 	e.total = uint64(len(e.window))
 	switch {
-	case k >= 5:
-		e.modelVer, e.est = 2, ref.est2
+	case k >= 4:
+		e.gen = &ref.gens[1]
 	case k >= 2:
-		e.modelVer, e.est = 1, ref.est1
-	}
-	switch {
-	case k >= 6:
-		e.views = ref.views2
-	case k >= 3:
-		e.views = ref.views1
+		e.gen = &ref.gens[0]
 	}
 	return e
 }
@@ -424,7 +425,9 @@ func (ref *crashReference) after(k int) crashExpect {
 // boundaries and mid-record, restarts a server over the surviving data
 // directory, and asserts the recovered window, view set, and estimate
 // responses are byte-identical to the never-crashed reference state
-// after the surviving record prefix.
+// after the surviving record prefix. Each generation is one record, so
+// every prefix recovers a (model, view set) pair the reference
+// published — never a model beside a view set it did not judge.
 func TestServeCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a bootstrapping child process per crashpoint")
@@ -436,12 +439,13 @@ func TestServeCrashRecovery(t *testing.T) {
 		surviving int
 	}
 	var points []point
-	for lsn := 1; lsn <= 7; lsn++ {
+	for lsn := 1; lsn <= 5; lsn++ {
 		points = append(points, point{spec: fmt.Sprintf("%d", lsn), surviving: lsn})
 	}
-	// Mid-record tears at an early, a mid, and a final record (the
-	// exhaustive every-offset sweep lives in internal/durable).
-	for _, lsn := range []int{1, 5, 7} {
+	// Mid-record tears at the first record, the advise's generation, and
+	// the final record (the exhaustive every-offset sweep lives in
+	// internal/durable).
+	for _, lsn := range []int{1, 4, 5} {
 		points = append(points, point{spec: fmt.Sprintf("%d:9", lsn), surviving: lsn - 1})
 	}
 
@@ -470,22 +474,23 @@ func TestServeCrashRecovery(t *testing.T) {
 				t.Fatalf("window total = %d, want %d", got, want.total)
 			}
 
-			gotModel := 0
-			if m := s.model.Load(); m != nil {
-				gotModel = m.version
-			}
-			if gotModel != want.modelVer {
-				t.Fatalf("model version = %d, want %d", gotModel, want.modelVer)
-			}
-			if !reflect.DeepEqual(zeroCreatedAt(s.views.Load()), want.views) {
-				t.Fatalf("view set diverged from reference prefix %d:\n got: %+v\nwant: %+v",
-					p.surviving, s.views.Load(), want.views)
-			}
-			if want.est != nil {
-				if got := estimateBytes(t, ts.URL, ref.pairs); !bytes.Equal(got, want.est) {
-					t.Fatalf("estimates diverged from reference prefix %d:\n got: %s\nwant: %s",
-						p.surviving, got, want.est)
+			g := s.gen.Load()
+			if want.gen == nil {
+				if g.m != nil || g.views != nil {
+					t.Fatalf("prefix %d recovered model %d and view set %+v, want neither", p.surviving, g.version, g.views)
 				}
+				return
+			}
+			if g.version != want.gen.modelVer {
+				t.Fatalf("model version = %d, want %d", g.version, want.gen.modelVer)
+			}
+			if !reflect.DeepEqual(zeroCreatedAt(g.views), want.gen.views) {
+				t.Fatalf("view set diverged from reference prefix %d:\n got: %+v\nwant: %+v",
+					p.surviving, g.views, want.gen.views)
+			}
+			if got := estimateBytes(t, ts.URL, ref.pairs); !bytes.Equal(got, want.gen.est) {
+				t.Fatalf("estimates diverged from reference prefix %d:\n got: %s\nwant: %s",
+					p.surviving, got, want.gen.est)
 			}
 		})
 	}

@@ -56,7 +56,7 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 	// Two checkpoints: the bootstrap weights, and every parameter of
 	// them scaled. oracles maps each checkpoint to the weights a reload
 	// of it serves, rebuilt the way the reload handler rebuilds them.
-	boot := s.model.Load()
+	boot := s.gen.Load()
 	dir := t.TempDir()
 	ckpts := [2]string{filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")}
 	load := func(path string) *widedeep.Model {
@@ -231,7 +231,7 @@ func TestModelVersionsAreUnique(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	ts := srv.URL
-	boot := s.model.Load()
+	boot := s.gen.Load()
 	path := filepath.Join(t.TempDir(), "wd.ckpt")
 	if err := saveModel(boot.m, path); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestModelVersionsAreUnique(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if last := s.model.Load().version; last != boot.version+n+1 {
+	if last := s.gen.Load().version; last != boot.version+n+1 {
 		t.Fatalf("%d reloads and one advise took the model from version %d to %d, want %d", n, boot.version, last, boot.version+n+1)
 	}
 	byVersion := map[int]int{}
@@ -302,4 +302,105 @@ func TestModelVersionsAreUnique(t *testing.T) {
 			t.Fatalf("checkpoint of version %d holds scale %v, but reload %d (scale %v) replied that version", v, ck.Scale, k, scaleOf(k))
 		}
 	}
+}
+
+// TestHealthzReportsPublishedGenerations: while forced advises publish
+// new weights with new view sets, every /v1/healthz reply reports a
+// model version and a view version that were published together — their
+// difference stays what it was at bootstrap, since every forced advise
+// moves both — and every /v1/views reply carries a version an advise
+// replied (or the bootstrap's). The server is durable, so each publish
+// also saves a checkpoint and forces the WAL: the slow steps a reader
+// would otherwise see half of.
+func TestHealthzReportsPublishedGenerations(t *testing.T) {
+	s, st := startDurable(t, t.TempDir())
+	defer closeDurable(t, s, st)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	ts := srv.URL
+
+	get := func(path string, dst any) error {
+		resp, err := http.Get(ts + path)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(dst)
+	}
+	var boot healthResponse
+	if err := get("/v1/healthz", &boot); err != nil {
+		t.Fatal(err)
+	}
+	offset := boot.ModelVersion - boot.ViewVersion
+
+	const readers, advises = 3, 4
+	var (
+		mu      sync.Mutex
+		healths []healthResponse
+		seen    []int // /v1/views versions
+	)
+	done := make(chan struct{})
+	errs := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var h healthResponse
+				var vs ViewSet
+				if err := get("/v1/healthz", &h); err != nil {
+					errs <- err
+					return
+				}
+				if err := get("/v1/views", &vs); err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				healths = append(healths, h)
+				seen = append(seen, vs.Version)
+				mu.Unlock()
+			}
+		}()
+	}
+	published := map[int]bool{boot.ViewVersion: true}
+	for k := 0; k < advises; k++ {
+		var res AdviseResult
+		if err := post(ts+"/v1/advise", adviseRequest{Force: true}, &res); err != nil {
+			errs <- err
+			break
+		}
+		published[res.Version] = true
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if len(published) != advises+1 {
+		t.Fatalf("%d forced advises published view versions %v", advises, published)
+	}
+	for _, h := range healths {
+		if h.ModelVersion-h.ViewVersion != offset {
+			t.Fatalf("healthz reported model %d beside view set %d; every published pair differs by %d",
+				h.ModelVersion, h.ViewVersion, offset)
+		}
+	}
+	for _, v := range seen {
+		if !published[v] {
+			t.Fatalf("/v1/views served version %d, which no advise published (%v)", v, published)
+		}
+	}
+	t.Logf("%d healthz and /v1/views reads across %d advises", len(healths), advises)
 }

@@ -165,8 +165,8 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 	// One generation answers the whole request: its cache's hits, and its
 	// weights and scale for the misses, which go back into its cache. The
 	// reply's model_version names it.
-	g := s.model.Load()
-	if g == nil {
+	g := s.gen.Load()
+	if g.m == nil {
 		s.writeError(w, r, http.StatusServiceUnavailable, "no_model",
 			"no W-D model is loaded (was the server bootstrapped with EstimatorWideDeep?)")
 		return true
@@ -338,7 +338,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 // --- GET /v1/views -----------------------------------------------------
 
 func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
-	vs := s.views.Load()
+	vs := s.gen.Load().views
 	if vs == nil {
 		// Bootstrap found no candidates and nothing has been advised
 		// since: an empty, unversioned set.
@@ -365,6 +365,8 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	// One load: the two versions reported are always a published pair.
+	g := s.gen.Load()
 	res := healthResponse{
 		Status:        "ok",
 		State:         "ready",
@@ -372,13 +374,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Window:        s.window.Len(),
 		IngestedTotal: s.window.Total(),
 		QueueDepth:    len(s.batcher.queue),
+		ModelVersion:  g.version,
 	}
-	if vs := s.views.Load(); vs != nil {
-		res.ViewVersion = vs.Version
-		res.Views = len(vs.Views)
-	}
-	if m := s.model.Load(); m != nil {
-		res.ModelVersion = m.version
+	if g.views != nil {
+		res.ViewVersion, res.Views = g.views.Version, len(g.views.Views)
 	}
 	if !s.ready.Load() {
 		res.Status, res.State = "starting", "recovering"
@@ -418,8 +417,8 @@ func (s *Server) handleReloadModel(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, "bad_scale", "scale must be non-negative")
 		return
 	}
-	cur := s.model.Load()
-	if cur == nil {
+	cur := s.gen.Load()
+	if cur.m == nil {
 		s.writeError(w, r, http.StatusConflict, "no_model",
 			"no active model to derive the architecture from (bootstrap with EstimatorWideDeep first)")
 		return
@@ -441,7 +440,7 @@ func (s *Server) handleReloadModel(w http.ResponseWriter, r *http.Request) {
 	if req.Scale > 0 {
 		scale = req.Scale
 	}
-	version := s.swapModel(fresh, scale)
+	next := s.publish(fresh, scale, nil)
 	obsReloads.Inc()
-	s.writeJSON(w, http.StatusOK, reloadResponse{ModelVersion: version})
+	s.writeJSON(w, http.StatusOK, reloadResponse{ModelVersion: next.version})
 }

@@ -198,7 +198,7 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 
 	// Phase 1: cold vs populate vs warm.
 	want := expectIdentical(t, coldTS.URL, cachedTS.URL, bodies, "bootstrap")
-	if cached.model.Load().est.len() == 0 {
+	if cached.gen.Load().est.len() == 0 {
 		t.Fatal("estimate cache never populated")
 	}
 	if cached.planCache.len() == 0 {
@@ -244,7 +244,7 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 			t.Fatalf("advise on %s: status %d: %s", u, resp.StatusCode, body)
 		}
 	}
-	if n := cached.model.Load().est.len(); n != 0 {
+	if n := cached.gen.Load().est.len(); n != 0 {
 		t.Fatalf("the live generation's estimate cache starts with %d entries after the swap, want 0", n)
 	}
 	want = expectIdentical(t, coldTS.URL, cachedTS.URL, bodies, "post-rotation")
@@ -253,7 +253,7 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 	// scale halves every estimate, so any entry of the previous
 	// generation answering for the new one would be caught by the cold
 	// comparison below — and the responses must visibly change.
-	cur := cached.model.Load()
+	cur := cached.gen.Load()
 	path := t.TempDir() + "/wd.ckpt"
 	if err := saveModel(cur.m, path); err != nil {
 		t.Fatalf("save checkpoint: %v", err)
@@ -424,7 +424,7 @@ func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 
 	oracle := func(pairs []estimatePair) []byte {
 		t.Helper()
-		live := s.model.Load()
+		live := s.gen.Load()
 		out := make([]float64, len(pairs))
 		for i, p := range pairs {
 			q, err := plan.Parse(p.Query, s.adv.Cat)
@@ -480,7 +480,7 @@ func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 
 	// Hot-reload a checkpoint with other weights: the live architecture,
 	// every parameter scaled.
-	cur := s.model.Load()
+	cur := s.gen.Load()
 	var ckpt bytes.Buffer
 	if err := cur.m.Save(&ckpt); err != nil {
 		t.Fatal(err)
@@ -503,11 +503,11 @@ func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 	}
 	phase("after hot-reload")
 
-	reloaded := s.model.Load()
+	reloaded := s.gen.Load()
 	if resp, body := postJSON(t, ts.URL+"/v1/advise", adviseRequest{Force: true}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("advise: status %d: %s", resp.StatusCode, body)
 	}
-	if s.model.Load().m == reloaded.m {
+	if s.gen.Load().m == reloaded.m {
 		t.Fatal("the forced re-advise did not swap the model")
 	}
 	phase("after forced re-advise")

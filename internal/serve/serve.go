@@ -4,8 +4,8 @@
 // ingests a query stream into a bounded rolling window, answers W-D
 // cost-estimate requests through a micro-batching inference scheduler,
 // and periodically re-runs view selection over the window, rotating in a
-// versioned, fingerprint-sorted view set (with rollback when the new
-// set's estimated utility regresses).
+// versioned, fingerprint-sorted view set (with rollback when the new set
+// scores below the active one on the same window).
 //
 // Endpoints (all JSON; see SERVING.md for the full reference):
 //
@@ -35,7 +35,6 @@ import (
 	"autoview/internal/core"
 	"autoview/internal/durable"
 	"autoview/internal/engine"
-	"autoview/internal/featenc"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/widedeep"
@@ -53,7 +52,7 @@ var (
 	obsIngested   = obs.Default.Counter("serve.ingest.queries", "queries accepted into the ingest queue")
 	obsCycles     = obs.Default.Counter("serve.advise.cycles", "re-advise cycles completed")
 	obsSwaps      = obs.Default.Counter("serve.advise.swaps", "view-set rotations that swapped in a new version")
-	obsRollbacks  = obs.Default.Counter("serve.advise.rollbacks", "view-set rotations rolled back on utility regression")
+	obsRollbacks  = obs.Default.Counter("serve.advise.rollbacks", "candidate view sets rejected for scoring below the active set on the cycle's window")
 	obsReloads    = obs.Default.Counter("serve.model.reloads", "W-D model hot-reloads via the admin endpoint")
 	obsViewsVer   = obs.Default.Gauge("serve.views.version", "version of the active view set")
 	obsViewsCount = obs.Default.Gauge("serve.views.count", "views in the active view set")
@@ -135,22 +134,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// model is one generation of the served estimator: W-D weights, the
-// cost scale that maps their predictions back to dollars, the version
-// replies name, and the estimates those weights computed, swapped
-// atomically as one unit. An estimate depends only on the two SQL texts
-// and the weights, so a generation's cache never needs invalidating; the
-// next generation starts with an empty one.
-type model struct {
-	m       *widedeep.Model
-	scale   float64 // predictions are divided by this (1 when unscaled)
+// generation is one published serving state: W-D weights, the cost
+// scale that maps their predictions back to dollars, the model version
+// replies name, the estimates the weights computed, their durable
+// checkpoint, and the view set they judged. publish swaps it as one unit.
+// An estimate depends only on the two SQL texts and the weights, so new
+// weights start an empty cache and kept weights keep theirs.
+type generation struct {
+	m       *widedeep.Model // nil when the estimator trains no model
+	scale   float64         // predictions are divided by this (1 when unscaled)
 	version int
-	est     *cache[float64] // nil when caching is disabled
-}
-
-// newModel builds a generation with an empty estimate cache.
-func (s *Server) newModel(m *widedeep.Model, scale float64, version int) *model {
-	return &model{m: m, scale: scale, version: version, est: newCache[float64](s.cfg.CacheSize, estCacheMetrics)}
+	est     *cache[float64]     // nil when caching is disabled
+	ckpt    durable.ModelRecord // zero without a durable checkpoint
+	views   *ViewSet            // nil until a cycle finds candidates
 }
 
 // ingestMsg carries parsed plans (tagged with the SQL they were parsed
@@ -185,8 +181,10 @@ type Server struct {
 	// state; until then every endpoint but /v1/healthz answers 503.
 	ready atomic.Bool
 
-	model   atomic.Pointer[model]
-	views   atomic.Pointer[ViewSet]
+	// gen is the served state, never nil: NewServer stores the empty
+	// generation and restore the recovered one; after that publish is
+	// its only writer.
+	gen     atomic.Pointer[generation]
 	started time.Time
 
 	batcher *batcher
@@ -195,7 +193,7 @@ type Server struct {
 	// planCache maps one exact fingerprint to its parsed plan +
 	// precomputed features (plans depend only on SQL text and the
 	// immutable catalog); nil (disabled) when CacheSize < 0. Estimates
-	// are cached per model generation (model.est).
+	// are cached per generation (generation.est).
 	planCache *cache[*planEntry]
 
 	// adviseMu serializes re-advise cycles (the advisor mutates its
@@ -238,6 +236,7 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 		stopBg:  make(chan struct{}),
 		started: time.Now(),
 	}
+	s.gen.Store(new(generation))
 	s.planCache = newCache[*planEntry](cfg.CacheSize, planCacheMetrics)
 	s.batcher = newBatcher(cfg)
 	s.mux = s.routes()
@@ -248,13 +247,14 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 // store holding recovered state, the window, view set, and model are
 // restored from it (byte-identically — see internal/durable); with a
 // fresh store the workload seed is logged as the first WAL record and
-// the bootstrap advise cycle persists its model and view set. With no
-// store (dstore nil) the seed + bootstrap path runs without durability.
+// the bootstrap advise cycle publishes and logs the first generation.
+// With no store (dstore nil) the seed + bootstrap path runs without
+// durability.
 // The background loops start and the server reports ready on return.
 func (s *Server) Start(ctx context.Context, dstore *durable.Store) error {
 	s.dur = dstore
-	if st := recoveredState(dstore); st != nil {
-		if err := s.restore(st); err != nil {
+	if dstore != nil && dstore.Recovered() != nil {
+		if err := s.restore(dstore.Recovered()); err != nil {
 			return err
 		}
 	} else {
@@ -283,28 +283,9 @@ func (s *Server) Start(ctx context.Context, dstore *durable.Store) error {
 	return nil
 }
 
-// recoveredState unwraps the nil-store case: a server without
-// durability, or with a fresh data directory, takes the bootstrap path.
-func recoveredState(dstore *durable.Store) *durable.State {
-	if dstore == nil {
-		return nil
-	}
-	return dstore.Recovered()
-}
-
 // Handler returns the service's HTTP handler (the /v1 API plus the
 // internal/obs endpoint mounted at the root).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Vocab returns the encoder vocabulary the active model was built with
-// (checkpoints only load into a same-shape model; see Reload).
-func (s *Server) Vocab() *featenc.Vocab {
-	m := s.model.Load()
-	if m == nil || m.m == nil {
-		return nil
-	}
-	return m.m.Enc.Vocab
-}
 
 // ingester is the single consumer of the bounded ingest queue: it
 // appends parsed plans to the rolling window in arrival order and logs

@@ -258,7 +258,7 @@ func TestServeEstimateDeterminism(t *testing.T) {
 func TestServeModelReload(t *testing.T) {
 	s, ts := newTestServer(t, Config{Parallelism: 1})
 
-	before := s.model.Load()
+	before := s.gen.Load()
 	if before == nil {
 		t.Fatal("no bootstrap model")
 	}
@@ -275,7 +275,7 @@ func TestServeModelReload(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("reload response %s: %v", body, err)
 	}
-	after := s.model.Load()
+	after := s.gen.Load()
 	if out.ModelVersion != before.version+1 || after.version != out.ModelVersion {
 		t.Fatalf("model version %d -> %d (response %d), want +1", before.version, after.version, out.ModelVersion)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
@@ -34,10 +33,10 @@ type ViewInfo struct {
 }
 
 // ViewSet is one immutable advisor output: a version number, the
-// selection method and estimated utility, and the chosen views sorted by
-// fingerprint (a canonical order independent of selection internals).
-// The server swaps whole sets atomically (copy-on-write); readers never
-// observe a partially rotated set.
+// selection method and the utility its selector reported on its cycle's
+// window, and the chosen views sorted by fingerprint (a canonical order
+// independent of selection internals). A set rides in the generation
+// that installed it; readers never observe a partially rotated set.
 type ViewSet struct {
 	Version   int        `json:"version"`
 	Method    string     `json:"method"`
@@ -54,8 +53,8 @@ type AdviseResult struct {
 	Version int `json:"version"`
 	// Swapped reports that a new view set was rotated in.
 	Swapped bool `json:"swapped"`
-	// RolledBack reports that the candidate set was rejected because its
-	// estimated utility regressed below the active set's.
+	// RolledBack reports that the candidate set was rejected because it
+	// scored below the active set on the cycle's window.
 	RolledBack bool `json:"rolled_back"`
 	// NoCandidates reports that pre-processing found nothing to share.
 	NoCandidates bool `json:"no_candidates,omitempty"`
@@ -70,11 +69,10 @@ type AdviseResult struct {
 
 // advise runs one re-advise cycle: barrier the ingest queue, snapshot
 // the rolling window, run estimate+select (core.Advisor.Advise), and
-// rotate the versioned view set — atomically swapping it in, or rolling
-// back when the candidate's estimated utility regresses (force
-// overrides the rollback guard). Cycles are serialized; a concurrent
-// trigger fails fast with errAdviseBusy. A freshly trained W-D model is
-// hot-swapped in whether or not the view set rotates.
+// publish the outcome as one generation — the freshly trained weights
+// with the candidate view set, or with the active set when the rollback
+// guard rejects the candidate (force overrides the guard). Cycles are
+// serialized; a concurrent trigger fails fast with errAdviseBusy.
 func (s *Server) advise(ctx context.Context, trigger string, force bool) (*AdviseResult, error) {
 	if !s.adviseMu.TryLock() {
 		return nil, errAdviseBusy
@@ -88,7 +86,9 @@ func (s *Server) advise(ctx context.Context, trigger string, force bool) (*Advis
 		}
 	}
 	queries := s.window.Snapshot()
-	cur := s.views.Load()
+	// Only advise replaces the view set and cycles are serialized, so the
+	// set loaded here is still the active one when the cycle publishes.
+	cur := s.gen.Load().views
 
 	// The cycle runs on a copy of the advisor sized for its moment: the
 	// stores are shared, only the worker count differs.
@@ -109,61 +109,118 @@ func (s *Server) advise(ctx context.Context, trigger string, force bool) (*Advis
 		obs.Error("serve.advise", "trigger", trigger, "err", err)
 		return nil, err
 	}
-
-	// Hot-swap the freshly trained model (EstimatorWideDeep only) before
-	// deciding the rotation: estimates should always come from the
-	// newest weights even if the view set rolls back.
-	if p.Model != nil {
-		s.swapModel(p.Model, p.CostScale())
-	}
+	obsCycles.Inc()
 
 	next := s.buildViewSet(p, sel, len(queries))
 	res := &AdviseResult{Method: next.Method, Utility: next.Utility, Views: len(next.Views), Window: next.Window}
-	if cur != nil {
-		next.Version = cur.Version + 1
-		// Rollback guard: reject a set whose estimated utility regresses
-		// past the tolerance band around the active set's utility.
-		floor := cur.Utility - s.cfg.UtilityTolerance*math.Abs(cur.Utility)
-		if !force && next.Utility < floor {
-			obsCycles.Inc()
+	if cur != nil && !force {
+		candU, curU, regressed := sameProblem(p, sel.Z, cur, s.cfg.UtilityTolerance)
+		if regressed {
+			// Estimates still come from the newest weights: they publish
+			// beside the set they just judged the better one.
+			if p.Model != nil {
+				s.publish(p.Model, p.CostScale(), nil)
+			}
 			obsRollbacks.Inc()
 			res.Version, res.RolledBack = cur.Version, true
 			obs.Warn("serve.advise", "trigger", trigger, "outcome", "rollback",
-				"active_version", cur.Version, "active_utility", cur.Utility,
-				"candidate_utility", next.Utility, "window", next.Window)
+				"active_version", cur.Version, "active_utility", curU,
+				"candidate_utility", candU, "window", next.Window)
 			return res, nil
 		}
 	}
 
-	s.durMu.Lock()
-	s.views.Store(next)
-	if s.dur != nil {
-		if raw, err := json.Marshal(next); err != nil {
-			obs.Error("serve.durable", "event", "viewset_record_failed", "version", next.Version, "err", err)
-		} else if err := s.dur.AppendViewSet(raw); err != nil {
-			obs.Error("serve.durable", "event", "viewset_record_failed", "version", next.Version, "err", err)
-		}
-	}
-	s.durMu.Unlock()
-	s.refreshViewPlans(next)
-	obsCycles.Inc()
+	s.publish(p.Model, p.CostScale(), next)
 	obsSwaps.Inc()
-	obsViewsVer.Set(float64(next.Version))
-	obsViewsCount.Set(float64(len(next.Views)))
-	obsUtility.Set(next.Utility)
 	res.Version, res.Swapped = next.Version, true
 	obs.Info("serve.advise", "trigger", trigger, "outcome", "swap", "version", next.Version,
 		"method", next.Method, "views", len(next.Views), "utility", next.Utility, "window", next.Window)
+	return res, nil
+}
+
+// sameProblem scores a candidate selection z and the active view set on
+// one problem (this cycle's window, costs and model) and reports whether
+// the candidate falls more than tol, relative, below the active set. The
+// active views are matched to p's candidates by fingerprint; one that is
+// no longer a candidate costs its recorded overhead and serves nothing.
+func sameProblem(p *core.Problem, z []bool, active *ViewSet, tol float64) (candidate, current float64, regressed bool) {
+	index := make(map[string]int, len(p.Candidates))
+	for j, c := range p.Candidates {
+		index[string(c.View.Fingerprint)] = j
+	}
+	kept := make([]bool, len(p.Candidates))
+	var gone float64
+	for _, v := range active.Views {
+		if j, ok := index[v.Fingerprint]; ok {
+			kept[j] = true
+		} else {
+			gone += v.Overhead
+		}
+	}
+	candidate = p.Instance.UtilityOfZ(z)
+	current = p.Instance.UtilityOfZ(kept) - gone
+	return candidate, current, candidate < current-tol*math.Abs(current)
+}
+
+// publish makes the next generation the served state and returns it.
+// An advise swap passes new weights and a new view set, a rollback or a
+// hot-reload new weights alone; a nil half keeps the current one with
+// its version (the weights also keep their scale and estimate cache).
+// Under durMu, which serializes publishes so two never share a version,
+// it numbers the new halves, persists the generation and stores it: a
+// snapshot sees all of a publish or none of it. Then it warms the plan
+// cache for a new set and forces the WAL durable. Requests in flight
+// finish on the generation they loaded.
+func (s *Server) publish(m *widedeep.Model, scale float64, views *ViewSet) *generation {
+	s.durMu.Lock()
+	cur := s.gen.Load()
+	next := *cur
+	if m != nil {
+		next.m, next.scale, next.version = m, scale, cur.version+1
+		next.est = newCache[float64](s.cfg.CacheSize, estCacheMetrics)
+		obsCacheSize.Set(0)
+	}
+	if views != nil {
+		views.Version = 1
+		if cur.views != nil {
+			views.Version = cur.views.Version + 1
+		}
+		next.views = views
+	}
 	if s.dur != nil {
-		// Rotations are rare and operator-visible: force them durable now
+		s.persist(&next)
+	}
+	s.gen.Store(&next)
+	setGauges(&next)
+	s.durMu.Unlock()
+
+	if m != nil {
+		obsCacheEvict.Add(int64(cur.est.len())) // the replaced weights' estimates leave with them
+		obs.Info("serve.model", "event", "swap", "version", next.version, "scale", next.scale)
+	}
+	if views != nil {
+		s.refreshViewPlans(views)
+	}
+	if s.dur != nil {
+		// Publishes are rare and operator-visible: force each durable now
 		// rather than waiting out the fsync interval, then take a snapshot
 		// if the record cadence has accumulated.
 		if err := s.dur.Sync(); err != nil {
-			obs.Error("serve.durable", "event", "rotation_sync_failed", "err", err)
+			obs.Error("serve.durable", "event", "generation_sync_failed", "err", err)
 		}
 		s.maybeSnapshot()
 	}
-	return res, nil
+	return &next
+}
+
+// setGauges reports g's versions and view set on the serve gauges.
+func setGauges(g *generation) {
+	obsModelVer.Set(float64(g.version))
+	if g.views != nil {
+		obsViewsVer.Set(float64(g.views.Version))
+		obsViewsCount.Set(float64(len(g.views.Views)))
+		obsUtility.Set(g.views.Utility)
+	}
 }
 
 // adviseWorkers is the worker count an advise cycle runs the advisor
@@ -200,38 +257,6 @@ func (s *Server) ingestBarrier(ctx context.Context) error {
 	case <-s.stopBg:
 		return errShuttingDown
 	}
-}
-
-// swapModel atomically publishes new weights and their cost scale as a
-// new generation with an empty estimate cache, and returns its version.
-// Requests in flight finish on the generation they loaded, estimates
-// and cache included; the replaced generation's cached estimates leave
-// with it. The version is assigned under durMu, which serializes swaps,
-// so two swaps never share a version (or a checkpoint name). When
-// running durably the checkpoint and its WAL record are persisted under
-// the same durMu hold as the publish, so a snapshot sees either both or
-// neither side of the swap.
-func (s *Server) swapModel(m2 *widedeep.Model, scale float64) int {
-	if scale <= 0 {
-		scale = 1
-	}
-	s.durMu.Lock()
-	prev := s.model.Load()
-	version := 1
-	if prev != nil {
-		version = prev.version + 1
-	}
-	next := s.newModel(m2, scale, version)
-	s.model.Store(next)
-	obsCacheSize.Set(0)
-	s.persistModel(next)
-	obsModelVer.Set(float64(version))
-	s.durMu.Unlock()
-	if prev != nil {
-		obsCacheEvict.Add(int64(prev.est.len()))
-	}
-	obs.Info("serve.model", "event", "swap", "version", version, "scale", scale)
-	return version
 }
 
 // refreshViewPlans precomputes the parsed plan + plan-local features of
