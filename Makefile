@@ -28,10 +28,13 @@ examples-smoke:
 # every /v1/estimate reply is computed by the model its model_version
 # names while hot-reloads race the readers, concurrent swaps never
 # share a model version, and /v1/healthz and /v1/views only ever report
-# a generation some publish installed whole.
+# a generation some publish installed whole. The durable line races
+# four appenders against Sync, WriteSnapshot, the FsyncInterval timer
+# and Close, and requires every record back exactly once.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
@@ -66,11 +69,14 @@ test-alloc:
 	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ -v -count=1
 
 # Crash-recovery fault injection (DURABILITY in SERVING.md): the WAL
-# sweep kills a child process at every record boundary and mid-record
-# during a scripted session, then asserts recovery reconstructs the
-# surviving prefix exactly; the serve-level sweep does the same through
-# a full advisor session and compares the recovered window, view set,
-# and /v1/estimate responses byte-for-byte against a never-crashed run.
+# sweep kills a child process inside an append at every record boundary
+# and mid-record during a scripted session, then asserts recovery
+# reconstructs the surviving prefix exactly; the kill test SIGKILLs ten
+# children that appended 200 records without a Sync and requires all
+# 200 back from a directory that recovers; the serve-level sweep does
+# the same through a full advisor session and compares the recovered
+# window, view set, and /v1/estimate responses byte-for-byte against a
+# never-crashed run.
 test-crash:
 	$(GO) test -run 'TestCrash|TestServeCrash' -count=1 -v ./internal/durable/ ./internal/serve/
 

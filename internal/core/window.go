@@ -17,10 +17,10 @@ var ErrNoCandidates = errors.New("core: no candidate views in workload")
 var obsWindowSize = obs.Default.Gauge("core.window.size", "queries currently held by the rolling workload window")
 
 // windowEntry is one held query: the parsed plan the pipeline consumes
-// plus the SQL text it was parsed from (empty when the producer had no
-// text). The tag exists for durability: a persisted window is its SQL
-// list, and re-parsing that list reconstructs the plans byte-identically
-// (plan.Parse is deterministic over an immutable catalog).
+// plus the SQL text it was parsed from. The tag exists for durability: a
+// persisted window is its SQL list, and re-parsing that list
+// reconstructs the plans byte-identically (plan.Parse is deterministic
+// over an immutable catalog).
 type windowEntry struct {
 	q   *plan.Node
 	sql string
@@ -48,23 +48,9 @@ func NewWindow(capacity int) *Window {
 	return &Window{buf: make([]windowEntry, 0, capacity)}
 }
 
-// Cap returns the window's capacity.
-func (w *Window) Cap() int { return cap(w.buf) }
-
-// Append adds queries in order, evicting the oldest entries once the
-// window is full. Entries appended this way carry no SQL tag; durable
-// callers use AppendTagged.
-func (w *Window) Append(queries ...*plan.Node) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, q := range queries {
-		w.push(windowEntry{q: q})
-	}
-	obsWindowSize.Set(float64(len(w.buf)))
-}
-
-// AppendTagged adds queries in order like Append, tagging each with the
-// SQL text it was parsed from. sqls must be the same length as queries.
+// AppendTagged adds queries in order, tagging each with the SQL text it
+// was parsed from and evicting the oldest entries once the window is
+// full. sqls must be the same length as queries.
 func (w *Window) AppendTagged(queries []*plan.Node, sqls []string) {
 	if len(queries) != len(sqls) {
 		panic("core: AppendTagged length mismatch")
@@ -140,8 +126,8 @@ func (w *Window) Snapshot() []*plan.Node {
 }
 
 // SnapshotTagged returns the current contents oldest-first as parallel
-// plan and SQL slices (the SQL an entry was tagged with at append time,
-// "" for untagged entries). Both slices are copies.
+// plan and SQL slices (the SQL each entry was tagged with at append
+// time). Both slices are copies.
 func (w *Window) SnapshotTagged() ([]*plan.Node, []string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -15,13 +15,15 @@ func tagged(i int) *plan.Node {
 	return &plan.Node{Op: plan.OpScan, Table: fmt.Sprintf("t%d", i)}
 }
 
+// appendOne appends tagged(i) with its SQL tag.
+func appendOne(w *Window, i int) {
+	w.AppendTagged([]*plan.Node{tagged(i)}, []string{fmt.Sprintf("select %d", i)})
+}
+
 func TestWindowAppendSnapshotOrder(t *testing.T) {
 	w := NewWindow(4)
-	if w.Cap() != 4 {
-		t.Fatalf("cap = %d", w.Cap())
-	}
 	for i := 0; i < 3; i++ {
-		w.Append(tagged(i))
+		appendOne(w, i)
 	}
 	snap := w.Snapshot()
 	if len(snap) != 3 || w.Len() != 3 {
@@ -37,7 +39,7 @@ func TestWindowAppendSnapshotOrder(t *testing.T) {
 func TestWindowEvictsOldest(t *testing.T) {
 	w := NewWindow(3)
 	for i := 0; i < 7; i++ {
-		w.Append(tagged(i))
+		appendOne(w, i)
 	}
 	snap := w.Snapshot()
 	if len(snap) != 3 {
@@ -61,7 +63,7 @@ func TestWindowConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				w.Append(tagged(g*100 + i))
+				appendOne(w, g*100+i)
 			}
 		}(g)
 	}
@@ -80,16 +82,16 @@ func TestWindowConcurrentAppend(t *testing.T) {
 func TestWindowCapacityBoundary(t *testing.T) {
 	w := NewWindow(3)
 	for i := 0; i < 3; i++ {
-		w.Append(tagged(i))
+		appendOne(w, i)
 	}
 	if got := names(w.Snapshot()); !equalStrings(got, []string{"t0", "t1", "t2"}) {
 		t.Fatalf("at capacity: %v", got)
 	}
-	w.Append(tagged(3)) // first wrap: exactly t0 leaves
+	appendOne(w, 3) // first wrap: exactly t0 leaves
 	if got := names(w.Snapshot()); !equalStrings(got, []string{"t1", "t2", "t3"}) {
 		t.Fatalf("one past capacity: %v", got)
 	}
-	w.Append(tagged(4))
+	appendOne(w, 4)
 	if got := names(w.Snapshot()); !equalStrings(got, []string{"t2", "t3", "t4"}) {
 		t.Fatalf("two past capacity: %v", got)
 	}
@@ -160,19 +162,6 @@ func TestWindowRestoreOverCapacity(t *testing.T) {
 	}
 	if w.Total() != 5 {
 		t.Fatalf("total = %d", w.Total())
-	}
-}
-
-// TestWindowTaggedUntaggedMix: Append leaves the tag empty while
-// AppendTagged preserves it, and both interleave in one ring.
-func TestWindowTaggedUntaggedMix(t *testing.T) {
-	w := NewWindow(4)
-	w.Append(tagged(0))
-	w.AppendTagged([]*plan.Node{tagged(1)}, []string{"select 1"})
-	w.Append(tagged(2))
-	_, sqls := w.SnapshotTagged()
-	if !equalStrings(sqls, []string{"", "select 1", ""}) {
-		t.Fatalf("sqls = %v", sqls)
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 )
 
 // CrashpointEnv is the environment variable the fault-injection harness
-// sets to kill the process from inside the WAL writer: "LSN" crashes
-// right after the record with that LSN is fully on disk (a crash at a
-// record boundary), and "LSN:SPLIT" writes only the first SPLIT bytes of
-// that record's frame before dying (a torn write). The exit mimics a
-// kill -9: prior buffered bytes are flushed to the OS first, so the
-// simulated machine state is exactly "everything acknowledged before the
-// crashpoint is in the page cache".
+// sets to kill the process from inside a WAL append: "LSN" crashes right
+// after the record with that LSN is fully on disk (a crash at a record
+// boundary), and "LSN:SPLIT" writes only the first SPLIT bytes of that
+// record's frame before dying (a torn write). The exit mimics a kill -9:
+// every earlier append already wrote its record, so the simulated
+// machine state is exactly "everything appended before the crashpoint is
+// in the page cache".
 const CrashpointEnv = "AUTOVIEW_WAL_CRASHPOINT"
 
 // crashExitCode is what a SIGKILLed process reports (128+9); the harness
@@ -51,9 +51,8 @@ func crashpointFromEnv() *crashpoint {
 	return cp
 }
 
-// fire writes the (possibly truncated) frame straight to f — the
-// caller has already flushed everything before it — syncs so the bytes
-// reach the simulated "surviving" state, and dies.
+// fire writes the (possibly truncated) frame straight to f, syncs so the
+// bytes reach the simulated "surviving" state, and dies.
 func (cp *crashpoint) fire(f *os.File, frame []byte) {
 	cut := len(frame)
 	if cp.split >= 0 && cp.split < cut {

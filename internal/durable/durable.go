@@ -19,19 +19,19 @@
 // covers, replay resumes right after it, and segments wholly below the
 // oldest retained snapshot are pruned.
 //
-// Appends go through a bounded queue drained by a single writer
-// goroutine, so callers on a serving path pay one channel send. The
-// fsync policy is configurable: per-record for strict durability,
-// interval-batched (the default) to amortize, or off to leave flushing
-// to the OS (process-crash safe — the page cache survives a kill -9 —
-// but not power-loss safe). See SERVING.md "Durability".
+// An append writes its record to the segment file before it returns, so
+// an appended record survives a kill -9 (the page cache outlives the
+// process). The fsync policy decides what survives a power loss:
+// per-record for strict durability, within 50ms (the default) to
+// amortize, or off to leave syncing to the OS. A write error is returned
+// by the append that hit it and by every later one. See SERVING.md
+// "Durability".
 package durable
 
 import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"autoview/internal/obs"
 )
@@ -40,8 +40,7 @@ import (
 var (
 	obsAppends   = obs.Default.Counter("durable.wal.appends", "records appended to the write-ahead log")
 	obsBytes     = obs.Default.Counter("durable.wal.bytes", "bytes written to the write-ahead log")
-	obsFsyncs    = obs.Default.Counter("durable.wal.fsyncs", "fsync calls issued by the WAL writer")
-	obsQueue     = obs.Default.Gauge("durable.wal.queue", "records waiting in the bounded WAL append queue")
+	obsFsyncs    = obs.Default.Counter("durable.wal.fsyncs", "fsync calls issued by the WAL")
 	obsSegments  = obs.Default.Counter("durable.wal.segments", "WAL segments opened (rotations + initial)")
 	obsTruncated = obs.Default.Counter("durable.wal.truncated_bytes", "torn-tail bytes truncated from the WAL on recovery")
 	obsReplayed  = obs.Default.Counter("durable.wal.replayed", "records replayed from the WAL during recovery")
@@ -50,18 +49,17 @@ var (
 	obsSnapLSN   = obs.Default.Gauge("durable.snapshot.lsn", "LSN covered by the most recent snapshot")
 )
 
-// FsyncPolicy selects when the WAL writer calls fsync.
+// FsyncPolicy selects when the WAL calls fsync.
 type FsyncPolicy int
 
 const (
-	// FsyncInterval batches fsyncs on a timer (Options.FsyncEvery): at
-	// most one flush window of acknowledged records is exposed to a
-	// power loss. The default.
+	// FsyncInterval fsyncs within 50ms of a write: at most that window
+	// of appended records is exposed to a power loss. The default.
 	FsyncInterval FsyncPolicy = iota
-	// FsyncAlways fsyncs after every record.
+	// FsyncAlways fsyncs every record before its append returns.
 	FsyncAlways
-	// FsyncOff never fsyncs: records are flushed to the OS after each
-	// queue drain, so state survives a process kill but not power loss.
+	// FsyncOff never fsyncs: appended records survive a process kill
+	// but not a power loss.
 	FsyncOff
 )
 
@@ -96,19 +94,10 @@ type Options struct {
 	Dir string
 	// Fsync selects the WAL sync policy.
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval batching period. Default 50ms.
-	FsyncEvery time.Duration
-	// QueueDepth bounds the WAL append queue; a full queue applies
-	// backpressure to the appender (never drops). Default 1024.
-	QueueDepth int
 	// SnapshotEvery is the record count between automatic snapshots
 	// (ShouldSnapshot turns true past it). 0 selects the default 1024;
 	// negative disables automatic snapshots (explicit calls still work).
 	SnapshotEvery int
-	// Retain is how many snapshot generations to keep (older snapshots
-	// and the segments wholly below the oldest retained one are pruned).
-	// Default 2, minimum 1.
-	Retain int
 	// WindowCap clips the recovered window to the newest WindowCap
 	// queries during replay (0 means unbounded).
 	WindowCap int
@@ -118,17 +107,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Dir == "" {
 		return o, errors.New("durable: Options.Dir is required")
 	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 50 * time.Millisecond
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 1024
-	}
-	if o.Retain < 1 {
-		o.Retain = 2
 	}
 	return o, nil
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"autoview/internal/obs"
 )
@@ -17,13 +16,17 @@ import (
 // snapFormatVersion guards the snapshot JSON schema.
 const snapFormatVersion = 1
 
+// retainSnapshots is how many snapshots a data directory keeps; older
+// ones, and the segments and checkpoints only they need, are pruned.
+const retainSnapshots = 2
+
 // Snapshot is a point-in-time capture of the advisor's serving state,
 // covering every WAL record with LSN <= LSN. Recovery loads the newest
-// intact snapshot and replays only the records after it.
+// intact snapshot, replays only the records after it, and returns the
+// result as a Snapshot too.
 type Snapshot struct {
-	FormatVersion int       `json:"format_version"`
-	LSN           uint64    `json:"lsn"`
-	CreatedAt     time.Time `json:"created_at"`
+	FormatVersion int    `json:"format_version"`
+	LSN           uint64 `json:"lsn"`
 
 	// WindowSQL is the rolling window's contents oldest-first, as the
 	// SQL each query was ingested with; re-parsing reconstructs the
@@ -150,23 +153,23 @@ func latestSnapshot(dir string) *Snapshot {
 	return nil
 }
 
-// pruneSnapshots keeps the newest retain snapshot generations plus every
+// pruneSnapshots keeps the newest retainSnapshots snapshots plus every
 // WAL segment still needed to recover from the oldest retained one, and
 // deletes checkpoints older than any retained snapshot references.
-func pruneSnapshots(dir string, retain int, modelKeep func(version int) bool) error {
+func pruneSnapshots(dir string, modelKeep func(version int) bool) error {
 	snaps, err := listByLSN(dir, parseSnapshotName)
 	if err != nil {
 		return err
 	}
-	if len(snaps) <= retain {
+	if len(snaps) <= retainSnapshots {
 		return nil
 	}
-	for _, lsn := range snaps[:len(snaps)-retain] {
+	for _, lsn := range snaps[:len(snaps)-retainSnapshots] {
 		if err := os.Remove(filepath.Join(dir, snapshotName(lsn))); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 	}
-	oldest := snaps[len(snaps)-retain]
+	oldest := snaps[len(snaps)-retainSnapshots]
 
 	// A segment is deletable when the segment after it starts at or
 	// below oldest+1: every record in it is then covered by the oldest

@@ -10,23 +10,9 @@ import (
 	"autoview/internal/obs"
 )
 
-// State is the advisor state durability reconstructs: the rolling
-// window (as ingested SQL, oldest-first, plus the lifetime total), the
-// versioned view set (opaque JSON), and the active model pointer. LSN is
-// the last record folded in.
-type State struct {
-	WindowSQL    []string
-	WindowTotal  uint64
-	ViewSet      json.RawMessage
-	ModelPath    string
-	ModelScale   float64
-	ModelVersion int
-	LSN          uint64
-}
-
 // apply folds one WAL record into the state. windowCap > 0 clips the
 // window to its newest windowCap entries, mirroring ring eviction.
-func (st *State) apply(t RecordType, payload []byte, windowCap int) error {
+func (st *Snapshot) apply(t RecordType, payload []byte, windowCap int) error {
 	switch t {
 	case RecordIngest:
 		var p ingestPayload
@@ -62,7 +48,7 @@ func (st *State) apply(t RecordType, payload []byte, windowCap int) error {
 }
 
 // clip trims the window to its final capacity after replay.
-func (st *State) clip(windowCap int) {
+func (st *Snapshot) clip(windowCap int) {
 	if windowCap > 0 && len(st.WindowSQL) > windowCap {
 		st.WindowSQL = append([]string(nil), st.WindowSQL[len(st.WindowSQL)-windowCap:]...)
 	}
@@ -77,25 +63,20 @@ type recoveryInfo struct {
 	fresh      bool   // no snapshot and no records: a brand-new dir
 }
 
-// Recover reconstructs the state a data directory holds: the newest
-// intact snapshot plus a replay of every WAL record after it, with the
-// torn tail of the newest segment truncated (physically — the file is
-// cut at the last intact record so appends can resume). A gap between
-// segments or inside a non-final segment fails with ErrGap: that shape
-// cannot come from a crash, only from lost or corrupted files.
-func Recover(dir string, windowCap int) (*State, *recoveryInfo, error) {
+// Recover reconstructs the state a data directory holds, as a Snapshot
+// whose LSN is the last record folded in: the newest intact snapshot
+// plus a replay of every WAL record after it, with the torn tail of the
+// newest segment truncated (physically — the file is cut at the last
+// intact record so appends can resume). A gap between segments or inside
+// a non-final segment fails with ErrGap: that shape cannot come from a
+// crash, only from lost or corrupted files.
+func Recover(dir string, windowCap int) (*Snapshot, *recoveryInfo, error) {
 	defer obs.StartSpan("durable.recover")()
-	st := &State{}
-	info := &recoveryInfo{}
-	if snap := latestSnapshot(dir); snap != nil {
-		st.WindowSQL = append(st.WindowSQL, snap.WindowSQL...)
-		st.WindowTotal = snap.WindowTotal
-		st.ViewSet = append(json.RawMessage(nil), snap.ViewSet...)
-		st.ModelPath, st.ModelScale, st.ModelVersion = snap.ModelPath, snap.ModelScale, snap.ModelVersion
-		st.LSN = snap.LSN
-		info.snapLSN = snap.LSN
-		info.lastLSN = snap.LSN
+	st := latestSnapshot(dir)
+	if st == nil {
+		st = &Snapshot{}
 	}
+	info := &recoveryInfo{snapLSN: st.LSN, lastLSN: st.LSN}
 
 	segs, err := listByLSN(dir, parseSegmentName)
 	if err != nil {
@@ -175,7 +156,7 @@ func Recover(dir string, windowCap int) (*State, *recoveryInfo, error) {
 type Store struct {
 	opts      Options
 	w         *wal
-	recovered *State
+	recovered *Snapshot
 
 	mu          sync.Mutex // serializes snapshots and lastSnapLSN
 	lastSnapLSN uint64
@@ -196,7 +177,7 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := openWAL(opts, info.lastLSN+1, info.resumePath)
+	w, err := openWAL(opts.Dir, opts.Fsync, info.lastLSN+1, info.resumePath)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +190,7 @@ func Open(opts Options) (*Store, error) {
 
 // Recovered returns the state reconstructed at Open, or nil for a fresh
 // directory.
-func (s *Store) Recovered() *State { return s.recovered }
+func (s *Store) Recovered() *Snapshot { return s.recovered }
 
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.opts.Dir }
@@ -237,8 +218,8 @@ func (s *Store) AppendGeneration(rec GenerationRecord) error {
 	return err
 }
 
-// Sync blocks until every record appended before it is flushed (and
-// fsynced, unless the policy is FsyncOff), surfacing any writer error.
+// Sync fsyncs every record appended before it (unless the policy is
+// FsyncOff) and returns the log's sticky write error, if any.
 func (s *Store) Sync() error { return s.w.sync() }
 
 // ShouldSnapshot reports that SnapshotEvery records have accumulated
@@ -255,10 +236,11 @@ func (s *Store) ShouldSnapshot() bool {
 // WriteSnapshot persists a snapshot with WriteFile, named by its LSN.
 // snap.LSN must be the store's LastLSN captured atomically with the
 // state (the caller holds whatever lock orders its appends). The WAL is
-// flushed first so the snapshot never claims coverage of records that
+// synced first so the snapshot never claims coverage of records that
 // could still be lost, the log rotates so a fresh segment starts after
-// the snapshot point, and older generations (plus segments and
-// checkpoints wholly below the oldest retained snapshot) are pruned.
+// the snapshot point, and all but the newest retainSnapshots snapshots
+// (plus segments and checkpoints wholly below the oldest retained one)
+// are pruned.
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	defer obs.StartSpan("durable.snapshot")()
 	s.mu.Lock()
@@ -278,24 +260,26 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	obsSnapBytes.Set(float64(len(data)))
 	obsSnapLSN.Set(float64(snap.LSN))
 	s.lastSnapLSN = snap.LSN
-	s.w.rotate()
-	minVersion := s.minRetainedModelVersion()
-	if err := pruneSnapshots(s.opts.Dir, s.opts.Retain, func(v int) bool { return v >= minVersion }); err != nil {
+	if err := s.w.rotate(); err != nil {
+		return err
+	}
+	minVersion := s.minKeptModelVersion()
+	if err := pruneSnapshots(s.opts.Dir, func(v int) bool { return v >= minVersion }); err != nil {
 		obs.Warn("durable.snapshot", "event", "prune_failed", "err", err)
 	}
 	return nil
 }
 
-// minRetainedModelVersion is the smallest checkpoint version any
+// minKeptModelVersion is the smallest checkpoint version any
 // retained snapshot references; older checkpoints are unreachable.
 // Unversioned (0) references keep everything, erring on the safe side.
-func (s *Store) minRetainedModelVersion() int {
+func (s *Store) minKeptModelVersion() int {
 	lsns, err := listByLSN(s.opts.Dir, parseSnapshotName)
 	if err != nil {
 		return 0
 	}
-	if len(lsns) > s.opts.Retain {
-		lsns = lsns[len(lsns)-s.opts.Retain:]
+	if len(lsns) > retainSnapshots {
+		lsns = lsns[len(lsns)-retainSnapshots:]
 	}
 	min := 0
 	for _, lsn := range lsns {
@@ -313,5 +297,5 @@ func (s *Store) minRetainedModelVersion() int {
 	return min
 }
 
-// Close flushes, fsyncs (per policy), and stops the WAL writer.
+// Close fsyncs the WAL (unless the policy is FsyncOff) and closes it.
 func (s *Store) Close() error { return s.w.close() }

@@ -1,7 +1,7 @@
 package durable
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,79 +11,105 @@ import (
 	"autoview/internal/obs"
 )
 
+// fsyncDelay bounds how long an FsyncInterval log stays dirty: the first
+// write after an fsync arms a one-shot timer that fsyncs when it fires.
+const fsyncDelay = 50 * time.Millisecond
+
 // segmentName returns the file name of the segment whose first record
 // has the given LSN.
 func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%016x.log", firstLSN) }
 
-// walOp is one unit of work for the writer goroutine: a record append, a
-// flush/sync barrier, or a segment rotation marker.
-type walOp struct {
-	lsn     uint64
-	t       RecordType
-	payload []byte
-	syncCh  chan error // barrier: flush (+fsync per policy), report
-	rotate  bool       // close the current segment; next record opens a new one
-}
-
-// wal is the append side of the log: LSNs are assigned under mu (the
-// send into the bounded queue happens under the same lock, so queue
-// order is LSN order) and a single writer goroutine owns the file.
+// wal is the append side of the log. Every operation runs under mu, so
+// LSN order is file order, and a record is in the segment file — the OS
+// page cache, which survives a kill -9 — before append returns.
 type wal struct {
-	opts Options
-	cp   *crashpoint
+	dir    string
+	policy FsyncPolicy
+	cp     *crashpoint
 
 	mu      sync.Mutex
 	closed  bool
 	nextLSN uint64
-
-	queue chan walOp
-	done  chan struct{}
-
-	// Writer-goroutine state (unsynchronized: single owner).
-	f     *os.File
-	bw    *bufio.Writer
-	dirty bool   // flushed to the OS but not yet fsynced
-	frame []byte // encode scratch
-	err   error  // sticky write error
+	f       *os.File    // current segment; nil until the next append opens one
+	dirty   bool        // written but not yet fsynced
+	timer   *time.Timer // armed FsyncInterval fsync; nil when none is pending
+	frame   []byte      // encode scratch
+	err     error       // sticky write error
 }
 
-// openWAL starts the writer. nextLSN is the first LSN to assign;
-// resumePath (when non-empty) is the newest existing segment, already
-// truncated past its last intact record, to continue appending to.
-func openWAL(opts Options, nextLSN uint64, resumePath string) (*wal, error) {
-	w := &wal{
-		opts:    opts,
-		cp:      crashpointFromEnv(),
-		nextLSN: nextLSN,
-		queue:   make(chan walOp, opts.QueueDepth),
-		done:    make(chan struct{}),
-	}
+// openWAL opens the log for appending. nextLSN is the first LSN to
+// assign; resumePath (when non-empty) is the newest existing segment,
+// already truncated past its last intact record, to continue appending to.
+func openWAL(dir string, policy FsyncPolicy, nextLSN uint64, resumePath string) (*wal, error) {
+	w := &wal{dir: dir, policy: policy, cp: crashpointFromEnv(), nextLSN: nextLSN}
 	if resumePath != "" {
-		f, err := os.OpenFile(resumePath, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(resumePath, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			return nil, fmt.Errorf("durable: resume segment: %w", err)
 		}
 		w.f = f
-		w.bw = bufio.NewWriter(f)
 	}
-	go w.run()
 	return w, nil
 }
 
-// append assigns the next LSN and enqueues the record. A full queue
-// blocks (backpressure) rather than dropping; the writer always drains,
-// so the wait is bounded by disk throughput. Returns the assigned LSN.
+// append assigns the next LSN and writes the framed record with one
+// write. FsyncAlways fsyncs it before returning; FsyncInterval arms the
+// timer that will. A failed write or fsync is returned here and by every
+// later append, so the log stops instead of leaving a gap.
 func (w *wal) append(t RecordType, payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return 0, fmt.Errorf("durable: append after close")
+		return 0, errors.New("durable: append after close")
+	}
+	if w.err != nil {
+		return 0, w.err
 	}
 	lsn := w.nextLSN
+	if w.f == nil {
+		if err := w.openSegment(lsn); err != nil {
+			return 0, w.fail(err)
+		}
+	}
+	w.frame = appendFrame(w.frame[:0], t, payload)
+	if w.cp != nil && lsn == w.cp.lsn {
+		w.cp.fire(w.f, w.frame) // fault injection: never returns
+	}
+	if _, err := w.f.Write(w.frame); err != nil {
+		return 0, w.fail(err)
+	}
 	w.nextLSN++
-	w.queue <- walOp{lsn: lsn, t: t, payload: payload}
-	obsQueue.Set(float64(len(w.queue)))
+	w.dirty = true
+	obsAppends.Inc()
+	obsBytes.Add(int64(len(w.frame)))
+	switch w.policy {
+	case FsyncAlways:
+		if err := w.fsync(); err != nil {
+			return 0, err
+		}
+	case FsyncInterval:
+		if w.timer == nil {
+			w.timer = time.AfterFunc(fsyncDelay, w.timedSync)
+		}
+	}
 	return lsn, nil
+}
+
+// openSegment creates the segment whose first record is lsn through
+// WriteFile — it exists with its whole header or not at all — and opens
+// it for appending. Caller holds mu.
+func (w *wal) openSegment(lsn uint64) error {
+	path := filepath.Join(w.dir, segmentName(lsn))
+	if err := WriteFile(path, appendHeader(nil)); err != nil {
+		return fmt.Errorf("durable: create segment: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("durable: open segment: %w", err)
+	}
+	w.f = f
+	obsSegments.Inc()
+	return nil
 }
 
 // lastLSN returns the most recently assigned LSN (0 before any append).
@@ -93,172 +119,88 @@ func (w *wal) lastLSN() uint64 {
 	return w.nextLSN - 1
 }
 
-// sync blocks until every record enqueued before it is written and —
-// unless the policy is FsyncOff — fsynced. It reports the writer's
-// sticky error, so callers learn about append failures here.
+// sync fsyncs every record written so far (a no-op under FsyncOff, whose
+// records are already with the OS) and reports the sticky error.
 func (w *wal) sync() error {
-	ch := make(chan error, 1)
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return fmt.Errorf("durable: sync after close")
-	}
-	w.queue <- walOp{syncCh: ch}
-	w.mu.Unlock()
-	return <-ch
-}
-
-// rotate marks a segment boundary: the writer closes the current file
-// after draining everything enqueued before the marker, and the next
-// record lazily opens a fresh segment named by its LSN.
-func (w *wal) rotate() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return
+		return errors.New("durable: sync after close")
 	}
-	w.queue <- walOp{rotate: true}
+	if w.policy == FsyncOff {
+		return w.err
+	}
+	return w.fsync()
 }
 
-// close drains the queue, flushes, fsyncs (unless FsyncOff), closes the
-// file, and stops the writer. Idempotent; returns the sticky error.
+// timedSync is the FsyncInterval timer's callback.
+func (w *wal) timedSync() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.timer = nil
+	_ = w.fsync() // sticky: the next append or sync returns it
+}
+
+// rotate ends the current segment; the next append opens a fresh one
+// named by its LSN.
+func (w *wal) rotate() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.endSegment()
+}
+
+// close ends the current segment and refuses further appends.
+// Idempotent; returns the sticky error.
 func (w *wal) close() error {
 	w.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.queue)
+	defer w.mu.Unlock()
+	if w.closed {
+		return w.err
 	}
-	w.mu.Unlock()
-	<-w.done
-	return w.err
+	w.closed = true
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	return w.endSegment()
 }
 
-// run is the writer goroutine.
-func (w *wal) run() {
-	defer close(w.done)
-	var tick <-chan time.Time
-	if w.opts.Fsync == FsyncInterval {
-		t := time.NewTicker(w.opts.FsyncEvery)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case op, ok := <-w.queue:
-			if !ok {
-				w.flush(w.opts.Fsync != FsyncOff)
-				w.closeFile()
-				return
-			}
-			w.handle(op)
-			if len(w.queue) == 0 {
-				// Queue drained: push buffered bytes to the OS so an
-				// abrupt process death loses at most in-queue records.
-				w.flush(false)
-			}
-			obsQueue.Set(float64(len(w.queue)))
-		case <-tick:
-			if w.dirty || w.buffered() {
-				w.flush(true)
-			}
-		}
-	}
-}
-
-func (w *wal) buffered() bool { return w.bw != nil && w.bw.Buffered() > 0 }
-
-// handle applies one op in the writer goroutine.
-func (w *wal) handle(op walOp) {
-	switch {
-	case op.syncCh != nil:
-		w.flush(w.opts.Fsync != FsyncOff)
-		op.syncCh <- w.err
-	case op.rotate:
-		w.flush(w.opts.Fsync != FsyncOff)
-		w.closeFile()
-	default:
-		w.write(op)
-	}
-}
-
-// write frames and appends one record.
-func (w *wal) write(op walOp) {
-	if w.err != nil {
-		return // sticky: later syncs surface it
-	}
+// endSegment fsyncs (unless FsyncOff) and closes the current segment.
+// Caller holds mu.
+func (w *wal) endSegment() error {
 	if w.f == nil {
-		name := filepath.Join(w.opts.Dir, segmentName(op.lsn))
-		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			w.fail(fmt.Errorf("durable: open segment: %w", err))
-			return
-		}
-		w.f = f
-		w.bw = bufio.NewWriter(f)
-		if _, err := w.bw.Write(appendHeader(nil)); err != nil {
-			w.fail(err)
-			return
-		}
-		obsSegments.Inc()
+		return w.err
 	}
-	w.frame = appendFrame(w.frame[:0], op.t, op.payload)
-	if w.cp != nil && op.lsn == w.cp.lsn {
-		// Fault injection: everything before this record must reach the
-		// file first, then the (possibly torn) frame goes down raw and
-		// the process dies as if SIGKILLed.
-		if err := w.bw.Flush(); err != nil {
-			w.fail(err)
-			return
-		}
-		w.cp.fire(w.f, w.frame)
+	var err error
+	if w.policy != FsyncOff {
+		err = w.fsync()
 	}
-	if _, err := w.bw.Write(w.frame); err != nil {
-		w.fail(err)
-		return
+	if cerr := w.f.Close(); err == nil && cerr != nil {
+		err = w.fail(cerr)
 	}
-	obsAppends.Inc()
-	obsBytes.Add(int64(len(w.frame)))
-	w.dirty = true
-	if w.opts.Fsync == FsyncAlways {
-		w.flush(true)
-	}
+	w.f, w.dirty = nil, false
+	return err
 }
 
-// flush pushes buffered bytes to the OS and optionally fsyncs.
-func (w *wal) flush(fsync bool) {
-	if w.f == nil || w.err != nil {
-		return
+// fsync syncs the segment when it holds unsynced records. Caller holds
+// mu.
+func (w *wal) fsync() error {
+	if w.err != nil || w.f == nil || !w.dirty {
+		return w.err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.fail(err)
-		return
+	if err := w.f.Sync(); err != nil {
+		return w.fail(err)
 	}
-	if fsync && w.dirty {
-		if err := w.f.Sync(); err != nil {
-			w.fail(err)
-			return
-		}
-		obsFsyncs.Inc()
-		w.dirty = false
-	}
+	obsFsyncs.Inc()
+	w.dirty = false
+	return nil
 }
 
-// closeFile closes the current segment (next record opens a fresh one).
-func (w *wal) closeFile() {
-	if w.f == nil {
-		return
-	}
-	if err := w.f.Close(); err != nil && w.err == nil {
-		w.fail(err)
-	}
-	w.f, w.bw, w.dirty = nil, nil, false
-}
-
-// fail records the first writer error; every record after it is dropped
-// (the log would have a gap otherwise) and sync/close surface the error.
-func (w *wal) fail(err error) {
+// fail records the first write error and returns it; every later append
+// and sync returns it too.
+func (w *wal) fail(err error) error {
 	if w.err == nil {
 		w.err = err
 		obs.Error("durable.wal", "err", err)
 	}
+	return w.err
 }

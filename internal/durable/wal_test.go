@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -38,7 +39,7 @@ func ingestN(t *testing.T, s *Store, base, n int) {
 }
 
 // wantWindow asserts the recovered window is exactly q<from>..q<to>.
-func wantWindow(t *testing.T, st *State, from, to int) {
+func wantWindow(t *testing.T, st *Snapshot, from, to int) {
 	t.Helper()
 	if st == nil {
 		t.Fatalf("nil state, want window q%d..q%d", from, to)
@@ -107,7 +108,7 @@ func TestRecoverReadsLegacyRecords(t *testing.T) {
 		}
 		return raw
 	}
-	recoverSeg := func(frames func(seg []byte) []byte) *State {
+	recoverSeg := func(frames func(seg []byte) []byte) *Snapshot {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), frames(appendHeader(nil)), 0o644); err != nil {
 			t.Fatal(err)
@@ -302,7 +303,6 @@ func TestWALBadHeaderFails(t *testing.T) {
 
 func TestSnapshotRotationAndRetention(t *testing.T) {
 	opts := testOpts(t)
-	opts.Retain = 2
 	s := mustOpen(t, opts)
 	for round := 0; round < 4; round++ {
 		ingestN(t, s, round*10, 2)
@@ -349,7 +349,6 @@ func TestSnapshotRotationAndRetention(t *testing.T) {
 
 func TestSnapshotCorruptFallsBack(t *testing.T) {
 	opts := testOpts(t)
-	opts.Retain = 3
 	s := mustOpen(t, opts)
 	ingestN(t, s, 0, 2)
 	if err := s.WriteSnapshot(&Snapshot{LSN: 2, WindowSQL: []string{"q0", "q1"}, WindowTotal: 2}); err != nil {
@@ -398,7 +397,6 @@ func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
 		opts := testOpts(t)
 		opts.Fsync = policy
-		opts.FsyncEvery = time.Millisecond
 		s := mustOpen(t, opts)
 		ingestN(t, s, 0, 5)
 		if err := s.Sync(); err != nil {
@@ -412,6 +410,27 @@ func TestFsyncPolicies(t *testing.T) {
 			t.Fatalf("%v: %v", policy, err)
 		}
 		wantWindow(t, st, 0, 4)
+	}
+}
+
+// TestFsyncIntervalTimer: under FsyncInterval an append that no Sync
+// follows is fsynced by the one-shot timer, which then disarms.
+func TestFsyncIntervalTimer(t *testing.T) {
+	opts := testOpts(t)
+	opts.Fsync = FsyncInterval
+	s := mustOpen(t, opts)
+	defer func() { _ = s.Close() }() // nothing appended after the poll; the fsync is what is under test
+	ingestN(t, s, 0, 1)
+	for deadline := time.Now().Add(20 * fsyncDelay); ; time.Sleep(fsyncDelay / 10) {
+		s.w.mu.Lock()
+		pending := s.w.dirty || s.w.timer != nil
+		s.w.mu.Unlock()
+		if !pending {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("record still unsynced %v after the append", 20*fsyncDelay)
+		}
 	}
 }
 
@@ -467,5 +486,103 @@ func TestShouldSnapshotCadence(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWALConcurrentAppends races four appenders against a goroutine
+// that syncs and snapshots, with the FsyncInterval timer live under both
+// and Close right behind the last append. Snapshots follow the
+// WriteSnapshot contract: the state is captured under the lock that
+// orders it against appends (held shared by the appenders, so they still
+// race each other into the log). Recovery must yield LSNs 1..200 with
+// every record exactly once.
+func TestWALConcurrentAppends(t *testing.T) {
+	const appenders, perAppender = 4, 50
+	const total = appenders * perAppender
+	opts := testOpts(t)
+	opts.Fsync = FsyncInterval
+	s := mustOpen(t, opts)
+
+	var (
+		order sync.RWMutex // appends shared, state capture exclusive
+		byLSN [total + 1]string
+		wg    sync.WaitGroup
+		errs  = make(chan error, appenders+1)
+	)
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perAppender; i++ {
+				sql := fmt.Sprintf("g%d-%d", g, i)
+				payload, err := json.Marshal(ingestPayload{SQLs: []string{sql}})
+				if err != nil {
+					errs <- err
+					return
+				}
+				order.RLock()
+				lsn, err := s.w.append(RecordIngest, payload)
+				if err == nil {
+					byLSN[lsn] = sql
+				}
+				order.RUnlock()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if i%5 == 4 {
+					time.Sleep(fsyncDelay / 10) // the run outlasts the timer: it fires between appends
+				}
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	snapDone := make(chan struct{})
+	go func() {
+		defer close(snapDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Sync(); err != nil {
+				errs <- err
+				return
+			}
+			order.Lock()
+			lsn := s.LastLSN()
+			window := append([]string(nil), byLSN[1:lsn+1]...)
+			order.Unlock()
+			if err := s.WriteSnapshot(&Snapshot{LSN: lsn, WindowSQL: window, WindowTotal: lsn}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-snapDone
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	st, _, err := Recover(opts.Dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LSN != total || st.WindowTotal != total || len(st.WindowSQL) != total {
+		t.Fatalf("recovered LSN %d, total %d, window %d; want %d of each", st.LSN, st.WindowTotal, len(st.WindowSQL), total)
+	}
+	// Every append got its own LSN slot, so matching slot by slot means
+	// each distinct record comes back exactly once, in LSN order.
+	for i, sql := range st.WindowSQL {
+		if want := byLSN[i+1]; sql != want {
+			t.Fatalf("LSN %d recovered %q, appended %q", i+1, sql, want)
+		}
 	}
 }

@@ -105,12 +105,12 @@ func (s *Server) persist(next *generation) {
 	}
 }
 
-// restore rebuilds the serving state a recovered durable.State describes:
+// restore rebuilds the serving state a recovered durable.Snapshot describes:
 // the rolling window re-parsed from its original SQL (plan parsing is
 // deterministic, so the window is byte-identical to the pre-crash one),
 // and the generation — its model loaded from the checkpoint, its view
 // set — stored as recovered, without logging it again.
-func (s *Server) restore(st *durable.State) error {
+func (s *Server) restore(st *durable.Snapshot) error {
 	defer obs.StartSpan("serve.restore")()
 	plans := make([]*plan.Node, len(st.WindowSQL))
 	for i, sql := range st.WindowSQL {

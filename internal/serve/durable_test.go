@@ -247,8 +247,8 @@ func serveCrashIngestB() []string {
 //	2  generation 1 (bootstrap)         5  ingest B
 //	3  ingest A
 //
-// Under AUTOVIEW_WAL_CRASHPOINT the process dies inside the WAL writer
-// at the chosen record; otherwise it drains and exits cleanly.
+// Under AUTOVIEW_WAL_CRASHPOINT the process dies inside the WAL append
+// of the chosen record; otherwise it drains and exits cleanly.
 func runServeCrashScript(dir string) error {
 	st, err := durable.Open(durableOpts(dir))
 	if err != nil {
