@@ -91,16 +91,6 @@ func (t *Table) Column(name string) (Column, bool) {
 	return Column{}, false
 }
 
-// ColumnIndex returns the position of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	for i, c := range t.Columns {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // RowWidth is the nominal byte width of one row.
 func (t *Table) RowWidth() int {
 	w := 0

@@ -64,9 +64,6 @@ func TestTableHelpers(t *testing.T) {
 	if _, ok := tab.Column("ghost"); ok {
 		t.Error("missing column lookup should fail")
 	}
-	if tab.ColumnIndex("score") != 2 || tab.ColumnIndex("ghost") != -1 {
-		t.Error("ColumnIndex wrong")
-	}
 	// id(8) + label(24) + score(8)
 	if tab.RowWidth() != 40 {
 		t.Errorf("RowWidth = %d, want 40", tab.RowWidth())

@@ -28,8 +28,6 @@ type TournamentSpec struct {
 	// Seed drives the per-rung candidate sampling and every stochastic
 	// selector.
 	Seed int64
-	// Restarts is the local-search restart schedule (0 = its default).
-	Restarts int
 }
 
 // withDefaults returns a copy with unset fields resolved.
@@ -57,17 +55,13 @@ func (ts *TournamentSpec) String() string {
 	if ts.Seed != 0 {
 		parts = append(parts, "seed="+strconv.FormatInt(ts.Seed, 10))
 	}
-	if ts.Restarts != 0 {
-		parts = append(parts, "restarts="+strconv.Itoa(ts.Restarts))
-	}
 	return strings.Join(parts, ";")
 }
 
 // ParseTournamentSpec parses "key=value;key=value" with keys families
 // (comma-separated workload names), sizes (comma-separated positive
-// ints), seed, and restarts. Empty input yields the default spec;
-// unknown keys, malformed numbers, and out-of-range values are errors,
-// never panics.
+// ints) and seed. Empty input yields the default spec; unknown keys,
+// malformed numbers, and out-of-range values are errors, never panics.
 func ParseTournamentSpec(s string) (*TournamentSpec, error) {
 	spec := &TournamentSpec{}
 	s = strings.TrimSpace(s)
@@ -112,15 +106,6 @@ func ParseTournamentSpec(s string) (*TournamentSpec, error) {
 				return nil, fmt.Errorf("tournament spec: seed %q: %w", val, err)
 			}
 			spec.Seed = n
-		case "restarts":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("tournament spec: restarts %q: %w", val, err)
-			}
-			if n < 0 || n > 64 {
-				return nil, fmt.Errorf("tournament spec: restarts %d out of range [0, 64]", n)
-			}
-			spec.Restarts = n
 		default:
 			return nil, fmt.Errorf("tournament spec: unknown key %q", key)
 		}
@@ -223,10 +208,7 @@ func tournamentRung(family string, sub *mvs.Instance, spec TournamentSpec, cells
 
 	// Local search.
 	start = time.Now()
-	ls := mvs.LocalSearch(sub, mvs.LocalSearchOptions{
-		Restarts: spec.Restarts,
-		Rand:     rand.New(rand.NewSource(spec.Seed)),
-	})
+	ls := mvs.LocalSearch(sub, mvs.LocalSearchOptions{Rand: rand.New(rand.NewSource(spec.Seed))})
 	return add("localsearch", ls.Best, ls.BestUtility, time.Since(start))
 }
 

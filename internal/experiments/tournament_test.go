@@ -17,9 +17,8 @@ func TestParseTournamentSpec(t *testing.T) {
 	}{
 		{"", TournamentSpec{}},
 		{"families=JOB", TournamentSpec{Families: []string{"JOB"}}},
-		{"families=JOB,WK2;sizes=4,8;seed=7;restarts=3",
-			TournamentSpec{Families: []string{"JOB", "WK2"}, Sizes: []int{4, 8},
-				Seed: 7, Restarts: 3}},
+		{"families=JOB,WK2;sizes=4,8;seed=7",
+			TournamentSpec{Families: []string{"JOB", "WK2"}, Sizes: []int{4, 8}, Seed: 7}},
 		{" sizes = 12 ; seed = -1 ", TournamentSpec{Sizes: []int{12}, Seed: -1}},
 	}
 	for _, tc := range cases {
@@ -39,7 +38,7 @@ func TestParseTournamentSpec(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"families=BOB", "sizes=0", "sizes=9999", "sizes=x", "seed=x",
-		"restarts=-1", "restarts=100", "ilpmax=10", "nodes=500000",
+		"restarts=4", "ilpmax=10", "nodes=500000",
 		"unknown=1", "justakey", "families=",
 	} {
 		if _, err := ParseTournamentSpec(bad); err == nil {
@@ -51,7 +50,7 @@ func TestParseTournamentSpec(t *testing.T) {
 func FuzzTournamentSpec(f *testing.F) {
 	f.Add("")
 	f.Add("families=JOB,WK1;sizes=4,8,12;seed=1")
-	f.Add("restarts=4;seed=-3")
+	f.Add("sizes=4;seed=-3")
 	f.Add("families=;sizes=;;=")
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := ParseTournamentSpec(s)

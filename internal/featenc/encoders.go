@@ -192,9 +192,6 @@ func (e *Encoder) ShareWeights() *Encoder {
 	return &cp
 }
 
-// TokenDim is the uniform width token encodings are padded to.
-func (e *Encoder) TokenDim() int { return e.tokDim }
-
 // PlanDim is the width of one plan's encoding.
 func (e *Encoder) PlanDim() int {
 	if e.Cfg.NoSequence {

@@ -73,11 +73,8 @@ func TestVocab(t *testing.T) {
 	if v.ID("never-seen") != 0 {
 		t.Error("unseen keyword should map to 0")
 	}
-	if v.Word(v.ID("Scan")) != "Scan" {
-		t.Error("Word/ID not inverse")
-	}
-	if v.Word(-1) != "<unk>" || v.Word(1<<20) != "<unk>" {
-		t.Error("out-of-range Word should be <unk>")
+	if v.Words()[v.ID("Scan")] != "Scan" {
+		t.Error("Words/ID not inverse")
 	}
 }
 
@@ -183,12 +180,12 @@ func TestEncoderDims(t *testing.T) {
 			t.Errorf("%s: plan dim %d != %d", c.name, len(de), e.PlanDim())
 		}
 		tok, _ := e.EncodeToken(plan.Tok{Text: "Scan"})
-		if len(tok) != e.TokenDim() {
-			t.Errorf("%s: token dim %d != %d", c.name, len(tok), e.TokenDim())
+		if len(tok) != e.tokDim {
+			t.Errorf("%s: token dim %d != %d", c.name, len(tok), e.tokDim)
 		}
 		stok, _ := e.EncodeToken(plan.Tok{Text: "'1010'", Str: true})
-		if len(stok) != e.TokenDim() {
-			t.Errorf("%s: string token dim %d != %d", c.name, len(stok), e.TokenDim())
+		if len(stok) != e.tokDim {
+			t.Errorf("%s: string token dim %d != %d", c.name, len(stok), e.tokDim)
 		}
 	}
 }

@@ -110,11 +110,3 @@ func (v *Vocab) ID(word string) int { return v.ids[word] }
 
 // Size returns the vocabulary size including the unknown slot.
 func (v *Vocab) Size() int { return len(v.words) }
-
-// Word returns the keyword with the given id.
-func (v *Vocab) Word(id int) string {
-	if id < 0 || id >= len(v.words) {
-		return "<unk>"
-	}
-	return v.words[id]
-}

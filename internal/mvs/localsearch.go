@@ -16,15 +16,16 @@ var (
 	obsLSRowSolves = obs.Default.Counter("mvs.localsearch.rowsolves", "Y-Opt row solves run by the local-search climb")
 )
 
+// localSearchRestarts is the restart schedule length. Restart 0 is
+// greedy-seeded (every view whose benefit ceiling clears its overhead);
+// later restarts start from seeded random subsets.
+const localSearchRestarts = 4
+
 // LocalSearchOptions configures LocalSearch.
 //
 // The problem is the paper's Definition 7, with no storage budget: the
 // net-utility objective already charges every view's overhead.
 type LocalSearchOptions struct {
-	// Restarts is the restart schedule length (default 4). Restart 0 is
-	// greedy-seeded (every view whose benefit ceiling clears its
-	// overhead); later restarts start from seeded random subsets.
-	Restarts int
 	// Rand seeds the restart initializations. Each restart's sub-seed
 	// is drawn up front, so neighbor evaluation order never perturbs
 	// the schedule. Defaults to a fixed seed-1 source.
@@ -32,9 +33,6 @@ type LocalSearchOptions struct {
 }
 
 func (o LocalSearchOptions) withDefaults() LocalSearchOptions {
-	if o.Restarts <= 0 {
-		o.Restarts = 4
-	}
 	if o.Rand == nil {
 		o.Rand = rand.New(rand.NewSource(1))
 	}
@@ -84,17 +82,17 @@ func LocalSearch(in *Instance, opts LocalSearchOptions) *LocalSearchResult {
 	if nv == 0 {
 		return res
 	}
-	obsLSRestarts.Add(int64(opts.Restarts))
+	obsLSRestarts.Add(localSearchRestarts)
 
 	// Sub-seeds for the whole schedule, drawn before any climbing so
 	// evaluation order cannot perturb them.
-	seeds := make([]int64, opts.Restarts)
+	seeds := make([]int64, localSearchRestarts)
 	for r := range seeds {
 		seeds[r] = opts.Rand.Int63()
 	}
 
 	c := newClimber(in)
-	for r := 0; r < opts.Restarts; r++ {
+	for r := range localSearchRestarts {
 		var z []bool
 		if r == 0 {
 			z = c.greedySeed()
@@ -413,16 +411,4 @@ func SelectedViews(z []bool) []int {
 		}
 	}
 	return out
-}
-
-// SelectionOverhead returns Σ_j z_j·O_j, the total materialization
-// overhead of a selection.
-func (in *Instance) SelectionOverhead(z []bool) float64 {
-	var o float64
-	for j, set := range z {
-		if set {
-			o += in.Overhead[j]
-		}
-	}
-	return o
 }

@@ -45,14 +45,14 @@ func localSearchOracle(in *Instance, opts LocalSearchOptions, step func(z []bool
 	if nv == 0 {
 		return res, 0
 	}
-	seeds := make([]int64, opts.Restarts)
+	seeds := make([]int64, localSearchRestarts)
 	for r := range seeds {
 		seeds[r] = opts.Rand.Int63()
 	}
 	c := newClimber(in)
 	zScratch := make([]bool, nv)
 	solves := 0
-	for r := 0; r < opts.Restarts; r++ {
+	for r := range localSearchRestarts {
 		var z []bool
 		if r == 0 {
 			z = c.greedySeed()

@@ -82,7 +82,7 @@ func TestLocalSearchEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestSelectedViewsAndOverhead(t *testing.T) {
+func TestSelectedViews(t *testing.T) {
 	z := []bool{true, false, true, true, false}
 	got := SelectedViews(z)
 	want := []int{0, 2, 3}
@@ -93,10 +93,6 @@ func TestSelectedViewsAndOverhead(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("SelectedViews = %v, want %v", got, want)
 		}
-	}
-	in := &Instance{Overhead: []float64{1, 2, 4, 8, 16}}
-	if o := in.SelectionOverhead(z); o != 13 {
-		t.Errorf("SelectionOverhead = %v, want 13", o)
 	}
 	if got := SelectedViews(make([]bool, 3)); got != nil {
 		t.Errorf("empty selection should be nil, got %v", got)

@@ -80,22 +80,6 @@ func ReLU(x Vec) (Vec, Backward) {
 	return y, back
 }
 
-// Sigmoid applies 1/(1+e^-x) elementwise.
-func Sigmoid(x Vec) (Vec, Backward) {
-	y := zeros(len(x))
-	for i, v := range x {
-		y[i] = 1 / (1 + math.Exp(-v))
-	}
-	back := func(dy Vec) Vec {
-		dx := zeros(len(x))
-		for i := range dy {
-			dx[i] = dy[i] * y[i] * (1 - y[i])
-		}
-		return dx
-	}
-	return y, back
-}
-
 // Tanh applies tanh elementwise.
 func Tanh(x Vec) (Vec, Backward) {
 	y := zeros(len(x))

@@ -114,15 +114,6 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
-// ParamCount sums scalar parameter counts.
-func ParamCount(params []*Param) int {
-	total := 0
-	for _, p := range params {
-		total += p.Size()
-	}
-	return total
-}
-
 // Backward is the gradient closure returned by Forward passes: it takes
 // dL/dy and returns dL/dx while accumulating parameter gradients.
 type Backward func(dy Vec) Vec

@@ -10,40 +10,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// publishOnce guards the process-wide expvar registration ("autoview"),
-// which panics on duplicate names.
-var publishOnce sync.Once
 
 // Handler returns the observability endpoint:
 //
 //	/metrics      Prometheus text exposition of the registry
-//	/debug/vars   expvar JSON (includes an "autoview" snapshot var)
+//	/debug/vars   expvar JSON: the runtime's cmdline and memstats
 //	/debug/pprof  net/http/pprof profiles
 //
 // Mounting the handler also enables the registry, so spans start timing
 // as soon as a sink exists.
 func (r *Registry) Handler() http.Handler {
 	r.SetEnabled(true)
-	publishOnce.Do(func() {
-		expvar.Publish("autoview", expvar.Func(func() any {
-			snap := Default.Snapshot()
-			out := make(map[string]any, len(snap.Counters)+len(snap.Gauges))
-			for _, c := range snap.Counters {
-				out[c.Name] = c.Value
-			}
-			for _, g := range snap.Gauges {
-				out[g.Name] = g.Value
-			}
-			for _, h := range snap.Histograms {
-				out[h.Name] = map[string]any{"count": h.Count, "sum": h.Sum, "mean": h.Mean()}
-			}
-			return out
-		}))
-	})
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

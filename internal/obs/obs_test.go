@@ -254,8 +254,8 @@ func TestHandlerServesMetricsExpvarPprof(t *testing.T) {
 		}
 	}
 
-	if vars := httpGet(t, srv.URL+"/debug/vars"); !strings.Contains(vars, "autoview") {
-		t.Error("/debug/vars missing the autoview var")
+	if vars := httpGet(t, srv.URL+"/debug/vars"); !strings.Contains(vars, `"memstats"`) {
+		t.Error("/debug/vars missing the runtime's memstats")
 	}
 	if idx := httpGet(t, srv.URL+"/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Error("/debug/pprof/ index missing profiles")

@@ -220,7 +220,7 @@ func TestFindOccurrences(t *testing.T) {
 			t.Error("occurrence should be the original node")
 		}
 	}
-	if ContainsFingerprint(root, Fingerprint("nope")) {
+	if len(FindOccurrences(root, Fingerprint("nope"))) != 0 {
 		t.Error("bogus fingerprint should not be found")
 	}
 }

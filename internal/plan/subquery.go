@@ -55,9 +55,3 @@ func FindOccurrences(root *Node, fp Fingerprint) []*Node {
 	})
 	return out
 }
-
-// ContainsFingerprint reports whether any subtree of root has the given
-// fingerprint.
-func ContainsFingerprint(root *Node, fp Fingerprint) bool {
-	return len(FindOccurrences(root, fp)) > 0
-}

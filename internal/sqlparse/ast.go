@@ -1,9 +1,6 @@
 package sqlparse
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Node is implemented by all AST nodes.
 type Node interface {
@@ -250,65 +247,3 @@ func Conjuncts(e Expr) []Expr {
 	}
 	return []Expr{e}
 }
-
-// AndAll combines predicates with AND; returns nil for an empty slice.
-func AndAll(preds []Expr) Expr {
-	var out Expr
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if out == nil {
-			out = p
-		} else {
-			out = &BinaryExpr{Op: OpAnd, L: out, R: p}
-		}
-	}
-	return out
-}
-
-// ExprString is a debugging helper producing a prefix-notation rendering of
-// an expression (the same shape the feature extractor emits, Fig. 4).
-func ExprString(e Expr) string {
-	switch x := e.(type) {
-	case nil:
-		return ""
-	case *ColumnRef:
-		return x.SQL()
-	case *Literal:
-		return x.SQL()
-	case *FuncCall:
-		return x.SQL()
-	case *BinaryExpr:
-		return fmt.Sprintf("(%s %s %s)", opName(x.Op), ExprString(x.L), ExprString(x.R))
-	default:
-		return fmt.Sprintf("<%T>", e)
-	}
-}
-
-func opName(op BinaryOp) string {
-	switch op {
-	case OpEq:
-		return "EQ"
-	case OpNe:
-		return "NE"
-	case OpLt:
-		return "LT"
-	case OpLe:
-		return "LE"
-	case OpGt:
-		return "GT"
-	case OpGe:
-		return "GE"
-	case OpAnd:
-		return "AND"
-	case OpOr:
-		return "OR"
-	default:
-		return string(op)
-	}
-}
-
-// OpPrefixName exposes the prefix-notation operator names used in feature
-// sequences ("EQ", "AND", ...).
-func OpPrefixName(op BinaryOp) string { return opName(op) }

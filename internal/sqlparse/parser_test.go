@@ -146,7 +146,7 @@ func TestLexStringsAndComments(t *testing.T) {
 	}
 }
 
-func TestConjunctsAndAndAll(t *testing.T) {
+func TestConjuncts(t *testing.T) {
 	stmt, err := Parse("select a from t where a = 1 and b = 2 and c = 3")
 	if err != nil {
 		t.Fatal(err)
@@ -154,13 +154,6 @@ func TestConjunctsAndAndAll(t *testing.T) {
 	conj := Conjuncts(stmt.Where)
 	if len(conj) != 3 {
 		t.Fatalf("want 3 conjuncts, got %d", len(conj))
-	}
-	back := AndAll(conj)
-	if back.SQL() != stmt.Where.SQL() {
-		t.Errorf("AndAll lost structure: %s vs %s", back.SQL(), stmt.Where.SQL())
-	}
-	if AndAll(nil) != nil {
-		t.Error("AndAll(nil) should be nil")
 	}
 }
 
@@ -174,18 +167,6 @@ func TestWalkVisitsAllNodes(t *testing.T) {
 	// and, or, three comparisons, six operands = 11 nodes.
 	if n != 11 {
 		t.Errorf("Walk visited %d nodes, want 11", n)
-	}
-}
-
-func TestOpPrefixName(t *testing.T) {
-	pairs := map[BinaryOp]string{
-		OpEq: "EQ", OpNe: "NE", OpLt: "LT", OpLe: "LE",
-		OpGt: "GT", OpGe: "GE", OpAnd: "AND", OpOr: "OR",
-	}
-	for op, want := range pairs {
-		if got := OpPrefixName(op); got != want {
-			t.Errorf("OpPrefixName(%v) = %q, want %q", op, got, want)
-		}
 	}
 }
 

@@ -229,15 +229,6 @@ func (w *Workload) Project(name string) *Workload {
 	return sub
 }
 
-// LargestProject returns the project name with the most queries.
-func (w *Workload) LargestProject() string {
-	tops := w.TopProjects(1)
-	if len(tops) == 0 {
-		return ""
-	}
-	return tops[0]
-}
-
 // TopProjects returns the k projects with the most queries, largest first
 // (ties broken by name).
 func (w *Workload) TopProjects(k int) []string {
