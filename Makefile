@@ -129,16 +129,21 @@ vet:
 
 # Formatting (simplify mode) + vet + the repo's own analyzer suite
 # (LINTING.md; the same lint.Load + RunAnalyzers path TestLintSelfClean
-# runs) + the bounds-check-elimination gate over the f32 kernels; fails
-# listing any file gofmt -s would rewrite.
+# runs) + the bounds-check-elimination gate over the inference kernels;
+# fails listing any file gofmt -s would rewrite. The arm64 vet
+# cross-compiles the packages with an amd64-only assembly kernel, so a
+# GOARCH left without its portable fallback fails to type-check here;
+# vet's asmdecl checks the assembly's frame on amd64.
 lint: check-bce
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/rl
 	$(GO) run ./cmd/autoviewlint ./...
 
 # Bounds-check-elimination regression gate: internal/nn's float32
-# kernels must keep the per-function counts pinned in
+# kernels and the batched f64 forward's portable kernel (lanes64.go)
+# must keep the per-function counts pinned in
 # internal/nn/bce_allowlist.txt (PERFORMANCE.md "BCE gate"). Refresh a
 # deliberate change with: go run ./cmd/bcecheck -update
 check-bce:

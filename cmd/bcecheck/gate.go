@@ -254,7 +254,7 @@ func writeAllowlist(path string, counts map[string]int) error {
 		keys[k] = true
 	}
 	var b strings.Builder
-	b.WriteString("# Bounds checks the compiler keeps in the gated float32 kernel files\n")
+	b.WriteString("# Bounds checks the compiler keeps in the gated kernel files\n")
 	b.WriteString("# (-d=ssa/check_bce output, counted per function). make check-bce fails\n")
 	b.WriteString("# when a count rises — a bounds check was reintroduced into a hot loop —\n")
 	b.WriteString("# and when one falls, so improvements get locked in too.\n")

@@ -1,9 +1,10 @@
 // Command bcecheck is the bounds-check-elimination regression gate for
-// the float32 inference kernels (PERFORMANCE.md "BCE gate"). It builds
+// the inference kernels (PERFORMANCE.md "BCE gate"). It builds
 // internal/nn with the compiler's -d=ssa/check_bce diagnostic, which
 // prints one line per bounds check the SSA backend could NOT eliminate,
 // and compares the per-function counts in the gated files
-// (kernels32.go, infer32.go) against the checked-in allowlist
+// (kernels32.go, infer32.go, and lanes64.go, the batched f64 forward's
+// portable kernel) against the checked-in allowlist
 // internal/nn/bce_allowlist.txt.
 //
 // The kernels are written so their hot loops carry no bounds checks
@@ -33,7 +34,7 @@ import (
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.pkg, "pkg", "autoview/internal/nn", "package to build with -d=ssa/check_bce")
-	flag.StringVar(&cfg.files, "files", "kernels32.go,infer32.go", "comma-separated gated files within the package")
+	flag.StringVar(&cfg.files, "files", "kernels32.go,infer32.go,lanes64.go", "comma-separated gated files within the package")
 	flag.StringVar(&cfg.allowlist, "allowlist", "", "allowlist path (default <pkg dir>/bce_allowlist.txt)")
 	update := flag.Bool("update", false, "rewrite the allowlist from the current build instead of gating")
 	flag.Parse()

@@ -156,18 +156,27 @@ func (a *Advisor) BuildProblem(queries []*plan.Node, pre *equiv.Result) (*Proble
 }
 
 // measureQueryCosts measures the raw cost A(q) of every workload query
-// once.
+// once, fanned out like measureAll over the same read-only executor;
+// results land in query order and the lowest-indexed failure is the one
+// returned.
 func (a *Advisor) measureQueryCosts(p *Problem, queries []*plan.Node) error {
 	pricing := a.Cfg.Pricing
 	p.QueryCost = make([]float64, len(queries))
 	p.QueryUsage = make([]engine.Usage, len(queries))
-	for i, q := range queries {
-		u, err := a.Exec.Cost(q)
+	errs := make([]error, len(queries))
+	nn.ParallelFor(len(queries), a.Cfg.Parallelism, func(i int) {
+		u, err := a.Exec.Cost(queries[i])
 		if err != nil {
-			return fmt.Errorf("core: measuring query %d: %w", i, err)
+			errs[i] = err
+			return
 		}
 		p.QueryUsage[i] = u
 		p.QueryCost[i] = u.Cost(pricing)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: measuring query %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -184,8 +184,8 @@ type Config struct {
 
 	// Parallelism is the number of data-parallel workers every neural
 	// training loop (W-D Algorithm 1, DQN replay updates) shards its
-	// mini-batches across, and the fan-out of the engine's pair
-	// measurement and the held-out W-D predictions. 0 selects
+	// mini-batches across, and the fan-out of the engine's query and
+	// pair measurements and the held-out W-D predictions. 0 selects
 	// runtime.NumCPU(); 1 runs serially. Gradients are reduced in sample
 	// order and fanned-out results land in index order, so results are
 	// bit-for-bit identical for every setting. It is the only worker

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"autoview/internal/engine"
@@ -508,5 +509,36 @@ func TestFitProgressCallback(t *testing.T) {
 	}
 	if epochs != 3 {
 		t.Errorf("progress callback fired %d times, want 3", epochs)
+	}
+}
+
+// TestMeasureQueryCostsFanOut: the raw-cost measurement fans out over
+// Cfg.Parallelism workers, yet every worker count yields the serial
+// run's usages in query order, and of two failing queries the
+// lower-indexed one is reported whichever worker meets it first.
+func TestMeasureQueryCostsFanOut(t *testing.T) {
+	w := smallWK()
+	queries := w.Plans()
+	var serial *Problem
+	for _, par := range []int{1, 2, 8} {
+		cfg := fastConfig()
+		cfg.Parallelism = par
+		a := newAdvisor(t, w, cfg)
+		p := &Problem{}
+		if err := a.measureQueryCosts(p, queries); err != nil {
+			t.Fatal(err)
+		}
+		if serial == nil {
+			serial = p
+		} else if !reflect.DeepEqual(p.QueryUsage, serial.QueryUsage) || !reflect.DeepEqual(p.QueryCost, serial.QueryCost) {
+			t.Fatalf("Parallelism %d: measurements differ from the serial run", par)
+		}
+		bad := append([]*plan.Node(nil), queries...)
+		bad[len(bad)-1] = &plan.Node{Op: plan.OpScan, Table: "missing"}
+		bad[7] = bad[len(bad)-1]
+		err := a.measureQueryCosts(&Problem{}, bad)
+		if err == nil || !strings.Contains(err.Error(), "query 7:") {
+			t.Fatalf("Parallelism %d: error %v, want query 7's", par, err)
+		}
 	}
 }

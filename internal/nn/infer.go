@@ -2,17 +2,17 @@ package nn
 
 // Forward-only float64 inference for the dense stack — the DQN's action
 // scoring and bootstrap target (internal/rl). Results are bit-identical
-// to Forward (Linear.Forward computes its output through InferInto, and
-// the parity tests in infer_test.go enforce `==`), but no backward
-// closures are built and outputs live in caller-owned buffers or in an
-// Arena, so a warm evaluation allocates nothing. The W-D estimator does
-// not serve from here: its forward-only path is the float32 mirror
-// (infer32.go, kernels32.go).
+// to Forward (Linear.Forward computes its output through InferInto, each
+// lane of the batched kernel runs InferInto's chain, and the parity
+// tests in infer_test.go enforce `==`), but no backward closures are
+// built and activations live in an Arena, so a warm evaluation allocates
+// nothing. The W-D estimator does not serve from here: its forward-only
+// path is the float32 mirror (infer32.go, kernels32.go).
 
 // InferInto applies the layer forward-only, writing the output into dst
-// (length OutDim). dst must not alias x. This is the package's one f64
-// matvec loop: Forward calls it too, and LSTM.Forward for its gate
-// pre-activations. Rows go four at a time so four
+// (length OutDim). dst must not alias x. This is the package's one
+// single-vector f64 matvec loop: Forward calls it, and LSTM.Forward for
+// its gate pre-activations. Rows go four at a time so four
 // independent add chains are in flight (a single chain is bound by the
 // add latency, and that tight loop's speed swung 25% with where the
 // linker happened to place it); each row still accumulates bias first,
@@ -46,34 +46,41 @@ func (l *Linear) InferInto(dst Vec, x Vec) {
 	}
 }
 
-// Infer applies the layer forward-only into an arena-backed vector.
-func (l *Linear) Infer(x Vec, a *Arena) Vec {
-	dst := a.Vec(l.W.Rows)
-	l.InferInto(dst, x)
-	return dst
+// InferBatch applies all layers forward-only, with ReLU between them, to
+// every input of xs at once, and writes output k of input j to
+// dst[j·OutDim + k] (for a one-output network, dst[j] is xs[j]'s value).
+// Every input has the first layer's width. The activations are carved
+// from a, feature-major with the input count padded to the kernel's
+// lane block, and each layer is one denseLanes call.
+func (m *MLP) InferBatch(dst Vec, xs []Vec, a *Arena) {
+	m.inferBatch(dst, xs, a, denseLanes)
 }
 
-// ReLUInto writes max(0, x) elementwise into dst; dst may alias x.
-func ReLUInto(dst, x Vec) {
-	for i, v := range x {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
+// inferBatch is InferBatch on the given kernel; the parity tests run it
+// on denseLanesGo too.
+func (m *MLP) inferBatch(dst Vec, xs []Vec, a *Arena, kernel func(y, x, w, b Vec, cols, lanes int, relu bool)) {
+	n := len(xs)
+	if n == 0 {
+		return
+	}
+	lanes := padLanes(n)
+	in := m.Layers[0].InDim()
+	cur := a.Vec(in * lanes)
+	for j, x := range xs {
+		for f, v := range x[:in] {
+			cur[f*lanes+j] = v
 		}
 	}
-}
-
-// Infer applies all layers forward-only with ReLU between them. The
-// activations are applied in place on each layer's arena output.
-func (m *MLP) Infer(x Vec, a *Arena) Vec {
-	cur := x
+	last := len(m.Layers) - 1
 	for i, l := range m.Layers {
-		y := l.Infer(cur, a)
-		if i < len(m.Layers)-1 || m.FinalActivation {
-			ReLUInto(y, y)
-		}
+		y := a.Vec(l.OutDim() * lanes)
+		kernel(y, cur, l.W.Val, l.B.Val, l.InDim(), lanes, i < last || m.FinalActivation)
 		cur = y
 	}
-	return cur
+	out := m.Layers[last].OutDim()
+	for k := 0; k < out; k++ {
+		for j, v := range cur[k*lanes:][:n] {
+			dst[j*out+k] = v
+		}
+	}
 }

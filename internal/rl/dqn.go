@@ -7,8 +7,9 @@
 // the network online from an experience-replay memory.
 //
 // The DQN is float64 end to end, with two forwards: nn.MLP.Forward
-// (tape, for the Learn update) and nn.MLP.Infer (forward-only and
-// bit-identical — action scoring and the bootstrap target share it).
+// (tape, for the Learn update) and nn.MLP.InferBatch (forward-only over
+// all of a state's actions at once, and bit-identical — action scoring
+// and the bootstrap target share it).
 package rl
 
 import (
@@ -196,14 +197,6 @@ func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 	return a
 }
 
-// Q evaluates μ(e,a|θ) for one action's features through the f64
-// forward-only path (nn.MLP.Infer): bit-identical to the training
-// Forward, no backward closures, no allocations when warm.
-func (a *Agent) Q(feat []float64) float64 {
-	_, q := a.maxQ(a.Net, [][]float64{feat}, nil)
-	return q
-}
-
 // bootstrapNet is the network the Q-learning target is read from: the
 // frozen target when configured, else the online network.
 func (a *Agent) bootstrapNet() *nn.MLP {
@@ -213,21 +206,23 @@ func (a *Agent) bootstrapNet() *nn.MLP {
 	return a.Net
 }
 
-// maxQ scores every action of one state with net on one pooled arena,
-// taken once for the whole sweep, and returns the first best action and
-// its value (0 and -Inf without actions). A non-nil out receives every
-// value. Action scoring and the Learn bootstrap both go through it.
+// maxQ scores every action of one state with net in one batched forward
+// (nn.MLP.InferBatch) on one pooled arena and returns the first best
+// action and its value (0 and -Inf without actions). A non-nil out
+// receives every value. Action scoring and the Learn bootstrap both go
+// through it.
 func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, bestQ float64) {
 	bestQ = math.Inf(-1)
 	ar := a.arenas.Get()
-	for j, f := range feats {
-		ar.Reset()
-		q := net.Infer(f, ar)[0]
-		if out != nil {
-			out[j] = q
-		}
-		if q > bestQ {
-			best, bestQ = j, q
+	ar.Reset()
+	q := out
+	if q == nil {
+		q = ar.Vec(len(feats))
+	}
+	net.InferBatch(q, feats, ar)
+	for j, v := range q {
+		if v > bestQ {
+			best, bestQ = j, v
 		}
 	}
 	a.arenas.Put(ar)
@@ -236,8 +231,9 @@ func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, b
 
 // score writes the online network's value of every action into q. The
 // rows split into contiguous chunks over Cfg.Parallelism workers, one
-// pooled arena each; every q[j] is computed alone and written to the
-// slot j owns, so the values do not depend on the worker count. Called
+// batched forward and one pooled arena each; lanes never mix and each
+// q[j] lands in the slot j owns, so the values do not depend on the
+// worker count. Called
 // from the RLView loop; the Learn bootstrap runs inside the trainer's
 // workers and sweeps serially through maxQ.
 func (a *Agent) score(feats [][]float64, q []float64) {

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,27 +10,28 @@ import (
 	"autoview/internal/nn"
 )
 
-// TestMLPInferParity pins the forward-only path: the Q-network's Infer
-// must return exactly what its Forward returns, across many random
-// inputs and with a reused arena.
+// TestMLPInferParity pins the forward-only path: the Q-network's
+// InferBatch must return exactly what its Forward returns for every
+// action of a batch — one 120-action state and its first actions alone —
+// and again on a reused arena.
 func TestMLPInferParity(t *testing.T) {
 	q := newQNet(rand.New(rand.NewSource(11)))
 	a := nn.NewArena()
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 120; trial++ {
-		feat := make(nn.Vec, FeatureDim)
-		for i := range feat {
-			feat[i] = rng.NormFloat64()
-		}
-		want := forwardQ(q, feat)
-		a.Reset()
-		got := q.Infer(feat, a)[0]
-		if got != want { // bit-identity is the property under test
-			t.Fatalf("trial %d: Infer = %v, Forward = %v", trial, got, want)
-		}
-		a.Reset()
-		if again := q.Infer(feat, a)[0]; again != got { // bit-identity is the property under test
-			t.Fatalf("trial %d: warm-arena Infer drifted: %v != %v", trial, again, got)
+	feats := randomFeats(rand.New(rand.NewSource(12)), 120)
+	want := make([]float64, len(feats))
+	for j, f := range feats {
+		want[j] = forwardQ(q, f)
+	}
+	for _, n := range []int{120, 1, 2, 9} {
+		for round := 0; round < 2; round++ {
+			got := make([]float64, n)
+			a.Reset()
+			q.InferBatch(got, feats[:n], a)
+			for j := range got {
+				if got[j] != want[j] { // bit-identity is the property under test
+					t.Fatalf("n=%d round %d: InferBatch[%d] = %v, Forward = %v", n, round, j, got[j], want[j])
+				}
+			}
 		}
 	}
 }
@@ -40,6 +42,11 @@ func forwardQ(net *nn.MLP, feat []float64) float64 {
 	return y[0]
 }
 
+// onlineQ is Q(e,a) of one action through the agent's scoring path.
+func onlineQ(a *Agent, feat []float64) float64 {
+	return a.QValues([][]float64{feat})[0]
+}
+
 // targetQ is the Learn bootstrap value of one action.
 func targetQ(a *Agent, feat []float64) float64 {
 	_, q := a.maxQ(a.bootstrapNet(), [][]float64{feat}, nil)
@@ -47,7 +54,8 @@ func targetQ(a *Agent, feat []float64) float64 {
 }
 
 // TestAgentScoringBitIdenticalToForward cross-checks the agent's whole
-// forward-only surface — Q, QValues, BestAction and the Learn bootstrap
+// forward-only surface — QValues one action at a time and over the
+// whole state, BestAction and the Learn bootstrap
 // (maxQ over the bootstrap network: each action's value and the sweep's
 // maximum) — against direct Forward evaluation with ==, with and
 // without a frozen target network, before and after a Learn step moves
@@ -72,8 +80,8 @@ func TestAgentScoringBitIdenticalToForward(t *testing.T) {
 				if j == 0 || want > bestQ {
 					bestJ, bestQ = j, want
 				}
-				if got := ag.Q(f); got != want { // bit-identity is the property under test
-					t.Fatalf("%+v %s: Q(%d) = %v, Forward = %v", cfg, phase, j, got, want)
+				if got := onlineQ(ag, f); got != want { // bit-identity is the property under test
+					t.Fatalf("%+v %s: onlineQ(%d) = %v, Forward = %v", cfg, phase, j, got, want)
 				}
 				if qv[j] != want { // bit-identity is the property under test
 					t.Fatalf("%+v %s: QValues[%d] = %v, Forward = %v", cfg, phase, j, qv[j], want)
@@ -192,5 +200,21 @@ func TestFeaturesAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { Features(in, st, bcur, bmax, 1, 1) }); allocs != 2 {
 		t.Fatalf("Features allocates %v times for %d actions, want 2", allocs, in.NumViews())
+	}
+}
+
+// BenchmarkQValues is one greedy sweep over the wk1 instance's 124
+// actions (bench's rl.qvalues_us row), serially and fanned out over two
+// workers.
+func BenchmarkQValues(b *testing.B) {
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			ag := NewAgent(AgentConfig{Seed: 5, Parallelism: p}, nil)
+			feats := randomFeats(rand.New(rand.NewSource(3)), 124)
+			b.ReportAllocs()
+			for b.Loop() {
+				ag.QValues(feats)
+			}
+		})
 	}
 }

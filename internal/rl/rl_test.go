@@ -125,7 +125,7 @@ func TestAgentLearnsSimpleValue(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		a.Learn()
 	}
-	q0, q1 := a.Q(f0), a.Q(f1)
+	q0, q1 := onlineQ(a, f0), onlineQ(a, f1)
 	if q0 < q1+0.3 {
 		t.Errorf("Q(a0)=%v should clearly exceed Q(a1)=%v", q0, q1)
 	}
@@ -324,19 +324,19 @@ func TestAgentSaveLoad(t *testing.T) {
 	a := NewAgent(AgentConfig{}, rand.New(rand.NewSource(20)))
 	feat := make([]float64, FeatureDim)
 	feat[0] = 1
-	want := a.Q(feat)
+	want := onlineQ(a, feat)
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b := NewAgent(AgentConfig{}, rand.New(rand.NewSource(21)))
-	if b.Q(feat) == want {
+	if onlineQ(b, feat) == want {
 		t.Fatal("fresh agent accidentally matches; test vacuous")
 	}
 	if err := b.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Q(feat); got != want {
+	if got := onlineQ(b, feat); got != want {
 		t.Errorf("Q after load = %v, want %v", got, want)
 	}
 }
@@ -352,13 +352,13 @@ func TestTargetNetworkSync(t *testing.T) {
 	// Before any sync the target diverges from the online net after
 	// learning; after TargetSync calls they coincide.
 	a.Learn()
-	if a.Q(f) == targetQ(a, f) {
+	if onlineQ(a, f) == targetQ(a, f) {
 		t.Fatal("target should lag the online network after one update")
 	}
 	a.Learn()
 	a.Learn() // third call triggers the sync
-	if a.Q(f) != targetQ(a, f) {
-		t.Errorf("target not synced: online %v, target %v", a.Q(f), targetQ(a, f))
+	if onlineQ(a, f) != targetQ(a, f) {
+		t.Errorf("target not synced: online %v, target %v", onlineQ(a, f), targetQ(a, f))
 	}
 }
 
