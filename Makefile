@@ -27,13 +27,15 @@ examples-smoke:
 # serve line does the same for the two guarantees scheduling decides:
 # every /v1/estimate reply is computed by the model its model_version
 # names while hot-reloads race the readers, concurrent swaps never
-# share a model version, and /v1/healthz and /v1/views only ever report
-# a generation some publish installed whole. The durable line races
+# share a model version, /v1/healthz and /v1/views only ever report
+# a generation some publish installed whole, and writers racing Close get
+# 202 or 503 shutting_down, with every 202's queries in the WAL exactly
+# once. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
 # and Close, and requires every record back exactly once.
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
@@ -76,7 +78,8 @@ test-alloc:
 # 200 back from a directory that recovers; the serve-level sweep does
 # the same through a full advisor session and compares the recovered
 # window, view set, and /v1/estimate responses byte-for-byte against a
-# never-crashed run.
+# never-crashed run, and the serve kill test SIGKILLs ten daemons right
+# after their last ingest 202 and requires every accepted batch back.
 test-crash:
 	$(GO) test -run 'TestCrash|TestServeCrash' -count=1 -v ./internal/durable/ ./internal/serve/
 

@@ -15,12 +15,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"autoview/internal/costbase"
+	"autoview/internal/durable"
 	"autoview/internal/engine"
 	"autoview/internal/equiv"
 	"autoview/internal/featenc"
@@ -94,32 +96,21 @@ func main() {
 	}
 
 	var y, yhat []float64
-	var mean float64
 	for _, i := range testIdx {
 		y = append(y, samples[i].Actual)
 		yhat = append(yhat, model.Predict(samples[i].F))
-		mean += samples[i].Actual
-	}
-	mean /= float64(len(y))
-	// MAPE over pairs with cost ≥ 5% of the mean (relative error on
-	// near-zero costs is meaningless), matching the experiments harness.
-	var yf, yhatf []float64
-	for i := range y {
-		if y[i] >= 0.05*mean {
-			yf = append(yf, y[i])
-			yhatf = append(yhatf, yhat[i])
-		}
 	}
 	fmt.Printf("held-out: MAE=%.4f cost units, MAPE=%.2f%%\n",
-		metrics.MAE(y, yhat), metrics.MAPE(yf, yhatf))
+		metrics.MAE(y, yhat), metrics.MAPEWithFloor(y, yhat))
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
+		// Atomic and durable: a crash mid-save never leaves a truncated
+		// checkpoint where /v1/admin/model would load it.
+		var buf bytes.Buffer
+		if err := model.Save(&buf); err != nil {
 			fail(err)
 		}
-		defer f.Close()
-		if err := model.Save(f); err != nil {
+		if err := durable.WriteFile(*savePath, buf.Bytes()); err != nil {
 			fail(err)
 		}
 		fmt.Printf("weights saved to %s\n", *savePath)

@@ -184,7 +184,7 @@ func run(o options) error {
 	}
 
 	start := time.Now()
-	if err := srv.Start(sigCtx, dstore); err != nil {
+	if err := srv.Start(dstore); err != nil {
 		_ = httpSrv.Close()
 		if dstore != nil {
 			_ = dstore.Close()
@@ -199,7 +199,7 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "viewserverd: signal received, draining (timeout %v)\n", o.drainTimeout)
 	case err := <-errCh:
 		// Serve only reports before Shutdown on a real listener failure;
-		// still drain so accepted ingest reaches the window and the WAL.
+		// still drain so the final snapshot is written.
 		_ = srv.Close(context.Background())
 		if dstore != nil {
 			_ = dstore.Close()
@@ -209,9 +209,9 @@ func run(o options) error {
 
 	// Stop the listener first so in-flight handlers can still collect
 	// their micro-batch results, then drain the serve pipeline. A
-	// shutdown timeout must NOT skip the drain: srv.Close is what flushes
-	// the queued ingest into the window and the WAL, so it always runs
-	// (and likewise the durable store always closes).
+	// shutdown timeout must NOT skip the drain: srv.Close is what syncs
+	// the WAL and writes the final snapshot, so it always runs (and
+	// likewise the durable store always closes).
 	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	shutdownErr := httpSrv.Shutdown(ctx)

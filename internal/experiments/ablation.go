@@ -67,7 +67,7 @@ func Ablations(s Scale) (*AblationResult, error) {
 			y = append(y, sm.Actual)
 			yhat = append(yhat, m.Predict(sm.F))
 		}
-		return mapeWithFloor(y, yhat), nil
+		return metrics.MAPEWithFloor(y, yhat), nil
 	}
 	if res.WideDeepMAPE, err = evalModel(widedeep.Config{}); err != nil {
 		return nil, err

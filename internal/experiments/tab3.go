@@ -195,7 +195,7 @@ func Tab3(s Scale) (*Tab3Result, error) {
 			res.Rows[w.Name] = append(res.Rows[w.Name], Tab3Row{
 				Method: est.Name(),
 				MAE:    metrics.MAE(y, yhat),
-				MAPE:   mapeWithFloor(y, yhat),
+				MAPE:   metrics.MAPEWithFloor(y, yhat),
 			})
 		}
 	}
@@ -209,29 +209,6 @@ func scaledPricing(p engine.Pricing) engine.Pricing {
 	p.Gamma *= costUnitScale
 	p.Alpha *= costUnitScale
 	return p
-}
-
-// mapeWithFloor computes MAPE over pairs whose true cost is at least 5%
-// of the mean. Near-zero costs make relative error meaningless (a $1e-6
-// rewrite estimated at $2e-6 is a 100% MAPE but a perfect decision
-// signal), so they are excluded, as is standard practice.
-func mapeWithFloor(y, yhat []float64) float64 {
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	if len(y) > 0 {
-		mean /= float64(len(y))
-	}
-	floor := 0.05 * mean
-	var yf, yhatf []float64
-	for i, v := range y {
-		if v >= floor {
-			yf = append(yf, v)
-			yhatf = append(yhatf, yhat[i])
-		}
-	}
-	return metrics.MAPE(yf, yhatf)
 }
 
 func pick(samples []costbase.Sample, idx []int) []costbase.Sample {

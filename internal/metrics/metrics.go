@@ -38,6 +38,29 @@ func MAPE(y, yhat []float64) float64 {
 	return 100 * sum / float64(n)
 }
 
+// MAPEWithFloor is MAPE over the pairs whose true cost is at least 5%
+// of the mean true cost. Near-zero costs make relative error meaningless
+// (a $1e-6 rewrite estimated at $2e-6 is a 100% MAPE but a perfect
+// decision signal), so they are excluded, as is standard practice.
+func MAPEWithFloor(y, yhat []float64) float64 {
+	var mean float64
+	for _, v := range y {
+		mean += v
+	}
+	if len(y) > 0 {
+		mean /= float64(len(y))
+	}
+	floor := 0.05 * mean
+	var yf, yhatf []float64
+	for i, v := range y {
+		if v >= floor {
+			yf = append(yf, v)
+			yhatf = append(yhatf, yhat[i])
+		}
+	}
+	return MAPE(yf, yhatf)
+}
+
 // Split partitions indices [0,n) into train/validation/test parts with the
 // given proportions (e.g. 7:1:2), shuffled deterministically by seed.
 func Split(n int, trainFrac, valFrac float64, seed int64) (train, val, test []int) {

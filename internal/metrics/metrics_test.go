@@ -31,6 +31,25 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
+// TestMAPEWithFloor: pairs whose true cost is under 5% of the mean are
+// left out; the rest are scored as MAPE scores them.
+func TestMAPEWithFloor(t *testing.T) {
+	// Mean 25, floor 1.25: the 0.5 pair (estimated 5, a 900% error) drops.
+	y := []float64{0.5, 10, 20, 69.5}
+	yhat := []float64{5, 9, 22, 69.5}
+	want := MAPE([]float64{10, 20, 69.5}, []float64{9, 22, 69.5})
+	if got := MAPEWithFloor(y, yhat); math.Abs(got-want) > 1e-12 {
+		t.Errorf("MAPEWithFloor = %v, want %v", got, want)
+	}
+	// A pair exactly at the floor stays in: mean 20, floor 1.
+	if got := MAPEWithFloor([]float64{1, 39}, []float64{2, 39}); math.Abs(got-50) > 1e-12 {
+		t.Errorf("MAPEWithFloor at the floor = %v, want 50", got)
+	}
+	if MAPEWithFloor(nil, nil) != 0 {
+		t.Error("empty MAPEWithFloor should be 0")
+	}
+}
+
 func TestMAEProperties(t *testing.T) {
 	// MAE is non-negative and zero iff predictions match.
 	f := func(a, b float64) bool {

@@ -3,13 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,7 +34,7 @@ func startDurable(t *testing.T, dir string) (*Server, *durable.Store) {
 		t.Fatalf("durable.Open: %v", err)
 	}
 	s := NewServer(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
-	if err := s.Start(context.Background(), st); err != nil {
+	if err := s.Start(st); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	return s, st
@@ -72,7 +75,7 @@ func TestServeReadinessGate(t *testing.T) {
 		t.Fatalf("pre-Start views error = %+v, want code recovering", errResp)
 	}
 
-	if err := s.Start(context.Background(), nil); err != nil {
+	if err := s.Start(nil); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
 	defer func() {
@@ -90,44 +93,216 @@ func TestServeReadinessGate(t *testing.T) {
 	}
 }
 
-// TestServeDrainFlushesQueuedIngest is the no-loss drain check: every
-// ingest batch accepted before Close lands in the window AND the WAL,
-// even when Close fires with the queue still full.
-func TestServeDrainFlushesQueuedIngest(t *testing.T) {
-	dir := t.TempDir()
-	s, st := startDurable(t, dir)
-	w := serveWK()
-	seed := uint64(len(w.Queries))
-
-	const batches = 50
-	for i := 0; i < batches; i++ {
-		sql := w.Queries[i%len(w.Queries)].SQL
+// ingestSQL parses sqls and ingests them as one batch, as POST
+// /v1/queries does.
+func ingestSQL(s *Server, sqls []string) error {
+	plans := make([]*plan.Node, len(sqls))
+	for i, sql := range sqls {
 		n, err := plan.Parse(sql, s.adv.Cat)
 		if err != nil {
-			t.Fatalf("parse: %v", err)
+			return err
 		}
-		if err := s.sendIngest(ingestMsg{plans: []*plan.Node{n}, sqls: []string{sql}}, true); err != nil {
-			t.Fatalf("sendIngest %d: %v", i, err)
+		plans[i] = n
+	}
+	_, err := s.ingest(plans, sqls)
+	return err
+}
+
+// postStatus posts an ingest body from any goroutine (postJSON may only
+// fail the test from the test goroutine) and returns the status and the
+// error code of a non-2xx reply.
+func postStatus(url string, sqls []string) (int, string, error) {
+	raw, err := json.Marshal(ingestRequest{Queries: sqls})
+	if err != nil {
+		return 0, "", err
+	}
+	resp, err := http.Post(url+"/v1/queries", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	var envelope errorResponse
+	if resp.StatusCode >= 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+			return resp.StatusCode, "", err
 		}
 	}
-	// Drain immediately: Close must finish the queued appends before
-	// returning, not abandon them.
+	return resp.StatusCode, envelope.Error.Code, nil
+}
+
+// copyDataDir copies the flat data directory src, as a crash at this
+// instant would leave it, and returns the copy.
+func copyDataDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			t.Fatalf("data dir entry %s is not a regular file", e.Name())
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestIngestRepliesAfterAppend: POST /v1/queries answers 202 only once
+// its queries are in the window and in the WAL. While the test holds
+// durMu (which every append takes) no 202 may arrive; after it lets go,
+// the accepted queries are in the window total and in what Recover
+// reads from a copy of the data directory taken at that moment.
+func TestIngestRepliesAfterAppend(t *testing.T) {
+	dir := t.TempDir()
+	s, st := startDurable(t, dir)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer closeDurable(t, s, st)
+	sqls := serveCrashIngestA()
+	before := s.window.Total()
+
+	type reply struct {
+		status int
+		err    error
+	}
+	replied := make(chan reply, 1)
+	s.durMu.Lock()
+	go func() {
+		status, _, err := postStatus(ts.URL, sqls)
+		replied <- reply{status, err}
+	}()
+	select {
+	case r := <-replied:
+		s.durMu.Unlock()
+		t.Fatalf("ingest replied %d (err %v) while its append was blocked", r.status, r.err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	s.durMu.Unlock()
+	r := <-replied
+	if r.err != nil || r.status != http.StatusAccepted {
+		t.Fatalf("ingest = %d (err %v), want 202", r.status, r.err)
+	}
+
+	want := before + uint64(len(sqls))
+	if got := s.window.Total(); got != want {
+		t.Fatalf("window total after 202 = %d, want %d", got, want)
+	}
+	rec, _, err := durable.Recover(copyDataDir(t, dir), 0)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rec.WindowTotal != want {
+		t.Fatalf("recovered total = %d, want %d (the 202 came before the WAL append)", rec.WindowTotal, want)
+	}
+	if tail := rec.WindowSQL[len(rec.WindowSQL)-len(sqls):]; !reflect.DeepEqual(tail, sqls) {
+		t.Fatalf("recovered window ends %q, want %q", tail, sqls)
+	}
+}
+
+// TestIngestFailedAppendAnswers503: when the WAL refuses an append, the
+// ingest answers 503 durable_write_failed and the window stays as it
+// was; the drain then reports the failure too.
+func TestIngestFailedAppendAnswers503(t *testing.T) {
+	s, st := startDurable(t, t.TempDir())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := st.Close(); err != nil { // every later append fails
+		t.Fatalf("store close: %v", err)
+	}
+	before := s.window.Total()
+	status, code, err := postStatus(ts.URL, serveCrashIngestA())
+	if err != nil || status != http.StatusServiceUnavailable || code != "durable_write_failed" {
+		t.Fatalf("ingest over a failed WAL = %d %q (err %v), want 503 durable_write_failed", status, code, err)
+	}
+	if got := s.window.Total(); got != before {
+		t.Fatalf("window total = %d after a failed append, want %d", got, before)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err == nil {
+		t.Fatal("Close over a failed WAL reported a clean drain")
+	}
+}
+
+// raceSQL is a distinct, parseable query per (writer, request).
+func raceSQL(writer, i int) string {
+	return fmt.Sprintf("select key, val from p02_fact1 where cat = %d and val < %d", writer, i)
+}
+
+// TestIngestRacesClose: writers POST /v1/queries while Close runs.
+// Every reply is 202 or 503 shutting_down, and the WAL the drain leaves
+// holds every query answered 202 exactly once, in the window after the
+// seed, and nothing else.
+func TestIngestRacesClose(t *testing.T) {
+	dir := t.TempDir()
+	s, st := startDurable(t, dir)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	seed := s.window.Total()
+
+	// writers*perWriter stays below the window's capacity beyond the
+	// seed, so the final snapshot still holds every accepted query.
+	const writers, perWriter = 4, 100
+	var (
+		mu       sync.Mutex
+		accepted = map[string]int{}
+		bad      []string
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				sql := raceSQL(g, i)
+				status, code, err := postStatus(ts.URL, []string{sql})
+				mu.Lock()
+				switch {
+				case err == nil && status == http.StatusAccepted:
+					accepted[sql]++
+				case err == nil && status == http.StatusServiceUnavailable && code == "shutting_down":
+					mu.Unlock()
+					return
+				default:
+					bad = append(bad, fmt.Sprintf("%s: %d %q (err %v)", sql, status, code, err))
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.window.Total() < seed+40 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	closeDurable(t, s, st)
-	if got := s.window.Total(); got != seed+batches {
-		t.Fatalf("window total after drain = %d, want %d", got, seed+batches)
+	wg.Wait()
+	if len(bad) > 0 {
+		t.Fatalf("%d replies neither 202 nor 503 shutting_down, first: %s", len(bad), bad[0])
 	}
+	if len(accepted) == 0 {
+		t.Fatal("no ingest was accepted before Close")
+	}
+	t.Logf("%d queries accepted before Close", len(accepted))
 
 	rec, _, err := durable.Recover(dir, 0)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if rec.WindowTotal != seed+batches {
-		t.Fatalf("recovered total = %d, want %d (queued ingest lost from the WAL)", rec.WindowTotal, seed+batches)
+	if got, want := rec.WindowTotal, seed+uint64(len(accepted)); got != want {
+		t.Fatalf("recovered total = %d, want seed %d + %d accepted", got, seed, len(accepted))
 	}
-	for i := 0; i < batches; i++ {
-		want := w.Queries[i%len(w.Queries)].SQL
-		if got := rec.WindowSQL[int(seed)+i]; got != want {
-			t.Fatalf("recovered window[%d] = %q, want %q", int(seed)+i, got, want)
+	for _, sql := range rec.WindowSQL[len(rec.WindowSQL)-len(accepted):] {
+		accepted[sql]--
+	}
+	for sql, n := range accepted {
+		if n != 0 {
+			t.Fatalf("accepted %q is in the recovered WAL %d times, want once", sql, 1-n)
 		}
 	}
 }
@@ -255,30 +430,16 @@ func runServeCrashScript(dir string) error {
 		return err
 	}
 	s := NewServer(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
-	if err := s.Start(context.Background(), st); err != nil {
+	if err := s.Start(st); err != nil {
 		return err
 	}
-	ingest := func(sqls []string) error {
-		plans := make([]*plan.Node, len(sqls))
-		for i, sql := range sqls {
-			if plans[i], err = plan.Parse(sql, s.adv.Cat); err != nil {
-				return err
-			}
-		}
-		done := make(chan struct{})
-		if err := s.sendIngest(ingestMsg{plans: plans, sqls: sqls, done: done}, true); err != nil {
-			return err
-		}
-		<-done
-		return nil
-	}
-	if err := ingest(serveCrashIngestA()); err != nil {
+	if err := ingestSQL(s, serveCrashIngestA()); err != nil {
 		return fmt.Errorf("ingest A: %w", err)
 	}
-	if _, err := s.advise(context.Background(), "script", true); err != nil {
+	if _, err := s.advise("script", true); err != nil {
 		return fmt.Errorf("advise: %w", err)
 	}
-	if err := ingest(serveCrashIngestB()); err != nil {
+	if err := ingestSQL(s, serveCrashIngestB()); err != nil {
 		return fmt.Errorf("ingest B: %w", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -371,20 +532,10 @@ func buildCrashReference(t *testing.T) *crashReference {
 	}
 	ref.gens[0] = observe()
 
-	plans := make([]*plan.Node, len(serveCrashIngestA()))
-	for i, sql := range serveCrashIngestA() {
-		n, err := plan.Parse(sql, s.adv.Cat)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		plans[i] = n
-	}
-	done := make(chan struct{})
-	if err := s.sendIngest(ingestMsg{plans: plans, sqls: serveCrashIngestA(), done: done}, true); err != nil {
+	if err := ingestSQL(s, serveCrashIngestA()); err != nil {
 		t.Fatalf("ingest A: %v", err)
 	}
-	<-done
-	if _, err := s.advise(context.Background(), "reference", true); err != nil {
+	if _, err := s.advise("reference", true); err != nil {
 		t.Fatalf("advise: %v", err)
 	}
 	ref.gens[1] = observe()
@@ -493,5 +644,79 @@ func TestServeCrashRecovery(t *testing.T) {
 					p.surviving, got, want.gen.est)
 			}
 		})
+	}
+}
+
+// serveKillBatches is how many ingest batches the kill child has
+// answered 202 when it SIGKILLs itself.
+const serveKillBatches = 20
+
+// serveKillBatch is the kill child's i-th ingest batch.
+func serveKillBatch(i int) []string { return []string{raceSQL(i, 0), raceSQL(i, 1)} }
+
+// TestServeCrashKillHelper is the child of
+// TestServeCrashAcceptedIngestSurvivesKill: it serves a durable server
+// (FsyncInterval) over HTTP, ingests serveKillBatches batches, and
+// SIGKILLs itself right after the last 202, with neither Sync nor Close.
+func TestServeCrashKillHelper(t *testing.T) {
+	if os.Getenv(serveCrashHelperEnv) != "kill" {
+		t.Skip("harness child entry point; run via TestServeCrashAcceptedIngestSurvivesKill")
+	}
+	s, _ := startDurable(t, os.Getenv(serveCrashDirEnv))
+	ts := httptest.NewServer(s.Handler())
+	for i := 0; i < serveKillBatches; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/queries", ingestRequest{Queries: serveKillBatch(i)}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Minute) // the signal lands first
+}
+
+// TestServeCrashAcceptedIngestSurvivesKill: an ingest that answered 202
+// survives a kill -9 of the serving process under the default fsync
+// policy, with no drain. Ten children per run; each failure is
+// classified as batches lost or a directory Recover rejects.
+func TestServeCrashAcceptedIngestSurvivesKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a bootstrapping child process per run")
+	}
+	seed := len(serveWK().Queries)
+	var want []string
+	for i := 0; i < serveKillBatches; i++ {
+		want = append(want, serveKillBatch(i)...)
+	}
+	const runs = 10
+	var lost, unrecoverable int
+	for run := 0; run < runs; run++ {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestServeCrashKillHelper$", "-test.count=1")
+		cmd.Env = append(os.Environ(), serveCrashHelperEnv+"=kill", serveCrashDirEnv+"="+dir)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != -1 { // -1: ended by a signal
+			t.Fatalf("run %d: child exit = %v, want death by SIGKILL\n%s", run, err, out)
+		}
+		rec, _, err := durable.Recover(dir, 0)
+		if err != nil {
+			unrecoverable++
+			t.Logf("run %d: %v", run, err)
+			continue
+		}
+		got := rec.WindowSQL[min(seed, len(rec.WindowSQL)):]
+		if !reflect.DeepEqual(got, want) {
+			lost++
+			t.Logf("run %d: recovered %d of the %d accepted queries", run, len(got), len(want))
+		}
+	}
+	if lost+unrecoverable > 0 {
+		t.Fatalf("%d of %d runs failed: %d lost accepted batches, %d left a directory Recover rejects",
+			lost+unrecoverable, runs, lost, unrecoverable)
 	}
 }

@@ -262,8 +262,8 @@ type ingestRequest struct {
 
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
-	// Window is the rolling window occupancy when the response was
-	// built; ingestion is asynchronous, so it may lag the accept.
+	// Window is the rolling window occupancy right after this request's
+	// queries were appended.
 	Window int `json:"window"`
 }
 
@@ -291,17 +291,18 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 		}
 		plans[i] = n
 	}
-	switch err := s.sendIngest(ingestMsg{plans: plans, sqls: req.Queries}, false); {
-	case errors.Is(err, errQueueFull):
-		obsShed.Inc()
-		s.writeError(w, r, http.StatusTooManyRequests, "overloaded", "ingest queue is full, retry later")
-		return
+	window, err := s.ingest(plans, req.Queries)
+	switch {
 	case errors.Is(err, errShuttingDown):
 		s.writeError(w, r, http.StatusServiceUnavailable, "shutting_down", "server is draining")
 		return
+	case err != nil:
+		s.writeError(w, r, http.StatusServiceUnavailable, "durable_write_failed",
+			fmt.Sprintf("queries not ingested: WAL append failed: %v", err))
+		return
 	}
 	obsIngested.Add(int64(len(plans)))
-	s.writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(plans), Window: s.window.Len()})
+	s.writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: len(plans), Window: window})
 }
 
 // --- POST /v1/advise ---------------------------------------------------
@@ -320,14 +321,10 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := s.advise(r.Context(), "api", req.Force)
+	res, err := s.advise("api", req.Force)
 	switch {
 	case errors.Is(err, errAdviseBusy):
 		s.writeError(w, r, http.StatusConflict, "advise_in_progress", "an advise cycle is already running")
-	case errors.Is(err, errShuttingDown):
-		s.writeError(w, r, http.StatusServiceUnavailable, "shutting_down", "server is draining")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, r, http.StatusGatewayTimeout, "timeout", err.Error())
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, "advise_failed", err.Error())
 	default:

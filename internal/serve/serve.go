@@ -18,9 +18,10 @@
 //	GET  /metrics ...     the internal/obs endpoint, mounted at the root
 //
 // Robustness is part of the contract: requests are bounded (body size,
-// pairs per request, per-request timeout), queues are bounded with
-// load-shedding (HTTP 429), errors are structured JSON, and Close drains
-// in-flight batches before returning.
+// pairs per request, per-request timeout), the estimate queue is bounded
+// with load-shedding (HTTP 429), errors are structured JSON, an ingest is
+// in the window (and the WAL) before its 202, and Close drains in-flight
+// batches before returning.
 package serve
 
 import (
@@ -46,10 +47,10 @@ import (
 var (
 	obsRequests   = obs.Default.Counter("serve.http.requests", "HTTP requests received by the view-advisor service")
 	obsErrors     = obs.Default.Counter("serve.http.errors", "HTTP error responses (4xx/5xx) sent by the service")
-	obsShed       = obs.Default.Counter("serve.shed", "requests shed with 429 because a bounded queue was full")
+	obsShed       = obs.Default.Counter("serve.shed", "estimate requests shed with 429 because the estimate queue was full")
 	obsTimeouts   = obs.Default.Counter("serve.timeouts", "estimate requests that hit their per-request timeout")
 	obsPairs      = obs.Default.Counter("serve.estimate.pairs", "(query, view) pairs estimated")
-	obsIngested   = obs.Default.Counter("serve.ingest.queries", "queries accepted into the ingest queue")
+	obsIngested   = obs.Default.Counter("serve.ingest.queries", "queries appended to the rolling window (and the WAL, when durable) before their 202")
 	obsCycles     = obs.Default.Counter("serve.advise.cycles", "re-advise cycles completed")
 	obsSwaps      = obs.Default.Counter("serve.advise.swaps", "view-set rotations that swapped in a new version")
 	obsRollbacks  = obs.Default.Counter("serve.advise.rollbacks", "candidate view sets rejected for scoring below the active set on the cycle's window")
@@ -72,9 +73,6 @@ type Config struct {
 	// QueueDepth bounds the estimate request queue; a full queue sheds
 	// with 429. Default 256.
 	QueueDepth int
-	// IngestQueue bounds the query ingest queue; a full queue sheds with
-	// 429. Default 1024.
-	IngestQueue int
 	// WindowSize is the rolling workload window capacity. Default 512.
 	WindowSize int
 	// MaxPairs caps pairs per estimate request (400 above). Default 64.
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.IngestQueue <= 0 {
-		c.IngestQueue = 1024
 	}
 	if c.WindowSize <= 0 {
 		c.WindowSize = 512
@@ -149,16 +144,6 @@ type generation struct {
 	views   *ViewSet            // nil until a cycle finds candidates
 }
 
-// ingestMsg carries parsed plans (tagged with the SQL they were parsed
-// from, which is what the WAL persists) to the window goroutine; done
-// (when non-nil) is closed after the append, which gives /v1/advise its
-// ingest-before-snapshot barrier.
-type ingestMsg struct {
-	plans []*plan.Node
-	sqls  []string
-	done  chan struct{}
-}
-
 // Server is the online view advisor. Build one with New (or NewServer +
 // Start when the handler must be live — answering /v1/healthz with
 // "recovering" — while durable state replays), mount Handler on an
@@ -188,7 +173,6 @@ type Server struct {
 	started time.Time
 
 	batcher *batcher
-	ingest  chan ingestMsg
 
 	// planCache maps one exact fingerprint to its parsed plan +
 	// precomputed features (plans depend only on SQL text and the
@@ -202,10 +186,9 @@ type Server struct {
 
 	mux *http.ServeMux
 
-	closing    atomic.Bool
-	ingestOpen sync.WaitGroup // in-flight ingest handler sends
-	bg         sync.WaitGroup // ingester + advise loop
-	stopBg     chan struct{}
+	closing atomic.Bool
+	bg      sync.WaitGroup // advise loop
+	stopBg  chan struct{}
 }
 
 // New builds and starts a server in one call (NewServer + Start with no
@@ -215,7 +198,7 @@ type Server struct {
 // EstimatorWideDeep) and view set version 1. Call Close to drain.
 func New(w *workload.Workload, coreCfg core.Config, cfg Config) (*Server, error) {
 	s := NewServer(w, coreCfg, cfg)
-	if err := s.Start(context.Background(), nil); err != nil {
+	if err := s.Start(nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -232,7 +215,6 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 		wl:      w,
 		adv:     core.NewAdvisor(w.Cat, engine.New(w.Populate()), coreCfg),
 		window:  core.NewWindow(cfg.WindowSize),
-		ingest:  make(chan ingestMsg, cfg.IngestQueue),
 		stopBg:  make(chan struct{}),
 		started: time.Now(),
 	}
@@ -249,9 +231,9 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 // fresh store the workload seed is logged as the first WAL record and
 // the bootstrap advise cycle publishes and logs the first generation.
 // With no store (dstore nil) the seed + bootstrap path runs without
-// durability.
-// The background loops start and the server reports ready on return.
-func (s *Server) Start(ctx context.Context, dstore *durable.Store) error {
+// durability. Bootstrap runs to completion; it is not cancellable.
+// The advise loop starts and the server reports ready on return.
+func (s *Server) Start(dstore *durable.Store) error {
 	s.dur = dstore
 	if dstore != nil && dstore.Recovered() != nil {
 		if err := s.restore(dstore.Recovered()); err != nil {
@@ -262,19 +244,14 @@ func (s *Server) Start(ctx context.Context, dstore *durable.Store) error {
 		for i := range s.wl.Queries {
 			seedSQLs[i] = s.wl.Queries[i].SQL
 		}
-		s.window.AppendTagged(s.wl.Plans(), seedSQLs)
-		if s.dur != nil {
-			if err := s.dur.AppendIngest(seedSQLs); err != nil {
-				return fmt.Errorf("serve: log workload seed: %w", err)
-			}
+		if _, err := s.ingest(s.wl.Plans(), seedSQLs); err != nil {
+			return fmt.Errorf("serve: log workload seed: %w", err)
 		}
-		if _, err := s.advise(ctx, "bootstrap", false); err != nil {
+		if _, err := s.advise("bootstrap", false); err != nil {
 			return fmt.Errorf("serve: bootstrap advise: %w", err)
 		}
 	}
 
-	s.bg.Add(1)
-	go s.ingester()
 	if s.cfg.AdviseInterval > 0 {
 		s.bg.Add(1)
 		go s.adviseLoop()
@@ -287,57 +264,30 @@ func (s *Server) Start(ctx context.Context, dstore *durable.Store) error {
 // internal/obs endpoint mounted at the root).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ingester is the single consumer of the bounded ingest queue: it
-// appends parsed plans to the rolling window in arrival order and logs
-// each batch to the WAL — both under durMu, so a snapshot can never
-// capture the window mutation without its record. Ranging over the
-// channel means a graceful Close drains every accepted batch into the
-// window and the log before the server reports drained.
-func (s *Server) ingester() {
-	defer s.bg.Done()
-	for msg := range s.ingest {
-		if len(msg.plans) > 0 {
-			s.durMu.Lock()
-			s.window.AppendTagged(msg.plans, msg.sqls)
-			if s.dur != nil {
-				if err := s.dur.AppendIngest(msg.sqls); err != nil {
-					obs.Error("serve.durable", "event", "ingest_record_failed", "err", err)
-				}
-			}
-			s.durMu.Unlock()
-		}
-		if msg.done != nil {
-			close(msg.done)
-		}
+// ingest appends one batch of parsed plans, tagged with the SQL they
+// were parsed from (what the WAL persists), to the WAL and then to the
+// rolling window, both under durMu: a snapshot never captures the window
+// without the record, and a failed append (the WAL's error is sticky)
+// leaves the window untouched. It returns the window length after the
+// append. Close sets closing before its final snapshot takes durMu, so a
+// batch either lands before that snapshot or gets errShuttingDown.
+func (s *Server) ingest(plans []*plan.Node, sqls []string) (window int, err error) {
+	s.durMu.Lock()
+	switch {
+	case s.closing.Load():
+		err = errShuttingDown
+	case s.dur != nil:
+		err = s.dur.AppendIngest(sqls)
+	}
+	if err == nil {
+		s.window.AppendTagged(plans, sqls)
+		window = s.window.Len()
+	}
+	s.durMu.Unlock()
+	if err == nil {
 		s.maybeSnapshot()
 	}
-}
-
-// sendIngest places msg on the bounded ingest queue. Non-blocking sends
-// (the ingest handler) shed with errQueueFull when the queue is full;
-// blocking sends (the advise barrier) wait for room or shutdown. The
-// ingestOpen group lets Close wait until no sender is mid-flight before
-// closing the channel.
-func (s *Server) sendIngest(msg ingestMsg, block bool) error {
-	s.ingestOpen.Add(1)
-	defer s.ingestOpen.Done()
-	if s.closing.Load() {
-		return errShuttingDown
-	}
-	if block {
-		select {
-		case s.ingest <- msg:
-			return nil
-		case <-s.stopBg:
-			return errShuttingDown
-		}
-	}
-	select {
-	case s.ingest <- msg:
-		return nil
-	default:
-		return errQueueFull
-	}
+	return window, err
 }
 
 // adviseLoop periodically re-runs selection over the rolling window.
@@ -350,9 +300,7 @@ func (s *Server) adviseLoop() {
 		case <-s.stopBg:
 			return
 		case <-ticker.C:
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AdviseInterval)
-			res, err := s.advise(ctx, "periodic", false)
-			cancel()
+			res, err := s.advise("periodic", false)
 			if err != nil {
 				obs.Warn("serve.advise.loop", "err", err)
 				continue
@@ -363,22 +311,20 @@ func (s *Server) adviseLoop() {
 	}
 }
 
-// Close gracefully stops the server: new work is rejected with 503,
-// the ingest queue is drained into the window (and the WAL), the
-// batcher finishes every queued estimate, the background loops exit,
-// and — when running durably — the WAL is flushed and a final snapshot
-// is written so a restart recovers this exact state with no replay.
-// The caller is responsible for shutting down its http.Server first (or
-// concurrently) so in-flight handlers can still collect their batch
-// results. Close is bounded by ctx only for the batcher drain; queue
-// consumers always finish their queued work.
+// Close gracefully stops the server: new work is rejected with 503, the
+// batcher finishes every queued estimate, the advise loop exits, and —
+// when running durably — the WAL is flushed and a final snapshot is
+// written so a restart recovers this exact state with no replay. Every
+// ingest that replied 202 is already in the window and the WAL; one
+// that reaches ingest after closing is set answers 503. The caller is
+// responsible for shutting down its http.Server first (or concurrently)
+// so in-flight handlers can still collect their batch results. Close is
+// bounded by ctx only for the batcher drain.
 func (s *Server) Close(ctx context.Context) error {
 	if s.closing.Swap(true) {
 		return nil // already closing
 	}
 	close(s.stopBg)
-	s.ingestOpen.Wait() // no handler is mid-send on the ingest queue
-	close(s.ingest)
 	err := s.batcher.close(ctx)
 	s.bg.Wait()
 	if s.dur != nil {

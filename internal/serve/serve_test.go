@@ -141,7 +141,7 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
 	}
 	var ing ingestResponse
-	if err := json.Unmarshal(body, &ing); err != nil || ing.Accepted != ingestN {
+	if err := json.Unmarshal(body, &ing); err != nil || ing.Accepted != ingestN || ing.Window != len(w.Queries)+ingestN {
 		t.Fatalf("ingest response %s (err %v)", body, err)
 	}
 
@@ -159,7 +159,7 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Fatalf("advise = %+v, want swapped v2", res)
 	}
 	if res.Window != len(w.Queries)+ingestN {
-		t.Fatalf("advise window %d, want %d (ingest barrier lost queries)", res.Window, len(w.Queries)+ingestN)
+		t.Fatalf("advise window %d, want %d (an ingest that answered 202 is missing)", res.Window, len(w.Queries)+ingestN)
 	}
 
 	getJSON(t, ts.URL+"/v1/views", &vs)

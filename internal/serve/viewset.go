@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -67,24 +66,20 @@ type AdviseResult struct {
 	Window int `json:"window"`
 }
 
-// advise runs one re-advise cycle: barrier the ingest queue, snapshot
-// the rolling window, run estimate+select (core.Advisor.Advise), and
-// publish the outcome as one generation — the freshly trained weights
-// with the candidate view set, or with the active set when the rollback
-// guard rejects the candidate (force overrides the guard). Cycles are
-// serialized; a concurrent trigger fails fast with errAdviseBusy.
-func (s *Server) advise(ctx context.Context, trigger string, force bool) (*AdviseResult, error) {
+// advise runs one re-advise cycle: snapshot the rolling window (which
+// holds every query whose ingest has replied), run estimate+select
+// (core.Advisor.Advise), and publish the outcome as one generation — the
+// freshly trained weights with the candidate view set, or with the
+// active set when the rollback guard rejects the candidate (force
+// overrides the guard). Cycles are serialized; a concurrent trigger
+// fails fast with errAdviseBusy.
+func (s *Server) advise(trigger string, force bool) (*AdviseResult, error) {
 	if !s.adviseMu.TryLock() {
 		return nil, errAdviseBusy
 	}
 	defer s.adviseMu.Unlock()
 	defer obs.StartSpan("serve.advise")()
 
-	if trigger != "bootstrap" { // the ingester starts after bootstrap
-		if err := s.ingestBarrier(ctx); err != nil {
-			return nil, err
-		}
-	}
 	queries := s.window.Snapshot()
 	// Only advise replaces the view set and cycles are serialized, so the
 	// set loaded here is still the active one when the cycle publishes.
@@ -239,24 +234,6 @@ func (s *Server) adviseWorkers(bootstrap bool) int {
 		n = max(1, n-1)
 	}
 	return n
-}
-
-// ingestBarrier flushes the ingest queue into the window, so an advise
-// cycle observes every query whose ingest request completed before the
-// cycle began.
-func (s *Server) ingestBarrier(ctx context.Context) error {
-	barrier := make(chan struct{})
-	if err := s.sendIngest(ingestMsg{done: barrier}, true); err != nil {
-		return err
-	}
-	select {
-	case <-barrier:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.stopBg:
-		return errShuttingDown
-	}
 }
 
 // refreshViewPlans precomputes the parsed plan + plan-local features of
