@@ -17,7 +17,7 @@ examples-smoke:
 # Race-detector pass over the whole tree. Short mode keeps it
 # CI-friendly; the concurrent hot spots (the nn.Trainer worker pool,
 # core's parallel benefit measurement, rl's replay-batch Q-updates, the
-# obs HTTP endpoint, and the serve micro-batcher + view-set rotation)
+# obs HTTP endpoint, and the serve inference slot + view-set rotation)
 # all exercise their goroutines under -short. The second pass reruns the
 # determinism tests of the places where worker count and scheduling
 # could change an answer — the trainer's ordered fold, W-D's three-pass
@@ -28,14 +28,17 @@ examples-smoke:
 # every /v1/estimate reply is computed by the model its model_version
 # names while hot-reloads race the readers, concurrent swaps never
 # share a model version, /v1/healthz and /v1/views only ever report
-# a generation some publish installed whole, and writers racing Close get
+# a generation some publish installed whole, writers racing Close get
 # 202 or 503 shutting_down, with every 202's queries in the WAL exactly
-# once. The durable line races
+# once, and the inference slot — where scheduling now decides which
+# estimate runs — sheds past QueueDepth waiters with 429, answers 504 to
+# a wait past the timeout, and lets a parked estimate answer 200 across
+# Close. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
 # and Close, and requires every record back exactly once.
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
@@ -53,7 +56,8 @@ test-race-full:
 # PredictBatch the same few allocations at any batch size and any number
 # of operator uses — no more with every plan memoized, two objects per
 # plan it memoizes — a warm sqlparse.Parse no token slice, the serve
-# micro-batcher's per-pair cost must stay allocation-free, the
+# miss path (inference slot, PredictBatch, extraction over plan-cache
+# hits) must stay allocation-free per pair, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
 # per-request budget, fingerprinting itself must be zero-alloc, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:

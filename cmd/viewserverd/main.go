@@ -1,7 +1,7 @@
 // Command viewserverd is the online view-advisor daemon: it loads a
 // workload, bootstraps the pipeline (training the W-D cost model and
 // selecting an initial view set), and serves the internal/serve HTTP API
-// until SIGINT/SIGTERM, at which point it drains in-flight micro-batches
+// until SIGINT/SIGTERM, at which point it lets in-flight requests answer
 // and exits cleanly.
 //
 // Usage:
@@ -58,7 +58,7 @@ func main() {
 	flag.StringVar(&o.estimator, "estimator", "wd", "benefit estimator: actual, optimizer, wd")
 	flag.StringVar(&o.selector, "selector", defaultSelector, "view selector: localsearch, rlview, bigsub, iterview, topkfreq, topkover, topkben, topknorm")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "workers for micro-batched inference and, inside every advise cycle, W-D retraining, pair measurement and the RLView action sweep (0 = NumCPU for inference and the bootstrap, NumCPU-1 (at least 1) for every later cycle; 1 = serial)")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "workers for each estimate request's batched inference and, inside every advise cycle, W-D retraining, pair measurement and the RLView action sweep (0 = NumCPU for inference and the bootstrap, NumCPU-1 (at least 1) for every later cycle; 1 = serial)")
 	flag.IntVar(&o.windowSize, "window", 512, "rolling workload window capacity (queries)")
 	flag.DurationVar(&o.adviseEvery, "advise-interval", 0, "background re-advise period (0 disables the loop)")
 	flag.Float64Var(&o.utilityTol, "utility-tolerance", 0, "relative utility regression tolerated before a rotation rolls back")
@@ -207,8 +207,8 @@ func run(o options) error {
 		return fmt.Errorf("serve on %s: %w", o.addr, err)
 	}
 
-	// Stop the listener first so in-flight handlers can still collect
-	// their micro-batch results, then drain the serve pipeline. A
+	// Stop the listener first so in-flight handlers can still finish
+	// their estimates, then drain the serve pipeline. A
 	// shutdown timeout must NOT skip the drain: srv.Close is what syncs
 	// the WAL and writes the final snapshot, so it always runs (and
 	// likewise the durable store always closes).

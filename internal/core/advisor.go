@@ -317,12 +317,25 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 	if err != nil {
 		return err
 	}
+	// Every pair, trained on or held out: plan-local features once per
+	// query and per candidate, one extractor.
+	ex := featenc.NewBatchExtractor(a.Cat)
+	qFeat := make([]*featenc.PlanFeat, len(p.Queries))
+	vFeat := make([]*featenc.PlanFeat, len(p.Candidates))
+	extract := func(pk pairKey) featenc.Features {
+		if qFeat[pk.qi] == nil {
+			qFeat[pk.qi] = featenc.Precompute(p.Queries[pk.qi])
+		}
+		if vFeat[pk.j] == nil {
+			vFeat[pk.j] = featenc.Precompute(p.Candidates[pk.j].View.Plan)
+		}
+		return ex.ExtractPre(qFeat[pk.qi], vFeat[pk.j])
+	}
 	var samples []widedeep.Sample
 	scale := costScale(p.QueryCost)
 	for k, pk := range trainPairs {
 		cost := costs[k]
-		f := featenc.Extract(p.Queries[pk.qi], p.Candidates[pk.j].View.Plan, a.Cat)
-		samples = append(samples, widedeep.Sample{F: f, Y: cost * scale})
+		samples = append(samples, widedeep.Sample{F: extract(pk), Y: cost * scale})
 		// Training pairs use their measured benefit directly.
 		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - cost
 	}
@@ -336,25 +349,15 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 	}
 	p.Model = model
 
-	// The held-out pairs: plan-local features once per query and per
-	// candidate, one extractor, one batched forward.
-	ex := featenc.NewBatchExtractor(a.Cat)
-	qFeat := make([]*featenc.PlanFeat, len(p.Queries))
-	vFeat := make([]*featenc.PlanFeat, len(p.Candidates))
+	// The held-out pairs: one batched forward.
 	var held []pairKey
 	var fs []featenc.Features
 	for i, pk := range pairs {
 		if inTrain[i] {
 			continue
 		}
-		if qFeat[pk.qi] == nil {
-			qFeat[pk.qi] = featenc.Precompute(p.Queries[pk.qi])
-		}
-		if vFeat[pk.j] == nil {
-			vFeat[pk.j] = featenc.Precompute(p.Candidates[pk.j].View.Plan)
-		}
 		held = append(held, pk)
-		fs = append(fs, ex.ExtractPre(qFeat[pk.qi], vFeat[pk.j]))
+		fs = append(fs, extract(pk))
 	}
 	for k, predicted := range model.PredictBatch(fs, a.Cfg.Parallelism) {
 		pk := held[k]

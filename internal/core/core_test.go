@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"autoview/internal/engine"
+	"autoview/internal/obs"
 	"autoview/internal/workload"
 )
 
@@ -491,24 +492,22 @@ func TestApplyParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFitProgressCallback pins that the advisor's WDTrain settings reach
+// Fit: a run with WDTrain.Epochs = 3 trains exactly three epochs, as
+// counted by wd.train.epochs.
 func TestFitProgressCallback(t *testing.T) {
 	w := smallWK()
 	cfg := fastConfig()
 	cfg.Estimator = EstimatorWideDeep
-	epochs := 0
 	cfg.WDTrain.Epochs = 3
-	cfg.WDTrain.Progress = func(epoch int, loss float64) {
-		epochs++
-		if math.IsNaN(loss) {
-			t.Errorf("epoch %d: NaN loss", epoch)
-		}
-	}
+	epochs := obs.Default.Counter("wd.train.epochs", "")
+	before := epochs.Value()
 	a := newAdvisor(t, w, cfg)
 	if _, err := a.Run(w.Plans()); err != nil {
 		t.Fatal(err)
 	}
-	if epochs != 3 {
-		t.Errorf("progress callback fired %d times, want 3", epochs)
+	if got := epochs.Value() - before; got != 3 {
+		t.Errorf("the run trained %d epochs, want 3", got)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // smallGen is one generation over a small standalone W-D model, plus
 // one real feature set, bypassing the full server bootstrap so the
-// batcher tests and allocation measurements stay fast and deterministic.
+// inference-slot allocation measurement stays fast and deterministic.
 var smallGen = sync.OnceValues(func() (*generation, featenc.Features) {
 	must := func(err error) {
 		if err != nil {
@@ -56,59 +56,6 @@ var smallGen = sync.OnceValues(func() (*generation, featenc.Features) {
 	return &generation{m: m, scale: 2, version: 1}, f
 })
 
-// TestBatcherSteadyStateAllocs pins the micro-batcher's allocation cost
-// model: a small per-batch constant (request bookkeeping, result
-// slices) and zero per-element allocations — the model's
-// pooled inference arenas are reused across successive batches, so a
-// 32x larger request must not cost a single extra allocation.
-func TestBatcherSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops random Put items under -race; allocation counts need the plain build")
-	}
-	// Pin the obs registry off: other tests in this package mount the
-	// obs endpoint (which enables span timing globally), and an enabled
-	// span allocates — a constant per batch, but pinned off here so the
-	// measured numbers are stable under any test ordering.
-	if obs.Enabled() {
-		obs.Disable()
-		t.Cleanup(obs.Enable)
-	}
-	g, f := smallGen()
-	b := newBatcher(Config{
-		Parallelism: 1,
-		MaxBatch:    1,
-		QueueDepth:  8,
-	})
-	defer b.close(context.Background())
-
-	cycle := func(fs []featenc.Features, out []float64) {
-		req := &estRequest{gen: g, fs: fs, out: out, done: make(chan struct{})}
-		if err := b.submit(req); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		<-req.done
-	}
-	small := []featenc.Features{f}
-	large := make([]featenc.Features, 32)
-	for i := range large {
-		large[i] = f
-	}
-	outSmall, outLarge := make([]float64, len(small)), make([]float64, len(large))
-	// Warm the model's arena pool to its high-water mark first.
-	cycle(large, outLarge)
-
-	aSmall := testing.AllocsPerRun(50, func() { cycle(small, outSmall) })
-	aLarge := testing.AllocsPerRun(50, func() { cycle(large, outLarge) })
-	if perElement := (aLarge - aSmall) / float64(len(large)-len(small)); perElement > 0.1 {
-		t.Fatalf("batcher allocates per element: %v allocs (batch 1: %v, batch 32: %v)",
-			perElement, aSmall, aLarge)
-	}
-	const maxPerBatch = 24
-	if aSmall > maxPerBatch {
-		t.Fatalf("per-batch constant = %v allocs, want <= %d", aSmall, maxPerBatch)
-	}
-}
-
 // replayBody is a reusable request body: Reset rewinds it to a new
 // payload without allocating a fresh reader per request.
 type replayBody struct{ *bytes.Reader }
@@ -129,14 +76,14 @@ func (d *discardWriter) WriteHeader(s int)           { d.status = s }
 // TestEstimateWarmAlloc pins the allocation budget of a fully warm
 // /v1/estimate request: body read, zero-copy decode, fingerprinting, and
 // estimate-cache hits must run out of pooled scratch, leaving only the
-// response-encoding constant. The cold-path budget is pinned separately
-// by TestBatcherSteadyStateAllocs and stays unchanged.
+// response-encoding constant. The miss path's budget is pinned
+// separately by TestEstimateMissPathAllocs.
 func TestEstimateWarmAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops random Put items under -race; allocation counts need the plain build")
 	}
 	// Pin the obs registry off (enabled spans allocate; see
-	// TestBatcherSteadyStateAllocs).
+	// TestEstimateMissPathAllocs).
 	if obs.Enabled() {
 		obs.Disable()
 		t.Cleanup(obs.Enable)
@@ -188,4 +135,107 @@ func TestEstimateWarmAlloc(t *testing.T) {
 		t.Fatalf("warm /v1/estimate = %v allocs/op, want <= %d", allocs, warmBudget)
 	}
 	t.Logf("warm /v1/estimate: %v allocs/op over %d pairs", allocs, len(pairs))
+}
+
+// TestEstimateMissPathAllocs pins the allocation cost model of an
+// estimate whose pairs miss the estimate cache: zero allocations per
+// pair, and a small constant per PredictBatch for the slot wait (its
+// timeout) and the batch's result slice — the model's pooled inference
+// arenas are reused across batches, so a 32x larger batch must not cost
+// a single extra allocation. The whole handler is held to the same
+// per-pair rule over pairs whose plans hit the plan cache.
+func TestEstimateMissPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops random Put items under -race; allocation counts need the plain build")
+	}
+	// Pin the obs registry off: other tests in this package mount the
+	// obs endpoint (which enables span timing globally), and an enabled
+	// span allocates — a constant per batch, but pinned off here so the
+	// measured numbers are stable under any test ordering.
+	if obs.Enabled() {
+		obs.Disable()
+		t.Cleanup(obs.Enable)
+	}
+	const maxPerElement = 0.1
+	perElement := func(aSmall, aLarge float64, nSmall, nLarge int) float64 {
+		return (aLarge - aSmall) / float64(nLarge-nSmall)
+	}
+
+	// The inference slot and PredictBatch alone, on a small model.
+	g, f := smallGen()
+	s := &Server{cfg: Config{Parallelism: 1}.withDefaults(), infer: make(chan struct{}, 1)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/estimate", nil)
+	dw := &discardWriter{h: make(http.Header)}
+	predict := func(fs []featenc.Features, out []float64) {
+		if !s.predict(dw, req, g, fs, out) {
+			t.Fatalf("predict answered %d", dw.status)
+		}
+	}
+	small := []featenc.Features{f}
+	large := make([]featenc.Features, 32)
+	for i := range large {
+		large[i] = f
+	}
+	outSmall, outLarge := make([]float64, len(small)), make([]float64, len(large))
+	// Warm the model's arena pool to its high-water mark first.
+	predict(large, outLarge)
+	aSmall := testing.AllocsPerRun(50, func() { predict(small, outSmall) })
+	aLarge := testing.AllocsPerRun(50, func() { predict(large, outLarge) })
+	if pe := perElement(aSmall, aLarge, len(small), len(large)); pe > maxPerElement {
+		t.Fatalf("PredictBatch in the slot allocates per pair: %v allocs (batch 1: %v, batch 32: %v)", pe, aSmall, aLarge)
+	}
+	const maxPerBatch = 24
+	if aSmall > maxPerBatch {
+		t.Fatalf("per-batch constant = %v allocs, want <= %d", aSmall, maxPerBatch)
+	}
+
+	// The whole handler on a generation that caches no estimates, so
+	// every pair runs the miss path: plan-cache hits, extraction, the slot
+	// and PredictBatch.
+	srv, err := New(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Close(context.Background()); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	uncached := *srv.gen.Load()
+	uncached.est = nil
+	srv.gen.Store(&uncached)
+	vs := uncached.views
+	if vs == nil || len(vs.Views) == 0 {
+		t.Fatal("no bootstrap views")
+	}
+	w := serveWK()
+	body := func(n int) []byte {
+		var pairs []estimatePair
+		for i := 0; i < n; i++ {
+			pairs = append(pairs, estimatePair{Query: w.Queries[i%len(w.Queries)].SQL, View: vs.Views[i%len(vs.Views)].SQL})
+		}
+		raw, err := json.Marshal(estimateRequest{Pairs: pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	one, many := body(1), body(len(large))
+	rb := &replayBody{Reader: bytes.NewReader(nil)}
+	req.Body = rb
+	handle := func(b []byte) {
+		rb.Reset(b)
+		dw.status = 0
+		srv.handleEstimate(dw, req)
+		if dw.status != http.StatusOK {
+			t.Fatalf("estimate status %d", dw.status)
+		}
+	}
+	handle(many) // populate the plan cache and pool high-water marks
+	hSmall := testing.AllocsPerRun(50, func() { handle(one) })
+	hLarge := testing.AllocsPerRun(50, func() { handle(many) })
+	if pe := perElement(hSmall, hLarge, 1, len(large)); pe > maxPerElement {
+		t.Fatalf("the miss path allocates per pair: %v allocs (1 pair: %v, %d pairs: %v)", pe, hSmall, len(large), hLarge)
+	}
+	t.Logf("slot + PredictBatch: %v allocs per batch; miss-path handler: %v allocs per request", aSmall, hSmall)
 }

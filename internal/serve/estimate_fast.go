@@ -40,14 +40,14 @@ type estScratch struct {
 	keyOK   []bool     // both SQL texts of the pair were fingerprintable
 	out     []float64  // final estimates, cache hits filled in place
 	missIdx []int      // indices into pairs that missed the estimate cache
-	missOut []float64  // batcher output for the miss subset
+	missOut []float64  // PredictBatch output for the miss subset
 	fs      []featenc.Features
 
 	// ex amortizes feature extraction on the miss path: per-table schema
 	// keywords and stats memoized across pairs and requests, per-pair
 	// slices carved from reused backing arrays. Reset per request; the
 	// Features in fs alias its buffers, which is safe because a pooled
-	// scratch is only recycled after its request (and so its micro-batch)
+	// scratch is only recycled after its request (and so its PredictBatch)
 	// completed.
 	ex *featenc.BatchExtractor
 }
@@ -60,9 +60,8 @@ const estScratchMaxBody = 256 << 10
 
 func getEstScratch() *estScratch { return estPool.Get().(*estScratch) }
 
-// putEstScratch returns a scratch to the pool. Callers must NOT return
-// the scratch when the batcher may still write into missOut (the 504
-// path abandons it instead).
+// putEstScratch returns a scratch to the pool once its request has
+// answered.
 func putEstScratch(sc *estScratch) {
 	if cap(sc.body) > estScratchMaxBody {
 		sc.body = nil

@@ -127,40 +127,34 @@ type estimateResponse struct {
 }
 
 // handleEstimate owns the request scratch: the one place it is taken
-// and the one place it goes back.
+// and the one place it goes back. Only this handler's goroutine ever
+// writes into it, so it goes back on every path.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	sc := getEstScratch()
-	if !s.estimate(w, r, sc) {
-		// 504: the batcher may still write into sc.missOut — abandon the
-		// scratch rather than recycle a buffer under a live writer.
-		//lint:allow poolpair(audit) deliberate drop: recycling would put a buffer under a live batcher writer
-		return
-	}
-	putEstScratch(sc)
+	defer putEstScratch(sc)
+	s.estimate(w, r, sc)
 }
 
-// estimate answers one /v1/estimate request out of sc and reports
-// whether sc may be recycled — false only when the request timed out
-// with its micro-batch still in flight.
-func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch) (recycle bool) {
+// estimate answers one /v1/estimate request out of sc.
+func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch) {
 	if err := s.readBody(w, r, sc); err != nil {
 		status, code, msg := classifyBodyError(err)
 		s.writeError(w, r, status, code, msg)
-		return true
+		return
 	}
 	if err := decodeEstimateBody(sc.body, sc); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, "bad_json", err.Error())
-		return true
+		return
 	}
 	n := len(sc.pairs)
 	if n == 0 {
 		s.writeError(w, r, http.StatusBadRequest, "empty_request", "pairs must be non-empty")
-		return true
+		return
 	}
 	if n > s.cfg.MaxPairs {
 		s.writeError(w, r, http.StatusBadRequest, "too_many_pairs",
 			fmt.Sprintf("%d pairs exceed the per-request limit %d", n, s.cfg.MaxPairs))
-		return true
+		return
 	}
 	// One generation answers the whole request: its cache's hits, and its
 	// weights and scale for the misses, which go back into its cache. The
@@ -169,7 +163,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 	if g.m == nil {
 		s.writeError(w, r, http.StatusServiceUnavailable, "no_model",
 			"no W-D model is loaded (was the server bootstrapped with EstimatorWideDeep?)")
-		return true
+		return
 	}
 
 	// Fingerprint every pair and consult the generation's estimate cache.
@@ -206,36 +200,18 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 			qe, err := s.resolvePlan(sc.pairs[i].query, sc.qKeys[i], sc.keyOK[i])
 			if err != nil {
 				s.writeError(w, r, http.StatusBadRequest, "bad_sql", fmt.Sprintf("pairs[%d].query: %v", i, err))
-				return true
+				return
 			}
 			ve, err := s.resolvePlan(sc.pairs[i].view, sc.vKeys[i], sc.keyOK[i])
 			if err != nil {
 				s.writeError(w, r, http.StatusBadRequest, "bad_sql", fmt.Sprintf("pairs[%d].view: %v", i, err))
-				return true
+				return
 			}
 			sc.fs[j] = sc.ex.ExtractPre(qe.pf, ve.pf)
 		}
 
-		est := &estRequest{gen: g, fs: sc.fs[:len(sc.missIdx)], out: sc.missOut[:len(sc.missIdx)], done: make(chan struct{})}
-		switch err := s.batcher.submit(est); {
-		case errors.Is(err, errQueueFull):
-			obsShed.Inc()
-			s.writeError(w, r, http.StatusTooManyRequests, "overloaded", "estimate queue is full, retry later")
-			return true
-		case errors.Is(err, errShuttingDown):
-			s.writeError(w, r, http.StatusServiceUnavailable, "shutting_down", "server is draining")
-			return true
-		}
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		select {
-		case <-est.done:
-		case <-ctx.Done():
-			obsTimeouts.Inc()
-			s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
-				fmt.Sprintf("estimate not ready within %v", s.cfg.RequestTimeout))
-			return false
+		if !s.predict(w, r, g, sc.fs[:len(sc.missIdx)], sc.missOut[:len(sc.missIdx)]) {
+			return
 		}
 		for j, i := range sc.missIdx {
 			sc.out[i] = sc.missOut[j]
@@ -251,6 +227,46 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		Count:        n,
 		ModelVersion: g.version,
 	})
+}
+
+// predict runs one request's cache misses through g's model in the
+// inference slot, writing each estimate into out. It waits for the slot
+// behind the requests already waiting (FIFO), shedding with 429 when
+// QueueDepth of them are, and answering 504 when the slot is not free
+// within RequestTimeout; it reports false when it answered the request
+// with that error. A PredictBatch, once started, runs to completion.
+func (s *Server) predict(w http.ResponseWriter, r *http.Request, g *generation, fs []featenc.Features, out []float64) bool {
+	n := s.waiting.Add(1)
+	if n > int64(s.cfg.QueueDepth) {
+		s.waiting.Add(-1)
+		obsShed.Inc()
+		s.writeError(w, r, http.StatusTooManyRequests, "overloaded", "estimate queue is full, retry later")
+		return false
+	}
+	obsQueueDepth.Set(float64(n))
+	waited := obs.StartSpan("serve.batch.wait")
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	select {
+	case s.infer <- struct{}{}:
+		obsQueueDepth.Set(float64(s.waiting.Add(-1)))
+	case <-ctx.Done():
+		obsQueueDepth.Set(float64(s.waiting.Add(-1)))
+		obsTimeouts.Inc()
+		s.writeError(w, r, http.StatusGatewayTimeout, "timeout",
+			fmt.Sprintf("estimate not ready within %v", s.cfg.RequestTimeout))
+		return false // a request that never got the slot records no wait
+	}
+	waited()
+	defer func() { <-s.infer }()
+	defer obs.StartSpan("serve.batch")()
+	obsBatches.Inc()
+	obsBatchSize.Observe(float64(len(fs)))
+	for j, p := range g.m.PredictBatch(fs, s.cfg.Parallelism) {
+		// The same scale division the pipeline's benefit estimator
+		// applies to Predict, so served results stay bit-identical to it.
+		out[j] = p / g.scale
+	}
 	return true
 }
 
@@ -370,7 +386,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Window:        s.window.Len(),
 		IngestedTotal: s.window.Total(),
-		QueueDepth:    len(s.batcher.queue),
+		QueueDepth:    int(s.waiting.Load()),
 		ModelVersion:  g.version,
 	}
 	if g.views != nil {

@@ -178,7 +178,7 @@ func expectIdentical(t *testing.T, coldURL, cachedURL string, bodies [][]byte, p
 // in CI.
 func TestEstimateCacheByteIdentity(t *testing.T) {
 	w := serveWK()
-	baseCfg := Config{Parallelism: 4, MaxBatch: 16}
+	baseCfg := Config{Parallelism: 4}
 	coldCfg := baseCfg
 	coldCfg.CacheSize = -1 // disabled: every request takes the full path
 	_, coldTS := newTestServer(t, coldCfg)
@@ -394,7 +394,7 @@ func TestAdviseWorkersLeaveReadersACore(t *testing.T) {
 // moving while wd.infer.plans keeps counting two per pair.
 func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 	w := serveWK()
-	s, ts := newTestServer(t, Config{Parallelism: 2, MaxBatch: 16})
+	s, ts := newTestServer(t, Config{Parallelism: 2})
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)
 	if len(vs.Views) < 2 {

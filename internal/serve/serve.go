@@ -2,8 +2,8 @@
 // front end over the batch pipeline in internal/core. Where
 // core.Advisor.Run processes one workload and exits, a serve.Server
 // ingests a query stream into a bounded rolling window, answers W-D
-// cost-estimate requests through a micro-batching inference scheduler,
-// and periodically re-runs view selection over the window, rotating in a
+// cost-estimate requests on the W-D model one batch at a time, and
+// periodically re-runs view selection over the window, rotating in a
 // versioned, fingerprint-sorted view set (with rollback when the new set
 // scores below the active one on the same window).
 //
@@ -18,10 +18,10 @@
 //	GET  /metrics ...     the internal/obs endpoint, mounted at the root
 //
 // Robustness is part of the contract: requests are bounded (body size,
-// pairs per request, per-request timeout), the estimate queue is bounded
-// with load-shedding (HTTP 429), errors are structured JSON, an ingest is
-// in the window (and the WAL) before its 202, and Close drains in-flight
-// batches before returning.
+// pairs per request, per-request timeout), the requests waiting to run
+// inference are bounded with load-shedding (HTTP 429), errors are
+// structured JSON, an ingest is in the window (and the WAL) before its
+// 202, and an estimate the server accepted still answers across Close.
 package serve
 
 import (
@@ -47,8 +47,8 @@ import (
 var (
 	obsRequests   = obs.Default.Counter("serve.http.requests", "HTTP requests received by the view-advisor service")
 	obsErrors     = obs.Default.Counter("serve.http.errors", "HTTP error responses (4xx/5xx) sent by the service")
-	obsShed       = obs.Default.Counter("serve.shed", "estimate requests shed with 429 because the estimate queue was full")
-	obsTimeouts   = obs.Default.Counter("serve.timeouts", "estimate requests that hit their per-request timeout")
+	obsShed       = obs.Default.Counter("serve.shed", "estimate requests shed with 429 because QueueDepth requests were already waiting for the inference slot")
+	obsTimeouts   = obs.Default.Counter("serve.timeouts", "estimate requests that hit their per-request timeout waiting for the inference slot")
 	obsPairs      = obs.Default.Counter("serve.estimate.pairs", "(query, view) pairs estimated")
 	obsIngested   = obs.Default.Counter("serve.ingest.queries", "queries appended to the rolling window (and the WAL, when durable) before their 202")
 	obsCycles     = obs.Default.Counter("serve.advise.cycles", "re-advise cycles completed")
@@ -59,19 +59,27 @@ var (
 	obsViewsCount = obs.Default.Gauge("serve.views.count", "views in the active view set")
 	obsUtility    = obs.Default.Gauge("serve.advise.utility", "estimated utility of the active view set ($)")
 	obsModelVer   = obs.Default.Gauge("serve.model.version", "version of the active W-D model")
+
+	// The inference slot: each PredictBatch ticks the batch counter and
+	// records its pairs, and the requests waiting for the slot are the
+	// queue gauge. The wait itself is the serve.batch.wait span.
+	obsBatches    = obs.Default.Counter("serve.batch.count", "PredictBatch runs, one per estimate request with cache misses")
+	obsBatchSize  = obs.Default.Histogram("serve.batch.size", "(query, view) pairs per PredictBatch run", 1, 2, 4, 8, 16, 32, 64, 128)
+	obsQueueDepth = obs.Default.Gauge("serve.batch.queue", "estimate requests waiting for the inference slot")
 )
+
+// errShuttingDown is the ingest path's answer once Close has begun
+// (HTTP 503 shutting_down).
+var errShuttingDown = errors.New("serve: shutting down")
 
 // Config tunes the service. The zero value selects sensible defaults via
 // withDefaults; Parallelism follows the pipeline-wide convention (0 means
 // runtime.NumCPU(), 1 runs serially).
 type Config struct {
-	// Parallelism sizes the micro-batcher's inference worker pool.
+	// Parallelism sizes each PredictBatch's inference worker pool.
 	Parallelism int
-	// MaxBatch caps the (query, view) pairs coalesced into one
-	// micro-batch. Default 32.
-	MaxBatch int
-	// QueueDepth bounds the estimate request queue; a full queue sheds
-	// with 429. Default 256.
+	// QueueDepth bounds the estimate requests waiting for the inference
+	// slot; one more sheds with 429. Default 256.
 	QueueDepth int
 	// WindowSize is the rolling workload window capacity. Default 512.
 	WindowSize int
@@ -79,8 +87,8 @@ type Config struct {
 	MaxPairs int
 	// MaxQueries caps queries per ingest request (400 above). Default 256.
 	MaxQueries int
-	// RequestTimeout bounds one estimate request's wait for its batch
-	// results (504 past it). Default 10s.
+	// RequestTimeout bounds one estimate request's wait for the
+	// inference slot (504 past it). Default 10s.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (413 above). Default 1 MiB.
 	MaxBodyBytes int64
@@ -99,9 +107,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -172,7 +177,12 @@ type Server struct {
 	gen     atomic.Pointer[generation]
 	started time.Time
 
-	batcher *batcher
+	// infer is the inference slot: a handler with estimate-cache misses
+	// sends into it before its PredictBatch and receives after, so one
+	// batch is in flight and blocked senders queue FIFO. waiting counts
+	// the handlers blocked on the send; past QueueDepth a request sheds.
+	infer   chan struct{}
+	waiting atomic.Int64
 
 	// planCache maps one exact fingerprint to its parsed plan +
 	// precomputed features (plans depend only on SQL text and the
@@ -220,7 +230,7 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 	}
 	s.gen.Store(new(generation))
 	s.planCache = newCache[*planEntry](cfg.CacheSize, planCacheMetrics)
-	s.batcher = newBatcher(cfg)
+	s.infer = make(chan struct{}, 1)
 	s.mux = s.routes()
 	return s
 }
@@ -312,21 +322,21 @@ func (s *Server) adviseLoop() {
 }
 
 // Close gracefully stops the server: new work is rejected with 503, the
-// batcher finishes every queued estimate, the advise loop exits, and —
-// when running durably — the WAL is flushed and a final snapshot is
-// written so a restart recovers this exact state with no replay. Every
-// ingest that replied 202 is already in the window and the WAL; one
-// that reaches ingest after closing is set answers 503. The caller is
-// responsible for shutting down its http.Server first (or concurrently)
-// so in-flight handlers can still collect their batch results. Close is
-// bounded by ctx only for the batcher drain.
-func (s *Server) Close(ctx context.Context) error {
+// advise loop exits, and — when running durably — the WAL is flushed and
+// a final snapshot is written so a restart recovers this exact state
+// with no replay. Every ingest that replied 202 is already in the window
+// and the WAL; one that reaches ingest after closing is set answers 503.
+// An estimate already past the gate runs on its own handler and still
+// answers; estimates touch no durable state, so waiting for them is the
+// caller's http.Server.Shutdown, not Close. Nothing Close waits for
+// takes a deadline, so ctx is not consulted.
+func (s *Server) Close(context.Context) error {
 	if s.closing.Swap(true) {
 		return nil // already closing
 	}
 	close(s.stopBg)
-	err := s.batcher.close(ctx)
 	s.bg.Wait()
+	var err error
 	if s.dur != nil {
 		if serr := s.dur.Sync(); serr != nil {
 			err = errors.Join(err, fmt.Errorf("serve: drain WAL: %w", serr))

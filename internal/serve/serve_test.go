@@ -172,12 +172,12 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeEstimateDeterminism is the acceptance check for the
-// micro-batcher: responses under heavy concurrency (requests coalesced
-// into batches, predicted through the worker pool) are byte-identical to
-// the same requests served one at a time.
+// TestServeEstimateDeterminism is the acceptance check for concurrent
+// estimates: responses under heavy concurrency (requests queued on the
+// inference slot, predicted through the worker pool) are byte-identical
+// to the same requests served one at a time.
 func TestServeEstimateDeterminism(t *testing.T) {
-	_, ts := newTestServer(t, Config{Parallelism: 4, MaxBatch: 16})
+	_, ts := newTestServer(t, Config{Parallelism: 4})
 
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)
@@ -226,7 +226,7 @@ func TestServeEstimateDeterminism(t *testing.T) {
 	}
 
 	// Concurrent: every pair in flight at once, several rounds, so the
-	// dispatcher coalesces arbitrary mixes into micro-batches.
+	// requests reach the inference slot in arbitrary orders.
 	const rounds = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, rounds*len(pairs))
@@ -284,7 +284,7 @@ func TestServeModelReload(t *testing.T) {
 	}
 
 	// A checkpoint whose normalizer is the wrong width is refused — it
-	// used to load and panic the batcher goroutine on the next estimate
+	// used to load and then panic on the next estimate
 	// — and the old model keeps serving.
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -83,7 +83,7 @@ func (sc *batchScratch) planCode(enc *featenc.Encoder32, pf *featenc.PlanFeat, u
 // element of the result is bit-identical to a standalone Predict call
 // regardless of batch composition, concurrency or what was memoized (a
 // memoized code is the vector InferOpVecs returned the first time) —
-// the property the serving layer's micro-batcher depends on. Predict
+// the property the serving layer's batched estimates depend on. Predict
 // neither reads nor fills a memo. Nothing but the memoized codes
 // outlives the call.
 func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {

@@ -8,7 +8,7 @@ import (
 
 // opInterner numbers the distinct operators (token sequences) it is
 // shown in first-appearance order — what lets a training mini-batch and
-// a serving micro-batch encode each operator once however many plans
+// a serving request's batch encode each operator once however many plans
 // use it. An open-addressing table over a hash of the tokens finds the
 // candidates; a hash match is only ever a reason to compare the tokens
 // themselves, so a collision costs a probe and can never alias two

@@ -310,8 +310,6 @@ type TrainConfig struct {
 	// mini-batch (nn.Trainer). 0 selects runtime.NumCPU(); 1 runs
 	// serially. Results are bit-for-bit identical for every setting.
 	Parallelism int
-	// Progress, when non-nil, receives (epoch, meanLoss) after each epoch.
-	Progress func(epoch int, loss float64)
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -384,9 +382,6 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) ([]float64, error) {
 		obsTrainEpochs.Inc()
 		obsTrainLoss.Set(meanLoss)
 		obs.Debug("wd.epoch", "epoch", epoch, "loss", meanLoss)
-		if cfg.Progress != nil {
-			cfg.Progress(epoch, meanLoss)
-		}
 	}
 	return losses, nil
 }
