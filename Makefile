@@ -35,7 +35,9 @@ examples-smoke:
 # a wait past the timeout, and lets a parked estimate answer 200 across
 # Close. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
-# and Close, and requires every record back exactly once.
+# and Close, and requires every record back exactly once. The first
+# pass also runs the in-process WAL crash sweep; only the sweeps and
+# kill tests that spawn children skip under -short.
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain' ./internal/serve/
@@ -75,15 +77,17 @@ test-alloc:
 	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ -v -count=1
 
 # Crash-recovery fault injection (DURABILITY in SERVING.md): the WAL
-# sweep kills a child process inside an append at every record boundary
-# and mid-record during a scripted session, then asserts recovery
-# reconstructs the surviving prefix exactly; the kill test SIGKILLs ten
-# children that appended 200 records without a Sync and requires all
-# 200 back from a directory that recovers; the serve-level sweep does
-# the same through a full advisor session and compares the recovered
-# window, view set, and /v1/estimate responses byte-for-byte against a
-# never-crashed run, and the serve kill test SIGKILLs ten daemons right
-# after their last ingest 202 and requires every accepted batch back.
+# sweep stops a scripted session in-process right after every record,
+# whole or cut mid-record, drops the store unsynced, and asserts
+# recovery reconstructs the surviving prefix exactly; the kill test
+# SIGKILLs ten children that appended 200 records without a Sync and
+# requires all 200 back from a directory that recovers; the serve-level
+# sweep re-execs a child whose store wrapper exits right after the
+# chosen record during a full advisor session, and compares the
+# recovered window, view set, and /v1/estimate responses byte-for-byte
+# against a never-crashed run, and the serve kill test SIGKILLs ten
+# daemons right after their last ingest 202 and requires every accepted
+# batch back.
 test-crash:
 	$(GO) test -run 'TestCrash|TestServeCrash' -count=1 -v ./internal/durable/ ./internal/serve/
 

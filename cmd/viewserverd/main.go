@@ -134,7 +134,6 @@ func run(o options) error {
 	// (503, state "recovering") the moment the port is up; every other
 	// endpoint is readiness-gated until Start finishes.
 	srv := serve.NewServer(w, coreCfg, serve.Config{
-		Parallelism:      o.parallelism,
 		WindowSize:       o.windowSize,
 		AdviseInterval:   o.adviseEvery,
 		UtilityTolerance: o.utilityTol,

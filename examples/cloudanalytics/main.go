@@ -1,20 +1,20 @@
 // Cloudanalytics demonstrates the learned components on a multi-project
-// cloud workload (WK1-style): it trains the Wide-Deep cost model on a
-// sample of measured rewrites, compares its estimates against the
-// traditional optimizer on held-out pairs, and then drives view selection
-// from the learned estimates.
+// cloud workload (WK1-style): it trains the DeepLearn single-plan cost
+// estimator on a sample of measured rewrites, compares its estimates
+// against the traditional optimizer's on held-out pairs, and then drives
+// view selection from Wide-Deep estimates.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math"
 	"math/rand"
 
 	"autoview/internal/core"
 	"autoview/internal/costbase"
 	"autoview/internal/engine"
 	"autoview/internal/featenc"
+	"autoview/internal/metrics"
 	"autoview/internal/rewrite"
 	"autoview/internal/workload"
 )
@@ -87,19 +87,17 @@ func main() {
 	if err := dl.Fit(train); err != nil {
 		log.Fatal(err)
 	}
+	y := make([]float64, len(test))
+	for i, s := range test {
+		y[i] = s.Actual
+	}
 	report := func(name string, est costbase.Estimator) {
-		var mae, mape float64
-		n := 0
-		for _, s := range test {
-			pred := est.Predict(s)
-			mae += math.Abs(pred - s.Actual)
-			if s.Actual != 0 { //lint:allow floateq exact zero guards division by zero
-				mape += math.Abs((pred - s.Actual) / s.Actual)
-				n++
-			}
+		yhat := make([]float64, len(test))
+		for i, s := range test {
+			yhat[i] = est.Predict(s)
 		}
 		fmt.Printf("  %-10s MAE=%.3f MAPE=%.1f%%\n",
-			name, mae/float64(len(test)), 100*mape/float64(n))
+			name, metrics.MAE(y, yhat), metrics.MAPEWithFloor(y, yhat))
 	}
 	fmt.Println("held-out estimation error (cost units):")
 	report("Optimizer", optEst)

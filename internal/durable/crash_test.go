@@ -10,12 +10,13 @@ import (
 	"time"
 )
 
-// The crash harness re-execs the test binary as a child running a fixed
-// script of WAL appends with AUTOVIEW_WAL_CRASHPOINT set, so an append
-// kills the process at an exact record boundary (or mid-record for torn
-// writes). The parent then recovers the directory and asserts the
-// reconstructed state equals the in-memory reference state after the
-// surviving record prefix — for every crashpoint.
+// The crash sweep plays a fixed script of WAL appends through a real
+// Store and stops it at a crash point: right after record k, whole or
+// cut back to its first bytes (a torn write), with the store dropped as
+// a kill -9 leaves it. It then asserts recovery reconstructs exactly the
+// reference state after the surviving record prefix — for every crash
+// point. The kill test re-execs the test binary as a child that a real
+// SIGKILL ends.
 
 const (
 	crashHelperEnv = "AUTOVIEW_TEST_CRASH_HELPER"
@@ -59,7 +60,7 @@ func crashScript() []crashOp {
 }
 
 // crashSnapshotAfter is the record count the scripted session snapshots
-// behind (rotating the WAL), so crashpoints past it exercise
+// behind (rotating the WAL), so crash points past it exercise
 // snapshot-plus-tail recovery while earlier ones replay the log alone.
 const crashSnapshotAfter = 5
 
@@ -81,14 +82,26 @@ func crashStateAfter(k int) *Snapshot {
 	return st
 }
 
-// runCrashScript executes the scripted session against dir. Under a
-// crashpoint the process dies inside a WAL append and never returns.
-func runCrashScript(dir string) error {
-	s, err := Open(Options{Dir: dir, Fsync: FsyncInterval, SnapshotEvery: -1})
-	if err != nil {
-		return err
-	}
-	for i, op := range crashScript() {
+// playScript appends the script's first k records to s, taking the
+// mid-script snapshot on the way, and returns the offset record k starts
+// at in its segment.
+func playScript(s *Store, k int) (start int64, err error) {
+	for i, op := range crashScript()[:k] {
+		if i == crashSnapshotAfter {
+			if err := s.WriteSnapshot(crashStateAfter(i)); err != nil {
+				return 0, fmt.Errorf("snapshot: %w", err)
+			}
+		}
+		// A record starts where the open segment ends, or right after the
+		// header of the segment its own append opens.
+		start = headerSize
+		if s.w.f != nil {
+			fi, err := s.w.f.Stat()
+			if err != nil {
+				return 0, err
+			}
+			start = fi.Size()
+		}
 		switch op.t {
 		case RecordIngest:
 			err = s.AppendIngest(op.sqls)
@@ -96,45 +109,54 @@ func runCrashScript(dir string) error {
 			err = s.AppendGeneration(op.gen)
 		}
 		if err != nil {
-			return fmt.Errorf("append %d: %w", i+1, err)
+			return 0, fmt.Errorf("append %d: %w", i+1, err)
 		}
-		if i+1 == crashSnapshotAfter {
-			if err := s.WriteSnapshot(crashStateAfter(crashSnapshotAfter)); err != nil {
-				return fmt.Errorf("snapshot: %w", err)
-			}
-		}
+	}
+	return start, nil
+}
+
+// runCrashScript executes the whole scripted session against dir and
+// closes the store.
+func runCrashScript(dir string) error {
+	s, err := Open(Options{Dir: dir, Fsync: FsyncInterval, SnapshotEvery: -1})
+	if err != nil {
+		return err
+	}
+	if _, err := playScript(s, len(crashScript())); err != nil {
+		return err
 	}
 	return s.Close()
 }
 
-// TestCrashScriptHelper is the child-process entry point; it only runs
-// when re-execed by the harness with the helper env set.
-func TestCrashScriptHelper(t *testing.T) {
-	if os.Getenv(crashHelperEnv) != "1" {
-		t.Skip("harness child entry point; run via TestCrashRecoverySweep")
-	}
-	if err := runCrashScript(os.Getenv(crashDirEnv)); err != nil {
+// crashAt leaves dir as a crash right after record k would: the script's
+// first k records appended, the store dropped with neither Sync nor
+// Close (its descriptor closed, its fsync timer stopped, as a dead
+// process's are), and for split >= 0 the segment holding record k cut
+// back to k's first split bytes.
+func crashAt(t *testing.T, dir string, k, split int) {
+	t.Helper()
+	s, err := Open(Options{Dir: dir, Fsync: FsyncInterval, SnapshotEvery: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// runCrashChild re-execs the test binary running the scripted session
-// against dir. crashpoint "" expects a clean exit; otherwise the child
-// must die with the injected-kill exit code.
-func runCrashChild(t *testing.T, dir, crashpoint string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashScriptHelper$", "-test.count=1")
-	cmd.Env = append(os.Environ(), crashHelperEnv+"=1", crashDirEnv+"="+dir, CrashpointEnv+"="+crashpoint)
-	out, err := cmd.CombinedOutput()
-	if crashpoint == "" {
-		if err != nil {
-			t.Fatalf("clean child failed: %v\n%s", err, out)
-		}
-		return
+	start, err := playScript(s, k)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != crashExitCode {
-		t.Fatalf("crashpoint %s: child exit = %v, want code %d\n%s", crashpoint, err, crashExitCode, out)
+	s.w.mu.Lock()
+	if s.w.timer != nil {
+		s.w.timer.Stop()
+	}
+	path := s.w.f.Name()
+	err = s.w.f.Close()
+	s.w.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split >= 0 {
+		if err := os.Truncate(path, start+int64(split)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -171,10 +193,12 @@ func compareState(t *testing.T, label string, got *Snapshot, k int) {
 
 // TestCrashScriptCleanReference proves the never-crashed session
 // recovers to the full-script reference state — the baseline every
-// crashpoint case diffs against.
+// crash point diffs against.
 func TestCrashScriptCleanReference(t *testing.T) {
 	dir := t.TempDir()
-	runCrashChild(t, dir, "")
+	if err := runCrashScript(dir); err != nil {
+		t.Fatal(err)
+	}
 	st, _, err := Recover(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -182,14 +206,11 @@ func TestCrashScriptCleanReference(t *testing.T) {
 	compareState(t, "clean", st, len(crashScript()))
 }
 
-// TestCrashRecoverySweep kills a child at every record boundary and at
-// several mid-record torn-write offsets, then asserts recovery
-// reconstructs exactly the surviving record prefix and that appends
-// resume cleanly afterwards.
+// TestCrashRecoverySweep crashes the scripted session at every record
+// boundary and at several mid-record torn-write offsets, then asserts
+// recovery reconstructs exactly the surviving record prefix and that
+// appends resume cleanly afterwards.
 func TestCrashRecoverySweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns one child process per crashpoint")
-	}
 	// split -1 crashes after the record is fully durable (prefix includes
 	// it); the others tear the frame inside the length prefix (1), at the
 	// CRC boundary (4), just past the type byte (9), and mid-payload (12)
@@ -207,7 +228,7 @@ func TestCrashRecoverySweep(t *testing.T) {
 			}
 			t.Run(spec, func(t *testing.T) {
 				dir := t.TempDir()
-				runCrashChild(t, dir, spec)
+				crashAt(t, dir, lsn, split)
 				st, _, err := Recover(dir, 0)
 				if err != nil {
 					t.Fatalf("recover: %v", err)

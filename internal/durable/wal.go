@@ -25,7 +25,6 @@ func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%016x.log", f
 type wal struct {
 	dir    string
 	policy FsyncPolicy
-	cp     *crashpoint
 
 	mu      sync.Mutex
 	closed  bool
@@ -41,7 +40,7 @@ type wal struct {
 // assign; resumePath (when non-empty) is the newest existing segment,
 // already truncated past its last intact record, to continue appending to.
 func openWAL(dir string, policy FsyncPolicy, nextLSN uint64, resumePath string) (*wal, error) {
-	w := &wal{dir: dir, policy: policy, cp: crashpointFromEnv(), nextLSN: nextLSN}
+	w := &wal{dir: dir, policy: policy, nextLSN: nextLSN}
 	if resumePath != "" {
 		f, err := os.OpenFile(resumePath, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
@@ -72,9 +71,6 @@ func (w *wal) append(t RecordType, payload []byte) (uint64, error) {
 		}
 	}
 	w.frame = appendFrame(w.frame[:0], t, payload)
-	if w.cp != nil && lsn == w.cp.lsn {
-		w.cp.fire(w.f, w.frame) // fault injection: never returns
-	}
 	if _, err := w.f.Write(w.frame); err != nil {
 		return 0, w.fail(err)
 	}

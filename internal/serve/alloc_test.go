@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"autoview/internal/catalog"
+	"autoview/internal/core"
 	"autoview/internal/featenc"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
@@ -88,7 +89,7 @@ func TestEstimateWarmAlloc(t *testing.T) {
 		obs.Disable()
 		t.Cleanup(obs.Enable)
 	}
-	s, err := New(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
+	s, err := New(serveWK(), serveCoreCfgPar(1), Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -163,7 +164,7 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 
 	// The inference slot and PredictBatch alone, on a small model.
 	g, f := smallGen()
-	s := &Server{cfg: Config{Parallelism: 1}.withDefaults(), infer: make(chan struct{}, 1)}
+	s := &Server{cfg: Config{}.withDefaults(), adv: &core.Advisor{Cfg: serveCoreCfgPar(1)}, infer: make(chan struct{}, 1)}
 	req := httptest.NewRequest(http.MethodPost, "/v1/estimate", nil)
 	dw := &discardWriter{h: make(http.Header)}
 	predict := func(fs []featenc.Features, out []float64) {
@@ -192,7 +193,7 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 	// The whole handler on a generation that caches no estimates, so
 	// every pair runs the miss path: plan-cache hits, extraction, the slot
 	// and PredictBatch.
-	srv, err := New(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
+	srv, err := New(serveWK(), serveCoreCfgPar(1), Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

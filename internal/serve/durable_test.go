@@ -12,6 +12,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ func startDurable(t *testing.T, dir string) (*Server, *durable.Store) {
 	if err != nil {
 		t.Fatalf("durable.Open: %v", err)
 	}
-	s := NewServer(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
+	s := NewServer(serveWK(), serveCoreCfgPar(1), Config{})
 	if err := s.Start(st); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -56,7 +58,7 @@ func closeDurable(t *testing.T, s *Server, st *durable.Store) {
 // state "recovering" and every other endpoint is gated; after Start the
 // state flips to "ready".
 func TestServeReadinessGate(t *testing.T) {
-	s := NewServer(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
+	s := NewServer(serveWK(), serveCoreCfgPar(1), Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -395,13 +397,137 @@ func TestServeDurableRestartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeCheckpointSaveFailure: a forced advise whose checkpoint
+// cannot be saved (a directory sits at model-v2.ckpt, so the rename
+// fails) still serves its new weights as model version 2, and a restart
+// from the WAL recovers without error on the checkpoint the generation
+// record names: model version 1, with v1's estimate bytes and the window
+// intact.
+func TestServeCheckpointSaveFailure(t *testing.T) {
+	dir := t.TempDir()
+	w := serveWK()
+	s1, st1 := startDurable(t, dir)
+	ts1 := httptest.NewServer(s1.Handler())
+	defer ts1.Close()
+	pairs := []estimatePair{
+		{Query: w.Queries[3].SQL, View: s1.gen.Load().views.Views[0].SQL},
+		{Query: w.Queries[4].SQL, View: s1.gen.Load().views.Views[0].SQL},
+	}
+	wantEst := estimateBytes(t, ts1.URL, pairs)
+
+	if err := os.Mkdir(filepath.Join(dir, durable.ModelCheckpointName(2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts1.URL+"/v1/queries", ingestRequest{Queries: serveCrashIngestA()}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts1.URL+"/v1/advise", adviseRequest{Force: true}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("advise status %d: %s", resp.StatusCode, body)
+	}
+	var health healthResponse
+	if getJSON(t, ts1.URL+"/v1/healthz", &health); health.ModelVersion != 2 {
+		t.Fatalf("live model version = %d after the failed save, want 2", health.ModelVersion)
+	}
+	var est estimateResponse
+	if err := json.Unmarshal(estimateBytes(t, ts1.URL, pairs), &est); err != nil || est.ModelVersion != 2 {
+		t.Fatalf("live estimate = %+v (err %v), want model_version 2", est, err)
+	}
+	_, wantSQLs := s1.window.SnapshotTagged()
+	wantTotal := s1.window.Total()
+
+	// Stop the log without the drain's snapshot, so the restart replays
+	// the generation record the failed publish wrote.
+	if err := st1.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+	s2, st2 := startDurable(t, dir)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer closeDurable(t, s2, st2)
+	if got := s2.gen.Load().version; got != 1 {
+		t.Fatalf("recovered model version = %d, want 1 (the last saved checkpoint)", got)
+	}
+	if got := estimateBytes(t, ts2.URL, pairs); !bytes.Equal(got, wantEst) {
+		t.Fatalf("recovered estimates differ from v1's:\n got: %s\nwant: %s", got, wantEst)
+	}
+	if _, gotSQLs := s2.window.SnapshotTagged(); !reflect.DeepEqual(gotSQLs, wantSQLs) {
+		t.Fatalf("recovered window diverged: %d vs %d entries", len(gotSQLs), len(wantSQLs))
+	}
+	if got := s2.window.Total(); got != wantTotal {
+		t.Fatalf("recovered window total = %d, want %d", got, wantTotal)
+	}
+}
+
 // --- crash-recovery byte-identity harness ------------------------------
 
 const (
 	serveCrashHelperEnv = "AUTOVIEW_TEST_SERVE_CRASH_HELPER"
 	serveCrashDirEnv    = "AUTOVIEW_TEST_SERVE_CRASH_DIR"
-	serveCrashExitCode  = 137
+	// serveCrashPointEnv names the sweep child's crash point: "K" dies
+	// right after WAL record K is written, "K:SPLIT" after cutting it
+	// back to its first SPLIT bytes (a torn write).
+	serveCrashPointEnv = "AUTOVIEW_TEST_SERVE_CRASHPOINT"
+	serveCrashExitCode = 137 // what a SIGKILLed process reports (128+9)
+	// walHeaderSize is the header every WAL segment opens with (4-byte
+	// magic, format version, 3 reserved bytes): a segment's first record
+	// starts right after it.
+	walHeaderSize = 8
 )
+
+// crashingStore is the store the sweep child serves through. Right
+// after record lsn is written it exits with serveCrashExitCode, first
+// cutting the record to its first split bytes when split >= 0. The
+// process dies inside the append, so nothing the server does after it —
+// a checkpoint save, the generation's Sync — reaches the directory.
+type crashingStore struct {
+	*durable.Store
+	lsn   uint64
+	split int
+}
+
+func (c *crashingStore) AppendIngest(sqls []string) error {
+	return c.crashAfter(func() error { return c.Store.AppendIngest(sqls) })
+}
+
+func (c *crashingStore) AppendGeneration(rec durable.GenerationRecord) error {
+	return c.crashAfter(func() error { return c.Store.AppendGeneration(rec) })
+}
+
+// crashAfter runs one append and dies if it wrote record lsn.
+func (c *crashingStore) crashAfter(appendRecord func() error) error {
+	seg, end := newestSegment(c.Dir())
+	if err := appendRecord(); err != nil || c.LastLSN() != c.lsn {
+		return err
+	}
+	if c.split >= 0 {
+		// The record starts where the segment ended, or right after the
+		// header of the segment its own append opened.
+		path, _ := newestSegment(c.Dir())
+		if path != seg {
+			end = walHeaderSize
+		}
+		if err := os.Truncate(path, end+int64(c.split)); err != nil {
+			panic(err)
+		}
+	}
+	os.Exit(serveCrashExitCode)
+	return nil
+}
+
+// newestSegment returns the path and size of dir's newest WAL segment,
+// or "" when it has none. Segment names are fixed-width hex LSNs, so the
+// last in Glob's sorted order is the newest.
+func newestSegment(dir string) (string, int64) {
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(paths) == 0 {
+		return "", 0
+	}
+	fi, err := os.Stat(paths[len(paths)-1])
+	if err != nil {
+		panic(err)
+	}
+	return paths[len(paths)-1], fi.Size()
+}
 
 // serveCrashIngestA and B are the scripted ingest batches (existing
 // workload SQL, so the reference window is constructible without
@@ -422,15 +548,26 @@ func serveCrashIngestB() []string {
 //	2  generation 1 (bootstrap)         5  ingest B
 //	3  ingest A
 //
-// Under AUTOVIEW_WAL_CRASHPOINT the process dies inside the WAL append
-// of the chosen record; otherwise it drains and exits cleanly.
-func runServeCrashScript(dir string) error {
+// The process dies inside the append of the record spec names (see
+// serveCrashPointEnv); without the crash it drains and exits cleanly.
+func runServeCrashScript(dir, spec string) error {
+	lsnPart, splitPart, torn := strings.Cut(spec, ":")
+	lsn, err := strconv.ParseUint(lsnPart, 10, 64)
+	if err != nil {
+		return fmt.Errorf("crash point %q: %w", spec, err)
+	}
+	split := -1
+	if torn {
+		if split, err = strconv.Atoi(splitPart); err != nil {
+			return fmt.Errorf("crash point %q: %w", spec, err)
+		}
+	}
 	st, err := durable.Open(durableOpts(dir))
 	if err != nil {
 		return err
 	}
-	s := NewServer(serveWK(), serveCoreCfg(), Config{Parallelism: 1})
-	if err := s.Start(st); err != nil {
+	s := NewServer(serveWK(), serveCoreCfgPar(1), Config{})
+	if err := s.start(&crashingStore{Store: st, lsn: lsn, split: split}, st.Recovered()); err != nil {
 		return err
 	}
 	if err := ingestSQL(s, serveCrashIngestA()); err != nil {
@@ -455,26 +592,22 @@ func TestServeCrashScriptHelper(t *testing.T) {
 	if os.Getenv(serveCrashHelperEnv) != "1" {
 		t.Skip("harness child entry point; run via TestServeCrashRecovery")
 	}
-	if err := runServeCrashScript(os.Getenv(serveCrashDirEnv)); err != nil {
+	if err := runServeCrashScript(os.Getenv(serveCrashDirEnv), os.Getenv(serveCrashPointEnv)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func runServeCrashChild(t *testing.T, dir, crashpoint string) {
+// runServeCrashChild re-execs the test binary running the scripted
+// session against dir, and requires it to die at crash point spec.
+func runServeCrashChild(t *testing.T, dir, spec string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestServeCrashScriptHelper$", "-test.count=1")
 	cmd.Env = append(os.Environ(),
-		serveCrashHelperEnv+"=1", serveCrashDirEnv+"="+dir, durable.CrashpointEnv+"="+crashpoint)
+		serveCrashHelperEnv+"=1", serveCrashDirEnv+"="+dir, serveCrashPointEnv+"="+spec)
 	out, err := cmd.CombinedOutput()
-	if crashpoint == "" {
-		if err != nil {
-			t.Fatalf("clean child failed: %v\n%s", err, out)
-		}
-		return
-	}
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != serveCrashExitCode {
-		t.Fatalf("crashpoint %s: child exit = %v, want code %d\n%s", crashpoint, err, serveCrashExitCode, out)
+		t.Fatalf("crash point %s: child exit = %v, want code %d\n%s", spec, err, serveCrashExitCode, out)
 	}
 }
 
@@ -504,7 +637,7 @@ func zeroCreatedAt(vs *ViewSet) *ViewSet {
 	return &cp
 }
 
-// buildCrashReference runs the script in-process (no crashpoint) and
+// buildCrashReference runs the script in-process (no crash point) and
 // captures the intermediate states every crash prefix must reproduce.
 // Training, selection, and inference are all deterministic under a fixed
 // seed, so these artifacts are byte-comparable across processes.
@@ -581,7 +714,7 @@ func (ref *crashReference) after(k int) crashExpect {
 // published — never a model beside a view set it did not judge.
 func TestServeCrashRecovery(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns a bootstrapping child process per crashpoint")
+		t.Skip("spawns a bootstrapping child process per crash point")
 	}
 	ref := buildCrashReference(t)
 

@@ -21,8 +21,7 @@ import (
 // shared by every generated input.
 func fuzzServer(f *testing.F) http.Handler {
 	f.Helper()
-	s, err := New(serveWK(), serveCoreCfg(), Config{
-		Parallelism:  1,
+	s, err := New(serveWK(), serveCoreCfgPar(1), Config{
 		MaxPairs:     2,
 		MaxQueries:   3,
 		MaxBodyBytes: 4096,

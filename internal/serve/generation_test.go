@@ -45,7 +45,7 @@ func post(url string, body, dst any) error {
 // readers. The oracle is the per-pair Predict(f)/scale of the named
 // model, which never touches a cache.
 func TestEstimateRepliesNameTheirModel(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallelism: 2})
+	s, ts := newTestServer(t, 2, Config{})
 	w := serveWK()
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)

@@ -262,7 +262,7 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, g *generation, 
 	defer obs.StartSpan("serve.batch")()
 	obsBatches.Inc()
 	obsBatchSize.Observe(float64(len(fs)))
-	for j, p := range g.m.PredictBatch(fs, s.cfg.Parallelism) {
+	for j, p := range g.m.PredictBatch(fs, s.adv.Cfg.Parallelism) {
 		// The same scale division the pipeline's benefit estimator
 		// applies to Predict, so served results stay bit-identical to it.
 		out[j] = p / g.scale

@@ -12,8 +12,7 @@ import (
 // payload must come back as a structured JSON error with the documented
 // status and code, never a panic, hang, or bare 500.
 func TestServeMalformedRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Parallelism:  1,
+	_, ts := newTestServer(t, 1, Config{
 		MaxPairs:     2,
 		MaxQueries:   3,
 		MaxBodyBytes: 512,

@@ -78,7 +78,7 @@ func errorCode(t *testing.T, body []byte) string {
 // bytes a lone request gets.
 func TestEstimateShedsPastQueueDepth(t *testing.T) {
 	const depth = 3
-	s, ts := newTestServer(t, Config{Parallelism: 1, QueueDepth: depth})
+	s, ts := newTestServer(t, 1, Config{QueueDepth: depth})
 	release := holdSlot(s)
 	body := onePairBody(t, 0)
 	parked := make([]<-chan postResult, depth)
@@ -134,7 +134,7 @@ func TestEstimateRecordsSlotWait(t *testing.T) {
 		t.Cleanup(obs.Disable)
 	}
 	wait := obs.Default.Histogram("serve.batch.wait.seconds", "")
-	s, ts := newTestServer(t, Config{Parallelism: 1})
+	s, ts := newTestServer(t, 1, Config{})
 
 	count, sum := wait.Count(), wait.Sum()
 	if status, body := postRaw(t, ts.URL+"/v1/estimate", onePairBody(t, 0)); status != http.StatusOK {
@@ -171,7 +171,7 @@ func TestEstimateRecordsSlotWait(t *testing.T) {
 // timeout and expects a structured 504; the request stops counting as
 // waiting when it gives up.
 func TestServeEstimateTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallelism: 1, RequestTimeout: 50 * time.Millisecond})
+	s, ts := newTestServer(t, 1, Config{RequestTimeout: 50 * time.Millisecond})
 	release := holdSlot(s)
 	defer release()
 
@@ -189,7 +189,7 @@ func TestServeEstimateTimeout(t *testing.T) {
 // results, while new traffic is refused with a structured 503.
 func TestServeGracefulDrain(t *testing.T) {
 	w := serveWK()
-	s, ts := newTestServer(t, Config{Parallelism: 1})
+	s, ts := newTestServer(t, 1, Config{})
 	release := holdSlot(s)
 	inflight := postAsync(ts.URL+"/v1/estimate", onePairBody(t, 0))
 	awaitWaiting(t, s, 1)

@@ -178,11 +178,8 @@ func expectIdentical(t *testing.T, coldURL, cachedURL string, bodies [][]byte, p
 // in CI.
 func TestEstimateCacheByteIdentity(t *testing.T) {
 	w := serveWK()
-	baseCfg := Config{Parallelism: 4}
-	coldCfg := baseCfg
-	coldCfg.CacheSize = -1 // disabled: every request takes the full path
-	_, coldTS := newTestServer(t, coldCfg)
-	cached, cachedTS := newTestServer(t, baseCfg)
+	_, coldTS := newTestServer(t, 4, Config{CacheSize: -1}) // disabled: every request takes the full path
+	cached, cachedTS := newTestServer(t, 4, Config{})
 
 	// Identical bootstrap is the precondition for comparing the two
 	// servers at all.
@@ -283,9 +280,8 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 // the inference pool size.
 func TestEstimateCacheServerParallelismLevels(t *testing.T) {
 	w := serveWK()
-	coldCfg := Config{Parallelism: 4, CacheSize: -1}
-	_, coldTS := newTestServer(t, coldCfg)
-	_, serialTS := newTestServer(t, Config{Parallelism: 1})
+	_, coldTS := newTestServer(t, 4, Config{CacheSize: -1})
+	_, serialTS := newTestServer(t, 1, Config{})
 
 	var vs ViewSet
 	getJSON(t, serialTS.URL+"/v1/views", &vs)
@@ -316,7 +312,7 @@ func TestAdviseWorkersLeaveReadersACore(t *testing.T) {
 	run := func(par int) outcome {
 		coreCfg := serveCoreCfg()
 		coreCfg.Parallelism = par
-		s, err := New(w, coreCfg, Config{Parallelism: par})
+		s, err := New(w, coreCfg, Config{})
 		if err != nil {
 			t.Fatalf("P=%d: New: %v", par, err)
 		}
@@ -394,7 +390,7 @@ func TestAdviseWorkersLeaveReadersACore(t *testing.T) {
 // moving while wd.infer.plans keeps counting two per pair.
 func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 	w := serveWK()
-	s, ts := newTestServer(t, Config{Parallelism: 2})
+	s, ts := newTestServer(t, 2, Config{})
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)
 	if len(vs.Views) < 2 {

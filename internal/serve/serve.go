@@ -73,11 +73,9 @@ var (
 var errShuttingDown = errors.New("serve: shutting down")
 
 // Config tunes the service. The zero value selects sensible defaults via
-// withDefaults; Parallelism follows the pipeline-wide convention (0 means
-// runtime.NumCPU(), 1 runs serially).
+// withDefaults. Inference takes its worker count from the advisor's
+// core.Config.Parallelism.
 type Config struct {
-	// Parallelism sizes each PredictBatch's inference worker pool.
-	Parallelism int
 	// QueueDepth bounds the estimate requests waiting for the inference
 	// slot; one more sheds with 429. Default 256.
 	QueueDepth int
@@ -149,6 +147,18 @@ type generation struct {
 	views   *ViewSet            // nil until a cycle finds candidates
 }
 
+// store is the part of *durable.Store the server uses: the seam a test
+// wraps to crash the process at a chosen record.
+type store interface {
+	AppendIngest(sqls []string) error
+	AppendGeneration(rec durable.GenerationRecord) error
+	Sync() error
+	ShouldSnapshot() bool
+	WriteSnapshot(snap *durable.Snapshot) error
+	LastLSN() uint64
+	Dir() string
+}
+
 // Server is the online view advisor. Build one with New (or NewServer +
 // Start when the handler must be live — answering /v1/healthz with
 // "recovering" — while durable state replays), mount Handler on an
@@ -164,7 +174,7 @@ type Server struct {
 	// durMu makes each state mutation atomic with its WAL append, so a
 	// snapshot never captures a mutation without the record that caused
 	// it (or vice versa). The estimate path never touches either.
-	dur   *durable.Store
+	dur   store
 	durMu sync.Mutex
 
 	// ready flips once Start has recovered (or bootstrapped) the serving
@@ -244,9 +254,18 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 // durability. Bootstrap runs to completion; it is not cancellable.
 // The advise loop starts and the server reports ready on return.
 func (s *Server) Start(dstore *durable.Store) error {
-	s.dur = dstore
-	if dstore != nil && dstore.Recovered() != nil {
-		if err := s.restore(dstore.Recovered()); err != nil {
+	if dstore == nil { // a nil *durable.Store must not become a non-nil store
+		return s.start(nil, nil)
+	}
+	return s.start(dstore, dstore.Recovered())
+}
+
+// start is Start over any store; recovered is the state it holds, nil
+// for none.
+func (s *Server) start(d store, recovered *durable.Snapshot) error {
+	s.dur = d
+	if recovered != nil {
+		if err := s.restore(recovered); err != nil {
 			return err
 		}
 	} else {

@@ -44,11 +44,19 @@ func serveCoreCfg() core.Config {
 	return cfg
 }
 
+// serveCoreCfgPar is serveCoreCfg with par workers for training and
+// inference.
+func serveCoreCfgPar(par int) core.Config {
+	cfg := serveCoreCfg()
+	cfg.Parallelism = par
+	return cfg
+}
+
 // newTestServer bootstraps a server plus an httptest front end and
 // registers cleanup for both.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, par int, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(serveWK(), serveCoreCfg(), cfg)
+	s, err := New(serveWK(), serveCoreCfgPar(par), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -100,7 +108,7 @@ func getJSON(t *testing.T, url string, dst any) *http.Response {
 // atomically rotated, versioned view set (with DDL) plus health state.
 func TestServeRoundTrip(t *testing.T) {
 	w := serveWK()
-	_, ts := newTestServer(t, Config{Parallelism: 2})
+	_, ts := newTestServer(t, 2, Config{})
 
 	var health healthResponse
 	if resp := getJSON(t, ts.URL+"/v1/healthz", &health); resp.StatusCode != http.StatusOK {
@@ -177,7 +185,7 @@ func TestServeRoundTrip(t *testing.T) {
 // inference slot, predicted through the worker pool) are byte-identical
 // to the same requests served one at a time.
 func TestServeEstimateDeterminism(t *testing.T) {
-	_, ts := newTestServer(t, Config{Parallelism: 4})
+	_, ts := newTestServer(t, 4, Config{})
 
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)
@@ -256,7 +264,7 @@ func TestServeEstimateDeterminism(t *testing.T) {
 // TestServeModelReload hot-swaps checkpointed weights through the admin
 // endpoint and confirms the model version advances.
 func TestServeModelReload(t *testing.T) {
-	s, ts := newTestServer(t, Config{Parallelism: 1})
+	s, ts := newTestServer(t, 1, Config{})
 
 	before := s.gen.Load()
 	if before == nil {
