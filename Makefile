@@ -21,7 +21,8 @@ examples-smoke:
 # all exercise their goroutines under -short. The second pass reruns the
 # determinism tests of the places where worker count and scheduling
 # could change an answer — the trainer's ordered fold, W-D's three-pass
-# batch gradient built on it, PredictBatch's three steps over the same
+# batch gradient built on it and on the striped ordered fold (with its
+# fit hashes pinned), PredictBatch's three steps over the same
 # operator interner and its plan-code memo (filled concurrently), and
 # the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8. The
 # serve line does the same for the two guarantees scheduling decides:
@@ -42,8 +43,8 @@ test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer' ./internal/nn/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
@@ -67,7 +68,8 @@ test-race-full:
 # actions, rl.Features two slices per state, rewrite.Rewrite nothing per
 # non-matching view, one LSTM forward+backward the same few allocations
 # at any sequence length, and one W-D training batch allocations linear
-# in its pairs and independent of how often its plans reuse an operator
+# in its pairs and independent of how often its plans reuse an operator,
+# in at most half the bytes it took with its tapes on the heap
 # (see internal/widedeep/infer_test.go and train_test.go,
 # internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go
 # and parser_test.go,

@@ -152,9 +152,9 @@ func (d *DeepLearn) forward(seq [][]plan.Tok, numeric []float64) (float64, func(
 // forwardWith runs the forward pass through the given encoder and head —
 // the canonical ones or a worker replica sharing their weights.
 func (d *DeepLearn) forwardWith(enc *featenc.Encoder, head *nn.MLP, seq [][]plan.Tok, numeric []float64) (float64, func(dy float64)) {
-	de, bPlan := enc.EncodePlan(seq)
+	de, bPlan := enc.EncodePlan(seq, nil)
 	dc := d.norm.Apply(numeric)
-	x := nn.Concat(de, dc)
+	x := nn.Concat(nil, de, dc)
 	y, bHead := head.Forward(x)
 	back := func(dy float64) {
 		dx := bHead(nn.Vec{dy})

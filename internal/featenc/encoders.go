@@ -2,6 +2,7 @@ package featenc
 
 import (
 	"math/rand"
+	"slices"
 
 	"autoview/internal/nn"
 	"autoview/internal/plan"
@@ -39,6 +40,14 @@ func (c Config) withDefaults() Config {
 // uses 128-dimensional one-hot codes per char).
 const charSpace = 128
 
+// charID is a string byte's char code: bytes past charSpace share code 0.
+func charID(c byte) int {
+	if int(c) >= charSpace {
+		return 0
+	}
+	return int(c)
+}
+
 // StringEncoder implements the paper's String Encoding model: char
 // embedding → stacked matrix → two convolution blocks → column-wise
 // average pooling (Figure 6).
@@ -75,23 +84,20 @@ func (s *StringEncoder) ShareWeights() *StringEncoder {
 // Dim returns the output width.
 func (s *StringEncoder) Dim() int { return s.CharEmb.Dim() }
 
-// Encode maps a string to a fixed-length vector.
-func (s *StringEncoder) Encode(str string) (nn.Vec, nn.Backward) {
+// Encode maps a string to a fixed-length vector, its activations and
+// gradients carved from a (nil: the heap).
+func (s *StringEncoder) Encode(str string, a *nn.Arena) (nn.Vec, nn.Backward) {
 	if len(str) == 0 {
-		return make(nn.Vec, s.Dim()), func(nn.Vec) nn.Vec { return nil }
+		return a.Vec(s.Dim()), func(nn.Vec) nn.Vec { return nil }
 	}
 	rows := make([]nn.Vec, len(str))
 	embBacks := make([]nn.Backward, len(str))
 	for i := 0; i < len(str); i++ {
-		id := int(str[i])
-		if id >= charSpace {
-			id = 0
-		}
-		rows[i], embBacks[i] = s.CharEmb.Forward(id)
+		rows[i], embBacks[i] = s.CharEmb.Forward(charID(str[i]), a)
 	}
-	m1, b1 := s.Block1.Forward(rows)
-	m2, b2 := s.Block2.Forward(m1)
-	out, bp := nn.AvgPoolCols(m2)
+	m1, b1 := s.Block1.Forward(rows, a)
+	m2, b2 := s.Block2.Forward(m1, a)
+	out, bp := nn.AvgPoolCols(m2, a)
 	back := func(dy nn.Vec) nn.Vec {
 		dm2 := bp([]nn.Vec{dy})
 		dm1 := b2(dm2)
@@ -209,47 +215,44 @@ func (e *Encoder) SchemaDim() int {
 }
 
 // encodeKeyword produces the (unpadded) keyword code.
-func (e *Encoder) encodeKeyword(word string) (nn.Vec, nn.Backward) {
+func (e *Encoder) encodeKeyword(word string, a *nn.Arena) (nn.Vec, nn.Backward) {
 	if e.Cfg.KeywordOneHot {
-		v := make(nn.Vec, e.Vocab.Size())
+		v := a.Vec(e.Vocab.Size())
 		v[e.Vocab.ID(word)] = 1
 		return v, func(nn.Vec) nn.Vec { return nil }
 	}
-	return e.KwEmb.Forward(e.Vocab.ID(word))
+	return e.KwEmb.Forward(e.Vocab.ID(word), a)
 }
 
 // encodeString produces the (unpadded) string code.
-func (e *Encoder) encodeString(s string) (nn.Vec, nn.Backward) {
+func (e *Encoder) encodeString(s string, a *nn.Arena) (nn.Vec, nn.Backward) {
 	if e.Cfg.StringOneHot {
-		v := make(nn.Vec, charSpace)
+		v := a.Vec(charSpace)
 		if len(s) > 0 {
 			inv := 1 / float64(len(s))
 			for i := 0; i < len(s); i++ {
-				id := int(s[i])
-				if id >= charSpace {
-					id = 0
-				}
-				v[id] += inv
+				v[charID(s[i])] += inv
 			}
 		}
 		return v, func(nn.Vec) nn.Vec { return nil }
 	}
-	return e.Str.Encode(s)
+	return e.Str.Encode(s, a)
 }
 
-// EncodeToken encodes one plan token, padded to TokenDim.
-func (e *Encoder) EncodeToken(t plan.Tok) (nn.Vec, nn.Backward) {
+// EncodeToken encodes one plan token, padded to TokenDim, its
+// activations and gradients carved from a (nil: the heap).
+func (e *Encoder) EncodeToken(t plan.Tok, a *nn.Arena) (nn.Vec, nn.Backward) {
 	var v nn.Vec
 	var back nn.Backward
 	if t.Str {
-		v, back = e.encodeString(t.Text)
+		v, back = e.encodeString(t.Text, a)
 	} else {
-		v, back = e.encodeKeyword(t.Text)
+		v, back = e.encodeKeyword(t.Text, a)
 	}
 	if len(v) == e.tokDim {
 		return v, back
 	}
-	padded := make(nn.Vec, e.tokDim)
+	padded := a.Vec(e.tokDim)
 	copy(padded, v)
 	pback := func(dy nn.Vec) nn.Vec {
 		back(dy[:len(v)])
@@ -262,15 +265,16 @@ func (e *Encoder) EncodeToken(t plan.Tok) (nn.Vec, nn.Backward) {
 // vector: LSTM1 over the token codes (Figure 7(a), first layer), or
 // their average under N-Exp. The vector depends on the tokens and the
 // weights alone, not on the plan the operator sits in — which is what
-// lets training encode each distinct operator of a mini-batch once.
-func (e *Encoder) EncodeOp(seq []plan.Tok) (nn.Vec, nn.Backward) {
+// lets training encode each distinct operator of a mini-batch once. The
+// tape lives in a (nil: the heap) until the backward has run.
+func (e *Encoder) EncodeOp(seq []plan.Tok, a *nn.Arena) (nn.Vec, nn.Backward) {
 	tokVecs := make([]nn.Vec, len(seq))
 	tokBacks := make([]nn.Backward, len(seq))
 	for j, tok := range seq {
-		tokVecs[j], tokBacks[j] = e.EncodeToken(tok)
+		tokVecs[j], tokBacks[j] = e.EncodeToken(tok, a)
 	}
 	if e.Cfg.NoSequence {
-		v, pb := nn.AvgPool(tokVecs)
+		v, pb := nn.AvgPool(tokVecs, a)
 		return v, func(dy nn.Vec) nn.Vec {
 			shared := pb(dy)
 			for _, tb := range tokBacks {
@@ -279,7 +283,7 @@ func (e *Encoder) EncodeOp(seq []plan.Tok) (nn.Vec, nn.Backward) {
 			return nil
 		}
 	}
-	v, lb := e.LSTM1.Forward(tokVecs)
+	v, lb := e.LSTM1.Forward(tokVecs, a)
 	return v, func(dy nn.Vec) nn.Vec {
 		dts := lb(dy)
 		for j, tb := range tokBacks {
@@ -289,16 +293,41 @@ func (e *Encoder) EncodeOp(seq []plan.Tok) (nn.Vec, nn.Backward) {
 	}
 }
 
+// OpRows appends to kw and chars the embedding rows the backward of
+// EncodeOp(seq) adds to — the keyword table's rows of its keyword tokens
+// and the char table's rows of its string tokens' bytes — each once, and
+// returns both lists. A one-hot encoding has no table and adds none.
+func (e *Encoder) OpRows(seq []plan.Tok, kw, chars []int) ([]int, []int) {
+	add := func(rows []int, r int) []int {
+		if slices.Contains(rows, r) {
+			return rows
+		}
+		return append(rows, r)
+	}
+	for _, tok := range seq {
+		switch {
+		case !tok.Str && e.KwEmb != nil:
+			kw = add(kw, e.Vocab.ID(tok.Text))
+		case tok.Str && e.Str != nil:
+			for i := 0; i < len(tok.Text); i++ {
+				chars = add(chars, charID(tok.Text[i]))
+			}
+		}
+	}
+	return kw, chars
+}
+
 // EncodeOpVecs encodes a plan given as its operator vectors into De:
 // LSTM2 over them (Figure 7(a), second layer), or their average under
 // N-Exp; zeros for a plan with no operators. The backward closure
-// returns the gradient of each operator vector, read-only.
-func (e *Encoder) EncodeOpVecs(ops []nn.Vec) (nn.Vec, func(dy nn.Vec) []nn.Vec) {
+// returns the gradient of each operator vector, read-only; the tape
+// lives in a (nil: the heap).
+func (e *Encoder) EncodeOpVecs(ops []nn.Vec, a *nn.Arena) (nn.Vec, func(dy nn.Vec) []nn.Vec) {
 	if len(ops) == 0 {
-		return make(nn.Vec, e.PlanDim()), func(nn.Vec) []nn.Vec { return nil }
+		return a.Vec(e.PlanDim()), func(nn.Vec) []nn.Vec { return nil }
 	}
 	if e.Cfg.NoSequence {
-		v, pb := nn.AvgPool(ops)
+		v, pb := nn.AvgPool(ops, a)
 		return v, func(dy nn.Vec) []nn.Vec {
 			dops := make([]nn.Vec, len(ops))
 			shared := pb(dy)
@@ -308,16 +337,16 @@ func (e *Encoder) EncodeOpVecs(ops []nn.Vec) (nn.Vec, func(dy nn.Vec) []nn.Vec) 
 			return dops
 		}
 	}
-	return e.LSTM2.Forward(ops)
+	return e.LSTM2.Forward(ops, a)
 }
 
 // EncodeOps runs EncodeOp over every operator of a plan; the backward
 // closure takes one gradient per operator vector.
-func (e *Encoder) EncodeOps(p [][]plan.Tok) ([]nn.Vec, func(dops []nn.Vec)) {
+func (e *Encoder) EncodeOps(p [][]plan.Tok, a *nn.Arena) ([]nn.Vec, func(dops []nn.Vec)) {
 	ops := make([]nn.Vec, len(p))
 	backs := make([]nn.Backward, len(p))
 	for i, seq := range p {
-		ops[i], backs[i] = e.EncodeOp(seq)
+		ops[i], backs[i] = e.EncodeOp(seq, a)
 	}
 	return ops, func(dops []nn.Vec) {
 		for i, b := range backs {
@@ -328,9 +357,9 @@ func (e *Encoder) EncodeOps(p [][]plan.Tok) ([]nn.Vec, func(dops []nn.Vec)) {
 
 // EncodePlan encodes a two-dimensional plan sequence into De: EncodeOps
 // on the operators' tokens, EncodeOpVecs over the results.
-func (e *Encoder) EncodePlan(p [][]plan.Tok) (nn.Vec, nn.Backward) {
-	ops, opsBack := e.EncodeOps(p)
-	v, pb := e.EncodeOpVecs(ops)
+func (e *Encoder) EncodePlan(p [][]plan.Tok, a *nn.Arena) (nn.Vec, nn.Backward) {
+	ops, opsBack := e.EncodeOps(p, a)
+	v, pb := e.EncodeOpVecs(ops, a)
 	return v, func(dy nn.Vec) nn.Vec {
 		opsBack(pb(dy))
 		return nil
@@ -338,17 +367,18 @@ func (e *Encoder) EncodePlan(p [][]plan.Tok) (nn.Vec, nn.Backward) {
 }
 
 // EncodeSchema encodes the associated tables' keyword set into Dm by
-// average pooling keyword codes (Figure 7(b)).
-func (e *Encoder) EncodeSchema(keywords []string) (nn.Vec, nn.Backward) {
+// average pooling keyword codes (Figure 7(b)), the tape carved from a
+// (nil: the heap).
+func (e *Encoder) EncodeSchema(keywords []string, a *nn.Arena) (nn.Vec, nn.Backward) {
 	if len(keywords) == 0 {
-		return make(nn.Vec, e.SchemaDim()), func(nn.Vec) nn.Vec { return nil }
+		return a.Vec(e.SchemaDim()), func(nn.Vec) nn.Vec { return nil }
 	}
 	vecs := make([]nn.Vec, len(keywords))
 	backs := make([]nn.Backward, len(keywords))
 	for i, k := range keywords {
-		vecs[i], backs[i] = e.encodeKeyword(k)
+		vecs[i], backs[i] = e.encodeKeyword(k, a)
 	}
-	v, pb := nn.AvgPool(vecs)
+	v, pb := nn.AvgPool(vecs, a)
 	back := func(dy nn.Vec) nn.Vec {
 		shared := pb(dy)
 		for _, b := range backs {

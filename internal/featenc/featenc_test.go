@@ -171,19 +171,19 @@ func TestEncoderDims(t *testing.T) {
 	f := Extract(q, v, cat)
 	for _, c := range cases {
 		e := NewEncoder(vocab, c.cfg, rng)
-		dm, _ := e.EncodeSchema(f.Schema)
+		dm, _ := e.EncodeSchema(f.Schema, nil)
 		if len(dm) != e.SchemaDim() {
 			t.Errorf("%s: schema dim %d != %d", c.name, len(dm), e.SchemaDim())
 		}
-		de, _ := e.EncodePlan(f.QueryPlan)
+		de, _ := e.EncodePlan(f.QueryPlan, nil)
 		if len(de) != e.PlanDim() {
 			t.Errorf("%s: plan dim %d != %d", c.name, len(de), e.PlanDim())
 		}
-		tok, _ := e.EncodeToken(plan.Tok{Text: "Scan"})
+		tok, _ := e.EncodeToken(plan.Tok{Text: "Scan"}, nil)
 		if len(tok) != e.tokDim {
 			t.Errorf("%s: token dim %d != %d", c.name, len(tok), e.tokDim)
 		}
-		stok, _ := e.EncodeToken(plan.Tok{Text: "'1010'", Str: true})
+		stok, _ := e.EncodeToken(plan.Tok{Text: "'1010'", Str: true}, nil)
 		if len(stok) != e.tokDim {
 			t.Errorf("%s: string token dim %d != %d", c.name, len(stok), e.tokDim)
 		}
@@ -194,7 +194,7 @@ func TestStringEncoderGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	se := NewStringEncoder(4, rng)
 	loss := func() float64 {
-		y, _ := se.Encode("abc")
+		y, _ := se.Encode("abc", nil)
 		var l float64
 		for i, v := range y {
 			l += v * float64(i+1)
@@ -202,7 +202,7 @@ func TestStringEncoderGradients(t *testing.T) {
 		return l
 	}
 	nn.ZeroGrads(se.Params())
-	y, back := se.Encode("abc")
+	y, back := se.Encode("abc", nil)
 	dy := make(nn.Vec, len(y))
 	for i := range dy {
 		dy[i] = float64(i + 1)
@@ -228,14 +228,14 @@ func TestStringEncoderGradients(t *testing.T) {
 func TestStringEncoderEmptyAndNonASCII(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	se := NewStringEncoder(4, rng)
-	y, back := se.Encode("")
+	y, back := se.Encode("", nil)
 	for _, v := range y {
 		if v != 0 {
 			t.Fatal("empty string should encode to zeros")
 		}
 	}
 	back(make(nn.Vec, 4)) // must not panic
-	if y2, _ := se.Encode("\xffhü"); len(y2) != 4 {
+	if y2, _ := se.Encode("\xffhü", nil); len(y2) != 4 {
 		t.Fatal("non-ASCII bytes should clamp, not panic")
 	}
 }
@@ -249,7 +249,7 @@ func TestEncodePlanGradientsFlowToEmbeddings(t *testing.T) {
 	f := Extract(q, v, cat)
 
 	nn.ZeroGrads(e.Params())
-	de, back := e.EncodePlan(f.QueryPlan)
+	de, back := e.EncodePlan(f.QueryPlan, nil)
 	dy := make(nn.Vec, len(de))
 	for i := range dy {
 		dy[i] = 1
@@ -280,8 +280,8 @@ func TestEncodeDeterministic(t *testing.T) {
 	e := NewEncoder(vocab, Config{}, rng)
 	q, v := examplePlans(t, cat)
 	f := Extract(q, v, cat)
-	a, _ := e.EncodePlan(f.QueryPlan)
-	b, _ := e.EncodePlan(f.QueryPlan)
+	a, _ := e.EncodePlan(f.QueryPlan, nil)
+	b, _ := e.EncodePlan(f.QueryPlan, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("encoding is not deterministic")

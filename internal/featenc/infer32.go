@@ -74,11 +74,7 @@ func (s *StringEncoder32) Infer(str string, a *nn.Arena) nn.Vec32 {
 	T, D := len(str), s.dim
 	m := a.Vec32(T * D)
 	for i := 0; i < T; i++ {
-		id := int(str[i])
-		if id >= charSpace {
-			id = 0
-		}
-		copy(m[i*D:], s.charEmb.Row(id))
+		copy(m[i*D:], s.charEmb.Row(charID(str[i])))
 	}
 	m1 := s.b1.Infer(m, T, D, a)
 	m2 := s.b2.Infer(m1, T, D, a)
@@ -140,11 +136,7 @@ func histInto(dst nn.Vec32, s string) {
 	}
 	inv := 1 / float32(len(s))
 	for i := 0; i < len(s); i++ {
-		id := int(s[i])
-		if id >= charSpace {
-			id = 0
-		}
-		dst[id] += inv
+		dst[charID(s[i])] += inv
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// Arena is a reusable bump allocator for inference scratch memory: the
+// Arena is a reusable bump allocator for scratch memory: the
 // forward-only Infer paths carve their activations out of it instead of
-// the heap, so a steady-state prediction performs zero allocations.
+// the heap, so a steady-state prediction performs zero allocations, and
+// W-D training carves the tapes of a batch's operator encodings and
+// plan LSTMs from one arena per worker, reset once per batch.
 //
 // Memory is held in chunks that survive Reset. A fresh arena grows while
 // the first few calls discover the model's working-set shape; after that
@@ -61,8 +63,26 @@ func (a *Arena) Reset() {
 }
 
 // Vec returns a zeroed n-vector carved from the arena (same contract as
-// a fresh make: all elements 0).
-func (a *Arena) Vec(n int) Vec { return a.f64.carve(n) }
+// a fresh make: all elements 0). A nil arena allocates it on the heap,
+// so the tape layers serve callers that keep no scratch (reference
+// passes, one-off encodings) through the same code.
+func (a *Arena) Vec(n int) Vec {
+	if a == nil {
+		return make(Vec, n)
+	}
+	return a.f64.carve(n)
+}
+
+// mat returns a zeroed T×D matrix whose rows are views into one
+// arena-carved block.
+func (a *Arena) mat(T, D int) []Vec {
+	buf := a.Vec(T * D)
+	m := make([]Vec, T)
+	for t := range m {
+		m[t] = buf[t*D : (t+1)*D : (t+1)*D]
+	}
+	return m
+}
 
 // Vec32 returns a zeroed n-vector of float32 carved from the arena —
 // the scratch source of the f32 inference mirrors. Same contract as

@@ -65,8 +65,9 @@ func (bn *BatchNorm) ShareWeights() *BatchNorm {
 	return &BatchNorm{Gamma: bn.Gamma.GradView(), Beta: bn.Beta.GradView()}
 }
 
-// Forward normalizes the matrix, preserving its shape.
-func (bn *BatchNorm) Forward(m []Vec) ([]Vec, MatBackward) {
+// Forward normalizes the matrix, preserving its shape. Activations and
+// gradients are carved from a (nil: the heap).
+func (bn *BatchNorm) Forward(m []Vec, a *Arena) ([]Vec, MatBackward) {
 	T := len(m)
 	if T == 0 {
 		return nil, func(dy []Vec) []Vec { return nil }
@@ -77,11 +78,8 @@ func (bn *BatchNorm) Forward(m []Vec) ([]Vec, MatBackward) {
 	std := math.Sqrt(variance + bnEps)
 	gamma, beta := bn.Gamma.Val[0], bn.Beta.Val[0]
 
-	xhat := make([]Vec, T)
-	out := make([]Vec, T)
+	xhat, out := a.mat(T, D), a.mat(T, D)
 	for t := 0; t < T; t++ {
-		xhat[t] = zeros(D)
-		out[t] = zeros(D)
 		for d := 0; d < D; d++ {
 			xh := (m[t][d] - mu) / std
 			xhat[t][d] = xh
@@ -91,9 +89,8 @@ func (bn *BatchNorm) Forward(m []Vec) ([]Vec, MatBackward) {
 
 	back := func(dy []Vec) []Vec {
 		var dGamma, dBeta, sumDxhat, sumDxhatXhat float64
-		dXhat := make([]Vec, T)
+		dXhat := a.mat(T, D)
 		for t := 0; t < T; t++ {
-			dXhat[t] = zeros(D)
 			for d := 0; d < D; d++ {
 				dGamma += dy[t][d] * xhat[t][d]
 				dBeta += dy[t][d]
@@ -105,9 +102,8 @@ func (bn *BatchNorm) Forward(m []Vec) ([]Vec, MatBackward) {
 		}
 		bn.Gamma.Grad[0] += dGamma
 		bn.Beta.Grad[0] += dBeta
-		dm := make([]Vec, T)
+		dm := a.mat(T, D)
 		for t := 0; t < T; t++ {
-			dm[t] = zeros(D)
 			for d := 0; d < D; d++ {
 				dm[t][d] = (dXhat[t][d] - sumDxhat/n - xhat[t][d]*sumDxhatXhat/n) / std
 			}
@@ -147,7 +143,8 @@ func (b *ConvBlock) ShareWeights() *ConvBlock {
 }
 
 // Forward applies conv → norm → relu, preserving the matrix shape.
-func (b *ConvBlock) Forward(m []Vec) ([]Vec, MatBackward) {
+// Activations and gradients are carved from a (nil: the heap).
+func (b *ConvBlock) Forward(m []Vec, a *Arena) ([]Vec, MatBackward) {
 	T := len(m)
 	if T == 0 {
 		return nil, func(dy []Vec) []Vec { return nil }
@@ -156,9 +153,8 @@ func (b *ConvBlock) Forward(m []Vec) ([]Vec, MatBackward) {
 	w0, w1, w2, bias := b.K.Val[0], b.K.Val[1], b.K.Val[2], b.K.Val[3]
 
 	// Convolution with zero padding along the character axis.
-	conv := make([]Vec, T)
+	conv := a.mat(T, D)
 	for t := 0; t < T; t++ {
-		conv[t] = zeros(D)
 		for d := 0; d < D; d++ {
 			sum := bias + w1*m[t][d]
 			if t > 0 {
@@ -171,10 +167,9 @@ func (b *ConvBlock) Forward(m []Vec) ([]Vec, MatBackward) {
 		}
 	}
 
-	norm, bnBack := b.BN.Forward(conv)
-	out := make([]Vec, T)
+	norm, bnBack := b.BN.Forward(conv, a)
+	out := a.mat(T, D)
 	for t := 0; t < T; t++ {
-		out[t] = zeros(D)
 		for d := 0; d < D; d++ {
 			if y := norm[t][d]; y > 0 {
 				out[t][d] = y
@@ -184,9 +179,8 @@ func (b *ConvBlock) Forward(m []Vec) ([]Vec, MatBackward) {
 
 	back := func(dy []Vec) []Vec {
 		// ReLU backward.
-		dNorm := make([]Vec, T)
+		dNorm := a.mat(T, D)
 		for t := 0; t < T; t++ {
-			dNorm[t] = zeros(D)
 			for d := 0; d < D; d++ {
 				if norm[t][d] > 0 {
 					dNorm[t][d] = dy[t][d]
@@ -195,10 +189,7 @@ func (b *ConvBlock) Forward(m []Vec) ([]Vec, MatBackward) {
 		}
 		dConv := bnBack(dNorm)
 		// Convolution backward.
-		dm := make([]Vec, T)
-		for t := 0; t < T; t++ {
-			dm[t] = zeros(D)
-		}
+		dm := a.mat(T, D)
 		var dw0, dw1, dw2, dbias float64
 		for t := 0; t < T; t++ {
 			for d := 0; d < D; d++ {
@@ -230,13 +221,14 @@ func (b *ConvBlock) Forward(m []Vec) ([]Vec, MatBackward) {
 
 // AvgPoolCols averages a matrix over its rows, producing one vector of the
 // column dimension: Ds[i] = Avg(M'[:, i]) as in the String Encoding model.
-func AvgPoolCols(m []Vec) (Vec, MatBackward) {
+// The result and the gradient are carved from a (nil: the heap).
+func AvgPoolCols(m []Vec, a *Arena) (Vec, MatBackward) {
 	T := len(m)
 	if T == 0 {
 		return nil, func(dy []Vec) []Vec { return nil }
 	}
 	D := len(m[0])
-	y := zeros(D)
+	y := a.Vec(D)
 	for _, row := range m {
 		addInto(y, row)
 	}
@@ -246,9 +238,8 @@ func AvgPoolCols(m []Vec) (Vec, MatBackward) {
 	}
 	back := func(dy []Vec) []Vec {
 		d := dy[0]
-		dm := make([]Vec, T)
+		dm := a.mat(T, D)
 		for t := 0; t < T; t++ {
-			dm[t] = zeros(D)
 			for i := range d {
 				dm[t][i] = d[i] * inv
 			}

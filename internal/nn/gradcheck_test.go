@@ -76,12 +76,12 @@ func TestConvBlockGradientsTableDriven(t *testing.T) {
 		b.BN.Beta.Val[0] = 0.2
 		m := randMat(rng, sh.T, sh.D)
 		forward := func() float64 {
-			y, _ := b.Forward(m)
+			y, _ := b.Forward(m, nil)
 			loss, _ := matLoss(y)
 			return loss
 		}
 		ZeroGrads(b.Params())
-		y, back := b.Forward(m)
+		y, back := b.Forward(m, nil)
 		_, dy := matLoss(y)
 		dm := back(dy)
 		fdCheckParams(t, b.Params(), forward)
@@ -113,12 +113,12 @@ func TestLSTMCellGradientsTableDriven(t *testing.T) {
 		// From the second step on the recurrent state is non-zero, so
 		// every gate and both state paths contribute.
 		forward := func() float64 {
-			h, _ := l.Forward(xs)
+			h, _ := l.Forward(xs, nil)
 			loss, _ := sumLoss(h)
 			return loss
 		}
 		ZeroGrads(l.Params())
-		h, back := l.Forward(xs)
+		h, back := l.Forward(xs, nil)
 		_, dh := sumLoss(h)
 		dxs := back(dh)
 		fdCheckParams(t, l.Params(), forward)
@@ -150,12 +150,12 @@ func TestBatchNormGradientsTableDriven(t *testing.T) {
 		bn.Beta.Val[0] = -0.4
 		m := randMat(rng, sh.T, sh.D)
 		forward := func() float64 {
-			y, _ := bn.Forward(m)
+			y, _ := bn.Forward(m, nil)
 			loss, _ := matLoss(y)
 			return loss
 		}
 		ZeroGrads(bn.Params())
-		y, back := bn.Forward(m)
+		y, back := bn.Forward(m, nil)
 		_, dy := matLoss(y)
 		dm := back(dy)
 		fdCheckParams(t, bn.Params(), forward)
@@ -178,7 +178,7 @@ func TestBatchNormGradientsTableDriven(t *testing.T) {
 
 func TestBatchNormEmptyMatrix(t *testing.T) {
 	bn := NewBatchNorm("bn")
-	y, back := bn.Forward(nil)
+	y, back := bn.Forward(nil, nil)
 	if y != nil || back(nil) != nil {
 		t.Error("empty matrix should normalize to nil")
 	}

@@ -60,7 +60,7 @@ func TestEmbedding32VsForward(t *testing.T) {
 	m := NewEmbedding32(e)
 	// Out-of-range ids clamp to row 0 on both sides.
 	for _, id := range []int{0, 4, 8, -1, 12} {
-		want, _ := e.Forward(id)
+		want, _ := e.Forward(id, nil)
 		assertClose32(t, "Embedding32.Row", want, m.Row(id))
 	}
 }
@@ -73,7 +73,7 @@ func TestBatchNorm32VsForward(t *testing.T) {
 		bn.Gamma.Val[0] = 0.5 + rng.Float64()
 		bn.Beta.Val[0] = rng.NormFloat64()
 		m := randMat(rng, T, D)
-		want, _ := bn.Forward(m)
+		want, _ := bn.Forward(m, nil)
 		got := flatten32(m)
 		NewBatchNorm32(bn).InferInPlace(got)
 		for i := range want {
@@ -89,13 +89,13 @@ func TestConvBlock32VsForward(t *testing.T) {
 		T, D := 1+rng.Intn(7), 1+rng.Intn(9)
 		b := NewConvBlock("t.conv", rng)
 		m := randMat(rng, T, D)
-		want, _ := b.Forward(m)
+		want, _ := b.Forward(m, nil)
 		a.Reset()
 		got := NewConvBlock32(b).Infer(flatten32(m), T, D, a)
 		for i := range want {
 			assertClose32(t, "ConvBlock32.Infer", want[i], got[i*D:i*D+D])
 		}
-		wantPool, _ := AvgPoolCols(want)
+		wantPool, _ := AvgPoolCols(want, nil)
 		pool := make(Vec32, D)
 		AvgPoolRows32(pool, got, T, D)
 		assertClose32(t, "AvgPoolRows32", wantPool, pool)
@@ -111,7 +111,7 @@ func TestLSTMCell32VsForward(t *testing.T) {
 		in, H := 1+rng.Intn(8), 1+rng.Intn(8)
 		l := NewLSTM("t.lstm", in, H, rng)
 		xs := randMat(rng, 1+rng.Intn(6), in)
-		want, _ := l.Forward(xs)
+		want, _ := l.Forward(xs, nil)
 
 		c := NewLSTMCell32(l.Cell)
 		h, cst := make(Vec32, H), make(Vec32, H)

@@ -70,7 +70,7 @@ func TestLSTMCellGatesMatchUnblockedDefinition(t *testing.T) {
 		xs := randMat(rng, 1+rng.Intn(4), in)
 		h, cst := make(Vec, H), make(Vec, H)
 		for _, x := range xs {
-			xh := Concat(x, h)
+			xh := Concat(nil, x, h)
 			pre := make(Vec, 4*H)
 			for r := range pre {
 				pre[r] = c.B.Val[r]
@@ -83,7 +83,7 @@ func TestLSTMCellGatesMatchUnblockedDefinition(t *testing.T) {
 				h[j] = sigmoid(pre[3*H+j]) * math.Tanh(cst[j])
 			}
 		}
-		got, _ := l.Forward(xs)
+		got, _ := l.Forward(xs, nil)
 		assertBitEqual(t, "LSTM.Forward h", h, got)
 	}
 }

@@ -10,6 +10,10 @@ package nn
 // MULPD then ADDPD: never a fused multiply-add, which rounds once instead
 // of twice); other GOARCHes, and the amd64 parity tests, run
 // denseLanesGo.
+//
+// The LSTM backward's two products run on the same packed doubles
+// (mulAddLanes below: accLanes in SSE2, accLanesGo elsewhere), each
+// element's chain starting from the value it holds.
 
 // laneWidth is the kernel's block of lanes: callers pad the input count
 // up to a multiple of it with zero columns and discard those lanes.
@@ -52,6 +56,61 @@ func denseLanesGo(y, x, w, b Vec, cols, lanes int, relu bool) {
 				s4, s5, s6, s7 = relu64(s4), relu64(s5), relu64(s6), relu64(s7)
 			}
 			yr := y[r*lanes+j:][:laneWidth]
+			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
+		}
+	}
+}
+
+// mulAddLanes adds w·x onto y, the LSTM backward's two products: x is
+// [cols × ld] and y [rows × ld], both row-major with row stride ld, and w
+// is [rows × cols] with rows = len(w)/cols. Each element y[r,j] takes its
+// terms w[r,c]·x[c,j] one at a time, c ascending, onto the value it
+// holds — the chain `y[r,j] += w[r,c]*x[c,j]` looped over c builds — so
+// the blocks of eight lanes (accLanes) and the scalar columns past the
+// last whole block give the same bits.
+func mulAddLanes(y, x, w Vec, cols, ld int) {
+	rows := len(w) / cols
+	if len(y) < rows*ld || len(x) < cols*ld {
+		panic("nn: mulAddLanes operands shorter than their shapes")
+	}
+	n8 := ld &^ (laneWidth - 1)
+	if n8 > 0 {
+		accLanes(y, x, w[:rows*cols], cols, ld, n8)
+	}
+	for j := n8; j < ld; j++ {
+		for r := 0; r < rows; r++ {
+			s := y[r*ld+j]
+			for c, wv := range w[r*cols:][:cols] {
+				s += wv * x[c*ld+j]
+			}
+			y[r*ld+j] = s
+		}
+	}
+}
+
+// accLanesGo is the portable kernel of mulAddLanes over its first lanes
+// columns (a multiple of laneWidth), with the assembly's loop shape: one
+// block of eight lanes at a time, every row of the block, eight
+// accumulators loaded from y and carried down the columns.
+func accLanesGo(y, x, w Vec, cols, ld, lanes int) {
+	rows := len(w) / cols
+	for j := 0; j < lanes; j += laneWidth {
+		for r := 0; r < rows; r++ {
+			wr := w[r*cols:][:cols]
+			yr := y[r*ld+j:][:laneWidth]
+			s0, s1, s2, s3, s4, s5, s6, s7 := yr[0], yr[1], yr[2], yr[3], yr[4], yr[5], yr[6], yr[7]
+			for c, wv := range wr {
+				xc := x[c*ld+j:][:laneWidth]
+				s0 += wv * xc[0]
+				s1 += wv * xc[1]
+				s2 += wv * xc[2]
+				s3 += wv * xc[3]
+				s4 += wv * xc[4]
+				s5 += wv * xc[5]
+				s6 += wv * xc[6]
+				s7 += wv * xc[7]
+			}
 			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
 			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
 		}

@@ -9,3 +9,10 @@ package nn
 //
 //go:noescape
 func denseLanes(y, x, w, b Vec, cols, lanes int, relu bool)
+
+// accLanes is accLanesGo in SSE2 (lanes64_amd64.s): per block of eight
+// lanes and per row, four XMM accumulators start from y's values and
+// take MULPD then ADDPD per column.
+//
+//go:noescape
+func accLanes(y, x, w Vec, cols, ld, lanes int)

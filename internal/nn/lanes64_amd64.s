@@ -169,3 +169,79 @@ next:
 
 done:
 	RET
+
+// func accLanes(y, x, w Vec, cols, ld, lanes int)
+//
+// Per block of eight lanes, row by row; w is walked once per block, its
+// rows back to back. Registers:
+//
+// AX  byte offset of the current block of eight lanes
+// DX  weight pointer; R12 one past w's last element
+// SI  x pointer of the current column; DI y pointer of the current row
+// R9  columns left; R10 lanes·8 (the end of the blocks); R11 row stride
+//     of x and y in bytes (ld·8)
+// X0–X3 the eight accumulators, X8 the broadcast weight, X9–X12
+// products.
+TEXT ·accLanes(SB), NOSPLIT, $0-96
+	MOVQ  lanes+88(FP), R10
+	TESTQ R10, R10
+	JEQ   accdone
+	SHLQ  $3, R10
+	CMPQ  cols+72(FP), $0
+	JEQ   accdone
+	MOVQ  ld+80(FP), R11
+	SHLQ  $3, R11
+	MOVQ  w_base+48(FP), R12
+	MOVQ  w_len+56(FP), CX
+	LEAQ  (R12)(CX*8), R12
+	XORQ  AX, AX
+
+accblock:
+	MOVQ w_base+48(FP), DX
+	MOVQ y_base+0(FP), DI
+	ADDQ AX, DI
+
+accrow:
+	CMPQ   DX, R12
+	JAE    accnext
+	MOVUPD (DI), X0
+	MOVUPD 16(DI), X1
+	MOVUPD 32(DI), X2
+	MOVUPD 48(DI), X3
+	MOVQ   x_base+24(FP), SI
+	ADDQ   AX, SI
+	MOVQ   cols+72(FP), R9
+
+acccol:
+	MOVSD    (DX), X8
+	UNPCKLPD X8, X8
+	MOVUPD   (SI), X9
+	MULPD    X8, X9
+	ADDPD    X9, X0
+	MOVUPD   16(SI), X10
+	MULPD    X8, X10
+	ADDPD    X10, X1
+	MOVUPD   32(SI), X11
+	MULPD    X8, X11
+	ADDPD    X11, X2
+	MOVUPD   48(SI), X12
+	MULPD    X8, X12
+	ADDPD    X12, X3
+	ADDQ     $8, DX
+	ADDQ     R11, SI
+	DECQ     R9
+	JNE      acccol
+	MOVUPD   X0, (DI)
+	MOVUPD   X1, 16(DI)
+	MOVUPD   X2, 32(DI)
+	MOVUPD   X3, 48(DI)
+	ADDQ     R11, DI
+	JMP      accrow
+
+accnext:
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JLT  accblock
+
+accdone:
+	RET

@@ -6,3 +6,8 @@ package nn
 func denseLanes(y, x, w, b Vec, cols, lanes int, relu bool) {
 	denseLanesGo(y, x, w, b, cols, lanes, relu)
 }
+
+// accLanes runs the portable kernel where there is no assembly one.
+func accLanes(y, x, w Vec, cols, ld, lanes int) {
+	accLanesGo(y, x, w, cols, ld, lanes)
+}

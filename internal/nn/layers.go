@@ -96,21 +96,6 @@ func Tanh(x Vec) (Vec, Backward) {
 	return y, back
 }
 
-// Add returns a ⊕ b (element-wise sum), the residual connection of the
-// ResNet blocks.
-func Add(a, b Vec) (Vec, Backward) {
-	y := zeros(len(a))
-	for i := range a {
-		y[i] = a[i] + b[i]
-	}
-	back := func(dy Vec) Vec {
-		// Caller treats the return as da; db equals dy as well and is
-		// handled by AddBackward2 when both paths need gradients.
-		return dy
-	}
-	return y, back
-}
-
 // Embedding maps integer ids to dense rows of a learned matrix.
 type Embedding struct {
 	W *Param // [vocab x dim]
@@ -136,13 +121,15 @@ func (e *Embedding) Dim() int { return e.W.Cols }
 // Vocab returns the vocabulary size.
 func (e *Embedding) Vocab() int { return e.W.Rows }
 
-// Forward looks up id and returns a copy of its row. Unknown ids clamp to
-// row 0 (the reserved "unknown" slot).
-func (e *Embedding) Forward(id int) (Vec, Backward) {
+// Forward looks up id and returns a copy of its row, carved from a
+// (nil: the heap). Unknown ids clamp to row 0 (the reserved "unknown"
+// slot).
+func (e *Embedding) Forward(id int, a *Arena) (Vec, Backward) {
 	if id < 0 || id >= e.W.Rows {
 		id = 0
 	}
-	y := append(Vec(nil), e.W.Row(id)...)
+	y := a.Vec(e.W.Cols)
+	copy(y, e.W.Row(id))
 	back := func(dy Vec) Vec {
 		addInto(e.W.GradRow(id), dy)
 		return nil // discrete input: no gradient flows further
@@ -151,11 +138,12 @@ func (e *Embedding) Forward(id int) (Vec, Backward) {
 }
 
 // AvgPool averages a non-empty list of equal-length vectors (the paper's
-// average pooling for schema encoding and ablations).
-func AvgPool(xs []Vec) (Vec, Backward) {
+// average pooling for schema encoding and ablations). The result is
+// carved from a (nil: the heap).
+func AvgPool(xs []Vec, a *Arena) (Vec, Backward) {
 	n := len(xs)
 	dim := len(xs[0])
-	y := zeros(dim)
+	y := a.Vec(dim)
 	for _, x := range xs {
 		addInto(y, x)
 	}

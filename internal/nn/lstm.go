@@ -75,23 +75,26 @@ func (l *LSTM) Hidden() int { return l.Cell.Hidden }
 // storage: callers read them, never write.
 //
 // The whole sequence's saved activations live in one slab and the
-// backward's scratch in another, so a pass costs a constant number of
-// allocations whatever the sequence length (pinned by
-// TestLSTMForwardBackwardAllocsLengthIndependent).
-func (l *LSTM) Forward(xs []Vec) (Vec, func(dh Vec) []Vec) {
+// backward's scratch in another, both carved from a (nil: the heap), so
+// a pass costs a constant number of allocations whatever the sequence
+// length (pinned by TestLSTMForwardBackwardAllocsLengthIndependent) and,
+// on a warm arena, no slab at all.
+func (l *LSTM) Forward(xs []Vec, a *Arena) (Vec, func(dh Vec) []Vec) {
 	c := l.Cell
-	H, in := c.Hidden, c.In
+	H, in, T := c.Hidden, c.In, len(xs)
 	xhLen := in + H
-	// Slab: the zero initial cell state, then per step
-	// [x,h_prev | i f g o | c | tanh c | h].
-	stride := xhLen + 7*H
-	slab := zeros(H + len(xs)*stride)
+	// Slab: the zero initial cell state; the steps' [x,h_prev], latest
+	// step first (the row order the dW kernel takes them in); then per
+	// step [i f g o | c | tanh c | h].
+	stride := 7 * H
+	xhs, steps := H, H+T*xhLen
+	slab := a.Vec(steps + T*stride)
 	gates := Linear{W: c.W, B: c.B}
 	hPrev, cPrev := slab[:H], slab[:H] // both zero; h_0 is only read
 	for t, x := range xs {
-		step := slab[H+t*stride:][:stride]
-		xh, g4 := step[:xhLen], step[xhLen:xhLen+4*H]
-		cNext, tanhC, h := step[xhLen+4*H:][:H], step[xhLen+5*H:][:H], step[xhLen+6*H:][:H]
+		xh := slab[xhs+(T-1-t)*xhLen:][:xhLen]
+		step := slab[steps+t*stride:][:stride]
+		g4, cNext, tanhC, h := step[:4*H], step[4*H:5*H], step[5*H:6*H], step[6*H:]
 		copy(xh, x)
 		copy(xh[in:], hPrev)
 		// Pre-activations for the four gates, order i, f, g, o. W and B
@@ -113,19 +116,21 @@ func (l *LSTM) Forward(xs []Vec) (Vec, func(dh Vec) []Vec) {
 		hPrev, cPrev = h, cNext
 	}
 	back := func(dh Vec) []Vec {
-		dxs := make([]Vec, len(xs))
-		// Slab: per step d[x,h_prev], then dPre and dc, reused by
-		// every step.
-		bslab := zeros(len(xs)*xhLen + 5*H)
-		dPre, dc := bslab[len(xs)*xhLen:][:4*H], bslab[len(xs)*xhLen+4*H:]
-		for t := len(xs) - 1; t >= 0; t-- {
-			step := slab[H+t*stride:][:stride]
-			xh, g4 := step[:xhLen], step[xhLen:xhLen+4*H]
-			tanhC := step[xhLen+5*H:][:H]
+		dxs := make([]Vec, T)
+		// Scratch: per step d[x,h_prev]; every step's dPre, gate row by
+		// gate row with the latest step first (the dW kernel's weights);
+		// this step's dPre; dc.
+		G := 4 * H
+		bslab := a.Vec(T*xhLen + G*T + G + H)
+		dPreT := bslab[T*xhLen:][:G*T]
+		dPre, dc := bslab[T*xhLen+G*T:][:G], bslab[T*xhLen+G*T+G:][:H]
+		for t := T - 1; t >= 0; t-- {
+			step := slab[steps+t*stride:][:stride]
+			g4, tanhC := step[:4*H], step[5*H:6*H]
 			gi, gf, gg, go_ := g4[:H], g4[H:2*H], g4[2*H:3*H], g4[3*H:4*H]
 			cPrev := slab[:H]
 			if t > 0 {
-				cPrev = slab[H+(t-1)*stride+xhLen+4*H:][:H]
+				cPrev = slab[steps+(t-1)*stride+4*H:][:H]
 			}
 			dhT := dh[:H]
 			for j := range gi {
@@ -141,26 +146,22 @@ func (l *LSTM) Forward(xs []Vec) (Vec, func(dh Vec) []Vec) {
 				dPre[3*H+j] = do * o * (1 - o)
 				dc[j] = dcj * f
 			}
-			// dW and d[x,h_prev] as two passes per gate row, each over
-			// slices of one known length: every element still receives
-			// its terms in row order, as the single loop did.
-			dxh := bslab[t*xhLen:][:xhLen]
+			col := T - 1 - t
 			for r, gr := range dPre {
-				if gr == 0 { //lint:allow floateq exact-zero sparsity fast path in backprop
-					continue
-				}
-				grow := c.W.GradRow(r)[:len(xh)]
-				for k, v := range xh {
-					grow[k] += gr * v
-				}
-				row := c.W.Row(r)[:len(dxh)]
-				for k, w := range row {
-					dxh[k] += gr * w
-				}
+				dPreT[r*T+col] = gr
 				c.B.Grad[r] += gr
 			}
+			// d[x,h_prev] = Wᵀ·dPre, each element's terms in gate-row
+			// order from +0.
+			dxh := bslab[t*xhLen:][:xhLen]
+			mulAddLanes(dxh, c.W.Val, dPre, G, xhLen)
 			dxs[t] = dxh[:in:in]
 			dh = dxh[in:]
+		}
+		// dW += dPreᵀ·[x,h_prev] over the steps: each element takes its
+		// terms latest step first onto the gradient it holds.
+		if T > 0 {
+			mulAddLanes(c.W.Grad, slab[xhs:steps], dPreT, T, xhLen)
 		}
 		return dxs
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // fused sequence code is held to, bit for bit.
 func refLSTMStep(c *LSTMCell, x, h, cPrev Vec) (hNext, cNext Vec, back func(dh, dc Vec) (dx, dhPrev, dcPrev Vec)) {
 	H := c.Hidden
-	xh := Concat(x, h)
+	xh := Concat(nil, x, h)
 	pre := zeros(4 * H)
 	gates := Linear{W: c.W, B: c.B}
 	gates.InferInto(pre, xh)
@@ -88,12 +89,22 @@ func refLSTMForward(c *LSTMCell, xs []Vec) (Vec, func(dh Vec) []Vec) {
 // TestLSTMFusedMatchesPerStepReference: the slab-backed sequence pass
 // must reproduce the per-step reference exactly — final hidden state,
 // per-step input gradients and both parameter gradients — for every
-// shape and length, including the empty sequence and an exactly-zero
-// upstream gradient (the sparsity fast path).
+// shape and length, including the empty sequence, an exactly-zero
+// upstream gradient (the rows the reference skips), [x,h] widths of
+// whole lane blocks (the W-D encoders' 16+16), a scalar tail, or both,
+// and tapes on the heap and on an arena.
 func TestLSTMFusedMatchesPerStepReference(t *testing.T) {
-	for trial := 0; trial < 80; trial++ {
+	shapes := [][2]int{{16, 16}, {4, 4}, {13, 3}}
+	for trial := 0; trial < 80+len(shapes); trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 		in, H := 1+rng.Intn(9), 1+rng.Intn(7)
+		if trial >= 80 {
+			in, H = shapes[trial-80][0], shapes[trial-80][1]
+		}
+		var a *Arena
+		if trial%2 == 1 {
+			a = NewArena()
+		}
 		l := NewLSTM("t.lstm", in, H, rng)
 		ref := l.Cell.ShareWeights()
 		xs := randMat(rng, rng.Intn(8), in)
@@ -103,7 +114,7 @@ func TestLSTMFusedMatchesPerStepReference(t *testing.T) {
 		}
 
 		wantH, wantBack := refLSTMForward(ref, xs)
-		gotH, gotBack := l.Forward(xs)
+		gotH, gotBack := l.Forward(xs, a)
 		assertBitEqual(t, "LSTM.Forward h", wantH, gotH)
 		// Twice: a second backward accumulates onto the first.
 		for pass := 0; pass < 2; pass++ {
@@ -120,6 +131,59 @@ func TestLSTMFusedMatchesPerStepReference(t *testing.T) {
 	}
 }
 
+// TestMulAddLanesParity: both lane kernels, and mulAddLanes with its
+// scalar columns past the last whole block, build every element's chain
+// as the scalar loop does, zeros' signs included, onto y's own starting
+// values — the LSTM backward's two products at the W-D shapes, and
+// widths that are a tail alone or blocks and a tail.
+func TestMulAddLanesParity(t *testing.T) {
+	kernels := []struct {
+		name string
+		fn   func(y, x, w Vec, cols, ld, lanes int)
+	}{{"accLanes", accLanes}, {"accLanesGo", accLanesGo}}
+	for i, shape := range [][3]int{{1, 64, 32}, {64, 5, 32}, {64, 1, 8}, {3, 7, 13}, {2, 3, 5}, {5, 9, 24}} {
+		rows, cols, ld := shape[0], shape[1], shape[2]
+		rng := rand.New(rand.NewSource(int64(7500 + i)))
+		fill := func(n int) Vec {
+			v := randVec(rng, n)
+			for k := range v {
+				if rng.Intn(5) == 0 {
+					v[k] = specialValue(rng)
+				}
+			}
+			return v
+		}
+		y0, x, w := fill(rows*ld), fill(cols*ld), fill(rows*cols)
+		want := append(Vec(nil), y0...)
+		for r := 0; r < rows; r++ {
+			for j := 0; j < ld; j++ {
+				for c := 0; c < cols; c++ {
+					want[r*ld+j] += w[r*cols+c] * x[c*ld+j]
+				}
+			}
+		}
+		got := append(Vec(nil), y0...)
+		mulAddLanes(got, x, w, cols, ld)
+		assertSameBits(t, fmt.Sprintf("mulAddLanes %v", shape), want, got)
+		n8 := ld &^ (laneWidth - 1)
+		for _, k := range kernels {
+			got := append(Vec(nil), y0...)
+			k.fn(got, x, w, cols, ld, n8)
+			for r := 0; r < rows; r++ {
+				for j := 0; j < ld; j++ {
+					e, want := r*ld+j, want[r*ld+j]
+					if j >= n8 {
+						want = y0[e] // past the blocks: untouched
+					}
+					if math.Float64bits(got[e]) != math.Float64bits(want) {
+						t.Fatalf("%s %v: y[%d,%d] = %v, want %v", k.name, shape, r, j, got[e], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLSTMForwardBackwardAllocsLengthIndependent pins what the slabs
 // buy: one forward plus one backward costs the same few allocations for
 // a 1-step and a 64-step sequence, so a per-timestep tape cannot come
@@ -132,7 +196,7 @@ func TestLSTMForwardBackwardAllocsLengthIndependent(t *testing.T) {
 	for _, steps := range []int{1, 8, 64} {
 		xs := randMat(rng, steps, 16)
 		got := testing.AllocsPerRun(20, func() {
-			_, back := l.Forward(xs)
+			_, back := l.Forward(xs, nil)
 			back(dh)
 		})
 		if steps == 1 {

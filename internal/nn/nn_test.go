@@ -104,18 +104,18 @@ func TestEmbeddingGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := NewEmbedding("emb", 5, 3, rng)
 	forward := func() float64 {
-		y1, _ := e.Forward(2)
-		y2, _ := e.Forward(2) // repeated lookup accumulates
-		y3, _ := e.Forward(4)
+		y1, _ := e.Forward(2, nil)
+		y2, _ := e.Forward(2, nil) // repeated lookup accumulates
+		y3, _ := e.Forward(4, nil)
 		l1, _ := sumLoss(y1)
 		l2, _ := sumLoss(y2)
 		l3, _ := sumLoss(y3)
 		return l1 + l2 + l3
 	}
 	ZeroGrads(e.Params())
-	y1, b1 := e.Forward(2)
-	y2, b2 := e.Forward(2)
-	y3, b3 := e.Forward(4)
+	y1, b1 := e.Forward(2, nil)
+	y2, b2 := e.Forward(2, nil)
+	y3, b3 := e.Forward(4, nil)
 	_, d1 := sumLoss(y1)
 	_, d2 := sumLoss(y2)
 	_, d3 := sumLoss(y3)
@@ -128,9 +128,9 @@ func TestEmbeddingGradients(t *testing.T) {
 func TestEmbeddingClampsUnknownIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := NewEmbedding("emb", 4, 2, rng)
-	y1, _ := e.Forward(-7)
-	y2, _ := e.Forward(99)
-	y0, _ := e.Forward(0)
+	y1, _ := e.Forward(-7, nil)
+	y2, _ := e.Forward(99, nil)
+	y0, _ := e.Forward(0, nil)
 	for i := range y0 {
 		if y1[i] != y0[i] || y2[i] != y0[i] {
 			t.Fatal("out-of-range ids should clamp to row 0")
@@ -143,12 +143,12 @@ func TestLSTMGradients(t *testing.T) {
 	l := NewLSTM("lstm", 3, 4, rng)
 	xs := []Vec{{0.1, -0.5, 0.3}, {0.7, 0.2, -0.8}, {-0.3, 0.9, 0.4}}
 	forward := func() float64 {
-		h, _ := l.Forward(xs)
+		h, _ := l.Forward(xs, nil)
 		loss, _ := sumLoss(h)
 		return loss
 	}
 	ZeroGrads(l.Params())
-	h, back := l.Forward(xs)
+	h, back := l.Forward(xs, nil)
 	_, dh := sumLoss(h)
 	dxs := back(dh)
 	checkParamGrads(t, l.Params(), forward, 1e-5)
@@ -171,7 +171,7 @@ func TestLSTMGradients(t *testing.T) {
 func TestLSTMEmptySequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := NewLSTM("lstm", 2, 3, rng)
-	h, back := l.Forward(nil)
+	h, back := l.Forward(nil, nil)
 	for _, v := range h {
 		if v != 0 {
 			t.Fatal("empty sequence should encode to zeros")
@@ -187,7 +187,7 @@ func TestConvBlockGradients(t *testing.T) {
 	b := NewConvBlock("conv", rng)
 	m := []Vec{{0.2, -0.4}, {0.9, 0.1}, {-0.6, 0.5}, {0.3, 0.8}}
 	forward := func() float64 {
-		y, _ := b.Forward(m)
+		y, _ := b.Forward(m, nil)
 		var loss float64
 		for t := range y {
 			l, _ := sumLoss(y[t])
@@ -196,7 +196,7 @@ func TestConvBlockGradients(t *testing.T) {
 		return loss
 	}
 	ZeroGrads(b.Params())
-	y, back := b.Forward(m)
+	y, back := b.Forward(m, nil)
 	dy := make([]Vec, len(y))
 	for ti := range y {
 		_, g := sumLoss(y[ti])
@@ -246,7 +246,7 @@ func TestMLPGradientsAndShape(t *testing.T) {
 
 func TestAvgPoolGradients(t *testing.T) {
 	xs := []Vec{{1, 2}, {3, 4}, {5, 12}}
-	y, back := AvgPool(xs)
+	y, back := AvgPool(xs, nil)
 	if y[0] != 3 || y[1] != 6 {
 		t.Fatalf("AvgPool = %v", y)
 	}
@@ -258,7 +258,7 @@ func TestAvgPoolGradients(t *testing.T) {
 
 func TestAvgPoolColsGradients(t *testing.T) {
 	m := []Vec{{2, 4}, {6, 8}}
-	y, back := AvgPoolCols(m)
+	y, back := AvgPoolCols(m, nil)
 	if y[0] != 4 || y[1] != 6 {
 		t.Fatalf("AvgPoolCols = %v", y)
 	}
@@ -329,7 +329,7 @@ func TestLinearTrainsToTarget(t *testing.T) {
 }
 
 func TestConcatSplit(t *testing.T) {
-	c := Concat(Vec{1, 2}, Vec{3}, Vec{4, 5, 6})
+	c := Concat(nil, Vec{1, 2}, Vec{3}, Vec{4, 5, 6})
 	if len(c) != 6 || c[2] != 3 || c[5] != 6 {
 		t.Fatalf("Concat = %v", c)
 	}
@@ -447,7 +447,7 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, back := l.Forward(xs)
+		_, back := l.Forward(xs, nil)
 		back(dh)
 	}
 }

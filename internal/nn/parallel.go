@@ -68,3 +68,52 @@ func ParallelForWorker(n, workers int, fn func(w, i int)) {
 	}
 	wg.Wait()
 }
+
+// ParallelForStriped runs work(w, i) for every i in [0, n) on worker
+// w = i mod Workers(n, workers), each worker's items in ascending order,
+// so which worker runs an item — and so what the item leaves in that
+// worker's state — is fixed by the index alone. When fold is not nil,
+// fold(w, i) then runs strictly in index order, after work(w, i) and
+// before worker w's next work: the ordered reduction of per-worker
+// results that Trainer's fold performs, for items bound to their
+// workers. One worker runs everything inline.
+func ParallelForStriped(n, workers int, work, fold func(w, i int)) {
+	if n <= 0 {
+		return
+	}
+	workers = Workers(n, workers)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			work(0, i)
+			if fold != nil {
+				fold(0, i)
+			}
+		}
+		return
+	}
+	// One token walks the workers in index order: worker w holds it
+	// (turn[w] is full) while item i ≡ w (mod workers) is the next to
+	// fold.
+	turn := make([]chan struct{}, workers)
+	for w := range turn {
+		turn[w] = make(chan struct{}, 1)
+	}
+	turn[0] <- struct{}{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				work(w, i)
+				if fold == nil {
+					continue
+				}
+				<-turn[w]
+				fold(w, i)
+				turn[(w+1)%workers] <- struct{}{}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

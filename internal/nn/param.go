@@ -114,6 +114,31 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
+// AddGrads adds each parameter's gradient in src onto the matching one
+// in dst (aligned index for index, as a replica's are with the canonical
+// parameters), one add per element: the fold of a gradient computed into
+// a zeroed replica.
+func AddGrads(dst, src []*Param) {
+	for i, p := range dst {
+		addInto(p.Grad, src[i].Grad)
+	}
+}
+
+// ZeroGradRows clears the gradient rows rows names.
+func (p *Param) ZeroGradRows(rows []int) {
+	for _, r := range rows {
+		clear(p.GradRow(r))
+	}
+}
+
+// AddGradRows is AddGrads for one parameter's rows: src's gradient rows
+// rows names added onto dst's, one add per element.
+func AddGradRows(dst, src *Param, rows []int) {
+	for _, r := range rows {
+		addInto(dst.GradRow(r), src.GradRow(r))
+	}
+}
+
 // Backward is the gradient closure returned by Forward passes: it takes
 // dL/dy and returns dL/dx while accumulating parameter gradients.
 type Backward func(dy Vec) Vec
@@ -142,13 +167,13 @@ func addInto(dst, src Vec) {
 	}
 }
 
-// Concat joins vectors.
-func Concat(vs ...Vec) Vec {
+// Concat joins vectors into one carved from a (nil: the heap).
+func Concat(a *Arena, vs ...Vec) Vec {
 	n := 0
 	for _, v := range vs {
 		n += len(v)
 	}
-	out := make(Vec, 0, n)
+	out := a.Vec(n)[:0]
 	for _, v := range vs {
 		out = append(out, v...)
 	}

@@ -79,16 +79,16 @@ func TestPersistRoundTripStructuredLayers(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		xs := []Vec{{rng.Float64(), rng.Float64(), rng.Float64()}}
-		h1, _ := l1.Forward(xs)
-		h2, _ := l2.Forward(xs)
+		h1, _ := l1.Forward(xs, nil)
+		h2, _ := l2.Forward(xs, nil)
 		for j := range h1 {
 			if h1[j] != h2[j] {
 				t.Fatalf("input %d: LSTM outputs differ at %d", i, j)
 			}
 		}
 		m := randMat(rng, 3, 2)
-		y1, _ := c1.Forward(m)
-		y2, _ := c2.Forward(m)
+		y1, _ := c1.Forward(m, nil)
+		y2, _ := c2.Forward(m, nil)
 		for ti := range y1 {
 			for d := range y1[ti] {
 				if y1[ti][d] != y2[ti][d] {

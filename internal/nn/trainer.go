@@ -45,10 +45,6 @@ type BindFunc func() (replica []*Param, run SampleFunc)
 //
 // Parallelism 1 therefore reproduces the multi-worker result exactly and
 // runs inline without spawning goroutines.
-//
-// A gradient computed in two stages uses two trainers over the same
-// worker replicas: Step for the first, then Accumulate of a trainer
-// that may cover only the parameters the second stage touches.
 type Trainer struct {
 	params   []*Param
 	replicas []trainReplica // one per worker
@@ -134,18 +130,6 @@ func (t *Trainer) Step(n int) float64 {
 	return total
 }
 
-// Accumulate is Step without the zeroing: it folds the gradients of n
-// more items, in index order, onto whatever the canonical gradients
-// already hold, and returns the summed values of their runs. It is the
-// second pass of a step whose gradient is computed in two stages — the
-// items need not be the batch's samples and the trainer may cover a
-// subset of the model's parameters — so it counts neither samples nor
-// steps and records no trainer span.
-func (t *Trainer) Accumulate(n int) float64 {
-	t.timing = false
-	return t.fold(n)
-}
-
 // fold runs items 0..n-1 on the replicas and adds their gradients to
 // the canonical ones strictly in index order.
 func (t *Trainer) fold(n int) float64 {
@@ -222,9 +206,7 @@ func (t *Trainer) finish(r, i int) {
 			break
 		}
 		rep := &t.replicas[*slot-1]
-		for pi, p := range t.params {
-			addInto(p.Grad, rep.params[pi].Grad)
-		}
+		AddGrads(t.params, rep.params)
 		t.total += rep.loss
 		t.free <- *slot - 1
 		*slot = 0

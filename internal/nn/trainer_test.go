@@ -295,80 +295,3 @@ func TestGradViewSharesWeights(t *testing.T) {
 		t.Error("view should preserve metadata")
 	}
 }
-
-// TestTrainerAccumulateFoldsOntoStep: a second trainer over a subset of
-// the parameters, sharing the first one's replicas, adds its items'
-// gradients in index order onto what Step left — bit-identical to the
-// serial fold at every Parallelism — leaves the parameters outside its
-// subset alone, and counts no samples.
-func TestTrainerAccumulateFoldsOntoStep(t *testing.T) {
-	const n = 11
-	grads := func(parallelism int) (all []float64, loss float64) {
-		f := newTrainerFixture(13)
-		params := f.mlp.Params()
-		run := func(rep *MLP, scale float64) SampleFunc {
-			return func(i int) float64 {
-				y, back := rep.Forward(f.samples[i])
-				d := y[0] - f.targets[i]
-				back(Vec{scale * d})
-				return d * d
-			}
-		}
-		var reps []*MLP
-		step := NewTrainer(params, parallelism, func() ([]*Param, SampleFunc) {
-			rep := f.mlp.ShareWeights()
-			reps = append(reps, rep)
-			return rep.Params(), run(rep, 2)
-		})
-		first := f.mlp.Layers[0].Params()
-		acc := NewTrainer(first, parallelism, func() ([]*Param, SampleFunc) {
-			rep := reps[0]
-			reps = reps[1:]
-			return rep.Layers[0].Params(), run(rep, -0.5)
-		})
-		before := obsTrainSamples.Value()
-		loss = step.Step(n)
-		loss += acc.Accumulate(n - 3)
-		if got := obsTrainSamples.Value() - before; got != n {
-			t.Errorf("P=%d: nn.train.samples moved by %d, want %d (Accumulate must not count)", parallelism, got, n)
-		}
-		for _, p := range params {
-			all = append(all, p.Grad...)
-		}
-		return all, loss
-	}
-
-	// Serial reference: each item's gradient from a zeroed buffer, added
-	// in index order; the second pass onto the first layer only.
-	f := newTrainerFixture(13)
-	params := f.mlp.Params()
-	rep := f.mlp.ShareWeights()
-	ZeroGrads(params)
-	var wantLoss float64
-	pass := func(items int, scale float64, fold int) {
-		for i := 0; i < items; i++ {
-			ZeroGrads(rep.Params())
-			y, back := rep.Forward(f.samples[i])
-			d := y[0] - f.targets[i]
-			back(Vec{scale * d})
-			wantLoss += d * d
-			for pi, p := range params[:fold] {
-				addInto(p.Grad, rep.Params()[pi].Grad)
-			}
-		}
-	}
-	pass(n, 2, len(params))
-	pass(n-3, -0.5, len(f.mlp.Layers[0].Params()))
-	var want []float64
-	for _, p := range params {
-		want = append(want, p.Grad...)
-	}
-
-	for _, p := range []int{1, 2, 8} {
-		got, loss := grads(p)
-		if loss != wantLoss {
-			t.Errorf("P=%d: loss %.17g, serial %.17g", p, loss, wantLoss)
-		}
-		assertBitEqual(t, "Step+Accumulate gradients", want, got)
-	}
-}

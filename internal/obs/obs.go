@@ -61,6 +61,10 @@ type Registry struct {
 	ctrs   map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
+
+	// collect, when set, refreshes metrics whose source lives outside
+	// the registry (the runtime's, for Default) before a snapshot.
+	collect func()
 }
 
 // NewRegistry returns an empty, disabled registry.
@@ -154,6 +158,9 @@ func (r *Registry) Reset() {
 // Snapshot returns a deterministic (name-sorted) copy of every registered
 // metric's current value.
 func (r *Registry) Snapshot() Snapshot {
+	if r.collect != nil {
+		r.collect()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var s Snapshot

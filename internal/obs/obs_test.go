@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -358,3 +359,44 @@ func TestNilHandleIsSafe(t *testing.T) {
 		t.Errorf("nil shutdown: %v", err)
 	}
 }
+
+// TestRuntimeMetricsReadAtSnapshot: the runtime/metrics bridge fills its
+// counters and gauges when the Default registry is snapshotted, and
+// they track the runtime: a forced GC moves the cycle count, and an
+// allocation the allocated bytes.
+func TestRuntimeMetricsReadAtSnapshot(t *testing.T) {
+	value := func(s Snapshot, name string) float64 {
+		for _, c := range s.Counters {
+			if c.Name == name {
+				return float64(c.Value)
+			}
+		}
+		for _, g := range s.Gauges {
+			if g.Name == name {
+				return g.Value
+			}
+		}
+		t.Fatalf("%s is not in the Default snapshot", name)
+		return 0
+	}
+	before := Default.Snapshot()
+	sink = make([]byte, 1<<20)
+	runtime.GC()
+	after := Default.Snapshot()
+	if d := value(after, "runtime.gc.cycles") - value(before, "runtime.gc.cycles"); d < 1 {
+		t.Errorf("runtime.gc.cycles moved by %v across a forced GC", d)
+	}
+	if d := value(after, "runtime.heap.alloc.bytes") - value(before, "runtime.heap.alloc.bytes"); d < 1<<20 {
+		t.Errorf("runtime.heap.alloc.bytes moved by %v across a 1 MiB allocation", d)
+	}
+	for _, name := range []string{"runtime.heap.live.bytes", "runtime.goroutines"} {
+		if v := value(after, name); v <= 0 {
+			t.Errorf("%s = %v", name, v)
+		}
+	}
+	if v := value(after, "runtime.gc.cpu.seconds"); v < 0 {
+		t.Errorf("runtime.gc.cpu.seconds = %v", v)
+	}
+}
+
+var sink []byte

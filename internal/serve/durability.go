@@ -81,16 +81,18 @@ func (s *Server) loadCheckpoint(path string) (*widedeep.Model, float64, error) {
 // logs next as one WAL record, under the durMu hold that stores next: a
 // snapshot sees the record and the state together or neither. A failed
 // checkpoint leaves the weights in memory only: serving continues on
-// them, next keeps pointing at the previous durable checkpoint (which
-// recovery falls back to), and the failure is loud in the event log.
+// them, but next is not logged, so the WAL's last generation — and the
+// snapshot's — stays the last pair of weights and view set that was
+// saved whole; next keeps pointing at the previous checkpoint, so the
+// next publish retries the save. The failure is loud in the event log.
 func (s *Server) persist(next *generation) {
 	if next.m != nil && next.ckpt.Version != next.version {
 		name := durable.ModelCheckpointName(next.version)
 		if err := s.saveCheckpoint(name, next); err != nil {
 			obs.Error("serve.durable", "event", "checkpoint_save_failed", "version", next.version, "err", err)
-		} else {
-			next.ckpt = durable.ModelRecord{Path: name, Scale: next.scale, Version: next.version}
+			return
 		}
+		next.ckpt = durable.ModelRecord{Path: name, Scale: next.scale, Version: next.version}
 	}
 	rec := durable.GenerationRecord{Model: next.ckpt}
 	var err error
@@ -102,7 +104,9 @@ func (s *Server) persist(next *generation) {
 	}
 	if err != nil {
 		obs.Error("serve.durable", "event", "generation_record_failed", "model_version", next.version, "err", err)
+		return
 	}
+	s.logged = next
 }
 
 // restore rebuilds the serving state a recovered durable.Snapshot describes:
@@ -147,19 +151,21 @@ func (s *Server) restore(st *durable.Snapshot) error {
 		s.refreshViewPlans(g.views)
 	}
 	s.gen.Store(g)
+	s.logged = g
 	setGauges(g)
 	obs.Info("serve.restore", "window", s.window.Len(), "window_total", s.window.Total(),
 		"view_version", viewVersion, "model_version", g.version, "lsn", st.LSN)
 	return nil
 }
 
-// writeSnapshot captures the serving state atomically against concurrent
+// writeSnapshot captures the durable state — the window and the last
+// generation the WAL holds — atomically against concurrent
 // mutation+append pairs (durMu) and hands it to the durable store.
 func (s *Server) writeSnapshot() error {
 	s.durMu.Lock()
 	_, sqls := s.window.SnapshotTagged()
 	total := s.window.Total()
-	g := s.gen.Load()
+	g := s.logged
 	lsn := s.dur.LastLSN()
 	s.durMu.Unlock()
 

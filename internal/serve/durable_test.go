@@ -399,62 +399,78 @@ func TestServeDurableRestartRoundTrip(t *testing.T) {
 
 // TestServeCheckpointSaveFailure: a forced advise whose checkpoint
 // cannot be saved (a directory sits at model-v2.ckpt, so the rename
-// fails) still serves its new weights as model version 2, and a restart
-// from the WAL recovers without error on the checkpoint the generation
-// record names: model version 1, with v1's estimate bytes and the window
-// intact.
+// fails) still serves its new weights as model version 2, but the WAL
+// gets no generation record for it: a restart — from the log alone, or
+// from the snapshot a drain writes — recovers without error the last
+// pair that was saved whole: model version 1, with v1's estimate bytes
+// and v1's view set, and the window intact. (When the failed publish
+// still logged its record, the restart paired v1's weights with v2's
+// view set, which no publish ever served.)
 func TestServeCheckpointSaveFailure(t *testing.T) {
-	dir := t.TempDir()
-	w := serveWK()
-	s1, st1 := startDurable(t, dir)
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
-	pairs := []estimatePair{
-		{Query: w.Queries[3].SQL, View: s1.gen.Load().views.Views[0].SQL},
-		{Query: w.Queries[4].SQL, View: s1.gen.Load().views.Views[0].SQL},
-	}
-	wantEst := estimateBytes(t, ts1.URL, pairs)
+	for _, drain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("drain=%v", drain), func(t *testing.T) {
+			dir := t.TempDir()
+			w := serveWK()
+			s1, st1 := startDurable(t, dir)
+			ts1 := httptest.NewServer(s1.Handler())
+			defer ts1.Close()
+			pairs := []estimatePair{
+				{Query: w.Queries[3].SQL, View: s1.gen.Load().views.Views[0].SQL},
+				{Query: w.Queries[4].SQL, View: s1.gen.Load().views.Views[0].SQL},
+			}
+			wantEst := estimateBytes(t, ts1.URL, pairs)
+			wantViews := viewsBytes(t, ts1.URL)
 
-	if err := os.Mkdir(filepath.Join(dir, durable.ModelCheckpointName(2)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if resp, body := postJSON(t, ts1.URL+"/v1/queries", ingestRequest{Queries: serveCrashIngestA()}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
-	}
-	if resp, body := postJSON(t, ts1.URL+"/v1/advise", adviseRequest{Force: true}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("advise status %d: %s", resp.StatusCode, body)
-	}
-	var health healthResponse
-	if getJSON(t, ts1.URL+"/v1/healthz", &health); health.ModelVersion != 2 {
-		t.Fatalf("live model version = %d after the failed save, want 2", health.ModelVersion)
-	}
-	var est estimateResponse
-	if err := json.Unmarshal(estimateBytes(t, ts1.URL, pairs), &est); err != nil || est.ModelVersion != 2 {
-		t.Fatalf("live estimate = %+v (err %v), want model_version 2", est, err)
-	}
-	_, wantSQLs := s1.window.SnapshotTagged()
-	wantTotal := s1.window.Total()
+			if err := os.Mkdir(filepath.Join(dir, durable.ModelCheckpointName(2)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if resp, body := postJSON(t, ts1.URL+"/v1/queries", ingestRequest{Queries: serveCrashIngestA()}); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
+			}
+			if resp, body := postJSON(t, ts1.URL+"/v1/advise", adviseRequest{Force: true}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("advise status %d: %s", resp.StatusCode, body)
+			}
+			var health healthResponse
+			if getJSON(t, ts1.URL+"/v1/healthz", &health); health.ModelVersion != 2 {
+				t.Fatalf("live model version = %d after the failed save, want 2", health.ModelVersion)
+			}
+			var est estimateResponse
+			if err := json.Unmarshal(estimateBytes(t, ts1.URL, pairs), &est); err != nil || est.ModelVersion != 2 {
+				t.Fatalf("live estimate = %+v (err %v), want model_version 2", est, err)
+			}
+			if bytes.Equal(viewsBytes(t, ts1.URL), wantViews) {
+				t.Fatal("the forced advise kept v1's view set: the test cannot tell the pairs apart")
+			}
+			_, wantSQLs := s1.window.SnapshotTagged()
+			wantTotal := s1.window.Total()
 
-	// Stop the log without the drain's snapshot, so the restart replays
-	// the generation record the failed publish wrote.
-	if err := st1.Close(); err != nil {
-		t.Fatalf("store close: %v", err)
-	}
-	s2, st2 := startDurable(t, dir)
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	defer closeDurable(t, s2, st2)
-	if got := s2.gen.Load().version; got != 1 {
-		t.Fatalf("recovered model version = %d, want 1 (the last saved checkpoint)", got)
-	}
-	if got := estimateBytes(t, ts2.URL, pairs); !bytes.Equal(got, wantEst) {
-		t.Fatalf("recovered estimates differ from v1's:\n got: %s\nwant: %s", got, wantEst)
-	}
-	if _, gotSQLs := s2.window.SnapshotTagged(); !reflect.DeepEqual(gotSQLs, wantSQLs) {
-		t.Fatalf("recovered window diverged: %d vs %d entries", len(gotSQLs), len(wantSQLs))
-	}
-	if got := s2.window.Total(); got != wantTotal {
-		t.Fatalf("recovered window total = %d, want %d", got, wantTotal)
+			if drain {
+				closeDurable(t, s1, st1)
+			} else if err := st1.Close(); err != nil {
+				// Stop the log without the drain's snapshot, so the
+				// restart replays the WAL.
+				t.Fatalf("store close: %v", err)
+			}
+			s2, st2 := startDurable(t, dir)
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			defer closeDurable(t, s2, st2)
+			if got := s2.gen.Load().version; got != 1 {
+				t.Fatalf("recovered model version = %d, want 1 (the last saved checkpoint)", got)
+			}
+			if got := estimateBytes(t, ts2.URL, pairs); !bytes.Equal(got, wantEst) {
+				t.Fatalf("recovered estimates differ from v1's:\n got: %s\nwant: %s", got, wantEst)
+			}
+			if got := viewsBytes(t, ts2.URL); !bytes.Equal(got, wantViews) {
+				t.Fatalf("recovered view set is not v1's:\n got: %s\nwant: %s", got, wantViews)
+			}
+			if _, gotSQLs := s2.window.SnapshotTagged(); !reflect.DeepEqual(gotSQLs, wantSQLs) {
+				t.Fatalf("recovered window diverged: %d vs %d entries", len(gotSQLs), len(wantSQLs))
+			}
+			if got := s2.window.Total(); got != wantTotal {
+				t.Fatalf("recovered window total = %d, want %d", got, wantTotal)
+			}
+		})
 	}
 }
 

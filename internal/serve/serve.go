@@ -176,6 +176,11 @@ type Server struct {
 	// it (or vice versa). The estimate path never touches either.
 	dur   store
 	durMu sync.Mutex
+	// logged is the last generation the WAL holds whole — its
+	// checkpoint saved and its record appended — or the recovered one
+	// (at first the empty one): what a snapshot records. Guarded by
+	// durMu.
+	logged *generation
 
 	// ready flips once Start has recovered (or bootstrapped) the serving
 	// state; until then every endpoint but /v1/healthz answers 503.
@@ -239,6 +244,7 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 		started: time.Now(),
 	}
 	s.gen.Store(new(generation))
+	s.logged = s.gen.Load()
 	s.planCache = newCache[*planEntry](cfg.CacheSize, planCacheMetrics)
 	s.infer = make(chan struct{}, 1)
 	s.mux = s.routes()

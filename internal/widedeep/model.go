@@ -159,11 +159,11 @@ func (m *Model) shareWeights() *Model {
 // taking dL/dŷ. It is the bit-exact f64 reference the f32 serving mirror
 // (kernels32.inferForward) is held to, and the composition training
 // runs in pieces (train.go): EncodeOps on both plans, forwardOps above
-// the operator vectors.
+// the operator vectors. Its tapes live on the heap.
 func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
-	qOps, bQ := m.Enc.EncodeOps(f.QueryPlan)
-	vOps, bV := m.Enc.EncodeOps(f.ViewPlan)
-	y, back := m.forwardOps(f, qOps, vOps)
+	qOps, bQ := m.Enc.EncodeOps(f.QueryPlan, nil)
+	vOps, bV := m.Enc.EncodeOps(f.ViewPlan, nil)
+	y, back := m.forwardOps(f, qOps, vOps, nil)
 	return y, func(dy float64) {
 		dQ, dV := back(dy)
 		bQ(dQ)
@@ -176,30 +176,31 @@ func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
 // f.ViewPlan), schema encoding, wide part, ResNet blocks and regressor.
 // Its backward closure accumulates the gradients of those layers and
 // returns dL/d(operator vector) for every operator use of the query
-// and the view plan, read-only.
-func (m *Model) forwardOps(f featenc.Features, qOps, vOps []nn.Vec) (float64, func(dy float64) (dQ, dV []nn.Vec)) {
+// and the view plan, read-only. The schema and plan encoders' tapes,
+// and so those gradients, are carved from a (nil: the heap).
+func (m *Model) forwardOps(f featenc.Features, qOps, vOps []nn.Vec, a *nn.Arena) (float64, func(dy float64) (dQ, dV []nn.Vec)) {
 	dc := m.Norm.Apply(f.Numeric)
 
 	dw, bWide := m.Wide.Forward(dc)
-	dm, bSchema := m.Enc.EncodeSchema(f.Schema)
-	deQ, bQ := m.Enc.EncodeOpVecs(qOps)
-	deV, bV := m.Enc.EncodeOpVecs(vOps)
+	dm, bSchema := m.Enc.EncodeSchema(f.Schema, a)
+	deQ, bQ := m.Enc.EncodeOpVecs(qOps, a)
+	deV, bV := m.Enc.EncodeOpVecs(vOps, a)
 
-	dr := nn.Concat(dc, dm, deQ, deV)
+	dr := nn.Concat(a, dc, dm, deQ, deV)
 
 	// ResNet block 1.
 	h1, b1 := m.FC1.Forward(dr)
 	a1, ab1 := nn.ReLU(h1)
 	h2, b2 := m.FC2.Forward(a1)
 	a2, ab2 := nn.ReLU(h2)
-	z1, _ := nn.Add(dr, a2)
+	z1 := addVecs(dr, a2, a)
 
 	// ResNet block 2.
 	h3, b3 := m.FC3.Forward(z1)
 	a3, ab3 := nn.ReLU(h3)
 	h4, b4 := m.FC4.Forward(a3)
 	a4, ab4 := nn.ReLU(h4)
-	z2, _ := nn.Add(z1, a4)
+	z2 := addVecs(z1, a4, a)
 
 	// Regressor. Ablations drop one branch entirely.
 	var reg nn.Vec
@@ -209,7 +210,7 @@ func (m *Model) forwardOps(f featenc.Features, qOps, vOps []nn.Vec) (float64, fu
 	case m.cfg.DeepOnly:
 		reg = z2
 	default:
-		reg = nn.Concat(dw, z2)
+		reg = nn.Concat(a, dw, z2)
 	}
 	h5, b5 := m.FC5.Forward(reg)
 	a5, ab5 := nn.ReLU(h5)
@@ -223,13 +224,12 @@ func (m *Model) forwardOps(f featenc.Features, qOps, vOps []nn.Vec) (float64, fu
 		switch {
 		case m.cfg.WideOnly:
 			dDw = dReg
-			dZ2 = make(nn.Vec, len(z2))
+			dZ2 = a.Vec(len(z2))
 		case m.cfg.DeepOnly:
-			dDw = make(nn.Vec, len(dw))
+			dDw = a.Vec(len(dw))
 			dZ2 = dReg
 		default:
-			parts := nn.SplitBackward(dReg, len(dw), len(z2))
-			dDw, dZ2 = parts[0], parts[1]
+			dDw, dZ2 = dReg[:len(dw)], dReg[len(dw):]
 		}
 
 		// Block 2 backward: z2 = z1 + a4.
@@ -237,29 +237,32 @@ func (m *Model) forwardOps(f featenc.Features, qOps, vOps []nn.Vec) (float64, fu
 		dH4 := b4(dA4)
 		dA3 := ab3(dH4)
 		dZ1fromBlock := b3(dA3)
-		dZ1 := addVecs(dZ2, dZ1fromBlock)
+		dZ1 := addVecs(dZ2, dZ1fromBlock, a)
 
 		// Block 1 backward: z1 = dr + a2.
 		dA2 := ab2(dZ1)
 		dH2 := b2(dA2)
 		dA1 := ab1(dH2)
 		dDrFromBlock := b1(dA1)
-		dDr := addVecs(dZ1, dDrFromBlock)
+		dDr := addVecs(dZ1, dDrFromBlock, a)
 
-		dparts := nn.SplitBackward(dDr, len(dc), len(dm), len(deQ), len(deV))
 		// dc has no learnable upstream (normalized statistics), skip.
-		bSchema(dparts[1])
-		dQ, dV = bQ(dparts[2]), bV(dparts[3])
+		dDm := dDr[len(dc):][:len(dm)]
+		dDeQ := dDr[len(dc)+len(dm):][:len(deQ)]
+		bSchema(dDm)
+		dQ, dV = bQ(dDeQ), bV(dDr[len(dc)+len(dm)+len(deQ):])
 		bWide(dDw)
 		return dQ, dV
 	}
 	return out[0], back
 }
 
-func addVecs(a, b nn.Vec) nn.Vec {
-	out := make(nn.Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
+// addVecs returns x ⊕ y carved from a (nil: the heap): a residual
+// connection forward, and the sum of its two gradients backward.
+func addVecs(x, y nn.Vec, a *nn.Arena) nn.Vec {
+	out := a.Vec(len(x))
+	for i := range x {
+		out[i] = x[i] + y[i]
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package widedeep
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,6 +191,53 @@ func TestFitParallelismDeterminism(t *testing.T) {
 				if m1.Predict(s.F) != mp.Predict(s.F) {
 					t.Fatalf("%s: predictions diverge between Parallelism 1 and %d", name, par)
 				}
+			}
+		}
+	}
+}
+
+// TestFitGoldenBits pins what TestFitParallelismDeterminism cannot: a
+// change that moved every weight the same way at every Parallelism
+// would pass that test. Each encoder variant is trained at that test's
+// configuration, and an FNV-64a hash of its loss trace and every fitted
+// weight (parameter names included) must equal the hash the three-pass
+// batch gradient produced when it still ran each operator's forward
+// twice, at Parallelism 1, 2 and 8.
+func TestFitGoldenBits(t *testing.T) {
+	golden := map[string]string{
+		"W-D":   "fb6b0dad5415d1e9",
+		"N-Kw":  "c49e1f1005504fbd",
+		"N-Str": "4dd42fd03458226e",
+		"N-Exp": "f20e86eb89c853f1",
+	}
+	cat := testCatalog(t)
+	vocab := featenc.NewVocab(cat, []string{"cnt"})
+	samples := syntheticSamples(t, cat, 21)
+	for name, enc := range Variants() {
+		enc.EmbedDim, enc.Hidden = 4, 4
+		for _, par := range []int{1, 2, 8} {
+			m := New(vocab, Config{Encoder: enc}, rand.New(rand.NewSource(31)))
+			losses, err := m.Fit(samples, TrainConfig{Epochs: 4, BatchSize: 8, Seed: 5, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			put := func(v float64) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			for _, l := range losses {
+				put(l)
+			}
+			for _, p := range m.Params() {
+				h.Write([]byte(p.Name))
+				for _, v := range p.Val {
+					put(v)
+				}
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != golden[name] {
+				t.Errorf("%s P=%d: fit hash %s, want %s", name, par, got, golden[name])
 			}
 		}
 	}

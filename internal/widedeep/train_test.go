@@ -3,6 +3,7 @@ package widedeep
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"autoview/internal/featenc"
@@ -165,6 +166,37 @@ func TestBatchGradCountsOperatorSharing(t *testing.T) {
 // three operators cost the same whether their plans hold 3 operators or
 // 24, and each further pair costs a fixed amount.
 func TestFitBatchAllocsIndependentOfOperatorUses(t *testing.T) {
+	g := operatorUseBatchGrad()
+	allocs := func(batch []int) float64 {
+		g.step(batch) // grow the batch buffers first
+		return testing.AllocsPerRun(10, func() { g.step(batch) })
+	}
+	short4 := allocs(short4Batch)
+	long4 := allocs(long4Batch)
+	short8 := allocs(short8Batch)
+	short12 := allocs(short12Batch)
+	if long4 != short4 {
+		t.Errorf("4 pairs, 3 distinct operators: %v allocations with 31 uses per pair, %v with 5", long4, short4)
+	}
+	if short8-short4 != short12-short8 {
+		t.Errorf("allocations not linear in pairs: 4 → %v, 8 → %v, 12 → %v", short4, short8, short12)
+	}
+}
+
+// The batches of the operator-use allocation tests: 4, 8 and 12 pairs
+// whose plans hold 3 and 2 operators, and 4 pairs over the same three
+// operators with plans of 24 and 7.
+var (
+	short4Batch  = []int{0, 1, 2, 3}
+	long4Batch   = []int{12, 13, 14, 15}
+	short8Batch  = []int{0, 1, 2, 3, 4, 5, 6, 7}
+	short12Batch = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+)
+
+// operatorUseBatchGrad builds the serial batch gradient those batches
+// index: 12 pairs whose plans use three operators once each, then 4
+// whose plans repeat them.
+func operatorUseBatchGrad() *batchGrad {
 	base := sharedOpSamples()
 	ops := base[0].F.QueryPlan[:3]
 	long := make([][]plan.Tok, 0, 24)
@@ -183,20 +215,35 @@ func TestFitBatchAllocsIndependentOfOperatorUses(t *testing.T) {
 		samples = append(samples, s)
 	}
 	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, samples)
-	g := m.newBatchGrad(samples, 1)
-	allocs := func(batch []int) float64 {
-		g.step(batch) // grow the batch buffers first
-		return testing.AllocsPerRun(10, func() { g.step(batch) })
-	}
-	short4 := allocs([]int{0, 1, 2, 3})
-	long4 := allocs([]int{12, 13, 14, 15})
-	short8 := allocs([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	short12 := allocs([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	if long4 != short4 {
-		t.Errorf("4 pairs, 3 distinct operators: %v allocations with 31 uses per pair, %v with 5", long4, short4)
-	}
-	if short8-short4 != short12-short8 {
-		t.Errorf("allocations not linear in pairs: 4 → %v, 8 → %v, 12 → %v", short4, short8, short12)
+	return m.newBatchGrad(samples, 1)
+}
+
+// TestFitBatchAllocBytesHalved gates the bytes one warm batch gradient
+// allocates, on the batches of TestFitBatchAllocsIndependentOfOperatorUses,
+// at half of what the batch gradient allocated when each operator's
+// forward ran twice and every tape lived on the heap. Those figures
+// (bytes per step, linux/amd64, go1.24) were 45,886 (4 short pairs),
+// 79,282 (4 long), 71,410 (8 short) and 96,947 (12 short); with the
+// tapes in the per-worker arenas they are 15,680, 18,447, 26,272 and
+// 36,866.
+func TestFitBatchAllocBytesHalved(t *testing.T) {
+	g := operatorUseBatchGrad()
+	for _, c := range []struct {
+		batch []int
+		heap  float64 // bytes per step with every tape on the heap
+	}{{short4Batch, 45886}, {long4Batch, 79282}, {short8Batch, 71410}, {short12Batch, 96947}} {
+		g.step(c.batch) // warm the arena and the batch buffers
+		var before, after runtime.MemStats
+		const runs = 20
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			g.step(c.batch)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if got > c.heap/2 {
+			t.Errorf("batch %v: %.0f bytes per step, want at most %.0f (half of %.0f)", c.batch, got, c.heap/2, c.heap)
+		}
 	}
 }
 
