@@ -23,7 +23,8 @@ examples-smoke:
 # could change an answer — the trainer's ordered fold, W-D's three-pass
 # batch gradient built on it and on the striped ordered fold (with its
 # fit hashes pinned), PredictBatch's three steps over the same
-# operator interner and its plan-code memo (filled concurrently), and
+# operator interner and its plan-code memo (filled concurrently), the
+# served estimates' hashes pinned to the scalar kernels', and
 # the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8. The
 # serve line does the same for the two guarantees scheduling decides:
 # every /v1/estimate reply is computed by the model its model_version
@@ -44,7 +45,7 @@ test-race:
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestPredictGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
@@ -144,18 +145,20 @@ vet:
 # (LINTING.md; the same lint.Load + RunAnalyzers path TestLintSelfClean
 # runs) + the bounds-check-elimination gate over the inference kernels;
 # fails listing any file gofmt -s would rewrite. The arm64 vet
-# cross-compiles the packages with an amd64-only assembly kernel, so a
-# GOARCH left without its portable fallback fails to type-check here;
+# cross-compiles the packages with an amd64-only assembly kernel, and
+# the serving forward's packages above them, so a GOARCH left without
+# its portable fallback fails to type-check here;
 # vet's asmdecl checks the assembly's frame on amd64.
 lint: check-bce
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/rl
+	GOARCH=arm64 $(GO) vet ./internal/nn ./internal/rl ./internal/featenc ./internal/widedeep
 	$(GO) run ./cmd/autoviewlint ./...
 
 # Bounds-check-elimination regression gate: internal/nn's float32
-# kernels and the batched f64 forward's portable kernel (lanes64.go)
+# kernels, the portable twins of its packed ones (lanes32.go) and the
+# batched f64 forward's portable kernel (lanes64.go)
 # must keep the per-function counts pinned in
 # internal/nn/bce_allowlist.txt (PERFORMANCE.md "BCE gate"). Refresh a
 # deliberate change with: go run ./cmd/bcecheck -update

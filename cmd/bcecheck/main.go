@@ -3,9 +3,9 @@
 // internal/nn with the compiler's -d=ssa/check_bce diagnostic, which
 // prints one line per bounds check the SSA backend could NOT eliminate,
 // and compares the per-function counts in the gated files
-// (kernels32.go, infer32.go, and lanes64.go, the batched f64 forward's
-// portable kernel) against the checked-in allowlist
-// internal/nn/bce_allowlist.txt.
+// (kernels32.go, infer32.go, lanes32.go, the f32 serving forward's
+// portable kernels, and lanes64.go, the batched f64 forward's) against
+// the checked-in allowlist internal/nn/bce_allowlist.txt.
 //
 // The kernels are written so their hot loops carry no bounds checks
 // (length hoisting, `_ = s[n-1]` hints); an edit that quietly
@@ -31,10 +31,14 @@ import (
 	"strings"
 )
 
+// defaultFiles are the gated files of internal/nn: the f32 kernels and
+// mirrors, and the portable twins of the packed f32 and f64 kernels.
+const defaultFiles = "kernels32.go,infer32.go,lanes32.go,lanes64.go"
+
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.pkg, "pkg", "autoview/internal/nn", "package to build with -d=ssa/check_bce")
-	flag.StringVar(&cfg.files, "files", "kernels32.go,infer32.go,lanes64.go", "comma-separated gated files within the package")
+	flag.StringVar(&cfg.files, "files", defaultFiles, "comma-separated gated files within the package")
 	flag.StringVar(&cfg.allowlist, "allowlist", "", "allowlist path (default <pkg dir>/bce_allowlist.txt)")
 	update := flag.Bool("update", false, "rewrite the allowlist from the current build instead of gating")
 	flag.Parse()

@@ -108,7 +108,7 @@ func TestGateAgainstRepoAllowlist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain; skipped in -short")
 	}
-	cfg := config{pkg: "autoview/internal/nn", files: "kernels32.go,infer32.go,lanes64.go"}
+	cfg := config{pkg: "autoview/internal/nn", files: defaultFiles}
 	counts, sites, err := collect(cfg)
 	if err != nil {
 		t.Fatalf("collect: %v", err)

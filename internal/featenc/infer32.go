@@ -8,23 +8,18 @@ import (
 )
 
 // Encoder32 is the float32 inference mirror of Encoder: the same
-// architecture over flat f32 weight copies and the blocked kernels of
+// architecture over flat f32 weight copies and the packed kernels of
 // internal/nn, materialized from a trained Encoder (NewEncoder32) and
 // rebuilt whenever the f64 weights change. It is the encoder's only
 // forward-only path; outputs agree with the tape Encode* forward within
 // the tolerance budgets pinned by the parity tests.
 //
-// The mirror folds work that the tape forward redoes per token:
-//
-//   - kwPre1 precomputes B + Wx·code(kw) — the input half of LSTM1's
-//     gate pre-activations — for every vocabulary keyword, so the
-//     dominant token kind costs zero input-matvec work per step;
-//   - LSTM2's input half is batched over all operator codes with one
-//     MatMulT32 call instead of a matvec per step.
-//
-// Both folds are bit-identical to the unfolded f32 computation (the
-// kernels reduce in the canonical order regardless of batching), so
-// they never widen the f32-vs-f64 envelope.
+// The mirror folds work that the tape forward redoes per token: kwPre1
+// precomputes B + Wx·code(kw) — the input half of LSTM1's gate
+// pre-activations — for every vocabulary keyword, so the dominant token
+// kind costs zero input-matvec work per step. The fold is bit-identical
+// to the unfolded f32 computation (the kernels reduce in the canonical
+// order), so it never widens the f32-vs-f64 envelope.
 type Encoder32 struct {
 	cfg    Config
 	vocab  *Vocab
@@ -109,9 +104,9 @@ func NewEncoder32(e *Encoder) *Encoder32 {
 
 // foldKeywordPre precomputes the LSTM1 input half for every vocabulary
 // keyword: kwPre1[id] = B + Wx·code(id). Under KeywordOneHot the code
-// is a one-hot, so the product is a column gather; otherwise it is the
-// same PreX matvec the runtime path would perform, making the fold
-// bit-identical to on-the-fly evaluation.
+// is a one-hot, so the product is B plus column id of Wx; otherwise it
+// is the same PreX matvec the runtime path would perform, making the
+// fold bit-identical to on-the-fly evaluation.
 func (m *Encoder32) foldKeywordPre() {
 	V := m.vocab.Size()
 	H4 := 4 * m.lstm1.Hidden
@@ -119,8 +114,9 @@ func (m *Encoder32) foldKeywordPre() {
 	for id := 0; id < V; id++ {
 		dst := m.kwPre1[id*H4 : id*H4+H4]
 		if m.cfg.KeywordOneHot {
-			for r := 0; r < H4; r++ {
-				dst[r] = m.lstm1.B[r] + m.lstm1.Wx[r*m.lstm1.In+id]
+			col := m.lstm1.Wx[id*H4 : id*H4+H4]
+			for r, b := range m.lstm1.B {
+				dst[r] = b + col[r]
 			}
 			continue
 		}
@@ -214,16 +210,14 @@ func (m *Encoder32) InferOpVecs(opsBuf nn.Vec32, n int, a *nn.Arena) nn.Vec32 {
 		nn.AvgPoolRows32(out, opsBuf, n, m.tokDim)
 		return out
 	}
-	// The input halves of every step are known up front — batch them in
-	// one matmul, leaving only the recurrent half sequential.
 	H := m.lstm2.Hidden
 	H4 := 4 * H
-	pre2 := a.Vec32(n * H4)
-	nn.MatMulT32(pre2, opsBuf, n, H, m.lstm2.Wx, H4, m.lstm2.B)
+	preX := a.Vec32(H4)
 	pre := a.Vec32(H4)
 	c := a.Vec32(H)
 	for i := 0; i < n; i++ {
-		m.lstm2.Step(out, c, pre, pre2[i*H4:(i+1)*H4])
+		m.lstm2.PreX(preX, opsBuf[i*H:(i+1)*H])
+		m.lstm2.Step(out, c, pre, preX)
 	}
 	return out
 }

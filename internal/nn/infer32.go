@@ -4,18 +4,19 @@ import "math"
 
 // Float32 inference mirrors. Each *32 type is a forward-only replica of
 // the corresponding float64 layer, materialized from the trained f64
-// parameters (New*32) and backed by the kernels in kernels32.go. The
-// mirrors exist only on the W-D serving path: training, persistence and
-// the golden traces stay on the float64 layers bit-exactly, and a mirror
-// is rebuilt (cheaply — it is a flat copy of the weights) whenever the
-// underlying parameters change. Outputs agree with the tape Forward of
-// the mirrored layer within the tolerance budgets pinned by the parity
-// tests; see PERFORMANCE.md for the f64-train / f32-infer contract.
+// parameters (New*32) and backed by the kernels in kernels32.go and
+// lanes32.go. The mirrors exist only on the W-D serving path: training,
+// persistence and the golden traces stay on the float64 layers
+// bit-exactly, and a mirror is rebuilt (cheaply — it is a transposed
+// copy of the weights) whenever the underlying parameters change.
+// Outputs agree with the tape Forward of the mirrored layer within the
+// tolerance budgets pinned by the parity tests; see PERFORMANCE.md for
+// the f64-train / f32-infer contract.
 
-// Linear32 mirrors Linear: y = Wx + b over float32 with a row-major
-// flat weight copy.
+// Linear32 mirrors Linear: y = Wx + b over float32 with a column-major
+// flat weight copy, the layout matVecCols32 runs four rows per lane.
 type Linear32 struct {
-	W   Vec32 // [out × in] row-major
+	W   Vec32 // [in × out] column-major: W[c·Out+r] is Linear's W[r,c]
 	B   Vec32 // [out]
 	In  int
 	Out int
@@ -29,15 +30,25 @@ func NewLinear32(l *Linear) *Linear32 {
 		In:  l.W.Cols,
 		Out: l.W.Rows,
 	}
-	F32From(m.W, l.W.Val)
+	transposeF32(m.W, l.W.Val, m.Out, m.In)
 	F32From(m.B, l.B.Val)
 	return m
+}
+
+// transposeF32 writes the row-major [rows × cols] src, converted to
+// float32, into dst column-major: dst[c·rows+r] = src[r·cols+c].
+func transposeF32(dst Vec32, src Vec, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : r*cols+cols] {
+			dst[c*rows+r] = float32(v)
+		}
+	}
 }
 
 // InferInto applies the layer into dst (length Out). x may be shorter
 // than In when the logical input is zero-padded. dst must not alias x.
 func (l *Linear32) InferInto(dst, x Vec32) {
-	MatVec32(dst, l.W, l.Out, l.In, l.B, x)
+	matVecCols32(dst, l.W, l.B, x)
 }
 
 // Infer applies the layer into an arena-backed vector.
@@ -71,15 +82,15 @@ func (e *Embedding32) Row(id int) Vec32 {
 }
 
 // LSTMCell32 mirrors LSTMCell with the gate matrix split into its input
-// and recurrent halves: W [4H × (In+H)] becomes Wx [4H × In] and
-// Wh [4H × H], both flat row-major. The split lets callers precompute
-// the input half B + Wx·x_t per token — for vocabulary tokens once per
-// mirror build (featenc folds the embedding lookup straight into gate
-// pre-activations) — leaving only the recurrent Wh·h matvec on the
-// sequential critical path.
+// and recurrent halves: W [4H × (In+H)] becomes Wx and Wh, both flat
+// column-major (Wx[c·4H+r] is W[r,c], Wh[c·4H+r] is W[r,In+c]). The
+// split lets callers precompute the input half B + Wx·x_t per token —
+// for vocabulary tokens once per mirror build (featenc folds the
+// embedding lookup straight into gate pre-activations) — leaving only
+// the recurrent Wh·h matvec on the sequential critical path.
 type LSTMCell32 struct {
-	Wx     Vec32 // [4H × In]
-	Wh     Vec32 // [4H × H]
+	Wx     Vec32 // [In × 4H] column-major
+	Wh     Vec32 // [H × 4H] column-major
 	B      Vec32 // [4H]
 	In     int
 	Hidden int
@@ -88,19 +99,17 @@ type LSTMCell32 struct {
 // NewLSTMCell32 materializes the mirror of a trained cell.
 func NewLSTMCell32(c *LSTMCell) *LSTMCell32 {
 	H := c.Hidden
+	// Transposed whole, W's first In columns are Wx and the rest Wh.
+	w := make(Vec32, len(c.W.Val))
+	transposeF32(w, c.W.Val, 4*H, c.In+H)
 	m := &LSTMCell32{
-		Wx:     make(Vec32, 4*H*c.In),
-		Wh:     make(Vec32, 4*H*H),
+		Wx:     w[:4*H*c.In],
+		Wh:     w[4*H*c.In:],
 		B:      make(Vec32, 4*H),
 		In:     c.In,
 		Hidden: H,
 	}
-	for r := 0; r < 4*H; r++ {
-		row := c.W.Row(r)
-		F32From(m.Wx[r*c.In:r*c.In+c.In], row[:c.In])
-		F32From(m.Wh[r*H:r*H+H], row[c.In:])
-		m.B[r] = float32(c.B.Val[r])
-	}
+	F32From(m.B, c.B.Val)
 	return m
 }
 
@@ -108,7 +117,7 @@ func NewLSTMCell32(c *LSTMCell) *LSTMCell32 {
 // dst = B + Wx·x (length 4H). x may be shorter than In when the token
 // encoding is zero-padded.
 func (c *LSTMCell32) PreX(dst, x Vec32) {
-	MatVec32(dst, c.Wx, 4*c.Hidden, c.In, c.B, x)
+	matVecCols32(dst, c.Wx, c.B, x)
 }
 
 // Step advances one time step given the precomputed input half preX
@@ -118,25 +127,9 @@ func (c *LSTMCell32) PreX(dst, x Vec32) {
 // as in the f64 cell.
 func (c *LSTMCell32) Step(h, cst, pre, preX Vec32) {
 	H := c.Hidden
-	// preX rides MatVec32's bias slot: pre[r] = preX[r] + Wh[r]·h.
-	MatVec32(pre, c.Wh, 4*H, H, preX, h)
-	// Per-gate views of length H keep the gate loop free of bounds
-	// checks (every index is provably < H).
-	gi := pre[0*H:][:H]
-	gf := pre[1*H:][:H]
-	gg := pre[2*H:][:H]
-	gout := pre[3*H:][:H]
-	h = h[:H]
-	cst = cst[:H]
-	for j := 0; j < H; j++ {
-		i := Sigmoid32(gi[j])
-		f := Sigmoid32(gf[j])
-		g := Tanh32(gg[j])
-		o := Sigmoid32(gout[j])
-		cj := f*cst[j] + i*g
-		cst[j] = cj
-		h[j] = o * Tanh32(cj)
-	}
+	// preX rides the bias slot: pre[r] = preX[r] + Wh[r]·h.
+	matVecCols32(pre[:4*H], c.Wh, preX[:4*H], h[:H])
+	lstmGates32(h[:H], cst, pre)
 }
 
 // BatchNorm32 mirrors BatchNorm over a flat row-major matrix. The

@@ -1,21 +1,20 @@
 package nn
 
-// Float32 inference kernels. These are the compute primitives behind the
-// f32 mirror layers (infer32.go): blocked matrix-vector and
-// matrix-matrix products plus polynomial activations, written for the
-// Go compiler's scalar code generation. Go does not auto-vectorize
-// floating-point reductions, so a naive dot product is latency-bound on
-// the FMA chain; the kernels below break that chain with multiple
-// independent accumulators (row blocking × even/odd column pairing),
-// which is worth ~4× on the serving forward.
+// Float32 inference kernels: the scalar primitives behind the f32 mirror
+// layers (infer32.go) — the canonical dot product and the row-major
+// matrix-vector product that define the accumulation order, elementwise
+// helpers, and the polynomial activations. The serving forward runs its
+// products and LSTM gates on the packed-single kernels of lanes32.go,
+// which keep exactly these chains lane by lane; MatVec32 stays as their
+// row-major reference and as a standalone kernel.
 //
-// Numerics contract: every dot product in this file reduces in the
-// canonical order defined by dot32 — two accumulator chains over
-// even/odd column pairs, combined as (even + odd) at the end. Row
-// blocking changes which rows are in flight, never the per-row
+// Numerics contract: every dot product reduces in the canonical order
+// defined by dot32 — two accumulator chains over even/odd column pairs,
+// combined as (even + odd) at the end. Row blocking (here) and row
+// lanes (lanes32.go) change which rows are in flight, never the per-row
 // reduction order, so results are bit-identical across block sizes and
-// the f32-vs-f64 tolerance bounds pinned in the tests are stable. See
-// PERFORMANCE.md ("Accumulation order").
+// layouts and the f32-vs-f64 tolerance bounds pinned in the tests are
+// stable. See PERFORMANCE.md ("Canonical accumulation order").
 
 // Vec32 is a dense float32 vector, the element type of the inference
 // mirror layers.
@@ -97,54 +96,6 @@ func MatVec32(dst Vec32, w Vec32, rows, cols int, b Vec32, x Vec32) {
 	}
 	for ; r < rows; r++ {
 		dst[r] = b[r] + dot32(w[r*cols:], x)
-	}
-}
-
-// MatMulT32 computes the batched form Y = X·Wᵀ + b: X is row-major
-// [m × k] (one input per row), W row-major [n × k] (a Linear32 weight),
-// Y row-major [m × n]. Output columns are blocked four at a time so
-// each loaded X element feeds four dot products; the per-dot reduction
-// order is the canonical dot32 order, making Y's rows bit-identical to
-// m independent MatVec32 calls (the property the batch tests pin).
-func MatMulT32(y Vec32, x Vec32, m, k int, w Vec32, n int, b Vec32) {
-	b = b[:n]
-	for i := 0; i < m; i++ {
-		xi := x[i*k:][:k]
-		yi := y[i*n:][:n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			w0 := w[j*k:][:k]
-			w1 := w[(j+1)*k:][:k]
-			w2 := w[(j+2)*k:][:k]
-			w3 := w[(j+3)*k:][:k]
-			var s00, s01, s10, s11, s20, s21, s30, s31 float32
-			c := 0
-			for ; c+2 <= k; c += 2 {
-				x0, x1 := xi[c], xi[c+1]
-				s00 += w0[c] * x0
-				s01 += w0[c+1] * x1
-				s10 += w1[c] * x0
-				s11 += w1[c+1] * x1
-				s20 += w2[c] * x0
-				s21 += w2[c+1] * x1
-				s30 += w3[c] * x0
-				s31 += w3[c+1] * x1
-			}
-			if c < k {
-				x0 := xi[c]
-				s00 += w0[c] * x0
-				s10 += w1[c] * x0
-				s20 += w2[c] * x0
-				s30 += w3[c] * x0
-			}
-			yi[j] = b[j] + (s00 + s01)
-			yi[j+1] = b[j+1] + (s10 + s11)
-			yi[j+2] = b[j+2] + (s20 + s21)
-			yi[j+3] = b[j+3] + (s30 + s31)
-		}
-		for ; j < n; j++ {
-			yi[j] = b[j] + dot32(w[j*k:], xi)
-		}
 	}
 }
 

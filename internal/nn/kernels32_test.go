@@ -73,30 +73,6 @@ func TestMatVec32PaddedInput(t *testing.T) {
 	}
 }
 
-// TestMatMulT32MatchesMatVec pins that the batched kernel's rows are
-// bit-identical to independent matvec calls — the property that makes
-// batching a pure throughput optimization.
-func TestMatMulT32MatchesMatVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, shape := range [][3]int{{1, 16, 64}, {5, 16, 64}, {3, 10, 7}, {6, 1, 5}, {2, 9, 3}} {
-		m, k, n := shape[0], shape[1], shape[2]
-		x := randVec32(rng, m*k, 2)
-		w := randVec32(rng, n*k, 2)
-		b := randVec32(rng, n, 1)
-		y := make(Vec32, m*n)
-		MatMulT32(y, x, m, k, w, n, b)
-		row := make(Vec32, n)
-		for i := 0; i < m; i++ {
-			MatVec32(row, w, n, k, b, x[i*k:i*k+k])
-			for j := 0; j < n; j++ {
-				if y[i*n+j] != row[j] { // batch-vs-single bit-identity is the property under test
-					t.Fatalf("shape %v i=%d j=%d: batch %v != single %v", shape, i, j, y[i*n+j], row[j])
-				}
-			}
-		}
-	}
-}
-
 // TestMatVec32VsF64 pins the f32-vs-f64 error envelope of the dot
 // kernel at serving-relevant shapes.
 func TestMatVec32VsF64(t *testing.T) {

@@ -125,12 +125,22 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 	)
 	done := make(chan struct{})
 	errs := make(chan error, readers+1)
+	// The readers' last round waits for the writer's second hot-reload
+	// (or its exit), so that however fast an estimate is, at least two
+	// reloads run while the readers do.
+	twoSwaps, writerExited := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for k := 0; k < rounds; k++ {
+				if k == rounds-1 {
+					select {
+					case <-twoSwaps:
+					case <-writerExited:
+					}
+				}
 				for _, pairs := range [][]estimatePair{cached, novel[r][k]} {
 					var out estimateResponse
 					if err := post(ts.URL+"/v1/estimate", estimateRequest{Pairs: pairs}, &out); err != nil {
@@ -149,6 +159,7 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
+		defer close(writerExited)
 		for k := 0; ; k++ {
 			select {
 			case <-done:
@@ -163,6 +174,9 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 			mu.Lock()
 			served[out.ModelVersion] = ckpts[k%2]
 			swaps++
+			if swaps == 2 {
+				close(twoSwaps)
+			}
 			mu.Unlock()
 		}
 	}()
