@@ -97,13 +97,15 @@ test-crash:
 # Short native-fuzz pass over the API JSON decode paths, the query
 # fingerprint (one digest per statement: lexer agreement, determinism,
 # and any literal change moving it), the SQL parser and its pooled token
-# slice, the WAL record decoder, and the tournament spec parser (seeds +
-# 10s of mutation per target).
+# slice, the template re-bind (a known template's features re-bound to
+# other literals equal a fresh parse's), the WAL record decoder, and the
+# tournament spec parser (seeds + 10s of mutation per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEstimateDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzAdviseDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse/
+	$(GO) test -run '^$$' -fuzz FuzzRebind -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzTournamentSpec -fuzztime 10s ./internal/experiments/
 

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"autoview/internal/catalog"
 	"autoview/internal/obs"
@@ -149,20 +149,23 @@ func (e *Executor) runProject(n *plan.Node, m *meter) (*Result, error) {
 	return out, nil
 }
 
-// joinKey builds a composite hash key from the join columns of a row.
-func joinKey(row storage.Row, cols []int, b *strings.Builder) string {
-	b.Reset()
+// appendKey appends the composite hash key of a row's join or group
+// columns to dst: "s:" and the text of a string, "n:" and the shortest
+// %g form of a number, each followed by '|'. The key's length is what a
+// hash table is metered for.
+func appendKey(dst []byte, row storage.Row, cols []int) []byte {
 	for _, c := range cols {
 		v := row[c]
 		if v.Kind == catalog.TypeString {
-			b.WriteString("s:")
-			b.WriteString(v.S)
+			dst = append(dst, "s:"...)
+			dst = append(dst, v.S...)
 		} else {
-			fmt.Fprintf(b, "n:%g", v.AsFloat())
+			dst = append(dst, "n:"...)
+			dst = strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
 		}
-		b.WriteByte('|')
+		dst = append(dst, '|')
 	}
-	return b.String()
+	return dst
 }
 
 func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
@@ -182,10 +185,11 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 	}
 	// Build a hash table on the right input.
 	ht := make(map[string][]storage.Row, len(right.Rows))
-	var kb strings.Builder
+	var kb []byte
 	var htBytes int64
 	for _, row := range right.Rows {
-		k := joinKey(row, rcols, &kb)
+		kb = appendKey(kb[:0], row, rcols)
+		k := string(kb)
 		ht[k] = append(ht[k], row)
 		htBytes += int64(len(k)) + int64(row.Width())
 		m.op(2)
@@ -195,9 +199,9 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 	out := &Result{Schema: n.Schema}
 	rightWidth := len(right.Schema)
 	for _, lrow := range left.Rows {
-		k := joinKey(lrow, lcols, &kb)
+		kb = appendKey(kb[:0], lrow, lcols)
 		m.op(2)
-		matches := ht[k]
+		matches := ht[string(kb)]
 		if len(matches) == 0 {
 			if n.JoinType == plan.LeftJoin {
 				outRow := make(storage.Row, 0, len(lrow)+rightWidth)
@@ -300,11 +304,12 @@ func (e *Executor) runAggregate(n *plan.Node, m *meter) (*Result, error) {
 	}
 	groups := make(map[string]*group)
 	var order []string // deterministic output order (first-seen)
-	var kb strings.Builder
+	var kb []byte
 	for _, row := range in.Rows {
-		k := joinKey(row, n.GroupBy, &kb)
-		g, ok := groups[k]
+		kb = appendKey(kb[:0], row, n.GroupBy)
+		g, ok := groups[string(kb)]
 		if !ok {
+			k := string(kb)
 			keyVals := make(storage.Row, len(n.GroupBy))
 			for i, gc := range n.GroupBy {
 				keyVals[i] = row[gc]

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"autoview/internal/catalog"
@@ -330,6 +333,48 @@ func BenchmarkExecutePaperQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ex.Cost(n); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAppendKeyMatchesSprintf pins the hash key's bytes to the
+// fmt.Sprintf("n:%g") rendering it replaced: a hash table is metered
+// by its keys' lengths, so a byte of difference would move a cost.
+func TestAppendKeyMatchesSprintf(t *testing.T) {
+	vals := []storage.Value{
+		storage.Str(""), storage.Str("a|b"), storage.Str("s:x"),
+		storage.Int(0), storage.Int(-1), storage.Int(7), storage.Int(1010),
+		storage.Int(math.MaxInt64), storage.Int(math.MinInt64), storage.Int(1 << 53), storage.Int(1<<53 + 1),
+		storage.Float(0), storage.Float(math.Copysign(0, -1)), storage.Float(1.5), storage.Float(0.1),
+		storage.Float(200.25), storage.Float(1e20), storage.Float(1e21), storage.Float(123456789),
+		storage.Float(1e-4), storage.Float(1e-5), storage.Float(math.SmallestNonzeroFloat64),
+		storage.Float(math.MaxFloat64), storage.Float(math.Inf(1)), storage.Float(math.Inf(-1)),
+		storage.Float(math.NaN()),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, storage.Float(math.Float64frombits(rng.Uint64())), storage.Int(int64(rng.Uint64())))
+	}
+	want := func(row storage.Row, cols []int) string {
+		var b strings.Builder
+		for _, c := range cols {
+			if v := row[c]; v.Kind == catalog.TypeString {
+				b.WriteString("s:" + v.S)
+			} else {
+				fmt.Fprintf(&b, "n:%g", v.AsFloat())
+			}
+			b.WriteByte('|')
+		}
+		return b.String()
+	}
+	var buf []byte
+	for i, v := range vals {
+		row := storage.Row{v, vals[(i+1)%len(vals)]}
+		for _, cols := range [][]int{{0}, {0, 1}, {1, 0}, nil} {
+			buf = appendKey(buf[:0], row, cols)
+			if got, w := string(buf), want(row, cols); got != w {
+				t.Fatalf("key of %v over %v = %q, fmt renders %q", row, cols, got, w)
+			}
 		}
 	}
 }

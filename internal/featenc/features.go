@@ -1,13 +1,16 @@
 package featenc
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"autoview/internal/catalog"
 	"autoview/internal/nn"
 	"autoview/internal/plan"
+	"autoview/internal/sqlparse"
 )
 
 // NumericDim is the fixed width of the numerical feature vector.
@@ -60,6 +63,10 @@ type PlanFeat struct {
 	Tables []string // sorted, deduplicated
 	Count  int
 
+	// lits are the slots of the plan's constants in Ser, in Ser order:
+	// where Rebind writes another statement's literals.
+	lits []plan.LitSlot
+
 	code atomic.Pointer[planCode]
 }
 
@@ -82,11 +89,48 @@ func Precompute(n *plan.Node) *PlanFeat {
 			dedup = append(dedup, t)
 		}
 	}
+	ser, lits := plan.SerializeLits(n)
 	return &PlanFeat{
-		Ser:    toks(plan.Serialize(n)),
+		Ser:    toks(ser),
 		Tables: dedup,
 		Count:  n.Count(),
+		lits:   lits,
 	}
+}
+
+// errNotRebindable reports a PlanFeat with a constant no literal of the
+// statement bound: a plan not built from SQL text, or literals from a
+// statement of another template.
+var errNotRebindable = errors.New("featenc: plan constants do not match the literals")
+
+// Rebind returns the PlanFeat of a statement with pf's template (see
+// sqlparse.Template) whose literals, in lexical order, are lits. pf
+// must come from Precompute over the plan of a statement with that
+// template. The result is what Precompute returns over that statement's
+// plan: a plan's literals reach its features only as the constants'
+// tokens (plan.SerializeLits), and Tables, Count and every other token
+// follow from the template alone. It shares pf's Tables and every
+// operator sequence without a constant, copies the ones with, and has
+// an empty code slot. A literal that does not bind (an integer past
+// int64) returns plan.LiteralValue's error, as Build would.
+func (pf *PlanFeat) Rebind(lits []sqlparse.Literal) (*PlanFeat, error) {
+	out := &PlanFeat{Ser: slices.Clone(pf.Ser), Tables: pf.Tables, Count: pf.Count, lits: pf.lits}
+	copied := -1 // slots come in Ser order: an operator's are adjacent
+	for _, sl := range pf.lits {
+		if sl.Ord < 1 || sl.Ord > len(lits) {
+			return nil, errNotRebindable
+		}
+		v, err := plan.LiteralValue(lits[sl.Ord-1])
+		if err != nil {
+			return nil, err
+		}
+		if sl.Op != copied {
+			out.Ser[sl.Op] = slices.Clone(pf.Ser[sl.Op])
+			copied = sl.Op
+		}
+		out.Ser[sl.Op][sl.Tok] = plan.ConstTok(v)
+	}
+	return out, nil
 }
 
 // Extract gathers features for estimating A(q|v). Table statistics are

@@ -394,22 +394,34 @@ func bindOperand(e sqlparse.Expr, schema []ColInfo) (Operand, error) {
 		}
 		return ColOperand(idx), nil
 	case *sqlparse.Literal:
-		if x.Kind == sqlparse.LitString {
-			return ConstOperand(storage.Str(x.Text)), nil
-		}
-		if strings.ContainsAny(x.Text, ".eE") {
-			f, err := strconv.ParseFloat(x.Text, 64)
-			if err != nil {
-				return Operand{}, bindErrf("bad numeric literal %q", x.Text)
-			}
-			return ConstOperand(storage.Float(f)), nil
-		}
-		i, err := strconv.ParseInt(x.Text, 10, 64)
+		v, err := LiteralValue(*x)
 		if err != nil {
-			return Operand{}, bindErrf("bad integer literal %q", x.Text)
+			return Operand{}, err
 		}
-		return ConstOperand(storage.Int(i)), nil
+		return Operand{Const: v, Lit: x.Ord}, nil
 	default:
 		return Operand{}, bindErrf("unsupported operand %s", e.SQL())
 	}
+}
+
+// LiteralValue is the constant a literal binds to: a string, or a
+// number read as an int64 or, with a decimal point, a float64. It is the
+// one place a literal's text becomes a value, for Build and for
+// featenc.PlanFeat.Rebind alike; a number out of range is a *BindError.
+func LiteralValue(l sqlparse.Literal) (storage.Value, error) {
+	if l.Kind == sqlparse.LitString {
+		return storage.Str(l.Text), nil
+	}
+	if strings.ContainsAny(l.Text, ".eE") {
+		f, err := strconv.ParseFloat(l.Text, 64)
+		if err != nil {
+			return storage.Value{}, bindErrf("bad numeric literal %q", l.Text)
+		}
+		return storage.Float(f), nil
+	}
+	i, err := strconv.ParseInt(l.Text, 10, 64)
+	if err != nil {
+		return storage.Value{}, bindErrf("bad integer literal %q", l.Text)
+	}
+	return storage.Int(i), nil
 }

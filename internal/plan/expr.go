@@ -68,6 +68,10 @@ type Operand struct {
 	IsCol bool
 	Col   int // input column index when IsCol
 	Const storage.Value
+	// Lit is the lexical ordinal (sqlparse.Literal.Ord) of the literal
+	// Const was bound from; 0 for a column or a constant not read from
+	// SQL text.
+	Lit int
 }
 
 // ColOperand builds a column operand.
@@ -190,31 +194,39 @@ func predTokenCount(p Pred) int {
 // input schema, to dst as the tokens the feature extractor reads:
 // [AND, EQ, dt, '1010', EQ, memo_type, 'pen']. Constant literals are
 // flagged as strings (Tok.Str) so the encoder routes them through String
-// Encoding. dst grows at most once when sized with predTokenCount.
-func appendPredTokens(dst []Tok, p Pred, schema []ColInfo) []Tok {
+// Encoding, and each one's slot — operator op, its index in dst — goes
+// onto lits when lits is non-nil. dst grows at most once when sized
+// with predTokenCount.
+func appendPredTokens(dst []Tok, p Pred, schema []ColInfo, op int, lits *[]LitSlot) []Tok {
 	switch x := p.(type) {
 	case nil:
 		return dst
 	case *Cmp:
-		return append(dst,
-			Tok{Text: x.Op.PrefixName()},
-			operandTok(x.L, schema),
-			operandTok(x.R, schema))
+		dst = append(dst, Tok{Text: x.Op.PrefixName()})
+		dst = appendOperandTok(dst, x.L, schema, op, lits)
+		return appendOperandTok(dst, x.R, schema, op, lits)
 	case *Bool:
 		dst = append(dst, Tok{Text: x.Op.PrefixName()})
-		dst = appendPredTokens(dst, x.L, schema)
-		return appendPredTokens(dst, x.R, schema)
+		dst = appendPredTokens(dst, x.L, schema, op, lits)
+		return appendPredTokens(dst, x.R, schema, op, lits)
 	default:
 		return append(dst, Tok{Text: fmt.Sprintf("<%T>", p)})
 	}
 }
 
-func operandTok(o Operand, schema []ColInfo) Tok {
+func appendOperandTok(dst []Tok, o Operand, schema []ColInfo, op int, lits *[]LitSlot) []Tok {
 	if o.IsCol {
-		return Tok{Text: schema[o.Col].Name}
+		return append(dst, Tok{Text: schema[o.Col].Name})
 	}
-	return Tok{Text: o.Const.String(), Str: true}
+	if lits != nil {
+		*lits = append(*lits, LitSlot{Op: op, Tok: len(dst), Ord: o.Lit})
+	}
+	return append(dst, ConstTok(o.Const))
 }
+
+// ConstTok is the token a constant operand serializes to. Its Text is
+// the only part of a serialized plan a literal's value reaches.
+func ConstTok(v storage.Value) Tok { return Tok{Text: v.String(), Str: true} }
 
 // PredString renders the predicate for plan printing, e.g.
 // "AND(EQ(dt, '1010'), EQ(memo_type, 'pen'))".

@@ -30,31 +30,53 @@ func (s OpSeq) String() string {
 	return "[" + strings.Join(s.Texts(), ", ") + "]"
 }
 
+// LitSlot locates one constant in a serialized plan: token Tok of
+// operator Op is ConstTok of the constant bound from the statement's
+// Ord-th literal (Operand.Lit; 0 for a constant not read from SQL).
+type LitSlot struct {
+	Op, Tok, Ord int
+}
+
 // Serialize renders a plan subtree as its second-layer sequence: a
 // pre-order list of operator attribute sequences, exactly the
 // representation fed to the plan sequence encoder.
 func Serialize(n *Node) []OpSeq {
+	return serialize(n, nil)
+}
+
+// SerializeLits is Serialize that also reports every constant's slot,
+// in sequence order. A constant is the only token of a plan built from
+// SQL that depends on a literal's value: every other token, and the
+// plan's shape, is a function of the statement's template.
+func SerializeLits(n *Node) ([]OpSeq, []LitSlot) {
+	var lits []LitSlot
+	seqs := serialize(n, &lits)
+	return seqs, lits
+}
+
+func serialize(n *Node, lits *[]LitSlot) []OpSeq {
 	cnt := 0
 	n.Walk(func(*Node) { cnt++ })
 	out := make([]OpSeq, 0, cnt)
 	n.Walk(func(m *Node) {
-		out = append(out, serializeOp(m))
+		out = append(out, serializeOp(m, len(out), lits))
 	})
 	return out
 }
 
-// serializeOp builds one operator's attribute sequence. Each case sizes
-// its sequence exactly before appending, so serialization performs one
+// serializeOp builds operator op's attribute sequence, reporting its
+// constants' slots onto lits when lits is non-nil. Each case sizes its
+// sequence exactly before appending, so serialization performs one
 // allocation per operator — it is the dominant allocator on the serving
 // cold path (see PERFORMANCE.md).
-func serializeOp(n *Node) OpSeq {
+func serializeOp(n *Node, op int, lits *[]LitSlot) OpSeq {
 	switch n.Op {
 	case OpScan:
 		return OpSeq{{Text: "Scan"}, {Text: n.Table}}
 	case OpFilter:
 		seq := make(OpSeq, 0, 1+predTokenCount(n.Pred))
 		seq = append(seq, Tok{Text: "Filter"})
-		return appendPredTokens(seq, n.Pred, n.Child(0).Schema)
+		return appendPredTokens(seq, n.Pred, n.Child(0).Schema, op, lits)
 	case OpProject:
 		seq := make(OpSeq, 0, 1+len(n.Proj))
 		seq = append(seq, Tok{Text: "Project"})

@@ -7,17 +7,20 @@ import (
 	"autoview/internal/obs"
 )
 
-// The serving layer runs two kinds of the sharded cache below:
+// The serving layer runs three kinds of the sharded cache below:
 //
 //   - an estimate cache maps (exact query fingerprint × exact view
 //     fingerprint) → final cost estimate. Each model generation owns one
 //     (model.est): a hot-swap builds the next generation with an empty
 //     cache, and the previous one is dropped with the weights that
 //     filled it, so no entry can outlive its model;
-//   - the plan cache maps an exact SQL fingerprint → parsed plan +
-//     precomputed plan-local features. Parsed plans depend only on the
-//     SQL text and the immutable catalog, so the server keeps one for
-//     its whole life.
+//   - the plan cache maps an exact SQL fingerprint → precomputed
+//     plan-local features. Parsed plans depend only on the SQL text and
+//     the immutable catalog, so the server keeps one for its whole life;
+//   - the template cache maps a statement's template key → the
+//     plan-local features of the first statement parsed with it, which
+//     a plan-cache miss of that template re-binds to its own literals.
+//     It lives as long as the plan cache, for the same reason.
 var (
 	obsCacheHit       = obs.Default.Counter("serve.cache.hit", "estimate-cache hits on /v1/estimate pairs")
 	obsCacheMiss      = obs.Default.Counter("serve.cache.miss", "estimate-cache misses (pairs the live model had not yet answered)")
@@ -27,9 +30,14 @@ var (
 	obsPlanCacheMiss  = obs.Default.Counter("serve.cache.plan.miss", "plan-cache misses")
 	obsPlanCacheEvict = obs.Default.Counter("serve.cache.plan.evict", "plan-cache entries evicted by LRU pressure")
 	obsPlanCacheSize  = obs.Default.Gauge("serve.cache.plan.size", "live entries in the plan cache")
+	obsTmplCacheHit   = obs.Default.Counter("serve.cache.template.hit", "template-cache hits: plan-cache misses whose template was known")
+	obsTmplCacheMiss  = obs.Default.Counter("serve.cache.template.miss", "template-cache misses (statement parsed and feature-precomputed)")
+	obsTmplCacheEvict = obs.Default.Counter("serve.cache.template.evict", "template-cache entries evicted by LRU pressure")
+	obsTmplCacheSize  = obs.Default.Gauge("serve.cache.template.size", "live entries in the template cache")
 
 	estCacheMetrics  = cacheMetrics{hit: obsCacheHit, miss: obsCacheMiss, evict: obsCacheEvict, size: obsCacheSize}
 	planCacheMetrics = cacheMetrics{hit: obsPlanCacheHit, miss: obsPlanCacheMiss, evict: obsPlanCacheEvict, size: obsPlanCacheSize}
+	tmplCacheMetrics = cacheMetrics{hit: obsTmplCacheHit, miss: obsTmplCacheMiss, evict: obsTmplCacheEvict, size: obsTmplCacheSize}
 )
 
 // cacheShards fixes the shard count; a power of two so the shard index

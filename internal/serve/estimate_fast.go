@@ -11,6 +11,7 @@ import (
 
 	"autoview/internal/featenc"
 	"autoview/internal/plan"
+	"autoview/internal/sqlparse"
 )
 
 // This file is the pooled fast path of POST /v1/estimate: a reusable
@@ -42,6 +43,7 @@ type estScratch struct {
 	missIdx []int      // indices into pairs that missed the estimate cache
 	missOut []float64  // PredictBatch output for the miss subset
 	fs      []featenc.Features
+	lits    []sqlparse.Literal // the template scan's literals, one text at a time
 
 	// ex amortizes feature extraction on the miss path: per-table schema
 	// keywords and stats memoized across pairs and requests, per-pair
@@ -118,15 +120,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *estScratch
 	}
 }
 
-// planEntry is a plan-cache value: one parsed plan plus its precomputed
-// plan-local features. Immutable once cached.
-type planEntry struct {
-	node *plan.Node
-	pf   *featenc.PlanFeat
-}
-
-// planKey widens a 16-byte exact fingerprint digest to the cache key
-// width (upper half zero).
+// planKey widens a 16-byte digest, an exact fingerprint or a template
+// key, to the cache key width (upper half zero).
 func planKey(exact [16]byte) cacheKey {
 	var k cacheKey
 	copy(k[:16], exact[:])
@@ -142,25 +137,54 @@ func pairKey(q, v [16]byte) cacheKey {
 	return k
 }
 
-// resolvePlan returns the parsed plan + precomputed features for one SQL
-// text, consulting the plan cache when the text is fingerprintable. sql
+// resolvePlan returns the plan-local features of one SQL text. For a
+// fingerprintable text (keyOK) it probes, in order:
+//
+//   - the plan cache, under the text's exact fingerprint (key);
+//   - the template cache, re-binding a known template's features to the
+//     text's literals (featenc.PlanFeat.Rebind) and caching the result
+//     under key;
+//   - neither: it parses and precomputes, caching the result under key
+//     and under the text's template.
+//
+// A template hit whose literal does not bind (an integer past int64)
+// falls through to the parse, so its error is the parse path's. sql
 // aliases the pooled request body, so the parse path works on a string
-// copy (parsed plans hold substrings of their source).
-func (s *Server) resolvePlan(sql []byte, key cacheKey, keyOK bool) (*planEntry, error) {
+// copy (parsed plans hold substrings of their source); the template
+// scan copies each literal's text.
+func (s *Server) resolvePlan(sql []byte, key cacheKey, keyOK bool, sc *estScratch) (*featenc.PlanFeat, error) {
+	var tk cacheKey
+	tmplOK := false
 	if keyOK {
-		if e, ok := s.planCache.get(key); ok {
-			return e, nil
+		if pf, ok := s.planCache.get(key); ok {
+			return pf, nil
+		}
+		if s.tmplCache != nil {
+			t, lits, err := sqlparse.Template(sql, sc.lits)
+			sc.lits = lits
+			if err == nil {
+				tk, tmplOK = planKey(t), true
+				if tpf, ok := s.tmplCache.get(tk); ok {
+					if pf, err := tpf.Rebind(lits); err == nil {
+						s.planCache.put(key, pf)
+						return pf, nil
+					}
+				}
+			}
 		}
 	}
 	n, err := plan.Parse(string(sql), s.adv.Cat)
 	if err != nil {
 		return nil, err
 	}
-	e := &planEntry{node: n, pf: featenc.Precompute(n)}
+	pf := featenc.Precompute(n)
 	if keyOK {
-		s.planCache.put(key, e)
+		s.planCache.put(key, pf)
 	}
-	return e, nil
+	if tmplOK {
+		s.tmplCache.put(tk, pf)
+	}
+	return pf, nil
 }
 
 // --- zero-copy envelope decoder ----------------------------------------

@@ -197,17 +197,17 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 			sc.ex.Reset(s.adv.Cat)
 		}
 		for j, i := range sc.missIdx {
-			qe, err := s.resolvePlan(sc.pairs[i].query, sc.qKeys[i], sc.keyOK[i])
+			qf, err := s.resolvePlan(sc.pairs[i].query, sc.qKeys[i], sc.keyOK[i], sc)
 			if err != nil {
 				s.writeError(w, r, http.StatusBadRequest, "bad_sql", fmt.Sprintf("pairs[%d].query: %v", i, err))
 				return
 			}
-			ve, err := s.resolvePlan(sc.pairs[i].view, sc.vKeys[i], sc.keyOK[i])
+			vf, err := s.resolvePlan(sc.pairs[i].view, sc.vKeys[i], sc.keyOK[i], sc)
 			if err != nil {
 				s.writeError(w, r, http.StatusBadRequest, "bad_sql", fmt.Sprintf("pairs[%d].view: %v", i, err))
 				return
 			}
-			sc.fs[j] = sc.ex.ExtractPre(qe.pf, ve.pf)
+			sc.fs[j] = sc.ex.ExtractPre(qf, vf)
 		}
 
 		if !s.predict(w, r, g, sc.fs[:len(sc.missIdx)], sc.missOut[:len(sc.missIdx)]) {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -122,6 +123,29 @@ func propertyBodies(t *testing.T, w *workload.Workload, vs ViewSet) [][]byte {
 	if len(queries) < 100 {
 		t.Fatalf("property corpus too small: %d queries, want >= 100", len(queries))
 	}
+	return chunkBodies(t, queries, vs)
+}
+
+// relit returns w's queries with their literals bumped by suffix
+// (bumpLiterals), each text once: texts a server has not seen, of
+// templates it has.
+func relit(t *testing.T, w *workload.Workload, suffix string) []string {
+	t.Helper()
+	var out []string
+	seen := map[string]bool{}
+	for _, q := range w.Queries {
+		if v := bumpLiterals(t, q.SQL, suffix, w.Cat); v != "" && !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// chunkBodies pairs queries with the advertised views in turn and
+// chunks the pairs into estimate bodies.
+func chunkBodies(t *testing.T, queries []string, vs ViewSet) [][]byte {
+	t.Helper()
 	var bodies [][]byte
 	const perBody = 8
 	for at := 0; at < len(queries); at += perBody {
@@ -172,7 +196,8 @@ func expectIdentical(t *testing.T, coldURL, cachedURL string, bodies [][]byte, p
 // literal-bumped template variants), a cache-disabled server and a
 // cached server — bootstrapped identically — must return byte-identical
 // /v1/estimate responses on cold, populating, and fully warm passes; the
-// identity must hold at every client parallelism level and across
+// identity must hold for texts whose plans the cached server re-binds
+// from a known template, at every client parallelism level, and across
 // view-set rotation and model hot-reload boundaries, where each new
 // model generation starts with an empty estimate cache. Run with -race
 // in CI.
@@ -202,23 +227,53 @@ func TestEstimateCacheByteIdentity(t *testing.T) {
 		t.Fatal("plan cache never populated")
 	}
 
+	// Phase 1b: template hits. Every query re-literaled once more is a
+	// text neither server has seen, so the cached server misses its
+	// plan cache and re-binds the features of the query's template.
+	rebound := relit(t, w, "3")
+	tmplHits := obsTmplCacheHit.Value()
+	expectIdentical(t, coldTS.URL, cachedTS.URL, chunkBodies(t, rebound, vsCached), "template hits")
+	if got := obsTmplCacheHit.Value() - tmplHits; got < int64(len(rebound)) {
+		t.Fatalf("%d template-cache hits over %d re-literaled texts", got, len(rebound))
+	}
+	for _, sql := range rebound {
+		fp, err := sqlparse.Fingerprint(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cached.planCache.get(planKey(fp.Exact)); !ok {
+			t.Fatalf("re-bound %q is not in the plan cache", sql)
+		}
+	}
+
 	// Phase 2: warm reads under client concurrency (the server batches
 	// across goroutines; responses must stay byte-identical). Run at
 	// several parallelism levels; -race patrols the cache internals.
+	// Each level also sends texts re-literaled afresh, so its clients
+	// re-bind templates and fill the plan cache at the same time.
 	for _, clients := range []int{1, 4, 8} {
+		all := append([][]byte{}, bodies...)
+		wantAll := append([][]byte{}, want...)
+		for _, body := range chunkBodies(t, relit(t, w, strconv.Itoa(clients)+"1"), vsCached) {
+			status, cold := postRaw(t, coldTS.URL+"/v1/estimate", body)
+			if status != http.StatusOK {
+				t.Fatalf("clients=%d: cold status %d: %s", clients, status, cold)
+			}
+			all, wantAll = append(all, body), append(wantAll, cold)
+		}
 		var wg sync.WaitGroup
-		errs := make(chan error, clients*len(bodies))
+		errs := make(chan error, len(all))
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				for i := c; i < len(bodies); i += clients {
-					status, got := postRaw(t, cachedTS.URL+"/v1/estimate", bodies[i])
+				for i := c; i < len(all); i += clients {
+					status, got := postRaw(t, cachedTS.URL+"/v1/estimate", all[i])
 					if status != http.StatusOK {
 						errs <- fmt.Errorf("clients=%d body %d: status %d", clients, i, status)
 						continue
 					}
-					if !bytes.Equal(want[i], got) {
+					if !bytes.Equal(wantAll[i], got) {
 						errs <- fmt.Errorf("clients=%d body %d: warm response diverged", clients, i)
 					}
 				}
@@ -507,4 +562,47 @@ func TestPlanMemoByteIdentityAcrossSwaps(t *testing.T) {
 		t.Fatal("the forced re-advise did not swap the model")
 	}
 	phase("after forced re-advise")
+}
+
+// TestTemplateBindErrorAnswersAsParse: a text whose template the server
+// knows but whose integer literal does not fit an int64 cannot be
+// re-bound; it falls through to the parse, and its 400 body is the
+// cache-disabled server's — the parse path's — byte for byte. With two
+// such literals the parse names the WHERE one, which it binds first,
+// while the re-bind meets the HAVING one first (the plan serializes
+// from its root): only the fall-through gives the parse path's body.
+// A fitting literal on the same template re-binds and answers as cold.
+func TestTemplateBindErrorAnswersAsParse(t *testing.T) {
+	_, coldTS := newTestServer(t, 2, Config{CacheSize: -1})
+	cached, cachedTS := newTestServer(t, 2, Config{})
+	view := cached.gen.Load().views.Views[0].SQL
+	body := func(where, having string) []byte {
+		sql := "select dt, count(*) as cnt from p01_fact1 where status = " + where + " group by dt having cnt > " + having
+		raw, err := json.Marshal(estimateRequest{Pairs: []estimatePair{{Query: sql, View: view}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if status, got := postRaw(t, cachedTS.URL+"/v1/estimate", body("1", "2")); status != http.StatusOK {
+		t.Fatalf("learning the template: status %d: %s", status, got)
+	}
+	for _, c := range []struct {
+		where, having string
+		status        int
+	}{
+		{"9223372036854775808", "9223372036854775809", http.StatusBadRequest},
+		{"1", "99999999999999999999999", http.StatusBadRequest},
+		{"9223372036854775807", "3", http.StatusOK},
+	} {
+		hits := obsTmplCacheHit.Value()
+		coldStatus, want := postRaw(t, coldTS.URL+"/v1/estimate", body(c.where, c.having))
+		status, got := postRaw(t, cachedTS.URL+"/v1/estimate", body(c.where, c.having))
+		if coldStatus != c.status || status != c.status || !bytes.Equal(got, want) {
+			t.Fatalf("literals %s, %s: cached %d %s, cold %d %s; want status %d", c.where, c.having, status, got, coldStatus, want, c.status)
+		}
+		if obsTmplCacheHit.Value() == hits {
+			t.Fatalf("literals %s, %s: the template was not hit", c.where, c.having)
+		}
+	}
 }

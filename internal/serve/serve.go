@@ -36,6 +36,7 @@ import (
 	"autoview/internal/core"
 	"autoview/internal/durable"
 	"autoview/internal/engine"
+	"autoview/internal/featenc"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/widedeep"
@@ -199,11 +200,14 @@ type Server struct {
 	infer   chan struct{}
 	waiting atomic.Int64
 
-	// planCache maps one exact fingerprint to its parsed plan +
-	// precomputed features (plans depend only on SQL text and the
-	// immutable catalog); nil (disabled) when CacheSize < 0. Estimates
-	// are cached per generation (generation.est).
-	planCache *cache[*planEntry]
+	// planCache maps one exact fingerprint to its plan's precomputed
+	// features (plans depend only on SQL text and the immutable
+	// catalog), and tmplCache one template key to the features of the
+	// first statement parsed with that template, which resolvePlan
+	// re-binds; both nil (disabled) when CacheSize < 0. Estimates are
+	// cached per generation (generation.est).
+	planCache *cache[*featenc.PlanFeat]
+	tmplCache *cache[*featenc.PlanFeat]
 
 	// adviseMu serializes re-advise cycles (the advisor mutates its
 	// store); TryLock turns concurrent triggers into 409.
@@ -245,7 +249,8 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 	}
 	s.gen.Store(new(generation))
 	s.logged = s.gen.Load()
-	s.planCache = newCache[*planEntry](cfg.CacheSize, planCacheMetrics)
+	s.planCache = newCache[*featenc.PlanFeat](cfg.CacheSize, planCacheMetrics)
+	s.tmplCache = newCache[*featenc.PlanFeat](cfg.CacheSize, tmplCacheMetrics)
 	s.infer = make(chan struct{}, 1)
 	s.mux = s.routes()
 	return s

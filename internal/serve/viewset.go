@@ -236,10 +236,11 @@ func (s *Server) adviseWorkers(bootstrap bool) int {
 	return n
 }
 
-// refreshViewPlans precomputes the parsed plan + plan-local features of
-// every advertised view at rotation time, keyed by the fingerprint of
-// exactly the SQL clients read from /v1/views. The view half of a warm
-// estimate then skips parsing and serialization entirely. The SQL is
+// refreshViewPlans precomputes the plan-local features of every
+// advertised view at rotation time, keyed by the fingerprint of exactly
+// the SQL clients read from /v1/views, and by its template. The view
+// half of a warm estimate then skips parsing and serialization
+// entirely, and a view with other literals re-binds. The SQL is
 // re-parsed (rather than reusing the candidate's plan) so cached
 // features are identical to what the cold path derives from client-sent
 // text.
@@ -257,7 +258,11 @@ func (s *Server) refreshViewPlans(vs *ViewSet) {
 		if err != nil {
 			continue
 		}
-		s.planCache.put(planKey(fp.Exact), &planEntry{node: n, pf: featenc.Precompute(n)})
+		pf := featenc.Precompute(n)
+		s.planCache.put(planKey(fp.Exact), pf)
+		if tk, _, err := sqlparse.Template([]byte(sql), nil); err == nil {
+			s.tmplCache.put(planKey(tk), pf)
+		}
 	}
 }
 

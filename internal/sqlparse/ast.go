@@ -46,6 +46,10 @@ const (
 type Literal struct {
 	Kind LiteralKind
 	Text string
+	// Ord is the literal's lexical ordinal: 1 for the statement's first
+	// literal token, 2 for its second, and so on (Template reports the
+	// same numbering). 0 marks a literal not read from SQL text.
+	Ord int
 }
 
 func (l *Literal) exprNode() {}

@@ -1,9 +1,11 @@
 package sqlparse
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"sync"
 )
 
@@ -42,12 +44,27 @@ const (
 	litMark = 0x01 // replaces a literal token in the template stream
 )
 
+// Literal classes, the byte each literal leaves in the template scan's
+// stream. The class decides how a literal binds (plan.LiteralValue): a
+// string, an int64, or a float64.
+const (
+	classString  = 's'
+	classInteger = 'i'
+	classDecimal = 'd'
+)
+
 // fpScratch is the pooled working state of one fingerprint computation.
 type fpScratch struct {
 	tmpl []byte // canonical template token stream
 	lit  []byte // literal section: kind byte, uvarint length, raw bytes
 	ex   []byte // digest input: uvarint len(tmpl) ++ tmpl ++ lit
 	src  []byte // copy buffer for the string entry point
+
+	// template switches canonicalize to the template scan: each literal
+	// leaves its class in tmpl and is appended to lits instead of
+	// leaving its bytes in lit.
+	template bool
+	lits     []Literal
 }
 
 var fpPool = sync.Pool{New: func() any { return new(fpScratch) }}
@@ -101,8 +118,38 @@ func fingerprint(s *fpScratch, src []byte) (FP, error) {
 	return fp, nil
 }
 
+// TemplateKey identifies a statement's template: its token stream with
+// every literal replaced by its class (string, integer or decimal).
+// Statements with one template differ only in their literals' values,
+// so they parse to one tree and bind to one plan shape; only the
+// literals' constants differ (see featenc.PlanFeat.Rebind). Like
+// FP.Exact it is truncated SHA-256, stable across processes.
+type TemplateKey [16]byte
+
+// Template scans src with Fingerprint's scanner, so it fails exactly
+// when lexing fails, and returns the key of src's template and src's
+// literals in lexical order, in lits' storage. Each literal has the
+// Kind, Text and Ord that Parse gives it: a string's Text is unescaped,
+// and Ord counts from 1. src is only read during the call.
+func Template(src []byte, lits []Literal) (TemplateKey, []Literal, error) {
+	s := fpPool.Get().(*fpScratch)
+	s.tmpl = s.tmpl[:0]
+	s.template, s.lits = true, lits[:0]
+	err := canonicalize(s, src)
+	lits = s.lits
+	s.template, s.lits = false, nil
+	var key TemplateKey
+	if err == nil {
+		sum := sha256.Sum256(s.tmpl)
+		copy(key[:], sum[:16])
+	}
+	putFPScratch(s)
+	return key, lits, err
+}
+
 // canonicalize scans src with the lexer's exact token rules, appending
-// the template stream to s.tmpl and the literal section to s.lit.
+// the template stream to s.tmpl and the literal section to s.lit (or,
+// in the template scan, the literals to s.lits).
 func canonicalize(s *fpScratch, src []byte) error {
 	pos := 0
 	n := len(src)
@@ -153,7 +200,11 @@ func canonicalize(s *fpScratch, src []byte) error {
 			if src[pos-1] == '.' {
 				return &SyntaxError{Pos: start, Msg: "malformed number " + string(src[start:pos])}
 			}
-			appendLiteral(s, TokenNumber, src[start:pos])
+			if s.template {
+				appendTemplateLiteral(s, TokenNumber, src[start:pos])
+			} else {
+				appendLiteral(s, TokenNumber, src[start:pos])
+			}
 			continue
 		case c == '\'':
 			pos++ // opening quote
@@ -175,7 +226,11 @@ func canonicalize(s *fpScratch, src []byte) error {
 			// differently escaped spellings of one value hash apart,
 			// which costs at most a duplicate cache entry, never a
 			// wrong hit.
-			appendLiteral(s, TokenString, src[start+1:pos-1])
+			if s.template {
+				appendTemplateLiteral(s, TokenString, src[start+1:pos-1])
+			} else {
+				appendLiteral(s, TokenString, src[start+1:pos-1])
+			}
 			continue
 		}
 		// Punctuation, two-character operators first (as the lexer).
@@ -198,10 +253,33 @@ func canonicalize(s *fpScratch, src []byte) error {
 }
 
 // appendLiteral records one literal: a placeholder in the template
-// stream, kind + length-prefixed bytes in the literal section.
+// stream, kind + length-prefixed bytes in the literal section. raw is
+// a number's text, or a string's bytes between its quotes. It stays
+// small enough to inline into canonicalize: fingerprinting is the
+// estimate-cache hit path.
 func appendLiteral(s *fpScratch, kind TokenKind, raw []byte) {
 	s.tmpl = append(s.tmpl, litMark, tokSep)
 	s.lit = append(s.lit, byte(kind))
 	s.lit = binary.AppendUvarint(s.lit, uint64(len(raw)))
 	s.lit = append(s.lit, raw...)
+}
+
+// appendTemplateLiteral is appendLiteral in the template scan: the
+// literal's class goes into the template stream, and the literal, as
+// the lexer reads it, onto s.lits.
+func appendTemplateLiteral(s *fpScratch, kind TokenKind, raw []byte) {
+	l := Literal{Kind: LitNumber, Text: string(raw), Ord: len(s.lits) + 1}
+	class := byte(classInteger)
+	switch {
+	case kind == TokenString:
+		l.Kind, class = LitString, classString
+		if bytes.IndexByte(raw, '\'') >= 0 {
+			// Quotes inside a string come in escaped pairs: '' is one '.
+			l.Text = strings.ReplaceAll(l.Text, "''", "'")
+		}
+	case bytes.IndexByte(raw, '.') >= 0:
+		class = classDecimal
+	}
+	s.tmpl = append(s.tmpl, litMark, class, tokSep)
+	s.lits = append(s.lits, l)
 }

@@ -58,6 +58,7 @@ func parseTokens(toks []Token) (*SelectStmt, error) {
 type parser struct {
 	toks []Token
 	pos  int
+	nlit int // literal tokens consumed so far
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
@@ -72,6 +73,14 @@ func (p *parser) advance() Token {
 
 func (p *parser) errorf(format string, args ...any) error {
 	return &SyntaxError{Pos: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// literal consumes the current token, a literal. The parser never
+// backtracks, so counting the literals it consumes numbers them in
+// lexical order.
+func (p *parser) literal(kind LiteralKind) *Literal {
+	p.nlit++
+	return &Literal{Kind: kind, Text: p.advance().Text, Ord: p.nlit}
 }
 
 // isKeyword reports whether the current token is the given keyword
@@ -253,11 +262,9 @@ func (p *parser) parseValueExpr() (Expr, error) {
 		}
 		return p.parseColumnRef()
 	case TokenNumber:
-		p.advance()
-		return &Literal{Kind: LitNumber, Text: t.Text}, nil
+		return p.literal(LitNumber), nil
 	case TokenString:
-		p.advance()
-		return &Literal{Kind: LitString, Text: t.Text}, nil
+		return p.literal(LitString), nil
 	default:
 		return nil, p.errorf("expected expression, found %s", t)
 	}
@@ -427,11 +434,9 @@ func (p *parser) parseOperand() (Expr, error) {
 	case TokenIdent:
 		return p.parseColumnRef()
 	case TokenNumber:
-		p.advance()
-		return &Literal{Kind: LitNumber, Text: t.Text}, nil
+		return p.literal(LitNumber), nil
 	case TokenString:
-		p.advance()
-		return &Literal{Kind: LitString, Text: t.Text}, nil
+		return p.literal(LitString), nil
 	default:
 		return nil, p.errorf("expected operand, found %s", t)
 	}

@@ -301,11 +301,15 @@ func TestParseTokenBufferAllocs(t *testing.T) {
 // already returned cannot be changed by a later Parse that reuses the
 // slice. Seeds: the first queries of wk1 and JOB, the fingerprint
 // templates and the statements TestParseErrors rejects.
+// fuzzParseFirst are FuzzParse's workload-shaped seeds: a wk1 and a JOB
+// statement.
+var fuzzParseFirst = []string{
+	`select t2.attr, count(*) as cnt, sum(t1.val) as total from ( select key, val from p07_fact1 where status = 3 and dt = 'v7' and val < 200.25 ) t1 inner join ( select id, attr, grp from p07_dim1 where grp = 3 and attr = 'v0' and id < 289 ) t2 on t1.key = t2.id group by t2.attr;`,
+	`select t1.movie_id, count(*) as cnt from ( select movie_id, company_id from movie_companies where company_type_id = 0 ) t1 inner join ( select id, phonetic_code from title where production_year = 0 and kind_id = 0 ) t2 on t1.movie_id = t2.id group by t1.movie_id;`,
+}
+
 func FuzzParse(f *testing.F) {
-	first := []string{
-		`select t2.attr, count(*) as cnt, sum(t1.val) as total from ( select key, val from p07_fact1 where status = 3 and dt = 'v7' and val < 200.25 ) t1 inner join ( select id, attr, grp from p07_dim1 where grp = 3 and attr = 'v0' and id < 289 ) t2 on t1.key = t2.id group by t2.attr;`,
-		`select t1.movie_id, count(*) as cnt from ( select movie_id, company_id from movie_companies where company_type_id = 0 ) t1 inner join ( select id, phonetic_code from title where production_year = 0 and kind_id = 0 ) t2 on t1.movie_id = t2.id group by t1.movie_id;`,
-	}
+	first := fuzzParseFirst
 	for i, sql := range first {
 		f.Add(sql, first[1-i])
 	}
