@@ -25,7 +25,8 @@ examples-smoke:
 # fit hashes pinned), PredictBatch's three steps over the same
 # operator interner and its plan-code memo (filled concurrently), the
 # served estimates' hashes pinned to the scalar kernels', and
-# the DQN's fanned-out action sweep — at GOMAXPROCS 1, 2 and 8. The
+# the DQN's fanned-out action sweep and one RLView run's hash, pinned
+# to the dense lane kernel's bits — at GOMAXPROCS 1, 2 and 8. The
 # serve line does the same for the two guarantees scheduling decides:
 # every /v1/estimate reply is computed by the model its model_version
 # names while hot-reloads race the readers, concurrent swaps never
@@ -46,7 +47,7 @@ test-race:
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestPredictGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical' ./internal/rl/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical|TestRLViewGoldenBits' ./internal/rl/
 
 # Unabridged race pass: every test, no -short. The deterministic
 # single-goroutine experiment pipelines skip themselves under the race
