@@ -29,8 +29,11 @@ import (
 //     any sequence with the same-or-smaller shapes after Reset touches
 //     the Go allocator zero times (the allocation-regression tests pin
 //     this for the widedeep forward).
-//   - Determinism: memory handed out is always zeroed, so arena-backed
-//     computations cannot observe values from earlier predictions.
+//   - Determinism: memory Vec and Vec32 hand out is always zeroed, so
+//     arena-backed computations cannot observe values from earlier
+//     predictions. The batched forward's layer outputs and mask words
+//     (raw, words) are not: its kernel writes every element of them
+//     before anything reads one.
 //
 // An arena is NOT safe for concurrent use: give each worker its own
 // (widedeep and rl each keep an ArenaPool, one arena handed to each
@@ -39,10 +42,11 @@ import (
 type Arena struct {
 	f64 bump[float64]
 	f32 bump[float32] // f32 kernel mirrors
+	u64 bump[uint64]  // the batched forward's live-block masks
 }
 
 // bump is one element type's chunk list and carve position.
-type bump[T float64 | float32] struct {
+type bump[T float64 | float32 | uint64] struct {
 	chunks [][]T
 	i, off int // current chunk and offset into it
 }
@@ -60,6 +64,7 @@ func NewArena() *Arena { return &Arena{} }
 func (a *Arena) Reset() {
 	a.f64.i, a.f64.off = 0, 0
 	a.f32.i, a.f32.off = 0, 0
+	a.u64.i, a.u64.off = 0, 0
 }
 
 // Vec returns a zeroed n-vector carved from the arena (same contract as
@@ -70,8 +75,16 @@ func (a *Arena) Vec(n int) Vec {
 	if a == nil {
 		return make(Vec, n)
 	}
-	return a.f64.carve(n)
+	v := a.f64.carve(n)
+	clear(v)
+	return v
 }
+
+// raw is Vec without the zeroing, for an output its writer fills whole.
+func (a *Arena) raw(n int) Vec { return a.f64.carve(n) }
+
+// words returns n mask words, not zeroed, for a writer that fills them.
+func (a *Arena) words(n int) []uint64 { return a.u64.carve(n) }
 
 // mat returns a zeroed T×D matrix whose rows are views into one
 // arena-carved block.
@@ -87,9 +100,14 @@ func (a *Arena) mat(T, D int) []Vec {
 // Vec32 returns a zeroed n-vector of float32 carved from the arena —
 // the scratch source of the f32 inference mirrors. Same contract as
 // Vec: zeroed, disjoint from all other live slices, valid until Reset.
-func (a *Arena) Vec32(n int) Vec32 { return a.f32.carve(n) }
+func (a *Arena) Vec32(n int) Vec32 {
+	v := a.f32.carve(n)
+	clear(v)
+	return v
+}
 
-// carve is the bump allocation behind Vec and Vec32.
+// carve is the bump allocation behind Vec, Vec32, raw and words: n
+// elements holding whatever the chunk last held.
 func (b *bump[T]) carve(n int) []T {
 	if n == 0 {
 		return nil
@@ -100,7 +118,6 @@ func (b *bump[T]) carve(n int) []T {
 			if b.off+n <= len(chunk) {
 				v := chunk[b.off : b.off+n : b.off+n]
 				b.off += n
-				clear(v)
 				return v
 			}
 			if b.off == 0 && n > len(chunk) {
@@ -128,6 +145,9 @@ func (a *Arena) Bytes() int {
 	}
 	for _, c := range a.f32.chunks {
 		total += 4 * len(c)
+	}
+	for _, c := range a.u64.chunks {
+		total += 8 * len(c)
 	}
 	return total
 }

@@ -1,5 +1,18 @@
 package nn
 
+import (
+	"math/bits"
+
+	"autoview/internal/obs"
+)
+
+// Batched-forward work: what InferBatch's kernels were asked for and
+// what they skipped as all-+0 input blocks, one add each per call.
+var (
+	obsInferMACs    = obs.Default.Counter("nn.infer.macs", "multiply-adds MLP.InferBatch's layers span, padded lanes included")
+	obsInferSkipped = obs.Default.Counter("nn.infer.macs.skipped", "of nn.infer.macs, those skipped as all-+0 input blocks")
+)
+
 // Forward-only float64 inference for the dense stack — the DQN's action
 // scoring and bootstrap target (internal/rl). Results are bit-identical
 // to Forward (Linear.Forward computes its output through InferInto, each
@@ -51,14 +64,22 @@ func (l *Linear) InferInto(dst Vec, x Vec) {
 // dst[j·OutDim + k] (for a one-output network, dst[j] is xs[j]'s value).
 // Every input has the first layer's width. The activations are carved
 // from a, feature-major with the input count padded to the kernel's
-// lane block, and each layer is one denseLanes call.
+// lane block, and each layer is one denseLanes call. A layer of at most
+// 64 rows whose successor has ReLU records, per block of eight lanes,
+// which of its rows are not all +0; the successor, unless a weight of
+// it is not finite, adds only those columns' terms (lanes64.go says why
+// that is exact). nn.infer.macs and nn.infer.macs.skipped count the
+// multiply-adds asked for and skipped, padded lanes included.
 func (m *MLP) InferBatch(dst Vec, xs []Vec, a *Arena) {
 	m.inferBatch(dst, xs, a, denseLanes)
 }
 
-// inferBatch is InferBatch on the given kernel; the parity tests run it
+// laneKernel is denseLanes' signature; the parity tests run inferBatch
 // on denseLanesGo too.
-func (m *MLP) inferBatch(dst Vec, xs []Vec, a *Arena, kernel func(y, x, w, b Vec, cols, lanes int, relu bool)) {
+type laneKernel func(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool)
+
+// inferBatch is InferBatch on the given kernel.
+func (m *MLP) inferBatch(dst Vec, xs []Vec, a *Arena, kernel laneKernel) {
 	n := len(xs)
 	if n == 0 {
 		return
@@ -72,15 +93,43 @@ func (m *MLP) inferBatch(dst Vec, xs []Vec, a *Arena, kernel func(y, x, w, b Vec
 		}
 	}
 	last := len(m.Layers) - 1
+	relu := func(i int) bool { return i < last || m.FinalActivation }
+	var live []uint64 // cur's rows that are not all +0, per block; nil: unknown
+	var macs, skipped int
 	for i, l := range m.Layers {
-		y := a.Vec(l.OutDim() * lanes)
-		kernel(y, cur, l.W.Val, l.B.Val, l.InDim(), lanes, i < last || m.FinalActivation)
-		cur = y
+		rows, cols := l.OutDim(), l.InDim()
+		if live != nil && !(relu(i) && finite(l.W.Val)) {
+			live = nil
+		}
+		var out []uint64
+		if i < last && relu(i+1) && rows <= 64 {
+			out = a.words(lanes / laneWidth)
+		}
+		y := a.raw(rows * lanes)
+		kernel(y, cur, l.W.Val, l.B.Val, live, out, cols, lanes, relu(i))
+		macs += rows * cols * lanes
+		for _, w := range live {
+			skipped += (cols - bits.OnesCount64(w)) * rows * laneWidth
+		}
+		cur, live = y, out
 	}
+	obsInferMACs.Add(int64(macs))
+	obsInferSkipped.Add(int64(skipped))
 	out := m.Layers[last].OutDim()
 	for k := 0; k < out; k++ {
 		for j, v := range cur[k*lanes:][:n] {
 			dst[j*out+k] = v
 		}
 	}
+}
+
+// finite reports whether every weight is finite: a skipped column's
+// term w·(+0) is ±0 only then (∞·0 is NaN).
+func finite(w Vec) bool {
+	for _, v := range w {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }

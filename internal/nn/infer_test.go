@@ -92,7 +92,7 @@ func TestLSTMCellGatesMatchUnblockedDefinition(t *testing.T) {
 // runs on this GOARCH and the portable one.
 var lanesKernels = []struct {
 	name string
-	fn   func(y, x, w, b Vec, cols, lanes int, relu bool)
+	fn   laneKernel
 }{{"denseLanes", denseLanes}, {"denseLanesGo", denseLanesGo}}
 
 // assertSameBits is assertBitEqual that also tells -0 from +0.
@@ -123,11 +123,11 @@ func TestReLUInferParity(t *testing.T) {
 	want, _ := ReLU(pre)
 	for _, k := range lanesKernels {
 		y := make(Vec, len(b)*lanes)
-		k.fn(y, x, w, b, 1, lanes, true)
+		k.fn(y, x, w, b, nil, nil, 1, lanes, true)
 		for r := range b {
 			assertSameBits(t, fmt.Sprintf("%s ReLU, row %d", k.name, r), want, y[r*lanes:][:len(pre)])
 		}
-		k.fn(y, x, w, b, 1, lanes, false)
+		k.fn(y, x, w, b, nil, nil, 1, lanes, false)
 		for r := range b {
 			for i, v := range pre {
 				if got := y[r*lanes+i]; math.Float64bits(v) != math.Float64bits(got) && !math.IsNaN(v) {
@@ -151,7 +151,7 @@ func forwardAll(m *MLP, xs []Vec) Vec {
 
 // inferBatchTwice runs the batched forward on kernel k, then again after
 // an arena reset, and requires the two runs to agree bit for bit.
-func inferBatchTwice(t *testing.T, ctx string, m *MLP, xs []Vec, a *Arena, k func(y, x, w, b Vec, cols, lanes int, relu bool)) Vec {
+func inferBatchTwice(t *testing.T, ctx string, m *MLP, xs []Vec, a *Arena, k laneKernel) Vec {
 	t.Helper()
 	out := m.Layers[len(m.Layers)-1].OutDim()
 	first := make(Vec, len(xs)*out)
@@ -226,8 +226,11 @@ func specialValue(rng *rand.Rand) float64 {
 // DQN's 10-16-64-16-1 network at every batch size up to two kernel
 // blocks and at the sweep sizes RLView meets (62 and 124 on wk1, 248,
 // 1000), with special weights, biases and inputs: layer by layer (each
-// kernel against InferInto and ReLU on the tape's own activations) and
-// end to end.
+// kernel against InferInto and ReLU on the tape's own activations, both
+// dense and, on a post-ReLU input, walking the live columns of each
+// block, with the rows words each kernel writes checked against its own
+// output) and end to end. specialMLP's zero row makes one input column
+// of every masked layer dead in every block, so the skip always runs.
 func TestDenseLanesParity(t *testing.T) {
 	a := NewArena()
 	sizes := []int{62, 124, 248, 1000}
@@ -263,22 +266,189 @@ func TestDenseLanesParity(t *testing.T) {
 					x[c*lanes+j] = xv
 				}
 			}
+			var live []uint64
+			if li > 0 && relu {
+				live = liveWords(x, l.InDim(), lanes)
+			}
 			for _, k := range lanesKernels {
-				y := make(Vec, l.OutDim()*lanes)
-				k.fn(y, x, l.W.Val, l.B.Val, l.InDim(), lanes, relu)
-				for r := 0; r < l.OutDim(); r++ {
-					for j := range next {
-						if math.Float64bits(y[r*lanes+j]) != math.Float64bits(next[j][r]) {
-							t.Fatalf("n=%d %s layer %d: row %d lane %d: %v, want %v", n, k.name, li, r, j, y[r*lanes+j], next[j][r])
+				for _, in := range [][]uint64{nil, live} {
+					y := make(Vec, l.OutDim()*lanes)
+					rows := make([]uint64, lanes/laneWidth)
+					k.fn(y, x, l.W.Val, l.B.Val, in, rows, l.InDim(), lanes, relu)
+					ctx := fmt.Sprintf("n=%d %s layer %d (masked %t)", n, k.name, li, in != nil)
+					for r := 0; r < l.OutDim(); r++ {
+						for j := range next {
+							if math.Float64bits(y[r*lanes+j]) != math.Float64bits(next[j][r]) {
+								t.Fatalf("%s: row %d lane %d: %v, want %v", ctx, r, j, y[r*lanes+j], next[j][r])
+							}
 						}
 					}
+					assertRowsWords(t, ctx, rows, y, l.OutDim(), lanes)
 				}
 			}
 			acts = next
 		}
 		want := forwardAll(m, xs)
+		skipped := obsInferSkipped.Value()
 		for _, k := range lanesKernels {
 			assertSameBits(t, fmt.Sprintf("n=%d %s", n, k.name), want, inferBatchTwice(t, k.name, m, xs, a, k.fn))
+		}
+		if obsInferSkipped.Value() == skipped {
+			t.Fatalf("n=%d: the batched forward skipped no multiply-add", n)
+		}
+	}
+}
+
+// liveWords is the live word of every block of x ([cols × lanes]): bit
+// c set iff column c holds a nonzero bit in the block's eight lanes.
+func liveWords(x Vec, cols, lanes int) []uint64 {
+	live := make([]uint64, lanes/laneWidth)
+	for c := 0; c < cols; c++ {
+		for j := 0; j < lanes; j++ {
+			if math.Float64bits(x[c*lanes+j]) != 0 {
+				live[j/laneWidth] |= 1 << c
+			}
+		}
+	}
+	return live
+}
+
+// assertRowsWords checks a kernel's rows words against its own output
+// y ([rows × lanes]), padded lanes included.
+func assertRowsWords(t *testing.T, ctx string, got []uint64, y Vec, rows, lanes int) {
+	t.Helper()
+	want := liveWords(y, rows, lanes)
+	for blk := range want {
+		if got[blk] != want[blk] {
+			t.Fatalf("%s: rows word of block %d = %#x, want %#x", ctx, blk, got[blk], want[blk])
+		}
+	}
+}
+
+// TestMaskedLanesDeadColumns drives the kernels straight, with ReLU, on
+// inputs whose dead blocks sit at the first column, the last column,
+// every column, no column and at random, over widths up to the mask's
+// 64 columns and odd and even row counts, with -0 biases and a batch
+// that leaves padded lanes: walking the live columns must give the
+// dense walk's bits and the single-vector reference's, and the rows
+// words must name exactly the rows left nonzero.
+func TestMaskedLanesDeadColumns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	patterns := map[string]func(c, cols int, rng *rand.Rand) bool{
+		"first":  func(c, _ int, _ *rand.Rand) bool { return c == 0 },
+		"last":   func(c, cols int, _ *rand.Rand) bool { return c == cols-1 },
+		"every":  func(int, int, *rand.Rand) bool { return true },
+		"none":   func(int, int, *rand.Rand) bool { return false },
+		"random": func(_, _ int, rng *rand.Rand) bool { return rng.Intn(2) == 0 },
+	}
+	for name, dead := range patterns {
+		for _, cols := range []int{1, 7, 64} {
+			for _, rows := range []int{1, 2, 3, 64} {
+				rng := rand.New(rand.NewSource(int64(cols*100 + rows)))
+				n := 13 // two blocks, the second with three padded lanes
+				lanes := padLanes(n)
+				w, b := randVec(rng, rows*cols), randVec(rng, rows)
+				for r := range b {
+					if r%2 == 0 {
+						b[r] = negZero
+					}
+				}
+				x := make(Vec, cols*lanes)
+				for blk := 0; blk < lanes/laneWidth; blk++ {
+					for c := 0; c < cols; c++ {
+						if dead(c, cols, rng) {
+							continue
+						}
+						for j := blk * laneWidth; j < min(n, (blk+1)*laneWidth); j++ {
+							x[c*lanes+j] = math.Abs(rng.NormFloat64()) * float64(rng.Intn(2))
+						}
+					}
+				}
+				l := &Linear{W: &Param{Val: w, Rows: rows, Cols: cols}, B: &Param{Val: b, Rows: rows, Cols: 1}}
+				want := make(Vec, rows)
+				for j := 0; j < n; j++ {
+					in := make(Vec, cols)
+					for c := range in {
+						in[c] = x[c*lanes+j]
+					}
+					l.InferInto(want, in)
+					want, _ = ReLU(want)
+					for _, k := range lanesKernels {
+						y := make(Vec, rows*lanes)
+						out := make([]uint64, lanes/laneWidth)
+						k.fn(y, x, w, b, liveWords(x, cols, lanes), out, cols, lanes, true)
+						ctx := fmt.Sprintf("%s cols=%d rows=%d %s", name, cols, rows, k.name)
+						dense := make(Vec, rows*lanes)
+						k.fn(dense, x, w, b, nil, nil, cols, lanes, true)
+						assertSameBits(t, ctx+" masked vs dense", dense, y)
+						for r := range want {
+							if math.Float64bits(y[r*lanes+j]) != math.Float64bits(want[r]) {
+								t.Fatalf("%s: row %d lane %d: %v, want %v", ctx, r, j, y[r*lanes+j], want[r])
+							}
+						}
+						assertRowsWords(t, ctx, out, y, rows, lanes)
+					}
+				}
+			}
+		}
+	}
+}
+
+// maskRecorder wraps a kernel and records, per layer call, whether it
+// was handed live words and asked for rows words.
+type maskRecorder struct {
+	kernel     laneKernel
+	live, rows []bool
+}
+
+func (m *maskRecorder) run(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool) {
+	m.live = append(m.live, live != nil)
+	m.rows = append(m.rows, rows != nil)
+	m.kernel(y, x, w, b, live, rows, cols, lanes, relu)
+}
+
+// TestInferBatchMaskFallbacks: InferBatch skips only where that is
+// exact. The first layer and the un-ReLU'd last one run dense; a layer
+// of more than 64 rows writes no rows words, so its successor runs
+// dense; and a layer holding an Inf or NaN weight runs dense even on a
+// column that is dead in every block — ∞·(+0) is NaN, which the tape
+// Forward's ReLU turns into +0 and a skip would not see — and both
+// still match Forward bit for bit.
+func TestInferBatchMaskFallbacks(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name       string
+		dims       []int
+		final      bool
+		poison     float64 // written into layer 1 at a dead column; 0: none
+		live, rows []bool
+	}{
+		{"dqn", []int{10, 16, 64, 16, 1}, false, 0, []bool{false, true, true, false}, []bool{true, true, false, false}},
+		{"final ReLU", []int{10, 16, 64, 16, 1}, true, 0, []bool{false, true, true, true}, []bool{true, true, true, false}},
+		{"wide", []int{6, 70, 8, 4, 1}, false, 0, []bool{false, false, true, false}, []bool{false, true, false, false}},
+		{"Inf weight", []int{6, 16, 16, 1}, false, math.Inf(1), []bool{false, false, false}, []bool{true, false, false}},
+		{"NaN weight", []int{6, 16, 16, 1}, false, math.NaN(), []bool{false, false, false}, []bool{true, false, false}},
+	}
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(77))
+		m := NewMLP("t.fallback", tc.dims, rng)
+		m.FinalActivation = tc.final
+		// Layer 0's row 3 is +0 for every input: zero weights, -0 bias.
+		clear(m.Layers[0].W.Row(3))
+		m.Layers[0].B.Val[3] = negZero
+		if tc.poison != 0 {
+			m.Layers[1].W.Row(5)[3] = tc.poison
+		}
+		xs := randMat(rng, 21, tc.dims[0])
+		want := forwardAll(m, xs)
+		for _, k := range lanesKernels {
+			rec := &maskRecorder{kernel: k.fn}
+			got := make(Vec, len(want))
+			m.inferBatch(got, xs, NewArena(), rec.run)
+			assertSameBits(t, tc.name+" "+k.name, want, got)
+			if fmt.Sprint(rec.live) != fmt.Sprint(tc.live) || fmt.Sprint(rec.rows) != fmt.Sprint(tc.rows) {
+				t.Fatalf("%s %s: live words %v, rows words %v; want %v, %v", tc.name, k.name, rec.live, rec.rows, tc.live, tc.rows)
+			}
 		}
 	}
 }

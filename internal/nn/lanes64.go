@@ -1,5 +1,10 @@
 package nn
 
+import (
+	"math"
+	"math/bits"
+)
+
 // The batched f64 forward's kernel: one dense layer over many inputs at
 // once, laid out feature-major and sample-minor so that each input is a
 // lane. x is [cols × lanes], y is [len(b) × lanes], w is the layer's
@@ -10,6 +15,17 @@ package nn
 // MULPD then ADDPD: never a fused multiply-add, which rounds once instead
 // of twice); other GOARCHes, and the amd64 parity tests, run
 // denseLanesGo.
+//
+// Dead ReLU blocks are skipped exactly. Each block of eight lanes
+// carries two masks: live[blk] names the input columns holding any
+// nonzero bit there (the rest are all +0), and the kernel writes
+// rows[blk] naming its own output rows that do. A layer fed live masks
+// adds only the named columns' terms, still in ascending column order;
+// a skipped term is w·(+0), which, for a finite w, changes nothing but
+// the sign of a zero sum, and the layer's ReLU turns either zero into
+// +0. So MLP.InferBatch passes live masks only to a layer with ReLU and
+// finite weights, whose input came from a kernel that wrote them; the
+// first layer and the un-ReLU'd last one run dense.
 //
 // The LSTM backward's two products run on the same packed doubles
 // (mulAddLanes below: accLanes in SSE2, accLanesGo elsewhere), each
@@ -32,24 +48,43 @@ func relu64(v float64) float64 {
 
 // denseLanesGo is the portable kernel, with the assembly's loop shape:
 // one block of eight lanes at a time, every row of the block, eight
-// accumulators down the columns. It keeps InferInto's `s += w*x`
+// accumulators down the columns — all of them, or with live non-nil the
+// set bits of live[blk], lowest first (cols ≤ 64). With rows non-nil
+// (len(b) ≤ 64) it sets bit r of rows[blk] iff row r's eight outputs in
+// block blk hold a nonzero bit. It keeps InferInto's `s += w*x`
 // statements, so a compiler that fuses multiply-add (arm64) fuses here
 // exactly as it does there. lanes must be a multiple of laneWidth.
-func denseLanesGo(y, x, w, b Vec, cols, lanes int, relu bool) {
+func denseLanesGo(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool) {
+	all := ^uint64(0)
 	for j := 0; j < lanes; j += laneWidth {
+		blk := j / laneWidth
+		var lw, out uint64
+		if live != nil {
+			lw = live[blk]
+		}
 		for r, bias := range b {
 			wr := w[r*cols:][:cols]
 			s0, s1, s2, s3, s4, s5, s6, s7 := bias, bias, bias, bias, bias, bias, bias, bias
-			for c, wv := range wr {
-				xc := x[c*lanes+j:][:laneWidth]
-				s0 += wv * xc[0]
-				s1 += wv * xc[1]
-				s2 += wv * xc[2]
-				s3 += wv * xc[3]
-				s4 += wv * xc[4]
-				s5 += wv * xc[5]
-				s6 += wv * xc[6]
-				s7 += wv * xc[7]
+			// The dense walk takes the columns 64 at a time, the masked
+			// one its block's word; both walk set bits.
+			for c0 := 0; c0 < cols; c0 += 64 {
+				m := all >> uint(max(0, 64-(cols-c0)))
+				if live != nil {
+					m = lw
+				}
+				for ; m != 0; m &= m - 1 {
+					c := c0 + bits.TrailingZeros64(m)
+					wv := wr[c]
+					xc := x[c*lanes+j:][:laneWidth]
+					s0 += wv * xc[0]
+					s1 += wv * xc[1]
+					s2 += wv * xc[2]
+					s3 += wv * xc[3]
+					s4 += wv * xc[4]
+					s5 += wv * xc[5]
+					s6 += wv * xc[6]
+					s7 += wv * xc[7]
+				}
 			}
 			if relu {
 				s0, s1, s2, s3 = relu64(s0), relu64(s1), relu64(s2), relu64(s3)
@@ -58,6 +93,12 @@ func denseLanesGo(y, x, w, b Vec, cols, lanes int, relu bool) {
 			yr := y[r*lanes+j:][:laneWidth]
 			yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
 			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
+			or := math.Float64bits(s0) | math.Float64bits(s1) | math.Float64bits(s2) | math.Float64bits(s3) |
+				math.Float64bits(s4) | math.Float64bits(s5) | math.Float64bits(s6) | math.Float64bits(s7)
+			out |= (or | -or) >> 63 << uint(r&63)
+		}
+		if rows != nil {
+			rows[blk] = out
 		}
 	}
 }

@@ -1,27 +1,37 @@
 #include "textflag.h"
 
-// func denseLanes(y, x, w, b Vec, cols, lanes int, relu bool)
+// func denseLanes(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool)
 //
 // Per block of eight lanes, rows go two at a time (the x loads of a
-// column feed both), then a last odd row alone. Registers:
+// column feed both), then a last odd row alone. Each row walks every
+// column when live is empty, else the set bits of the block's live
+// word, lowest first (BSFQ, then m &= m-1). With rows non-empty, each
+// row's four stored accumulators are ORed, compared with +0 (PCMPEQL,
+// PMOVMSKB) and its liveness rotated into R14 through the carry; the
+// block's word is R14 shifted down to bit 0 once all rows are in.
+// Registers:
 //
 // AX  byte offset of the current block of eight lanes
 // BX  bias pointer; CX rows left in the block
-// DX  weight pointer (walks w row by row, once per block)
-// SI  x pointer of the current column; DI y pointer of the current row
-// R9  columns left; R11 lane stride in bytes (lanes·8); R13 weight-row
-//     stride in bytes (cols·8)
+// DX  the current row's weights; R15 the next row's (DX + R13)
+// SI  x at the current block (column 0); DI y pointer of the current row
+// R8  the block's live word; R9 columns left, or live bits left
+// R10 dense: weight pointer walking the row; masked: the column, then
+//     its byte offset in x
+// R12 dense: x pointer walking the columns; masked: scratch
+// R11 lane stride in bytes (lanes·8); R13 weight-row stride in bytes
+//     (cols·8); R14 the block's rows word, built a row at a time
 // X0–X3 the first row's eight accumulators, X4–X7 the second row's,
 // X8 and X13 the broadcast weights, X9–X12 products, X14 +0 (the ReLU
-// floor).
-TEXT ·denseLanes(SB), NOSPLIT, $0-113
-	MOVQ  lanes+104(FP), R11
+// floor and the zero test's operand).
+TEXT ·denseLanes(SB), NOSPLIT, $0-161
+	MOVQ  lanes+152(FP), R11
 	TESTQ R11, R11
 	JEQ   done
 	SHLQ  $3, R11
 	CMPQ  b_len+80(FP), $0
 	JEQ   done
-	MOVQ  cols+96(FP), R13
+	MOVQ  cols+144(FP), R13
 	SHLQ  $3, R13
 	XORPD X14, X14
 	XORQ  AX, AX
@@ -32,6 +42,14 @@ block:
 	MOVQ b_len+80(FP), CX
 	MOVQ y_base+0(FP), DI
 	ADDQ AX, DI
+	MOVQ x_base+24(FP), SI
+	ADDQ AX, SI
+	CMPQ live_len+104(FP), $0
+	JEQ  pair
+	MOVQ AX, R8
+	SHRQ $3, R8
+	ADDQ live_base+96(FP), R8
+	MOVQ (R8), R8
 
 pair:
 	CMPQ     CX, $2
@@ -46,48 +64,92 @@ pair:
 	MOVAPD   X4, X5
 	MOVAPD   X4, X6
 	MOVAPD   X4, X7
-	MOVQ     x_base+24(FP), SI
-	ADDQ     AX, SI
-	MOVQ     cols+96(FP), R9
+	LEAQ     (DX)(R13*1), R15
+	CMPQ     live_len+104(FP), $0
+	JNE      pairlive
+	MOVQ     DX, R10
+	MOVQ     SI, R12
+	MOVQ     cols+144(FP), R9
 	TESTQ    R9, R9
 	JEQ      pairactivate
 
 paircol:
-	MOVSD    (DX), X8
+	MOVSD    (R10), X8
 	UNPCKLPD X8, X8
-	MOVSD    (DX)(R13*1), X13
+	MOVSD    (R10)(R13*1), X13
 	UNPCKLPD X13, X13
-	MOVUPD   (SI), X9
-	MOVUPD   (SI), X10
+	MOVUPD   (R12), X9
+	MOVUPD   (R12), X10
 	MULPD    X8, X9
 	ADDPD    X9, X0
 	MULPD    X13, X10
 	ADDPD    X10, X4
-	MOVUPD   16(SI), X11
-	MOVUPD   16(SI), X12
+	MOVUPD   16(R12), X11
+	MOVUPD   16(R12), X12
 	MULPD    X8, X11
 	ADDPD    X11, X1
 	MULPD    X13, X12
 	ADDPD    X12, X5
-	MOVUPD   32(SI), X9
-	MOVUPD   32(SI), X10
+	MOVUPD   32(R12), X9
+	MOVUPD   32(R12), X10
 	MULPD    X8, X9
 	ADDPD    X9, X2
 	MULPD    X13, X10
 	ADDPD    X10, X6
-	MOVUPD   48(SI), X11
-	MOVUPD   48(SI), X12
+	MOVUPD   48(R12), X11
+	MOVUPD   48(R12), X12
 	MULPD    X8, X11
 	ADDPD    X11, X3
 	MULPD    X13, X12
 	ADDPD    X12, X7
-	ADDQ     $8, DX
-	ADDQ     R11, SI
+	ADDQ     $8, R10
+	ADDQ     R11, R12
 	DECQ     R9
 	JNE      paircol
+	JMP      pairactivate
+
+pairlive:
+	MOVQ  R8, R9
+	TESTQ R9, R9
+	JEQ   pairactivate
+
+pairbit:
+	BSFQ     R9, R10
+	MOVSD    (DX)(R10*8), X8
+	UNPCKLPD X8, X8
+	MOVSD    (R15)(R10*8), X13
+	UNPCKLPD X13, X13
+	IMULQ    R11, R10
+	MOVUPD   (SI)(R10*1), X9
+	MOVUPD   (SI)(R10*1), X10
+	MULPD    X8, X9
+	ADDPD    X9, X0
+	MULPD    X13, X10
+	ADDPD    X10, X4
+	MOVUPD   16(SI)(R10*1), X11
+	MOVUPD   16(SI)(R10*1), X12
+	MULPD    X8, X11
+	ADDPD    X11, X1
+	MULPD    X13, X12
+	ADDPD    X12, X5
+	MOVUPD   32(SI)(R10*1), X9
+	MOVUPD   32(SI)(R10*1), X10
+	MULPD    X8, X9
+	ADDPD    X9, X2
+	MULPD    X13, X10
+	ADDPD    X10, X6
+	MOVUPD   48(SI)(R10*1), X11
+	MOVUPD   48(SI)(R10*1), X12
+	MULPD    X8, X11
+	ADDPD    X11, X3
+	MULPD    X13, X12
+	ADDPD    X12, X7
+	LEAQ     -1(R9), R12
+	ANDQ     R12, R9
+	JNE      pairbit
 
 pairactivate:
-	CMPB  relu+112(FP), $0
+	CMPB  relu+160(FP), $0
 	JEQ   pairstore
 	MAXPD X14, X0
 	MAXPD X14, X1
@@ -109,10 +171,30 @@ pairstore:
 	MOVUPD X6, 32(DI)
 	MOVUPD X7, 48(DI)
 	ADDQ   R11, DI
-	ADDQ   R13, DX
-	ADDQ   $16, BX
-	SUBQ   $2, CX
-	JMP    pair
+	CMPQ   rows_len+128(FP), $0
+	JEQ    pairnext
+	ORPD   X1, X0
+	ORPD   X3, X2
+	ORPD   X2, X0
+	PCMPEQL X14, X0
+	PMOVMSKB X0, R9
+	XORL   $0xffff, R9
+	NEGQ   R9
+	RCRQ   $1, R14
+	ORPD   X5, X4
+	ORPD   X7, X6
+	ORPD   X6, X4
+	PCMPEQL X14, X4
+	PMOVMSKB X4, R9
+	XORL   $0xffff, R9
+	NEGQ   R9
+	RCRQ   $1, R14
+
+pairnext:
+	LEAQ (DX)(R13*2), DX
+	ADDQ $16, BX
+	SUBQ $2, CX
+	JMP  pair
 
 single:
 	TESTQ    CX, CX
@@ -122,34 +204,63 @@ single:
 	MOVAPD   X0, X1
 	MOVAPD   X0, X2
 	MOVAPD   X0, X3
-	MOVQ     x_base+24(FP), SI
-	ADDQ     AX, SI
-	MOVQ     cols+96(FP), R9
+	CMPQ     live_len+104(FP), $0
+	JNE      singlelive
+	MOVQ     DX, R10
+	MOVQ     SI, R12
+	MOVQ     cols+144(FP), R9
 	TESTQ    R9, R9
 	JEQ      activate
 
 col:
-	MOVSD    (DX), X8
+	MOVSD    (R10), X8
 	UNPCKLPD X8, X8
-	MOVUPD   (SI), X9
+	MOVUPD   (R12), X9
 	MULPD    X8, X9
 	ADDPD    X9, X0
-	MOVUPD   16(SI), X10
+	MOVUPD   16(R12), X10
 	MULPD    X8, X10
 	ADDPD    X10, X1
-	MOVUPD   32(SI), X11
+	MOVUPD   32(R12), X11
 	MULPD    X8, X11
 	ADDPD    X11, X2
-	MOVUPD   48(SI), X12
+	MOVUPD   48(R12), X12
 	MULPD    X8, X12
 	ADDPD    X12, X3
-	ADDQ     $8, DX
-	ADDQ     R11, SI
+	ADDQ     $8, R10
+	ADDQ     R11, R12
 	DECQ     R9
 	JNE      col
+	JMP      activate
+
+singlelive:
+	MOVQ  R8, R9
+	TESTQ R9, R9
+	JEQ   activate
+
+singlebit:
+	BSFQ     R9, R10
+	MOVSD    (DX)(R10*8), X8
+	UNPCKLPD X8, X8
+	IMULQ    R11, R10
+	MOVUPD   (SI)(R10*1), X9
+	MULPD    X8, X9
+	ADDPD    X9, X0
+	MOVUPD   16(SI)(R10*1), X10
+	MULPD    X8, X10
+	ADDPD    X10, X1
+	MOVUPD   32(SI)(R10*1), X11
+	MULPD    X8, X11
+	ADDPD    X11, X2
+	MOVUPD   48(SI)(R10*1), X12
+	MULPD    X8, X12
+	ADDPD    X12, X3
+	LEAQ     -1(R9), R12
+	ANDQ     R12, R9
+	JNE      singlebit
 
 activate:
-	CMPB  relu+112(FP), $0
+	CMPB  relu+160(FP), $0
 	JEQ   store
 	MAXPD X14, X0
 	MAXPD X14, X1
@@ -161,8 +272,29 @@ store:
 	MOVUPD X1, 16(DI)
 	MOVUPD X2, 32(DI)
 	MOVUPD X3, 48(DI)
+	CMPQ   rows_len+128(FP), $0
+	JEQ    next
+	ORPD   X1, X0
+	ORPD   X3, X2
+	ORPD   X2, X0
+	PCMPEQL X14, X0
+	PMOVMSKB X0, R9
+	XORL   $0xffff, R9
+	NEGQ   R9
+	RCRQ   $1, R14
 
 next:
+	CMPQ rows_len+128(FP), $0
+	JEQ  advance
+	MOVQ $64, CX
+	SUBQ b_len+80(FP), CX
+	SHRQ CX, R14
+	MOVQ AX, R9
+	SHRQ $3, R9
+	ADDQ rows_base+120(FP), R9
+	MOVQ R14, (R9)
+
+advance:
 	ADDQ $64, AX
 	CMPQ AX, R11
 	JLT  block

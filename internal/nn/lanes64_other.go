@@ -3,8 +3,8 @@
 package nn
 
 // denseLanes runs the portable kernel where there is no assembly one.
-func denseLanes(y, x, w, b Vec, cols, lanes int, relu bool) {
-	denseLanesGo(y, x, w, b, cols, lanes, relu)
+func denseLanes(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool) {
+	denseLanesGo(y, x, w, b, live, rows, cols, lanes, relu)
 }
 
 // accLanes runs the portable kernel where there is no assembly one.
