@@ -21,16 +21,13 @@ var (
 type Result struct {
 	Schema []plan.ColInfo
 	Rows   []storage.Row
+	bytes  int64 // Σ Rows[i].Width(), summed as the operator built Rows
 }
 
-// Bytes is the nominal byte size of the result.
-func (r *Result) Bytes() int64 {
-	var total int64
-	for _, row := range r.Rows {
-		total += int64(row.Width())
-	}
-	return total
-}
+// Bytes is the nominal byte size of the result: the sum of its rows'
+// widths, taken from the table for a scan and summed row by row while
+// any other operator built its output, so it costs nothing to read.
+func (r *Result) Bytes() int64 { return r.bytes }
 
 // Executor evaluates logical plans against a store, metering cost.
 type Executor struct {
@@ -54,7 +51,7 @@ func (e *Executor) Execute(n *plan.Node) (*Result, Usage, error) {
 		CPUOps:    m.ops,
 		PeakBytes: m.peak,
 		OutRows:   len(res.Rows),
-		OutBytes:  res.Bytes(),
+		OutBytes:  res.bytes,
 	}
 	return res, u, nil
 }
@@ -96,8 +93,8 @@ func (e *Executor) runScan(n *plan.Node, m *meter) (*Result, error) {
 	// follows bytes, not tuples: a wide materialized view is more
 	// expensive to scan than a narrow one).
 	m.op(int64(len(t.Rows)) * scanWeight(t.Meta.RowWidth()))
-	res := &Result{Schema: n.Schema, Rows: t.Rows}
-	m.alloc(res.Bytes())
+	res := &Result{Schema: n.Schema, Rows: t.Rows, bytes: t.Bytes()}
+	m.alloc(res.bytes)
 	return res, nil
 }
 
@@ -122,10 +119,11 @@ func (e *Executor) runFilter(n *plan.Node, m *meter) (*Result, error) {
 		m.op(int64(cmps))
 		if keep {
 			out.Rows = append(out.Rows, row)
+			out.bytes += int64(row.Width())
 		}
 	}
-	m.alloc(out.Bytes())
-	m.free(in.Bytes())
+	m.alloc(out.bytes)
+	m.free(in.bytes)
 	return out, nil
 }
 
@@ -143,9 +141,10 @@ func (e *Executor) runProject(n *plan.Node, m *meter) (*Result, error) {
 			outRow[i] = row[pc.Src]
 		}
 		out.Rows = append(out.Rows, outRow)
+		out.bytes += int64(outRow.Width())
 	}
-	m.alloc(out.Bytes())
-	m.free(in.Bytes())
+	m.alloc(out.bytes)
+	m.free(in.bytes)
 	return out, nil
 }
 
@@ -198,6 +197,11 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 
 	out := &Result{Schema: n.Schema}
 	rightWidth := len(right.Schema)
+	zeros := make(storage.Row, 0, rightWidth) // a left join's unmatched right side
+	for _, c := range right.Schema {
+		zeros = append(zeros, zeroValue(c.Type))
+	}
+	zerosBytes := int64(zeros.Width())
 	for _, lrow := range left.Rows {
 		kb = appendKey(kb[:0], lrow, lcols)
 		m.op(2)
@@ -206,26 +210,27 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 			if n.JoinType == plan.LeftJoin {
 				outRow := make(storage.Row, 0, len(lrow)+rightWidth)
 				outRow = append(outRow, lrow...)
-				for _, c := range right.Schema {
-					outRow = append(outRow, zeroValue(c.Type))
-				}
+				outRow = append(outRow, zeros...)
 				out.Rows = append(out.Rows, outRow)
+				out.bytes += int64(lrow.Width()) + zerosBytes
 				m.op(1)
 			}
 			continue
 		}
+		lbytes := int64(lrow.Width())
 		for _, rrow := range matches {
 			outRow := make(storage.Row, 0, len(lrow)+len(rrow))
 			outRow = append(outRow, lrow...)
 			outRow = append(outRow, rrow...)
 			out.Rows = append(out.Rows, outRow)
+			out.bytes += lbytes + int64(rrow.Width())
 			m.op(1)
 		}
 	}
-	m.alloc(out.Bytes())
+	m.alloc(out.bytes)
 	m.free(htBytes)
-	m.free(left.Bytes())
-	m.free(right.Bytes())
+	m.free(left.bytes)
+	m.free(right.bytes)
 	return out, nil
 }
 
@@ -345,11 +350,13 @@ func (e *Executor) runAggregate(n *plan.Node, m *meter) (*Result, error) {
 			}
 		}
 		out.Rows = append(out.Rows, outRow)
-		groupBytes += int64(outRow.Width()) + 48
+		w := int64(outRow.Width())
+		out.bytes += w
+		groupBytes += w + 48
 	}
 	m.alloc(groupBytes)
-	m.alloc(out.Bytes())
+	m.alloc(out.bytes)
 	m.free(groupBytes)
-	m.free(in.Bytes())
+	m.free(in.bytes)
 	return out, nil
 }

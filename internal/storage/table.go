@@ -3,14 +3,25 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"autoview/internal/catalog"
 )
 
 // Table is an in-memory, row-oriented relation bound to a catalog schema.
+// Rows are appended or replaced wholesale, never edited in place: Bytes
+// keeps its sum for as long as Rows keeps its start and length.
 type Table struct {
 	Meta *catalog.Table
 	Rows []Row
+
+	size atomic.Pointer[tableSize] // Bytes of the Rows it was summed over
+}
+
+// tableSize is one table state's byte size.
+type tableSize struct {
+	rows  []Row
+	bytes int64
 }
 
 // NewTable allocates an empty table for the schema.
@@ -28,12 +39,19 @@ func (t *Table) Append(r Row) error {
 	return nil
 }
 
-// Bytes is the nominal byte size of the table contents.
+// Bytes is the nominal byte size of the table contents, summed once per
+// table state: a scan reads it instead of walking every row. Concurrent
+// scans of one state may both sum it; they store the same value.
 func (t *Table) Bytes() int64 {
+	if s := t.size.Load(); s != nil && len(s.rows) == len(t.Rows) &&
+		(len(t.Rows) == 0 || &s.rows[0] == &t.Rows[0]) {
+		return s.bytes
+	}
 	var total int64
 	for _, r := range t.Rows {
 		total += int64(r.Width())
 	}
+	t.size.Store(&tableSize{rows: t.Rows, bytes: total})
 	return total
 }
 
