@@ -133,10 +133,12 @@ func (e *Executor) runProject(n *plan.Node, m *meter) (*Result, error) {
 		return nil, err
 	}
 	out := &Result{Schema: n.Schema, Rows: make([]storage.Row, 0, len(in.Rows))}
-	for _, row := range in.Rows {
+	k := len(n.Proj)
+	vals := make([]storage.Value, len(in.Rows)*k) // every output row, back to back
+	for r, row := range in.Rows {
 		// Column pruning is cheap: one op per row regardless of width.
 		m.op(1)
-		outRow := make(storage.Row, len(n.Proj))
+		outRow := storage.Row(vals[r*k : (r+1)*k : (r+1)*k])
 		for i, pc := range n.Proj {
 			outRow[i] = row[pc.Src]
 		}

@@ -16,11 +16,13 @@ var (
 // Forward-only float64 inference for the dense stack — the DQN's action
 // scoring and bootstrap target (internal/rl). Results are bit-identical
 // to Forward (Linear.Forward computes its output through InferInto, each
-// lane of the batched kernel runs InferInto's chain, and the parity
-// tests in infer_test.go enforce `==`), but no backward closures are
-// built and activations live in an Arena, so a warm evaluation allocates
-// nothing. The W-D estimator does not serve from here: its forward-only
-// path is the float32 mirror (infer32.go, kernels32.go).
+// lane of the batched kernel runs InferInto's chain but for the terms
+// w·(+0) of input blocks that are all +0, whose absence a ReLU cannot
+// see, and the parity tests in infer_test.go enforce `==`), but no
+// backward closures are built and activations live in an Arena, so a
+// warm evaluation allocates nothing. The W-D estimator does not serve
+// from here: its forward-only path is the float32 mirror (infer32.go,
+// kernels32.go).
 
 // InferInto applies the layer forward-only, writing the output into dst
 // (length OutDim). dst must not alias x. This is the package's one
@@ -98,7 +100,7 @@ func (m *MLP) inferBatch(dst Vec, xs []Vec, a *Arena, kernel laneKernel) {
 	var macs, skipped int
 	for i, l := range m.Layers {
 		rows, cols := l.OutDim(), l.InDim()
-		if live != nil && !(relu(i) && finite(l.W.Val)) {
+		if live != nil && !(relu(i) && allFinite(l.W.Val)) {
 			live = nil
 		}
 		var out []uint64
@@ -121,15 +123,4 @@ func (m *MLP) inferBatch(dst Vec, xs []Vec, a *Arena, kernel laneKernel) {
 			dst[j*out+k] = v
 		}
 	}
-}
-
-// finite reports whether every weight is finite: a skipped column's
-// term w·(+0) is ±0 only then (∞·0 is NaN).
-func finite(w Vec) bool {
-	for _, v := range w {
-		if v-v != 0 {
-			return false
-		}
-	}
-	return true
 }

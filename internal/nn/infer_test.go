@@ -506,3 +506,33 @@ func TestParallelForWorker(t *testing.T) {
 		t.Fatalf("Workers(5, 2) = %d, want 2", got)
 	}
 }
+
+// TestAllFiniteParity: the assembly check and its portable twin agree
+// with math.IsInf/IsNaN at every length up to past two rounds of four
+// and at the DQN's 1,024 weights, with one special value at every
+// position, the odd tail included.
+func TestAllFiniteParity(t *testing.T) {
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64,
+		-math.MaxFloat64, 5e-324, math.Copysign(0, -1)}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 1024} {
+		w := randVec(rand.New(rand.NewSource(int64(n))), n)
+		check := func(ctx string) {
+			want := true
+			for _, v := range w {
+				want = want && !math.IsInf(v, 0) && !math.IsNaN(v)
+			}
+			if got, gotGo := allFinite(w), allFiniteGo(w); got != want || gotGo != want {
+				t.Fatalf("n=%d %s: allFinite %t, allFiniteGo %t, want %t", n, ctx, got, gotGo, want)
+			}
+		}
+		check("no special")
+		for i := range w {
+			for _, s := range specials {
+				v := w[i]
+				w[i] = s
+				check(fmt.Sprintf("w[%d]=%v", i, s))
+				w[i] = v
+			}
+		}
+	}
+}

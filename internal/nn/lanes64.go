@@ -103,6 +103,18 @@ func denseLanesGo(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu boo
 	}
 }
 
+// allFiniteGo is the portable allFinite: whether no element of w is
+// ±Inf or NaN — the condition for a skipped column's term w·(+0) to be
+// ±0 (∞·0 is NaN). v-v is +0 for a finite v and NaN otherwise.
+func allFiniteGo(w Vec) bool {
+	for _, v := range w {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // mulAddLanes adds w·x onto y, the LSTM backward's two products: x is
 // [cols × ld] and y [rows × ld], both row-major with row stride ld, and w
 // is [rows × cols] with rows = len(w)/cols. Each element y[r,j] takes its

@@ -11,6 +11,13 @@ package nn
 //go:noescape
 func denseLanes(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool)
 
+// allFinite is allFiniteGo in SSE2 (lanes64_amd64.s): SUBPD of each
+// pair of weights from itself, ORed into two accumulators, which end all
+// zero bits exactly when every difference was +0.
+//
+//go:noescape
+func allFinite(w Vec) bool
+
 // accLanes is accLanesGo in SSE2 (lanes64_amd64.s): per block of eight
 // lanes and per row, four XMM accumulators start from y's values and
 // take MULPD then ADDPD per column.

@@ -302,6 +302,49 @@ advance:
 done:
 	RET
 
+// func allFinite(w Vec) bool
+//
+// Four weights per round in two XMM registers, each subtracted from
+// itself (+0 when finite, NaN otherwise) and ORed into X0 and X1; an odd
+// tail goes one at a time through MOVSD, which zeroes the upper half.
+TEXT ·allFinite(SB), NOSPLIT, $0-25
+	MOVQ  w_base+0(FP), SI
+	MOVQ  w_len+8(FP), CX
+	XORPD X0, X0
+	XORPD X1, X1
+
+finquad:
+	CMPQ   CX, $4
+	JLT    fintail
+	MOVUPD (SI), X2
+	MOVUPD 16(SI), X3
+	SUBPD  X2, X2
+	SUBPD  X3, X3
+	ORPD   X2, X0
+	ORPD   X3, X1
+	ADDQ   $32, SI
+	SUBQ   $4, CX
+	JMP    finquad
+
+fintail:
+	TESTQ CX, CX
+	JEQ   fincheck
+	MOVSD (SI), X2
+	SUBSD X2, X2
+	ORPD  X2, X0
+	ADDQ  $8, SI
+	DECQ  CX
+	JMP   fintail
+
+fincheck:
+	ORPD     X1, X0
+	XORPD    X1, X1
+	PCMPEQL  X1, X0
+	PMOVMSKB X0, AX
+	CMPL     AX, $0xffff
+	SETEQ    ret+24(FP)
+	RET
+
 // func accLanes(y, x, w Vec, cols, ld, lanes int)
 //
 // Per block of eight lanes, row by row; w is walked once per block, its
