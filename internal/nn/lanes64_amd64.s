@@ -6,9 +6,11 @@
 // column feed both), then a last odd row alone. Each row walks every
 // column when live is empty, else the set bits of the block's live
 // word, lowest first (BSFQ, then m &= m-1). With rows non-empty, each
-// row's four stored accumulators are ORed, compared with +0 (PCMPEQL,
-// PMOVMSKB) and its liveness rotated into R14 through the carry; the
-// block's word is R14 shifted down to bit 0 once all rows are in.
+// row's four stored accumulators are ORed and compared with +0
+// (PCMPEQL, PMOVMSKB: 0xffff when all sixteen bytes are zero); CMPL
+// against 0xffff borrows exactly when the row is live, and RCRQ rotates
+// that carry into R14. The block's word is R14 shifted down to bit 0
+// once all rows are in.
 // Registers:
 //
 // AX  byte offset of the current block of eight lanes
@@ -178,16 +180,14 @@ pairstore:
 	ORPD   X2, X0
 	PCMPEQL X14, X0
 	PMOVMSKB X0, R9
-	XORL   $0xffff, R9
-	NEGQ   R9
+	CMPL   R9, $0xffff
 	RCRQ   $1, R14
 	ORPD   X5, X4
 	ORPD   X7, X6
 	ORPD   X6, X4
 	PCMPEQL X14, X4
 	PMOVMSKB X4, R9
-	XORL   $0xffff, R9
-	NEGQ   R9
+	CMPL   R9, $0xffff
 	RCRQ   $1, R14
 
 pairnext:
@@ -279,8 +279,7 @@ store:
 	ORPD   X2, X0
 	PCMPEQL X14, X0
 	PMOVMSKB X0, R9
-	XORL   $0xffff, R9
-	NEGQ   R9
+	CMPL   R9, $0xffff
 	RCRQ   $1, R14
 
 next:
