@@ -199,9 +199,11 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 
 	out := &Result{Schema: n.Schema}
 	rightWidth := len(right.Schema)
-	zeros := make(storage.Row, 0, rightWidth) // a left join's unmatched right side
-	for _, c := range right.Schema {
-		zeros = append(zeros, zeroValue(c.Type))
+	var zeros storage.Row // a left join's unmatched right side
+	if n.JoinType == plan.LeftJoin {
+		for _, c := range right.Schema {
+			zeros = append(zeros, zeroValue(c.Type))
+		}
 	}
 	zerosBytes := int64(zeros.Width())
 	for _, lrow := range left.Rows {

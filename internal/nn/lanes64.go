@@ -55,7 +55,6 @@ func relu64(v float64) float64 {
 // statements, so a compiler that fuses multiply-add (arm64) fuses here
 // exactly as it does there. lanes must be a multiple of laneWidth.
 func denseLanesGo(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool) {
-	all := ^uint64(0)
 	for j := 0; j < lanes; j += laneWidth {
 		blk := j / laneWidth
 		var lw, out uint64
@@ -68,7 +67,7 @@ func denseLanesGo(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu boo
 			// The dense walk takes the columns 64 at a time, the masked
 			// one its block's word; both walk set bits.
 			for c0 := 0; c0 < cols; c0 += 64 {
-				m := all >> uint(max(0, 64-(cols-c0)))
+				m := ^uint64(0) >> max(0, 64-(cols-c0))
 				if live != nil {
 					m = lw
 				}
@@ -95,7 +94,7 @@ func denseLanesGo(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu boo
 			yr[4], yr[5], yr[6], yr[7] = s4, s5, s6, s7
 			or := math.Float64bits(s0) | math.Float64bits(s1) | math.Float64bits(s2) | math.Float64bits(s3) |
 				math.Float64bits(s4) | math.Float64bits(s5) | math.Float64bits(s6) | math.Float64bits(s7)
-			out |= (or | -or) >> 63 << uint(r&63)
+			out |= (or | -or) >> 63 << (r & 63)
 		}
 		if rows != nil {
 			rows[blk] = out
@@ -105,10 +104,10 @@ func denseLanesGo(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu boo
 
 // allFiniteGo is the portable allFinite: whether no element of w is
 // ±Inf or NaN — the condition for a skipped column's term w·(+0) to be
-// ±0 (∞·0 is NaN). v-v is +0 for a finite v and NaN otherwise.
+// ±0 (∞·0 is NaN).
 func allFiniteGo(w Vec) bool {
 	for _, v := range w {
-		if v-v != 0 {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
 			return false
 		}
 	}

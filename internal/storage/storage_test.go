@@ -210,3 +210,47 @@ func TestGenerateCorrelationKeepsBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestTableBytesFollowsState: Bytes is summed once per table state and
+// kept, but an Append or a replaced Rows is a new state, and scans on
+// several goroutines may ask for a state's size at once.
+func TestTableBytesFollowsState(t *testing.T) {
+	meta := &catalog.Table{Name: "t", Columns: []catalog.Column{
+		{Name: "a", Type: catalog.TypeInt}, {Name: "s", Type: catalog.TypeString}}}
+	tbl := NewTable(meta)
+	walk := func() int64 {
+		var n int64
+		for _, r := range tbl.Rows {
+			n += int64(r.Width())
+		}
+		return n
+	}
+	check := func(ctx string) {
+		t.Helper()
+		if got, want := tbl.Bytes(), walk(); got != want {
+			t.Fatalf("%s: Bytes %d, row walk %d", ctx, got, want)
+		}
+	}
+	check("empty")
+	for i := 0; i < 5; i++ {
+		if err := tbl.Append(Row{Int(int64(i)), Str("abc"[:i%4])}); err != nil {
+			t.Fatal(err)
+		}
+		check("after an append")
+	}
+	tbl.Rows = tbl.Rows[:2]
+	check("after a truncation")
+	tbl.Rows = []Row{{Int(1), Str("a longer string")}}
+	check("after a replacement")
+	tbl.Rows = append([]Row{{Int(7), Str("")}}, tbl.Rows...) // a state no Bytes call has summed yet
+	want := walk()
+	done := make(chan int64)
+	for g := 0; g < 8; g++ {
+		go func() { done <- tbl.Bytes() }()
+	}
+	for g := 0; g < 8; g++ {
+		if got := <-done; got != want {
+			t.Errorf("concurrent Bytes %d, want %d", got, want)
+		}
+	}
+}
