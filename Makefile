@@ -1,12 +1,22 @@
 GO ?= go
 
-.PHONY: build test examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint check-bce
+.PHONY: build test test-portable examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint check-bce
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The portable kernels on an amd64 host: the purego build tag drops the
+# assembly (internal/nn's *_amd64 files), so the f64 lanes and the f32
+# serving kernels run their Go twins, as on a CPU without AVX or another
+# GOARCH, and the golden-bits tests of the DQN (TestRLViewGoldenBits)
+# and of W-D's fit and forward (TestFitGoldenBits, TestPredictGoldenBits)
+# hold them to the same bits. The tag is a build constraint for tests,
+# not a runtime switch.
+test-portable:
+	$(GO) test -tags purego -count=1 ./internal/nn/ ./internal/rl/ ./internal/widedeep/
 
 # The four examples/* mains are the documented way into the system
 # (README "Quickstart"), and `go build ./...` only compiles them: run
@@ -150,7 +160,8 @@ vet:
 # fails listing any file gofmt -s would rewrite. The arm64 vet
 # cross-compiles the packages with an amd64-only assembly kernel, and
 # the serving forward's packages above them, so a GOARCH left without
-# its portable fallback fails to type-check here;
+# its portable fallback fails to type-check here (make test-portable
+# covers amd64 built without the assembly);
 # vet's asmdecl checks the assembly's frame on amd64.
 lint: check-bce
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \

@@ -110,8 +110,8 @@ func assertSameBits(t *testing.T, ctx string, want, got Vec) {
 // ReLU returns, bit for bit, on every pre-activation class: +0 for -0
 // and for NaN, infinities, subnormals of both signs. A one-column layer
 // with weights 1 and -0 biases passes each input through unchanged
-// (-0 + x is x, and -0 for x = -0); its three rows cover the
-// assembly's two-row path and its odd last row.
+// (-0 + x is x, and -0 for x = -0); its five rows cover the
+// assembly's four-row pass and its single-row path.
 func TestReLUInferParity(t *testing.T) {
 	pre := Vec{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1), 1, -1,
 		5e-324, -5e-324, 1e-310, -1e-310, math.MaxFloat64, -math.MaxFloat64}
@@ -119,7 +119,7 @@ func TestReLUInferParity(t *testing.T) {
 	x := make(Vec, lanes)
 	copy(x, pre)
 	negZero := math.Copysign(0, -1)
-	w, b := Vec{1, 1, 1}, Vec{negZero, negZero, negZero}
+	w, b := Vec{1, 1, 1, 1, 1}, Vec{negZero, negZero, negZero, negZero, negZero}
 	want, _ := ReLU(pre)
 	for _, k := range lanesKernels {
 		y := make(Vec, len(b)*lanes)
@@ -328,10 +328,12 @@ func assertRowsWords(t *testing.T, ctx string, got []uint64, y Vec, rows, lanes 
 // TestMaskedLanesDeadColumns drives the kernels straight, with ReLU, on
 // inputs whose dead blocks sit at the first column, the last column,
 // every column, no column and at random, over widths up to the mask's
-// 64 columns and odd and even row counts, with -0 biases and a batch
-// that leaves padded lanes: walking the live columns must give the
-// dense walk's bits and the single-vector reference's, and the rows
-// words must name exactly the rows left nonzero.
+// 64 columns and row counts that run the single-row path alone, the
+// four-row pass alone, and the pass followed by one, three or none of
+// the remainder rows, with -0 biases and a batch that leaves padded
+// lanes: walking the live columns must give the dense walk's bits and
+// the single-vector reference's, and the rows words must name exactly
+// the rows left nonzero.
 func TestMaskedLanesDeadColumns(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	patterns := map[string]func(c, cols int, rng *rand.Rand) bool{
@@ -343,7 +345,7 @@ func TestMaskedLanesDeadColumns(t *testing.T) {
 	}
 	for name, dead := range patterns {
 		for _, cols := range []int{1, 7, 64} {
-			for _, rows := range []int{1, 2, 3, 64} {
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64} {
 				rng := rand.New(rand.NewSource(int64(cols*100 + rows)))
 				n := 13 // two blocks, the second with three padded lanes
 				lanes := padLanes(n)

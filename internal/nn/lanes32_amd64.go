@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package nn
 
 // matVecBlocks is matVecBlocksGo in SSE (lanes32_amd64.s): per block of

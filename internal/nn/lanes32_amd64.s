@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // func matVecBlocks(dst, w, b, x Vec32, r4 int)

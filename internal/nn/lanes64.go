@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/bits"
+
+	"autoview/internal/obs"
 )
 
 // The batched f64 forward's kernel: one dense layer over many inputs at
@@ -11,10 +13,12 @@ import (
 // row-major [len(b) × cols] weight. Lane j of row r runs exactly the
 // chain InferInto runs for that row — the bias, then w[r,c]·x[c] added
 // column by column, left to right — so every lane is bit-identical to a
-// single-vector forward. amd64 runs it in SSE2 assembly (lanes64_amd64.s,
-// MULPD then ADDPD: never a fused multiply-add, which rounds once instead
-// of twice); other GOARCHes, and the amd64 parity tests, run
-// denseLanesGo.
+// single-vector forward. On amd64 with AVX it runs in assembly on YMM
+// registers (lanes64_amd64.s, VMULPD then VADDPD: never a fused
+// multiply-add, which rounds once instead of twice), chosen by one
+// CPUID + XGETBV check per process; other GOARCHes, amd64 hosts without
+// AVX, builds tagged purego, and the parity tests run denseLanesGo. The
+// gauge nn.lanes.avx says which ran.
 //
 // Dead ReLU blocks are skipped exactly. Each block of eight lanes
 // carries two masks: live[blk] names the input columns holding any
@@ -28,8 +32,16 @@ import (
 // first layer and the un-ReLU'd last one run dense.
 //
 // The LSTM backward's two products run on the same packed doubles
-// (mulAddLanes below: accLanes in SSE2, accLanesGo elsewhere), each
-// element's chain starting from the value it holds.
+// (mulAddLanes below: accLanes, in AVX where denseLanes is, accLanesGo
+// elsewhere), each element's chain starting from the value it holds.
+
+var obsLanesAVX = obs.Default.Gauge("nn.lanes.avx", "1 when the f64 lane kernels run in AVX, 0 when the portable twins do")
+
+func init() {
+	if laneAVX {
+		obsLanesAVX.Set(1)
+	}
+}
 
 // laneWidth is the kernel's block of lanes: callers pad the input count
 // up to a multiple of it with zero columns and discard those lanes.

@@ -1,6 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package nn
+
+// laneAVX is false where there is no assembly kernel.
+const laneAVX = false
 
 // denseLanes runs the portable kernel where there is no assembly one.
 func denseLanes(y, x, w, b Vec, live, rows []uint64, cols, lanes int, relu bool) {

@@ -134,14 +134,16 @@ func TestLSTMFusedMatchesPerStepReference(t *testing.T) {
 // TestMulAddLanesParity: both lane kernels, and mulAddLanes with its
 // scalar columns past the last whole block, build every element's chain
 // as the scalar loop does, zeros' signs included, onto y's own starting
-// values — the LSTM backward's two products at the W-D shapes, and
-// widths that are a tail alone or blocks and a tail.
+// values — the LSTM backward's two products at the W-D shapes, widths
+// that are a tail alone or blocks and a tail, and 4, 7 and 9 rows: a
+// four-row pass alone, and with a remainder of three rows or of one.
 func TestMulAddLanesParity(t *testing.T) {
 	kernels := []struct {
 		name string
 		fn   func(y, x, w Vec, cols, ld, lanes int)
 	}{{"accLanes", accLanes}, {"accLanesGo", accLanesGo}}
-	for i, shape := range [][3]int{{1, 64, 32}, {64, 5, 32}, {64, 1, 8}, {3, 7, 13}, {2, 3, 5}, {5, 9, 24}} {
+	for i, shape := range [][3]int{{1, 64, 32}, {64, 5, 32}, {64, 1, 8}, {3, 7, 13}, {2, 3, 5}, {5, 9, 24},
+		{4, 3, 16}, {7, 6, 21}, {9, 11, 40}} {
 		rows, cols, ld := shape[0], shape[1], shape[2]
 		rng := rand.New(rand.NewSource(int64(7500 + i)))
 		fill := func(n int) Vec {
