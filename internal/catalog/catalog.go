@@ -81,16 +81,6 @@ type Table struct {
 	Stats   TableStats
 }
 
-// Column returns the column with the given name, or false.
-func (t *Table) Column(name string) (Column, bool) {
-	for _, c := range t.Columns {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Column{}, false
-}
-
 // RowWidth is the nominal byte width of one row.
 func (t *Table) RowWidth() int {
 	w := 0
@@ -156,16 +146,6 @@ func (c *Catalog) Add(t *Table) error {
 func (c *Catalog) Table(name string) (*Table, bool) {
 	t, ok := c.tables[name]
 	return t, ok
-}
-
-// MustTable looks up a table by name and panics if it is absent. Intended
-// for code paths where the name was already validated (e.g. bound plans).
-func (c *Catalog) MustTable(name string) *Table {
-	t, ok := c.tables[name]
-	if !ok {
-		panic(fmt.Sprintf("catalog: unknown table %q", name))
-	}
-	return t
 }
 
 // Tables returns all tables in creation order.

@@ -47,23 +47,8 @@ func TestAddAndLookup(t *testing.T) {
 	}
 }
 
-func TestMustTablePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustTable should panic on unknown table")
-		}
-	}()
-	New().MustTable("ghost")
-}
-
 func TestTableHelpers(t *testing.T) {
 	tab := sampleTable("t", "p")
-	if col, ok := tab.Column("label"); !ok || col.Type != TypeString {
-		t.Error("Column lookup failed")
-	}
-	if _, ok := tab.Column("ghost"); ok {
-		t.Error("missing column lookup should fail")
-	}
 	// id(8) + label(24) + score(8)
 	if tab.RowWidth() != 40 {
 		t.Errorf("RowWidth = %d, want 40", tab.RowWidth())

@@ -68,16 +68,6 @@ func (u Usage) TotalViewOverhead(p Pricing) float64 {
 	return u.StorageCost(p) + u.Cost(p)
 }
 
-// Add accumulates another usage (sequential composition; peaks take max).
-func (u *Usage) Add(o Usage) {
-	u.CPUOps += o.CPUOps
-	if o.PeakBytes > u.PeakBytes {
-		u.PeakBytes = o.PeakBytes
-	}
-	u.OutRows = o.OutRows
-	u.OutBytes = o.OutBytes
-}
-
 // meter tracks live and peak allocated bytes plus CPU operations during a
 // single execution.
 type meter struct {

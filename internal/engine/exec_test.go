@@ -248,15 +248,6 @@ func TestPricingModel(t *testing.T) {
 	}
 }
 
-func TestUsageAdd(t *testing.T) {
-	a := Usage{CPUOps: 10, PeakBytes: 100, OutRows: 1, OutBytes: 8}
-	b := Usage{CPUOps: 5, PeakBytes: 50, OutRows: 2, OutBytes: 16}
-	a.Add(b)
-	if a.CPUOps != 15 || a.PeakBytes != 100 || a.OutRows != 2 || a.OutBytes != 16 {
-		t.Errorf("Add result = %+v", a)
-	}
-}
-
 func TestExecuteMissingTable(t *testing.T) {
 	cat, _ := fixture(t)
 	n, err := plan.Parse("select id from users", cat)
@@ -334,6 +325,19 @@ func BenchmarkExecutePaperQuery(b *testing.B) {
 		if _, err := ex.Cost(n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendKeyCollapsesNumerics: numbers key by their float64 value,
+// so a hash join matches an int column against a float one, as Equal
+// does; a string never shares a number's key.
+func TestAppendKeyCollapsesNumerics(t *testing.T) {
+	key := func(v storage.Value) string { return string(appendKey(nil, storage.Row{v}, []int{0})) }
+	if key(storage.Int(3)) != key(storage.Float(3)) {
+		t.Errorf("Int(3) keys as %q, Float(3) as %q; want them equal", key(storage.Int(3)), key(storage.Float(3)))
+	}
+	if key(storage.Int(3)) == key(storage.Str("3")) {
+		t.Errorf("Int(3) and Str(\"3\") share the key %q", key(storage.Int(3)))
 	}
 }
 

@@ -28,12 +28,6 @@ var (
 	obsCandidates = obs.Default.Gauge("preprocess.candidates", "candidate views |Z| in the last pre-process run")
 )
 
-// Equivalent reports whether two subqueries compute the same relation under
-// the canonical-form test.
-func Equivalent(a, b *plan.Node) bool {
-	return plan.NormalizedFingerprint(a) == plan.NormalizedFingerprint(b)
-}
-
 // Occurrence locates one subquery inside one workload query.
 type Occurrence struct {
 	Query    int // index into the workload's query list

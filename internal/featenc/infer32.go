@@ -293,6 +293,3 @@ func (m *Encoder32) InferSchema(keywords []string, a *nn.Arena) nn.Vec32 {
 
 // PlanDim is the width of one plan's encoding (same as the f64 side).
 func (m *Encoder32) PlanDim() int { return m.planDim }
-
-// SchemaDim is the width of the schema encoding (same as the f64 side).
-func (m *Encoder32) SchemaDim() int { return m.schemaDim }

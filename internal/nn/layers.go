@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Linear is a fully connected layer: y = Wx + b.
 type Linear struct {
@@ -80,22 +77,6 @@ func ReLU(x Vec) (Vec, Backward) {
 	return y, back
 }
 
-// Tanh applies tanh elementwise.
-func Tanh(x Vec) (Vec, Backward) {
-	y := zeros(len(x))
-	for i, v := range x {
-		y[i] = math.Tanh(v)
-	}
-	back := func(dy Vec) Vec {
-		dx := zeros(len(x))
-		for i := range dy {
-			dx[i] = dy[i] * (1 - y[i]*y[i])
-		}
-		return dx
-	}
-	return y, back
-}
-
 // Embedding maps integer ids to dense rows of a learned matrix.
 type Embedding struct {
 	W *Param // [vocab x dim]
@@ -117,9 +98,6 @@ func (e *Embedding) ShareWeights() *Embedding {
 
 // Dim returns the embedding dimension.
 func (e *Embedding) Dim() int { return e.W.Cols }
-
-// Vocab returns the vocabulary size.
-func (e *Embedding) Vocab() int { return e.W.Rows }
 
 // Forward looks up id and returns a copy of its row, carved from a
 // (nil: the heap). Unknown ids clamp to row 0 (the reserved "unknown"

@@ -66,9 +66,6 @@ func (l *LSTM) ShareWeights() *LSTM {
 	return &LSTM{Cell: l.Cell.ShareWeights()}
 }
 
-// Hidden returns the encoder's output dimension.
-func (l *LSTM) Hidden() int { return l.Cell.Hidden }
-
 // Forward encodes the sequence into the final hidden state (zeros for an
 // empty sequence). The backward closure returns per-step input
 // gradients. The returned vectors are views into the pass's own

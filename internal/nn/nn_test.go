@@ -75,7 +75,6 @@ func TestLinearGradients(t *testing.T) {
 func TestActivationGradients(t *testing.T) {
 	acts := map[string]func(Vec) (Vec, Backward){
 		"relu": ReLU,
-		"tanh": Tanh,
 	}
 	x := Vec{-1.5, -0.2, 0.3, 2.0}
 	for name, act := range acts {
@@ -268,20 +267,6 @@ func TestAvgPoolColsGradients(t *testing.T) {
 	}
 }
 
-func TestMSE(t *testing.T) {
-	loss, grad := MSE(Vec{3}, Vec{1})
-	if loss != 4 {
-		t.Errorf("loss = %v, want 4", loss)
-	}
-	if grad[0] != 4 {
-		t.Errorf("grad = %v, want 4", grad[0])
-	}
-	loss2, _ := MSE(Vec{1, 2}, Vec{1, 2})
-	if loss2 != 0 {
-		t.Errorf("zero-error loss = %v", loss2)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 in one parameter.
 	p := NewParam("w", 1, 1)
@@ -317,8 +302,7 @@ func TestLinearTrainsToTarget(t *testing.T) {
 			a, b := rng.Float64(), rng.Float64()
 			target := 2*a - b + 0.5
 			y, back := l.Forward(Vec{a, b})
-			_, dy := MSE(y, Vec{target})
-			back(dy)
+			back(Vec{2 * (y[0] - target)}) // d/dy of the squared error
 		}
 		opt.Step(l.Params())
 	}
@@ -367,8 +351,8 @@ func TestParamHelpers(t *testing.T) {
 		t.Errorf("Size = %d", p.Size())
 	}
 	p.Val[4] = 7
-	if p.At(1, 1) != 7 {
-		t.Errorf("At(1,1) = %v", p.At(1, 1))
+	if p.Row(1)[1] != 7 {
+		t.Errorf("Row(1)[1] = %v", p.Row(1)[1])
 	}
 	p.Row(0)[2] = 5
 	if p.Val[2] != 5 {

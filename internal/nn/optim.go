@@ -2,32 +2,13 @@ package nn
 
 import "math"
 
-// MSE returns the mean squared error between prediction and target plus
-// the gradient dL/dpred.
-func MSE(pred, target Vec) (float64, Vec) {
-	n := float64(len(pred))
-	var loss float64
-	grad := zeros(len(pred))
-	for i := range pred {
-		d := pred[i] - target[i]
-		loss += d * d
-		grad[i] = 2 * d / n
-	}
-	return loss / n, grad
-}
-
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
 // SGD is plain stochastic gradient descent with optional gradient clipping.
 type SGD struct {
 	LR   float64
 	Clip float64 // per-element clip when > 0
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients.
 func (o *SGD) Step(params []*Param) {
 	clip := o.Clip > 0
 	for _, p := range params {
@@ -69,7 +50,7 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients.
 func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))

@@ -1,6 +1,6 @@
 // Package nn is a small from-scratch neural-network library: parameters,
-// dense/embedding/convolution/LSTM layers with exact backpropagation, MSE
-// loss, and SGD/Adam optimizers. It substitutes for the PyTorch models the
+// dense/embedding/convolution/LSTM layers with exact backpropagation, and
+// SGD/Adam optimizers. It substitutes for the PyTorch models the
 // paper uses (Wide-Deep cost estimator, DQN) with identical architectures.
 //
 // The design is functional: every Forward call returns the output together
@@ -59,9 +59,6 @@ func (p *Param) InitXavier(rng *rand.Rand) *Param {
 	}
 	return p
 }
-
-// At returns the element at (r, c).
-func (p *Param) At(r, c int) float64 { return p.Val[r*p.Cols+c] }
 
 // Row returns the r-th row slice (shared storage).
 func (p *Param) Row(r int) []float64 { return p.Val[r*p.Cols : (r+1)*p.Cols] }

@@ -28,8 +28,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Name returns the registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Gauge is a float64 that can go up and down (last-write-wins Set plus a
-// CAS-loop Add). Safe for concurrent use.
+// Gauge is a float64 that can go up and down (last-write-wins Set). Safe
+// for concurrent use.
 type Gauge struct {
 	bits       atomic.Uint64
 	name, help string
@@ -37,17 +37,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add atomically adds delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -28,7 +28,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				c.Add(2)
-				g.Add(0.5)
+				g.Set(float64(i))
 			}
 		}()
 	}
@@ -36,8 +36,8 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	if got, want := c.Value(), int64(workers*per*3); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got, want := g.Value(), float64(workers*per)*0.5; got != want {
-		t.Errorf("gauge = %g, want %g", got, want)
+	if got, want := g.Value(), float64(per-1); got != want {
+		t.Errorf("gauge = %g, want the last write %g", got, want)
 	}
 	c.Add(-5)
 	if got := c.Value(); got != int64(workers*per*3) {

@@ -77,9 +77,6 @@ type Operand struct {
 // ColOperand builds a column operand.
 func ColOperand(idx int) Operand { return Operand{IsCol: true, Col: idx} }
 
-// ConstOperand builds a constant operand.
-func ConstOperand(v storage.Value) Operand { return Operand{Const: v} }
-
 // Value resolves the operand against an input row.
 func (o Operand) Value(row storage.Row) storage.Value {
 	if o.IsCol {

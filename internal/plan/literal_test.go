@@ -61,10 +61,10 @@ func TestBindNumericLiterals(t *testing.T) {
 		if err != nil {
 			gotErr = err.Error()
 		}
-		if gotErr != c.err || (err == nil && got != ConstOperand(c.want)) {
+		if gotErr != c.err || (err == nil && got != Operand{Const: c.want}) {
 			t.Errorf("%q: bound %+v, error %q; want %+v, error %q", c.text, got, gotErr, c.want, c.err)
 		}
-		if oracle, oracleErr := sscanfOperand(c.text); gotErr != oracleErr || (err == nil && got != ConstOperand(oracle)) {
+		if oracle, oracleErr := sscanfOperand(c.text); gotErr != oracleErr || (err == nil && got != Operand{Const: oracle}) {
 			t.Errorf("%q: bound %+v, error %q; fmt.Sscanf read %+v, error %q", c.text, got, gotErr, oracle, oracleErr)
 		}
 	}

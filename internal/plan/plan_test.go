@@ -208,23 +208,6 @@ func TestFingerprintInvariances(t *testing.T) {
 	}
 }
 
-func TestFindOccurrences(t *testing.T) {
-	root := buildPaperPlan(t)
-	subs := ExtractSubqueries(root)
-	for _, s := range subs {
-		occ := FindOccurrences(root, s.Fingerprint)
-		if len(occ) != 1 {
-			t.Errorf("subquery %s: want 1 occurrence, got %d", s.Fingerprint.Short(), len(occ))
-		}
-		if len(occ) == 1 && occ[0] != s.Root {
-			t.Error("occurrence should be the original node")
-		}
-	}
-	if len(FindOccurrences(root, Fingerprint("nope"))) != 0 {
-		t.Error("bogus fingerprint should not be found")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	root := buildPaperPlan(t)
 	cp := root.Clone()

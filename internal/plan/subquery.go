@@ -40,18 +40,3 @@ func ExtractSubqueries(root *Node) []Subquery {
 func isSubqueryRoot(op OpType) bool {
 	return op == OpAggregate || op == OpJoin || op == OpProject
 }
-
-// FindOccurrences returns the nodes in root's tree whose fingerprint equals
-// fp, in pre-order. The rewriter replaces these occurrences with view
-// scans.
-func FindOccurrences(root *Node, fp Fingerprint) []*Node {
-	var out []*Node
-	root.Walk(func(n *Node) {
-		if isSubqueryRoot(n.Op) || n.Op == OpScan {
-			if FingerprintOf(n) == fp {
-				out = append(out, n)
-			}
-		}
-	})
-	return out
-}

@@ -36,20 +36,18 @@ func randCatalog(rng *rand.Rand) *catalog.Catalog {
 
 // randPred emits 1-3 random conjuncts over columns a, b, c of a table.
 func randPred(rng *rand.Rand, cat *catalog.Catalog, table string) []string {
-	t := cat.MustTable(table)
+	t, _ := cat.Table(table)
+	cols := t.Columns // k, a, b, c (randCatalog)
 	var preds []string
 	n := 1 + rng.Intn(3)
 	for i := 0; i < n; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			col, _ := t.Column("a")
-			preds = append(preds, fmt.Sprintf("a = %d", rng.Intn(col.Distinct)))
+			preds = append(preds, fmt.Sprintf("a = %d", rng.Intn(cols[1].Distinct)))
 		case 1:
-			col, _ := t.Column("b")
-			preds = append(preds, fmt.Sprintf("b = 'v%d'", rng.Intn(col.Distinct)))
+			preds = append(preds, fmt.Sprintf("b = 'v%d'", rng.Intn(cols[2].Distinct)))
 		default:
-			col, _ := t.Column("c")
-			preds = append(preds, fmt.Sprintf("c < %d.5", rng.Intn(col.Distinct)))
+			preds = append(preds, fmt.Sprintf("c < %d.5", rng.Intn(cols[3].Distinct)))
 		}
 	}
 	return preds

@@ -13,7 +13,6 @@
 package rl
 
 import (
-	"io"
 	"math"
 	"math/rand"
 
@@ -28,6 +27,9 @@ var (
 	obsLearnCount = obs.Default.Counter("rl.learn.count", "DQN replay-batch updates")
 	obsLearnLoss  = obs.Default.Gauge("rl.learn.loss", "mean loss of the last DQN update")
 )
+
+// memoryCap bounds the replay buffer; Remember evicts the oldest past it.
+const memoryCap = 50_000
 
 // FeatureDim is the width of the per-action (e,a) feature vector fed to
 // the Q-network. The paper's tiny layer sizes (16-64-16-1) imply a compact
@@ -103,13 +105,6 @@ type AgentConfig struct {
 	Gamma     float64 // reward decay rate γ
 	LearnRate float64
 	BatchSize int
-	// MemoryCap bounds the replay buffer; oldest entries are evicted.
-	MemoryCap int
-	// TargetSync, when positive, maintains a frozen target network for
-	// the Q-learning bootstrap, synced every TargetSync Learn calls —
-	// the standard DQN stabilization. Zero bootstraps from the online
-	// network, as in the paper's pseudocode.
-	TargetSync int
 	// Parallelism is the number of workers per replay mini-batch
 	// (nn.Trainer) and per greedy action sweep (BestAction, QValues).
 	// 0 selects runtime.NumCPU(); 1 runs serially. Results are
@@ -128,9 +123,6 @@ func (c AgentConfig) withDefaults() AgentConfig {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
 	}
-	if c.MemoryCap <= 0 {
-		c.MemoryCap = 50_000
-	}
 	return c
 }
 
@@ -139,9 +131,6 @@ func (c AgentConfig) withDefaults() AgentConfig {
 type Agent struct {
 	Net *nn.MLP
 	Cfg AgentConfig
-
-	target     *nn.MLP // frozen bootstrap target (nil unless TargetSync > 0)
-	learnCalls int
 
 	opt *nn.Adam
 	mem []Experience
@@ -167,14 +156,6 @@ func newQNet(rng *rand.Rand) *nn.MLP {
 	return nn.NewMLP("dqn", []int{FeatureDim, 16, 64, 16, 1}, rng)
 }
 
-// copyParams copies values positionally (architectures are identical by
-// construction).
-func copyParams(dst, src []*nn.Param) {
-	for i := range dst {
-		copy(dst[i].Val, src[i].Val)
-	}
-}
-
 // NewAgent allocates an initialized agent.
 func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 	cfg = cfg.withDefaults()
@@ -187,31 +168,16 @@ func NewAgent(cfg AgentConfig, rng *rand.Rand) *Agent {
 		opt: nn.NewAdam(cfg.LearnRate),
 		rng: rng,
 	}
-	if cfg.TargetSync > 0 {
-		// A throwaway source: the target's own initialization is
-		// overwritten, and must not draw from the agent's rng.
-		a.target = newQNet(rand.New(rand.NewSource(0)))
-		copyParams(a.target.Params(), a.Net.Params())
-	}
 	a.opt.Clip = 1
 	return a
 }
 
-// bootstrapNet is the network the Q-learning target is read from: the
-// frozen target when configured, else the online network.
-func (a *Agent) bootstrapNet() *nn.MLP {
-	if a.target != nil {
-		return a.target
-	}
-	return a.Net
-}
-
-// maxQ scores every action of one state with net in one batched forward
-// (nn.MLP.InferBatch) on one pooled arena and returns the first best
-// action and its value (0 and -Inf without actions). A non-nil out
+// maxQ scores every action of one state with the network in one batched
+// forward (nn.MLP.InferBatch) on one pooled arena and returns the first
+// best action and its value (0 and -Inf without actions). A non-nil out
 // receives every value. Action scoring and the Learn bootstrap both go
 // through it.
-func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, bestQ float64) {
+func (a *Agent) maxQ(feats [][]float64, out []float64) (best int, bestQ float64) {
 	bestQ = math.Inf(-1)
 	ar := a.arenas.Get()
 	ar.Reset()
@@ -219,7 +185,7 @@ func (a *Agent) maxQ(net *nn.MLP, feats [][]float64, out []float64) (best int, b
 	if q == nil {
 		q = ar.Vec(len(feats))
 	}
-	net.InferBatch(q, feats, ar)
+	a.Net.InferBatch(q, feats, ar)
 	for j, v := range q {
 		if v > bestQ {
 			best, bestQ = j, v
@@ -240,12 +206,12 @@ func (a *Agent) score(feats [][]float64, q []float64) {
 	n := len(feats)
 	w := nn.Workers(n, a.Cfg.Parallelism)
 	if w <= 1 {
-		a.maxQ(a.Net, feats, q)
+		a.maxQ(feats, q)
 		return
 	}
 	nn.ParallelFor(w, w, func(c int) {
 		lo, hi := c*n/w, (c+1)*n/w
-		a.maxQ(a.Net, feats[lo:hi], q[lo:hi])
+		a.maxQ(feats[lo:hi], q[lo:hi])
 	})
 }
 
@@ -277,8 +243,8 @@ func (a *Agent) BestAction(feats [][]float64) int {
 // Remember appends an experience, evicting the oldest past capacity.
 func (a *Agent) Remember(e Experience) {
 	a.mem = append(a.mem, e)
-	if len(a.mem) > a.Cfg.MemoryCap {
-		a.mem = a.mem[len(a.mem)-a.Cfg.MemoryCap:]
+	if len(a.mem) > memoryCap {
+		a.mem = a.mem[len(a.mem)-memoryCap:]
 	}
 }
 
@@ -314,10 +280,6 @@ func (a *Agent) Learn() float64 {
 	a.batchN = float64(n)
 	loss := a.trainer.Step(n)
 	a.opt.Step(a.Net.Params())
-	a.learnCalls++
-	if a.target != nil && a.learnCalls%a.Cfg.TargetSync == 0 {
-		copyParams(a.target.Params(), a.Net.Params())
-	}
 	obsLearnCount.Inc()
 	obsLearnLoss.Set(loss / float64(n))
 	return loss / float64(n)
@@ -325,15 +287,15 @@ func (a *Agent) Learn() float64 {
 
 // bindWorker builds one data-parallel training worker: a Q-network
 // replica over shared weights plus the per-experience TD-error runner.
-// The bootstrap target is evaluated through the frozen target network
-// (or the online network) — pure reads, safe across workers.
+// The bootstrap target is read from the online network, as in the
+// paper's pseudocode — pure reads, safe across workers.
 func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
 	rep := a.Net.ShareWeights()
 	run := func(i int) float64 {
 		e := a.batch[i]
 		target := e.Reward
 		if !e.Terminal {
-			_, best := a.maxQ(a.bootstrapNet(), e.NextState, nil)
+			_, best := a.maxQ(e.NextState, nil)
 			target += a.Cfg.Gamma * best
 		}
 		y, back := rep.Forward(e.Taken)
@@ -342,23 +304,6 @@ func (a *Agent) bindWorker() ([]*nn.Param, nn.SampleFunc) {
 		return d * d
 	}
 	return rep.Params(), run
-}
-
-// Save persists the Q-network weights.
-func (a *Agent) Save(w io.Writer) error {
-	return nn.SaveParams(w, a.Net.Params())
-}
-
-// Load restores weights saved by Save into an identically configured
-// agent. The target network (when present) syncs to the loaded weights.
-func (a *Agent) Load(r io.Reader) error {
-	if err := nn.LoadParams(r, a.Net.Params()); err != nil {
-		return err
-	}
-	if a.target != nil {
-		copyParams(a.target.Params(), a.Net.Params())
-	}
-	return nil
 }
 
 // LearnFrom trains offline from an external replay dataset for the given

@@ -49,57 +49,45 @@ func onlineQ(a *Agent, feat []float64) float64 {
 
 // targetQ is the Learn bootstrap value of one action.
 func targetQ(a *Agent, feat []float64) float64 {
-	_, q := a.maxQ(a.bootstrapNet(), [][]float64{feat}, nil)
+	_, q := a.maxQ([][]float64{feat}, nil)
 	return q
 }
 
 // TestAgentScoringBitIdenticalToForward cross-checks the agent's whole
 // forward-only surface — QValues one action at a time and over the
-// whole state, BestAction and the Learn bootstrap
-// (maxQ over the bootstrap network: each action's value and the sweep's
-// maximum) — against direct Forward evaluation with ==, with and
-// without a frozen target network, before and after a Learn step moves
-// the weights (nothing may be cached across an update).
+// whole state, BestAction and the Learn bootstrap (maxQ over the online
+// network: each action's value and the sweep's maximum) — against
+// direct Forward evaluation with ==, before and after a Learn step
+// moves the weights (nothing may be cached across an update).
 func TestAgentScoringBitIdenticalToForward(t *testing.T) {
-	for _, cfg := range []AgentConfig{
-		{Seed: 5},
-		{Seed: 5, TargetSync: 100},
-	} {
-		ag := NewAgent(cfg, nil)
-		feats := randomFeats(rand.New(rand.NewSource(6)), 9)
-		ag.Remember(Experience{Taken: feats[2], Reward: 1, NextState: feats})
-		for _, phase := range []string{"initial", "after Learn"} {
-			bootstrap := ag.Net
-			if ag.target != nil {
-				bootstrap = ag.target
+	ag := NewAgent(AgentConfig{Seed: 5}, nil)
+	feats := randomFeats(rand.New(rand.NewSource(6)), 9)
+	ag.Remember(Experience{Taken: feats[2], Reward: 1, NextState: feats})
+	for _, phase := range []string{"initial", "after Learn"} {
+		qv := ag.QValues(feats)
+		bestJ, bestQ := 0, math.Inf(-1)
+		for j, f := range feats {
+			want := forwardQ(ag.Net, f)
+			if want > bestQ {
+				bestJ, bestQ = j, want
 			}
-			qv := ag.QValues(feats)
-			bestJ, bestQ, bestT := 0, 0.0, math.Inf(-1)
-			for j, f := range feats {
-				want := forwardQ(ag.Net, f)
-				if j == 0 || want > bestQ {
-					bestJ, bestQ = j, want
-				}
-				if got := onlineQ(ag, f); got != want { // bit-identity is the property under test
-					t.Fatalf("%+v %s: onlineQ(%d) = %v, Forward = %v", cfg, phase, j, got, want)
-				}
-				if qv[j] != want { // bit-identity is the property under test
-					t.Fatalf("%+v %s: QValues[%d] = %v, Forward = %v", cfg, phase, j, qv[j], want)
-				}
-				wantT := forwardQ(bootstrap, f)
-				if got := targetQ(ag, f); got != wantT { // bit-identity is the property under test
-					t.Fatalf("%+v %s: targetQ(%d) = %v, Forward = %v", cfg, phase, j, got, wantT)
-				}
-				bestT = math.Max(bestT, wantT)
+			if got := onlineQ(ag, f); got != want { // bit-identity is the property under test
+				t.Fatalf("%s: onlineQ(%d) = %v, Forward = %v", phase, j, got, want)
 			}
-			if _, got := ag.maxQ(bootstrap, feats, nil); got != bestT { // bit-identity is the property under test
-				t.Fatalf("%+v %s: bootstrap max = %v, want %v", cfg, phase, got, bestT)
+			if qv[j] != want { // bit-identity is the property under test
+				t.Fatalf("%s: QValues[%d] = %v, Forward = %v", phase, j, qv[j], want)
 			}
-			if got := ag.BestAction(feats); got != bestJ {
-				t.Fatalf("%+v %s: BestAction = %d, want %d (q=%v)", cfg, phase, got, bestJ, bestQ)
+			if got := targetQ(ag, f); got != want { // bit-identity is the property under test
+				t.Fatalf("%s: targetQ(%d) = %v, Forward = %v", phase, j, got, want)
 			}
-			ag.Learn()
 		}
+		if _, got := ag.maxQ(feats, nil); got != bestQ { // bit-identity is the property under test
+			t.Fatalf("%s: bootstrap max = %v, want %v", phase, got, bestQ)
+		}
+		if got := ag.BestAction(feats); got != bestJ {
+			t.Fatalf("%s: BestAction = %d, want %d (q=%v)", phase, got, bestJ, bestQ)
+		}
+		ag.Learn()
 	}
 }
 

@@ -224,23 +224,6 @@ func (s *SelectStmt) SQL() string {
 	return b.String()
 }
 
-// Walk applies fn to every expression node under e, depth-first.
-func Walk(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *BinaryExpr:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
-	case *FuncCall:
-		if x.Arg != nil {
-			Walk(x.Arg, fn)
-		}
-	}
-}
-
 // Conjuncts splits a predicate into its top-level AND conjuncts.
 func Conjuncts(e Expr) []Expr {
 	if e == nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"strings"
 	"sync"
 )
@@ -30,9 +29,6 @@ import (
 type FP struct {
 	Exact [16]byte
 }
-
-// ExactHex renders the exact digest for logs and spans.
-func (f FP) ExactHex() string { return hex.EncodeToString(f.Exact[:]) }
 
 // Canonical-stream framing bytes. Identifier and punctuation tokens are
 // copied verbatim into the template stream; neither token class can

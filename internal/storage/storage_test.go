@@ -64,24 +64,6 @@ func TestValueCompareProperty(t *testing.T) {
 	}
 }
 
-func TestValueKeyCollapsesNumerics(t *testing.T) {
-	if Int(3).Key() != Float(3).Key() {
-		t.Error("Int(3) and Float(3) should share a key")
-	}
-	if Int(3).Key() == Str("3").Key() {
-		t.Error("number and string keys must differ")
-	}
-}
-
-func TestRowCloneIndependent(t *testing.T) {
-	r := Row{Int(1), Str("a")}
-	c := r.Clone()
-	c[0] = Int(99)
-	if r[0].I != 1 {
-		t.Error("Clone shares backing array")
-	}
-}
-
 func TestTableAppendArity(t *testing.T) {
 	meta := &catalog.Table{
 		Name:    "t",
@@ -144,8 +126,8 @@ func TestStorePutGetDrop(t *testing.T) {
 	if _, ok := s.Get("t"); !ok {
 		t.Fatal("Get after Put failed")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.tables) != 1 {
+		t.Errorf("store has %d tables, want 1", len(s.tables))
 	}
 	s.Drop("t")
 	if _, ok := s.Get("t"); ok {
@@ -166,8 +148,8 @@ func TestPopulateCoversCatalog(t *testing.T) {
 		}
 	}
 	st := Populate(cat, rand.New(rand.NewSource(1)))
-	if st.Len() != 3 {
-		t.Fatalf("store has %d tables, want 3", st.Len())
+	if len(st.tables) != 3 {
+		t.Fatalf("store has %d tables, want 3", len(st.tables))
 	}
 	for _, name := range []string{"a", "b", "c"} {
 		tb, ok := st.Get(name)

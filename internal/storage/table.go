@@ -76,9 +76,6 @@ func (s *Store) Get(name string) (*Table, bool) {
 // Drop removes a table if present.
 func (s *Store) Drop(name string) { delete(s.tables, name) }
 
-// Len returns the number of tables in the store.
-func (s *Store) Len() int { return len(s.tables) }
-
 // Generate fills a table with deterministic synthetic rows honoring the
 // per-column distinct counts from the catalog. Integer columns draw from
 // [0, distinct); float columns draw distinct bucketed values; string

@@ -93,16 +93,6 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Key returns a map-key form of the value, used by hash joins and
-// aggregation. Numeric values collapse onto their float64 form so Int(3)
-// and Float(3) hash identically, matching Equal.
-func (v Value) Key() any {
-	if v.Kind == catalog.TypeString {
-		return "s:" + v.S
-	}
-	return v.AsFloat()
-}
-
 // Width returns the nominal byte width of the value for memory accounting.
 func (v Value) Width() int {
 	if v.Kind == catalog.TypeString {
@@ -121,11 +111,4 @@ func (r Row) Width() int {
 		w += v.Width()
 	}
 	return w
-}
-
-// Clone returns a deep copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
 }

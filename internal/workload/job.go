@@ -192,11 +192,10 @@ func JOB() *Workload {
 	//           like s3 ⊃ s1 in the paper's Figure 2;
 	//   93..112 weak pool (20 marginal fragments, one template each).
 	const (
-		templates      = 113
-		strongEnd      = 72
-		joinGroupEnd   = 93
-		joinGroupSize  = 3
-		joinGroupCount = (joinGroupEnd - strongEnd) / joinGroupSize
+		templates     = 113
+		strongEnd     = 72
+		joinGroupEnd  = 93
+		joinGroupSize = 3
 	)
 	aggVariants := []string{
 		"count(*) as cnt",

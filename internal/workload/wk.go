@@ -217,18 +217,6 @@ func mustAdd(cat *catalog.Catalog, t *catalog.Table) {
 	}
 }
 
-// Project extracts the sub-workload of one project (used for the paper's
-// end-to-end samples P1 and P2). The catalog is shared.
-func (w *Workload) Project(name string) *Workload {
-	sub := &Workload{Name: w.Name + "/" + name, Cat: w.Cat, DataSeed: w.DataSeed}
-	for _, q := range w.Queries {
-		if q.Project == name {
-			sub.Queries = append(sub.Queries, q)
-		}
-	}
-	return sub
-}
-
 // TopProjects returns the k projects with the most queries, largest first
 // (ties broken by name).
 func (w *Workload) TopProjects(k int) []string {

@@ -192,7 +192,7 @@ func TestRedundancyAnalysis(t *testing.T) {
 func TestProjectExtraction(t *testing.T) {
 	w := WK1()
 	name := w.TopProjects(1)[0]
-	sub := w.Project(name)
+	sub := w.ProjectUnion([]string{name})
 	if len(sub.Queries) == 0 {
 		t.Fatal("largest project has no queries")
 	}
