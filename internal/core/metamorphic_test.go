@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"autoview/internal/catalog"
+	"autoview/internal/plan"
 	"autoview/internal/workload"
 )
 
@@ -94,4 +98,84 @@ func TestMetamorphicPricingScale(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMetamorphicUnrelatedQuery: a query that shares no subquery with
+// any other joins no candidate's cluster and no associated query, so
+// appending it to the workload, or prepending it, must change no
+// decision. On the mini workload and JOB, under the actual-cost
+// estimator, each of local search, Top-kBen, IterView, BigSub and
+// RLView must pick the same candidates (by fingerprint) at a
+// bit-identical utility. r_c is not compared: the extra query's cost
+// enters RawCost.
+func TestMetamorphicUnrelatedQuery(t *testing.T) {
+	selectors := []SelectorKind{SelectorLocalSearch, SelectorTopkBen, SelectorIterView, SelectorBigSub, SelectorRLView}
+	for _, w := range []*workload.Workload{smallWK(), workload.JOB()} {
+		extra := unrelatedQuery(t, w)
+		appended, prepended := *w, *w
+		appended.Queries = append(slices.Clip(w.Queries), extra)
+		prepended.Queries = append([]workload.Query{extra}, w.Queries...)
+		var picks [][]plan.Fingerprint
+		var utils []float64
+		for vi, v := range []*workload.Workload{w, &appended, &prepended} {
+			a := newAdvisor(t, v, fastConfig())
+			p, err := a.BuildProblem(v.Plans(), a.Preprocess(v.Plans()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, sk := range selectors {
+				a.Cfg.Selector = sk
+				s, err := a.Select(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var picked []plan.Fingerprint
+				for j, z := range s.Z {
+					if z {
+						picked = append(picked, p.Candidates[j].Fingerprint)
+					}
+				}
+				slices.Sort(picked)
+				if vi == 0 {
+					if len(picked) == 0 {
+						t.Errorf("%s %v: no view selected, so the selection says nothing", w.Name, sk)
+					}
+					picks, utils = append(picks, picked), append(utils, s.Utility)
+					continue
+				}
+				where := [...]string{"", "appended", "prepended"}[vi]
+				if !slices.Equal(picked, picks[si]) {
+					t.Errorf("%s %v: an unrelated query %s changed the selection from %d to %d views", w.Name, sk, where, len(picks[si]), len(picked))
+				}
+				if s.Utility != utils[si] {
+					t.Errorf("%s %v: an unrelated query %s moved the utility %v to %v", w.Name, sk, where, utils[si], s.Utility)
+				}
+			}
+		}
+	}
+}
+
+// unrelatedQuery is a query over w's first table whose plan shares no
+// derived subtree with any query of w.
+func unrelatedQuery(t *testing.T, w *workload.Workload) workload.Query {
+	t.Helper()
+	tb := w.Cat.Tables()[0]
+	col, lit := tb.Columns[0], "987654321"
+	if col.Type == catalog.TypeString {
+		lit = "'unrelated'"
+	}
+	sql := fmt.Sprintf("select count(*) as cnt from %s where %s = %s", tb.Name, col.Name, lit)
+	n, err := plan.Parse(sql, w.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := plan.SubtreeFingerprints(n)
+	for _, q := range w.Queries {
+		for fp := range plan.SubtreeFingerprints(q.Plan) {
+			if own[fp] {
+				t.Fatalf("%s: %q shares a subtree with %s", w.Name, sql, q.ID)
+			}
+		}
+	}
+	return workload.Query{ID: "unrelated", Project: tb.Project, SQL: sql, Plan: n}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"strings"
 	"sync"
 )
 
@@ -32,9 +31,10 @@ type FP struct {
 
 // Canonical-stream framing bytes. Identifier and punctuation tokens are
 // copied verbatim into the template stream; neither token class can
-// contain tokSep (identifier bytes satisfy isIdentPart, punctuation is a
-// fixed ASCII set), so terminating every token with tokSep makes the
-// stream prefix-free: "a b" and "ab" render differently.
+// contain tokSep (identifier bytes are letters, digits or '_' in
+// identClass, punctuation is a fixed ASCII set), so terminating every
+// token with tokSep makes the stream prefix-free: "a b" and "ab" render
+// differently.
 const (
 	tokSep  = 0x00 // terminates every template-stream token
 	litMark = 0x01 // replaces a literal token in the template stream
@@ -76,10 +76,11 @@ func putFPScratch(s *fpScratch) {
 	fpPool.Put(s)
 }
 
-// Fingerprint computes the fingerprint of a SQL string. It fails with a
-// *SyntaxError exactly when lexing fails (the scanner mirrors the
-// lexer's rules byte for byte), so any input the parser accepts is
-// fingerprintable. Steady state performs zero heap allocations.
+// Fingerprint computes the fingerprint of a SQL string. It reads the
+// tokens with the lexer's own scanner, so it fails exactly when lexing
+// fails, with the lexer's *SyntaxError, and any input the parser
+// accepts is fingerprintable. Steady state performs zero heap
+// allocations.
 func Fingerprint(sql string) (FP, error) {
 	s := fpPool.Get().(*fpScratch)
 	s.src = append(s.src[:0], sql...)
@@ -122,11 +123,12 @@ func fingerprint(s *fpScratch, src []byte) (FP, error) {
 // FP.Exact it is truncated SHA-256, stable across processes.
 type TemplateKey [16]byte
 
-// Template scans src with Fingerprint's scanner, so it fails exactly
-// when lexing fails, and returns the key of src's template and src's
-// literals in lexical order, in lits' storage. Each literal has the
-// Kind, Text and Ord that Parse gives it: a string's Text is unescaped,
-// and Ord counts from 1. src is only read during the call.
+// Template scans src with the lexer's scanner, so it fails exactly
+// when lexing fails, with the lexer's error, and returns the key of
+// src's template and src's literals in lexical order, in lits' storage.
+// Each literal has the Kind, Text and Ord that Parse gives it: a
+// string's Text is unescaped, and Ord counts from 1. src is only read
+// during the call.
 func Template(src []byte, lits []Literal) (TemplateKey, []Literal, error) {
 	s := fpPool.Get().(*fpScratch)
 	s.tmpl = s.tmpl[:0]
@@ -143,108 +145,35 @@ func Template(src []byte, lits []Literal) (TemplateKey, []Literal, error) {
 	return key, lits, err
 }
 
-// canonicalize scans src with the lexer's exact token rules, appending
-// the template stream to s.tmpl and the literal section to s.lit (or,
-// in the template scan, the literals to s.lits).
+// canonicalize scans src with scan, appending the template stream to
+// s.tmpl and the literal section to s.lit (or, in the template scan,
+// the literals to s.lits).
 func canonicalize(s *fpScratch, src []byte) error {
-	pos := 0
-	n := len(src)
-	for {
-		// Whitespace and -- line comments, as lexer.skipSpace.
-		for pos < n {
-			c := src[pos]
-			if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-				pos++
-				continue
-			}
-			if c == '-' && pos+1 < n && src[pos+1] == '-' {
-				for pos < n && src[pos] != '\n' {
-					pos++
-				}
-				continue
-			}
-			break
-		}
-		if pos >= n {
+	for pos := 0; ; {
+		kind, start, end := scan(src, pos)
+		pos = end
+		switch kind {
+		case TokenEOF:
 			return nil
-		}
-		start := pos
-		c := src[pos]
-		switch {
-		case isIdentStart(rune(c)):
-			for pos < n && isIdentPart(rune(src[pos])) {
-				pos++
-			}
-			s.tmpl = append(s.tmpl, src[start:pos]...)
+		case tokBad:
+			return scanError(src, start, end)
+		case TokenIdent, TokenPunct:
+			s.tmpl = append(s.tmpl, src[start:end]...)
 			s.tmpl = append(s.tmpl, tokSep)
 			continue
-		case c >= '0' && c <= '9':
-			sawDot := false
-			for pos < n {
-				ch := src[pos]
-				if ch >= '0' && ch <= '9' {
-					pos++
-					continue
-				}
-				if ch == '.' && !sawDot {
-					sawDot = true
-					pos++
-					continue
-				}
-				break
-			}
-			if src[pos-1] == '.' {
-				return &SyntaxError{Pos: start, Msg: "malformed number " + string(src[start:pos])}
-			}
-			if s.template {
-				appendTemplateLiteral(s, TokenNumber, src[start:pos])
-			} else {
-				appendLiteral(s, TokenNumber, src[start:pos])
-			}
-			continue
-		case c == '\'':
-			pos++ // opening quote
-			for {
-				if pos >= n {
-					return &SyntaxError{Pos: start, Msg: "unterminated string literal"}
-				}
-				if src[pos] == '\'' {
-					if pos+1 < n && src[pos+1] == '\'' {
-						pos += 2 // '' is an escaped quote
-						continue
-					}
-					pos++ // closing quote
-					break
-				}
-				pos++
-			}
+		case TokenString:
 			// Raw source bytes between the quotes ('' left doubled):
 			// differently escaped spellings of one value hash apart,
 			// which costs at most a duplicate cache entry, never a
 			// wrong hit.
-			if s.template {
-				appendTemplateLiteral(s, TokenString, src[start+1:pos-1])
-			} else {
-				appendLiteral(s, TokenString, src[start+1:pos-1])
-			}
-			continue
+			start, end = start+1, end-1
 		}
-		// Punctuation, two-character operators first (as the lexer).
-		if pos+1 < n {
-			d := src[pos+1]
-			if (c == '<' && (d == '>' || d == '=')) || (c == '>' && d == '=') || (c == '!' && d == '=') {
-				pos += 2
-				s.tmpl = append(s.tmpl, c, d, tokSep)
-				continue
-			}
+		// A literal: a number, or a string's body.
+		if s.template {
+			appendTemplateLiteral(s, kind, src[start:end])
+		} else {
+			appendLiteral(s, kind, src[start:end])
 		}
-		switch c {
-		case '(', ')', ',', '.', ';', '=', '<', '>', '*', '+', '-', '/':
-			pos++
-			s.tmpl = append(s.tmpl, c, tokSep)
-			continue
-		}
-		return &SyntaxError{Pos: start, Msg: "unexpected character " + string(rune(c))}
 	}
 }
 
@@ -268,11 +197,7 @@ func appendTemplateLiteral(s *fpScratch, kind TokenKind, raw []byte) {
 	class := byte(classInteger)
 	switch {
 	case kind == TokenString:
-		l.Kind, class = LitString, classString
-		if bytes.IndexByte(raw, '\'') >= 0 {
-			// Quotes inside a string come in escaped pairs: '' is one '.
-			l.Text = strings.ReplaceAll(l.Text, "''", "'")
-		}
+		l.Kind, l.Text, class = LitString, unquote(l.Text), classString
 	case bytes.IndexByte(raw, '.') >= 0:
 		class = classDecimal
 	}

@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -115,9 +117,10 @@ func TestFingerprintIgnoresLayout(t *testing.T) {
 	}
 }
 
-// TestFingerprintMatchesLexer: the fingerprint scanner must accept and
-// reject exactly what the lexer does, so every parseable query is
-// fingerprintable and every fingerprint error is a real lex error.
+// TestFingerprintMatchesLexer: the fingerprint and template scans must
+// accept and reject exactly what the lexer does, failing with its error
+// (message and position), so every parseable query is fingerprintable
+// and every fingerprint error is the lexer's.
 func TestFingerprintMatchesLexer(t *testing.T) {
 	inputs := append([]string{}, fpTemplates...)
 	inputs = append(inputs,
@@ -126,14 +129,75 @@ func TestFingerprintMatchesLexer(t *testing.T) {
 		`select 1. from t`,
 		`select a from t where b = 1.2.3`,
 		"select \x00",
+		"select \xff",
+		`select a ! b`,
 		`select 'a''b' from t`,
 		`select a from t where b = 'it''s'`,
 	)
 	for _, sql := range inputs {
-		_, lexErr := Lex(sql)
-		_, fpErr := Fingerprint(sql)
-		if (lexErr == nil) != (fpErr == nil) {
-			t.Errorf("Fingerprint/Lex disagree on %q: lex err %v, fp err %v", sql, lexErr, fpErr)
+		if err := scansAsLexer(sql); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// scansAsLexer reports how Fingerprint or Template disagrees with Lex
+// on sql: in whether it fails, or in the error's text.
+func scansAsLexer(sql string) error {
+	_, lexErr := Lex(sql)
+	_, fpErr := Fingerprint(sql)
+	_, _, tmplErr := Template([]byte(sql), nil)
+	want := fmt.Sprint(lexErr)
+	if got := fmt.Sprint(fpErr); got != want {
+		return fmt.Errorf("%q: Fingerprint error %s, Lex error %s", sql, got, want)
+	}
+	if got := fmt.Sprint(tmplErr); got != want {
+		return fmt.Errorf("%q: Template error %s, Lex error %s", sql, got, want)
+	}
+	return nil
+}
+
+// TestFingerprintGoldenDigests pins the hex of Exact and TemplateKey,
+// which FP's doc promises are stable across processes: a change of
+// scanner or of stream framing must keep every one.
+func TestFingerprintGoldenDigests(t *testing.T) {
+	golden := []struct{ sql, exact, tmpl string }{
+		{`select a from t`, "e8d9b41333eda806d7deb9bc6e4357c5", "730449ec728293a348905064604152d2"},
+		{`select a from tt`, "f0c9dde12d9f6e7c3ed0e2d8d8dfe385", "fc3e82e074893869b1f10c056fe05aed"},
+		{`select a, b from t`, "c210202c7e839a34be617f11eeebfa2a", "816894a880748a954b8767861abee259"},
+		{`select ab from t`, "6dae3e02879ad6414d72bfa0ec5dff2d", "590f19bd6435a755f0af538815032255"},
+		{`select a from t where b = 1`, "df7b9de531b8bdffec2d55e7111f4249", "5a3611ba11b6c2dfb45376b70fe37a42"},
+		{`select a from t where b = 1 and c = 2`, "d0118bb72c72a49191ca07a5ee346a15", "47d06bb870467e3d1956a009696e184c"},
+		{`select a from t where b = 1 or c = 2`, "bcbc9d15701f2a5f725d252a9969bd6a", "f7821e1031216a9b6260cff1e9a2bd4e"},
+		{`select a from t inner join s on t.k = s.k`, "fabd4b970eb65efc9449d073ec54fbd8", "959962a876df69206acf3be9e3965d7a"},
+		{`select a from t left join s on t.k = s.k`, "111cf265332b23c6f710f04b1c002981", "d5aaaf367f1edb7c81616a241093f595"},
+		{`select count(*) from t group by a`, "4fbaec6b9875f00d586fad62e0392bfe", "e4d03d00e99ab07262b5814911a91f85"},
+		{`select sum(b) from t group by a`, "9b382b3e63ef22aab3e6a937c7a08b7e", "8eba4894b630a700e5be5b28993dce03"},
+		{`select a from ( select a from t where b = 1 ) x`, "592fc777dfc5d0c30a684432b11ff379", "886fcc0557c4e3e068cfbbe7c7ae7c0a"},
+		{`select a from t where b <> 1`, "b66cc60c1204614e4fc763eede6197e5", "8b79e44873280e748eabc56a309c95c9"},
+		{`select a from t where b <= 1`, "c053212d5be7658d0a8717c56a4abf75", "154215f1de5ca84a74cbedecdf9cd884"},
+		{`select a from t where b < 1`, "d082ac521d160f691a94b3c648056ee8", "e667f30bb0e393746dbcd24239d73785"},
+		{`select a from t where b >= 1`, "ad8138479b2baf2a68aee57c6147be81", "440b31067b0c0add0cc1cf24160bb8f9"},
+		{`select a from t where b != 1`, "bafba8b9453728c635c391792e2997ef", "af002d3f52e4aebaddc755bc9abbc19a"},
+		{fuzzParseFirst[0], "20d3953d1cc5b80a298b0af2c6c56439", "b2373f9860593f131f4328d4e82380aa"},
+		{fuzzParseFirst[1], "9f8d0246a7a8ed8464dc8fe726b396d1", "b861b2686b700d39278f1da5730d8e2a"},
+		{`select a from t where b = 'it''s'`, "3c2f6b18f34251f11e4ceaf0706de032", "97f33e28f05dc4aa1701f69998aa9153"},
+		{"select  a\n\tfrom t -- trailing comment\n where b =\r\n1", "df7b9de531b8bdffec2d55e7111f4249", "5a3611ba11b6c2dfb45376b70fe37a42"},
+	}
+	for _, g := range golden {
+		fp, err := Fingerprint(g.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := Template([]byte(g.sql), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(fp.Exact[:]); got != g.exact {
+			t.Errorf("Exact(%q) = %s, want %s", g.sql, got, g.exact)
+		}
+		if got := hex.EncodeToString(key[:]); got != g.tmpl {
+			t.Errorf("TemplateKey(%q) = %s, want %s", g.sql, got, g.tmpl)
 		}
 	}
 }
@@ -157,7 +221,8 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 
 // FuzzFingerprint drives the fingerprint scanner with arbitrary SQL
 // bytes plus a literal mutation, checking the full contract:
-// determinism, string/bytes agreement, lexer agreement, and the
+// determinism, string/bytes agreement, lexer agreement (Fingerprint and
+// Template fail with Lex's error, message and position), and the
 // literal-rewrite property of Exact (changing any literal's bytes moves
 // it).
 func FuzzFingerprint(f *testing.F) {
@@ -182,9 +247,8 @@ func FuzzFingerprint(f *testing.F) {
 		if (err1 == nil) != (errB == nil) || fpB != fp1 {
 			t.Fatalf("string/bytes disagree: (%v, %v) vs (%v, %v)", fp1, err1, fpB, errB)
 		}
-		_, lexErr := Lex(sql)
-		if (lexErr == nil) != (err1 == nil) {
-			t.Fatalf("lexer disagreement: lex err %v, fp err %v", lexErr, err1)
+		if err := scansAsLexer(sql); err != nil {
+			t.Fatal(err)
 		}
 		if err1 != nil {
 			return

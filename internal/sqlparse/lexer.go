@@ -57,14 +57,6 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sqlparse: position %d: %s", e.Pos, e.Msg)
 }
 
-// lexer scans SQL text into tokens.
-type lexer struct {
-	src string
-	pos int
-}
-
-func newLexer(src string) *lexer { return &lexer{src: src} }
-
 // Lex tokenizes the entire input. It is exported for tests and tooling.
 func Lex(src string) ([]Token, error) {
 	// SQL averages one token per ~6 bytes; sizing for that turns the
@@ -79,132 +71,136 @@ func Lex(src string) ([]Token, error) {
 // lexInto appends src's tokens, through the closing TokenEOF, to dst;
 // on an error it returns what it had appended.
 func lexInto(dst []Token, src string) ([]Token, error) {
-	lx := newLexer(src)
-	for {
-		tok, err := lx.next()
-		if err != nil {
-			return dst, err
+	for pos := 0; ; {
+		kind, start, end := scan(src, pos)
+		switch kind {
+		case tokBad:
+			return dst, scanError(src, start, end)
+		case TokenString:
+			dst = append(dst, Token{Kind: kind, Text: unquote(src[start+1 : end-1]), Pos: start})
+		default:
+			dst = append(dst, Token{Kind: kind, Text: src[start:end], Pos: start})
+			if kind == TokenEOF {
+				return dst, nil
+			}
 		}
-		dst = append(dst, tok)
-		if tok.Kind == TokenEOF {
-			return dst, nil
-		}
+		pos = end
 	}
 }
 
-func (l *lexer) errorf(pos int, format string, args ...any) error {
-	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
+// tokBad is scan's kind for a byte no token starts with, a number that
+// ends in '.' and a string with no closing quote; scanError says which.
+const tokBad TokenKind = -1
 
-func (l *lexer) next() (Token, error) {
-	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return Token{Kind: TokenEOF, Pos: l.pos}, nil
+// Bits of identClass: which bytes start an identifier, and which
+// continue one.
+const (
+	identStart = 1 << iota
+	identPart
+)
+
+// identClass classifies each byte for identifiers as unicode does the
+// rune of the same value: '_' and the letters start one, and they and
+// the digits continue it. A byte is classified alone, as a Latin-1
+// rune; a multibyte UTF-8 letter is never decoded.
+var identClass = func() (c [256]uint8) {
+	for b := range c {
+		r := rune(b)
+		switch {
+		case r == '_' || unicode.IsLetter(r):
+			c[b] = identStart | identPart
+		case unicode.IsDigit(r):
+			c[b] = identPart
+		}
 	}
-	start := l.pos
-	ch := l.src[l.pos]
+	return c
+}()
+
+// scan is the one copy of the fragment's token rules, shared by the
+// lexer and the fingerprint and template scans. From pos it skips
+// whitespace and -- line comments and returns the next token's kind
+// and byte span [start, end): TokenEOF at the end of src, with
+// start = end = len(src), and tokBad where no token can be read. A
+// string's span includes its quotes.
+func scan[T string | []byte](src T, pos int) (kind TokenKind, start, end int) {
+	n := len(src)
+	for pos < n {
+		if c := src[pos]; c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			pos++
+		} else if c == '-' && pos+1 < n && src[pos+1] == '-' {
+			for pos < n && src[pos] != '\n' {
+				pos++
+			}
+		} else {
+			break
+		}
+	}
+	if pos == n {
+		return TokenEOF, n, n
+	}
+	start = pos
+	c := src[pos]
 	switch {
-	case isIdentStart(rune(ch)):
-		return l.lexIdent(), nil
-	case ch >= '0' && ch <= '9':
-		return l.lexNumber()
-	case ch == '\'':
-		return l.lexString()
+	case identClass[c]&identStart != 0:
+		for pos++; pos < n && identClass[src[pos]] != 0; pos++ {
+		}
+		return TokenIdent, start, pos
+	case c >= '0' && c <= '9':
+		sawDot := false
+		for pos++; pos < n; pos++ {
+			if d := src[pos]; d == '.' && !sawDot {
+				sawDot = true
+			} else if d < '0' || d > '9' {
+				break
+			}
+		}
+		if src[pos-1] == '.' {
+			return tokBad, start, pos
+		}
+		return TokenNumber, start, pos
+	case c == '\'':
+		for pos++; pos < n; pos++ {
+			if src[pos] == '\'' {
+				if pos+1 < n && src[pos+1] == '\'' {
+					pos++ // '' is an escaped quote
+					continue
+				}
+				return TokenString, start, pos + 1
+			}
+		}
+		return tokBad, start, n
 	}
-	// Punctuation, including two-character operators.
-	two := ""
-	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
+	// Punctuation, two-character operators first.
+	if pos+1 < n {
+		if d := src[pos+1]; (c == '<' && (d == '>' || d == '=')) || ((c == '>' || c == '!') && d == '=') {
+			return TokenPunct, start, pos + 2
+		}
 	}
-	switch two {
-	case "<>", "<=", ">=", "!=":
-		l.pos += 2
-		return Token{Kind: TokenPunct, Text: two, Pos: start}, nil
-	}
-	switch ch {
+	switch c {
 	case '(', ')', ',', '.', ';', '=', '<', '>', '*', '+', '-', '/':
-		l.pos++
-		// A substring, not string(ch): that conversion allocates.
-		return Token{Kind: TokenPunct, Text: l.src[start:l.pos], Pos: start}, nil
+		return TokenPunct, start, pos + 1
 	}
-	return Token{}, l.errorf(start, "unexpected character %q", ch)
+	return tokBad, start, pos + 1
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		ch := l.src[l.pos]
-		if ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r' {
-			l.pos++
-			continue
-		}
-		// Line comments: -- to end of line.
-		if ch == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-			continue
-		}
-		return
+// scanError is the *SyntaxError of the tokBad span [start, end) of src.
+func scanError[T string | []byte](src T, start, end int) error {
+	switch c := src[start]; {
+	case c == '\'':
+		return &SyntaxError{Pos: start, Msg: "unterminated string literal"}
+	case c >= '0' && c <= '9':
+		return &SyntaxError{Pos: start, Msg: fmt.Sprintf("malformed number %q", string(src[start:end]))}
+	default:
+		return &SyntaxError{Pos: start, Msg: fmt.Sprintf("unexpected character %q", c)}
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-func (l *lexer) lexIdent() Token {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+// unquote is the value of a string literal whose body, the bytes
+// between its quotes, is body: body itself unless it holds a quote,
+// which is escaped by doubling it.
+func unquote(body string) string {
+	if strings.IndexByte(body, '\'') < 0 {
+		return body
 	}
-	return Token{Kind: TokenIdent, Text: l.src[start:l.pos], Pos: start}
-}
-
-func (l *lexer) lexNumber() (Token, error) {
-	start := l.pos
-	sawDot := false
-	for l.pos < len(l.src) {
-		ch := l.src[l.pos]
-		if ch >= '0' && ch <= '9' {
-			l.pos++
-			continue
-		}
-		if ch == '.' && !sawDot {
-			sawDot = true
-			l.pos++
-			continue
-		}
-		break
-	}
-	text := l.src[start:l.pos]
-	if strings.HasSuffix(text, ".") {
-		return Token{}, l.errorf(start, "malformed number %q", text)
-	}
-	return Token{Kind: TokenNumber, Text: text, Pos: start}, nil
-}
-
-func (l *lexer) lexString() (Token, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		ch := l.src[l.pos]
-		if ch == '\'' {
-			// '' is an escaped quote.
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokenString, Text: b.String(), Pos: start}, nil
-		}
-		b.WriteByte(ch)
-		l.pos++
-	}
-	return Token{}, l.errorf(start, "unterminated string literal")
+	return strings.ReplaceAll(body, "''", "'")
 }

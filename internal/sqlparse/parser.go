@@ -7,9 +7,9 @@ import (
 )
 
 // tokBufs recycles the token slice of a Parse call: the statement it
-// returns keeps strings (substrings of src, or a string literal's own
-// unescaped copy), never a Token or the slice, so the slice dies with
-// the call.
+// returns keeps strings (substrings of src, or the unescaped copy of a
+// string literal with a doubled quote), never a Token or the slice, so
+// the slice dies with the call.
 var tokBufs = sync.Pool{New: func() any { return new([]Token) }}
 
 // maxPooledTokens caps what the pool retains, so one huge statement

@@ -263,9 +263,10 @@ func TestSyntaxErrorPosition(t *testing.T) {
 
 // TestParseTokenBufferAllocs: Parse lexes into a pooled token slice, so
 // a warm call allocates exactly what parsing already-lexed tokens does —
-// the AST — however long the statement is (no string literals here: the
-// lexer unescapes each into a copy of its own). The statement keeps no
-// token, so the next Parse reusing the slice cannot change it.
+// the AST — however long the statement is. A string literal holding no
+// escaped quote is a substring of the text, as an identifier is. The
+// statement keeps no token, so the next Parse reusing the slice cannot
+// change it.
 func TestParseTokenBufferAllocs(t *testing.T) {
 	short := "select a from t where b = 1"
 	long := "select a, b, c, d, count(*) as n from t inner join u on t.a = u.a where b = 1"
@@ -273,7 +274,8 @@ func TestParseTokenBufferAllocs(t *testing.T) {
 		long += " and c <> 22"
 	}
 	long += " group by a, b, c, d"
-	for _, src := range []string{short, long} {
+	strs := "select a from t where b = 'v7' and c = 'it'"
+	for _, src := range []string{short, long, strs} {
 		toks, err := Lex(src)
 		if err != nil {
 			t.Fatal(err)
