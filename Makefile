@@ -13,10 +13,11 @@ test:
 # serving kernels run their Go twins, as on a CPU without AVX or another
 # GOARCH, and the golden-bits tests of the DQN (TestRLViewGoldenBits)
 # and of W-D's fit and forward (TestFitGoldenBits, TestPredictGoldenBits)
-# hold them to the same bits. The tag is a build constraint for tests,
-# not a runtime switch.
+# hold them to the same bits; featenc's tests hold its f32 encoders,
+# which run the f32 kernels, to their f64 twins. The tag is a build
+# constraint for tests, not a runtime switch.
 test-portable:
-	$(GO) test -tags purego -count=1 ./internal/nn/ ./internal/rl/ ./internal/widedeep/
+	$(GO) test -tags purego -count=1 ./internal/nn/ ./internal/rl/ ./internal/widedeep/ ./internal/featenc/
 
 # The four examples/* mains are the documented way into the system
 # (README "Quickstart"), and `go build ./...` only compiles them: run

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"autoview/internal/engine"
+	"autoview/internal/metrics"
 	"autoview/internal/obs"
 	"autoview/internal/workload"
 )
@@ -489,6 +490,76 @@ func TestApplyParallelDeterminism(t *testing.T) {
 	}
 	if one.RewrittenQueries == 0 || one.RawLatency <= 0 || one.RewrittenLatency >= one.RawLatency {
 		t.Fatalf("degenerate report: %+v", *one)
+	}
+}
+
+// TestApplyMatchesReexecution: Apply takes A(q) from BuildProblem for a
+// query no selected view rewrites instead of executing it again; its
+// report must be, bit for bit, the one built by executing every query,
+// rewritten or not, for a selector's pick, for every candidate at once
+// and for none.
+func TestApplyMatchesReexecution(t *testing.T) {
+	w := smallWK()
+	a := newAdvisor(t, w, fastConfig())
+	p, err := a.BuildProblem(w.Plans(), a.Preprocess(w.Plans()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Cfg.Selector = SelectorLocalSearch
+	picked, err := a.Select(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]bool, len(p.Candidates))
+	for j := range all {
+		all[j] = true
+	}
+	for _, sel := range []*Selection{picked, {Method: "all", Z: all}, {Method: "none", Z: make([]bool, len(p.Candidates))}} {
+		got, err := a.Apply(p, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pricing := a.Cfg.Pricing
+		want := Report{
+			Estimator:  a.Cfg.Estimator.String(),
+			Selector:   sel.Method,
+			NumQueries: len(p.Queries),
+			Selection:  sel,
+		}
+		var views []*rewrite.View
+		for j, z := range sel.Z {
+			if z {
+				views = append(views, p.Candidates[j].View)
+				want.NumViews++
+				want.ViewOverhead += p.Candidates[j].View.Overhead(pricing)
+			}
+		}
+		unrewritten := 0
+		for i, q := range p.Queries {
+			rw, n := rewrite.Rewrite(q, views)
+			u, err := a.Exec.Cost(rw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.RawCost += p.QueryCost[i]
+			want.RawLatency += p.QueryUsage[i].CPUMinutes(pricing)
+			cost := u.Cost(pricing)
+			want.RewrittenCost += cost
+			want.RewrittenLatency += u.CPUMinutes(pricing)
+			if n > 0 {
+				want.RewrittenQueries++
+				want.RewriteBenefit += p.QueryCost[i] - cost
+			} else {
+				unrewritten++
+			}
+		}
+		want.SavedRatio = metrics.SavedCostRatio(want.RewriteBenefit, want.ViewOverhead, want.RawCost)
+		if *got != want {
+			t.Fatalf("%s: Apply's report differs from re-executing every query:\nApply %+v\nre-executed %+v", sel.Method, *got, want)
+		}
+		if sel.Method != "all" && unrewritten == 0 {
+			t.Fatalf("%s: every query was rewritten, so no measured A(q) was reused", sel.Method)
+		}
 	}
 }
 

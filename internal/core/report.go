@@ -55,7 +55,8 @@ func (r *Report) String() string {
 // executor only reads the store; each execution has its own meter) into
 // per-query slots that are summed in query order, so the report is
 // bit-identical at any GOMAXPROCS. The raw side comes from BuildProblem's
-// measurements; raw queries are not executed again.
+// measurements; raw queries are not executed again, and neither is a
+// query no selected view rewrites: its A(q|v) is its measured A(q).
 func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 	defer obs.StartSpan("advisor.rewrite")()
 	pricing := a.Cfg.Pricing
@@ -84,6 +85,10 @@ func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 	nn.ParallelFor(len(p.Queries), runtime.GOMAXPROCS(0), func(i int) {
 		var rw *plan.Node
 		rw, replaced[i] = rewrite.Rewrite(p.Queries[i], selected)
+		if replaced[i] == 0 {
+			usage[i] = p.QueryUsage[i]
+			return
+		}
 		usage[i], errs[i] = a.Exec.Cost(rw)
 	})
 	for i, u := range usage {

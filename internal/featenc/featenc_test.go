@@ -411,3 +411,36 @@ func TestBatchExtractorMatchesExtractPre(t *testing.T) {
 		t.Fatal("rebound extractor served the old catalog's statistics")
 	}
 }
+
+// TestEncoder32MatchesEncode holds the f32 serving mirror — its LSTM
+// products, gates and string CNN on internal/nn's f32 kernels, packed
+// or portable as the build and CPU choose — to the f64 tape encoder
+// within a fixed envelope, on the example query and view: plan codes at
+// the default width (whole kernel blocks) and at 13 (every partial
+// block and the Go tail), and the schema code.
+func TestEncoder32MatchesEncode(t *testing.T) {
+	cat := testCatalog(t)
+	vocab := NewVocab(cat, nil)
+	q, v := examplePlans(t, cat)
+	f := Extract(q, v, cat)
+	for _, cfg := range []Config{{}, {EmbedDim: 12, Hidden: 13}} {
+		e := NewEncoder(vocab, cfg, rand.New(rand.NewSource(9)))
+		m := NewEncoder32(e)
+		check := func(what string, got nn.Vec32, want nn.Vec) {
+			if len(got) != len(want) {
+				t.Fatalf("%+v %s: f32 width %d, f64 width %d", cfg, what, len(got), len(want))
+			}
+			for i := range want {
+				if !nn.AlmostEqual(float64(got[i]), want[i], 1e-4, 1e-5) {
+					t.Fatalf("%+v %s[%d]: f32 %v, f64 %v", cfg, what, i, got[i], want[i])
+				}
+			}
+		}
+		for _, p := range [][][]plan.Tok{f.QueryPlan, f.ViewPlan} {
+			want, _ := e.EncodePlan(p, nil)
+			check("plan", m.InferPlan(p, nn.NewArena()), want)
+		}
+		want, _ := e.EncodeSchema(f.Schema, nil)
+		check("schema", m.InferSchema(f.Schema, nn.NewArena()), want)
+	}
+}

@@ -14,7 +14,7 @@ import "math"
 // the f64-train / f32-infer contract.
 
 // Linear32 mirrors Linear: y = Wx + b over float32 with a column-major
-// flat weight copy, the layout matVecCols32 runs four rows per lane.
+// flat weight copy, the layout matVecCols32 runs with rows as lanes.
 type Linear32 struct {
 	W   Vec32 // [in × out] column-major: W[c·Out+r] is Linear's W[r,c]
 	B   Vec32 // [out]

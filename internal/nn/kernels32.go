@@ -107,8 +107,16 @@ func Sum32(dst, x, y Vec32) {
 	}
 }
 
-// ReLU32 writes max(0, x) elementwise in place.
+// ReLU32 writes max(0, x) elementwise in place: a negative element
+// becomes +0, and −0 and NaN stay as they are. Whole blocks of eight
+// run in reluBlocks (lanes32.go's packed kernels), the rest in relu32Go.
 func ReLU32(x Vec32) {
+	relu32Go(reluBlocks(x))
+}
+
+// relu32Go is ReLU32's portable kernel, and its tail after the packed
+// one.
+func relu32Go(x Vec32) {
 	for i, v := range x {
 		if v < 0 {
 			x[i] = 0

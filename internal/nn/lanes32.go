@@ -7,10 +7,13 @@ package nn
 // accumulator, both from +0, taking w[c,r]·x[c] column pair by column
 // pair, an odd last column on the even chain, then b[r] + (even + odd) —
 // so it is bit-identical to the row-major MatVec32. Lane j of the gate
-// kernel runs exactly the Go loop's operations for unit j. amd64 runs
-// both four lanes per SSE instruction (lanes32_amd64.s, MULPS then
-// ADDPS: never a fused multiply-add); other GOARCHes, and the amd64
-// parity tests, run the Go twins matVecBlocksGo and gateUnits.
+// kernel runs exactly the Go loop's operations for unit j. On amd64
+// with AVX both run eight lanes per YMM instruction (lanes32_amd64.s,
+// VMULPS then VADDPS: never a fused multiply-add), and so does ReLU32's
+// VMAXPS, behind the one CPU check that picks the f64 lane kernels
+// (laneAVX, lanes64_amd64.go); other GOARCHes, amd64 hosts without AVX
+// and builds tagged purego run the Go twins matVecBlocksGo, gateUnits
+// and relu32Go, which the parity tests hold to the same bits.
 
 // matVecCols32 computes dst = b + W·x for a column-major W [cols × rows],
 // rows = len(b): dst[r] = b[r] + Σc W[c·rows+r]·x[c] in dot32's order.

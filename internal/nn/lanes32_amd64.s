@@ -2,21 +2,28 @@
 
 #include "textflag.h"
 
-// func matVecBlocks(dst, w, b, x Vec32, r4 int)
+// func matVecBlocksAVX(dst, w, b, x Vec32, r4 int)
 //
-// w is column-major [cols × rows], rows = len(b), so the four rows of a
-// block are contiguous in every column. Rows go sixteen at a time (four
-// blocks, eight accumulators) while they last, then four at a time.
+// w is column-major [cols × rows], rows = len(b), so a block's rows are
+// contiguous in every column. Rows go 32 at a time (four even and four
+// odd YMM accumulators) while they last, then eight at a time (one of
+// each), then the last four, if any, on XMM; every row's two chains
+// start at +0, an odd last column goes on the even chain, and the row
+// ends as b + (even + odd). The products take x as VMULPS's first
+// source, so of two NaN operands another one may come out than from
+// the Go twin (sameBits32 in the tests); every other bit is the same.
 // Registers:
 //
-// AX  byte offset of the current rows; R10 end of the blocks (r4·4)
+// AX  byte offset of the current rows; R12 its end; R10 end of the
+//     blocks (r4·4)
 // BX  b pointer; DI dst pointer; R13 w pointer
 // SI  w pointer of the current column at the current rows
 // CX  x pointer of the current column; R9 columns left; DX len(x)
 // R8  column stride in bytes (rows·4); R11 twice that
-// X0–X3 the even-column accumulators, X4–X7 the odd-column ones,
-// X8 and X9 the broadcast x[c] and x[c+1], X10–X11 products.
-TEXT ·matVecBlocks(SB), NOSPLIT, $0-104
+// Y0–Y3 the even-column accumulators, Y4–Y7 the odd-column ones,
+// Y8 and Y9 the broadcast x[c] and x[c+1], Y10–Y13 products; each
+// accumulator is VADDPS's first source, as in `s += w*x`.
+TEXT ·matVecBlocksAVX(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ w_base+24(FP), R13
 	MOVQ b_base+48(FP), BX
@@ -28,288 +35,346 @@ TEXT ·matVecBlocks(SB), NOSPLIT, $0-104
 	SHLQ $2, R10
 	XORQ AX, AX
 
-rows16:
-	LEAQ  64(AX), R12
-	CMPQ  R12, R10
-	JGT   rows4
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	LEAQ  (R13)(AX*1), SI
-	MOVQ  x_base+72(FP), CX
-	MOVQ  DX, R9
+rows32:
+	LEAQ   128(AX), R12
+	CMPQ   R12, R10
+	JGT    rows8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	LEAQ   (R13)(AX*1), SI
+	MOVQ   x_base+72(FP), CX
+	MOVQ   DX, R9
 
-pair16:
-	CMPQ   R9, $2
-	JLT    odd16
-	MOVSS  (CX), X8
-	SHUFPS $0, X8, X8
-	MOVSS  4(CX), X9
-	SHUFPS $0, X9, X9
-	MOVUPS (SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MOVUPS (SI)(R8*1), X11
-	MULPS  X9, X11
-	ADDPS  X11, X4
-	MOVUPS 16(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X1
-	MOVUPS 16(SI)(R8*1), X11
-	MULPS  X9, X11
-	ADDPS  X11, X5
-	MOVUPS 32(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X2
-	MOVUPS 32(SI)(R8*1), X11
-	MULPS  X9, X11
-	ADDPS  X11, X6
-	MOVUPS 48(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X3
-	MOVUPS 48(SI)(R8*1), X11
-	MULPS  X9, X11
-	ADDPS  X11, X7
-	ADDQ   R11, SI
-	ADDQ   $8, CX
-	SUBQ   $2, R9
-	JMP    pair16
+pair32:
+	CMPQ         R9, $2
+	JLT          odd32
+	VBROADCASTSS (CX), Y8
+	VBROADCASTSS 4(CX), Y9
+	VMULPS       (SI), Y8, Y10
+	VADDPS       Y10, Y0, Y0
+	VMULPS       (SI)(R8*1), Y9, Y11
+	VADDPS       Y11, Y4, Y4
+	VMULPS       32(SI), Y8, Y12
+	VADDPS       Y12, Y1, Y1
+	VMULPS       32(SI)(R8*1), Y9, Y13
+	VADDPS       Y13, Y5, Y5
+	VMULPS       64(SI), Y8, Y10
+	VADDPS       Y10, Y2, Y2
+	VMULPS       64(SI)(R8*1), Y9, Y11
+	VADDPS       Y11, Y6, Y6
+	VMULPS       96(SI), Y8, Y12
+	VADDPS       Y12, Y3, Y3
+	VMULPS       96(SI)(R8*1), Y9, Y13
+	VADDPS       Y13, Y7, Y7
+	ADDQ         R11, SI
+	ADDQ         $8, CX
+	SUBQ         $2, R9
+	JMP          pair32
 
-odd16:
-	TESTQ  R9, R9
-	JEQ    sum16
-	MOVSS  (CX), X8
-	SHUFPS $0, X8, X8
-	MOVUPS (SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MOVUPS 16(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X1
-	MOVUPS 32(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X2
-	MOVUPS 48(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X3
+odd32:
+	TESTQ        R9, R9
+	JEQ          sum32
+	VBROADCASTSS (CX), Y8
+	VMULPS       (SI), Y8, Y10
+	VADDPS       Y10, Y0, Y0
+	VMULPS       32(SI), Y8, Y11
+	VADDPS       Y11, Y1, Y1
+	VMULPS       64(SI), Y8, Y12
+	VADDPS       Y12, Y2, Y2
+	VMULPS       96(SI), Y8, Y13
+	VADDPS       Y13, Y3, Y3
 
-// even + odd, then the bias added onto that sum: the sum is the
-// destination, the operand order of the compiled b[r] + (s0 + s1).
-sum16:
-	ADDPS  X4, X0
-	ADDPS  X5, X1
-	ADDPS  X6, X2
-	ADDPS  X7, X3
-	MOVUPS (BX)(AX*1), X8
-	ADDPS  X8, X0
-	MOVUPS X0, (DI)(AX*1)
-	MOVUPS 16(BX)(AX*1), X9
-	ADDPS  X9, X1
-	MOVUPS X1, 16(DI)(AX*1)
-	MOVUPS 32(BX)(AX*1), X10
-	ADDPS  X10, X2
-	MOVUPS X2, 32(DI)(AX*1)
-	MOVUPS 48(BX)(AX*1), X11
-	ADDPS  X11, X3
-	MOVUPS X3, 48(DI)(AX*1)
-	MOVQ   R12, AX
-	JMP    rows16
+// even + odd, then the bias added onto that sum: the sum is the first
+// source, the operand order of the compiled b[r] + (s0 + s1).
+sum32:
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	VADDPS  (BX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	VADDPS  32(BX)(AX*1), Y1, Y1
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VADDPS  64(BX)(AX*1), Y2, Y2
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VADDPS  96(BX)(AX*1), Y3, Y3
+	VMOVUPS Y3, 96(DI)(AX*1)
+	MOVQ    R12, AX
+	JMP     rows32
 
+rows8:
+	LEAQ   32(AX), R12
+	CMPQ   R12, R10
+	JGT    rows4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y4, Y4, Y4
+	LEAQ   (R13)(AX*1), SI
+	MOVQ   x_base+72(FP), CX
+	MOVQ   DX, R9
+
+pair8:
+	CMPQ         R9, $2
+	JLT          odd8
+	VBROADCASTSS (CX), Y8
+	VBROADCASTSS 4(CX), Y9
+	VMULPS       (SI), Y8, Y10
+	VADDPS       Y10, Y0, Y0
+	VMULPS       (SI)(R8*1), Y9, Y11
+	VADDPS       Y11, Y4, Y4
+	ADDQ         R11, SI
+	ADDQ         $8, CX
+	SUBQ         $2, R9
+	JMP          pair8
+
+odd8:
+	TESTQ        R9, R9
+	JEQ          sum8
+	VBROADCASTSS (CX), Y8
+	VMULPS       (SI), Y8, Y10
+	VADDPS       Y10, Y0, Y0
+
+sum8:
+	VADDPS  Y4, Y0, Y0
+	VADDPS  (BX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	MOVQ    R12, AX
+	JMP     rows8
+
+// r4 is a multiple of four, so at most one block of four rows is left.
 rows4:
-	CMPQ  AX, R10
-	JGE   done
-	XORPS X0, X0
-	XORPS X4, X4
-	LEAQ  (R13)(AX*1), SI
-	MOVQ  x_base+72(FP), CX
-	MOVQ  DX, R9
+	CMPQ   AX, R10
+	JGE    done
+	VXORPS X0, X0, X0
+	VXORPS X4, X4, X4
+	LEAQ   (R13)(AX*1), SI
+	MOVQ   x_base+72(FP), CX
+	MOVQ   DX, R9
 
 pair4:
-	CMPQ   R9, $2
-	JLT    odd4
-	MOVSS  (CX), X8
-	SHUFPS $0, X8, X8
-	MOVSS  4(CX), X9
-	SHUFPS $0, X9, X9
-	MOVUPS (SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X0
-	MOVUPS (SI)(R8*1), X11
-	MULPS  X9, X11
-	ADDPS  X11, X4
-	ADDQ   R11, SI
-	ADDQ   $8, CX
-	SUBQ   $2, R9
-	JMP    pair4
+	CMPQ         R9, $2
+	JLT          odd4
+	VBROADCASTSS (CX), X8
+	VBROADCASTSS 4(CX), X9
+	VMULPS       (SI), X8, X10
+	VADDPS       X10, X0, X0
+	VMULPS       (SI)(R8*1), X9, X11
+	VADDPS       X11, X4, X4
+	ADDQ         R11, SI
+	ADDQ         $8, CX
+	SUBQ         $2, R9
+	JMP          pair4
 
 odd4:
-	TESTQ  R9, R9
-	JEQ    sum4
-	MOVSS  (CX), X8
-	SHUFPS $0, X8, X8
-	MOVUPS (SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X0
+	TESTQ        R9, R9
+	JEQ          sum4
+	VBROADCASTSS (CX), X8
+	VMULPS       (SI), X8, X10
+	VADDPS       X10, X0, X0
 
 sum4:
-	ADDPS  X4, X0
-	MOVUPS (BX)(AX*1), X8
-	ADDPS  X8, X0
-	MOVUPS X0, (DI)(AX*1)
-	ADDQ   $16, AX
-	JMP    rows4
+	VADDPS  X4, X0, X0
+	VADDPS  (BX)(AX*1), X0, X0
+	VMOVUPS X0, (DI)(AX*1)
 
 done:
+	VZEROUPPER
 	RET
 
-// gate32c holds gateBlocks' constants, each broadcast to four lanes:
-// Tanh32's clamp bounds ±tanhClamp, Sigmoid32's 0.5, the numerator's
-// coefficients α13 … α1 and the denominator's β6 … β0 (Horner order),
-// all rounded to float32 as Tanh32 rounds them.
-DATA gate32c<>+0x00(SB)/8, $0x40fcf84f40fcf84f
-DATA gate32c<>+0x08(SB)/8, $0x40fcf84f40fcf84f
-DATA gate32c<>+0x10(SB)/8, $0xc0fcf84fc0fcf84f
-DATA gate32c<>+0x18(SB)/8, $0xc0fcf84fc0fcf84f
-DATA gate32c<>+0x20(SB)/8, $0x3f0000003f000000
-DATA gate32c<>+0x28(SB)/8, $0x3f0000003f000000
-DATA gate32c<>+0x30(SB)/8, $0xa59f25c0a59f25c0
-DATA gate32c<>+0x38(SB)/8, $0xa59f25c0a59f25c0
-DATA gate32c<>+0x40(SB)/8, $0x2a61337e2a61337e
-DATA gate32c<>+0x48(SB)/8, $0x2a61337e2a61337e
-DATA gate32c<>+0x50(SB)/8, $0xaebd37ffaebd37ff
-DATA gate32c<>+0x58(SB)/8, $0xaebd37ffaebd37ff
-DATA gate32c<>+0x60(SB)/8, $0x335c0041335c0041
-DATA gate32c<>+0x68(SB)/8, $0x335c0041335c0041
-DATA gate32c<>+0x70(SB)/8, $0x3779434a3779434a
-DATA gate32c<>+0x78(SB)/8, $0x3779434a3779434a
-DATA gate32c<>+0x80(SB)/8, $0x3a270ded3a270ded
-DATA gate32c<>+0x88(SB)/8, $0x3a270ded3a270ded
-DATA gate32c<>+0x90(SB)/8, $0x3ba059dc3ba059dc
-DATA gate32c<>+0x98(SB)/8, $0x3ba059dc3ba059dc
-DATA gate32c<>+0xa0(SB)/8, $0x35a0d3d835a0d3d8
-DATA gate32c<>+0xa8(SB)/8, $0x35a0d3d835a0d3d8
-DATA gate32c<>+0xb0(SB)/8, $0x38f895d638f895d6
-DATA gate32c<>+0xb8(SB)/8, $0x38f895d638f895d6
-DATA gate32c<>+0xc0(SB)/8, $0x3b14aa053b14aa05
-DATA gate32c<>+0xc8(SB)/8, $0x3b14aa053b14aa05
-DATA gate32c<>+0xd0(SB)/8, $0x3ba059dd3ba059dd
-DATA gate32c<>+0xd8(SB)/8, $0x3ba059dd3ba059dd
-GLOBL gate32c<>(SB), RODATA|NOPTR, $224
+// gate32c holds gateBlocksAVX's constants, each broadcast to eight
+// lanes: Tanh32's clamp bounds ±tanhClamp, Sigmoid32's 0.5, the
+// numerator's coefficients α13 … α1 and the denominator's β6 … β0
+// (Horner order), all rounded to float32 as Tanh32 rounds them. The
+// XMM block reads the first four lanes of each.
+#define GATE32C(off, bits) \
+	DATA gate32c<>+off+0x00(SB)/8, bits; \
+	DATA gate32c<>+off+0x08(SB)/8, bits; \
+	DATA gate32c<>+off+0x10(SB)/8, bits; \
+	DATA gate32c<>+off+0x18(SB)/8, bits
 
-// TANH(x, x2, p) is Tanh32 on the four lanes of x, in place; x2 and p
-// are scratch. The clamp takes x as the source operand of MINPS and of
-// MAXPS, which return the source when either operand is NaN: a NaN
-// passes through as Tanh32's comparisons let it. Then the odd numerator
+GATE32C(0x000, $0x40fcf84f40fcf84f)
+GATE32C(0x020, $0xc0fcf84fc0fcf84f)
+GATE32C(0x040, $0x3f0000003f000000)
+GATE32C(0x060, $0xa59f25c0a59f25c0)
+GATE32C(0x080, $0x2a61337e2a61337e)
+GATE32C(0x0a0, $0xaebd37ffaebd37ff)
+GATE32C(0x0c0, $0x335c0041335c0041)
+GATE32C(0x0e0, $0x3779434a3779434a)
+GATE32C(0x100, $0x3a270ded3a270ded)
+GATE32C(0x120, $0x3ba059dc3ba059dc)
+GATE32C(0x140, $0x35a0d3d835a0d3d8)
+GATE32C(0x160, $0x38f895d638f895d6)
+GATE32C(0x180, $0x3b14aa053b14aa05)
+GATE32C(0x1a0, $0x3ba059dd3ba059dd)
+GLOBL gate32c<>(SB), RODATA|NOPTR, $448
+
+// TANH(x, x2, p, hi, lo) is Tanh32 on the lanes of x, in place; x2 and
+// p are scratch, hi and lo hold ±tanhClamp. The clamp takes x as the
+// second source of VMINPS and p as that of VMAXPS, which return the
+// second source when either operand is NaN: a NaN passes through as
+// Tanh32's comparisons let it. Then the odd numerator
 // x·(α1 + x2·(… + x2·α13)) into p, the even denominator
 // β0 + x2·(… + x2·β6) into x (free once the numerator has read it), and
-// their quotient.
-#define TANH(x, x2, p) \
-	MOVUPS gate32c<>+0x00(SB), p; \
-	MINPS  x, p; \
-	MOVUPS gate32c<>+0x10(SB), x; \
-	MAXPS  p, x; \
-	MOVAPS x, x2; \
-	MULPS  x, x2; \
-	MOVAPS x2, p; \
-	MULPS  gate32c<>+0x30(SB), p; \
-	ADDPS  gate32c<>+0x40(SB), p; \
-	MULPS  x2, p; \
-	ADDPS  gate32c<>+0x50(SB), p; \
-	MULPS  x2, p; \
-	ADDPS  gate32c<>+0x60(SB), p; \
-	MULPS  x2, p; \
-	ADDPS  gate32c<>+0x70(SB), p; \
-	MULPS  x2, p; \
-	ADDPS  gate32c<>+0x80(SB), p; \
-	MULPS  x2, p; \
-	ADDPS  gate32c<>+0x90(SB), p; \
-	MULPS  x, p; \
-	MOVAPS x2, x; \
-	MULPS  gate32c<>+0xa0(SB), x; \
-	ADDPS  gate32c<>+0xb0(SB), x; \
-	MULPS  x2, x; \
-	ADDPS  gate32c<>+0xc0(SB), x; \
-	MULPS  x2, x; \
-	ADDPS  gate32c<>+0xd0(SB), x; \
-	DIVPS  x, p; \
-	MOVAPS p, x
+// their quotient. Every operation keeps the first and second sources of
+// the compiled Go, so a NaN operand comes out with the same bits.
+#define TANH(x, x2, p, hi, lo) \
+	VMINPS x, hi, p;                      \
+	VMAXPS p, lo, x;                      \
+	VMULPS x, x, x2;                      \
+	VMULPS gate32c<>+0x060(SB), x2, p;    \
+	VADDPS gate32c<>+0x080(SB), p, p;     \
+	VMULPS x2, p, p;                      \
+	VADDPS gate32c<>+0x0a0(SB), p, p;     \
+	VMULPS x2, p, p;                      \
+	VADDPS gate32c<>+0x0c0(SB), p, p;     \
+	VMULPS x2, p, p;                      \
+	VADDPS gate32c<>+0x0e0(SB), p, p;     \
+	VMULPS x2, p, p;                      \
+	VADDPS gate32c<>+0x100(SB), p, p;     \
+	VMULPS x2, p, p;                      \
+	VADDPS gate32c<>+0x120(SB), p, p;     \
+	VMULPS x, p, p;                       \
+	VMULPS gate32c<>+0x140(SB), x2, x;    \
+	VADDPS gate32c<>+0x160(SB), x, x;     \
+	VMULPS x2, x, x;                      \
+	VADDPS gate32c<>+0x180(SB), x, x;     \
+	VMULPS x2, x, x;                      \
+	VADDPS gate32c<>+0x1a0(SB), x, x;     \
+	VDIVPS x, p, x
 
-// SIGMOID(x, x2, p) is Sigmoid32 on the four lanes of x, in place:
-// 0.5 + 0.5·tanh(0.5·x).
-#define SIGMOID(x, x2, p) \
-	MULPS gate32c<>+0x20(SB), x; \
-	TANH(x, x2, p); \
-	MULPS gate32c<>+0x20(SB), x; \
-	ADDPS gate32c<>+0x20(SB), x
+// SIGMOID(x, x2, p, hi, lo, half) is Sigmoid32 on the lanes of x, in
+// place: 0.5 + 0.5·tanh(0.5·x), with 0.5 in half.
+#define SIGMOID(x, x2, p, hi, lo, half) \
+	VMULPS half, x, x;      \
+	TANH(x, x2, p, hi, lo); \
+	VMULPS half, x, x;      \
+	VADDPS half, x, x
 
-// func gateBlocks(h, c, pre Vec32, h4 int)
+// CELL(i, f, x2, p, o, hi, lo) writes one block's c′ = f·c + i·g into c
+// and o·tanh(c′) into h, from the activated gates; f ends as tanh(c′).
+#define CELL(i, f, x2, p, o, hi, lo) \
+	VMOVUPS (R11)(AX*1), f;    \
+	VMULPS  (BX)(AX*1), f, f;  \
+	VMOVUPS (SI)(AX*1), i;     \
+	VMULPS  (R12)(AX*1), i, i; \
+	VADDPS  i, f, f;           \
+	VMOVUPS f, (BX)(AX*1);     \
+	TANH(f, x2, p, hi, lo);    \
+	VMOVUPS (R13)(AX*1), o;    \
+	VMULPS  f, o, o;           \
+	VMOVUPS o, (DI)(AX*1)
+
+// func gateBlocksAVX(h, c, pre Vec32, h4 int)
 //
-// Two passes over the blocks of four units, so that no block waits on
-// another: the first replaces the i, f, g and o pre-activations with
-// σ(i), σ(f), tanh(g) and σ(o) (four independent chains per block), the
-// second writes c′ = f·c + i·g into c and o·tanh(c′) into h.
+// Units go eight at a time on YMM while they last, then the last four,
+// if any, on XMM. Two passes, so that no block waits on another: the
+// first replaces the i, f, g and o pre-activations with σ(i), σ(f),
+// tanh(g) and σ(o) (four independent chains per block), the second
+// writes c′ = f·c + i·g into c and o·tanh(c′) into h.
 // Registers:
 //
-// AX  byte offset of the current units; R10 end of the blocks (h4·4)
+// AX  byte offset of the current units; R9 its end; R10 end of the
+//     blocks (h4·4)
 // SI, R11, R12, R13 the i, f, g and o gates; BX c; DI h
-// X0, X3, X6, X9 the four chains' values, each with two scratch
-// registers after it; in the second pass X0 i, X1 f, X6 g, X9 o, X10 c.
-TEXT ·gateBlocks(SB), NOSPLIT, $0-80
-	MOVQ h_base+0(FP), DI
-	MOVQ c_base+24(FP), BX
-	MOVQ pre_base+48(FP), SI
-	MOVQ h_len+8(FP), R8
-	SHLQ $2, R8
-	LEAQ (SI)(R8*1), R11
-	LEAQ (R11)(R8*1), R12
-	LEAQ (R12)(R8*1), R13
-	MOVQ h4+72(FP), R10
-	SHLQ $2, R10
-	XORQ AX, AX
+// Y0, Y3, Y6, Y9 the four chains' values, each with two scratch
+// registers after it; Y12 tanhClamp, Y13 −tanhClamp, Y14 0.5.
+TEXT ·gateBlocksAVX(SB), NOSPLIT, $0-80
+	MOVQ    h_base+0(FP), DI
+	MOVQ    c_base+24(FP), BX
+	MOVQ    pre_base+48(FP), SI
+	MOVQ    h_len+8(FP), R8
+	SHLQ    $2, R8
+	LEAQ    (SI)(R8*1), R11
+	LEAQ    (R11)(R8*1), R12
+	LEAQ    (R12)(R8*1), R13
+	MOVQ    h4+72(FP), R10
+	SHLQ    $2, R10
+	VMOVUPS gate32c<>+0x000(SB), Y12
+	VMOVUPS gate32c<>+0x020(SB), Y13
+	VMOVUPS gate32c<>+0x040(SB), Y14
+	XORQ    AX, AX
 
-activate:
+activate8:
+	LEAQ    32(AX), R9
+	CMPQ    R9, R10
+	JGT     activate4
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS (R11)(AX*1), Y3
+	VMOVUPS (R12)(AX*1), Y6
+	VMOVUPS (R13)(AX*1), Y9
+	SIGMOID(Y0, Y1, Y2, Y12, Y13, Y14)
+	SIGMOID(Y3, Y4, Y5, Y12, Y13, Y14)
+	TANH(Y6, Y7, Y8, Y12, Y13)
+	SIGMOID(Y9, Y10, Y11, Y12, Y13, Y14)
+	VMOVUPS Y0, (SI)(AX*1)
+	VMOVUPS Y3, (R11)(AX*1)
+	VMOVUPS Y6, (R12)(AX*1)
+	VMOVUPS Y9, (R13)(AX*1)
+	MOVQ    R9, AX
+	JMP     activate8
+
+activate4:
 	CMPQ    AX, R10
 	JGE     update
-	MOVUPS  (SI)(AX*1), X0
-	MOVUPS  (R11)(AX*1), X3
-	MOVUPS  (R12)(AX*1), X6
-	MOVUPS  (R13)(AX*1), X9
-	SIGMOID(X0, X1, X2)
-	SIGMOID(X3, X4, X5)
-	TANH(X6, X7, X8)
-	SIGMOID(X9, X10, X11)
-	MOVUPS  X0, (SI)(AX*1)
-	MOVUPS  X3, (R11)(AX*1)
-	MOVUPS  X6, (R12)(AX*1)
-	MOVUPS  X9, (R13)(AX*1)
-	ADDQ    $16, AX
-	JMP     activate
+	VMOVUPS (SI)(AX*1), X0
+	VMOVUPS (R11)(AX*1), X3
+	VMOVUPS (R12)(AX*1), X6
+	VMOVUPS (R13)(AX*1), X9
+	SIGMOID(X0, X1, X2, X12, X13, X14)
+	SIGMOID(X3, X4, X5, X12, X13, X14)
+	TANH(X6, X7, X8, X12, X13)
+	SIGMOID(X9, X10, X11, X12, X13, X14)
+	VMOVUPS X0, (SI)(AX*1)
+	VMOVUPS X3, (R11)(AX*1)
+	VMOVUPS X6, (R12)(AX*1)
+	VMOVUPS X9, (R13)(AX*1)
 
 update:
 	XORQ AX, AX
 
-cell:
-	CMPQ    AX, R10
-	JGE     gatesdone
-	MOVUPS  (SI)(AX*1), X0
-	MOVUPS  (R11)(AX*1), X1
-	MOVUPS  (R12)(AX*1), X6
-	MOVUPS  (BX)(AX*1), X10
-	MULPS   X10, X1
-	MULPS   X6, X0
-	ADDPS   X0, X1
-	MOVUPS  X1, (BX)(AX*1)
-	TANH(X1, X2, X3)
-	MOVUPS  (R13)(AX*1), X9
-	MULPS   X1, X9
-	MOVUPS  X9, (DI)(AX*1)
-	ADDQ    $16, AX
-	JMP     cell
+cell8:
+	LEAQ 32(AX), R9
+	CMPQ R9, R10
+	JGT  cell4
+	CELL(Y0, Y1, Y2, Y3, Y9, Y12, Y13)
+	MOVQ R9, AX
+	JMP  cell8
+
+cell4:
+	CMPQ AX, R10
+	JGE  gatesdone
+	CELL(X0, X1, X2, X3, X9, X12, X13)
 
 gatesdone:
+	VZEROUPPER
+	RET
+
+// func reluBlocksAVX(x Vec32)
+//
+// VMAXPS with +0 (Y0) as the first source and x as the second returns
+// (0 > v) ? 0 : v, the second source when the two compare equal or
+// either is NaN: a negative v becomes +0, while −0 and NaN stay as
+// they are, exactly as relu32Go leaves them. len(x) is a multiple of
+// eight.
+TEXT ·reluBlocksAVX(SB), NOSPLIT, $0-24
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	SHRQ   $3, CX
+	JEQ    reludone
+	VXORPS Y0, Y0, Y0
+
+relu8:
+	VMAXPS  (SI), Y0, Y1
+	VMOVUPS Y1, (SI)
+	ADDQ    $32, SI
+	DECQ    CX
+	JNE     relu8
+
+reludone:
+	VZEROUPPER
 	RET

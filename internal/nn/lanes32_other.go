@@ -11,3 +11,7 @@ func matVecBlocks(dst, w, b, x Vec32, r4 int) {
 func gateBlocks(h, c, pre Vec32, h4 int) {
 	gateUnits(h, c, pre, 0, h4)
 }
+
+// reluBlocks leaves all of x to relu32Go where there is no assembly
+// kernel.
+func reluBlocks(x Vec32) Vec32 { return x }

@@ -50,10 +50,12 @@ func transpose32(w Vec32, rows, cols int) Vec32 {
 	return t
 }
 
-// TestMatVecCols32Parity holds the column-major kernel (SSE on amd64) and
-// its Go twin to the row-major MatVec32, bit for bit: every mirror shape,
-// rows 1–17 and 64 against cols 1–33, inputs shorter than cols, and
-// weights, inputs and biases that are ±0, subnormal, ±Inf or NaN.
+// TestMatVecCols32Parity holds the column-major kernel (AVX on an amd64
+// host that has it) and its Go twin to the row-major MatVec32, bit for
+// bit: every mirror shape, rows 1–41, 56, 64 and 68 — every mix of the
+// kernel's 32-, 8- and 4-row blocks and the Go tail — against cols 1–33,
+// inputs shorter than cols, and weights, inputs and biases that are ±0,
+// subnormal, ±Inf or NaN.
 func TestMatVecCols32Parity(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	type shape struct{ rows, cols, xlen int }
@@ -61,13 +63,14 @@ func TestMatVecCols32Parity(t *testing.T) {
 	for _, s := range [][2]int{{64, 16}, {64, 73}, {64, 256}, {8, 8}, {56, 32}, {32, 56}, {16, 64}, {1, 16}} {
 		shapes = append(shapes, shape{s[0], s[1], s[1]})
 	}
-	for rows := 1; rows <= 17; rows++ {
+	rowCounts := []int{56, 64, 68}
+	for rows := 1; rows <= 41; rows++ {
+		rowCounts = append(rowCounts, rows)
+	}
+	for _, rows := range rowCounts {
 		for cols := 1; cols <= 33; cols++ {
 			shapes = append(shapes, shape{rows, cols, cols}, shape{rows, cols, 1 + rng.Intn(cols)})
 		}
-	}
-	for cols := 1; cols <= 33; cols++ {
-		shapes = append(shapes, shape{64, cols, cols}, shape{64, cols, 1 + rng.Intn(cols)})
 	}
 	for _, s := range shapes {
 		for _, every := range []int{0, 40, 4} {
@@ -98,11 +101,12 @@ func TestMatVecCols32Parity(t *testing.T) {
 	}
 }
 
-// TestLSTMGates32Parity holds the gate kernel (SSE on amd64) to the Go
-// loop, bit for bit on h and c, NaNs included: Hidden 1–17,
-// pre-activations at NaN, ±0, ±tanhClamp and their float32 neighbours,
-// ±40, subnormals, ±Inf and ordinary values, over cell states that
-// include the same.
+// TestLSTMGates32Parity holds the gate kernel (AVX on an amd64 host that
+// has it) to the Go loop, bit for bit on h and c, NaNs included: Hidden
+// 1–40, every mix of the kernel's eight- and four-unit blocks and the Go
+// tail, pre-activations at NaN, ±0, ±tanhClamp and their float32
+// neighbours, ±40, subnormals, ±Inf and ordinary values, over cell
+// states that include the same.
 func TestLSTMGates32Parity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	clamp := float32(tanhClamp)
@@ -121,7 +125,7 @@ func TestLSTMGates32Parity(t *testing.T) {
 		}
 		return (rng.Float32()*2 - 1) * scale
 	}
-	for H := 1; H <= 17; H++ {
+	for H := 1; H <= 40; H++ {
 		for trial := 0; trial < 200; trial++ {
 			pre := make(Vec32, 4*H)
 			c := make(Vec32, H)
@@ -139,6 +143,52 @@ func TestLSTMGates32Parity(t *testing.T) {
 				if math.Float32bits(hGot[j]) != math.Float32bits(hWant[j]) || math.Float32bits(cGot[j]) != math.Float32bits(cWant[j]) {
 					t.Fatalf("H=%d unit %d, pre (i f g o) = %v %v %v %v, c = %v: kernel h %v c %v, Go loop h %v c %v",
 						H, j, pre[j], pre[H+j], pre[2*H+j], pre[3*H+j], c[j], hGot[j], cGot[j], hWant[j], cWant[j])
+				}
+			}
+		}
+	}
+}
+
+// TestReLU32Parity holds ReLU32 (its packed blocks in AVX on an amd64
+// host that has it) to relu32Go and to the definition, bit for bit:
+// lengths 0–17 and 64, each element drawn from −0, NaNs of both signs
+// (quiet and signalling), ±Inf, subnormals of both signs and ordinary
+// values. A negative element becomes +0; −0 and every NaN keep their
+// bits.
+func TestReLU32Parity(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	edges := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xff812345),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	lengths := []int{64}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for trial := 0; trial < 50; trial++ {
+			x := make(Vec32, n)
+			for i := range x {
+				x[i] = rng.Float32()*4 - 2
+				if rng.Intn(2) == 0 {
+					x[i] = edges[rng.Intn(len(edges))]
+				}
+			}
+			got, twin := append(Vec32(nil), x...), append(Vec32(nil), x...)
+			ReLU32(got)
+			relu32Go(twin)
+			for i, v := range x {
+				want := v
+				if v < 0 {
+					want = 0
+				}
+				g, tw, w := math.Float32bits(got[i]), math.Float32bits(twin[i]), math.Float32bits(want)
+				if g != w || tw != w {
+					t.Fatalf("len %d element %d = %v (%#x): ReLU32 %#x, relu32Go %#x, want %#x", n, i, v, math.Float32bits(v), g, tw, w)
 				}
 			}
 		}

@@ -35,7 +35,7 @@ import (
 // (mulAddLanes below: accLanes, in AVX where denseLanes is, accLanesGo
 // elsewhere), each element's chain starting from the value it holds.
 
-var obsLanesAVX = obs.Default.Gauge("nn.lanes.avx", "1 when the f64 lane kernels run in AVX, 0 when the portable twins do")
+var obsLanesAVX = obs.Default.Gauge("nn.lanes.avx", "1 when the f64 lane kernels and the f32 serving kernels run in AVX, 0 when the portable twins do")
 
 func init() {
 	if laneAVX {

@@ -2,8 +2,9 @@
 
 package nn
 
-// laneAVX is whether this process runs the f64 lane kernels in AVX
-// (lanes64_amd64.s): cpuHasAVX, checked once. A CPU or OS without AVX
+// laneAVX is whether this process runs the lane kernels in AVX — the
+// f64 ones (lanes64_amd64.s) and the f32 serving ones
+// (lanes32_amd64.s): cpuHasAVX, checked once. A CPU or OS without AVX
 // runs the portable twins, which the parity tests hold bit-identical.
 var laneAVX = cpuHasAVX()
 

@@ -37,6 +37,9 @@ func Workers(n, workers int) int {
 // fn(w, i) runs with w in [0, Workers(n, workers)), and each w is owned
 // by exactly one goroutine at a time, so fn may freely use per-worker
 // scratch state (an inference Arena, an accumulator slot) indexed by w.
+// Worker 0 is the calling goroutine, whose stack has already grown to
+// fit fn; the others are started per call, and ParallelForWorker
+// returns, or passes on a panic of worker 0, only once they are done.
 // The same determinism contract applies: writes must be confined to
 // index-i-owned state; per-worker scratch must not leak into results in
 // a scheduling-dependent way.
@@ -45,28 +48,26 @@ func ParallelForWorker(n, workers int, fn func(w, i int)) {
 		return
 	}
 	workers = Workers(n, workers)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
 	var next atomic.Int64
+	run := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(w, i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	defer wg.Wait()
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
+			run(w)
 		}(w)
 	}
-	wg.Wait()
+	run(0)
 }
 
 // ParallelForStriped runs work(w, i) for every i in [0, n) on worker

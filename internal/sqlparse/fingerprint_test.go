@@ -141,6 +141,34 @@ func TestFingerprintMatchesLexer(t *testing.T) {
 	}
 }
 
+// TestNonASCIIOutsideStrings: identifiers are ASCII, so a byte of 0x80
+// or above outside a string literal fails the lexer and the fingerprint
+// alike, naming the UTF-8 character it starts — or the byte, where it
+// starts none — at the offset of its first byte. The same characters
+// inside a string literal are the literal's value.
+func TestNonASCIIOutsideStrings(t *testing.T) {
+	for _, c := range []struct{ sql, want string }{
+		{"select é from t", "sqlparse: position 7: unexpected character 'é'"},
+		{"select naïve from t", "sqlparse: position 9: unexpected character 'ï'"},
+		{"select ê from t", "sqlparse: position 7: unexpected character 'ê'"},
+		{"select \xff from t", `sqlparse: position 7: unexpected character '\xff'`},
+	} {
+		if _, err := Lex(c.sql); fmt.Sprint(err) != c.want {
+			t.Errorf("Lex(%q): error %v, want %s", c.sql, err, c.want)
+		}
+		if _, err := FingerprintBytes([]byte(c.sql)); fmt.Sprint(err) != c.want {
+			t.Errorf("FingerprintBytes(%q): error %v, want %s", c.sql, err, c.want)
+		}
+		if err := scansAsLexer(c.sql); err != nil {
+			t.Error(err)
+		}
+		quoted := strings.Replace(c.sql, "select ", "select a from t where b = '", 1) + "'"
+		if toks, err := Lex(quoted); err != nil || toks[len(toks)-2].Text != quoted[strings.IndexByte(quoted, '\'')+1:len(quoted)-1] {
+			t.Errorf("Lex(%q) = %v, %v: want the characters kept as a string literal", quoted, toks, err)
+		}
+	}
+}
+
 // scansAsLexer reports how Fingerprint or Template disagrees with Lex
 // on sql: in whether it fails, or in the error's text.
 func scansAsLexer(sql string) error {

@@ -3,12 +3,17 @@
 // aggregates, FROM with base tables and parenthesized subqueries, INNER/LEFT
 // joins with equality conditions, conjunctive/disjunctive WHERE predicates,
 // and GROUP BY.
+//
+// Identifiers are ASCII: a letter or '_', then letters, digits and '_'.
+// Outside a string literal a byte of 0x80 or above is a syntax error
+// naming the character it starts, or the byte itself where it starts no
+// valid UTF-8 sequence, at the byte offset where it starts.
 package sqlparse
 
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer tokens.
@@ -99,17 +104,15 @@ const (
 	identPart
 )
 
-// identClass classifies each byte for identifiers as unicode does the
-// rune of the same value: '_' and the letters start one, and they and
-// the digits continue it. A byte is classified alone, as a Latin-1
-// rune; a multibyte UTF-8 letter is never decoded.
+// identClass classifies each byte for identifiers: '_' and the ASCII
+// letters start one, and they and the ASCII digits continue it. No byte
+// of 0x80 or above is part of an identifier.
 var identClass = func() (c [256]uint8) {
 	for b := range c {
-		r := rune(b)
 		switch {
-		case r == '_' || unicode.IsLetter(r):
+		case b == '_' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z':
 			c[b] = identStart | identPart
-		case unicode.IsDigit(r):
+		case '0' <= b && b <= '9':
 			c[b] = identPart
 		}
 	}
@@ -184,12 +187,20 @@ func scan[T string | []byte](src T, pos int) (kind TokenKind, start, end int) {
 }
 
 // scanError is the *SyntaxError of the tokBad span [start, end) of src.
+// A byte of 0x80 or above is named as the UTF-8 character it starts, or
+// as itself where it starts none.
 func scanError[T string | []byte](src T, start, end int) error {
 	switch c := src[start]; {
 	case c == '\'':
 		return &SyntaxError{Pos: start, Msg: "unterminated string literal"}
 	case c >= '0' && c <= '9':
 		return &SyntaxError{Pos: start, Msg: fmt.Sprintf("malformed number %q", string(src[start:end]))}
+	case c >= utf8.RuneSelf:
+		r, size := utf8.DecodeRuneInString(string(src[start:min(start+utf8.UTFMax, len(src))]))
+		if r == utf8.RuneError && size <= 1 {
+			return &SyntaxError{Pos: start, Msg: fmt.Sprintf(`unexpected character '\x%02x'`, c)}
+		}
+		return &SyntaxError{Pos: start, Msg: fmt.Sprintf("unexpected character %q", r)}
 	default:
 		return &SyntaxError{Pos: start, Msg: fmt.Sprintf("unexpected character %q", c)}
 	}
