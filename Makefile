@@ -47,14 +47,16 @@ examples-smoke:
 # once, and the inference slot — where scheduling now decides which
 # estimate runs — sheds past QueueDepth waiters with 429, answers 504 to
 # a wait past the timeout, and lets a parked estimate answer 200 across
-# Close. The durable line races
+# Close, and the text cache answers what an uncached server answers while
+# its hot texts race novel ones for admission slots and reloads swap the
+# model underneath. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
 # and Close, and requires every record back exactly once. The first
 # pass also runs the in-process WAL crash sweep; only the sweeps and
 # kill tests that spawn children skip under -short.
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestPredictGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
@@ -75,7 +77,9 @@ test-race-full:
 # miss path (inference slot, PredictBatch, extraction over plan-cache
 # hits) must stay allocation-free per pair, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
-# per-request budget, fingerprinting itself must be zero-alloc, the
+# per-request budget, and so must the advise_mixed reader's path
+# (estimate-cache miss, text- and plan-cache hits), fingerprinting
+# itself and a text-cache hit must be zero-alloc, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:
 # nothing) at Parallelism 1 and, fanned out, the same for 8, 64 and 124
 # actions, rl.Features two slices per state, rewrite.Rewrite nothing per
@@ -108,13 +112,16 @@ test-crash:
 
 # Short native-fuzz pass over the API JSON decode paths, the query
 # fingerprint (one digest per statement: lexer agreement, determinism,
-# and any literal change moving it), the SQL parser and its pooled token
+# and any literal change moving it) and the serving text cache in front
+# of it (the same value and error on a miss, an admitting miss and a
+# hit), the SQL parser and its pooled token
 # slice, the template re-bind (a known template's features re-bound to
 # other literals equal a fresh parse's), the WAL record decoder, and the
 # tournament spec parser (seeds + 10s of mutation per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEstimateDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzAdviseDecode -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzTextCache -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzRebind -fuzztime 10s ./internal/sqlparse/

@@ -75,10 +75,11 @@ func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardWriter) WriteHeader(s int)           { d.status = s }
 
 // TestEstimateWarmAlloc pins the allocation budget of a fully warm
-// /v1/estimate request: body read, zero-copy decode, fingerprinting, and
-// estimate-cache hits must run out of pooled scratch, leaving only the
-// response-encoding constant. The miss path's budget is pinned
-// separately by TestEstimateMissPathAllocs.
+// /v1/estimate request: body read, zero-copy decode, text-cache hits,
+// and estimate-cache hits must run out of pooled scratch, leaving only
+// the response-encoding constant; a text-cache hit alone allocates
+// nothing. The miss path's budget is pinned separately by
+// TestEstimateMissPathAllocs.
 func TestEstimateWarmAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops random Put items under -race; allocation counts need the plain build")
@@ -127,6 +128,18 @@ func TestEstimateWarmAlloc(t *testing.T) {
 		}
 	}
 	cycle() // populate the estimate cache and pool high-water marks
+	cycle() // admit every text to the text cache on its second miss
+	for _, p := range pairs {
+		for _, sql := range []string{p.Query, p.View} {
+			if !textCached(s, sql) {
+				t.Fatalf("%q is not in the text cache after two sends", sql)
+			}
+		}
+	}
+	sql := []byte(pairs[0].Query)
+	if a := testing.AllocsPerRun(100, func() { _, _ = s.fingerprint(sql) }); a != 0 {
+		t.Fatalf("a text-cache hit = %v allocs, want 0", a)
+	}
 
 	allocs := testing.AllocsPerRun(100, cycle)
 	// Pinned with headroom over the measured value; the PR acceptance
@@ -144,7 +157,9 @@ func TestEstimateWarmAlloc(t *testing.T) {
 // timeout) and the batch's result slice — the model's pooled inference
 // arenas are reused across batches, so a 32x larger batch must not cost
 // a single extra allocation. The whole handler is held to the same
-// per-pair rule over pairs whose plans hit the plan cache.
+// per-pair rule, and to a per-request budget, over pairs whose texts hit
+// the text cache and whose plans hit the plan cache: the advise_mixed
+// reader's path.
 func TestEstimateMissPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops random Put items under -race; allocation counts need the plain build")
@@ -233,10 +248,27 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 		}
 	}
 	handle(many) // populate the plan cache and pool high-water marks
-	hSmall := testing.AllocsPerRun(50, func() { handle(one) })
-	hLarge := testing.AllocsPerRun(50, func() { handle(many) })
+	handle(many) // admit every text to the text cache on its second miss
+	const runs = 50
+	textHits, planHits := obsTextCacheHit.Value(), obsPlanCacheHit.Value()
+	hSmall := testing.AllocsPerRun(runs, func() { handle(one) })
+	hLarge := testing.AllocsPerRun(runs, func() { handle(many) })
+	// Two texts a pair, over AllocsPerRun's warm-up call and its runs.
+	probes := int64(2 * (runs + 1) * (1 + len(large)))
+	if got := obsTextCacheHit.Value() - textHits; got != probes {
+		t.Fatalf("%d text-cache hits over %d texts sent", got, probes)
+	}
+	if got := obsPlanCacheHit.Value() - planHits; got != probes {
+		t.Fatalf("%d plan-cache hits over %d texts sent", got, probes)
+	}
 	if pe := perElement(hSmall, hLarge, 1, len(large)); pe > maxPerElement {
 		t.Fatalf("the miss path allocates per pair: %v allocs (1 pair: %v, %d pairs: %v)", pe, hSmall, len(large), hLarge)
+	}
+	// The advise_mixed reader's path, pinned with headroom over the
+	// measured 28 allocations a request.
+	const planHitBudget = 36
+	if hSmall > planHitBudget {
+		t.Fatalf("plan-hit /v1/estimate = %v allocs/op, want <= %d", hSmall, planHitBudget)
 	}
 	t.Logf("slot + PredictBatch: %v allocs per batch; miss-path handler: %v allocs per request", aSmall, hSmall)
 }

@@ -1,17 +1,24 @@
 package serve
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"autoview/internal/obs"
+	"autoview/internal/sqlparse"
 )
 
-// The serving layer runs three kinds of the sharded cache below:
+// The serving layer runs four kinds of the sharded cache below:
 //
+//   - the text cache maps the SHA-256 of a SQL text's exact bytes → the
+//     text's sqlparse.FP, so a repeated text skips the canonical scan.
+//     An FP is a pure function of the bytes, so the server keeps one for
+//     its whole life; a text enters it on its second miss (admitTable);
 //   - an estimate cache maps (exact query fingerprint × exact view
 //     fingerprint) → final cost estimate. Each model generation owns one
-//     (model.est): a hot-swap builds the next generation with an empty
+//     (generation.est): a hot-swap builds the next generation with an empty
 //     cache, and the previous one is dropped with the weights that
 //     filled it, so no entry can outlive its model;
 //   - the plan cache maps an exact SQL fingerprint → precomputed
@@ -34,10 +41,15 @@ var (
 	obsTmplCacheMiss  = obs.Default.Counter("serve.cache.template.miss", "template-cache misses (statement parsed and feature-precomputed)")
 	obsTmplCacheEvict = obs.Default.Counter("serve.cache.template.evict", "template-cache entries evicted by LRU pressure")
 	obsTmplCacheSize  = obs.Default.Gauge("serve.cache.template.size", "live entries in the template cache")
+	obsTextCacheHit   = obs.Default.Counter("serve.cache.text.hit", "text-cache hits: SQL texts whose exact bytes had a cached fingerprint")
+	obsTextCacheMiss  = obs.Default.Counter("serve.cache.text.miss", "text-cache misses (text canonicalized and fingerprinted)")
+	obsTextCacheEvict = obs.Default.Counter("serve.cache.text.evict", "text-cache entries evicted by LRU pressure")
+	obsTextCacheSize  = obs.Default.Gauge("serve.cache.text.size", "live entries in the text cache")
 
 	estCacheMetrics  = cacheMetrics{hit: obsCacheHit, miss: obsCacheMiss, evict: obsCacheEvict, size: obsCacheSize}
 	planCacheMetrics = cacheMetrics{hit: obsPlanCacheHit, miss: obsPlanCacheMiss, evict: obsPlanCacheEvict, size: obsPlanCacheSize}
 	tmplCacheMetrics = cacheMetrics{hit: obsTmplCacheHit, miss: obsTmplCacheMiss, evict: obsTmplCacheEvict, size: obsTmplCacheSize}
+	textCacheMetrics = cacheMetrics{hit: obsTextCacheHit, miss: obsTextCacheMiss, evict: obsTextCacheEvict, size: obsTextCacheSize}
 )
 
 // cacheShards fixes the shard count; a power of two so the shard index
@@ -45,7 +57,7 @@ var (
 const cacheShards = 16
 
 // cacheKey is the fixed-width composite key: one or two 16-byte exact
-// fingerprint digests, concatenated.
+// fingerprint digests, concatenated, or a text's SHA-256.
 type cacheKey [32]byte
 
 // cacheMetrics bundles the observability hooks of one cache instance.
@@ -193,4 +205,49 @@ func (sh *cacheShard[V]) moveFront(e *centry[V]) {
 	}
 	sh.unlink(e)
 	sh.pushFront(e)
+}
+
+// textCache is the text cache with its admission filter; a nil
+// *textCache (CacheSize < 0) fingerprints every text afresh.
+type textCache struct {
+	fps    *cache[sqlparse.FP]
+	admits admitTable
+}
+
+func newTextCache(size int) *textCache {
+	if size <= 0 {
+		return nil
+	}
+	return &textCache{fps: newCache[sqlparse.FP](size, textCacheMetrics), admits: newAdmitTable(size)}
+}
+
+// admitTable decides which text-cache misses are stored: a direct-mapped
+// table of the digests recently missed, one tag per slot. A digest is
+// admitted when its slot already holds its tag (its second miss since
+// the slot was last taken by another digest), so a stream of texts sent
+// once never churns the LRU. Slots are atomics: racing misses may lose
+// a tag, which costs one more miss, never a wrong fingerprint (the cache
+// is keyed by the whole digest).
+type admitTable struct {
+	slots []atomic.Uint64
+	mask  uint64
+}
+
+// newAdmitTable sizes the table to the power of two at or above size.
+func newAdmitTable(size int) admitTable {
+	n := 1 << bits.Len(uint(size-1))
+	return admitTable{slots: make([]atomic.Uint64, n), mask: uint64(n - 1)}
+}
+
+// secondMiss records a miss of the digest k and reports whether its slot
+// already held it. The slot index and the tag are disjoint 64-bit words
+// of k, and neither overlaps the shard byte k[0]; the tag's low bit is
+// forced so no tag equals an empty slot.
+func (t *admitTable) secondMiss(k cacheKey) bool {
+	tag := binary.LittleEndian.Uint64(k[16:24]) | 1
+	return t.slot(k).Swap(tag) == tag
+}
+
+func (t *admitTable) slot(k cacheKey) *atomic.Uint64 {
+	return &t.slots[binary.LittleEndian.Uint64(k[8:16])&t.mask]
 }

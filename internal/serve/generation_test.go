@@ -53,37 +53,8 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 		t.Fatal("no bootstrap views to pair with")
 	}
 
-	// Two checkpoints: the bootstrap weights, and every parameter of
-	// them scaled. oracles maps each checkpoint to the weights a reload
-	// of it serves, rebuilt the way the reload handler rebuilds them.
 	boot := s.gen.Load()
-	dir := t.TempDir()
-	ckpts := [2]string{filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")}
-	load := func(path string) *widedeep.Model {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := widedeep.New(boot.m.Enc.Vocab, s.adv.Cfg.WDModel, rand.New(rand.NewSource(s.adv.Cfg.Seed)))
-		if err := m.Load(bytes.NewReader(raw)); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	if err := saveModel(boot.m, ckpts[0]); err != nil {
-		t.Fatal(err)
-	}
-	other := load(ckpts[0])
-	for _, p := range other.Params() {
-		for i := range p.Val {
-			p.Val[i] *= 0.75
-		}
-	}
-	if err := saveModel(other, ckpts[1]); err != nil {
-		t.Fatal(err)
-	}
-	oracles := map[string]*widedeep.Model{ckpts[0]: load(ckpts[0]), ckpts[1]: load(ckpts[1])}
+	ckpts, oracles := twoCheckpoints(t, s)
 
 	// Bodies: one fixed body every reader repeats (an estimate-cache hit
 	// whenever its generation has answered it once) and, per request, a
@@ -114,124 +85,10 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 		}
 	}
 
-	type reply struct {
-		pairs []estimatePair
-		resp  estimateResponse
-	}
-	var (
-		mu      sync.Mutex
-		replies []reply
-		served  = map[int]string{} // model version → checkpoint a reload published it from
-	)
-	done := make(chan struct{})
-	errs := make(chan error, readers+1)
-	// The readers' last round waits for the writer's second hot-reload
-	// (or its exit), so that however fast an estimate is, at least two
-	// reloads run while the readers do.
-	twoSwaps, writerExited := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for k := 0; k < rounds; k++ {
-				if k == rounds-1 {
-					select {
-					case <-twoSwaps:
-					case <-writerExited:
-					}
-				}
-				for _, pairs := range [][]estimatePair{cached, novel[r][k]} {
-					var out estimateResponse
-					if err := post(ts.URL+"/v1/estimate", estimateRequest{Pairs: pairs}, &out); err != nil {
-						errs <- err
-						return
-					}
-					mu.Lock()
-					replies = append(replies, reply{pairs, out})
-					mu.Unlock()
-				}
-			}
-		}(r)
-	}
-	swaps := 0
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		defer close(writerExited)
-		for k := 0; ; k++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			var out reloadResponse
-			if err := post(ts.URL+"/v1/admin/model", reloadRequest{Path: ckpts[k%2]}, &out); err != nil {
-				errs <- err
-				return
-			}
-			mu.Lock()
-			served[out.ModelVersion] = ckpts[k%2]
-			swaps++
-			if swaps == 2 {
-				close(twoSwaps)
-			}
-			mu.Unlock()
-		}
-	}()
-	wg.Wait()
-	close(done)
-	writer.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if swaps < 2 {
-		t.Fatalf("only %d hot-reloads ran beside the readers", swaps)
-	}
-
-	type memoKey struct {
-		m           *widedeep.Model
-		query, view string
-	}
-	memo := map[memoKey]float64{}
-	oracle := func(m *widedeep.Model, p estimatePair) float64 {
-		k := memoKey{m, p.Query, p.View}
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		q, err := plan.Parse(p.Query, s.adv.Cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := plan.Parse(p.View, s.adv.Cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		memo[k] = m.Predict(featenc.Extract(q, v, s.adv.Cat)) / boot.scale
-		return memo[k]
-	}
-	versions := map[int]bool{}
-	for _, rep := range replies {
-		m := boot.m
-		if v := rep.resp.ModelVersion; v != boot.version {
-			path, ok := served[v]
-			if !ok {
-				t.Fatalf("reply names model %d, which no swap published", v)
-			}
-			m = oracles[path]
-		}
-		versions[rep.resp.ModelVersion] = true
-		for i, p := range rep.pairs {
-			if got, want := rep.resp.Estimates[i], oracle(m, p); got != want {
-				t.Fatalf("reply naming model %d: pair %d = %v, that model answers %v", rep.resp.ModelVersion, i, got, want)
-			}
-		}
-	}
-	if len(versions) < 2 {
-		t.Fatalf("every reply named one model (%v): the reloads never overlapped the readers", versions)
-	}
+	replies, served := raceReloads(t, ts.URL, ckpts, readers, rounds, func(r, k int) [][]estimatePair {
+		return [][]estimatePair{cached, novel[r][k]}
+	})
+	checkReplies(t, s, boot, served, oracles, replies)
 }
 
 // TestModelVersionsAreUnique: concurrent hot-reloads and a forced
@@ -417,4 +274,176 @@ func TestHealthzReportsPublishedGenerations(t *testing.T) {
 		}
 	}
 	t.Logf("%d healthz and /v1/views reads across %d advises", len(healths), advises)
+}
+
+// twoCheckpoints saves two checkpoints of s's live model: its weights,
+// and every parameter of them scaled by 0.75. It returns their paths
+// and, by path, the weights a reload of each serves, rebuilt the way
+// the reload handler rebuilds them.
+func twoCheckpoints(t *testing.T, s *Server) ([2]string, map[string]*widedeep.Model) {
+	t.Helper()
+	live := s.gen.Load()
+	dir := t.TempDir()
+	ckpts := [2]string{filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")}
+	load := func(path string) *widedeep.Model {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := widedeep.New(live.m.Enc.Vocab, s.adv.Cfg.WDModel, rand.New(rand.NewSource(s.adv.Cfg.Seed)))
+		if err := m.Load(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if err := saveModel(live.m, ckpts[0]); err != nil {
+		t.Fatal(err)
+	}
+	other := load(ckpts[0])
+	for _, p := range other.Params() {
+		for i := range p.Val {
+			p.Val[i] *= 0.75
+		}
+	}
+	if err := saveModel(other, ckpts[1]); err != nil {
+		t.Fatal(err)
+	}
+	return ckpts, map[string]*widedeep.Model{ckpts[0]: load(ckpts[0]), ckpts[1]: load(ckpts[1])}
+}
+
+// reply is one /v1/estimate reply with the pairs it answered.
+type reply struct {
+	pairs []estimatePair
+	resp  estimateResponse
+}
+
+// checkReplies holds every reply to the model its model_version names:
+// boot's, or the checkpoint served records a reload published under
+// that version. The oracle is the per-pair Predict(f)/scale of that
+// model, which never touches a cache. It fails when every reply named
+// one model.
+func checkReplies(t *testing.T, s *Server, boot *generation, served map[int]string, oracles map[string]*widedeep.Model, replies []reply) {
+	t.Helper()
+	type memoKey struct {
+		m           *widedeep.Model
+		query, view string
+	}
+	memo := map[memoKey]float64{}
+	parse := func(sql string) *plan.Node {
+		n, err := plan.Parse(sql, s.adv.Cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	oracle := func(m *widedeep.Model, p estimatePair) float64 {
+		k := memoKey{m, p.Query, p.View}
+		if v, ok := memo[k]; ok {
+			return v
+		}
+		memo[k] = m.Predict(featenc.Extract(parse(p.Query), parse(p.View), s.adv.Cat)) / boot.scale
+		return memo[k]
+	}
+	versions := map[int]bool{}
+	for _, rep := range replies {
+		m := boot.m
+		if v := rep.resp.ModelVersion; v != boot.version {
+			path, ok := served[v]
+			if !ok {
+				t.Fatalf("reply names model %d, which no swap published", v)
+			}
+			m = oracles[path]
+		}
+		versions[rep.resp.ModelVersion] = true
+		for i, p := range rep.pairs {
+			if got, want := rep.resp.Estimates[i], oracle(m, p); got != want {
+				t.Fatalf("reply naming model %d: pair %d = %v, that model answers %v", rep.resp.ModelVersion, i, got, want)
+			}
+		}
+	}
+	if len(versions) < 2 {
+		t.Fatalf("every reply named one model (%v): the reloads never overlapped the readers", versions)
+	}
+}
+
+// raceReloads runs readers goroutines, each sending bodies(r, k) for its
+// rounds k, while a writer hot-reloads the two checkpoints in turn. The
+// readers' last round waits for the writer's second reload (or its
+// exit), so that however fast an estimate is, at least two reloads run
+// while the readers do. It returns every reply, and the checkpoint each
+// reload published by model version.
+func raceReloads(t *testing.T, url string, ckpts [2]string, readers, rounds int, bodies func(r, k int) [][]estimatePair) ([]reply, map[int]string) {
+	t.Helper()
+	var (
+		mu      sync.Mutex
+		replies []reply
+		served  = map[int]string{} // model version → checkpoint a reload published it from
+	)
+	done := make(chan struct{})
+	errs := make(chan error, readers+1)
+	twoSwaps, writerExited := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				if k == rounds-1 {
+					select {
+					case <-twoSwaps:
+					case <-writerExited:
+					}
+				}
+				for _, pairs := range bodies(r, k) {
+					var out estimateResponse
+					if err := post(url+"/v1/estimate", estimateRequest{Pairs: pairs}, &out); err != nil {
+						errs <- err
+						return
+					}
+					mu.Lock()
+					replies = append(replies, reply{pairs, out})
+					mu.Unlock()
+				}
+			}
+		}(r)
+	}
+	swaps := 0
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		defer close(writerExited)
+		for k := 0; ; k++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var out reloadResponse
+			if err := post(url+"/v1/admin/model", reloadRequest{Path: ckpts[k%2]}, &out); err != nil {
+				errs <- err
+				return
+			}
+			mu.Lock()
+			served[out.ModelVersion] = ckpts[k%2]
+			swaps++
+			if swaps == 2 {
+				close(twoSwaps)
+			}
+			mu.Unlock()
+		}
+	}()
+	wg.Wait()
+	close(done)
+	writer.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if swaps < 2 {
+		t.Fatalf("only %d hot-reloads ran beside the readers", swaps)
+	}
+
+	return replies, served
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -170,8 +171,8 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 	sc.reset(n)
 	fpDone := obs.StartSpan("serve.fingerprint")
 	for i := range sc.pairs {
-		qfp, qerr := sqlparse.FingerprintBytes(sc.pairs[i].query)
-		vfp, verr := sqlparse.FingerprintBytes(sc.pairs[i].view)
+		qfp, qerr := s.fingerprint(sc.pairs[i].query)
+		vfp, verr := s.fingerprint(sc.pairs[i].view)
 		if qerr != nil || verr != nil {
 			// Unlexable SQL: leave the pair to the miss path, which
 			// reports the parse error with the canonical message.
@@ -227,6 +228,27 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		Count:        n,
 		ModelVersion: g.version,
 	})
+}
+
+// fingerprint is sqlparse.FingerprintBytes(sql) through the text cache,
+// keyed by the SHA-256 of sql's exact bytes: a hit skips the canonical
+// scan, a miss fingerprints and stores the FP on the text's second miss
+// (admitTable). A failed fingerprint is never stored, so its error is
+// always the lexer's own. sql is only read during the call.
+func (s *Server) fingerprint(sql []byte) (sqlparse.FP, error) {
+	tc := s.textCache
+	if tc == nil {
+		return sqlparse.FingerprintBytes(sql)
+	}
+	k := cacheKey(sha256.Sum256(sql))
+	if fp, ok := tc.fps.get(k); ok {
+		return fp, nil
+	}
+	fp, err := sqlparse.FingerprintBytes(sql)
+	if err == nil && tc.admits.secondMiss(k) {
+		tc.fps.put(k, fp)
+	}
+	return fp, err
 }
 
 // predict runs one request's cache misses through g's model in the

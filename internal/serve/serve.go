@@ -100,8 +100,9 @@ type Config struct {
 	// (any regression rolls back).
 	UtilityTolerance float64
 	// CacheSize bounds each model generation's fingerprint-keyed
-	// estimate cache (the plan cache shares the bound). 0 selects the
-	// default 4096; negative disables caching entirely.
+	// estimate cache (the plan, template and text caches share the
+	// bound). 0 selects the default 4096; negative disables caching
+	// entirely.
 	CacheSize int
 }
 
@@ -208,6 +209,10 @@ type Server struct {
 	// cached per generation (generation.est).
 	planCache *cache[*featenc.PlanFeat]
 	tmplCache *cache[*featenc.PlanFeat]
+	// textCache maps the digest of a SQL text's bytes to its fingerprint
+	// (see fingerprint); nil when CacheSize < 0. An FP depends only on
+	// the bytes, so it is never invalidated.
+	textCache *textCache
 
 	// adviseMu serializes re-advise cycles (the advisor mutates its
 	// store); TryLock turns concurrent triggers into 409.
@@ -251,6 +256,7 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 	s.logged = s.gen.Load()
 	s.planCache = newCache[*featenc.PlanFeat](cfg.CacheSize, planCacheMetrics)
 	s.tmplCache = newCache[*featenc.PlanFeat](cfg.CacheSize, tmplCacheMetrics)
+	s.textCache = newTextCache(cfg.CacheSize)
 	s.infer = make(chan struct{}, 1)
 	s.mux = s.routes()
 	return s
