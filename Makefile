@@ -47,16 +47,18 @@ examples-smoke:
 # once, and the inference slot — where scheduling now decides which
 # estimate runs — sheds past QueueDepth waiters with 429, answers 504 to
 # a wait past the timeout, and lets a parked estimate answer 200 across
-# Close, and the text cache answers what an uncached server answers while
+# Close, the text cache answers what an uncached server answers while
 # its hot texts race novel ones for admission slots and reloads swap the
-# model underneath. The durable line races
+# model underneath, and a cache hit, a probe that takes no lock, returns
+# the value put under its key while writers put and evict past capacity
+# and shift the probe runs under it. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
 # and Close, and requires every record back exactly once. The first
 # pass also runs the in-process WAL crash sweep; only the sweeps and
 # kill tests that spawn children skip under -short.
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload|TestCacheRacingHitsReturnTheirValue' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestPredictGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
@@ -110,7 +112,9 @@ test-alloc:
 test-crash:
 	$(GO) test -run 'TestCrash|TestServeCrash' -count=1 -v ./internal/durable/ ./internal/serve/
 
-# Short native-fuzz pass over the API JSON decode paths, the query
+# Short native-fuzz pass over the API JSON decode paths (the estimate
+# envelope's word-wide decoder also against the strict encoding/json
+# decode it replaced: same accept/reject, byte-equal pairs), the query
 # fingerprint (one digest per statement: lexer agreement, determinism,
 # and any literal change moving it) and the serving text cache in front
 # of it (the same value and error on a miss, an admitting miss and a

@@ -62,7 +62,7 @@ func main() {
 	flag.IntVar(&o.windowSize, "window", 512, "rolling workload window capacity (queries)")
 	flag.DurationVar(&o.adviseEvery, "advise-interval", 0, "background re-advise period (0 disables the loop)")
 	flag.Float64Var(&o.utilityTol, "utility-tolerance", 0, "relative utility regression tolerated before a rotation rolls back")
-	flag.IntVar(&o.cacheSize, "cache-size", 0, "fingerprint-keyed estimate cache entries (0 = default 4096, negative disables)")
+	flag.IntVar(&o.cacheSize, "cache-size", 0, "entries in each of the estimate, plan, template and text caches, and slots in the text cache's admission table (0 = default 4096, negative disables all four caches)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "bound on the shutdown drain")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable state directory: WAL + snapshots + model checkpoints (empty disables durability)")
 	flag.StringVar(&o.fsync, "fsync", "interval", "WAL fsync policy: always, interval, off")

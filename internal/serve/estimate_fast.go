@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"sync"
+	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -17,16 +20,19 @@ import (
 // This file is the pooled fast path of POST /v1/estimate: a reusable
 // request scratch, a zero-copy reader/decoder for the estimate envelope,
 // and the plan-resolution step that consults the plan cache. The decoder
-// replicates the observable semantics of the strict encoding/json
-// configuration it replaced (DisallowUnknownFields + trailing-data
-// check): case-insensitive field names, unknown fields rejected, null
-// mapped to the zero value, last duplicate key wins, full escape
-// processing. Query/view byte slices alias the pooled body buffer, so
-// nothing derived from them may outlive the request unless explicitly
-// copied (plan.Parse on the miss path gets a string copy).
+// accepts, rejects and decodes what the strict encoding/json
+// configuration it replaced (DisallowUnknownFields + the dec.More()
+// trailing-data check) does, which FuzzEstimateDecode checks: field
+// names matched under simple case folding, unknown fields rejected, null
+// leaving a value as it is, the last duplicate key winning, full escape
+// processing, invalid UTF-8 decoded to U+FFFD. Query/view byte slices
+// alias the pooled body buffer (or its spill buffer), so nothing derived
+// from them may outlive the request unless explicitly copied
+// (plan.Parse on the miss path gets a string copy).
 
 // rawPair is one decoded (query, view) pair; both slices alias the
-// request body buffer (escape sequences are unescaped in place).
+// request body buffer (escape sequences are unescaped in place) or, for
+// a string with invalid UTF-8, the spill buffer.
 type rawPair struct {
 	query, view []byte
 }
@@ -34,6 +40,7 @@ type rawPair struct {
 // estScratch carries every per-request buffer of the estimate path.
 type estScratch struct {
 	body    []byte
+	spill   []byte // strings that decode longer than their source
 	pairs   []rawPair
 	keys    []cacheKey // estimate-cache key per pair
 	qKeys   []cacheKey // plan-cache key of each pair's query
@@ -56,8 +63,9 @@ type estScratch struct {
 
 var estPool = sync.Pool{New: func() any { return new(estScratch) }}
 
-// estScratchMaxBody bounds the body capacity retained by pooled scratch
-// so one oversized request cannot pin its high-water mark forever.
+// estScratchMaxBody bounds the body and spill capacity retained by
+// pooled scratch so one oversized request cannot pin its high-water mark
+// forever.
 const estScratchMaxBody = 256 << 10
 
 func getEstScratch() *estScratch { return estPool.Get().(*estScratch) }
@@ -67,6 +75,9 @@ func getEstScratch() *estScratch { return estPool.Get().(*estScratch) }
 func putEstScratch(sc *estScratch) {
 	if cap(sc.body) > estScratchMaxBody {
 		sc.body = nil
+	}
+	if cap(sc.spill) > estScratchMaxBody {
+		sc.spill = nil
 	}
 	estPool.Put(sc)
 }
@@ -202,8 +213,12 @@ func jsonErrf(format string, args ...any) error {
 var errTrailingData = &jsonSyntaxError{msg: "trailing data after JSON body"}
 
 type jsonScanner struct {
-	b   []byte
-	pos int
+	b     []byte
+	pos   int
+	spill []byte // decoded strings that could not be decoded in place
+	// seen counts the pairs decoded since "pairs" last held null or [];
+	// sc.pairs[:seen] holds the last value decoded at each index.
+	seen int
 }
 
 func (sn *jsonScanner) skipWS() {
@@ -233,114 +248,156 @@ func (sn *jsonScanner) expect(c byte) error {
 // tryLiteral consumes lit if it is next (after whitespace).
 func (sn *jsonScanner) tryLiteral(lit string) bool {
 	sn.skipWS()
-	if len(sn.b)-sn.pos < len(lit) || string(sn.b[sn.pos:sn.pos+len(lit)]) != lit {
+	if len(sn.b)-sn.pos < len(lit) || sn.b[sn.pos] != lit[0] || string(sn.b[sn.pos:sn.pos+len(lit)]) != lit {
 		return false
 	}
 	sn.pos += len(lit)
 	return true
 }
 
-// parseString scans one JSON string, returning its decoded bytes. The
-// result aliases the scanner buffer: escape-free strings are returned as
-// a direct subslice, escaped ones are unescaped in place (the decoded
-// form is never longer than its source, and the write cursor never
-// overtakes the read cursor).
+// The string scan works a word at a time: lsb has 0x01 in every byte of
+// a uint64, msb 0x80.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+// specialBytes flags, in the high bit of each byte, the bytes of the
+// little-endian word w that end a plain run of a JSON string: '"', '\\',
+// a control byte below 0x20, and any byte at or above 0x80 (it may start
+// invalid UTF-8). Only the lowest flag is exact: a subtraction's borrow
+// can flag a byte above a flagged one, never below it.
+func specialBytes(w uint64) uint64 {
+	q := w ^ (lsb * '"')
+	e := w ^ (lsb * '\\')
+	return ((q - lsb) | (e - lsb) | (w - lsb*0x20) | w) & msb
+}
+
+// plainEnd returns the index of the first byte at or after i that ends a
+// plain run, or len(b).
+func plainEnd(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		if m := specialBytes(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '"' || c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
+			break
+		}
+	}
+	return i
+}
+
+// parseString scans one JSON string, returning its decoded bytes. A
+// string with no escape and no invalid UTF-8 is returned as a subslice
+// of the scanner buffer; the others are decoded by unescape.
 func (sn *jsonScanner) parseString() ([]byte, error) {
 	if err := sn.expect('"'); err != nil {
 		return nil, err
 	}
 	b := sn.b
 	start := sn.pos
-	i := sn.pos
-	for i < len(b) {
+	i := start
+	for {
+		i = plainEnd(b, i)
+		if i == len(b) {
+			return nil, jsonErrf("unexpected end of JSON input in string")
+		}
 		c := b[i]
 		if c == '"' {
 			sn.pos = i + 1
 			return b[start:i], nil
 		}
-		if c == '\\' {
-			break
+		if c >= utf8.RuneSelf {
+			if r, n := utf8.DecodeRune(b[i:]); r != utf8.RuneError || n > 1 {
+				i += n // valid UTF-8
+				continue
+			}
 		}
-		if c < 0x20 {
-			return nil, jsonErrf("invalid control character %q in string", c)
-		}
-		i++
+		return sn.unescape(start, i)
 	}
-	w := i
-	for i < len(b) {
-		c := b[i]
-		switch {
+}
+
+// unescapes maps each one-byte escape's letter to the byte it stands for.
+var unescapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// unescape decodes the rest of a string whose bytes b[start:i] are plain
+// and whose byte b[i] is not. It writes the decoded form in place, behind
+// the read cursor (no escape is shorter than what it decodes to), until
+// an invalid UTF-8 byte, which decodes to the three bytes of U+FFFD as in
+// encoding/json and could overtake the cursor: from there on the string
+// is decoded into sn.spill. Plain runs move with one copy each.
+func (sn *jsonScanner) unescape(start, i int) ([]byte, error) {
+	b := sn.b
+	out := b[start:i]
+	spilled := -1 // out's offset in sn.spill, once the string moved there
+	for {
+		j := plainEnd(b, i)
+		out = append(out, b[i:j]...)
+		i = j
+		if i == len(b) {
+			return nil, jsonErrf("unexpected end of JSON input in string")
+		}
+		switch c := b[i]; {
 		case c == '"':
 			sn.pos = i + 1
-			return b[start:w], nil
+			if spilled < 0 {
+				return out, nil
+			}
+			sn.spill = out
+			return out[spilled:], nil
 		case c == '\\':
 			i++
-			if i >= len(b) {
+			if i == len(b) {
 				return nil, jsonErrf("unexpected end of JSON input in string escape")
 			}
-			switch b[i] {
-			case '"', '\\', '/':
-				b[w] = b[i]
-				w++
+			if u := unescapes[b[i]]; u != 0 {
+				out = append(out, u)
 				i++
-			case 'b':
-				b[w] = '\b'
-				w++
-				i++
-			case 'f':
-				b[w] = '\f'
-				w++
-				i++
-			case 'n':
-				b[w] = '\n'
-				w++
-				i++
-			case 'r':
-				b[w] = '\r'
-				w++
-				i++
-			case 't':
-				b[w] = '\t'
-				w++
-				i++
-			case 'u':
-				r, ok := hex4(b, i+1)
-				if !ok {
-					return nil, jsonErrf("invalid \\u escape at offset %d", i)
-				}
-				i += 5
-				if utf16.IsSurrogate(r) {
-					// A high surrogate pairs with an immediately
-					// following \uXXXX low surrogate; anything else
-					// decodes to U+FFFD, as encoding/json does.
-					r2 := rune(utf8.RuneError)
-					if i+1 < len(b) && b[i] == '\\' && b[i+1] == 'u' {
-						if lo, ok2 := hex4(b, i+2); ok2 {
-							if dec := utf16.DecodeRune(r, lo); dec != utf8.RuneError {
-								r2 = dec
-								i += 6
-							}
-						}
-					}
-					if r2 == utf8.RuneError {
-						r = utf8.RuneError
-					} else {
-						r = r2
-					}
-				}
-				w += utf8.EncodeRune(b[w:w+4], r)
-			default:
+				continue
+			}
+			if b[i] != 'u' {
 				return nil, jsonErrf("invalid escape character %q in string", b[i])
 			}
+			r, ok := hex4(b, i+1)
+			if !ok {
+				return nil, jsonErrf("invalid \\u escape at offset %d", i)
+			}
+			i += 5
+			if utf16.IsSurrogate(r) {
+				// A high surrogate pairs with an immediately following
+				// \uXXXX low surrogate; anything else decodes to U+FFFD,
+				// as encoding/json does.
+				r2 := rune(utf8.RuneError)
+				if i+1 < len(b) && b[i] == '\\' && b[i+1] == 'u' {
+					if lo, ok2 := hex4(b, i+2); ok2 {
+						if dec := utf16.DecodeRune(r, lo); dec != utf8.RuneError {
+							r2 = dec
+							i += 6
+						}
+					}
+				}
+				r = r2
+			}
+			out = utf8.AppendRune(out, r)
 		case c < 0x20:
 			return nil, jsonErrf("invalid control character %q in string", c)
-		default:
-			b[w] = c
-			w++
+		default: // c >= utf8.RuneSelf
+			if r, n := utf8.DecodeRune(b[i:]); r != utf8.RuneError || n > 1 {
+				out = append(out, b[i:i+n]...) // valid UTF-8
+				i += n
+				continue
+			}
+			// An invalid byte: encoding/json decodes it to U+FFFD.
+			if spilled < 0 {
+				spilled = len(sn.spill)
+				out = append(sn.spill, out...)
+			}
+			out = utf8.AppendRune(out, utf8.RuneError)
 			i++
 		}
 	}
-	return nil, jsonErrf("unexpected end of JSON input in string")
 }
 
 // hex4 decodes the four hex digits at b[at:at+4].
@@ -365,29 +422,60 @@ func hex4(b []byte, at int) (rune, bool) {
 	return r, true
 }
 
-// foldEq reports ASCII-case-insensitive equality with s (the
-// encoding/json field-matching rule for the fields used here).
+// foldEq reports whether the field name b names the field s (lower-case
+// ASCII) under encoding/json's rule: equal after simple case folding, so
+// "PAIRS" and "pair\u017f" (a long s) both name "pairs".
 func foldEq(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c, d := b[i], s[i]
+	i := 0
+	for k := 0; k < len(s); k++ {
+		if i == len(b) {
+			return false
+		}
+		c := b[i]
+		i++
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRune(b[i-1:])
+			i += n - 1
+			if r = foldRune(r); r >= utf8.RuneSelf {
+				return false
+			}
+			c = byte(r)
+		}
 		if c >= 'A' && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		if c != d {
+		if c != s[k] {
 			return false
 		}
 	}
-	return true
+	return i == len(b)
+}
+
+// foldRune is the smallest rune of r's simple case-folding orbit.
+func foldRune(r rune) rune {
+	for {
+		r2 := unicode.SimpleFold(r)
+		if r2 <= r {
+			return r2
+		}
+		r = r2
+	}
 }
 
 // decodeEstimateBody parses {"pairs":[{"query":...,"view":...}]} from
-// the pooled body into sc.pairs (aliasing sc.body).
+// the pooled body into sc.pairs (aliasing sc.body and sc.spill).
 func decodeEstimateBody(body []byte, sc *estScratch) error {
 	sc.pairs = sc.pairs[:0]
-	sn := &jsonScanner{b: body}
+	sn := &jsonScanner{b: body, spill: sc.spill[:0]}
+	err := sn.envelope(sc)
+	sc.spill = sn.spill[:0]
+	return err
+}
+
+func (sn *jsonScanner) envelope(sc *estScratch) error {
+	if sn.tryLiteral("null") { // a top-level null leaves the request empty
+		return sn.trailing()
+	}
 	if err := sn.expect('{'); err != nil {
 		return err
 	}
@@ -407,8 +495,6 @@ func decodeEstimateBody(body []byte, sc *estScratch) error {
 		if !foldEq(name, "pairs") {
 			return jsonErrf("unknown field %q", name)
 		}
-		// Duplicate "pairs" keys: the last one wins, so each occurrence
-		// re-decodes from scratch.
 		if err := sn.parsePairs(sc); err != nil {
 			return err
 		}
@@ -428,19 +514,26 @@ func decodeEstimateBody(body []byte, sc *estScratch) error {
 	}
 }
 
-// trailing enforces the trailing-data check the json.Decoder path ran
-// via dec.More().
+// trailing is the check the json.Decoder path ran via dec.More(): after
+// the value, only whitespace, or a byte that would close an enclosing
+// array or object, may come next.
 func (sn *jsonScanner) trailing() error {
 	sn.skipWS()
-	if sn.pos != len(sn.b) {
+	if sn.pos != len(sn.b) && sn.b[sn.pos] != ']' && sn.b[sn.pos] != '}' {
 		return errTrailingData
 	}
 	return nil
 }
 
+// parsePairs decodes one "pairs" value into sc.pairs. A repeated "pairs"
+// key decodes as encoding/json decodes into the slice it already filled:
+// the i-th element starts from the last value decoded at index i (since
+// null or [] last reset the slice), and each field present, other than
+// a null one, replaces its value.
 func (sn *jsonScanner) parsePairs(sc *estScratch) error {
 	sc.pairs = sc.pairs[:0]
 	if sn.tryLiteral("null") {
+		sn.seen = 0
 		return nil
 	}
 	if err := sn.expect('['); err != nil {
@@ -449,14 +542,20 @@ func (sn *jsonScanner) parsePairs(sc *estScratch) error {
 	sn.skipWS()
 	if sn.pos < len(sn.b) && sn.b[sn.pos] == ']' {
 		sn.pos++
+		sn.seen = 0
 		return nil
 	}
 	for {
-		p, err := sn.parsePair()
-		if err != nil {
+		var p rawPair
+		n := len(sc.pairs)
+		if n < sn.seen {
+			p = sc.pairs[:sn.seen][n]
+		}
+		if err := sn.parsePair(&p); err != nil {
 			return err
 		}
 		sc.pairs = append(sc.pairs, p)
+		sn.seen = max(sn.seen, n+1)
 		sn.skipWS()
 		if sn.pos >= len(sn.b) {
 			return jsonErrf("unexpected end of JSON input in array")
@@ -473,50 +572,55 @@ func (sn *jsonScanner) parsePairs(sc *estScratch) error {
 	}
 }
 
-func (sn *jsonScanner) parsePair() (rawPair, error) {
-	var p rawPair
+// parsePair decodes one pair object (or null, which leaves p as it is)
+// into p.
+func (sn *jsonScanner) parsePair(p *rawPair) error {
+	if sn.tryLiteral("null") {
+		return nil
+	}
 	if err := sn.expect('{'); err != nil {
-		return p, err
+		return err
 	}
 	sn.skipWS()
 	if sn.pos < len(sn.b) && sn.b[sn.pos] == '}' {
 		sn.pos++
-		return p, nil
+		return nil
 	}
 	for {
 		name, err := sn.parseString()
 		if err != nil {
-			return p, err
+			return err
 		}
 		if err := sn.expect(':'); err != nil {
-			return p, err
+			return err
 		}
-		var val []byte
-		if sn.tryLiteral("null") {
-			val = nil // null keeps the zero value, as encoding/json does
-		} else if val, err = sn.parseString(); err != nil {
-			return p, err
-		}
+		var dst *[]byte
 		switch {
 		case foldEq(name, "query"):
-			p.query = val
+			dst = &p.query
 		case foldEq(name, "view"):
-			p.view = val
+			dst = &p.view
 		default:
-			return p, jsonErrf("unknown field %q", name)
+			return jsonErrf("unknown field %q", name)
+		}
+		// null keeps the value, as encoding/json does for a string.
+		if !sn.tryLiteral("null") {
+			if *dst, err = sn.parseString(); err != nil {
+				return err
+			}
 		}
 		sn.skipWS()
 		if sn.pos >= len(sn.b) {
-			return p, jsonErrf("unexpected end of JSON input in pair object")
+			return jsonErrf("unexpected end of JSON input in pair object")
 		}
 		switch sn.b[sn.pos] {
 		case ',':
 			sn.pos++
 		case '}':
 			sn.pos++
-			return p, nil
+			return nil
 		default:
-			return p, jsonErrf("invalid character %q after pair field", sn.b[sn.pos])
+			return jsonErrf("invalid character %q after pair field", sn.b[sn.pos])
 		}
 	}
 }

@@ -101,8 +101,8 @@ type Config struct {
 	UtilityTolerance float64
 	// CacheSize bounds each model generation's fingerprint-keyed
 	// estimate cache (the plan, template and text caches share the
-	// bound). 0 selects the default 4096; negative disables caching
-	// entirely.
+	// bound, and it sizes the text cache's admission table). 0 selects
+	// the default 4096; negative disables all four caches.
 	CacheSize int
 }
 

@@ -21,34 +21,30 @@ import (
 // textKey is the text-cache key of sql: the SHA-256 of its bytes.
 func textKey(sql string) cacheKey { return cacheKey(sha256.Sum256([]byte(sql))) }
 
-// textCached reports whether s's text cache holds sql, without moving
-// it in the LRU or counting a probe.
-func textCached(s *Server, sql string) bool {
-	k := textKey(sql)
-	sh := s.textCache.fps.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.m[k]
-	return ok
-}
+// textCached reports whether s's text cache holds sql, without setting
+// its reference bit or counting a probe.
+func textCached(s *Server, sql string) bool { return resident(s.textCache.fps, textKey(sql)) }
 
-// lonelyTexts returns the texts whose admission slot in s no other
-// distinct text of texts shares: each is admitted on its second miss
-// whatever order the texts are sent in.
+// lonelyTexts returns the texts with an admission slot in s that no
+// other distinct text of texts uses: each is admitted on its second
+// miss whatever order the texts are sent in.
 func lonelyTexts(s *Server, texts []string) map[string]bool {
-	bySlot := map[*atomic.Uint64][]string{}
-	seen := map[string]bool{}
+	users := map[*atomic.Uint64]map[string]bool{}
 	for _, sql := range texts {
-		if !seen[sql] {
-			seen[sql] = true
-			slot := s.textCache.admits.slot(textKey(sql))
-			bySlot[slot] = append(bySlot[slot], sql)
+		k := textKey(sql)
+		for _, slot := range []*atomic.Uint64{s.textCache.admits.slot(k), s.textCache.admits.altSlot(k)} {
+			if users[slot] == nil {
+				users[slot] = map[string]bool{}
+			}
+			users[slot][sql] = true
 		}
 	}
 	lonely := map[string]bool{}
-	for _, group := range bySlot {
+	for _, group := range users {
 		if len(group) == 1 {
-			lonely[group[0]] = true
+			for sql := range group {
+				lonely[sql] = true
+			}
 		}
 	}
 	return lonely
@@ -319,6 +315,37 @@ func TestTextCacheRacesReload(t *testing.T) {
 	}
 	if obsTextCacheHit.Value() == hits {
 		t.Fatal("the repeaters never hit the text cache")
+	}
+}
+
+// TestTextCacheAdmitsAlternatingSlotSharers: two texts whose digests
+// share one admission slot (but not the other), sent in strict
+// alternation 1,000 times each through Server.fingerprint, both end up
+// in the text cache. In a one-slot table each miss would overwrite the
+// other's tag, and neither would ever be admitted.
+func TestTextCacheAdmitsAlternatingSlotSharers(t *testing.T) {
+	s := &Server{textCache: newTextCache(4096)}
+	at := &s.textCache.admits
+	a := "select a from t where a = 1"
+	ka := textKey(a)
+	b := ""
+	for n := 0; b == ""; n++ {
+		v := a + " -- " + strconv.Itoa(n)
+		if kv := textKey(v); at.slot(kv) == at.slot(ka) && at.altSlot(kv) != at.altSlot(ka) {
+			b = v
+		}
+	}
+	for k := 0; k < 1000; k++ {
+		for _, sql := range []string{a, b} {
+			if _, err := s.fingerprint([]byte(sql)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, sql := range []string{a, b} {
+		if !textCached(s, sql) {
+			t.Fatalf("%q is not cached after 1,000 sends alternating with a text sharing its slot", sql)
+		}
 	}
 }
 
