@@ -48,9 +48,10 @@ examples-smoke:
 # estimate runs — sheds past QueueDepth waiters with 429, answers 504 to
 # a wait past the timeout, and lets a parked estimate answer 200 across
 # Close, the text cache answers what an uncached server answers while
-# its hot texts race novel ones for admission slots and reloads swap the
-# model underneath, and a cache hit, a probe that takes no lock, returns
-# the value put under its key while writers put and evict past capacity
+# its hot texts race novel ones for admission slots (and lose at least
+# one admission to them) and reloads swap the model underneath, and a
+# cache hit, a probe that takes no lock, returns the value put under its
+# key while writers put and evict past capacity
 # and shift the probe runs under it. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
 # and Close, and requires every record back exactly once. The first
@@ -79,9 +80,11 @@ test-race-full:
 # miss path (inference slot, PredictBatch, extraction over plan-cache
 # hits) must stay allocation-free per pair, the
 # warm fingerprint-cached /v1/estimate handler must stay within its
-# per-request budget, and so must the advise_mixed reader's path
-# (estimate-cache miss, text- and plan-cache hits), fingerprinting
-# itself and a text-cache hit must be zero-alloc, the
+# per-request budget with the obs registry disabled and enabled, and so
+# must the advise_mixed reader's path (estimate-cache miss, text- and
+# plan-cache hits), fingerprinting itself and a text-cache hit must be
+# zero-alloc, so must one run of a resolved obs span (Begin and End),
+# registry enabled or disabled, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:
 # nothing) at Parallelism 1 and, fanned out, the same for 8, 64 and 124
 # actions, rl.Features two slices per state, rewrite.Rewrite nothing per
@@ -92,10 +95,10 @@ test-race-full:
 # (see internal/widedeep/infer_test.go and train_test.go,
 # internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go
 # and parser_test.go,
-# internal/rl/infer_test.go, internal/rewrite/multiview_test.go, and
-# internal/nn/lstm_ref_test.go).
+# internal/rl/infer_test.go, internal/rewrite/multiview_test.go,
+# internal/nn/lstm_ref_test.go and internal/obs/obs_test.go).
 test-alloc:
-	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ -v -count=1
+	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ ./internal/obs/ -v -count=1
 
 # Crash-recovery fault injection (DURABILITY in SERVING.md): the WAL
 # sweep stops a scripted session in-process right after every record,
@@ -118,7 +121,8 @@ test-crash:
 # fingerprint (one digest per statement: lexer agreement, determinism,
 # and any literal change moving it) and the serving text cache in front
 # of it (the same value and error on a miss, an admitting miss and a
-# hit), the SQL parser and its pooled token
+# hit, also with every text forced to one hash), the SQL parser and its
+# pooled token
 # slice, the template re-bind (a known template's features re-bound to
 # other literals equal a fresh parse's), the WAL record decoder, and the
 # tournament spec parser (seeds + 10s of mutation per target).
@@ -140,8 +144,10 @@ fuzz-smoke:
 tournament-smoke:
 	$(GO) run ./cmd/experiments -run tournament -spec "families=JOB;sizes=4,8"
 
-# Disabled-path observability overhead guard (spans < 5 ns/op, a gated
-# log call ≈ 7 ns/op through slog's level check; OBSERVABILITY.md).
+# Observability overhead numbers (a disabled span ≈ 4–5 ns/op, a gated
+# log call ≈ 7 ns/op through slog's level check; OBSERVABILITY.md). It
+# prints and gates nothing: the gate is TestSpanHandleAllocs under
+# test-alloc.
 bench-obs:
 	$(GO) test -bench=ObsOverhead -run=^$$ ./internal/obs/
 

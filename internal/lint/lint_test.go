@@ -527,6 +527,12 @@ func TestReintroducedBugs(t *testing.T) {
 		new: "\tdefer obs.StartSpan(\"wd.infer\")\n",
 		at:  "defer obs.StartSpan",
 	}, {
+		name: "a resolved span deferred without its End", analyzer: "spanend",
+		pkg: "autoview/internal/serve", file: "handlers.go",
+		old: "\t\tdefer sp.End(sp.Begin())\n",
+		new: "\t\tdefer sp.Begin()\n",
+		at:  "defer sp.Begin()",
+	}, {
 		name: "ambient rand in the workload generator", analyzer: "randsource",
 		pkg: "autoview/internal/workload", file: "wk.go",
 		old: "Rows: 200 + rng.Intn(200)",

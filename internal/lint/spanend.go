@@ -6,25 +6,29 @@ import (
 )
 
 // SpanEnd checks that every span opened with obs.StartSpan (package
-// function or (*obs.Registry).StartSpan method) is completed: the
-// returned stop closure must be deferred or called. A started-but-never
-// -ended span records nothing — the histogram silently loses the stage
-// — which is exactly the failure mode OBSERVABILITY.md's catalog is
-// meant to rule out.
+// function or (*obs.Registry).StartSpan method) or with a resolved
+// span's (*obs.Span).Begin is completed: the returned stop closure must
+// be deferred or called, and the start time Begin returns must reach an
+// End. A started-but-never-ended span records nothing — the histogram
+// silently loses the stage — which is exactly the failure mode
+// OBSERVABILITY.md's catalog is meant to rule out.
 //
 // Accepted shapes:
 //
 //	defer obs.StartSpan("x")()          // canonical
 //	stop := obs.StartSpan("x"); ... stop()  // or defer stop()
+//	defer sp.End(sp.Begin())            // canonical for a resolved span
+//	start := sp.Begin(); ... sp.End(start)
 //
 // Flagged shapes:
 //
 //	obs.StartSpan("x")       // stop closure discarded
 //	_ = obs.StartSpan("x")   // ditto, explicitly
 //	stop := obs.StartSpan("x") // stop never called on any path
+//	sp.Begin(), _ = sp.Begin(), defer sp.Begin() // start time discarded
 //
-// A stop closure that escapes (stored in a struct, passed along,
-// returned) is assumed handled.
+// A stop closure or start time that escapes (stored in a struct, passed
+// along, returned) is assumed handled.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
 	Doc:  "every obs.StartSpan span must be ended on all paths, normally by defer",
@@ -35,10 +39,14 @@ func runSpanEnd(pass *Pass) error {
 	for _, f := range pass.Files {
 		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isStartSpanCall(pass.Info, call) {
+			if !ok {
 				return true
 			}
-			checkSpanUse(pass, call, stack)
+			if isStartSpanCall(pass.Info, call) {
+				checkSpanUse(pass, call, stack, startSpanMsgs)
+			} else if isSpanBeginCall(pass.Info, call) {
+				checkSpanUse(pass, call, stack, beginMsgs)
+			}
 			return true
 		})
 	}
@@ -55,23 +63,64 @@ func isStartSpanCall(info *types.Info, call *ast.CallExpr) bool {
 	return true
 }
 
-func checkSpanUse(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
+// isSpanBeginCall matches sp.Begin() for *obs.Span sp.
+func isSpanBeginCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Name() != "Begin" || !isObsPkg(fn.Pkg()) {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Span"
+}
+
+// spanMsgs words the diagnostics for one kind of span opening; each
+// takes the opening call's text.
+type spanMsgs struct {
+	discarded, deferred, blank, unused string
+}
+
+var (
+	startSpanMsgs = spanMsgs{
+		discarded: "result of StartSpan is discarded, so the span is never ended; use `defer %s()`",
+		deferred:  "result of StartSpan is discarded, so the span is never ended; did you mean `defer %s()`?",
+		blank:     "stop closure of StartSpan assigned to _, so the span is never ended",
+		unused:    "stop closure %s of StartSpan is never called, so the span is never ended; add `defer %s()`",
+	}
+	beginMsgs = spanMsgs{
+		discarded: "start time of Span.Begin is discarded, so the span is never ended; use `defer %[1]s.End(%[1]s.Begin())`",
+		deferred:  "start time of Span.Begin is discarded, so the span is never ended; did you mean `defer %[1]s.End(%[1]s.Begin())`?",
+		blank:     "start time of Span.Begin assigned to _, so the span is never ended",
+		unused:    "start time %s of Span.Begin is never passed on, so the span is never ended; add `defer <span>.End(%s)`",
+	}
+)
+
+func checkSpanUse(pass *Pass, call *ast.CallExpr, stack []ast.Node, msgs spanMsgs) {
 	if len(stack) == 0 {
 		return
 	}
 	switch parent := stack[len(stack)-1].(type) {
 	case *ast.ExprStmt:
-		pass.Reportf(call.Pos(), "result of StartSpan is discarded, so the span is never ended; use `defer %s()`", exprString(call))
+		pass.Reportf(call.Pos(), msgs.discarded, spanOpener(call))
 	case *ast.CallExpr:
 		// `obs.StartSpan("x")()` — the span is ended (immediately,
-		// which is odd but balanced) or the closure is an argument and
-		// escapes; either way it is accounted for.
+		// which is odd but balanced) — or `sp.End(sp.Begin())`, or the
+		// closure or start time is an argument and escapes; either way
+		// it is accounted for.
 	case *ast.DeferStmt, *ast.GoStmt:
 		// `defer obs.StartSpan("x")` defers the *start* and discards
-		// the stop closure — almost certainly a missing trailing ().
-		pass.Reportf(call.Pos(), "result of StartSpan is discarded, so the span is never ended; did you mean `defer %s()`?", exprString(call))
+		// the stop closure — almost certainly a missing trailing ();
+		// `defer sp.Begin()` likewise drops its start time.
+		pass.Reportf(call.Pos(), msgs.deferred, spanOpener(call))
 	case *ast.AssignStmt:
-		checkSpanAssign(pass, call, parent, stack)
+		checkSpanAssign(pass, call, parent, stack, msgs)
 	default:
 		// defer obs.StartSpan("x")() reaches here as the CallExpr case
 		// (the deferred call's Fun); other contexts (return, composite
@@ -80,7 +129,7 @@ func checkSpanUse(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 	}
 }
 
-func checkSpanAssign(pass *Pass, call *ast.CallExpr, assign *ast.AssignStmt, stack []ast.Node) {
+func checkSpanAssign(pass *Pass, call *ast.CallExpr, assign *ast.AssignStmt, stack []ast.Node, msgs spanMsgs) {
 	// Locate which LHS receives the stop closure.
 	idx := -1
 	for i, rhs := range assign.Rhs {
@@ -97,7 +146,7 @@ func checkSpanAssign(pass *Pass, call *ast.CallExpr, assign *ast.AssignStmt, sta
 		return // stored through a field or index: escapes, assume handled
 	}
 	if lhs.Name == "_" {
-		pass.Reportf(call.Pos(), "stop closure of StartSpan assigned to _, so the span is never ended")
+		pass.Reportf(call.Pos(), "%s", msgs.blank)
 		return
 	}
 	obj := pass.Info.ObjectOf(lhs)
@@ -106,7 +155,7 @@ func checkSpanAssign(pass *Pass, call *ast.CallExpr, assign *ast.AssignStmt, sta
 		return
 	}
 	if !stopUsed(pass.Info, funcBody(fn), obj, lhs) {
-		pass.Reportf(call.Pos(), "stop closure %s of StartSpan is never called, so the span is never ended; add `defer %s()`", lhs.Name, lhs.Name)
+		pass.Reportf(call.Pos(), msgs.unused, lhs.Name, lhs.Name)
 	}
 }
 
@@ -131,11 +180,21 @@ func stopUsed(info *types.Info, body *ast.BlockStmt, obj types.Object, def *ast.
 	return used
 }
 
-func exprString(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if x, ok := sel.X.(*ast.Ident); ok {
-			return x.Name + "." + sel.Sel.Name + "(...)"
-		}
+// spanOpener names the opening call for a diagnostic: "obs.StartSpan(...)"
+// for a StartSpan call, the span's receiver ("sp") for a Begin.
+func spanOpener(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "StartSpan(...)"
+	}
+	x, isIdent := sel.X.(*ast.Ident)
+	switch {
+	case sel.Sel.Name == "Begin" && isIdent:
+		return x.Name
+	case sel.Sel.Name == "Begin":
+		return "sp"
+	case isIdent:
+		return x.Name + "." + sel.Sel.Name + "(...)"
 	}
 	return "StartSpan(...)"
 }

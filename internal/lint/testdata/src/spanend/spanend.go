@@ -1,7 +1,10 @@
 // Fixtures for the spanend analyzer.
 package spanend
 
-import "obs"
+import (
+	"obs"
+	"time"
+)
 
 func discarded() {
 	obs.StartSpan("parse") // want `never ended`
@@ -46,6 +49,38 @@ func escapes() func() {
 // Guard: obs.Time brackets the span itself.
 func timed() {
 	obs.Time("parse", work)
+}
+
+var sp = new(obs.Registry).Span("serve.fingerprint")
+
+func beginDiscarded() {
+	sp.Begin() // want `never ended`
+}
+
+func beginBlank() {
+	_ = sp.Begin() // want `never ended`
+}
+
+func beginDeferred() {
+	defer sp.Begin() // want `never ended`
+}
+
+// Guard: the canonical resolved span.
+func beginCanonical() {
+	defer sp.End(sp.Begin())
+	work()
+}
+
+// Guard: the start time held and passed to End on the way out.
+func beginHeld() {
+	start := sp.Begin()
+	work()
+	sp.End(start)
+}
+
+// Guard: the start time escapes to the caller, which owns ending it.
+func beginEscapes() time.Time {
+	return sp.Begin()
 }
 
 func work() {}

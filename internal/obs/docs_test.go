@@ -179,7 +179,7 @@ func loadTree(t *testing.T) *tree {
 	// spanArg maps each span call, and each function that passes one of
 	// its parameters on as a span name (serve's endpoint wrapper), to the
 	// argument that names the span.
-	spanArg := map[string]int{"StartSpan": 0, "Time": 0, "ObserveSpan": 0}
+	spanArg := map[string]int{"StartSpan": 0, "Time": 0, "ObserveSpan": 0, "Span": 0}
 	for _, f := range files {
 		tr.declare(f.Name.Name, f)
 		for _, decl := range f.Decls {
@@ -283,7 +283,7 @@ func stringArg(call *ast.CallExpr, i int) (string, bool) {
 }
 
 // spanParam returns the index of fn's parameter that fn passes to a
-// StartSpan call, or -1.
+// StartSpan or Registry.Span call, or -1.
 func spanParam(fn *ast.FuncDecl) int {
 	var params []string
 	for _, field := range fn.Type.Params.List {
@@ -299,7 +299,7 @@ func spanParam(fn *ast.FuncDecl) int {
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		arg, isIdent := call.Args[0].(*ast.Ident)
-		if ok && isIdent && sel.Sel.Name == "StartSpan" {
+		if ok && isIdent && (sel.Sel.Name == "StartSpan" || sel.Sel.Name == "Span") {
 			for i, p := range params {
 				if p == arg.Name {
 					found = i

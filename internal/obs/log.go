@@ -76,6 +76,12 @@ func replaceAttr(_ []string, a slog.Attr) slog.Attr {
 	return a
 }
 
+// debugEnabled reports whether debug events are on, so a caller can
+// skip boxing an event's values when they are not.
+func debugEnabled() bool {
+	return logger.Load().Enabled(context.Background(), slog.LevelDebug)
+}
+
 // Debug emits a debug event.
 func Debug(event string, kv ...any) {
 	logger.Load().Log(context.Background(), slog.LevelDebug, event, kv...)

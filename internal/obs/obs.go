@@ -5,9 +5,11 @@
 // nothing when nobody is watching:
 //
 //   - Counters and gauges are single atomic operations, always on.
-//   - Spans (obs.Time, obs.StartSpan) check an atomic enabled flag first
-//     and skip the clock reads entirely when the registry is disabled —
-//     BenchmarkObsOverhead guards this path at a few nanoseconds per call.
+//   - Spans (obs.Time, obs.StartSpan, and a Span resolved once by
+//     Registry.Span) check an atomic enabled flag first and skip the
+//     clock reads entirely when the registry is disabled; a resolved
+//     span's Begin and End allocate nothing either way
+//     (TestSpanHandleAllocs).
 //   - Events check an atomic level gate and are silent by default.
 //
 // Instrumented packages register their metrics against the package-level
@@ -61,6 +63,7 @@ type Registry struct {
 	ctrs   map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
+	spans  map[string]*Span
 
 	// collect, when set, refreshes metrics whose source lives outside
 	// the registry (the runtime's, for Default) before a snapshot.
@@ -73,6 +76,7 @@ func NewRegistry() *Registry {
 		ctrs:   make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
+		spans:  make(map[string]*Span),
 	}
 }
 

@@ -146,6 +146,59 @@ func TestSpanTiming(t *testing.T) {
 	}
 }
 
+// TestSpanHandle: a resolved span records one observation per run into
+// "<name>.seconds", shares its registration with StartSpan and Time
+// under the same name, registers nothing while the registry is
+// disabled, and records a run begun while enabled even if the registry
+// is disabled before it ends (as a StartSpan closure does). At debug
+// level its end emits the span's event.
+func TestSpanHandle(t *testing.T) {
+	r := NewRegistry()
+	sp := r.Span("stage.handle")
+	if r.Span("stage.handle") != sp {
+		t.Fatal("Span is not get-or-create")
+	}
+	sp.End(sp.Begin())
+	if len(r.Snapshot().Histograms) != 0 {
+		t.Fatal("a disabled run registered a histogram")
+	}
+	r.SetEnabled(true)
+	start := sp.Begin()
+	time.Sleep(time.Millisecond)
+	r.SetEnabled(false)
+	sp.End(start)
+	r.SetEnabled(true)
+	r.StartSpan("stage.handle")()
+	r.Time("stage.handle", func() {})
+	hs := r.Snapshot().Histograms
+	if len(hs) != 1 || hs[0].Name != "stage.handle.seconds" || hs[0].Count != 3 || hs[0].Sum < 0.001 {
+		t.Fatalf("span histogram: %+v, want stage.handle.seconds with 3 runs, one >= 1ms", hs)
+	}
+
+	t.Cleanup(func() { LogTo(io.Discard, levelOff) })
+	var buf strings.Builder
+	LogTo(&buf, slog.LevelDebug)
+	sp.End(sp.Begin())
+	if got := buf.String(); !strings.Contains(got, "level=debug event=stage.handle dur_ms=") {
+		t.Fatalf("debug event of a span's end: %q", got)
+	}
+}
+
+// TestSpanHandleAllocs: one run of a resolved span allocates nothing,
+// with the registry disabled or enabled (logger off, as it is unless a
+// binary asks for debug events).
+func TestSpanHandleAllocs(t *testing.T) {
+	r := NewRegistry()
+	sp := r.Span("stage.alloc")
+	for _, on := range []bool{false, true} {
+		r.SetEnabled(on)
+		sp.End(sp.Begin()) // the first enabled run registers the histogram
+		if a := testing.AllocsPerRun(1000, func() { sp.End(sp.Begin()) }); a != 0 {
+			t.Errorf("span run with the registry enabled=%v: %v allocs, want 0", on, a)
+		}
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q", "", 1, 2, 4, 8)
@@ -298,6 +351,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 			r.StartSpan("bench.span")()
 		}
 	})
+	sp := r.Span("bench.span")
+	b.Run("span-disabled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sp.End(sp.Begin())
+		}
+	})
 	b.Run("log-disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Info("bench.event", "k", 1)
@@ -318,6 +377,13 @@ func BenchmarkObsOverhead(b *testing.B) {
 		defer r.SetEnabled(false)
 		for i := 0; i < b.N; i++ {
 			r.Time("bench.span", fn)
+		}
+	})
+	b.Run("span-enabled", func(b *testing.B) {
+		r.SetEnabled(true)
+		defer r.SetEnabled(false)
+		for i := 0; i < b.N; i++ {
+			sp.End(sp.Begin())
 		}
 	})
 }

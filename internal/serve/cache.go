@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -12,15 +13,16 @@ import (
 
 // The serving layer runs four kinds of the sharded cache below:
 //
-//   - the text cache maps the SHA-256 of a SQL text's exact bytes → the
-//     text's sqlparse.FP, so a repeated text skips the canonical scan.
-//     An FP is a pure function of the bytes, so the server keeps one for
-//     its whole life; a text enters it on its second miss (admitTable);
+//   - the text cache maps a SQL text's exact bytes, found by their
+//     maphash and compared whole → the text's sqlparse.FP, so a repeated
+//     text skips the canonical scan. An FP is a pure function of the
+//     bytes, so the server keeps one for its whole life; a text enters it
+//     on its second miss (admitTable);
 //   - an estimate cache maps (exact query fingerprint × exact view
-//     fingerprint) → final cost estimate. Each model generation owns one
-//     (generation.est): a hot-swap builds the next generation with an empty
-//     cache, and the previous one is dropped with the weights that
-//     filled it, so no entry can outlive its model;
+//     fingerprint) → final cost estimate and its reply text. Each model
+//     generation owns one (generation.est): a hot-swap builds the next
+//     generation with an empty cache, and the previous one is dropped
+//     with the weights that filled it, so no entry can outlive its model;
 //   - the plan cache maps an exact SQL fingerprint → precomputed
 //     plan-local features. Parsed plans depend only on the SQL text and
 //     the immutable catalog, so the server keeps one for its whole life;
@@ -57,7 +59,8 @@ var (
 const cacheShards = 16
 
 // cacheKey is the fixed-width composite key: one or two 16-byte exact
-// fingerprint digests, concatenated, or a text's SHA-256.
+// fingerprint digests, concatenated, or a text's spread hash
+// (textCache.key).
 type cacheKey [32]byte
 
 // cacheMetrics bundles the observability hooks of one cache instance.
@@ -137,9 +140,11 @@ func (sh *cacheShard[V]) home(k cacheKey) uint64 {
 	return (h * 0x9E3779B97F4A7C15 >> 32) & sh.mask
 }
 
-// get returns the value cached under k, if present. It takes no lock and
-// writes shared memory only to set a clear reference bit.
-func (c *cache[V]) get(k cacheKey) (V, bool) {
+// lookup returns the value cached under k, if present, and counts
+// nothing: a caller probing many keys per request tallies its hits and
+// misses and counts them once (tally). It takes no lock and writes
+// shared memory only to set a clear reference bit.
+func (c *cache[V]) lookup(k cacheKey) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
@@ -157,12 +162,30 @@ func (c *cache[V]) get(k cacheKey) (V, bool) {
 			if !e.ref.Load() {
 				e.ref.Store(true)
 			}
-			c.met.hit.Inc()
 			return e.val, true
 		}
 	}
-	c.met.miss.Inc()
 	return zero, false
+}
+
+// get is lookup counted as one hit or miss.
+func (c *cache[V]) get(k cacheKey) (V, bool) {
+	v, ok := c.lookup(k)
+	if ok {
+		c.tally(1, 0)
+	} else {
+		c.tally(0, 1)
+	}
+	return v, ok
+}
+
+// tally adds a batch of probes to the cache's hit and miss counters.
+func (c *cache[V]) tally(hits, misses int) {
+	if c == nil {
+		return
+	}
+	c.met.hit.Add(int64(hits))
+	c.met.miss.Add(int64(misses))
 }
 
 // put stores v under k. Inserting into a full shard first evicts the
@@ -261,26 +284,67 @@ func (c *cache[V]) len() int {
 // textCache is the text cache with its admission filter; a nil
 // *textCache (CacheSize < 0) fingerprints every text afresh.
 type textCache struct {
-	fps    *cache[sqlparse.FP]
+	fps    *cache[textEntry]
 	admits admitTable
+	// collide gives every text the same hash: a test seam under which
+	// every probe meets an entry whose key matches, and only the bytes
+	// an entry holds tell texts apart.
+	collide bool
 }
+
+// textEntry is one text-cache value: the exact bytes of the text, which
+// a hit must equal, and their fingerprint.
+type textEntry struct {
+	text string
+	fp   sqlparse.FP
+}
+
+// textSeed keys the text cache's hash; one per process.
+var textSeed = maphash.MakeSeed()
 
 func newTextCache(size int) *textCache {
 	if size <= 0 {
 		return nil
 	}
-	return &textCache{fps: newCache[sqlparse.FP](size, textCacheMetrics), admits: newAdmitTable(size)}
+	return &textCache{fps: newCache[textEntry](size, textCacheMetrics), admits: newAdmitTable(size)}
+}
+
+// tally counts a request's text-cache probes; a nil cache counts none.
+func (tc *textCache) tally(hits, misses int) {
+	if tc != nil {
+		tc.fps.tally(hits, misses)
+	}
+}
+
+// key is sql's text-cache key: the 64-bit maphash of its bytes, spread
+// over the key's four words by a SplitMix64 finalizer each, so the shard
+// byte, the probe home, the two admission slots and the admission tag
+// read differently mixed bits. Texts with equal hashes share a key; the
+// entry's bytes decide a hit.
+func (tc *textCache) key(sql []byte) cacheKey {
+	h := maphash.Bytes(textSeed, sql)
+	if tc.collide {
+		h = 0
+	}
+	var k cacheKey
+	for i := 0; i < len(k); i += 8 {
+		h += 0x9E3779B97F4A7C15
+		z := (h ^ h>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		binary.LittleEndian.PutUint64(k[i:], z^z>>31)
+	}
+	return k
 }
 
 // admitTable decides which text-cache misses are stored: a table of the
-// digests recently missed, each digest writing its tag into two slots
-// chosen by disjoint words of the digest. A digest is admitted when
-// either slot still holds its tag (its second miss since both slots were
-// last taken by other digests), so a stream of texts sent once never
-// churns the cache, and two texts that share one slot and arrive in
-// turn are both admitted through their other slots. Slots are atomics:
-// racing misses may lose a tag, which costs one more miss, never a wrong
-// fingerprint (the cache is keyed by the whole digest).
+// keys recently missed, each key writing its tag into two slots chosen
+// by disjoint words of the key. A key is admitted when either slot still
+// holds its tag (its second miss since both slots were last taken by
+// other keys), so a stream of texts sent once never churns the cache,
+// and two texts that share one slot and arrive in turn are both admitted
+// through their other slots. Slots are atomics: racing misses may lose a
+// tag, which costs one more miss, never a wrong fingerprint (a hit needs
+// the entry's bytes to equal the text's).
 type admitTable struct {
 	slots []atomic.Uint64
 	mask  uint64
@@ -292,7 +356,7 @@ func newAdmitTable(size int) admitTable {
 	return admitTable{slots: make([]atomic.Uint64, n), mask: uint64(n - 1)}
 }
 
-// secondMiss records a miss of the digest k and reports whether one of
+// secondMiss records a miss of the key k and reports whether one of
 // its slots already held it. The two slot indexes and the tag are three
 // disjoint 64-bit words of k, none overlapping the shard byte k[0]; the
 // tag's low bit is forced so no tag equals an empty slot.

@@ -139,7 +139,7 @@ func (s *Server) restore(st *durable.Snapshot) error {
 			scale = st.ModelScale
 		}
 		g.m, g.scale, g.version = m, scale, st.ModelVersion
-		g.est = newCache[float64](s.cfg.CacheSize, estCacheMetrics)
+		g.est = newCache[estEntry](s.cfg.CacheSize, estCacheMetrics)
 		g.ckpt = durable.ModelRecord{Path: st.ModelPath, Scale: scale, Version: st.ModelVersion}
 	}
 	if len(st.ViewSet) > 0 {

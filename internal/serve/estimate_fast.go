@@ -46,11 +46,12 @@ type estScratch struct {
 	qKeys   []cacheKey // plan-cache key of each pair's query
 	vKeys   []cacheKey // plan-cache key of each pair's view
 	keyOK   []bool     // both SQL texts of the pair were fingerprintable
-	out     []float64  // final estimates, cache hits filled in place
+	ents    []estEntry // final estimates and their text, cache hits filled in place
 	missIdx []int      // indices into pairs that missed the estimate cache
 	missOut []float64  // PredictBatch output for the miss subset
 	fs      []featenc.Features
 	lits    []sqlparse.Literal // the template scan's literals, one text at a time
+	reply   []byte             // the reply, appended by appendEstimateReply
 
 	// ex amortizes feature extraction on the miss path: per-table schema
 	// keywords and stats memoized across pairs and requests, per-pair
@@ -79,6 +80,9 @@ func putEstScratch(sc *estScratch) {
 	if cap(sc.spill) > estScratchMaxBody {
 		sc.spill = nil
 	}
+	if cap(sc.reply) > estScratchMaxBody {
+		sc.reply = nil
+	}
 	estPool.Put(sc)
 }
 
@@ -89,7 +93,7 @@ func (sc *estScratch) reset(n int) {
 		sc.qKeys = make([]cacheKey, n)
 		sc.vKeys = make([]cacheKey, n)
 		sc.keyOK = make([]bool, n)
-		sc.out = make([]float64, n)
+		sc.ents = make([]estEntry, n)
 		sc.missOut = make([]float64, n)
 		sc.fs = make([]featenc.Features, n)
 		sc.missIdx = make([]int, 0, n)
@@ -101,7 +105,7 @@ func (sc *estScratch) reset(n int) {
 	for i := range sc.keyOK {
 		sc.keyOK[i] = false
 	}
-	sc.out = sc.out[:n]
+	sc.ents = sc.ents[:n]
 	sc.missIdx = sc.missIdx[:0]
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,14 +43,16 @@ func (s *Server) routes() *http.ServeMux {
 }
 
 // endpoint wraps a handler with the shared request surface: traffic
-// counting, a span, the method check, the draining gate, and — when
-// gated — the readiness gate (requests before Start finishes recovery
-// answer 503). Only /v1/healthz is ungated: it must answer while durable
-// state is still replaying, reporting state "recovering".
+// counting, a span (resolved here, once per route), the method check,
+// the draining gate, and — when gated — the readiness gate (requests
+// before Start finishes recovery answer 503). Only /v1/healthz is
+// ungated: it must answer while durable state is still replaying,
+// reporting state "recovering".
 func (s *Server) endpoint(span, method string, gated bool, h http.HandlerFunc) http.HandlerFunc {
+	sp := obs.Default.Span(span)
 	return func(w http.ResponseWriter, r *http.Request) {
 		obsRequests.Inc()
-		defer obs.StartSpan(span)()
+		defer sp.End(sp.Begin())
 		if r.Method != method {
 			w.Header().Set("Allow", method)
 			s.writeError(w, r, http.StatusMethodNotAllowed, "method_not_allowed",
@@ -167,12 +168,15 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		return
 	}
 
-	// Fingerprint every pair and consult the generation's estimate cache.
+	// Fingerprint every pair and consult the generation's estimate cache,
+	// counting the probes of both caches once for the request.
 	sc.reset(n)
-	fpDone := obs.StartSpan("serve.fingerprint")
+	fpStart := spFingerprint.Begin()
+	textHits, estHits, estProbes := 0, 0, 0
 	for i := range sc.pairs {
-		qfp, qerr := s.fingerprint(sc.pairs[i].query)
-		vfp, verr := s.fingerprint(sc.pairs[i].view)
+		qfp, qhit, qerr := s.fingerprint(sc.pairs[i].query)
+		vfp, vhit, verr := s.fingerprint(sc.pairs[i].view)
+		textHits += b2i(qhit) + b2i(vhit)
 		if qerr != nil || verr != nil {
 			// Unlexable SQL: leave the pair to the miss path, which
 			// reports the parse error with the canonical message.
@@ -183,13 +187,17 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		sc.qKeys[i] = planKey(qfp.Exact)
 		sc.vKeys[i] = planKey(vfp.Exact)
 		sc.keyOK[i] = true
-		if v, ok := g.est.get(sc.keys[i]); ok {
-			sc.out[i] = v
+		estProbes++
+		if e, ok := g.est.lookup(sc.keys[i]); ok {
+			sc.ents[i] = e
+			estHits++
 			continue
 		}
 		sc.missIdx = append(sc.missIdx, i)
 	}
-	fpDone()
+	s.textCache.tally(textHits, 2*n-textHits)
+	g.est.tally(estHits, estProbes-estHits)
+	spFingerprint.End(fpStart)
 
 	if len(sc.missIdx) > 0 {
 		if sc.ex == nil {
@@ -214,41 +222,57 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request, sc *estScratch
 		if !s.predict(w, r, g, sc.fs[:len(sc.missIdx)], sc.missOut[:len(sc.missIdx)]) {
 			return
 		}
+		// An estimate JSON cannot carry is an error, answered before any
+		// byte of a reply is written, and never cached.
 		for j, i := range sc.missIdx {
-			sc.out[i] = sc.missOut[j]
+			v := sc.missOut[j]
+			if !finite(v) {
+				s.writeError(w, r, http.StatusInternalServerError, "non_finite_estimate",
+					fmt.Sprintf("pairs[%d]: the model estimates %v, which JSON cannot carry", i, v))
+				return
+			}
+			sc.ents[i] = newEstEntry(v)
 			if sc.keyOK[i] {
-				g.est.put(sc.keys[i], sc.out[i])
+				g.est.put(sc.keys[i], sc.ents[i])
 			}
 		}
 	}
 
 	obsPairs.Add(int64(n))
-	s.writeJSON(w, http.StatusOK, estimateResponse{
-		Estimates:    sc.out,
-		Count:        n,
-		ModelVersion: g.version,
-	})
+	s.writeEstimates(w, sc, g.version)
+}
+
+// b2i counts a hit.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // fingerprint is sqlparse.FingerprintBytes(sql) through the text cache,
-// keyed by the SHA-256 of sql's exact bytes: a hit skips the canonical
-// scan, a miss fingerprints and stores the FP on the text's second miss
-// (admitTable). A failed fingerprint is never stored, so its error is
-// always the lexer's own. sql is only read during the call.
-func (s *Server) fingerprint(sql []byte) (sqlparse.FP, error) {
+// and whether the cache answered. The cache is keyed by the maphash of
+// sql's bytes, and a hit needs the entry's bytes to equal sql: a hash
+// shared with another text costs a miss, never its fingerprint. A hit
+// skips the canonical scan; a miss fingerprints and stores the FP on the
+// text's second miss (admitTable). A failed fingerprint is never stored,
+// so its error is always the lexer's own. sql is only read during the
+// call.
+func (s *Server) fingerprint(sql []byte) (fp sqlparse.FP, hit bool, err error) {
 	tc := s.textCache
 	if tc == nil {
-		return sqlparse.FingerprintBytes(sql)
+		fp, err = sqlparse.FingerprintBytes(sql)
+		return fp, false, err
 	}
-	k := cacheKey(sha256.Sum256(sql))
-	if fp, ok := tc.fps.get(k); ok {
-		return fp, nil
+	k := tc.key(sql)
+	if e, ok := tc.fps.lookup(k); ok && e.text == string(sql) {
+		return e.fp, true, nil
 	}
-	fp, err := sqlparse.FingerprintBytes(sql)
+	fp, err = sqlparse.FingerprintBytes(sql)
 	if err == nil && tc.admits.secondMiss(k) {
-		tc.fps.put(k, fp)
+		tc.fps.put(k, textEntry{text: string(sql), fp: fp})
 	}
-	return fp, err
+	return fp, false, err
 }
 
 // predict runs one request's cache misses through g's model in the
@@ -266,7 +290,7 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, g *generation, 
 		return false
 	}
 	obsQueueDepth.Set(float64(n))
-	waited := obs.StartSpan("serve.batch.wait")
+	waitStart := spBatchWait.Begin()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	select {
@@ -279,9 +303,9 @@ func (s *Server) predict(w http.ResponseWriter, r *http.Request, g *generation, 
 			fmt.Sprintf("estimate not ready within %v", s.cfg.RequestTimeout))
 		return false // a request that never got the slot records no wait
 	}
-	waited()
+	spBatchWait.End(waitStart)
 	defer func() { <-s.infer }()
-	defer obs.StartSpan("serve.batch")()
+	defer spBatch.End(spBatch.Begin())
 	obsBatches.Inc()
 	obsBatchSize.Observe(float64(len(fs)))
 	for j, p := range g.m.PredictBatch(fs, s.adv.Cfg.Parallelism) {

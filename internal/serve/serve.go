@@ -67,6 +67,11 @@ var (
 	obsBatches    = obs.Default.Counter("serve.batch.count", "PredictBatch runs, one per estimate request with cache misses")
 	obsBatchSize  = obs.Default.Histogram("serve.batch.size", "(query, view) pairs per PredictBatch run", 1, 2, 4, 8, 16, 32, 64, 128)
 	obsQueueDepth = obs.Default.Gauge("serve.batch.queue", "estimate requests waiting for the inference slot")
+
+	// The estimate path's spans, resolved once.
+	spFingerprint = obs.Default.Span("serve.fingerprint")
+	spBatchWait   = obs.Default.Span("serve.batch.wait")
+	spBatch       = obs.Default.Span("serve.batch")
 )
 
 // errShuttingDown is the ingest path's answer once Close has begun
@@ -144,7 +149,7 @@ type generation struct {
 	m       *widedeep.Model // nil when the estimator trains no model
 	scale   float64         // predictions are divided by this (1 when unscaled)
 	version int
-	est     *cache[float64]     // nil when caching is disabled
+	est     *cache[estEntry]    // nil when caching is disabled
 	ckpt    durable.ModelRecord // zero without a durable checkpoint
 	views   *ViewSet            // nil until a cycle finds candidates
 }

@@ -3,12 +3,12 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -18,12 +18,44 @@ import (
 	"autoview/internal/sqlparse"
 )
 
-// textKey is the text-cache key of sql: the SHA-256 of its bytes.
-func textKey(sql string) cacheKey { return cacheKey(sha256.Sum256([]byte(sql))) }
+// textKey is the key s's text cache files sql under.
+func textKey(s *Server, sql string) cacheKey { return s.textCache.key([]byte(sql)) }
 
-// textCached reports whether s's text cache holds sql, without setting
-// its reference bit or counting a probe.
-func textCached(s *Server, sql string) bool { return resident(s.textCache.fps, textKey(sql)) }
+// textCached reports whether s's text cache holds sql's bytes, without
+// setting a reference bit or counting a probe. It scans the shard under
+// its writers' lock, so no racing put can hide the entry.
+func textCached(s *Server, sql string) bool {
+	k := textKey(s, sql)
+	sh := s.textCache.fps.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for i := range sh.tab {
+		if e := sh.tab[i].Load(); e != nil && e.key == k && e.val.text == sql {
+			return true
+		}
+	}
+	return false
+}
+
+// warmTexts runs send until s's text cache holds every text, at most
+// eight times. A text is admitted on its second miss unless both its
+// admission slots were retaken in between (by texts sent in the same
+// requests, while they are not cached themselves), so a few texts take
+// a send or two more.
+func warmTexts(t *testing.T, s *Server, texts []string, send func()) {
+	t.Helper()
+	for k := 0; k < 8; k++ {
+		send()
+		if !slices.ContainsFunc(texts, func(sql string) bool { return !textCached(s, sql) }) {
+			return
+		}
+	}
+	for _, sql := range texts {
+		if !textCached(s, sql) {
+			t.Fatalf("%q is not in the text cache after eight sends", sql)
+		}
+	}
+}
 
 // lonelyTexts returns the texts with an admission slot in s that no
 // other distinct text of texts uses: each is admitted on its second
@@ -31,7 +63,7 @@ func textCached(s *Server, sql string) bool { return resident(s.textCache.fps, t
 func lonelyTexts(s *Server, texts []string) map[string]bool {
 	users := map[*atomic.Uint64]map[string]bool{}
 	for _, sql := range texts {
-		k := textKey(sql)
+		k := textKey(s, sql)
 		for _, slot := range []*atomic.Uint64{s.textCache.admits.slot(k), s.textCache.admits.altSlot(k)} {
 			if users[slot] == nil {
 				users[slot] = map[string]bool{}
@@ -235,13 +267,21 @@ func TestTextCacheByteIdentity(t *testing.T) {
 
 // TestTextCacheRacesReload: hot-text repeaters race novel-text senders
 // while a writer hot-reloads two checkpoints in turn. Each novel text is
-// a comment variant of a hot query whose admission slot is a hot
-// query's, so the senders overwrite the repeaters' admission tags
-// while the repeaters fill the text cache. Every reply must be the one
-// the model its model_version names gives single-threaded, and every
-// hot text no other text shares a slot with must end up cached.
+// a comment variant of a hot query both of whose admission slots are
+// hot queries' slots, so the senders overwrite the repeaters' admission
+// tags while the repeaters fill the text cache, and a hot text can lose
+// its admission. The first novel body's variants each take both slots
+// of the hot query they replace, and it is sent between the first two
+// sends of one repeater with the other held back: those sends lose their
+// admissions whatever the schedule, and the test requires at least one
+// hot text a repeater sent twice to be missing from the cache. Every
+// reply must be the one the model its model_version names gives
+// single-threaded, and every hot text of the uncontested body that no
+// other text shares a slot with must end up cached. The admission table
+// is small (CacheSize 256) so that variants with both slots on a hot
+// query's are cheap to find.
 func TestTextCacheRacesReload(t *testing.T) {
-	s, ts := newTestServer(t, 2, Config{})
+	s, ts := newTestServer(t, 2, Config{CacheSize: 256})
 	w := serveWK()
 	var vs ViewSet
 	getJSON(t, ts.URL+"/v1/views", &vs)
@@ -267,30 +307,45 @@ func TestTextCacheRacesReload(t *testing.T) {
 			hot[i] = append(hot[i], q.SQL)
 		}
 	}
-	slots := map[*atomic.Uint64]bool{}
-	for _, q := range hot[0] {
-		slots[s.textCache.admits.slot(textKey(q))] = true
+	at := &s.textCache.admits
+	slotsOf := func(sql string) [2]*atomic.Uint64 {
+		k := textKey(s, sql)
+		return [2]*atomic.Uint64{at.slot(k), at.altSlot(k)}
 	}
-	// novel[r][k] is hot[0] with each query replaced by a comment
-	// variant never sent before whose slot is one of hot[0]'s.
+	hotSlots := map[*atomic.Uint64]bool{}
+	for _, q := range hot[0] {
+		for _, slot := range slotsOf(q) {
+			hotSlots[slot] = true
+		}
+	}
+	// novel[r] holds, for each round k, hot[0] with each query replaced by a comment
+	// variant never sent before whose two slots are hot[0]'s; in
+	// novel[0][0], the contest body, they are its own query's two.
 	var all []string
 	n := 0
-	novel := make([][][]string, senders)
+	variant := func(q string, ok func(slots [2]*atomic.Uint64) bool) string {
+		for ; ; n++ {
+			if v := q + " -- " + strconv.Itoa(n); ok(slotsOf(v)) {
+				n++
+				return v
+			}
+		}
+	}
+	novel := make([][]string, senders)
 	for r := range novel {
 		for k := 0; k < rounds; k++ {
 			var qs []string
 			for _, q := range hot[0] {
-				for {
-					v := q + " -- " + strconv.Itoa(n)
-					n++
-					if slots[s.textCache.admits.slot(textKey(v))] {
-						qs = append(qs, v)
-						break
+				own := slotsOf(q)
+				qs = append(qs, variant(q, func(sl [2]*atomic.Uint64) bool {
+					if r == 0 && k == 0 {
+						return (sl[0] == own[0] && sl[1] == own[1]) || (sl[0] == own[1] && sl[1] == own[0])
 					}
-				}
+					return hotSlots[sl[0]] && hotSlots[sl[1]]
+				}))
 			}
 			all = append(all, qs...)
-			novel[r] = append(novel[r], qs)
+			novel[r] = append(novel[r], qs...)
 		}
 	}
 	all = append(all, hot[0]...)
@@ -299,14 +354,53 @@ func TestTextCacheRacesReload(t *testing.T) {
 		all = append(all, v.SQL)
 	}
 
+	// The contest: repeater 0 sends the hot bodies (every hot[0] text's
+	// first miss), sender 0 the contest body, repeater 0 the hot bodies
+	// again (misses that find no tag), and only then does repeater 1
+	// start. From its third round on, a repeater counts the hot texts it
+	// has sent twice that the cache does not hold: each lost an
+	// admission.
+	r0Sent, contested, r0Checked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	await := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(time.Minute):
+			t.Error("the contest's hand-off timed out")
+		}
+	}
+	var lost atomic.Int64
 	hits := obsTextCacheHit.Value()
 	replies, served := raceReloads(t, ts.URL, ckpts, repeaters+senders, rounds, func(r, k int) [][]estimatePair {
+		switch {
+		case r == 0 && k == 1:
+			close(r0Sent)
+			await(contested)
+		case r == 1 && k == 0:
+			await(r0Checked)
+		case r == repeaters && k == 0:
+			await(r0Sent)
+		case r == repeaters && k == 1:
+			close(contested)
+		}
 		if r < repeaters {
+			if k >= 2 {
+				for _, q := range append(hot[0][:len(hot[0]):len(hot[0])], hot[1]...) {
+					if !textCached(s, q) {
+						lost.Add(1)
+					}
+				}
+			}
+			if r == 0 && k == 2 {
+				close(r0Checked)
+			}
 			return [][]estimatePair{pairsOf(hot[0]), pairsOf(hot[1])}
 		}
-		return [][]estimatePair{pairsOf(novel[r-repeaters][k])}
+		return [][]estimatePair{pairsOf(novel[r-repeaters][k*perBody : (k+1)*perBody])}
 	})
 	checkReplies(t, s, boot, served, oracles, replies)
+	if lost.Load() == 0 {
+		t.Fatal("no hot text lost an admission to the novel texts")
+	}
 	lonely := lonelyTexts(s, all)
 	for _, q := range hot[1] {
 		if lonely[q] && !textCached(s, q) {
@@ -316,6 +410,7 @@ func TestTextCacheRacesReload(t *testing.T) {
 	if obsTextCacheHit.Value() == hits {
 		t.Fatal("the repeaters never hit the text cache")
 	}
+	t.Logf("%d sightings of a hot text a repeater had sent twice, not cached", lost.Load())
 }
 
 // TestTextCacheAdmitsAlternatingSlotSharers: two texts whose digests
@@ -327,17 +422,17 @@ func TestTextCacheAdmitsAlternatingSlotSharers(t *testing.T) {
 	s := &Server{textCache: newTextCache(4096)}
 	at := &s.textCache.admits
 	a := "select a from t where a = 1"
-	ka := textKey(a)
+	ka := textKey(s, a)
 	b := ""
 	for n := 0; b == ""; n++ {
 		v := a + " -- " + strconv.Itoa(n)
-		if kv := textKey(v); at.slot(kv) == at.slot(ka) && at.altSlot(kv) != at.altSlot(ka) {
+		if kv := textKey(s, v); at.slot(kv) == at.slot(ka) && at.altSlot(kv) != at.altSlot(ka) {
 			b = v
 		}
 	}
 	for k := 0; k < 1000; k++ {
 		for _, sql := range []string{a, b} {
-			if _, err := s.fingerprint([]byte(sql)); err != nil {
+			if _, _, err := s.fingerprint([]byte(sql)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -349,11 +444,58 @@ func TestTextCacheAdmitsAlternatingSlotSharers(t *testing.T) {
 	}
 }
 
+// TestTextCacheCollisions: with every text hashed alike (the collide
+// seam), every probe meets an entry filed under the text's key, and
+// Server.fingerprint must still answer exactly FingerprintBytes' value
+// and error text for each text, sent in turn with the others, and hit
+// only when the entry holds the text's own bytes.
+func TestTextCacheCollisions(t *testing.T) {
+	s := &Server{textCache: newTextCache(32)}
+	s.textCache.collide = true
+	texts := []string{
+		"select a from t where a = 1",
+		"select a from t where a = 2",
+		"select a from t where a = 1 ",
+		"select  a from t where a = 1",
+		"select a from t where a = 1 -- comment",
+		"SELECT a FROM t WHERE a = 1",
+		"select a from t where a = 'unterminated",
+		"select \x80 from t",
+		"",
+		"select a from",
+	}
+	if k := textKey(s, texts[0]); k != textKey(s, texts[1]) {
+		t.Fatal("the collide seam leaves texts apart")
+	}
+	// Every text shares one tag, so once any text has missed, each miss
+	// of a text that lexes admits it, replacing the entry of the text
+	// admitted before it: a text sent twice in a row misses, then hits.
+	if _, _, err := s.fingerprint([]byte("select 1 from t")); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for _, sql := range texts {
+			want, wantErr := sqlparse.FingerprintBytes([]byte(sql))
+			for k := 0; k < 2; k++ {
+				got, hit, err := s.fingerprint([]byte(sql))
+				if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%q, round %d: fingerprint = %x, %v; FingerprintBytes = %x, %v", sql, round, got.Exact, err, want.Exact, wantErr)
+				}
+				if wantHit := k == 1 && wantErr == nil; hit != wantHit {
+					t.Fatalf("%q, round %d, send %d: hit = %v, want %v", sql, round, k+1, hit, wantHit)
+				}
+			}
+		}
+	}
+}
+
 // FuzzTextCache: Server.fingerprint is sqlparse.FingerprintBytes, value
 // and error text, on a text's first, second and third sight — a miss,
 // a miss that admits it, and a hit — and after the caller reuses the
-// buffer it passed. The cache is small, so the fuzzer's texts evict one
-// another. Seeds: the wk1 statements, the parser's fuzz seeds (read
+// buffer it passed, on a text cache with the process's hash and on one
+// where every text hashes alike (so each text meets the entry of the
+// last one admitted). The caches are small, so the fuzzer's texts evict
+// one another. Seeds: the wk1 statements, the parser's fuzz seeds (read
 // from sqlparse's testdata, which its TestParseSeedsFile keeps
 // current) and bytes that do not lex.
 func FuzzTextCache(f *testing.F) {
@@ -380,20 +522,25 @@ func FuzzTextCache(f *testing.F) {
 		f.Add([]byte(bad))
 	}
 	s := &Server{textCache: newTextCache(32)}
+	collide := &Server{textCache: newTextCache(32)}
+	collide.textCache.collide = true
 	f.Fuzz(func(t *testing.T, src []byte) {
 		want, wantErr := sqlparse.FingerprintBytes(src)
-		buf := append([]byte(nil), src...)
-		for k := 0; k < 3; k++ {
-			got, err := s.fingerprint(buf)
-			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Fatalf("%q, sight %d: fingerprint = %x, %v; FingerprintBytes = %x, %v", src, k+1, got.Exact, err, want.Exact, wantErr)
+		for _, s := range []*Server{s, collide} {
+			buf := append([]byte(nil), src...)
+			for k := 0; k < 3; k++ {
+				got, _, err := s.fingerprint(buf)
+				if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%q, sight %d, collide %v: fingerprint = %x, %v; FingerprintBytes = %x, %v",
+						src, k+1, s.textCache.collide, got.Exact, err, want.Exact, wantErr)
+				}
 			}
-		}
-		for i := range buf {
-			buf[i] = ' '
-		}
-		if got, err := s.fingerprint(src); got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("%q after its buffer was reused: fingerprint = %x, %v", src, got.Exact, err)
+			for i := range buf {
+				buf[i] = ' '
+			}
+			if got, _, err := s.fingerprint(src); got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%q after its buffer was reused, collide %v: fingerprint = %x, %v", src, s.textCache.collide, got.Exact, err)
+			}
 		}
 	})
 }

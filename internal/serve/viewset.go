@@ -172,7 +172,7 @@ func (s *Server) publish(m *widedeep.Model, scale float64, views *ViewSet) *gene
 	next := *cur
 	if m != nil {
 		next.m, next.scale, next.version = m, scale, cur.version+1
-		next.est = newCache[float64](s.cfg.CacheSize, estCacheMetrics)
+		next.est = newCache[estEntry](s.cfg.CacheSize, estCacheMetrics)
 		obsCacheSize.Set(0)
 	}
 	if views != nil {
