@@ -74,9 +74,7 @@ func crashStateAfter(k int) *Snapshot {
 			st.WindowSQL = append(st.WindowSQL, op.sqls...)
 			st.WindowTotal += uint64(len(op.sqls))
 		case RecordGeneration:
-			m := op.gen.Model
-			st.ModelPath, st.ModelScale, st.ModelVersion = m.Path, m.Scale, m.Version
-			st.ViewSet = op.gen.ViewSet
+			st.Generation = op.gen
 		}
 	}
 	return st
@@ -181,13 +179,11 @@ func compareState(t *testing.T, label string, got *Snapshot, k int) {
 	if got.WindowTotal != want.WindowTotal {
 		t.Fatalf("%s: total = %d, want %d", label, got.WindowTotal, want.WindowTotal)
 	}
-	if string(got.ViewSet) != string(want.ViewSet) {
-		t.Fatalf("%s: viewset = %s, want %s", label, got.ViewSet, want.ViewSet)
+	if string(got.Generation.ViewSet) != string(want.Generation.ViewSet) {
+		t.Fatalf("%s: viewset = %s, want %s", label, got.Generation.ViewSet, want.Generation.ViewSet)
 	}
-	if got.ModelPath != want.ModelPath || got.ModelVersion != want.ModelVersion ||
-		got.ModelScale != want.ModelScale { // the scale must survive the JSON round trip bit-exactly
-		t.Fatalf("%s: model = %q v%d scale %v, want %q v%d scale %v", label,
-			got.ModelPath, got.ModelVersion, got.ModelScale, want.ModelPath, want.ModelVersion, want.ModelScale)
+	if got.Generation.Model != want.Generation.Model { // the scale must survive the JSON round trip bit-exactly
+		t.Fatalf("%s: model = %+v, want %+v", label, got.Generation.Model, want.Generation.Model)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	wal-<first-lsn>.log   append-only segments of CRC32C-framed records
 //	snap-<lsn>.json       point-in-time snapshots (atomic tmp+rename)
-//	model-v<N>.ckpt       W-D checkpoints referenced by records/snapshots
+//	model-v<N>.ckpt       W-D checkpoints referenced by generation records and snapshots
 //
 // Every record carries a CRC32C over its type+payload and is
 // length-prefixed; each segment opens with a versioned header. Replay
@@ -79,9 +79,9 @@ func ParseFsync(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "", "interval":
 		return FsyncInterval, nil
-	case "always", "record", "per-record":
+	case "always":
 		return FsyncAlways, nil
-	case "off", "none":
+	case "off":
 		return FsyncOff, nil
 	default:
 		return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, interval, or off)", s)

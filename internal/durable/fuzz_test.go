@@ -55,7 +55,15 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(appendHeader(nil))
 	f.Add([]byte("AVWL")) // magic but no version
 	f.Add(appendFrame(appendHeader(nil), RecordIngest, []byte(`{"sqls":["q"]}`)))
-	f.Add(appendFrame(appendHeader(nil), 200, []byte("unknown type")))
+	// Unknown types decode as the torn tail: 200, and format 1's model
+	// (2) and view-set (3) records, which format 2 no longer reads.
+	for _, t := range []RecordType{200, 2, 3} {
+		seg := appendFrame(appendHeader(nil), t, []byte(`{"version":1}`))
+		if _, consumed, clean, err := collectScan(seg); err != nil || clean || consumed != headerSize {
+			f.Fatalf("type %d: consumed=%d clean=%v err=%v, want a torn tail right after the header", t, consumed, clean, err)
+		}
+		f.Add(seg)
+	}
 	f.Add(append(appendHeader(nil), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1)) // absurd length prefix
 	f.Add(appendFrame(appendHeader(nil), RecordGeneration,
 		[]byte(`{"model":{"path":"model-v1.ckpt","scale":1.5,"version":1},"view_set":{"version":1}}`)))

@@ -14,25 +14,20 @@ const (
 	// RecordIngest carries a batch of ingested query SQL texts
 	// (payload: ingestPayload JSON).
 	RecordIngest RecordType = 1
-	// RecordModel and RecordViewSet are the two halves of a generation
-	// as earlier builds logged them: a model swap (payload: ModelRecord
-	// JSON) and a view-set rotation (payload: the serving layer's ViewSet
-	// JSON). Recovery still reads them; nothing writes them.
-	RecordModel   RecordType = 2
-	RecordViewSet RecordType = 3
 	// RecordGeneration marks one published generation (payload:
-	// GenerationRecord JSON).
+	// GenerationRecord JSON). Types 2 and 3 were format 1's separate
+	// model and view-set records; no format-2 segment holds them.
 	RecordGeneration RecordType = 4
 )
 
-func (t RecordType) valid() bool { return t >= RecordIngest && t <= RecordGeneration }
+func (t RecordType) valid() bool { return t == RecordIngest || t == RecordGeneration }
 
 // Segment header: 4-byte magic, 1-byte format version, 3 reserved zero
 // bytes. Replay rejects unknown versions loudly instead of guessing.
 var segmentMagic = [4]byte{'A', 'V', 'W', 'L'}
 
 const (
-	walFormatVersion = 1
+	walFormatVersion = 2
 	headerSize       = 8
 	// frameOverhead is the fixed cost per record: u32 length (of
 	// type+payload) + u32 CRC32C (over type+payload).

@@ -14,7 +14,7 @@ import (
 )
 
 // snapFormatVersion guards the snapshot JSON schema.
-const snapFormatVersion = 1
+const snapFormatVersion = 2
 
 // retainSnapshots is how many snapshots a data directory keeps; older
 // ones, and the segments and checkpoints only they need, are pruned.
@@ -34,20 +34,14 @@ type Snapshot struct {
 	WindowSQL   []string `json:"window_sql"`
 	WindowTotal uint64   `json:"window_total"`
 
-	// ViewSet is the serving layer's versioned view set, opaque JSON
-	// (nil when nothing has been advised yet).
-	ViewSet json.RawMessage `json:"view_set,omitempty"`
-
-	// ModelPath names the W-D checkpoint (relative to the data dir)
-	// behind the active model, with its cost scale and version. Empty
-	// when no model has been published.
-	ModelPath    string  `json:"model_path,omitempty"`
-	ModelScale   float64 `json:"model_scale,omitempty"`
-	ModelVersion int     `json:"model_version,omitempty"`
+	// Generation is the last published generation the state covers,
+	// as its record was logged (zero before the first publish).
+	Generation GenerationRecord `json:"generation"`
 }
 
 // ModelRecord is the durable pointer to one set of W-D weights: the
-// checkpoint, its cost scale and its version (the RecordModel payload).
+// checkpoint, its cost scale and its version (a GenerationRecord's
+// Model).
 type ModelRecord struct {
 	Path    string  `json:"path"` // relative to the data dir
 	Scale   float64 `json:"scale"`

@@ -31,16 +31,7 @@ func (st *Snapshot) apply(t RecordType, payload []byte, windowCap int) error {
 		if err := json.Unmarshal(payload, &g); err != nil {
 			return fmt.Errorf("durable: generation record: %w", err)
 		}
-		st.ModelPath, st.ModelScale, st.ModelVersion = g.Model.Path, g.Model.Scale, g.Model.Version
-		st.ViewSet = append(json.RawMessage(nil), g.ViewSet...)
-	case RecordModel:
-		var m ModelRecord
-		if err := json.Unmarshal(payload, &m); err != nil {
-			return fmt.Errorf("durable: model record: %w", err)
-		}
-		st.ModelPath, st.ModelScale, st.ModelVersion = m.Path, m.Scale, m.Version
-	case RecordViewSet:
-		st.ViewSet = append(json.RawMessage(nil), payload...)
+		st.Generation = g
 	default:
 		return fmt.Errorf("durable: unknown record type %d", t)
 	}
@@ -85,6 +76,16 @@ func Recover(dir string, windowCap int) (*Snapshot, *recoveryInfo, error) {
 	replayed := int64(0)
 	var next uint64 // expected first LSN of the following segment
 	for i, first := range segs {
+		path := filepath.Join(dir, segmentName(first))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Another format fails here, not as the gap its skipped
+		// (unreadable) snapshots would otherwise leave.
+		if err := checkHeader(data); err != nil {
+			return nil, nil, err
+		}
 		// Continuity: each segment must pick up exactly where the
 		// previous one ended — except that a forward jump is legal when
 		// the snapshot covers every skipped LSN (a tail truncated after
@@ -97,11 +98,6 @@ func Recover(dir string, windowCap int) (*Snapshot, *recoveryInfo, error) {
 		} else if first != next && !(first > next && first <= info.snapLSN+1) {
 			return nil, nil, fmt.Errorf("%w: segment starts at %d, want %d (snapshot covers %d)",
 				ErrGap, first, next, info.snapLSN)
-		}
-		path := filepath.Join(dir, segmentName(first))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
 		}
 		lsn := first - 1
 		consumed, clean, err := scanSegment(data, func(t RecordType, payload []byte) error {
@@ -287,11 +283,12 @@ func (s *Store) minKeptModelVersion() int {
 		if err != nil {
 			return 0
 		}
-		if snap.ModelVersion == 0 {
+		v := snap.Generation.Model.Version
+		if v == 0 {
 			return 0
 		}
-		if min == 0 || snap.ModelVersion < min {
-			min = snap.ModelVersion
+		if min == 0 || v < min {
+			min = v
 		}
 	}
 	return min

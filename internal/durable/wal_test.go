@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,66 +81,14 @@ func TestWALRoundTrip(t *testing.T) {
 	if st.WindowTotal != 3 {
 		t.Fatalf("total = %d", st.WindowTotal)
 	}
-	if st.ModelPath != "model-v1.ckpt" || st.ModelScale != 2.5 || st.ModelVersion != 1 { // scale must round-trip bit-exactly
-		t.Fatalf("model = %+v", st)
+	if st.Generation.Model != gen.Model { // scale must round-trip bit-exactly
+		t.Fatalf("model = %+v", st.Generation.Model)
 	}
-	if string(st.ViewSet) != `{"version":7}` {
-		t.Fatalf("viewset = %s", st.ViewSet)
+	if string(st.Generation.ViewSet) != `{"version":7}` {
+		t.Fatalf("viewset = %s", st.Generation.ViewSet)
 	}
 	if st.LSN != 4 {
 		t.Fatalf("LSN = %d, want 4", st.LSN)
-	}
-}
-
-// TestRecoverReadsLegacyRecords: a segment that logged each generation
-// as the separate model and view-set records of earlier builds — a
-// rollback as a model record alone — recovers the same state as the
-// equivalent generation records.
-func TestRecoverReadsLegacyRecords(t *testing.T) {
-	ingest := []byte(`{"sqls":["q0","q1"]}`)
-	model := func(v int, scale float64) ModelRecord {
-		return ModelRecord{Path: ModelCheckpointName(v), Scale: scale, Version: v}
-	}
-	vs1, vs2 := json.RawMessage(`{"version":1,"views":["a"]}`), json.RawMessage(`{"version":2,"views":["b"]}`)
-	mustJSON := func(v any) []byte {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	recoverSeg := func(frames func(seg []byte) []byte) *Snapshot {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), frames(appendHeader(nil)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, _, err := Recover(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
-	legacy := recoverSeg(func(seg []byte) []byte {
-		seg = appendFrame(seg, RecordIngest, ingest)
-		seg = appendFrame(seg, RecordModel, mustJSON(model(1, 1.5))) // bootstrap
-		seg = appendFrame(seg, RecordViewSet, vs1)
-		seg = appendFrame(seg, RecordModel, mustJSON(model(2, 1.25))) // rollback
-		seg = appendFrame(seg, RecordModel, mustJSON(model(3, 1.75))) // swap
-		return appendFrame(seg, RecordViewSet, vs2)
-	})
-	gens := recoverSeg(func(seg []byte) []byte {
-		seg = appendFrame(seg, RecordIngest, ingest)
-		seg = appendFrame(seg, RecordGeneration, mustJSON(GenerationRecord{Model: model(1, 1.5), ViewSet: vs1}))
-		seg = appendFrame(seg, RecordGeneration, mustJSON(GenerationRecord{Model: model(2, 1.25), ViewSet: vs1}))
-		return appendFrame(seg, RecordGeneration, mustJSON(GenerationRecord{Model: model(3, 1.75), ViewSet: vs2}))
-	})
-	if legacy.LSN != 6 || gens.LSN != 4 {
-		t.Fatalf("LSNs %d and %d, want 6 legacy records and 4 generation records", legacy.LSN, gens.LSN)
-	}
-	legacy.LSN, gens.LSN = 0, 0
-	if !reflect.DeepEqual(legacy, gens) {
-		t.Fatalf("legacy records recover %+v, generation records %+v", legacy, gens)
 	}
 }
 
@@ -280,24 +229,66 @@ func TestWALGapBetweenSegmentsFails(t *testing.T) {
 	}
 }
 
+// dirFiles maps each file in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(dir, "*")) // the pattern is well-formed
+	files := map[string]string{}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(path)] = string(data)
+	}
+	return files
+}
+
+// TestWALBadHeaderFails: a data directory of format 1 or an unknown one
+// fails Recover and Open with ErrBadSegment naming both versions, and
+// leaves every file as it was. Its snapshots are of that format too and
+// its oldest segment is pruned, so the refusal must come from the header,
+// not read as a gap or a torn tail.
 func TestWALBadHeaderFails(t *testing.T) {
-	opts := testOpts(t)
-	s := mustOpen(t, opts)
-	ingestN(t, s, 0, 1)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(opts.Dir, segmentName(1))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[4] = 99 // unknown format version
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Recover(opts.Dir, 0); !errors.Is(err, ErrBadSegment) {
-		t.Fatalf("err = %v, want ErrBadSegment", err)
+	for _, version := range []byte{1, 99} {
+		opts := testOpts(t)
+		s := mustOpen(t, opts)
+		for round := 0; round < 3; round++ {
+			ingestN(t, s, 2*round, 2)
+			if err := s.WriteSnapshot(&Snapshot{LSN: s.LastLSN()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ingestN(t, s, 6, 1)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range dirFiles(t, opts.Dir) {
+			if _, ok := parseSegmentName(name); ok {
+				data = data[:4] + string(version) + data[5:]
+			} else {
+				data = strings.Replace(data, `"format_version":2`, fmt.Sprintf(`"format_version":%d`, version), 1)
+			}
+			if err := os.WriteFile(filepath.Join(opts.Dir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dirFiles(t, opts.Dir)
+		if _, ok := before[segmentName(1)]; ok {
+			t.Fatal("segment 1 survived: the directory is not pruned")
+		}
+
+		_, _, rerr := Recover(opts.Dir, 0)
+		_, oerr := Open(opts)
+		want := fmt.Sprintf("format version %d (this build reads 2)", version)
+		for _, err := range []error{rerr, oerr} {
+			if !errors.Is(err, ErrBadSegment) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want ErrBadSegment naming %q", err, want)
+			}
+		}
+		if after := dirFiles(t, opts.Dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("version %d: the refusal changed the directory", version)
+		}
 	}
 }
 
@@ -437,16 +428,18 @@ func TestFsyncIntervalTimer(t *testing.T) {
 func TestParseFsync(t *testing.T) {
 	for in, want := range map[string]FsyncPolicy{
 		"": FsyncInterval, "interval": FsyncInterval,
-		"always": FsyncAlways, "per-record": FsyncAlways,
-		"off": FsyncOff, "none": FsyncOff,
+		"always": FsyncAlways, "off": FsyncOff,
 	} {
 		got, err := ParseFsync(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseFsync(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseFsync("sometimes"); err == nil {
-		t.Fatal("ParseFsync accepted garbage")
+	// Only the values the -fsync help names parse.
+	for _, in := range []string{"sometimes", "record", "per-record", "none"} {
+		if _, err := ParseFsync(in); err == nil {
+			t.Fatalf("ParseFsync accepted %q", in)
+		}
 	}
 }
 

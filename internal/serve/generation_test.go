@@ -91,13 +91,33 @@ func TestEstimateRepliesNameTheirModel(t *testing.T) {
 	checkReplies(t, s, boot, served, oracles, replies)
 }
 
+// genRecorder is a store that keeps every generation record it logs
+// (under the server's durMu, like every append).
+type genRecorder struct {
+	*durable.Store
+	gens []durable.GenerationRecord
+}
+
+func (r *genRecorder) AppendGeneration(rec durable.GenerationRecord) error {
+	r.gens = append(r.gens, rec)
+	return r.Store.AppendGeneration(rec)
+}
+
 // TestModelVersionsAreUnique: concurrent hot-reloads and a forced
 // re-advise each publish their own model version — N reloads plus one
 // advise give N+1 distinct versions — every reload reply names the
-// version it published, and each version's durable checkpoint holds the
-// model published under it.
+// version it published, and each version is logged once, with the
+// scale published under it and a durable checkpoint that loads.
 func TestModelVersionsAreUnique(t *testing.T) {
-	s, st := startDurable(t, t.TempDir())
+	st, err := durable.Open(durableOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &genRecorder{Store: st}
+	s := NewServer(serveWK(), serveCoreCfgPar(1), Config{})
+	if err := s.start(rec, nil); err != nil {
+		t.Fatal(err)
+	}
 	defer closeDurable(t, s, st)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -108,7 +128,7 @@ func TestModelVersionsAreUnique(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reload k asks for its own scale, so its checkpoint says whose it is.
+	// Reload k asks for its own scale, so its record says whose it is.
 	const n = 8
 	scaleOf := func(k int) float64 { return boot.scale * float64(k+2) }
 	got := make([]int, n)
@@ -157,20 +177,22 @@ func TestModelVersionsAreUnique(t *testing.T) {
 		}
 		byVersion[v] = k
 	}
+	logged := map[int]durable.ModelRecord{}
+	s.durMu.Lock()
+	for _, g := range rec.gens {
+		logged[g.Model.Version] = g.Model
+	}
+	if len(logged) != len(rec.gens) {
+		t.Fatalf("%d generation records name %d model versions", len(rec.gens), len(logged))
+	}
+	s.durMu.Unlock()
 	for v := boot.version + 1; v <= boot.version+n+1; v++ {
-		raw, err := os.ReadFile(filepath.Join(st.Dir(), durable.ModelCheckpointName(v)))
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
+		m := logged[v]
+		if _, err := s.loadCheckpoint(filepath.Join(st.Dir(), m.Path)); err != nil || m.Path != durable.ModelCheckpointName(v) {
+			t.Fatalf("version %d logged as %+v (checkpoint: %v)", v, m, err)
 		}
-		var ck checkpointFile
-		if err := json.Unmarshal(raw, &ck); err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		if ck.Version != v {
-			t.Fatalf("checkpoint of version %d records version %d", v, ck.Version)
-		}
-		if k, ok := byVersion[v]; ok && ck.Scale != scaleOf(k) {
-			t.Fatalf("checkpoint of version %d holds scale %v, but reload %d (scale %v) replied that version", v, ck.Scale, k, scaleOf(k))
+		if k, ok := byVersion[v]; ok && m.Scale != scaleOf(k) {
+			t.Fatalf("version %d logged with scale %v, but reload %d (scale %v) replied that version", v, m.Scale, k, scaleOf(k))
 		}
 	}
 }

@@ -149,9 +149,8 @@ type generation struct {
 	m       *widedeep.Model // nil when the estimator trains no model
 	scale   float64         // predictions are divided by this (1 when unscaled)
 	version int
-	est     *cache[estEntry]    // nil when caching is disabled
-	ckpt    durable.ModelRecord // zero without a durable checkpoint
-	views   *ViewSet            // nil until a cycle finds candidates
+	est     *cache[estEntry] // nil when caching is disabled
+	views   *ViewSet         // nil until a cycle finds candidates
 }
 
 // store is the part of *durable.Store the server uses: the seam a test
@@ -183,11 +182,11 @@ type Server struct {
 	// it (or vice versa). The estimate path never touches either.
 	dur   store
 	durMu sync.Mutex
-	// logged is the last generation the WAL holds whole — its
-	// checkpoint saved and its record appended — or the recovered one
-	// (at first the empty one): what a snapshot records. Guarded by
+	// logged is the record of the last generation the WAL holds whole —
+	// its checkpoint saved and its record appended — or the recovered
+	// one (zero before either): what a snapshot records. Guarded by
 	// durMu.
-	logged *generation
+	logged durable.GenerationRecord
 
 	// ready flips once Start has recovered (or bootstrapped) the serving
 	// state; until then every endpoint but /v1/healthz answers 503.
@@ -258,7 +257,6 @@ func NewServer(w *workload.Workload, coreCfg core.Config, cfg Config) *Server {
 		started: time.Now(),
 	}
 	s.gen.Store(new(generation))
-	s.logged = s.gen.Load()
 	s.planCache = newCache[*featenc.PlanFeat](cfg.CacheSize, planCacheMetrics)
 	s.tmplCache = newCache[*featenc.PlanFeat](cfg.CacheSize, tmplCacheMetrics)
 	s.textCache = newTextCache(cfg.CacheSize)
