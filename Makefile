@@ -14,7 +14,8 @@ test:
 # GOARCH, and the golden-bits tests of the DQN (TestRLViewGoldenBits)
 # and of W-D's fit and forward (TestFitGoldenBits, TestPredictGoldenBits)
 # hold them to the same bits; featenc's tests hold its f32 encoders,
-# which run the f32 kernels, to their f64 twins. The tag is a build
+# which run the f32 kernels, to their f64 twins, and the memoized
+# operator encoder to a memo-less one bit for bit. The tag is a build
 # constraint for tests, not a runtime switch.
 test-portable:
 	$(GO) test -tags purego -count=1 ./internal/nn/ ./internal/rl/ ./internal/widedeep/ ./internal/featenc/
@@ -52,14 +53,20 @@ examples-smoke:
 # one admission to them) and reloads swap the model underneath, and a
 # cache hit, a probe that takes no lock, returns the value put under its
 # key while writers put and evict past capacity
-# and shift the probe runs under it. The durable line races
+# and shift the probe runs under it, and novel estimates, whose operators
+# resume from the f32 mirror's LSTM1 memo, answer what the model their
+# model_version names answers while reloads drop the memo with its
+# mirror. The featenc line races encoders on one mirror's LSTM1 memo
+# (admissions, puts and evictions) and holds every operator vector to
+# a memo-less mirror's bits. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
 # and Close, and requires every record back exactly once. The first
 # pass also runs the in-process WAL crash sweep; only the sweeps and
 # kill tests that spawn children skip under -short.
 test-race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload|TestCacheRacingHitsReturnTheirValue' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload|TestCacheRacingHitsReturnTheirValue|TestOpMemoRacesReload' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestInferOpMemo' ./internal/featenc/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestPredictGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
@@ -84,6 +91,8 @@ test-race-full:
 # must the advise_mixed reader's path (estimate-cache miss, text- and
 # plan-cache hits), fingerprinting itself and a text-cache hit must be
 # zero-alloc, so must one run of a resolved obs span (Begin and End),
+# and so must a warm InferOp that finds its operator whole in the f32
+# mirror's LSTM1 memo or resumes it from a memoized prefix,
 # registry enabled or disabled, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:
 # nothing) at Parallelism 1 and, fanned out, the same for 8, 64 and 124
@@ -93,12 +102,13 @@ test-race-full:
 # in its pairs and independent of how often its plans reuse an operator,
 # in at most half the bytes it took with its tapes on the heap
 # (see internal/widedeep/infer_test.go and train_test.go,
+# internal/featenc/opmemo_test.go,
 # internal/serve/alloc_test.go, internal/sqlparse/fingerprint_test.go
 # and parser_test.go,
 # internal/rl/infer_test.go, internal/rewrite/multiview_test.go,
 # internal/nn/lstm_ref_test.go and internal/obs/obs_test.go).
 test-alloc:
-	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ ./internal/obs/ -v -count=1
+	$(GO) test -run 'Alloc|AllocsBatchSizeIndependent|ArenaConverges|CostIndependent' ./internal/widedeep/ ./internal/featenc/ ./internal/serve/ ./internal/nn/ ./internal/sqlparse/ ./internal/rl/ ./internal/rewrite/ ./internal/obs/ -v -count=1
 
 # Crash-recovery fault injection (DURABILITY in SERVING.md): the WAL
 # sweep stops a scripted session in-process right after every record,
@@ -124,8 +134,10 @@ test-crash:
 # hit, also with every text forced to one hash), the SQL parser and its
 # pooled token
 # slice, the template re-bind (a known template's features re-bound to
-# other literals equal a fresh parse's), the WAL record decoder, and the
-# tournament spec parser (seeds + 10s of mutation per target).
+# other literals equal a fresh parse's), the memoized operator encoder
+# (every vector a memo-less mirror's bits, in all four encoder
+# configurations, also with every prefix hashed to 0), the WAL record
+# decoder, and the tournament spec parser (seeds + 10s of mutation per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEstimateDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzAdviseDecode -fuzztime 10s ./internal/serve/
@@ -133,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzRebind -fuzztime 10s ./internal/sqlparse/
+	$(GO) test -run '^$$' -fuzz FuzzInferOpMemo -fuzztime 10s ./internal/featenc/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzTournamentSpec -fuzztime 10s ./internal/experiments/
 

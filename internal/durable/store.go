@@ -154,8 +154,19 @@ type Store struct {
 	w         *wal
 	recovered *Snapshot
 
-	mu          sync.Mutex // serializes snapshots and lastSnapLSN
+	mu          sync.Mutex // serializes snapshots, lastSnapLSN and kept
 	lastSnapLSN uint64
+	// kept is the model version each retained snapshot references, by
+	// ascending LSN: what pruning needs to know of them, read once at
+	// Open and kept up to date by WriteSnapshot.
+	kept []keptSnapshot
+}
+
+// keptSnapshot is one retained snapshot's LSN and the checkpoint
+// version it references; 0 when it references none or did not load.
+type keptSnapshot struct {
+	lsn     uint64
+	version int
 }
 
 // Open recovers dir (creating it if missing) and opens the WAL for
@@ -177,7 +188,7 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{opts: opts, w: w, lastSnapLSN: info.snapLSN}
+	s := &Store{opts: opts, w: w, lastSnapLSN: info.snapLSN, kept: keptSnapshots(opts.Dir)}
 	if !info.fresh {
 		s.recovered = st
 	}
@@ -256,6 +267,7 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	obsSnapBytes.Set(float64(len(data)))
 	obsSnapLSN.Set(float64(snap.LSN))
 	s.lastSnapLSN = snap.LSN
+	s.keep(keptSnapshot{lsn: snap.LSN, version: snap.Generation.Model.Version})
 	if err := s.w.rotate(); err != nil {
 		return err
 	}
@@ -266,29 +278,54 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	return nil
 }
 
-// minKeptModelVersion is the smallest checkpoint version any
-// retained snapshot references; older checkpoints are unreachable.
-// Unversioned (0) references keep everything, erring on the safe side.
-func (s *Store) minKeptModelVersion() int {
-	lsns, err := listByLSN(s.opts.Dir, parseSnapshotName)
+// keptSnapshots reads the model version of each snapshot in dir that
+// pruning retains (the newest retainSnapshots).
+func keptSnapshots(dir string) []keptSnapshot {
+	lsns, err := listByLSN(dir, parseSnapshotName)
 	if err != nil {
-		return 0
+		return nil
 	}
 	if len(lsns) > retainSnapshots {
 		lsns = lsns[len(lsns)-retainSnapshots:]
 	}
-	min := 0
+	kept := make([]keptSnapshot, 0, retainSnapshots+1)
 	for _, lsn := range lsns {
-		snap, err := loadSnapshot(filepath.Join(s.opts.Dir, snapshotName(lsn)))
-		if err != nil {
+		k := keptSnapshot{lsn: lsn}
+		if snap, err := loadSnapshot(filepath.Join(dir, snapshotName(lsn))); err == nil {
+			k.version = snap.Generation.Model.Version
+		}
+		kept = append(kept, k)
+	}
+	return kept
+}
+
+// keep records a snapshot just written. Its LSN is the log's last, so
+// it is the newest; it replaces a kept one of the same LSN (the file
+// was overwritten), and only the newest retainSnapshots stay, as on
+// disk once pruning has run.
+func (s *Store) keep(k keptSnapshot) {
+	if n := len(s.kept); n > 0 && s.kept[n-1].lsn == k.lsn {
+		s.kept[n-1] = k
+	} else {
+		s.kept = append(s.kept, k)
+	}
+	if n := len(s.kept); n > retainSnapshots {
+		s.kept = append(s.kept[:0], s.kept[n-retainSnapshots:]...)
+	}
+}
+
+// minKeptModelVersion is the smallest checkpoint version any
+// retained snapshot references; older checkpoints are unreachable.
+// Unversioned (0) references — and snapshots that did not load at
+// Open — keep everything, erring on the safe side.
+func (s *Store) minKeptModelVersion() int {
+	min := 0
+	for _, k := range s.kept {
+		if k.version == 0 {
 			return 0
 		}
-		v := snap.Generation.Model.Version
-		if v == 0 {
-			return 0
-		}
-		if min == 0 || v < min {
-			min = v
+		if min == 0 || k.version < min {
+			min = k.version
 		}
 	}
 	return min

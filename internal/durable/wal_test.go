@@ -338,6 +338,130 @@ func TestSnapshotRotationAndRetention(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeptVersionsMatchDisk: the model versions the store keeps
+// in memory for the retained snapshots, and the checkpoints pruning
+// deletes by them, are what reading every retained snapshot back from
+// disk decides, across a run of snapshots (repeated, unversioned and
+// descending versions among them, and two that overwrite the newest
+// snapshot's file), a reopen, and a reopen whose newest snapshot no
+// longer loads.
+func TestSnapshotKeptVersionsMatchDisk(t *testing.T) {
+	opts := testOpts(t)
+	// diskMin is the on-disk computation: the smallest version the
+	// newest retainSnapshots snapshots reference, 0 when one references
+	// none or does not load.
+	diskMin := func() int {
+		t.Helper()
+		lsns, err := listByLSN(opts.Dir, parseSnapshotName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lsns) > retainSnapshots {
+			lsns = lsns[len(lsns)-retainSnapshots:]
+		}
+		min := 0
+		for _, lsn := range lsns {
+			snap, err := loadSnapshot(filepath.Join(opts.Dir, snapshotName(lsn)))
+			if err != nil || snap.Generation.Model.Version == 0 {
+				return 0
+			}
+			if v := snap.Generation.Model.Version; min == 0 || v < min {
+				min = v
+			}
+		}
+		return min
+	}
+	ckpts := map[int]bool{} // the checkpoints pruning must have left
+	checkpoints := func() map[int]bool {
+		t.Helper()
+		entries, err := os.ReadDir(opts.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[int]bool{}
+		for _, e := range entries {
+			if v, ok := parseModelName(e.Name()); ok {
+				out[v] = true
+			}
+		}
+		return out
+	}
+	s := mustOpen(t, opts)
+	// snapshot writes one of version, after a new record unless again
+	// (which overwrites the newest snapshot's file).
+	snapshot := func(version int, again bool) {
+		t.Helper()
+		if version > 0 {
+			if err := os.WriteFile(filepath.Join(opts.Dir, ModelCheckpointName(version)), []byte("w"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ckpts[version] = true
+		}
+		if !again {
+			ingestN(t, s, 0, 1)
+		}
+		// Pruning runs, checkpoints included, once the write leaves more
+		// than retainSnapshots snapshots on disk.
+		before, err := listByLSN(opts.Dir, parseSnapshotName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prunes := len(before) >= retainSnapshots && !again
+		snap := &Snapshot{LSN: s.LastLSN(), Generation: GenerationRecord{Model: ModelRecord{Version: version}}}
+		if err := s.WriteSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		want := diskMin()
+		if got := s.minKeptModelVersion(); got != want {
+			t.Fatalf("after a snapshot of version %d: kept versions %v give %d, the snapshots on disk %d", version, s.kept, got, want)
+		}
+		for v := range ckpts {
+			if prunes && want > 0 && v < want {
+				delete(ckpts, v)
+			}
+		}
+		if got := checkpoints(); !reflect.DeepEqual(got, ckpts) {
+			t.Fatalf("after a snapshot of version %d: checkpoints %v on disk, want %v", version, got, ckpts)
+		}
+	}
+	reopen := func() {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = mustOpen(t, opts)
+		if got, want := s.minKeptModelVersion(), diskMin(); got != want {
+			t.Fatalf("after a reopen: kept versions %v give %d, the snapshots on disk %d", s.kept, got, want)
+		}
+	}
+	for _, v := range []int{1, 1, 2, 0, 3, 5, 4} {
+		snapshot(v, false)
+	}
+	snapshot(0, true)
+	snapshot(6, true)
+	reopen()
+	for _, v := range []int{6, 7, 8} {
+		snapshot(v, false)
+	}
+	lsns, err := listByLSN(opts.Dir, parseSnapshotName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(opts.Dir, snapshotName(lsns[len(lsns)-1])), []byte("{trunca"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopen()
+	if got := s.minKeptModelVersion(); got != 0 {
+		t.Fatalf("a retained snapshot does not load, yet the kept versions %v give %d", s.kept, got)
+	}
+	for _, v := range []int{9, 10, 10} {
+		snapshot(v, false)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotCorruptFallsBack(t *testing.T) {
 	opts := testOpts(t)
 	s := mustOpen(t, opts)

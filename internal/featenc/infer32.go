@@ -33,6 +33,8 @@ type Encoder32 struct {
 
 	planDim, schemaDim int
 
+	memo *opMemo // LSTM1 states by token prefix; nil under NoSequence, and in a memo-less twin
+
 	// gen names this mirror among all ever built: the tag on the plan
 	// codes it leaves in PlanFeat memo slots. A rebuilt mirror (Fit,
 	// Load, hot-reload, InvalidateKernels) draws a new one, which is
@@ -98,6 +100,7 @@ func NewEncoder32(e *Encoder) *Encoder32 {
 		m.lstm1 = nn.NewLSTMCell32(e.LSTM1.Cell)
 		m.lstm2 = nn.NewLSTMCell32(e.LSTM2.Cell)
 		m.foldKeywordPre()
+		m.memo = newOpMemo()
 	}
 	return m
 }
@@ -169,25 +172,54 @@ func (m *Encoder32) tokenVecInto(dst nn.Vec32, t plan.Tok, a *nn.Arena) {
 // in dst (width PlanDim, overwritten) — LSTM1 from a zero state over the
 // folded keyword table and the string encoder, or the token average
 // under N-Exp. The vector depends on nothing but seq and the weights,
-// which is what lets PredictBatch encode an operator once per batch.
-func (m *Encoder32) InferOp(dst nn.Vec32, seq []plan.Tok, a *nn.Arena) {
+// which is what lets PredictBatch encode an operator once per batch and
+// the mirror's memo keep LSTM1 states across calls: InferOp resumes
+// from the longest memoized prefix of seq and runs LSTM1 (and the
+// string encoder) only on the tokens after it, to the same bits. It
+// reports what it found memoized and how many LSTM1 steps it ran.
+func (m *Encoder32) InferOp(dst nn.Vec32, seq []plan.Tok, a *nn.Arena) (OpReuse, int) {
+	return m.InferOpHashed(dst, seq, HashOp(seq), a)
+}
+
+// InferOpHashed is InferOp for a caller that holds HashOp(seq) already.
+func (m *Encoder32) InferOpHashed(dst nn.Vec32, seq []plan.Tok, hash uint64, a *nn.Arena) (OpReuse, int) {
 	if m.cfg.NoSequence {
 		tokBuf := a.Vec32(len(seq) * m.tokDim)
 		for j, tok := range seq {
 			m.tokenVecInto(tokBuf[j*m.tokDim:(j+1)*m.tokDim], tok, a)
 		}
 		nn.AvgPoolRows32(dst, tokBuf, len(seq), m.tokDim)
-		return
+		return OpCold, 0
 	}
-	H4 := 4 * m.lstm1.Hidden
+	H := m.lstm1.Hidden
+	H4 := 4 * H
 	h := dst // the operator vector is LSTM1's final hidden state
-	clear(h)
-	c := a.Vec32(m.lstm1.Hidden)
+	c := a.Vec32(H)
+	reuse, start, run := OpCold, 0, uint64(fnvOffset)
+	mm := m.memo
+	if mm != nil {
+		if e := mm.find(hash, seq); e != nil {
+			copy(h, e.hc[:H])
+			return OpMemoized, 0
+		}
+		if e := mm.longestPrefix(seq); e != nil {
+			copy(h, e.hc[:H])
+			copy(c, e.hc[H:])
+			reuse, start, run = OpResumed, len(e.toks), e.hash
+		}
+	}
+	if reuse == OpCold {
+		clear(h)
+	}
 	pre := a.Vec32(H4)
 	preX := a.Vec32(H4)
-	for _, tok := range seq {
+	for i := start; i < len(seq); i++ {
+		tok := seq[i]
 		px := preX
 		if tok.Str {
+			if mm != nil && i > start && mm.admit(run) {
+				mm.put(run, seq[:i], h, c)
+			}
 			s := m.stringVec(tok.Text, a)
 			m.lstm1.PreX(preX, s) // zero-padding beyond len(s) contributes nothing
 		} else {
@@ -195,7 +227,12 @@ func (m *Encoder32) InferOp(dst nn.Vec32, seq []plan.Tok, a *nn.Arena) {
 			px = m.kwPre1[id*H4 : id*H4+H4]
 		}
 		m.lstm1.Step(h, c, pre, px)
+		run = hashTok(run, tok)
 	}
+	if mm != nil && mm.admit(hash) {
+		mm.put(hash, seq, h, c)
+	}
+	return reuse, len(seq) - start
 }
 
 // InferOpVecs mirrors Encoder.EncodeOpVecs: the plan code of n operator

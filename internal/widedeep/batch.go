@@ -19,7 +19,14 @@ var (
 	obsInferPlansEncoded = obs.Default.Counter("wd.infer.plans.encoded", "plan uses W-D PredictBatch ran the plan encoder for (no code memoized under the current f32 mirror)")
 	obsInferOps          = obs.Default.Counter("wd.infer.ops", "operator uses in the plans W-D PredictBatch encoded (one per operator of each such plan)")
 	obsInferOpsDistinct  = obs.Default.Counter("wd.infer.ops.distinct", "operators W-D PredictBatch encoded (distinct token sequences per batch)")
+	obsInferOpsTokens    = obs.Default.Counter("wd.infer.ops.tokens", "tokens of the operators W-D PredictBatch encoded: the LSTM1 steps they would take from the zero state")
+	obsInferOpsMemoized  = obs.Default.Counter("wd.infer.ops.memoized", "operators W-D PredictBatch found whole in the f32 mirror's LSTM1 memo")
+	obsInferOpsResumed   = obs.Default.Counter("wd.infer.ops.resumed", "operators W-D PredictBatch resumed from a memoized LSTM1 prefix state")
+	obsInferOpsSteps     = obs.Default.Counter("wd.infer.ops.steps", "LSTM1 steps W-D PredictBatch ran (wd.infer.ops.tokens less what the memo skipped)")
 )
+
+// opTally is one worker's count of what its InferOp calls reused.
+type opTally struct{ memoized, resumed, steps int64 }
 
 // batchScratch is the operator sharing of one PredictBatch call: which
 // operators the batch holds, which of them each plan uses, and their
@@ -31,6 +38,7 @@ type batchScratch struct {
 	uses   []int32    // operator index per use of the plans to encode, pair by pair: query operators, then view operators
 	starts []int      // starts[i] is where pair i's uses begin
 	slab   nn.Vec32   // operator k's vector at [k*dim, (k+1)*dim)
+	tally  []opTally  // per worker of step 2
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -67,8 +75,9 @@ func (sc *batchScratch) planCode(enc *featenc.Encoder32, pf *featenc.PlanFeat, u
 //
 //  1. pair by pair, look each plan's memoized code up once, and intern
 //     every operator of the plans that have none;
-//  2. encode each distinct operator once (Encoder32.InferOp) into the
-//     slot of the batch slab its index owns;
+//  2. encode each distinct operator once (Encoder32.InferOpHashed, on
+//     the interner's hash) into the slot of the batch slab its index
+//     owns, resuming LSTM1 from the mirror's memo where it can;
 //  3. per pair, gather the operators' vectors of its plans still to
 //     encode, run the plan encoder over them (InferOpVecsMemo, which
 //     memoizes the code) and then the rest of the forward
@@ -82,9 +91,11 @@ func (sc *batchScratch) planCode(enc *featenc.Encoder32, pf *featenc.PlanFeat, u
 // and runs the instructions Predict runs on the same values, so each
 // element of the result is bit-identical to a standalone Predict call
 // regardless of batch composition, concurrency or what was memoized (a
-// memoized code is the vector InferOpVecs returned the first time) —
+// memoized code is the vector InferOpVecs returned the first time, a
+// memoized LSTM1 state the one a run from the zero state reaches) —
 // the property the serving layer's batched estimates depend on. Predict
-// neither reads nor fills a memo. Nothing but the memoized codes
+// neither reads nor fills a plan code; its InferOp calls share the
+// mirror's LSTM1 memo. Nothing but the memoized codes and states
 // outlives the call.
 func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
 	defer obs.StartSpan("wd.infer.batch")()
@@ -131,11 +142,30 @@ func (m *Model) PredictBatch(fs []featenc.Features, parallelism int) []float64 {
 	for w := range arenas {
 		arenas[w] = m.arenas.Get()
 	}
+	sc.tally = append(sc.tally[:0], make([]opTally, len(arenas))...)
 	nn.ParallelForWorker(len(distinct), parallelism, func(w, j int) {
 		a := arenas[w]
 		a.Reset()
-		k.enc.InferOp(sc.slab[j*dim:(j+1)*dim], distinct[j], a)
+		reuse, steps := k.enc.InferOpHashed(sc.slab[j*dim:(j+1)*dim], distinct[j], sc.ops.hashes[j], a)
+		t := &sc.tally[w]
+		t.steps += int64(steps)
+		switch reuse {
+		case featenc.OpMemoized:
+			t.memoized++
+		case featenc.OpResumed:
+			t.resumed++
+		}
 	})
+	tokens := 0
+	for _, seq := range distinct {
+		tokens += len(seq)
+	}
+	obsInferOpsTokens.Add(int64(tokens))
+	for _, t := range sc.tally {
+		obsInferOpsMemoized.Add(t.memoized)
+		obsInferOpsResumed.Add(t.resumed)
+		obsInferOpsSteps.Add(t.steps)
+	}
 	nn.ParallelForWorker(len(fs), parallelism, func(w, i int) {
 		a := arenas[w]
 		a.Reset()

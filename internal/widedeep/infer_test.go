@@ -3,6 +3,7 @@ package widedeep
 import (
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"autoview/internal/featenc"
@@ -218,6 +219,65 @@ func TestPredictBatchCountsOperatorSharing(t *testing.T) {
 	moved("Predict", [4]int64{})
 	im.PredictBatch(fs, 1)
 	moved("warm PlanFeat batch", [4]int64{6, 0, 0, 0})
+}
+
+// TestPredictBatchCountsMemoReuse: per batch, wd.infer.ops.tokens
+// counts the tokens of the distinct operators encoded, wd.infer.ops.steps
+// the LSTM1 steps run for them, and wd.infer.ops.memoized and .resumed
+// the operators the mirror's LSTM1 memo served whole or from a prefix.
+// On a fresh mirror the first batch finds nothing whole; by the third
+// sighting every operator is memoized and no step runs. Predict moves
+// none of them, and every answer keeps Predict's bits.
+func TestPredictBatchCountsMemoReuse(t *testing.T) {
+	m, _ := inferTestModel(t, featenc.Config{EmbedDim: 4, Hidden: 4}, Config{WideDim: 4, DeepHidden: 6, RegHidden: 4})
+	mp := newMemoPlans(t)
+	pairs := []memoPair{{0, view(0)}, {1, view(1)}, {2, view(2)}, {3, view(3)}}
+	want := mp.oracle(m, pairs)
+	fs := mp.batch(pairs)
+	for i := range fs {
+		fs[i].QueryFeat, fs[i].ViewFeat = nil, nil // encode every plan each batch
+	}
+	var distinct opInterner
+	tokens := 0
+	for _, f := range fs {
+		for _, p := range [][][]plan.Tok{f.QueryPlan, f.ViewPlan} {
+			for _, seq := range p {
+				if before := len(distinct.seqs); distinct.intern(seq) == before {
+					tokens += len(seq)
+				}
+			}
+		}
+	}
+	counters := []*obs.Counter{obsInferOpsTokens, obsInferOpsSteps, obsInferOpsMemoized, obsInferOpsResumed}
+	var base [4]int64
+	mark := func() [4]int64 {
+		var d [4]int64
+		for i, c := range counters {
+			d[i] = c.Value() - base[i]
+			base[i] = c.Value()
+		}
+		return d
+	}
+	mark()
+	m.Predict(fs[0])
+	if d := mark(); d != [4]int64{} {
+		t.Fatalf("Predict moved tokens, steps, memoized, resumed by %v", d)
+	}
+	m.InvalidateKernels() // Predict fills the memo too
+	n := int64(len(distinct.seqs))
+	for round := 1; round <= 3; round++ {
+		requireSame(t, "batch "+strconv.Itoa(round), m.PredictBatch(fs, 1), want)
+		d := mark()
+		if d[0] != int64(tokens) || d[1] > d[0] || d[2]+d[3] > n {
+			t.Fatalf("batch %d of %d operators, %d tokens: tokens, steps, memoized, resumed moved by %v", round, n, tokens, d)
+		}
+		if round == 1 && d[2] != 0 {
+			t.Fatalf("the first batch on a fresh mirror found %d operators whole", d[2])
+		}
+		if round == 3 && d != [4]int64{int64(tokens), 0, n, 0} {
+			t.Fatalf("third batch: tokens, steps, memoized, resumed moved by %v, want %v", d, [4]int64{int64(tokens), 0, n, 0})
+		}
+	}
 }
 
 // TestPredictZeroAlloc is the allocation-regression gate on the single

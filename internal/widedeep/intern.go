@@ -3,16 +3,17 @@ package widedeep
 import (
 	"slices"
 
+	"autoview/internal/featenc"
 	"autoview/internal/plan"
 )
 
 // opInterner numbers the distinct operators (token sequences) it is
 // shown in first-appearance order — what lets a training mini-batch and
 // a serving request's batch encode each operator once however many plans
-// use it. An open-addressing table over a hash of the tokens finds the
-// candidates; a hash match is only ever a reason to compare the tokens
-// themselves, so a collision costs a probe and can never alias two
-// operators. The zero value is ready to use; reset empties it and keeps
+// use it. An open-addressing table over a hash of the tokens
+// (featenc.HashOp) finds the candidates; a hash match is only ever a
+// reason to compare the tokens themselves, so a collision costs a probe
+// and can never alias two operators. The zero value is ready to use; reset empties it and keeps
 // its storage.
 type opInterner struct {
 	seqs   [][]plan.Tok // the distinct operators, first-appearance order
@@ -20,28 +21,10 @@ type opInterner struct {
 	table  []int32      // id+1 per occupied slot, 0 = empty; length a power of two, at most half full
 }
 
-// hashOp is FNV-1a over the operator's token texts, each followed by a
-// byte that separates tokens and carries the Str bit.
-func hashOp(seq []plan.Tok) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, t := range seq {
-		for i := 0; i < len(t.Text); i++ {
-			h = (h ^ uint64(t.Text[i])) * prime
-		}
-		end := uint64(0xfe)
-		if t.Str {
-			end = 0xff
-		}
-		h = (h ^ end) * prime
-	}
-	return h
-}
-
 // intern returns seq's index, adding it if no equal operator was seen
 // since the last reset. seq is kept by reference, not copied.
 func (in *opInterner) intern(seq []plan.Tok) int {
-	return in.internHashed(hashOp(seq), seq)
+	return in.internHashed(featenc.HashOp(seq), seq)
 }
 
 // internHashed is intern with the hash supplied, so a test can force

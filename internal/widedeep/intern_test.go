@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"autoview/internal/featenc"
 	"autoview/internal/plan"
 )
 
@@ -30,7 +31,7 @@ func TestInternDistinguishesCollidingOperators(t *testing.T) {
 		seqs = append(seqs, []plan.Tok{kw("scan"), kw("t" + strconv.Itoa(i))})
 	}
 	hashes := map[string]func([]plan.Tok) uint64{
-		"hashOp":     hashOp,
+		"HashOp":     featenc.HashOp,
 		"one bucket": func([]plan.Tok) uint64 { return 7 },
 	}
 	for name, hash := range hashes {
@@ -53,7 +54,7 @@ func TestInternDistinguishesCollidingOperators(t *testing.T) {
 		}
 	}
 	// The separator byte is what tells the first three apart in the hash.
-	if a, b, c := hashOp(seqs[0]), hashOp(seqs[1]), hashOp(seqs[2]); a == b || a == c || b == c {
-		t.Errorf("hashOp ignores the token boundary or the Str bit: %x %x %x", a, b, c)
+	if a, b, c := featenc.HashOp(seqs[0]), featenc.HashOp(seqs[1]), featenc.HashOp(seqs[2]); a == b || a == c || b == c {
+		t.Errorf("HashOp ignores the token boundary or the Str bit: %x %x %x", a, b, c)
 	}
 }
