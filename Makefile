@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-portable examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-e2e bench-e2e-test loc vet lint check-bce
+.PHONY: build test test-portable examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-fit bench-e2e bench-e2e-test loc vet lint check-bce
 
 build:
 	$(GO) build ./...
@@ -33,8 +33,11 @@ examples-smoke:
 # all exercise their goroutines under -short. The second pass reruns the
 # determinism tests of the places where worker count and scheduling
 # could change an answer — the trainer's ordered fold, W-D's three-pass
-# batch gradient built on it and on the striped ordered fold (with its
-# fit hashes pinned), PredictBatch's three steps over the same
+# batch gradient (its passes run as lanes of the dense kernels, its
+# gradients folded by ordered reductions over parameter rows, which the
+# nn line holds to a serial fold on ±0, subnormals and exact
+# cancellations, and its fit hashes pinned at P = 1, 2, 3 and 8 in two
+# configurations), PredictBatch's three steps over the same
 # operator interner and its plan-code memo (filled concurrently), the
 # served estimates' hashes pinned to the scalar kernels', and
 # the DQN's fanned-out action sweep and one RLView run's hash, pinned
@@ -68,7 +71,7 @@ test-race:
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload|TestCacheRacingHitsReturnTheirValue|TestOpMemoRacesReload' ./internal/serve/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestInferOpMemo' ./internal/featenc/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestParallelForStriped' ./internal/nn/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestTeam|TestSegmentsFold|TestLSTMLanes|TestDenseLanes|TestMulAddSegment' ./internal/nn/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestFitParallelismDeterminism|TestFitGoldenBits|TestPredictGoldenBits|TestBatchGrad|TestPredictBatchBitIdentical|TestPredictBatchPlanMemo|TestInternDistinguishes' ./internal/widedeep/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestScoringFanOut|TestAgentScoring|TestRLViewBitIdentical|TestRLViewGoldenBits' ./internal/rl/
 
@@ -163,6 +166,15 @@ tournament-smoke:
 # test-alloc.
 bench-obs:
 	$(GO) test -bench=ObsOverhead -run=^$$ ./internal/obs/
+
+# One W-D fit (Algorithm 1) over the training pairs of wk1's last 512
+# queries — the window a daemon bootstraps on — at ConfigFor("WK1")'s
+# budgets, serially and on two workers, with the split over its three
+# passes (passA/passB/passC_s per op). BENCHTIME=1x is the CI smoke;
+# PERFORMANCE.md's figures are medians of several alternating runs.
+BENCHTIME ?= 5x
+bench-fit:
+	$(GO) test -bench=BenchmarkFit -benchtime=$(BENCHTIME) -run=^$$ ./internal/core/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): every
 # workload against the real viewserverd/viewgen, three runs each.

@@ -211,23 +211,7 @@ type pairKey struct{ qi, j int }
 // candidate j under the configured estimator.
 func (a *Advisor) fillBenefits(p *Problem) error {
 	pricing := a.Cfg.Pricing
-	assocIndex := make(map[int]int, len(p.AssocQueries))
-	for ai, qi := range p.AssocQueries {
-		assocIndex[qi] = ai
-	}
-	p.benefits = make([][]float64, len(p.AssocQueries))
-	for ai := range p.benefits {
-		p.benefits[ai] = make([]float64, len(p.Candidates))
-	}
-
-	// Enumerate applicable pairs.
-	var pairs []pairKey
-	for j, c := range p.Candidates {
-		for _, qi := range c.Queries {
-			pairs = append(pairs, pairKey{qi: qi, j: j})
-		}
-	}
-
+	pairs, assocIndex := p.benefitPairs()
 	switch a.Cfg.Estimator {
 	case EstimatorActual:
 		costs, err := a.measureAll(p, pairs)
@@ -252,6 +236,27 @@ func (a *Advisor) fillBenefits(p *Problem) error {
 		return fmt.Errorf("core: unknown estimator %v", a.Cfg.Estimator)
 	}
 	return nil
+}
+
+// benefitPairs allocates p.benefits (associated query × candidate) and
+// enumerates the applicable (query, candidate) pairs, returning them with
+// each associated query's row in p.benefits.
+func (p *Problem) benefitPairs() ([]pairKey, map[int]int) {
+	assocIndex := make(map[int]int, len(p.AssocQueries))
+	for ai, qi := range p.AssocQueries {
+		assocIndex[qi] = ai
+	}
+	p.benefits = make([][]float64, len(p.AssocQueries))
+	for ai := range p.benefits {
+		p.benefits[ai] = make([]float64, len(p.Candidates))
+	}
+	var pairs []pairKey
+	for j, c := range p.Candidates {
+		for _, qi := range c.Queries {
+			pairs = append(pairs, pairKey{qi: qi, j: j})
+		}
+	}
+	return pairs, assocIndex
 }
 
 // measureAll measures A(q|v) for every pair by executing the rewritten
@@ -291,38 +296,79 @@ func (a *Advisor) measureAll(p *Problem, pairs []pairKey) ([]float64, error) {
 // wideDeepBenefits measures a training fraction of pairs, trains W-D on
 // them (Algorithm 1), and predicts the rest.
 func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[int]int) error {
+	set, err := a.wdTrainingSet(p, pairs, assocIndex)
+	if err != nil {
+		return err
+	}
+	model := widedeep.New(set.vocab, a.Cfg.WDModel, rand.New(rand.NewSource(a.Cfg.Seed)))
+	trainCfg := a.Cfg.WDTrain
+	trainCfg.Parallelism = a.Cfg.Parallelism
+	if _, err := model.Fit(set.samples, trainCfg); err != nil {
+		return err
+	}
+	p.Model = model
+
+	// The held-out pairs: one batched forward.
+	scale := p.CostScale()
+	var held []pairKey
+	var fs []featenc.Features
+	for i, pk := range pairs {
+		if set.inTrain[i] {
+			continue
+		}
+		held = append(held, pk)
+		fs = append(fs, set.extract(pk))
+	}
+	for k, predicted := range model.PredictBatch(fs, a.Cfg.Parallelism) {
+		pk := held[k]
+		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - predicted/scale
+	}
+	return nil
+}
+
+// wdTraining is W-D's training set over a problem's pairs.
+type wdTraining struct {
+	vocab   *featenc.Vocab // every plan keyword of the problem's queries
+	samples []widedeep.Sample
+	inTrain map[int]bool // pair indices measured and trained on
+	// extract returns a pair's features, precomputing each query's and
+	// candidate's plan-local features once for all pairs.
+	extract func(pairKey) featenc.Features
+}
+
+// wdTrainingSet splits pairs into a training fraction and the rest,
+// measures the training pairs, records their measured benefits, and
+// returns them as W-D samples.
+func (a *Advisor) wdTrainingSet(p *Problem, pairs []pairKey, assocIndex map[int]int) (*wdTraining, error) {
 	frac := a.Cfg.TrainFraction
 	if frac <= 0 || frac > 1 {
 		frac = 0.7
 	}
 	trainIdx, _, _ := metrics.Split(len(pairs), frac, 0, a.Cfg.Seed)
-	inTrain := make(map[int]bool, len(trainIdx))
+	set := &wdTraining{inTrain: make(map[int]bool, len(trainIdx))}
 	for _, i := range trainIdx {
-		inTrain[i] = true
+		set.inTrain[i] = true
 	}
 	var trainPairs []pairKey
 	for i, pk := range pairs {
-		if inTrain[i] {
+		if set.inTrain[i] {
 			trainPairs = append(trainPairs, pk)
 		}
 	}
 
 	// Shared vocabulary across plans.
-	extra := featenc.CollectPlanKeywords(p.Queries)
-	vocab := featenc.NewVocab(a.Cat, extra)
-	rng := rand.New(rand.NewSource(a.Cfg.Seed))
-	model := widedeep.New(vocab, a.Cfg.WDModel, rng)
+	set.vocab = featenc.NewVocab(a.Cat, featenc.CollectPlanKeywords(p.Queries))
 
 	costs, err := a.measureAll(p, trainPairs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Every pair, trained on or held out: plan-local features once per
 	// query and per candidate, one extractor.
 	ex := featenc.NewBatchExtractor(a.Cat)
 	qFeat := make([]*featenc.PlanFeat, len(p.Queries))
 	vFeat := make([]*featenc.PlanFeat, len(p.Candidates))
-	extract := func(pk pairKey) featenc.Features {
+	set.extract = func(pk pairKey) featenc.Features {
 		if qFeat[pk.qi] == nil {
 			qFeat[pk.qi] = featenc.Precompute(p.Queries[pk.qi])
 		}
@@ -331,39 +377,17 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 		}
 		return ex.ExtractPre(qFeat[pk.qi], vFeat[pk.j])
 	}
-	var samples []widedeep.Sample
-	scale := costScale(p.QueryCost)
+	scale := p.CostScale()
 	for k, pk := range trainPairs {
 		cost := costs[k]
-		samples = append(samples, widedeep.Sample{F: extract(pk), Y: cost * scale})
+		set.samples = append(set.samples, widedeep.Sample{F: set.extract(pk), Y: cost * scale})
 		// Training pairs use their measured benefit directly.
 		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - cost
 	}
-	if len(samples) == 0 {
-		return fmt.Errorf("core: no W-D training pairs (workload too small?)")
+	if len(set.samples) == 0 {
+		return nil, fmt.Errorf("core: no W-D training pairs (workload too small?)")
 	}
-	trainCfg := a.Cfg.WDTrain
-	trainCfg.Parallelism = a.Cfg.Parallelism
-	if _, err := model.Fit(samples, trainCfg); err != nil {
-		return err
-	}
-	p.Model = model
-
-	// The held-out pairs: one batched forward.
-	var held []pairKey
-	var fs []featenc.Features
-	for i, pk := range pairs {
-		if inTrain[i] {
-			continue
-		}
-		held = append(held, pk)
-		fs = append(fs, extract(pk))
-	}
-	for k, predicted := range model.PredictBatch(fs, a.Cfg.Parallelism) {
-		pk := held[k]
-		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - predicted/scale
-	}
-	return nil
+	return set, nil
 }
 
 // costScale maps dollar costs into O(1) training magnitudes.

@@ -149,8 +149,35 @@ func latestSnapshot(dir string) *Snapshot {
 
 // pruneSnapshots keeps the newest retainSnapshots snapshots plus every
 // WAL segment still needed to recover from the oldest retained one, and
-// deletes checkpoints older than any retained snapshot references.
+// deletes the checkpoints modelKeep rejects. The checkpoint pass runs on
+// every call: a snapshot that overwrites the newest one's file deletes
+// no snapshot, yet may raise the oldest version the retained snapshots
+// reference.
 func pruneSnapshots(dir string, modelKeep func(version int) bool) error {
+	if err := pruneSnapshotFiles(dir); err != nil {
+		return err
+	}
+	if modelKeep == nil {
+		return nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		v, ok := parseModelName(e.Name())
+		if ok && !modelKeep(v) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// pruneSnapshotFiles deletes all but the newest retainSnapshots
+// snapshots and the WAL segments the oldest retained one covers.
+func pruneSnapshotFiles(dir string) error {
 	snaps, err := listByLSN(dir, parseSnapshotName)
 	if err != nil {
 		return err
@@ -176,21 +203,6 @@ func pruneSnapshots(dir string, modelKeep func(version int) bool) error {
 		if segs[i+1] <= oldest+1 {
 			if err := os.Remove(filepath.Join(dir, segmentName(segs[i]))); err != nil && !errors.Is(err, os.ErrNotExist) {
 				return err
-			}
-		}
-	}
-
-	if modelKeep != nil {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			v, ok := parseModelName(e.Name())
-			if ok && !modelKeep(v) {
-				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-					return err
-				}
 			}
 		}
 	}

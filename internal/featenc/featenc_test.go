@@ -444,3 +444,73 @@ func TestEncoder32MatchesEncode(t *testing.T) {
 		check("schema", m.InferSchema(f.Schema, nn.NewArena()), want)
 	}
 }
+
+// TestTokenTapeMatchesEncodeToken holds the training token tape to
+// EncodeToken, bit for bit, in all four encoder configurations: every
+// token's code, and the gradients a sequence of token backwards leaves
+// in a zeroed encoder — keyword rows, char rows and the string
+// encoder's blocks — with strings repeated across operators (one shared
+// forward on the tape), an empty string and bytes past the char space.
+func TestTokenTapeMatchesEncodeToken(t *testing.T) {
+	cat := testCatalog(t)
+	vocab := NewVocab(cat, nil)
+	kw := func(s string) plan.Tok { return plan.Tok{Text: s} }
+	str := func(s string) plan.Tok { return plan.Tok{Text: s, Str: true} }
+	ops := [][]plan.Tok{
+		{kw("filter"), kw("dt"), kw("="), str("10"), kw("and"), kw("memo_type"), kw("="), str("pen")},
+		{kw("scan"), kw("user_memo")},
+		{kw("filter"), kw("dt"), kw("="), str("10"), str(""), str("\xffhü"), kw("unknown_word")},
+		{str("pen"), str("pen"), kw("dt")},
+	}
+	for _, cfg := range []Config{{}, {KeywordOneHot: true}, {StringOneHot: true}, {NoSequence: true}} {
+		cfg.EmbedDim, cfg.Hidden = 5, 3
+		e := NewEncoder(vocab, cfg, rand.New(rand.NewSource(8)))
+		rng := rand.New(rand.NewSource(9))
+		ref, tape := e.ShareWeights(), e.ShareWeights()
+		nn.ZeroGrads(ref.Params())
+		nn.ZeroGrads(tape.Params())
+		var tt TokenTape
+		a := nn.NewArena()
+		for round := 0; round < 2; round++ { // the second round reuses the tape
+			a.Reset()
+			tt.Reset(tape, a)
+			var backs [][]nn.Backward
+			for k, seq := range ops {
+				tt.Add(seq)
+				var bs []nn.Backward
+				for j, tok := range seq {
+					v, back := ref.EncodeToken(tok, nil)
+					bs = append(bs, back)
+					got := tt.Tokens(k)[j]
+					if len(got) != len(v) {
+						t.Fatalf("%+v op %d token %d: width %d, want %d", cfg, k, j, len(got), len(v))
+					}
+					for i := range v {
+						if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
+							t.Fatalf("%+v op %d token %d [%d] = %v, want %v", cfg, k, j, i, got[i], v[i])
+						}
+					}
+				}
+				backs = append(backs, bs)
+			}
+			for k, seq := range ops {
+				for j := range seq {
+					dy := make(nn.Vec, e.tokDim)
+					for i := range dy {
+						dy[i] = rng.NormFloat64()
+					}
+					backs[k][j](dy)
+					tt.Backward(k, j, dy)
+				}
+			}
+			rp, tp := ref.Params(), tape.Params()
+			for i := range rp {
+				for x := range rp[i].Grad {
+					if math.Float64bits(rp[i].Grad[x]) != math.Float64bits(tp[i].Grad[x]) {
+						t.Fatalf("%+v round %d: %s grad[%d] = %v, want %v", cfg, round, tp[i], x, tp[i].Grad[x], rp[i].Grad[x])
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package featenc
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
@@ -222,24 +224,50 @@ func TestInferOpMemoAllocs(t *testing.T) {
 		a.Reset()
 		p.m.InferOp(dst, op, a)
 	}
-	const runs = 100
-	novel := make([][]plan.Tok, runs+1) // AllocsPerRun warms up with one more call
+	const runs, warm = 100, 3
+	novel := make([][]plan.Tok, warm+1+runs) // mallocs makes one more call
 	for i := range novel {
 		novel[i] = filterOp("'pen'", "'1010'", strconv.Itoa(1000+i))
 	}
 	var last OpReuse
-	if n := testing.AllocsPerRun(runs, func() {
+	if n := mallocs(runs, func() {
 		a.Reset()
 		last, _ = p.m.InferOp(dst, op, a)
 	}); n != 0 || last != OpMemoized {
-		t.Fatalf("a warm whole hit (reuse %d) allocates %v objects, want 0", last, n)
+		t.Fatalf("a warm whole hit (reuse %d) allocates %d objects over %d calls, want 0", last, n, runs)
 	}
+	// The first resumes are warm-up: the memo admits the prefix they
+	// share on its second sighting, and the arena grows to the resume's
+	// shape.
 	next := 0
-	if n := testing.AllocsPerRun(runs, func() {
+	resume := func() {
 		a.Reset()
 		last, _ = p.m.InferOp(dst, novel[next], a)
 		next++
-	}); n != 0 || last != OpResumed {
-		t.Fatalf("a warm resume (reuse %d) allocates %v objects, want 0", last, n)
 	}
+	for next < warm {
+		resume()
+	}
+	if n := mallocs(runs, resume); n != 0 || last != OpResumed {
+		t.Fatalf("a warm resume (reuse %d) allocates %d objects over %d calls, want 0", last, n, runs)
+	}
+}
+
+// mallocs returns how many heap objects runs calls of f allocate in
+// total, after one more call that is not counted, on one P as
+// testing.AllocsPerRun measures them — but not averaged into an
+// integer, which reads an occasional allocation as 0 — and with the
+// collector off, whose cycles empty the sync.Pools that hold warm
+// scratch.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -248,3 +248,124 @@ func AvgPoolCols(m []Vec, a *Arena) (Vec, MatBackward) {
 	}
 	return y, back
 }
+
+// ConvTape is one ConvBlock forward over a T×D matrix held flat
+// (row-major), kept for BackwardTape: Forward's arithmetic, value for
+// value, without its closures or row slices, every vector carved from
+// an arena. Training runs it; a tape's backward may run any number of
+// times, each with its own gradient.
+type ConvTape struct {
+	T, D      int
+	m         Vec // the input
+	xhat, out Vec // normalized conv output, and the block's output (after ReLU)
+	std       float64
+}
+
+// ForwardTape is Forward on the flat T×D matrix m, recorded in t; the
+// output is carved from a.
+func (b *ConvBlock) ForwardTape(t *ConvTape, m Vec, T, D int, a *Arena) Vec {
+	*t = ConvTape{T: T, D: D, m: m}
+	n := T * D
+	if n == 0 {
+		return nil
+	}
+	w0, w1, w2, bias := b.K.Val[0], b.K.Val[1], b.K.Val[2], b.K.Val[3]
+	conv := a.raw(n)
+	for r := 0; r < T; r++ {
+		for d := 0; d < D; d++ {
+			sum := bias + w1*m[r*D+d]
+			if r > 0 {
+				sum += w0 * m[(r-1)*D+d]
+			}
+			if r < T-1 {
+				sum += w2 * m[(r+1)*D+d]
+			}
+			conv[r*D+d] = sum
+		}
+	}
+	// matStats' order: one accumulator, row-major, the mean first.
+	var mu, variance float64
+	for _, v := range conv {
+		mu += v
+	}
+	mu /= float64(n)
+	for _, v := range conv {
+		dv := v - mu
+		variance += dv * dv
+	}
+	variance /= float64(n)
+	t.std = math.Sqrt(variance + bnEps)
+	gamma, beta := b.BN.Gamma.Val[0], b.BN.Beta.Val[0]
+	t.xhat, t.out = a.raw(n), a.raw(n)
+	for i, v := range conv {
+		xh := (v - mu) / t.std
+		t.xhat[i] = xh
+		var y float64
+		if norm := gamma*xh + beta; norm > 0 {
+			y = norm
+		}
+		t.out[i] = y
+	}
+	return t.out
+}
+
+// BackwardTape is Forward's backward for the tape t: it adds the
+// block's parameter gradients and returns the input's gradient, carved
+// from a.
+func (b *ConvBlock) BackwardTape(t *ConvTape, dy Vec, a *Arena) Vec {
+	T, D := t.T, t.D
+	n := T * D
+	if n == 0 {
+		return nil
+	}
+	gamma := b.BN.Gamma.Val[0]
+	fn := float64(n)
+	// ReLU, then BatchNorm's backward.
+	var dGamma, dBeta, sumDxhat, sumDxhatXhat float64
+	dXhat := a.raw(n)
+	for i, xh := range t.xhat {
+		var g float64
+		if t.out[i] > 0 {
+			g = dy[i]
+		}
+		dGamma += g * xh
+		dBeta += g
+		dx := g * gamma
+		dXhat[i] = dx
+		sumDxhat += dx
+		sumDxhatXhat += dx * xh
+	}
+	b.BN.Gamma.Grad[0] += dGamma
+	b.BN.Beta.Grad[0] += dBeta
+	dConv := dXhat // overwritten in place: element i reads only element i
+	for i, xh := range t.xhat {
+		dConv[i] = (dXhat[i] - sumDxhat/fn - xh*sumDxhatXhat/fn) / t.std
+	}
+	// The convolution's. Forward's backward skips a zero g; its terms
+	// are then ±0 for finite weights and inputs, and each sum here starts
+	// at +0, so it is never -0 and adding them changes nothing.
+	w0, w1, w2 := b.K.Val[0], b.K.Val[1], b.K.Val[2]
+	m, dm := t.m, a.Vec(n)
+	var dw0, dw1, dw2, dbias float64
+	for r := 0; r < T; r++ {
+		for d := 0; d < D; d++ {
+			g := dConv[r*D+d]
+			dbias += g
+			dw1 += g * m[r*D+d]
+			dm[r*D+d] += g * w1
+			if r > 0 {
+				dw0 += g * m[(r-1)*D+d]
+				dm[(r-1)*D+d] += g * w0
+			}
+			if r < T-1 {
+				dw2 += g * m[(r+1)*D+d]
+				dm[(r+1)*D+d] += g * w2
+			}
+		}
+	}
+	b.K.Grad[0] += dw0
+	b.K.Grad[1] += dw1
+	b.K.Grad[2] += dw2
+	b.K.Grad[3] += dbias
+	return dm
+}

@@ -180,3 +180,69 @@ func accLanesGo(y, x, w Vec, cols, ld, lanes int) {
 		}
 	}
 }
+
+// mulAddSegment adds onto y, [rows × ld], one segment's product formed
+// from +0: y[r,j] += (+0 + Σ_c w[r·rs+c·cs]·x[c,j]), c ascending over
+// cols, x [cols × ld] with row stride ld — what summing the product into
+// a zeroed buffer and adding the buffer to y gives. The blocks of eight
+// lanes run in foldLanes (in AVX where denseLanes is, foldLanesGo
+// elsewhere), the columns past the last whole block in scalar code with
+// the same chain. A segment of no columns adds nothing.
+func mulAddSegment(y, x, w Vec, rows, cols, ld, rs, cs int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	if len(y) < rows*ld || len(x) < cols*ld || len(w) <= (rows-1)*rs+(cols-1)*cs {
+		panic("nn: mulAddSegment operands shorter than their shapes")
+	}
+	n8 := ld &^ (laneWidth - 1)
+	if n8 > 0 {
+		foldLanes(y, x, w, rows, cols, ld, n8, rs, cs)
+	}
+	for j := n8; j < ld; j++ {
+		for r := 0; r < rows; r++ {
+			var s float64
+			for c := 0; c < cols; c++ {
+				s += w[r*rs+c*cs] * x[c*ld+j]
+			}
+			y[r*ld+j] += s
+		}
+	}
+}
+
+// foldLanesGo is the portable kernel of mulAddSegment over its first
+// lanes columns (a multiple of laneWidth), with the assembly's loop
+// shape: one block of eight lanes at a time, every row of the block,
+// eight accumulators from +0 carried down the columns and then added
+// to y.
+func foldLanesGo(y, x, w Vec, rows, cols, ld, lanes, rs, cs int) {
+	if cols == 0 {
+		return
+	}
+	for j := 0; j < lanes; j += laneWidth {
+		for r := 0; r < rows; r++ {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for c := 0; c < cols; c++ {
+				wv := w[r*rs+c*cs]
+				xc := x[c*ld+j:][:laneWidth]
+				s0 += wv * xc[0]
+				s1 += wv * xc[1]
+				s2 += wv * xc[2]
+				s3 += wv * xc[3]
+				s4 += wv * xc[4]
+				s5 += wv * xc[5]
+				s6 += wv * xc[6]
+				s7 += wv * xc[7]
+			}
+			yr := y[r*ld+j:][:laneWidth]
+			yr[0] += s0
+			yr[1] += s1
+			yr[2] += s2
+			yr[3] += s3
+			yr[4] += s4
+			yr[5] += s5
+			yr[6] += s6
+			yr[7] += s7
+		}
+	}
+}

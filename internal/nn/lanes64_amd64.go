@@ -57,3 +57,20 @@ func accLanes(y, x, w Vec, cols, ld, lanes int) {
 //
 //go:noescape
 func accLanesAVX(y, x, w Vec, cols, ld, lanes int)
+
+// foldLanes runs foldLanesAVX, or foldLanesGo without AVX.
+func foldLanes(y, x, w Vec, rows, cols, ld, lanes, rs, cs int) {
+	if laneAVX {
+		foldLanesAVX(y, x, w, rows, cols, ld, lanes, rs, cs)
+		return
+	}
+	foldLanesGo(y, x, w, rows, cols, ld, lanes, rs, cs)
+}
+
+// foldLanesAVX is foldLanesGo on YMM registers: per block of eight
+// lanes, rows four at a time and then one at a time, each row's eight
+// accumulators in two registers that start at +0, take VMULPD then
+// VADDPD per column, and are then added to y.
+//
+//go:noescape
+func foldLanesAVX(y, x, w Vec, rows, cols, ld, lanes, rs, cs int)

@@ -476,3 +476,135 @@ accnext:
 accdone:
 	VZEROUPPER
 	RET
+
+// func foldLanesAVX(y, x, w Vec, rows, cols, ld, lanes, rs, cs int)
+//
+// foldLanesGo on YMM registers: per block of eight lanes, rows four at
+// a time while four are left, then one at a time; each row's eight
+// accumulators start at +0 (VXORPD), take VMULPD then VADDPD per
+// column, and are then added to y's elements (VADDPD) and stored.
+// Weight w[r,c] is at byte offset r·rs·8 + c·cs·8. Registers:
+//
+// AX  byte offset of the current block of eight lanes; R10 lanes·8
+// CX  rows left; DX the current row group's first weight
+// R8  weight pointer walking rows 0 and 1; R15 rows 2 and 3 (R8 + 2·R13)
+// SI  x pointer of the current column; DI y pointer of the current row
+// R9  columns left; R11 row stride of x and y in bytes (ld·8)
+// R13 weight-row stride in bytes (rs·8); R14 weight-column stride (cs·8)
+// Y0–Y7 four rows' accumulators (QUADCOL), Y8–Y9 x, Y10–Y13 broadcast
+// weights, Y14–Y15 products.
+TEXT ·foldLanesAVX(SB), NOSPLIT, $0-120
+	MOVQ  lanes+96(FP), R10
+	TESTQ R10, R10
+	JEQ   folddone
+	SHLQ  $3, R10
+	MOVQ  rows+72(FP), CX
+	TESTQ CX, CX
+	JEQ   folddone
+	MOVQ  cols+80(FP), R9
+	TESTQ R9, R9
+	JEQ   folddone
+	MOVQ  ld+88(FP), R11
+	SHLQ  $3, R11
+	MOVQ  rs+104(FP), R13
+	SHLQ  $3, R13
+	MOVQ  cs+112(FP), R14
+	SHLQ  $3, R14
+	XORQ  AX, AX
+
+foldblock:
+	MOVQ w_base+48(FP), DX
+	MOVQ y_base+0(FP), DI
+	ADDQ AX, DI
+	MOVQ rows+72(FP), CX
+
+foldquad:
+	CMPQ   CX, $4
+	JLT    foldrow
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   x_base+24(FP), SI
+	ADDQ   AX, SI
+	MOVQ   DX, R8
+	LEAQ   (DX)(R13*2), R15
+	MOVQ   cols+80(FP), R9
+
+foldquadcol:
+	VMOVUPD      (SI), Y8
+	VMOVUPD      32(SI), Y9
+	VBROADCASTSD (R8), Y10
+	VBROADCASTSD (R8)(R13*1), Y11
+	VBROADCASTSD (R15), Y12
+	VBROADCASTSD (R15)(R13*1), Y13
+	QUADCOL
+	ADDQ         R14, R8
+	ADDQ         R14, R15
+	ADDQ         R11, SI
+	DECQ         R9
+	JNE          foldquadcol
+	VADDPD       (DI), Y0, Y0
+	VADDPD       32(DI), Y1, Y1
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	ADDQ         R11, DI
+	VADDPD       (DI), Y2, Y2
+	VADDPD       32(DI), Y3, Y3
+	VMOVUPD      Y2, (DI)
+	VMOVUPD      Y3, 32(DI)
+	ADDQ         R11, DI
+	VADDPD       (DI), Y4, Y4
+	VADDPD       32(DI), Y5, Y5
+	VMOVUPD      Y4, (DI)
+	VMOVUPD      Y5, 32(DI)
+	ADDQ         R11, DI
+	VADDPD       (DI), Y6, Y6
+	VADDPD       32(DI), Y7, Y7
+	VMOVUPD      Y6, (DI)
+	VMOVUPD      Y7, 32(DI)
+	ADDQ         R11, DI
+	LEAQ         (DX)(R13*4), DX
+	SUBQ         $4, CX
+	JMP          foldquad
+
+foldrow:
+	TESTQ  CX, CX
+	JEQ    foldnext
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   x_base+24(FP), SI
+	ADDQ   AX, SI
+	MOVQ   DX, R8
+	MOVQ   cols+80(FP), R9
+
+foldcol:
+	VMOVUPD      (SI), Y8
+	VMOVUPD      32(SI), Y9
+	VBROADCASTSD (R8), Y10
+	ROWCOL
+	ADDQ         R14, R8
+	ADDQ         R11, SI
+	DECQ         R9
+	JNE          foldcol
+	VADDPD       (DI), Y0, Y0
+	VADDPD       32(DI), Y1, Y1
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	ADDQ         R11, DI
+	ADDQ         R13, DX
+	DECQ         CX
+	JMP          foldrow
+
+foldnext:
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JLT  foldblock
+
+folddone:
+	VZEROUPPER
+	RET

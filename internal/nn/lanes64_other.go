@@ -17,3 +17,8 @@ func allFinite(w Vec) bool { return allFiniteGo(w) }
 func accLanes(y, x, w Vec, cols, ld, lanes int) {
 	accLanesGo(y, x, w, cols, ld, lanes)
 }
+
+// foldLanes runs the portable kernel where there is no assembly one.
+func foldLanes(y, x, w Vec, rows, cols, ld, lanes, rs, cs int) {
+	foldLanesGo(y, x, w, rows, cols, ld, lanes, rs, cs)
+}

@@ -37,42 +37,6 @@ func TestParallelForMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelForStripedFoldsInIndexOrder: every item runs once, on
-// worker i mod workers, and its fold runs on the same worker after its
-// work and strictly in index order, before that worker's next item.
-func TestParallelForStripedFoldsInIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, 2, 5, 100} {
-			p := Workers(n, workers)
-			done := make([]atomic.Int32, n)
-			var folded []int // written by fold only, which runs one at a time
-			ParallelForStriped(n, workers, func(w, i int) {
-				if w != i%p {
-					t.Errorf("workers=%d n=%d: item %d ran on worker %d", workers, n, i, w)
-				}
-				if i >= p && done[i-p].Load() != 2 {
-					t.Errorf("workers=%d n=%d: item %d ran before item %d folded", workers, n, i, i-p)
-				}
-				done[i].Add(1)
-			}, func(w, i int) {
-				if w != i%p || done[i].Load() != 1 {
-					t.Errorf("workers=%d n=%d: item %d folded on worker %d after %d runs", workers, n, i, w, done[i].Load())
-				}
-				done[i].Add(1)
-				folded = append(folded, i)
-			})
-			for i, got := range folded {
-				if got != i {
-					t.Fatalf("workers=%d n=%d: fold order %v", workers, n, folded)
-				}
-			}
-			if len(folded) != n {
-				t.Fatalf("workers=%d n=%d: %d folds", workers, n, len(folded))
-			}
-		}
-	}
-}
-
 // goroutineID is the number runtime.Stack prints for the calling
 // goroutine ("goroutine 7 [running]:").
 func goroutineID(t *testing.T) uint64 {
@@ -152,5 +116,34 @@ func TestParallelForWorkerPanicWaitsForWorkers(t *testing.T) {
 	}()
 	if got := done.Load(); got != n-1 {
 		t.Fatalf("%d items done when the panic reached the caller, want %d", got, n-1)
+	}
+}
+
+// TestTeamRunsEachRegionOnEveryWorker: every region runs once on every
+// worker, the caller's goroutine as worker 0, and Run returns only when
+// all have finished it, so what a region wrote is there for the next;
+// Stop returns once the workers have exited.
+func TestTeamRunsEachRegionOnEveryWorker(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		team := NewTeam(workers)
+		caller := goroutineID(t)
+		last := make([]int, workers)
+		for region := 1; region <= 200; region++ {
+			team.Run(func(w int) {
+				if last[w] != region-1 {
+					t.Errorf("workers=%d: worker %d ran region %d after %d", workers, w, region, last[w])
+				}
+				if w == 0 && goroutineID(t) != caller {
+					t.Errorf("workers=%d: worker 0 is not the caller", workers)
+				}
+				last[w] = region
+			})
+			for w, r := range last {
+				if r != region {
+					t.Fatalf("workers=%d: Run returned before worker %d ran region %d", workers, w, region)
+				}
+			}
+		}
+		team.Stop()
 	}
 }

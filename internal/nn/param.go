@@ -128,14 +128,6 @@ func (p *Param) ZeroGradRows(rows []int) {
 	}
 }
 
-// AddGradRows is AddGrads for one parameter's rows: src's gradient rows
-// rows names added onto dst's, one add per element.
-func AddGradRows(dst, src *Param, rows []int) {
-	for _, r := range rows {
-		addInto(dst.GradRow(r), src.GradRow(r))
-	}
-}
-
 // Backward is the gradient closure returned by Forward passes: it takes
 // dL/dy and returns dL/dx while accumulating parameter gradients.
 type Backward func(dy Vec) Vec

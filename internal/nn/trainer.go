@@ -102,9 +102,6 @@ func NewTrainer(params []*Param, parallelism int, bind BindFunc) *Trainer {
 	return t
 }
 
-// Parallelism returns the number of workers.
-func (t *Trainer) Parallelism() int { return len(t.replicas) }
-
 // Step zeroes the canonical gradients, computes the gradient of every
 // sample in the batch of size n, folds them in sample order, and
 // returns the summed per-sample losses (also accumulated in sample
@@ -117,17 +114,31 @@ func (t *Trainer) Step(n int) float64 {
 	}
 	ZeroGrads(t.params)
 	total := t.fold(n)
+	var stepDur time.Duration
+	if t.timing {
+		stepDur = time.Since(stepStart)
+	}
+	ObserveStep(n, stepDur, t.reduceDur)
+	return total
+}
+
+// ObserveStep records one mini-batch gradient step over n samples: it
+// counts the step and its samples and, when the obs registry is enabled,
+// records the step's wall time under nn.train.step, the part of it
+// spent in ordered gradient reductions under nn.train.reduce, and the
+// samples/s gauge. Trainer.Step calls it; so does a batched step that
+// runs no Trainer (W-D's pass B).
+func ObserveStep(n int, step, reduce time.Duration) {
 	obsTrainSamples.Add(int64(n))
 	obsTrainSteps.Inc()
-	if t.timing {
-		stepDur := time.Since(stepStart)
-		obs.Default.ObserveSpan("nn.train.step", stepDur)
-		obs.Default.ObserveSpan("nn.train.reduce", t.reduceDur)
-		if s := stepDur.Seconds(); s > 0 {
-			obsTrainRate.Set(float64(n) / s)
-		}
+	if !obs.Enabled() {
+		return
 	}
-	return total
+	obs.Default.ObserveSpan("nn.train.step", step)
+	obs.Default.ObserveSpan("nn.train.reduce", reduce)
+	if s := step.Seconds(); s > 0 {
+		obsTrainRate.Set(float64(n) / s)
+	}
 }
 
 // fold runs items 0..n-1 on the replicas and adds their gradients to

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -173,10 +175,7 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 		obs.Disable()
 		t.Cleanup(obs.Enable)
 	}
-	const maxPerElement = 0.1
-	perElement := func(aSmall, aLarge float64, nSmall, nLarge int) float64 {
-		return (aLarge - aSmall) / float64(nLarge-nSmall)
-	}
+	const runs = 50
 
 	// The inference slot and PredictBatch alone, on a small model.
 	g, f := smallGen()
@@ -194,16 +193,19 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 		large[i] = f
 	}
 	outSmall, outLarge := make([]float64, len(small)), make([]float64, len(large))
-	// Warm the model's arena pool to its high-water mark first.
+	// Warm the model's arena pool to its high-water mark first. A batch
+	// of 32 pairs must then allocate exactly what a batch of one does,
+	// summed over the runs: no pair allocates, not even now and then.
 	predict(large, outLarge)
-	aSmall := testing.AllocsPerRun(50, func() { predict(small, outSmall) })
-	aLarge := testing.AllocsPerRun(50, func() { predict(large, outLarge) })
-	if pe := perElement(aSmall, aLarge, len(small), len(large)); pe > maxPerElement {
-		t.Fatalf("PredictBatch in the slot allocates per pair: %v allocs (batch 1: %v, batch 32: %v)", pe, aSmall, aLarge)
+	predict(small, outSmall)
+	aSmall := mallocs(runs, func() { predict(small, outSmall) })
+	aLarge := mallocs(runs, func() { predict(large, outLarge) })
+	if aLarge != aSmall {
+		t.Fatalf("PredictBatch in the slot allocates per pair: %d objects over %d batches of 32, %d over batches of 1", aLarge, runs, aSmall)
 	}
 	const maxPerBatch = 24
-	if aSmall > maxPerBatch {
-		t.Fatalf("per-batch constant = %v allocs, want <= %d", aSmall, maxPerBatch)
+	if aSmall > maxPerBatch*runs {
+		t.Fatalf("per-batch constant = %d allocs over %d batches, want <= %d each", aSmall, runs, maxPerBatch)
 	}
 
 	// The whole handler on a generation that caches no estimates, so
@@ -254,11 +256,11 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 		texts = append(texts, w.Queries[i%len(w.Queries)].SQL, vs.Views[i%len(vs.Views)].SQL)
 	}
 	warmTexts(t, srv, texts, func() { handle(many) }) // admit every text to the text cache
-	const runs = 50
+	handle(one)
 	textHits, planHits := obsTextCacheHit.Value(), obsPlanCacheHit.Value()
-	hSmall := testing.AllocsPerRun(runs, func() { handle(one) })
-	hLarge := testing.AllocsPerRun(runs, func() { handle(many) })
-	// Two texts a pair, over AllocsPerRun's warm-up call and its runs.
+	hSmall := mallocs(runs, func() { handle(one) })
+	hLarge := mallocs(runs, func() { handle(many) })
+	// Two texts a pair, over mallocs' uncounted call and its runs.
 	probes := int64(2 * (runs + 1) * (1 + len(large)))
 	if got := obsTextCacheHit.Value() - textHits; got != probes {
 		t.Fatalf("%d text-cache hits over %d texts sent", got, probes)
@@ -266,14 +268,33 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 	if got := obsPlanCacheHit.Value() - planHits; got != probes {
 		t.Fatalf("%d plan-cache hits over %d texts sent", got, probes)
 	}
-	if pe := perElement(hSmall, hLarge, 1, len(large)); pe > maxPerElement {
-		t.Fatalf("the miss path allocates per pair: %v allocs (1 pair: %v, %d pairs: %v)", pe, hSmall, len(large), hLarge)
+	if hLarge != hSmall {
+		t.Fatalf("the miss path allocates per pair: %d objects over %d requests of %d pairs, %d over requests of 1", hLarge, runs, len(large), hSmall)
 	}
 	// The advise_mixed reader's path, pinned with headroom over the
 	// measured 14 allocations a request.
 	const planHitBudget = 18
-	if hSmall > planHitBudget {
-		t.Fatalf("plan-hit /v1/estimate = %v allocs/op, want <= %d", hSmall, planHitBudget)
+	if hSmall > planHitBudget*runs {
+		t.Fatalf("plan-hit /v1/estimate = %d allocs over %d requests, want <= %d each", hSmall, runs, planHitBudget)
 	}
-	t.Logf("slot + PredictBatch: %v allocs per batch; miss-path handler: %v allocs per request", aSmall, hSmall)
+	t.Logf("slot + PredictBatch: %d allocs per %d batches; miss-path handler: %d allocs per %d requests", aSmall, runs, hSmall, runs)
+}
+
+// mallocs returns how many heap objects runs calls of f allocate in
+// total, after one more call that is not counted, on one P as
+// testing.AllocsPerRun measures them — but not averaged into an
+// integer, which reads an occasional allocation as 0 — and with the
+// collector off, whose cycles empty the sync.Pools that hold warm
+// scratch.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

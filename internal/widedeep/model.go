@@ -16,12 +16,14 @@
 // training loop of Algorithm 1 over measured (q, v, A(q|v)) samples;
 // Model.Predict serves Â(q|v) to the benefit estimator.
 //
-// The graph above is wired exactly twice: Model.forward (float64 tape —
-// training and the bit-exact reference, exposed to tests as
-// PredictReference) and kernels32.inferForward (the float32 mirror
-// behind Predict; PredictBatch runs the same pieces with each distinct
-// operator of the batch encoded once, batch.go). No option selects
-// between them.
+// The graph above is wired three times: Model.forward (the float64
+// tape, the bit-exact reference, exposed to tests as PredictReference),
+// the batched training passes (train.go: the same float64 arithmetic
+// over a mini-batch's pairs as lanes, held to Model.forward's gradient
+// by TestBatchGradMatchesPerPairOracle) and kernels32.inferForward (the
+// float32 mirror behind Predict; PredictBatch runs the same pieces with
+// each distinct operator of the batch encoded once, batch.go). No option
+// selects between them.
 package widedeep
 
 import (
@@ -133,33 +135,11 @@ func (m *Model) Params() []*nn.Param {
 	return nn.CollectParams(m.Enc, m.Wide, m.FC1, m.FC2, m.FC3, m.FC4, m.FC5, m.FC6)
 }
 
-// shareWeights returns a model replica whose layers share weight storage
-// with m but own private gradient buffers, in m's parameter order —
-// one per training worker (see nn.Trainer). Scaling state is copied by
-// value, so the replica must be built after Norm and the target scale are
-// fitted.
-func (m *Model) shareWeights() *Model {
-	return &Model{
-		Enc:   m.Enc.ShareWeights(),
-		Norm:  m.Norm,
-		Wide:  m.Wide.ShareWeights(),
-		FC1:   m.FC1.ShareWeights(),
-		FC2:   m.FC2.ShareWeights(),
-		FC3:   m.FC3.ShareWeights(),
-		FC4:   m.FC4.ShareWeights(),
-		FC5:   m.FC5.ShareWeights(),
-		FC6:   m.FC6.ShareWeights(),
-		yMean: m.yMean,
-		yStd:  m.yStd,
-		cfg:   m.cfg,
-	}
-}
-
 // forward computes the standardized prediction and a backward closure
 // taking dL/dŷ. It is the bit-exact f64 reference the f32 serving mirror
-// (kernels32.inferForward) is held to, and the composition training
-// runs in pieces (train.go): EncodeOps on both plans, forwardOps above
-// the operator vectors. Its tapes live on the heap.
+// (kernels32.inferForward) and the batched training passes (train.go)
+// are held to: EncodeOps on both plans, forwardOps above the operator
+// vectors. Its tapes live on the heap.
 func (m *Model) forward(f featenc.Features) (float64, func(dy float64)) {
 	qOps, bQ := m.Enc.EncodeOps(f.QueryPlan, nil)
 	vOps, bV := m.Enc.EncodeOps(f.ViewPlan, nil)
@@ -309,9 +289,10 @@ type TrainConfig struct {
 	LearnRate float64 // lr
 	BatchSize int     // b_s
 	Seed      int64
-	// Parallelism is the number of data-parallel training workers per
-	// mini-batch (nn.Trainer). 0 selects runtime.NumCPU(); 1 runs
-	// serially. Results are bit-for-bit identical for every setting.
+	// Parallelism is the number of workers a mini-batch's passes and
+	// gradient reductions run on (train.go). 0 selects runtime.NumCPU();
+	// 1 runs serially. Results are bit-for-bit identical for every
+	// setting.
 	Parallelism int
 }
 

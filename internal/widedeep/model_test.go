@@ -150,7 +150,7 @@ func TestFitReducesLoss(t *testing.T) {
 }
 
 // TestFitParallelismDeterminism trains every encoder variant from one
-// seed at Parallelism 1, 2 and 8 — four epochs of two full batches and a
+// seed at Parallelism 1, 2, 3 and 8 — four epochs of two full batches and a
 // short one: weights and loss traces must be bit-for-bit identical, and
 // so the predictions. Each of the three passes of a batch gradient fixes
 // its summation order by index (operators in first-appearance order,
@@ -172,7 +172,7 @@ func TestFitParallelismDeterminism(t *testing.T) {
 			return m, losses
 		}
 		m1, l1 := fit(1)
-		for _, par := range []int{2, 8} {
+		for _, par := range []int{2, 3, 8} {
 			mp, lp := fit(par)
 			for i := range l1 {
 				if math.Float64bits(l1[i]) != math.Float64bits(lp[i]) {
@@ -198,49 +198,93 @@ func TestFitParallelismDeterminism(t *testing.T) {
 
 // TestFitGoldenBits pins what TestFitParallelismDeterminism cannot: a
 // change that moved every weight the same way at every Parallelism
-// would pass that test. Each encoder variant is trained at that test's
-// configuration, and an FNV-64a hash of its loss trace and every fitted
-// weight (parameter names included) must equal the hash the three-pass
-// batch gradient produced when it still ran each operator's forward
-// twice, at Parallelism 1, 2 and 8.
+// would pass that test. Each encoder variant is trained in two
+// configurations, and an FNV-64a hash of its loss trace and every
+// fitted weight (parameter names included) must equal the hash pinned
+// for it at Parallelism 1, 2, 3 and 8. "synthetic" is that test's
+// configuration, pinned when the three-pass batch gradient still ran
+// each operator's forward twice; "wk1" — 29 seeded WK1 pairs, plans of
+// up to 12 operators, and one pair without a view plan, in batches of 13
+// (13, 13, 4: no batch a whole number of 8-lane blocks) at odd layer
+// widths, and "wk1-serving", the same at the served model's widths —
+// were pinned on the per-pair pass B and token-passed pass C folds
+// before the batched passes replaced them.
 func TestFitGoldenBits(t *testing.T) {
 	golden := map[string]string{
-		"W-D":   "fb6b0dad5415d1e9",
-		"N-Kw":  "c49e1f1005504fbd",
-		"N-Str": "4dd42fd03458226e",
-		"N-Exp": "f20e86eb89c853f1",
+		"W-D/synthetic":     "fb6b0dad5415d1e9",
+		"N-Kw/synthetic":    "c49e1f1005504fbd",
+		"N-Str/synthetic":   "4dd42fd03458226e",
+		"N-Exp/synthetic":   "f20e86eb89c853f1",
+		"W-D/wk1":           "c1a6a3f31b97fc7f",
+		"N-Kw/wk1":          "149fb54d954ce4b7",
+		"N-Str/wk1":         "26948d6e6306421a",
+		"N-Exp/wk1":         "08c93b76524b18bc",
+		"W-D/wk1-serving":   "21414e4839a1a108",
+		"N-Kw/wk1-serving":  "5820d9fb7f02603f",
+		"N-Str/wk1-serving": "5e54695bdbef8cae",
+		"N-Exp/wk1-serving": "2857a663f1470f42",
 	}
 	cat := testCatalog(t)
-	vocab := featenc.NewVocab(cat, []string{"cnt"})
-	samples := syntheticSamples(t, cat, 21)
-	for name, enc := range Variants() {
-		enc.EmbedDim, enc.Hidden = 4, 4
-		for _, par := range []int{1, 2, 8} {
-			m := New(vocab, Config{Encoder: enc}, rand.New(rand.NewSource(31)))
-			losses, err := m.Fit(samples, TrainConfig{Epochs: 4, BatchSize: 8, Seed: 5, Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := fnv.New64a()
-			var b [8]byte
-			put := func(v float64) {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-			for _, l := range losses {
-				put(l)
-			}
-			for _, p := range m.Params() {
-				h.Write([]byte(p.Name))
-				for _, v := range p.Val {
-					put(v)
+	synthetic := syntheticSamples(t, cat, 21)
+	wk1Samples := trainingSamples(3, 29)
+	wk1Samples = append(wk1Samples, wk1Samples[0])
+	wk1Samples[len(wk1Samples)-1].F.ViewPlan = nil
+	w := wk1()
+	for _, c := range []struct {
+		name    string
+		vocab   *featenc.Vocab
+		samples []Sample
+		cfg     Config
+		train   TrainConfig
+	}{
+		{"synthetic", featenc.NewVocab(cat, []string{"cnt"}), synthetic,
+			Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 4}},
+			TrainConfig{Epochs: 4, BatchSize: 8, Seed: 5}},
+		{"wk1", featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans())), wk1Samples,
+			oddShapes, TrainConfig{Epochs: 3, BatchSize: 13, Seed: 7}},
+		{"wk1-serving", featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans())), wk1Samples,
+			servingShapes, TrainConfig{Epochs: 3, BatchSize: 13, Seed: 7}},
+	} {
+		for name, enc := range Variants() {
+			cfg := c.cfg
+			enc.EmbedDim, enc.Hidden = cfg.Encoder.EmbedDim, cfg.Encoder.Hidden
+			cfg.Encoder = enc
+			key := name + "/" + c.name
+			for _, par := range []int{1, 2, 3, 8} {
+				m := New(c.vocab, cfg, rand.New(rand.NewSource(31)))
+				train := c.train
+				train.Parallelism = par
+				losses, err := m.Fit(c.samples, train)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got := fmt.Sprintf("%016x", h.Sum64()); got != golden[name] {
-				t.Errorf("%s P=%d: fit hash %s, want %s", name, par, got, golden[name])
+				if got := fitHash(m, losses); got != golden[key] {
+					t.Errorf("%s P=%d: fit hash %s, want %s", key, par, got, golden[key])
+				}
 			}
 		}
 	}
+}
+
+// fitHash is an FNV-64a hash of a fit's loss trace and of every fitted
+// weight, parameter names included.
+func fitHash(m *Model, losses []float64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, l := range losses {
+		put(l)
+	}
+	for _, p := range m.Params() {
+		h.Write([]byte(p.Name))
+		for _, v := range p.Val {
+			put(v)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func TestFitEmptyErrors(t *testing.T) {
