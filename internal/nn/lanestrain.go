@@ -254,11 +254,10 @@ func (t *LSTMLanes) Forward(c *LSTMCell, wt Vec, xs [][]Vec) {
 			if step > 0 {
 				cp = cPrev[p*H:][:H]
 			}
+			sigmoidLanes(g[:2*H]) // i and f
+			sigmoidLanes(gov)
 			for j := range gi {
-				gi[j] = sigmoid(gi[j])
-				gf[j] = sigmoid(gf[j])
 				gg[j] = math.Tanh(gg[j])
-				gov[j] = sigmoid(gov[j])
 				var prev float64 // c_0 = +0
 				if cp != nil {
 					prev = cp[j]
