@@ -5,18 +5,20 @@ import (
 	"slices"
 )
 
-// Batched training passes. A mini-batch's sequences and samples run as
-// lanes of the dense lane kernel (lanes64.go), feature-major, instead of
-// one tape per sample: DenseLanes is one Linear layer (optionally
-// followed by ReLU), LSTMLanes one LSTM over many sequences. Lane j of
-// a forward runs exactly the chain Forward runs for its input — the
-// kernel's lanes are InferInto's chain, the activations are the same
-// scalar expressions — and a backward gives each lane's input gradient
-// by mulAddLanes over transposed weights, whose element chain is the one
-// Linear's and LSTM's backward build: from +0, one term per output row
-// in row order. (Linear's backward skips a row whose gradient is zero;
-// its terms g·w are then ±0 for a finite w, and a chain that starts at
-// +0 is never -0, so adding them changes nothing.)
+// Batched training passes. A mini-batch's samples and sequences run
+// through the lane kernels (lanes64.go) together instead of one tape per
+// sample: DenseLanes is one Linear layer (optionally followed by ReLU)
+// over samples as lanes, feature-major, on denseLanes; LSTMLanes is one
+// LSTM over many sequences, sample-major, its products on mulAddLanes.
+// Each element of a forward runs exactly the chain Forward runs for its
+// sample — InferInto's: the bias, then one term per input column in
+// order — and the activations are the same scalar expressions (or
+// sigmoidLanes, which gives their bits); a backward gives each sample's
+// input gradient by mulAddLanes, whose element chain is the one Linear's
+// and LSTM's backward build: from +0, one term per output row in row
+// order. (Linear's backward skips a row whose gradient is zero; its
+// terms g·w are then ±0 for a finite w, and a chain that starts at +0
+// is never -0, so adding them changes nothing.)
 //
 // Parameter gradients are not accumulated by the lanes: a pass keeps
 // each lane's terms and an ordered reduction adds them onto the

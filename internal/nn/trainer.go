@@ -123,22 +123,21 @@ func (t *Trainer) Step(n int) float64 {
 }
 
 // ObserveStep records one mini-batch gradient step over n samples: it
-// counts the step and its samples and, when the obs registry is enabled,
-// records the step's wall time under nn.train.step, the part of it
-// spent in ordered gradient reductions under nn.train.reduce, and the
-// samples/s gauge. Trainer.Step calls it; so does a batched step that
-// runs no Trainer (W-D's pass B).
+// counts the step and its samples and, when the step was timed (step >
+// 0: the obs registry was enabled when it began), records its wall time
+// under nn.train.step, the part of it spent in ordered gradient
+// reductions under nn.train.reduce, and the samples/s gauge.
+// Trainer.Step calls it; so does a batched step that runs no Trainer
+// (W-D's pass B).
 func ObserveStep(n int, step, reduce time.Duration) {
 	obsTrainSamples.Add(int64(n))
 	obsTrainSteps.Inc()
-	if !obs.Enabled() {
+	if step <= 0 {
 		return
 	}
 	obs.Default.ObserveSpan("nn.train.step", step)
 	obs.Default.ObserveSpan("nn.train.reduce", reduce)
-	if s := step.Seconds(); s > 0 {
-		obsTrainRate.Set(float64(n) / s)
-	}
+	obsTrainRate.Set(float64(n) / step.Seconds())
 }
 
 // fold runs items 0..n-1 on the replicas and adds their gradients to
