@@ -224,8 +224,8 @@ func operatorUseBatchGrad() *batchGrad {
 // forward ran twice and every tape lived on the heap. Those figures
 // (bytes per step, linux/amd64, go1.24) were 45,886 (4 short pairs),
 // 79,282 (4 long), 71,410 (8 short) and 96,947 (12 short); with the
-// tapes in the per-worker arenas they are 15,680, 18,447, 26,272 and
-// 36,866.
+// passes batched, their tapes kept from batch to batch, they are about
+// 1,400 on each.
 func TestFitBatchAllocBytesHalved(t *testing.T) {
 	g := operatorUseBatchGrad()
 	for _, c := range []struct {
