@@ -14,7 +14,11 @@
 // Forward (infer.go); every layer of the Wide-Deep estimator has a
 // float32 mirror (*32 types, infer32.go) over the blocked kernels of
 // kernels32.go. Both draw scratch from an Arena. The two element types
-// never share a caller, so there are no kernels generic over them.
+// never share a caller, so there are no kernels generic over them. W-D
+// training runs its layers over a whole mini-batch at once instead of
+// through Forward's tapes (lanestrain.go, ConvBlock.ForwardTape), with
+// Forward's arithmetic bit for bit, and adds their parameter gradients
+// by ordered reductions.
 package nn
 
 import (
