@@ -35,7 +35,7 @@ import (
 //   - an LSTM's weights take many terms per sample, one per step, so
 //     each group of sequences a sample owns (an operator, or a pair's
 //     two plans) is a segment whose sum is formed from +0 before it is
-//     added (Segments.FoldRows).
+//     added (LSTMLanes.FoldGrads).
 
 // Transpose writes the [cols × rows] transpose of the row-major [rows ×
 // cols] src into dst.
@@ -129,33 +129,30 @@ func AddDenseGrads(l *Linear, blocks []*DenseLanes, r0, r1 int) {
 	}
 }
 
-// Segments are the partial products an ordered reduction adds onto a
-// [Rows × LD] gradient: product column c holds the terms W[c·Rows+r]·X[c,j]
-// of element (r, j), X being [C × LD] and W [C × Rows], and segment k
-// is the columns Off[k] to Off[k+1].
-type Segments struct {
-	X, W     Vec
-	Off      []int
-	Rows, LD int
+// segments are the partial products an ordered reduction adds onto a
+// [rows × ld] gradient: product column c holds the terms w[c·rows+r]·x[c,j]
+// of element (r, j), x being [C × ld] and w [C × rows], and segment k
+// is the columns off[k] to off[k+1].
+type segments struct {
+	x, w     Vec
+	off      []int
+	rows, ld int
 }
 
-// FoldRows adds onto rows [r0, r1) of y, [Rows × LD], every segment's
-// product, and onto b[r0:r1] (when b is not nil) every segment's sums
-// of its W terms, in segment order. Each segment's sum is formed from
-// +0, its terms in column order, before it is added: the fold of one
-// zeroed replica per segment.
-func (s *Segments) FoldRows(y, b Vec, r0, r1 int) {
-	ld, rows := s.LD, s.Rows
-	for k := 0; k+1 < len(s.Off); k++ {
-		lo, c := s.Off[k], s.Off[k+1]-s.Off[k]
+// foldRows adds onto rows [r0, r1) of y, [rows × ld], every segment's
+// product, and onto b[r0:r1] every segment's sums of its w terms, in
+// segment order. Each segment's sum is formed from +0, its terms in
+// column order, before it is added: the fold of one zeroed replica per
+// segment.
+func (s *segments) foldRows(y, b Vec, r0, r1 int) {
+	ld, rows := s.ld, s.rows
+	for k := 0; k+1 < len(s.off); k++ {
+		lo, c := s.off[k], s.off[k+1]-s.off[k]
 		if c == 0 {
 			continue
 		}
-		w := s.W[lo*rows:][:c*rows]
-		mulAddSegment(y[r0*ld:r1*ld], s.X[lo*ld:][:c*ld], w[r0:], r1-r0, c, ld, 1, rows)
-		if b == nil {
-			continue
-		}
+		w := s.w[lo*rows:][:c*rows]
+		mulAddSegment(y[r0*ld:r1*ld], s.x[lo*ld:][:c*ld], w[r0:], r1-r0, c, ld, 1, rows)
 		for r := r0; r < r1; r++ {
 			var sum float64
 			for col := 0; col < c; col++ {
@@ -197,7 +194,7 @@ type LSTMLanes struct {
 	out    Vec   // [n × Hidden]: every sequence's final hidden state
 	dx     Vec   // per sequence, per step: the input's gradient, In wide
 	dxOff  []int // per sequence: its first step's row in dx
-	segs   Segments
+	segs   segments
 }
 
 // PadLanes rounds n up to a whole number of the lane kernel's blocks.
@@ -291,9 +288,9 @@ func (t *LSTMLanes) Out(s int) Vec {
 // Backward takes dh, [n × Hidden]: the gradient of every sequence's
 // final hidden state (an empty sequence's row is ignored), and computes
 // every step's input gradient (InputGrad) and the weight gradient's
-// terms, as Segments of per consecutive sequences each: the sequences
+// terms, in segments of per consecutive sequences each: the sequences
 // of one sample, whose terms a per-sample backward accumulates into
-// one zeroed replica (GradSegments).
+// one zeroed replica (FoldGrads).
 func (t *LSTMLanes) Backward(dh Vec, per int) {
 	c := t.c
 	H, in := c.Hidden, c.In
@@ -358,21 +355,21 @@ func (t *LSTMLanes) Backward(dh Vec, per int) {
 	t.gather(per, a.take(total*xhLen), a.take(G*total))
 }
 
-// gather lays the weight gradient's terms out as Segments: segment k
+// gather lays the weight gradient's terms out as segments: segment k
 // holds sequences k·per to (k+1)·per-1 in order, each sequence's steps
 // latest first — the order LSTM.Forward's backward adds them in.
 func (t *LSTMLanes) gather(per int, x, w Vec) {
 	H, in := t.c.Hidden, t.c.In
 	xhLen, G := in+H, 4*H
 	sg := &t.segs
-	sg.Rows, sg.LD, sg.X, sg.W = G, xhLen, x, w
-	sg.Off = append(sg.Off[:0], 0)
+	sg.rows, sg.ld, sg.x, sg.w = G, xhLen, x, w
+	sg.off = append(sg.off[:0], 0)
 	total := 0
 	for s0 := 0; s0 < t.n; s0 += per {
 		for _, T := range t.lens[s0:min(s0+per, t.n)] {
 			total += T
 		}
-		sg.Off = append(sg.Off, total)
+		sg.off = append(sg.off, total)
 	}
 	col := 0 // column of sequence s's latest step within its segment
 	for s, T := range t.lens {
@@ -380,11 +377,11 @@ func (t *LSTMLanes) gather(per int, x, w Vec) {
 		if s%per == 0 {
 			col = 0
 		}
-		lo, p := sg.Off[k], t.row[s]
+		lo, p := sg.off[k], t.row[s]
 		for step := 0; step < T; step++ {
 			j := lo + col + T - 1 - step
-			copy(sg.X[j*xhLen:][:xhLen], t.xh[step][p*xhLen:][:xhLen])
-			copy(sg.W[j*G:][:G], t.dPre[step][p*G:][:G])
+			copy(sg.x[j*xhLen:][:xhLen], t.xh[step][p*xhLen:][:xhLen])
+			copy(sg.w[j*G:][:G], t.dPre[step][p*G:][:G])
 		}
 		col += T
 	}
@@ -397,12 +394,15 @@ func (t *LSTMLanes) InputGrad(s, step int) Vec {
 	return t.dx[(t.dxOff[s]+step)*in:][:in]
 }
 
-// GradSegments returns the weight gradient's terms Backward laid out:
-// Rows 4·Hidden, LD In+Hidden, one segment per sample. Folded onto the
-// cell's W.Grad and B.Grad (Segments.FoldRows), tape after tape in
-// sample order, they give what one zeroed replica per sample folded in
-// sample order would.
-func (t *LSTMLanes) GradSegments() *Segments { return &t.segs }
+// FoldGrads adds the weight gradient's terms Backward kept onto rows
+// [r0, r1) of the cell's W.Grad and B.Grad, sample by sample: each
+// sample's terms summed from +0 in the order LSTM.Forward's backward
+// accumulates them into a zeroed replica, then added. Folded tape after
+// tape in sample order, rows split among jobs as they like, the result
+// is what one zeroed replica per sample folded in sample order gives.
+func (t *LSTMLanes) FoldGrads(r0, r1 int) {
+	t.segs.foldRows(t.c.W.Grad, t.c.B.Grad, r0, r1)
+}
 
 // slab is a bump allocator over one buffer that grows to the largest
 // pass it has served: reset sizes it for a pass, take and zeroed carve

@@ -85,14 +85,14 @@ func TestLSTMLanesMatchesPerSequenceBackward(t *testing.T) {
 				}
 				G := 4 * c.Hidden
 				for _, block := range []int{1, 3, G} {
-					gotW, gotB := make(Vec, c.W.Size()), make(Vec, c.B.Size())
+					ZeroGrads(lstm.Params())
 					for r0 := 0; r0 < G; r0 += block {
 						for i := range tapes {
-							tapes[i].GradSegments().FoldRows(gotW, gotB, r0, min(r0+block, G))
+							tapes[i].FoldGrads(r0, min(r0+block, G))
 						}
 					}
-					sameBits(t, fmt.Sprintf("block %d W grad", block), gotW, wantW)
-					sameBits(t, fmt.Sprintf("block %d B grad", block), gotB, wantB)
+					sameBits(t, fmt.Sprintf("block %d W grad", block), c.W.Grad, wantW)
+					sameBits(t, fmt.Sprintf("block %d B grad", block), c.B.Grad, wantB)
 				}
 			}
 		})
@@ -218,37 +218,37 @@ func TestSegmentsFoldMatchesSerialFold(t *testing.T) {
 		return rng.NormFloat64()
 	}
 	cols := []int{3, 0, 1, 7, 16, 2, 9, 0, 5}
-	s := Segments{Rows: rows, LD: ld, Off: []int{0}}
+	s := segments{rows: rows, ld: ld, off: []int{0}}
 	for _, c := range cols {
-		s.Off = append(s.Off, s.Off[len(s.Off)-1]+c)
+		s.off = append(s.off, s.off[len(s.off)-1]+c)
 	}
-	total := s.Off[len(s.Off)-1]
-	s.X, s.W = make(Vec, total*ld), make(Vec, rows*total)
-	for i := range s.X {
-		s.X[i] = special()
+	total := s.off[len(s.off)-1]
+	s.x, s.w = make(Vec, total*ld), make(Vec, rows*total)
+	for i := range s.x {
+		s.x[i] = special()
 	}
-	for i := range s.W {
-		s.W[i] = special()
+	for i := range s.w {
+		s.w[i] = special()
 	}
 	// Segment 3's columns 4 to 6 cancel its columns 0 to 2 exactly.
-	lo := s.Off[3]
+	lo := s.off[3]
 	for col := 0; col < 3; col++ {
 		for r := 0; r < rows; r++ {
-			s.W[(lo+4+col)*rows+r] = -s.W[(lo+col)*rows+r]
+			s.w[(lo+4+col)*rows+r] = -s.w[(lo+col)*rows+r]
 		}
 	}
-	copy(s.X[(lo+4)*ld:(lo+7)*ld], s.X[lo*ld:(lo+3)*ld])
+	copy(s.x[(lo+4)*ld:(lo+7)*ld], s.x[lo*ld:(lo+3)*ld])
 
 	// The serial fold: one zeroed replica per segment, scalar chains.
 	wantY, wantB := make(Vec, rows*ld), make(Vec, rows)
 	for k, c := range cols {
-		lo := s.Off[k]
+		lo := s.off[k]
 		part, partB := make(Vec, rows*ld), make(Vec, rows)
 		for r := 0; r < rows; r++ {
 			for col := 0; col < c; col++ {
-				w := s.W[(lo+col)*rows+r]
+				w := s.w[(lo+col)*rows+r]
 				for j := 0; j < ld; j++ {
-					part[r*ld+j] += w * s.X[(lo+col)*ld+j]
+					part[r*ld+j] += w * s.x[(lo+col)*ld+j]
 				}
 				partB[r] += w
 			}
@@ -265,7 +265,7 @@ func TestSegmentsFoldMatchesSerialFold(t *testing.T) {
 			y, b := make(Vec, rows*ld), make(Vec, rows)
 			jobs := (rows + block - 1) / block
 			ParallelFor(jobs, workers, func(j int) {
-				s.FoldRows(y, b, j*block, min((j+1)*block, rows))
+				s.foldRows(y, b, j*block, min((j+1)*block, rows))
 			})
 			sameBits(t, fmt.Sprintf("P=%d block %d y", workers, block), y, wantY)
 			sameBits(t, fmt.Sprintf("P=%d block %d b", workers, block), b, wantB)

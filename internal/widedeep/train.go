@@ -232,7 +232,7 @@ func (g *batchGrad) buildJobs() {
 			r1 := min(r0+lstmJobRows, G)
 			jobs = append(jobs, func() {
 				for _, c := range g.chunks[:nc()] {
-					tape(c).GradSegments().FoldRows(cell.W.Grad, cell.B.Grad, r0, r1)
+					tape(c).FoldGrads(r0, r1)
 				}
 			})
 		}
