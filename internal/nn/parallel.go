@@ -69,75 +69,3 @@ func ParallelForWorker(n, workers int, fn func(w, i int)) {
 	}
 	run(0)
 }
-
-// Team runs a sequence of parallel regions on the same goroutines.
-// ParallelForWorker starts its goroutines per call, and a parked
-// thread takes tens of microseconds to wake, which a region of a
-// millisecond or less pays every time; a team's workers stay on their
-// threads between regions, yielding (runtime.Gosched) while they wait,
-// so a caller that runs many short regions in a row — a training step's
-// passes and reductions — pays that once. Start one with NewTeam, run
-// regions with Run from the one goroutine that made it, and Stop it
-// when the sequence ends: its workers spin until then.
-type Team struct {
-	workers int
-	fn      func(w int)
-	gen     atomic.Int64 // regions posted; a worker runs fn once per increment
-	done    atomic.Int64 // workers past the region in flight
-	stop    atomic.Bool
-	wg      sync.WaitGroup
-}
-
-// NewTeam starts workers-1 goroutines (workers <= 0 selects
-// runtime.NumCPU()); the caller is worker 0.
-func NewTeam(workers int) *Team {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	t := &Team{workers: workers}
-	for w := 1; w < workers; w++ {
-		t.wg.Add(1)
-		go t.work(w)
-	}
-	return t
-}
-
-func (t *Team) work(w int) {
-	defer t.wg.Done()
-	for seen := int64(0); ; {
-		for t.gen.Load() == seen {
-			if t.stop.Load() {
-				return
-			}
-			runtime.Gosched()
-		}
-		seen++
-		t.fn(w)
-		t.done.Add(1)
-	}
-}
-
-// Run runs fn(w) once on every worker w of the team, fn(0) on the
-// calling goroutine, and returns when all have returned. fn must confine
-// each worker's writes to state that worker owns, as ParallelForWorker's
-// does.
-func (t *Team) Run(fn func(w int)) {
-	if t.workers == 1 {
-		fn(0)
-		return
-	}
-	t.fn = fn
-	t.done.Store(0)
-	t.gen.Add(1)
-	fn(0)
-	for t.done.Load() < int64(t.workers-1) {
-		runtime.Gosched()
-	}
-}
-
-// Stop ends the team's goroutines once they are idle; Run must not be
-// called after it.
-func (t *Team) Stop() {
-	t.stop.Store(true)
-	t.wg.Wait()
-}

@@ -118,32 +118,3 @@ func TestParallelForWorkerPanicWaitsForWorkers(t *testing.T) {
 		t.Fatalf("%d items done when the panic reached the caller, want %d", got, n-1)
 	}
 }
-
-// TestTeamRunsEachRegionOnEveryWorker: every region runs once on every
-// worker, the caller's goroutine as worker 0, and Run returns only when
-// all have finished it, so what a region wrote is there for the next;
-// Stop returns once the workers have exited.
-func TestTeamRunsEachRegionOnEveryWorker(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		team := NewTeam(workers)
-		caller := goroutineID(t)
-		last := make([]int, workers)
-		for region := 1; region <= 200; region++ {
-			team.Run(func(w int) {
-				if last[w] != region-1 {
-					t.Errorf("workers=%d: worker %d ran region %d after %d", workers, w, region, last[w])
-				}
-				if w == 0 && goroutineID(t) != caller {
-					t.Errorf("workers=%d: worker 0 is not the caller", workers)
-				}
-				last[w] = region
-			})
-			for w, r := range last {
-				if r != region {
-					t.Fatalf("workers=%d: Run returned before worker %d ran region %d", workers, w, region)
-				}
-			}
-		}
-		team.Stop()
-	}
-}

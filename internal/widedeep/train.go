@@ -1,7 +1,6 @@
 package widedeep
 
 import (
-	"sync/atomic"
 	"time"
 
 	"autoview/internal/featenc"
@@ -58,9 +57,7 @@ const (
 //
 // A chunk keeps its tapes (its LSTM tapes' and token tape's buffers, its
 // arena) from one batch to the next, so they grow to the largest batch
-// and a warm fit allocates little; they belong to the fit. The workers
-// are a team started per step (nn.Team), which keeps them on their
-// threads across the step's five parallel regions.
+// and a warm fit allocates little; they belong to the fit.
 //
 // Backpropagation is linear in the upstream gradient, so the result
 // equals the per-pair gradient (Model.forward on every sample) up to
@@ -87,9 +84,8 @@ type batchGrad struct {
 	schema         nn.Vec
 
 	chunks []*chunk
-	team   *nn.Team // the step's workers, one per chunk; nil when serial
-	nOpC   int      // chunks holding operators in the batch in flight
-	nPairC int      // chunks holding pairs
+	nOpC   int // chunks holding operators in the batch in flight
+	nPairC int // chunks holding pairs
 
 	// The weights transposed, per step: LSTM1's and LSTM2's for their
 	// gates, FC1–FC6's for the input gradients.
@@ -282,10 +278,6 @@ func opGradsOf(e *featenc.Encoder) opGrads {
 // squared errors.
 func (g *batchGrad) step(batch []int) float64 {
 	g.batch = batch
-	if g.par > 1 {
-		g.team = nn.NewTeam(g.par)
-		defer func() { g.team.Stop(); g.team = nil }()
-	}
 	uses := 0
 	g.distinct = g.distinct[:0]
 	for _, si := range batch {
@@ -414,31 +406,12 @@ func split(chunks []*chunk, n int, weight func(i int) int, set func(c *chunk, lo
 
 // reduce runs jobs across the workers.
 func (g *batchGrad) reduce(jobs []func()) {
-	var next atomic.Int64
-	g.run(func(int) {
-		for j := int(next.Add(1)) - 1; j < len(jobs); j = int(next.Add(1)) - 1 {
-			jobs[j]()
-		}
-	})
+	nn.ParallelFor(len(jobs), g.par, func(j int) { jobs[j]() })
 }
 
-// eachChunk runs fn on the first n chunks, chunk w on worker w.
+// eachChunk runs fn on the first n chunks in parallel.
 func (g *batchGrad) eachChunk(n int, fn func(c *chunk)) {
-	g.run(func(w int) {
-		if w < n {
-			fn(g.chunks[w])
-		}
-	})
-}
-
-// run runs fn(w) on every worker of the step: inline on one, on the
-// step's team on more.
-func (g *batchGrad) run(fn func(w int)) {
-	if g.team == nil {
-		fn(0)
-		return
-	}
-	g.team.Run(fn)
+	nn.ParallelFor(n, n, func(w int) { fn(g.chunks[w]) })
 }
 
 // encodeOps is pass A over one chunk's operators: their tokens on the
