@@ -2,8 +2,6 @@
 
 package nn
 
-import "math"
-
 // laneAVX is whether this process runs the lane kernels in AVX — the
 // f64 ones (lanes64_amd64.s) and the f32 serving ones
 // (lanes32_amd64.s): cpuHasAVX, checked once. A CPU or OS without AVX
@@ -76,57 +74,3 @@ func foldLanes(y, x, w Vec, rows, cols, ld, lanes, rs, cs int) {
 //
 //go:noescape
 func foldLanesAVX(y, x, w Vec, rows, cols, ld, lanes, rs, cs int)
-
-// sigmoidFast is whether sigmoidLanes runs sigmoidAVX: AVX (laneAVX)
-// with FMA, the condition under which math.Exp takes the FMA path
-// sigmoidAVX reproduces, AVX2 for its integer lanes, and agreement with
-// the scalar sigmoid on probe arguments, which also catches a math.Exp
-// told to take its other path (GODEBUG=cpu.fma=off).
-var sigmoidFast = laneAVX && cpuHasFMAAVX2() && sigmoidAgrees()
-
-// sigmoidAgrees reports whether sigmoidAVX gives the scalar sigmoid's
-// bits on 256 arguments spread over a gate's range, many of which
-// math.Exp's FMA and non-FMA paths round differently.
-func sigmoidAgrees() bool {
-	v := make(Vec, 256)
-	for i := range v {
-		v[i] = float64(i-128)/7.3 + float64(i)*1e-3
-	}
-	got := append(Vec(nil), v...)
-	if sigmoidAVX(got) != len(v) {
-		return false
-	}
-	for i, x := range v {
-		if math.Float64bits(got[i]) != math.Float64bits(sigmoid(x)) {
-			return false
-		}
-	}
-	return true
-}
-
-// cpuHasFMAAVX2 reports whether the CPU has FMA and AVX2.
-func cpuHasFMAAVX2() bool
-
-// sigmoidLanes sets every v[i] to sigmoid(v[i]), four at a time in
-// sigmoidAVX where it can run, and a group it leaves (a lane math.Exp
-// sends down another path) and the tail one at a time.
-func sigmoidLanes(v Vec) {
-	i := 0
-	if sigmoidFast {
-		for n4 := len(v) &^ 3; i < n4; i += 4 {
-			i += sigmoidAVX(v[i:n4])
-			if i == n4 {
-				break
-			}
-			sigmoidGo(v[i : i+4])
-		}
-	}
-	sigmoidGo(v[i:])
-}
-
-// sigmoidAVX is sigmoidGo on YMM registers over whole groups of four,
-// stopping at the first group with a lane math.Exp computes on another
-// path; it returns the elements done.
-//
-//go:noescape
-func sigmoidAVX(v Vec) int

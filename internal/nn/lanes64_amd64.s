@@ -608,169 +608,3 @@ foldnext:
 folddone:
 	VZEROUPPER
 	RET
-
-// func cpuHasFMAAVX2() bool
-//
-// CPUID leaf 1 ECX bit 12 (FMA) and leaf 7 sub-leaf 0 EBX bit 5 (AVX2).
-// The OS's YMM support is laneAVX's check.
-TEXT ·cpuHasFMAAVX2(SB), NOSPLIT, $0-1
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x1000, CX
-	JEQ   nofma
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x20, BX
-	SETNE ret+0(FP)
-	RET
-
-nofma:
-	MOVB $0, ret+0(FP)
-	RET
-
-// The constants of sigmoidAVX, four copies each: math.Exp's (its
-// exp_amd64.s) and the sigmoid's.
-DATA sigk<>+0(SB)/8, $0x8000000000000000 // sign bit
-DATA sigk<>+8(SB)/8, $0x8000000000000000
-DATA sigk<>+16(SB)/8, $0x8000000000000000
-DATA sigk<>+24(SB)/8, $0x8000000000000000
-DATA sigk<>+32(SB)/8, $7.09782712893384e+02 // Overflow
-DATA sigk<>+40(SB)/8, $7.09782712893384e+02
-DATA sigk<>+48(SB)/8, $7.09782712893384e+02
-DATA sigk<>+56(SB)/8, $7.09782712893384e+02
-DATA sigk<>+64(SB)/8, $1.4426950408889634073599246810018920 // LOG2E
-DATA sigk<>+72(SB)/8, $1.4426950408889634073599246810018920
-DATA sigk<>+80(SB)/8, $1.4426950408889634073599246810018920
-DATA sigk<>+88(SB)/8, $1.4426950408889634073599246810018920
-DATA sigk<>+96(SB)/8, $-1023.0
-DATA sigk<>+104(SB)/8, $-1023.0
-DATA sigk<>+112(SB)/8, $-1023.0
-DATA sigk<>+120(SB)/8, $-1023.0
-DATA sigk<>+128(SB)/8, $1024.0
-DATA sigk<>+136(SB)/8, $1024.0
-DATA sigk<>+144(SB)/8, $1024.0
-DATA sigk<>+152(SB)/8, $1024.0
-DATA sigk<>+160(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
-DATA sigk<>+168(SB)/8, $0.69314718055966295651160180568695068359375
-DATA sigk<>+176(SB)/8, $0.69314718055966295651160180568695068359375
-DATA sigk<>+184(SB)/8, $0.69314718055966295651160180568695068359375
-DATA sigk<>+192(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
-DATA sigk<>+200(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
-DATA sigk<>+208(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
-DATA sigk<>+216(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
-DATA sigk<>+224(SB)/8, $0.0625
-DATA sigk<>+232(SB)/8, $0.0625
-DATA sigk<>+240(SB)/8, $0.0625
-DATA sigk<>+248(SB)/8, $0.0625
-DATA sigk<>+256(SB)/8, $2.4801587301587301587e-5
-DATA sigk<>+264(SB)/8, $2.4801587301587301587e-5
-DATA sigk<>+272(SB)/8, $2.4801587301587301587e-5
-DATA sigk<>+280(SB)/8, $2.4801587301587301587e-5
-DATA sigk<>+288(SB)/8, $1.9841269841269841270e-4
-DATA sigk<>+296(SB)/8, $1.9841269841269841270e-4
-DATA sigk<>+304(SB)/8, $1.9841269841269841270e-4
-DATA sigk<>+312(SB)/8, $1.9841269841269841270e-4
-DATA sigk<>+320(SB)/8, $1.3888888888888888889e-3
-DATA sigk<>+328(SB)/8, $1.3888888888888888889e-3
-DATA sigk<>+336(SB)/8, $1.3888888888888888889e-3
-DATA sigk<>+344(SB)/8, $1.3888888888888888889e-3
-DATA sigk<>+352(SB)/8, $8.3333333333333333333e-3
-DATA sigk<>+360(SB)/8, $8.3333333333333333333e-3
-DATA sigk<>+368(SB)/8, $8.3333333333333333333e-3
-DATA sigk<>+376(SB)/8, $8.3333333333333333333e-3
-DATA sigk<>+384(SB)/8, $4.1666666666666666667e-2
-DATA sigk<>+392(SB)/8, $4.1666666666666666667e-2
-DATA sigk<>+400(SB)/8, $4.1666666666666666667e-2
-DATA sigk<>+408(SB)/8, $4.1666666666666666667e-2
-DATA sigk<>+416(SB)/8, $1.6666666666666666667e-1
-DATA sigk<>+424(SB)/8, $1.6666666666666666667e-1
-DATA sigk<>+432(SB)/8, $1.6666666666666666667e-1
-DATA sigk<>+440(SB)/8, $1.6666666666666666667e-1
-DATA sigk<>+448(SB)/8, $0.5
-DATA sigk<>+456(SB)/8, $0.5
-DATA sigk<>+464(SB)/8, $0.5
-DATA sigk<>+472(SB)/8, $0.5
-DATA sigk<>+480(SB)/8, $1.0
-DATA sigk<>+488(SB)/8, $1.0
-DATA sigk<>+496(SB)/8, $1.0
-DATA sigk<>+504(SB)/8, $1.0
-DATA sigk<>+512(SB)/8, $2.0
-DATA sigk<>+520(SB)/8, $2.0
-DATA sigk<>+528(SB)/8, $2.0
-DATA sigk<>+536(SB)/8, $2.0
-DATA sigk<>+544(SB)/8, $0x3ff // exponent bias, as int64
-DATA sigk<>+552(SB)/8, $0x3ff
-DATA sigk<>+560(SB)/8, $0x3ff
-DATA sigk<>+568(SB)/8, $0x3ff
-GLOBL sigk<>(SB), RODATA, $576
-
-// func sigmoidAVX(v Vec) int
-//
-// sigmoid on four lanes at a time, in place: 1/(1+e) with e math.Exp(-x)
-// as math's exp_amd64.s computes it on a CPU with FMA — the same
-// reduction by LN2U and LN2L (VFNMADD231), the same Taylor polynomial
-// (VFMADD213) and squarings, the same 2^k scaling — so every lane has
-// its scalar bits. A group holding a lane that Exp sends down another
-// path (not finite, past Overflow, a result outside the normal range)
-// is left as it is, and the count of elements done, a multiple of four,
-// is returned at it. Y0 the argument and result, Y1 the polynomial, X2
-// and Y2 the exponent k, Y3–Y5 the masks of the other paths.
-TEXT ·sigmoidAVX(SB), NOSPLIT, $0-32
-	MOVQ v_base+0(FP), SI
-	MOVQ v_len+8(FP), CX
-	XORQ AX, AX
-
-sigloop:
-	LEAQ        4(AX), DX
-	CMPQ        DX, CX
-	JGT         sigdone
-	VMOVUPD     (SI)(AX*8), Y0
-	VXORPD      sigk<>+0(SB), Y0, Y0
-	VCMPPD      $6, sigk<>+32(SB), Y0, Y3
-	VMULPD      sigk<>+64(SB), Y0, Y1
-	VCVTPD2DQY  Y1, X2
-	VCVTDQ2PD   X2, Y1
-	VCMPPD      $2, sigk<>+96(SB), Y1, Y4
-	VCMPPD      $13, sigk<>+128(SB), Y1, Y5
-	VORPD       Y3, Y4, Y4
-	VORPD       Y4, Y5, Y5
-	VMOVMSKPD   Y5, DX
-	TESTQ       DX, DX
-	JNE         sigdone
-	VFNMADD231PD sigk<>+160(SB), Y1, Y0
-	VFNMADD231PD sigk<>+192(SB), Y1, Y0
-	VMULPD      sigk<>+224(SB), Y0, Y0
-	VMOVUPD     sigk<>+256(SB), Y1
-	VFMADD213PD sigk<>+288(SB), Y0, Y1
-	VFMADD213PD sigk<>+320(SB), Y0, Y1
-	VFMADD213PD sigk<>+352(SB), Y0, Y1
-	VFMADD213PD sigk<>+384(SB), Y0, Y1
-	VFMADD213PD sigk<>+416(SB), Y0, Y1
-	VFMADD213PD sigk<>+448(SB), Y0, Y1
-	VFMADD213PD sigk<>+480(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      sigk<>+512(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      sigk<>+512(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      sigk<>+512(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      sigk<>+512(SB), Y0, Y1
-	VFMADD213PD sigk<>+480(SB), Y1, Y0
-	VPMOVSXDQ   X2, Y2
-	VPADDQ      sigk<>+544(SB), Y2, Y2
-	VPSLLQ      $52, Y2, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      sigk<>+480(SB), Y0, Y0
-	VMOVUPD     sigk<>+480(SB), Y1
-	VDIVPD      Y0, Y1, Y0
-	VMOVUPD     Y0, (SI)(AX*8)
-	ADDQ        $4, AX
-	JMP         sigloop
-
-sigdone:
-	MOVQ       AX, ret+24(FP)
-	VZEROUPPER
-	RET

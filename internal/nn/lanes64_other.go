@@ -22,6 +22,3 @@ func accLanes(y, x, w Vec, cols, ld, lanes int) {
 func foldLanes(y, x, w Vec, rows, cols, ld, lanes, rs, cs int) {
 	foldLanesGo(y, x, w, rows, cols, ld, lanes, rs, cs)
 }
-
-// sigmoidLanes runs the portable loop where there is no assembly one.
-func sigmoidLanes(v Vec) { sigmoidGo(v) }

@@ -12,8 +12,8 @@ import (
 // LSTM over many sequences, sample-major, its products on mulAddLanes.
 // Each element of a forward runs exactly the chain Forward runs for its
 // sample — InferInto's: the bias, then one term per input column in
-// order — and the activations are the same scalar expressions (or
-// sigmoidLanes, which gives their bits); a backward gives each sample's
+// order — and the activations are the same scalar expressions; a
+// backward gives each sample's
 // input gradient by mulAddLanes, whose element chain is the one Linear's
 // and LSTM's backward build: from +0, one term per output row in row
 // order. (Linear's backward skips a row whose gradient is zero; its
@@ -253,10 +253,11 @@ func (t *LSTMLanes) Forward(c *LSTMCell, wt Vec, xs [][]Vec) {
 			if step > 0 {
 				cp = cPrev[p*H:][:H]
 			}
-			sigmoidLanes(g[:2*H]) // i and f
-			sigmoidLanes(gov)
 			for j := range gi {
+				gi[j] = sigmoid(gi[j])
+				gf[j] = sigmoid(gf[j])
 				gg[j] = math.Tanh(gg[j])
+				gov[j] = sigmoid(gov[j])
 				var prev float64 // c_0 = +0
 				if cp != nil {
 					prev = cp[j]

@@ -334,43 +334,3 @@ func TestMulAddSegmentParity(t *testing.T) {
 		}
 	}
 }
-
-// TestSigmoidLanesParity holds sigmoidLanes to the scalar sigmoid (and
-// so to math.Exp) bit for bit: on random arguments across the range an
-// LSTM gate sees, on arguments around every threshold where math.Exp
-// changes path (overflow, subnormal and zero results), on ±0, ±Inf,
-// NaN and subnormal arguments, with such lanes at every position of a
-// group of four and in the tail.
-func TestSigmoidLanesParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	edges := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -1e-310,
-		709.78, -709.78, 709.79, -709.79, 708.39, -708.39, 708.4, -708.4, 745.13, -745.13, 745.14, -745.14,
-		744, -744, 720, -720, 1000, -1000, 1e300, -1e300, 36.7, -36.7, 37, -37}
-	var xs Vec
-	for i := 0; i < 20000; i++ {
-		switch i % 4 {
-		case 0:
-			xs = append(xs, rng.NormFloat64()*3)
-		case 1:
-			xs = append(xs, rng.NormFloat64()*40)
-		case 2:
-			xs = append(xs, (rng.Float64()*2-1)*800)
-		default:
-			xs = append(xs, edges[rng.Intn(len(edges))])
-		}
-	}
-	xs = append(xs, edges...)
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 31, len(xs)} {
-		for off := 0; off < 4 && off+n <= len(xs); off++ {
-			got := append(Vec(nil), xs[off:off+n]...)
-			sigmoidLanes(got)
-			for i, x := range xs[off : off+n] {
-				want := sigmoid(x)
-				if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
-					t.Fatalf("n %d off %d: sigmoidLanes(%v) = %v (%#x), sigmoid %v (%#x)", n, off, x, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
-				}
-			}
-		}
-	}
-}

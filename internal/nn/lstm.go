@@ -46,14 +46,6 @@ func (c *LSTMCell) ShareWeights() *LSTMCell {
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// sigmoidGo sets every v[i] to sigmoid(v[i]): sigmoidLanes' portable
-// loop.
-func sigmoidGo(v Vec) {
-	for i, x := range v {
-		v[i] = sigmoid(x)
-	}
-}
-
 // LSTM runs a cell over a sequence and exposes the final hidden state —
 // the fixed-length encoding the paper's LSTM1/LSTM2 produce.
 type LSTM struct {
