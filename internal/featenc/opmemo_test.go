@@ -3,8 +3,6 @@ package featenc
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
@@ -12,6 +10,7 @@ import (
 	"autoview/internal/catalog"
 	"autoview/internal/nn"
 	"autoview/internal/plan"
+	"autoview/internal/testutil"
 )
 
 // memoConfigs are the four encoder configurations: the full W-D
@@ -225,12 +224,12 @@ func TestInferOpMemoAllocs(t *testing.T) {
 		p.m.InferOp(dst, op, a)
 	}
 	const runs, warm = 100, 3
-	novel := make([][]plan.Tok, warm+1+runs) // mallocs makes one more call
+	novel := make([][]plan.Tok, warm+1+runs) // Mallocs makes one more call
 	for i := range novel {
 		novel[i] = filterOp("'pen'", "'1010'", strconv.Itoa(1000+i))
 	}
 	var last OpReuse
-	if n := mallocs(runs, func() {
+	if n := testutil.Mallocs(runs, func() {
 		a.Reset()
 		last, _ = p.m.InferOp(dst, op, a)
 	}); n != 0 || last != OpMemoized {
@@ -248,26 +247,7 @@ func TestInferOpMemoAllocs(t *testing.T) {
 	for next < warm {
 		resume()
 	}
-	if n := mallocs(runs, resume); n != 0 || last != OpResumed {
+	if n := testutil.Mallocs(runs, resume); n != 0 || last != OpResumed {
 		t.Fatalf("a warm resume (reuse %d) allocates %d objects over %d calls, want 0", last, n, runs)
 	}
-}
-
-// mallocs returns how many heap objects runs calls of f allocate in
-// total, after one more call that is not counted, on one P as
-// testing.AllocsPerRun measures them — but not averaged into an
-// integer, which reads an occasional allocation as 0 — and with the
-// collector off, whose cycles empty the sync.Pools that hold warm
-// scratch.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }

@@ -19,6 +19,7 @@ var keptWithoutCaller = map[string]string{
 	"autoview/internal/rewrite.Manager.Views":           "the site TestReintroducedBugs proves maporder against",
 	"autoview/internal/nn.AlmostEqual":                  "tolerance helper shared by several packages' tests",
 	"autoview/internal/nn.ULPDiff32":                    "ULP-distance helper shared by several packages' tests",
+	"autoview/internal/testutil.Mallocs":                "allocation counter shared by several packages' zero-allocation gates",
 	"autoview/internal/widedeep.Model.PredictReference": "the f64 oracle the served f32 forward is checked against",
 	"autoview/internal/storage.Table.Append":            "the arity-checked way tests build fixture tables",
 	"autoview/internal/obs.Counter.Name":                "tests read metrics through it",

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +16,7 @@ import (
 	"autoview/internal/featenc"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
+	"autoview/internal/testutil"
 	"autoview/internal/widedeep"
 )
 
@@ -198,8 +197,8 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 	// summed over the runs: no pair allocates, not even now and then.
 	predict(large, outLarge)
 	predict(small, outSmall)
-	aSmall := mallocs(runs, func() { predict(small, outSmall) })
-	aLarge := mallocs(runs, func() { predict(large, outLarge) })
+	aSmall := testutil.Mallocs(runs, func() { predict(small, outSmall) })
+	aLarge := testutil.Mallocs(runs, func() { predict(large, outLarge) })
 	if aLarge != aSmall {
 		t.Fatalf("PredictBatch in the slot allocates per pair: %d objects over %d batches of 32, %d over batches of 1", aLarge, runs, aSmall)
 	}
@@ -258,9 +257,9 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 	warmTexts(t, srv, texts, func() { handle(many) }) // admit every text to the text cache
 	handle(one)
 	textHits, planHits := obsTextCacheHit.Value(), obsPlanCacheHit.Value()
-	hSmall := mallocs(runs, func() { handle(one) })
-	hLarge := mallocs(runs, func() { handle(many) })
-	// Two texts a pair, over mallocs' uncounted call and its runs.
+	hSmall := testutil.Mallocs(runs, func() { handle(one) })
+	hLarge := testutil.Mallocs(runs, func() { handle(many) })
+	// Two texts a pair, over Mallocs' uncounted call and its runs.
 	probes := int64(2 * (runs + 1) * (1 + len(large)))
 	if got := obsTextCacheHit.Value() - textHits; got != probes {
 		t.Fatalf("%d text-cache hits over %d texts sent", got, probes)
@@ -278,23 +277,4 @@ func TestEstimateMissPathAllocs(t *testing.T) {
 		t.Fatalf("plan-hit /v1/estimate = %d allocs over %d requests, want <= %d each", hSmall, runs, planHitBudget)
 	}
 	t.Logf("slot + PredictBatch: %d allocs per %d batches; miss-path handler: %d allocs per %d requests", aSmall, runs, hSmall, runs)
-}
-
-// mallocs returns how many heap objects runs calls of f allocate in
-// total, after one more call that is not counted, on one P as
-// testing.AllocsPerRun measures them — but not averaged into an
-// integer, which reads an occasional allocation as 0 — and with the
-// collector off, whose cycles empty the sync.Pools that hold warm
-// scratch.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }

@@ -2,8 +2,6 @@ package widedeep
 
 import (
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"testing"
@@ -12,6 +10,7 @@ import (
 	"autoview/internal/nn"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
+	"autoview/internal/testutil"
 )
 
 // disableObs pins the global obs registry off for one test: an enabled
@@ -151,7 +150,7 @@ func TestPredictBatchBitIdenticalAcrossParallelism(t *testing.T) {
 			}
 			check(t, m, fs)
 
-			m = fittedModel(enc, shared)
+			m = fittedModel(Config{Encoder: enc}, shared)
 			fs = fs[:0]
 			for _, s := range shared {
 				fs = append(fs, s.F)
@@ -172,7 +171,7 @@ func TestPredictBatchBitIdenticalAcrossParallelism(t *testing.T) {
 // Predict moves none of them.
 func TestPredictBatchCountsOperatorSharing(t *testing.T) {
 	samples := sharedOpSamples()
-	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, samples)
+	m := fittedModel(Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 3}}, samples)
 	fs := make([]featenc.Features, 4)
 	for i := range fs {
 		fs[i] = samples[i].F
@@ -298,29 +297,10 @@ func TestPredictZeroAlloc(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sink = m.Predict(f)
 	}
-	if n := mallocs(200, func() { sink = m.Predict(f) }); n != 0 {
+	if n := testutil.Mallocs(200, func() { sink = m.Predict(f) }); n != 0 {
 		t.Fatalf("steady-state Predict allocates %d objects over 200 calls, want 0", n)
 	}
 	_ = sink
-}
-
-// mallocs returns how many heap objects runs calls of f allocate in
-// total, after one more call that is not counted, on one P as
-// testing.AllocsPerRun measures them — but not averaged into an
-// integer, which reads an occasional allocation as 0 — and with the
-// collector off, whose cycles empty the sync.Pools that hold warm
-// scratch.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }
 
 // TestPredictBatchAllocsBatchSizeIndependent pins the serial batch
@@ -364,7 +344,7 @@ func TestPredictBatchAllocsIndependentOfOperatorUses(t *testing.T) {
 	}
 	disableObs(t)
 	base := sharedOpSamples()
-	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, base)
+	m := fittedModel(Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 3}}, base)
 	ops := base[0].F.QueryPlan[:3]
 	long := make([][]plan.Tok, 0, 24)
 	for len(long) < 24 {

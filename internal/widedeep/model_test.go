@@ -198,7 +198,7 @@ func TestFitParallelismDeterminism(t *testing.T) {
 
 // TestFitGoldenBits pins what TestFitParallelismDeterminism cannot: a
 // change that moved every weight the same way at every Parallelism
-// would pass that test. Each encoder variant is trained in two
+// would pass that test. Each encoder variant is trained in five
 // configurations, and an FNV-64a hash of its loss trace and every
 // fitted weight (parameter names included) must equal the hash pinned
 // for it at Parallelism 1, 2, 3 and 8. "synthetic" is that test's
@@ -206,9 +206,10 @@ func TestFitParallelismDeterminism(t *testing.T) {
 // each operator's forward twice; "wk1" — 29 seeded WK1 pairs, plans of
 // up to 12 operators, and one pair without a view plan, in batches of 13
 // (13, 13, 4: no batch a whole number of 8-lane blocks) at odd layer
-// widths, and "wk1-serving", the same at the served model's widths —
-// were pinned on the per-pair pass B and token-passed pass C folds
-// before the batched passes replaced them.
+// widths, "wk1-serving", the same at the served model's widths, and
+// "wk1-wide" and "wk1-deep", the odd widths under the WideOnly and
+// DeepOnly heads — were pinned on the per-pair pass B and token-passed
+// pass C folds before the batched passes replaced them.
 func TestFitGoldenBits(t *testing.T) {
 	golden := map[string]string{
 		"W-D/synthetic":     "fb6b0dad5415d1e9",
@@ -223,6 +224,14 @@ func TestFitGoldenBits(t *testing.T) {
 		"N-Kw/wk1-serving":  "5820d9fb7f02603f",
 		"N-Str/wk1-serving": "5e54695bdbef8cae",
 		"N-Exp/wk1-serving": "2857a663f1470f42",
+		"W-D/wk1-wide":      "9dc17bccb9401088",
+		"N-Kw/wk1-wide":     "c4847e95a3158d9c",
+		"N-Str/wk1-wide":    "4280fb9a23d1046e",
+		"N-Exp/wk1-wide":    "c56c1425226f89d6",
+		"W-D/wk1-deep":      "12515cafbcbb74e1",
+		"N-Kw/wk1-deep":     "b3533075ce0d8e39",
+		"N-Str/wk1-deep":    "da0e038f0f633e50",
+		"N-Exp/wk1-deep":    "bc00c96a8017d4b9",
 	}
 	cat := testCatalog(t)
 	synthetic := syntheticSamples(t, cat, 21)
@@ -230,6 +239,8 @@ func TestFitGoldenBits(t *testing.T) {
 	wk1Samples = append(wk1Samples, wk1Samples[0])
 	wk1Samples[len(wk1Samples)-1].F.ViewPlan = nil
 	w := wk1()
+	wideOnly, deepOnly := oddShapes, oddShapes
+	wideOnly.WideOnly, deepOnly.DeepOnly = true, true
 	for _, c := range []struct {
 		name    string
 		vocab   *featenc.Vocab
@@ -244,6 +255,10 @@ func TestFitGoldenBits(t *testing.T) {
 			oddShapes, TrainConfig{Epochs: 3, BatchSize: 13, Seed: 7}},
 		{"wk1-serving", featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans())), wk1Samples,
 			servingShapes, TrainConfig{Epochs: 3, BatchSize: 13, Seed: 7}},
+		{"wk1-wide", featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans())), wk1Samples,
+			wideOnly, TrainConfig{Epochs: 3, BatchSize: 13, Seed: 7}},
+		{"wk1-deep", featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans())), wk1Samples,
+			deepOnly, TrainConfig{Epochs: 3, BatchSize: 13, Seed: 7}},
 	} {
 		for name, enc := range Variants() {
 			cfg := c.cfg

@@ -72,9 +72,13 @@ func sharedOpSamples() []Sample {
 	}
 }
 
-func fittedModel(enc featenc.Config, samples []Sample) *Model {
+// fittedModel builds a small model of cfg's encoder and head (WideOnly,
+// DeepOnly) over the pool's vocabulary, fitted to samples' numerics and
+// targets.
+func fittedModel(cfg Config, samples []Sample) *Model {
 	vocab := featenc.NewVocabFromWords([]string{"<unk>", "scan", "filter", "join", "user_memo", "user_action", "user_id", "dt", "memo", "memo_type", "=", "and"})
-	m := New(vocab, Config{Encoder: enc, WideDim: 3, DeepHidden: 5, RegHidden: 4}, rand.New(rand.NewSource(23)))
+	cfg.WideDim, cfg.DeepHidden, cfg.RegHidden = 3, 5, 4
+	m := New(vocab, cfg, rand.New(rand.NewSource(23)))
 	numerics := make([][]float64, len(samples))
 	for i, s := range samples {
 		numerics[i] = s.F.Numeric
@@ -86,9 +90,10 @@ func fittedModel(enc featenc.Config, samples []Sample) *Model {
 
 // TestBatchGradMatchesPerPairOracle holds the three-pass batch gradient
 // to the per-pair pass it replaced, on every parameter of all four
-// encoder variants: a full batch, a one-pair batch, the short batch an
-// epoch ends on, and batches around the pair with no view plan. The two
-// differ only in how the per-use terms of an operator's gradient are
+// encoder variants under the paper's head and the WideOnly and DeepOnly
+// ablations: a full batch, a one-pair batch, the short batch an epoch
+// ends on, and batches around the pair with no view plan. The two differ
+// only in how the per-use terms of an operator's gradient are
 // associated, so they agree to rounding.
 func TestBatchGradMatchesPerPairOracle(t *testing.T) {
 	samples := sharedOpSamples()
@@ -99,39 +104,45 @@ func TestBatchGradMatchesPerPairOracle(t *testing.T) {
 		{5, 6},
 		{6, 2, 4, 0},
 	}
-	for name, enc := range Variants() {
-		enc.EmbedDim, enc.Hidden = 4, 3
-		for _, par := range []int{1, 3} {
-			m := fittedModel(enc, samples)
-			g := m.newBatchGrad(samples, par)
-			for _, batch := range batches {
-				wantLoss := perPairGrad(m, samples, batch)
-				var want [][]float64
-				for _, p := range m.Params() {
-					want = append(want, append([]float64(nil), p.Grad...))
-				}
-				// Garbage in the canonical gradients must not survive.
-				for _, p := range m.Params() {
-					for i := range p.Grad {
-						p.Grad[i] = 1e9
+	for _, head := range []struct {
+		name               string
+		wideOnly, deepOnly bool
+	}{{"", false, false}, {"/WideOnly", true, false}, {"/DeepOnly", false, true}} {
+		for variant, enc := range Variants() {
+			enc.EmbedDim, enc.Hidden = 4, 3
+			name := variant + head.name
+			for _, par := range []int{1, 3} {
+				m := fittedModel(Config{Encoder: enc, WideOnly: head.wideOnly, DeepOnly: head.deepOnly}, samples)
+				g := m.newBatchGrad(samples, par)
+				for _, batch := range batches {
+					wantLoss := perPairGrad(m, samples, batch)
+					var want [][]float64
+					for _, p := range m.Params() {
+						want = append(want, append([]float64(nil), p.Grad...))
 					}
-				}
-				gotLoss := g.step(batch)
-				if math.Abs(gotLoss-wantLoss) > 1e-12*(1+wantLoss) {
-					t.Errorf("%s P=%d batch %v: loss %.17g, per-pair %.17g", name, par, batch, gotLoss, wantLoss)
-				}
-				nonzero := 0
-				for pi, p := range m.Params() {
-					for i, got := range p.Grad {
-						if w := want[pi][i]; math.Abs(got-w) > 1e-9*math.Abs(w)+1e-15 {
-							t.Errorf("%s P=%d batch %v: %s grad[%d] = %.17g, per-pair %.17g", name, par, batch, p, i, got, w)
-						} else if w != 0 {
-							nonzero++
+					// Garbage in the canonical gradients must not survive.
+					for _, p := range m.Params() {
+						for i := range p.Grad {
+							p.Grad[i] = 1e9
 						}
 					}
-				}
-				if nonzero == 0 {
-					t.Errorf("%s batch %v: oracle gradient is all zero", name, batch)
+					gotLoss := g.step(batch)
+					if math.Abs(gotLoss-wantLoss) > 1e-12*(1+wantLoss) {
+						t.Errorf("%s P=%d batch %v: loss %.17g, per-pair %.17g", name, par, batch, gotLoss, wantLoss)
+					}
+					nonzero := 0
+					for pi, p := range m.Params() {
+						for i, got := range p.Grad {
+							if w := want[pi][i]; math.Abs(got-w) > 1e-9*math.Abs(w)+1e-15 {
+								t.Errorf("%s P=%d batch %v: %s grad[%d] = %.17g, per-pair %.17g", name, par, batch, p, i, got, w)
+							} else if w != 0 {
+								nonzero++
+							}
+						}
+					}
+					if nonzero == 0 {
+						t.Errorf("%s batch %v: oracle gradient is all zero", name, batch)
+					}
 				}
 			}
 		}
@@ -142,7 +153,7 @@ func TestBatchGradMatchesPerPairOracle(t *testing.T) {
 // whose sharing is known: 23 operator uses over 5 distinct operators.
 func TestBatchGradCountsOperatorSharing(t *testing.T) {
 	samples := sharedOpSamples()
-	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, samples)
+	m := fittedModel(Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 3}}, samples)
 	g := m.newBatchGrad(samples, 1)
 	if len(g.seqs) != 5 {
 		t.Fatalf("interned %d operators, want 5", len(g.seqs))
@@ -214,7 +225,7 @@ func operatorUseBatchGrad() *batchGrad {
 		s.F.QueryPlan, s.F.ViewPlan = long, long[:7]
 		samples = append(samples, s)
 	}
-	m := fittedModel(featenc.Config{EmbedDim: 4, Hidden: 3}, samples)
+	m := fittedModel(Config{Encoder: featenc.Config{EmbedDim: 4, Hidden: 3}}, samples)
 	return m.newBatchGrad(samples, 1)
 }
 
