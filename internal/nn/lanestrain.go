@@ -13,10 +13,9 @@ import (
 // Each element of a forward runs exactly the chain Forward runs for its
 // sample — InferInto's: the bias, then one term per input column in
 // order — and the activations are the same scalar expressions; a
-// backward gives each sample's
-// input gradient by mulAddLanes, whose element chain is the one Linear's
-// and LSTM's backward build: from +0, one term per output row in row
-// order. (Linear's backward skips a row whose gradient is zero; its
+// backward gives each sample's input gradient by mulAddLanes, whose
+// element chain is the one Linear's and LSTM's backward build: from +0,
+// one term per output row in row order. (Linear's backward skips a row whose gradient is zero; its
 // terms g·w are then ±0 for a finite w, and a chain that starts at +0
 // is never -0, so adding them changes nothing.)
 //
