@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-portable examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-fit bench-e2e bench-e2e-test loc vet lint check-bce
+.PHONY: build test test-portable examples-smoke test-race test-race-full test-alloc test-crash fuzz-smoke tournament-smoke bench-obs bench-fit bench-meter bench-e2e bench-e2e-test loc vet lint check-bce
 
 build:
 	$(GO) build ./...
@@ -59,7 +59,10 @@ examples-smoke:
 # and shift the probe runs under it, and novel estimates, whose operators
 # resume from the f32 mirror's LSTM1 memo, answer what the model their
 # model_version names answers while reloads drop the memo with its
-# mirror. The featenc line races encoders on one mirror's LSTM1 memo
+# mirror. The core line meters every single-view pair of JOB with
+# BuildProblem's measurements fanned out over GOMAXPROCS workers and
+# holds each usage composed from its query's trace to the executed one.
+# The featenc line races encoders on one mirror's LSTM1 memo
 # (admissions, puts and evictions) and holds every operator vector to
 # a memo-less mirror's bits. The durable line races
 # four appenders against Sync, WriteSnapshot, the FsyncInterval timer
@@ -69,6 +72,7 @@ examples-smoke:
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload|TestCacheRacingHitsReturnTheirValue|TestOpMemoRacesReload' ./internal/serve/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestComposedPairsMatchExecution' ./internal/core/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestInferOpMemo' ./internal/featenc/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestSegmentsFold|TestLSTMLanes|TestDenseLanes|TestMulAddSegment' ./internal/nn/
@@ -139,8 +143,11 @@ test-crash:
 # slice, the template re-bind (a known template's features re-bound to
 # other literals equal a fresh parse's), the memoized operator encoder
 # (every vector a memo-less mirror's bits, in all four encoder
-# configurations, also with every prefix hashed to 0), the WAL record
-# decoder, and the tournament spec parser (seeds + 10s of mutation per target).
+# configurations, also with every prefix hashed to 0), the engine's
+# compiled filter predicate (the same answer and comparison count as
+# Pred.Eval on mixed-kind rows with ±0, NaN, ±Inf and integers past
+# 2^53), the WAL record decoder, and the tournament spec parser (seeds +
+# 10s of mutation per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEstimateDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzAdviseDecode -fuzztime 10s ./internal/serve/
@@ -149,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzRebind -fuzztime 10s ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzInferOpMemo -fuzztime 10s ./internal/featenc/
+	$(GO) test -run '^$$' -fuzz FuzzFilterPredicate -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzTournamentSpec -fuzztime 10s ./internal/experiments/
 
@@ -175,6 +183,15 @@ bench-obs:
 BENCHTIME ?= 5x
 bench-fit:
 	$(GO) test -bench=BenchmarkFit -benchtime=$(BENCHTIME) -run=^$$ ./internal/core/
+
+# BuildProblem over the same window (wk1's last 512 queries) under the
+# actual estimator (every pair metered, no fit), serially and on two
+# workers, with the split over its measure / materialize / pairs stages
+# and the engine executions per op (execs/op: one per query and per
+# candidate view; executed/op: pairs that could not be composed from
+# their query's trace). BENCHTIME=1x is the CI smoke.
+bench-meter:
+	$(GO) test -bench=BenchmarkBuildProblem -benchtime=$(BENCHTIME) -run=^$$ ./internal/core/
 
 # The repo's one benchmark (BENCHMARK.json, bench/README.md): every
 # workload against the real viewserverd/viewgen, three runs each.

@@ -26,7 +26,8 @@ import (
 var (
 	obsRuns          = obs.Default.Counter("core.runs", "completed Advisor.Run invocations")
 	obsQueries       = obs.Default.Counter("core.queries", "workload queries processed by BuildProblem")
-	obsPairsMeasured = obs.Default.Counter("core.pairs.measured", "(query, view) pairs measured on the engine")
+	obsPairsMeasured = obs.Default.Counter("core.pairs.measured", "(query, view) pairs whose rewritten usage was metered")
+	obsPairsExecuted = obs.Default.Counter("core.pairs.executed", "rewritten queries executed because their usage could not be composed from the query's trace")
 	obsViewsSelected = obs.Default.Gauge("core.views.selected", "views chosen by the last selection")
 	obsSavedRatio    = obs.Default.Gauge("core.saved.ratio", "saved-cost ratio r_c of the last report (%)")
 )
@@ -74,6 +75,9 @@ type Problem struct {
 	// QueryUsage[i] the metered usage it is priced from.
 	QueryCost  []float64
 	QueryUsage []engine.Usage
+	// traces[i] is the trace of that execution, which every rewrite of
+	// query i is priced from.
+	traces []*engine.Trace
 	// Model is the trained W-D model when Estimator is EstimatorWideDeep.
 	Model *widedeep.Model
 
@@ -156,22 +160,24 @@ func (a *Advisor) BuildProblem(queries []*plan.Node, pre *equiv.Result) (*Proble
 }
 
 // measureQueryCosts measures the raw cost A(q) of every workload query
-// once, fanned out like measureAll over the same read-only executor;
-// results land in query order and the lowest-indexed failure is the one
-// returned.
+// once, keeping the trace every rewrite of it is priced from, fanned out
+// like measureAll over the same read-only executor; results land in
+// query order and the lowest-indexed failure is the one returned.
 func (a *Advisor) measureQueryCosts(p *Problem, queries []*plan.Node) error {
 	pricing := a.Cfg.Pricing
 	p.QueryCost = make([]float64, len(queries))
 	p.QueryUsage = make([]engine.Usage, len(queries))
+	p.traces = make([]*engine.Trace, len(queries))
 	errs := make([]error, len(queries))
 	nn.ParallelFor(len(queries), a.Cfg.Parallelism, func(i int) {
-		u, err := a.Exec.Cost(queries[i])
+		tr, err := a.Exec.Trace(queries[i])
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		p.QueryUsage[i] = u
-		p.QueryCost[i] = u.Cost(pricing)
+		p.traces[i] = tr
+		p.QueryUsage[i] = tr.Usage
+		p.QueryCost[i] = tr.Usage.Cost(pricing)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -179,6 +185,24 @@ func (a *Advisor) measureQueryCosts(p *Problem, queries []*plan.Node) error {
 		}
 	}
 	return nil
+}
+
+// rewrittenUsage returns A(q|views) for workload query qi and how many
+// subtrees the views replaced: the query's own usage when they replace
+// none, else the usage composed from the query's trace, else — when
+// composing cannot be exact (engine.Compose) — the executed usage of the
+// rewritten plan, counted in core.pairs.executed.
+func (a *Advisor) rewrittenUsage(p *Problem, qi int, views []*rewrite.View) (engine.Usage, int, error) {
+	rw, reps := rewrite.Replace(p.Queries[qi], views)
+	if len(reps) == 0 {
+		return p.QueryUsage[qi], 0, nil
+	}
+	if u, ok := a.Exec.Compose(p.traces[qi], reps); ok {
+		return u, len(reps), nil
+	}
+	obsPairsExecuted.Inc()
+	u, err := a.Exec.Cost(rw)
+	return u, len(reps), err
 }
 
 // materializeCandidates builds every candidate view (needed to rewrite
@@ -259,12 +283,13 @@ func (p *Problem) benefitPairs() ([]pairKey, map[int]int) {
 	return pairs, assocIndex
 }
 
-// measureAll measures A(q|v) for every pair by executing the rewritten
-// queries, fanned out over Cfg.Parallelism workers (nn.ParallelFor; 0
-// selects runtime.NumCPU()). The executor only reads the store (views
-// are already materialized) and each execution carries its own meter,
-// so concurrent measurement is safe; results are returned in pair order
-// so downstream consumers stay deterministic.
+// measureAll meters A(q|v) for every pair, composing each from its
+// query's trace (rewrittenUsage), fanned out over Cfg.Parallelism workers
+// (nn.ParallelFor; 0 selects runtime.NumCPU()). A pair that cannot be
+// composed is executed; the executor only reads the store (views are
+// already materialized) and each execution carries its own meter, so
+// that is safe concurrently too. Results are returned in pair order so
+// downstream consumers stay deterministic.
 func (a *Advisor) measureAll(p *Problem, pairs []pairKey) ([]float64, error) {
 	obsPairsMeasured.Add(int64(len(pairs)))
 	costs := make([]float64, len(pairs))
@@ -273,12 +298,7 @@ func (a *Advisor) measureAll(p *Problem, pairs []pairKey) ([]float64, error) {
 
 	nn.ParallelFor(len(pairs), a.Cfg.Parallelism, func(i int) {
 		pk := pairs[i]
-		rw, n := rewrite.Rewrite(p.Queries[pk.qi], []*rewrite.View{p.Candidates[pk.j].View})
-		if n == 0 {
-			costs[i] = p.QueryCost[pk.qi]
-			return
-		}
-		u, err := a.Exec.Cost(rw)
+		u, _, err := a.rewrittenUsage(p, pk.qi, []*rewrite.View{p.Candidates[pk.j].View})
 		if err != nil {
 			errs[i] = err
 			return

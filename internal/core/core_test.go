@@ -457,9 +457,9 @@ func TestApplyPrefersOutermostView(t *testing.T) {
 }
 
 // TestApplyParallelDeterminism: Apply fans its per-query rewrite and
-// execution out over GOMAXPROCS goroutines and reduces in query order, so
-// every float of the report — hence the printed line and r_c — must be
-// the same bit pattern on one core and on four. It runs under -race
+// metering out over Cfg.Parallelism workers and reduces in query order,
+// so every float of the report — hence the printed line and r_c — must
+// be the same bit pattern on one worker and on four. It runs under -race
 // -short on purpose: Apply spawns goroutines.
 func TestApplyParallelDeterminism(t *testing.T) {
 	w := smallWK()
@@ -473,8 +473,8 @@ func TestApplyParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyAt := func(procs int) *Report {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	applyAt := func(workers int) *Report {
+		a.Cfg.Parallelism = workers
 		rep, err := a.Apply(p, sel)
 		if err != nil {
 			t.Fatal(err)
@@ -483,7 +483,7 @@ func TestApplyParallelDeterminism(t *testing.T) {
 	}
 	one, four := applyAt(1), applyAt(4)
 	if *one != *four {
-		t.Fatalf("reports differ:\nGOMAXPROCS=1 %+v\nGOMAXPROCS=4 %+v", *one, *four)
+		t.Fatalf("reports differ:\nParallelism=1 %+v\nParallelism=4 %+v", *one, *four)
 	}
 	if one.String() != four.String() {
 		t.Fatalf("report lines differ:\n%s\n%s", one, four)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"autoview/internal/engine"
 	"autoview/internal/metrics"
@@ -48,15 +47,17 @@ func (r *Report) String() string {
 }
 
 // Apply rewrites every workload query with all selected views at once,
-// executes the rewritten plans, and reports the measured end-to-end
+// meters the rewritten plans, and reports the measured end-to-end
 // savings. Which of several overlapping views serves a query is
 // rewrite.Rewrite's outermost-first rule, not a per-query Y-Opt over
-// measured benefits. Queries are rewritten and executed in parallel (the
-// executor only reads the store; each execution has its own meter) into
-// per-query slots that are summed in query order, so the report is
-// bit-identical at any GOMAXPROCS. The raw side comes from BuildProblem's
+// measured benefits. The raw side comes from BuildProblem's
 // measurements; raw queries are not executed again, and neither is a
-// query no selected view rewrites: its A(q|v) is its measured A(q).
+// query no selected view rewrites: its A(q|v) is its measured A(q). A
+// rewritten query's A(q|v) is composed from its query's trace, and
+// executed only where composing cannot be exact (rewrittenUsage). The
+// queries are rewritten on Cfg.Parallelism workers, as BuildProblem's
+// pairs are, into per-query slots that are summed in query order, so the
+// report is bit-identical at any Parallelism.
 func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 	defer obs.StartSpan("advisor.rewrite")()
 	pricing := a.Cfg.Pricing
@@ -82,14 +83,8 @@ func (a *Advisor) Apply(p *Problem, sel *Selection) (*Report, error) {
 	usage := make([]engine.Usage, len(p.Queries))
 	replaced := make([]int, len(p.Queries))
 	errs := make([]error, len(p.Queries))
-	nn.ParallelFor(len(p.Queries), runtime.GOMAXPROCS(0), func(i int) {
-		var rw *plan.Node
-		rw, replaced[i] = rewrite.Rewrite(p.Queries[i], selected)
-		if replaced[i] == 0 {
-			usage[i] = p.QueryUsage[i]
-			return
-		}
-		usage[i], errs[i] = a.Exec.Cost(rw)
+	nn.ParallelFor(len(p.Queries), a.Cfg.Parallelism, func(i int) {
+		usage[i], replaced[i], errs[i] = a.rewrittenUsage(p, i, selected)
 	})
 	for i, u := range usage {
 		if errs[i] != nil {

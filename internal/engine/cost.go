@@ -69,11 +69,15 @@ func (u Usage) TotalViewOverhead(p Pricing) float64 {
 }
 
 // meter tracks live and peak allocated bytes plus CPU operations during a
-// single execution.
+// single execution, and the trace of it: each node's entry and the live
+// bytes after every allocation.
 type meter struct {
 	ops  int64
 	cur  int64
 	peak int64
+
+	nodes []nodeTrace
+	live  []int64
 }
 
 func (m *meter) op(n int64) { m.ops += n }
@@ -83,6 +87,7 @@ func (m *meter) alloc(bytes int64) {
 	if m.cur > m.peak {
 		m.peak = m.cur
 	}
+	m.live = append(m.live, m.cur)
 }
 
 func (m *meter) free(bytes int64) { m.cur -= bytes }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"autoview/internal/catalog"
@@ -39,21 +40,11 @@ func New(store *storage.Store) *Executor { return &Executor{Store: store} }
 
 // Execute runs the plan and returns its result plus metered usage.
 func (e *Executor) Execute(n *plan.Node) (*Result, Usage, error) {
-	defer obs.StartSpan("engine.exec")()
-	m := &meter{}
-	res, err := e.run(n, m)
+	res, tr, err := e.execute(n)
 	if err != nil {
 		return nil, Usage{}, err
 	}
-	obsExecCount.Inc()
-	obsExecRows.Add(int64(len(res.Rows)))
-	u := Usage{
-		CPUOps:    m.ops,
-		PeakBytes: m.peak,
-		OutRows:   len(res.Rows),
-		OutBytes:  res.bytes,
-	}
-	return res, u, nil
+	return res, tr.Usage, nil
 }
 
 // Cost runs the plan and returns only its metered usage; the result rows
@@ -63,7 +54,57 @@ func (e *Executor) Cost(n *plan.Node) (Usage, error) {
 	return u, err
 }
 
+// Trace runs the plan and returns the trace of its execution, whose
+// Usage is what Cost returns; the result rows are discarded. Compose
+// prices the plan's rewrites from it.
+func (e *Executor) Trace(n *plan.Node) (*Trace, error) {
+	_, tr, err := e.execute(n)
+	return tr, err
+}
+
+// execute is the one metered run every entry point shares.
+func (e *Executor) execute(n *plan.Node) (*Result, *Trace, error) {
+	defer obs.StartSpan("engine.exec")()
+	m := &meter{}
+	res, err := e.run(n, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	obsExecCount.Inc()
+	obsExecRows.Add(int64(len(res.Rows)))
+	tr := &Trace{
+		Usage: Usage{
+			CPUOps:    m.ops,
+			PeakBytes: m.peak,
+			OutRows:   len(res.Rows),
+			OutBytes:  res.bytes,
+		},
+		nodes: m.nodes,
+		live:  m.live,
+	}
+	return res, tr, nil
+}
+
+// run executes n's subtree and records it in the meter's trace: the
+// node's entry goes in before its children's (preorder), and is
+// completed with the subtree's ops, allocations and output when it
+// returns.
 func (e *Executor) run(n *plan.Node, m *meter) (*Result, error) {
+	i := len(m.nodes)
+	m.nodes = append(m.nodes, nodeTrace{node: n, start: m.cur, from: len(m.live)})
+	ops := m.ops
+	res, err := e.runOp(n, m)
+	if err != nil {
+		return nil, err
+	}
+	nt := &m.nodes[i]
+	nt.ops = m.ops - ops
+	nt.to, nt.end = len(m.live), len(m.nodes)
+	nt.rows, nt.bytes = len(res.Rows), res.bytes
+	return res, nil
+}
+
+func (e *Executor) runOp(n *plan.Node, m *meter) (*Result, error) {
 	switch n.Op {
 	case plan.OpScan:
 		return e.runScan(n, m)
@@ -81,21 +122,34 @@ func (e *Executor) run(n *plan.Node, m *meter) (*Result, error) {
 }
 
 func (e *Executor) runScan(n *plan.Node, m *meter) (*Result, error) {
-	t, ok := e.Store.Get(n.Table)
-	if !ok {
-		return nil, fmt.Errorf("engine: table %q not found in store", n.Table)
+	t, err := e.scanTable(n.Table, len(n.Schema))
+	if err != nil {
+		return nil, err
 	}
-	if len(t.Meta.Columns) != len(n.Schema) {
-		return nil, fmt.Errorf("engine: schema drift for table %q: plan has %d cols, store has %d",
-			n.Table, len(n.Schema), len(t.Meta.Columns))
-	}
-	// Scanning charges per row proportionally to row width (I/O cost
-	// follows bytes, not tuples: a wide materialized view is more
-	// expensive to scan than a narrow one).
-	m.op(int64(len(t.Rows)) * scanWeight(t.Meta.RowWidth()))
+	m.op(scanOps(t))
 	res := &Result{Schema: n.Schema, Rows: t.Rows, bytes: t.Bytes()}
 	m.alloc(res.bytes)
 	return res, nil
+}
+
+// scanTable fetches the table a scan with cols output columns reads.
+func (e *Executor) scanTable(name string, cols int) (*storage.Table, error) {
+	t, ok := e.Store.Get(name)
+	if !ok {
+		return nil, fmt.Errorf("engine: table %q not found in store", name)
+	}
+	if len(t.Meta.Columns) != cols {
+		return nil, fmt.Errorf("engine: schema drift for table %q: plan has %d cols, store has %d",
+			name, cols, len(t.Meta.Columns))
+	}
+	return t, nil
+}
+
+// scanOps is what scanning t charges: per row, proportionally to row
+// width (I/O cost follows bytes, not tuples: a wide materialized view is
+// more expensive to scan than a narrow one).
+func scanOps(t *storage.Table) int64 {
+	return int64(len(t.Rows)) * scanWeight(t.Meta.RowWidth())
 }
 
 // scanWeight converts a row byte width into per-row scan operations (one
@@ -113,15 +167,18 @@ func (e *Executor) runFilter(n *plan.Node, m *meter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	pred := compilePred(n.Pred)
 	out := &Result{Schema: n.Schema}
+	var cmps int64
 	for _, row := range in.Rows {
-		keep, cmps := n.Pred.Eval(row)
-		m.op(int64(cmps))
+		keep, c := pred(row)
+		cmps += int64(c)
 		if keep {
 			out.Rows = append(out.Rows, row)
 			out.bytes += int64(row.Width())
 		}
 	}
+	m.op(cmps)
 	m.alloc(out.bytes)
 	m.free(in.bytes)
 	return out, nil
@@ -153,16 +210,28 @@ func (e *Executor) runProject(n *plan.Node, m *meter) (*Result, error) {
 // appendKey appends the composite hash key of a row's join or group
 // columns to dst: "s:" and the text of a string, "n:" and the shortest
 // %g form of a number, each followed by '|'. The key's length is what a
-// hash table is metered for.
+// hash table is metered for. An integral number in (−1e6, 1e6), other
+// than −0 (whose bits are not those of its integer), is appended as an
+// integer: for it %g writes exactly those digits, and they cost no
+// float formatting.
 func appendKey(dst []byte, row storage.Row, cols []int) []byte {
 	for _, c := range cols {
-		v := row[c]
-		if v.Kind == catalog.TypeString {
+		v := &row[c]
+		switch {
+		case v.Kind == catalog.TypeString:
 			dst = append(dst, "s:"...)
 			dst = append(dst, v.S...)
-		} else {
+		case v.Kind == catalog.TypeInt && v.I > -1e6 && v.I < 1e6:
 			dst = append(dst, "n:"...)
-			dst = strconv.AppendFloat(dst, v.AsFloat(), 'g', -1, 64)
+			dst = strconv.AppendInt(dst, v.I, 10)
+		default:
+			dst = append(dst, "n:"...)
+			f := v.AsFloat()
+			if f > -1e6 && f < 1e6 && math.Float64bits(float64(int64(f))) == math.Float64bits(f) {
+				dst = strconv.AppendInt(dst, int64(f), 10)
+			} else {
+				dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+			}
 		}
 		dst = append(dst, '|')
 	}
@@ -184,51 +253,85 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 		lcols[i] = je.Left
 		rcols[i] = je.Right
 	}
-	// Build a hash table on the right input.
-	ht := make(map[string][]storage.Row, len(right.Rows))
+	// Build a hash table on the right input: each key's bucket heads a
+	// chain of its rows, linked back to front so it runs in input order,
+	// with no allocation per row.
+	buckets := make(map[string]int32, len(right.Rows))
+	var head, size []int32                 // bucket → its first row, its row count
+	next := make([]int32, len(right.Rows)) // row → the next row of its bucket, or -1
 	var kb []byte
 	var htBytes int64
-	for _, row := range right.Rows {
+	for i := len(right.Rows) - 1; i >= 0; i-- {
+		row := right.Rows[i]
 		kb = appendKey(kb[:0], row, rcols)
-		k := string(kb)
-		ht[k] = append(ht[k], row)
-		htBytes += int64(len(k)) + int64(row.Width())
+		b, ok := buckets[string(kb)]
+		if !ok {
+			b = int32(len(head))
+			buckets[string(kb)] = b
+			head = append(head, -1)
+			size = append(size, 0)
+		}
+		next[i], head[b] = head[b], int32(i)
+		size[b]++
+		htBytes += int64(len(kb)) + int64(row.Width())
 		m.op(2)
 	}
 	m.alloc(htBytes)
 
-	out := &Result{Schema: n.Schema}
-	rightWidth := len(right.Schema)
+	// Probe: each left row's bucket, and the output it makes.
+	leftJoin := n.JoinType == plan.LeftJoin
+	match := make([]int32, len(left.Rows))
+	outRows := 0
+	for i, lrow := range left.Rows {
+		kb = appendKey(kb[:0], lrow, lcols)
+		m.op(2)
+		b, ok := buckets[string(kb)]
+		switch {
+		case ok:
+			match[i] = b
+			outRows += int(size[b])
+		case leftJoin:
+			match[i] = -1
+			outRows++
+		default:
+			match[i] = -1
+		}
+	}
+
+	// Emit, every output row carved from one slab.
+	lw, rw := len(left.Schema), len(right.Schema)
+	w := lw + rw
+	vals := make([]storage.Value, outRows*w)
+	out := &Result{Schema: n.Schema, Rows: make([]storage.Row, 0, outRows)}
 	var zeros storage.Row // a left join's unmatched right side
-	if n.JoinType == plan.LeftJoin {
+	if leftJoin {
 		for _, c := range right.Schema {
 			zeros = append(zeros, zeroValue(c.Type))
 		}
 	}
 	zerosBytes := int64(zeros.Width())
-	for _, lrow := range left.Rows {
-		kb = appendKey(kb[:0], lrow, lcols)
-		m.op(2)
-		matches := ht[string(kb)]
-		if len(matches) == 0 {
-			if n.JoinType == plan.LeftJoin {
-				outRow := make(storage.Row, 0, len(lrow)+rightWidth)
-				outRow = append(outRow, lrow...)
-				outRow = append(outRow, zeros...)
-				out.Rows = append(out.Rows, outRow)
+	emit := func(lrow, rrow storage.Row) {
+		k := len(out.Rows) * w
+		outRow := storage.Row(vals[k : k+w : k+w])
+		copy(outRow, lrow)
+		copy(outRow[lw:], rrow)
+		out.Rows = append(out.Rows, outRow)
+		m.op(1)
+	}
+	for i, lrow := range left.Rows {
+		b := match[i]
+		if b < 0 {
+			if leftJoin {
+				emit(lrow, zeros)
 				out.bytes += int64(lrow.Width()) + zerosBytes
-				m.op(1)
 			}
 			continue
 		}
 		lbytes := int64(lrow.Width())
-		for _, rrow := range matches {
-			outRow := make(storage.Row, 0, len(lrow)+len(rrow))
-			outRow = append(outRow, lrow...)
-			outRow = append(outRow, rrow...)
-			out.Rows = append(out.Rows, outRow)
+		for r := head[b]; r >= 0; r = next[r] {
+			rrow := right.Rows[r]
+			emit(lrow, rrow)
 			out.bytes += lbytes + int64(rrow.Width())
-			m.op(1)
 		}
 	}
 	m.alloc(out.bytes)

@@ -343,7 +343,9 @@ func TestAppendKeyCollapsesNumerics(t *testing.T) {
 
 // TestAppendKeyMatchesSprintf pins the hash key's bytes to the
 // fmt.Sprintf("n:%g") rendering it replaced: a hash table is metered
-// by its keys' lengths, so a byte of difference would move a cost.
+// by its keys' lengths, so a byte of difference would move a cost. The
+// inputs include the edges of the integral fast path and random ints
+// of every magnitude.
 func TestAppendKeyMatchesSprintf(t *testing.T) {
 	vals := []storage.Value{
 		storage.Str(""), storage.Str("a|b"), storage.Str("s:x"),
@@ -354,10 +356,16 @@ func TestAppendKeyMatchesSprintf(t *testing.T) {
 		storage.Float(1e-4), storage.Float(1e-5), storage.Float(math.SmallestNonzeroFloat64),
 		storage.Float(math.MaxFloat64), storage.Float(math.Inf(1)), storage.Float(math.Inf(-1)),
 		storage.Float(math.NaN()),
+		// The integral fast path's edges: −0, ±(1e6 − 1), ±1e6, 2^53.
+		storage.Int(999999), storage.Int(-999999), storage.Int(1e6), storage.Int(-1e6),
+		storage.Float(999999), storage.Float(-999999), storage.Float(1e6), storage.Float(-1e6),
+		storage.Float(999999.5), storage.Float(-999999.5), storage.Float(1 << 53), storage.Float(-(1 << 53)),
+		storage.Float(1e6 - 1e-10), storage.Float(-1e6 + 1e-10),
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
-		vals = append(vals, storage.Float(math.Float64frombits(rng.Uint64())), storage.Int(int64(rng.Uint64())))
+		vals = append(vals, storage.Float(math.Float64frombits(rng.Uint64())), storage.Int(int64(rng.Uint64())),
+			storage.Int(rng.Int63n(4e6)-2e6), storage.Float(float64(rng.Int63n(4e6)-2e6)))
 	}
 	want := func(row storage.Row, cols []int) string {
 		var b strings.Builder

@@ -178,7 +178,11 @@ func TestPropertyConjunctShuffleInvariance(t *testing.T) {
 
 // TestPropertyRewritePreservesSemantics: for random queries, materializing
 // any extracted subquery and rewriting must keep the result multiset
-// identical while never increasing the metered cost.
+// identical, and the usage engine.Compose prices the rewrite at from
+// the query's trace must equal, in all four fields, the usage of
+// executing the rewritten plan. Composing refuses only where a view's
+// rows or bytes differ from the subtree it replaces, and a view holds
+// exactly its subtree's rows, so no rewrite here may be refused.
 func TestPropertyRewritePreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	trials, rewrites := 0, 0
@@ -193,17 +197,29 @@ func TestPropertyRewritePreservesSemantics(t *testing.T) {
 			t.Fatalf("trial %d: parse %q: %v", trial, sql, err)
 		}
 		orig := execRows(t, exec, q)
+		tr, err := exec.Trace(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		trials++
 		for _, sub := range plan.ExtractSubqueries(q) {
 			v, err := mgr.Materialize(sub.Root)
 			if err != nil {
 				t.Fatalf("trial %d: materialize: %v", trial, err)
 			}
-			rw, n := Rewrite(q, []*View{v})
-			if n == 0 {
+			rw, reps := Replace(q, []*View{v})
+			if len(reps) == 0 {
 				continue
 			}
 			rewrites++
+			want, err := exec.Cost(rw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u, ok := exec.Compose(tr, reps); !ok || u != want {
+				t.Fatalf("trial %d: composed usage %+v (composed: %v), executed %+v\nSQL: %s\nview:\n%s",
+					trial, u, ok, want, sql, v.Plan)
+			}
 			got := execRows(t, exec, rw)
 			// Semantics must be preserved. Note the metered cost is
 			// NOT asserted: a many-to-many join view can cost more

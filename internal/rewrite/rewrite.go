@@ -137,10 +137,11 @@ func (m *Manager) Views() []*View {
 // occurrence is a node of the plan being rewritten whose normalized
 // fingerprint is a view's.
 type occurrence struct {
-	node   *plan.Node
-	view   int // index into Rewrite's views
-	depth  int // distance from the root
-	parent int // nearest enclosing occurrence, -1 at the top
+	node   *plan.Node // in the copy being rewritten
+	orig   *plan.Node // the node of root it copies
+	view   int        // index into Rewrite's views
+	depth  int        // distance from the root
+	parent int        // nearest enclosing occurrence, -1 at the top
 	// replaced: now a scan of its view. spoiled: a replacement was made
 	// beneath it. A view plan never scans an mv_* table, so a spoiled
 	// subtree matches no view any more.
@@ -161,31 +162,48 @@ type occurrence struct {
 // Each node is fingerprinted at most once and looked up in a map, so views
 // that match nowhere cost a map entry each and nothing per node.
 func Rewrite(root *plan.Node, views []*View) (*plan.Node, int) {
+	cp, reps := Replace(root, views)
+	return cp, len(reps)
+}
+
+// Replace is Rewrite reporting its replacements: for each, the node of
+// root (not of the copy) it replaced and the view table scanned in its
+// place, in the order they were made — what engine.Compose prices the
+// rewritten plan from, given a trace of root. Nothing is allocated for
+// the report when nothing is replaced.
+func Replace(root *plan.Node, views []*View) (*plan.Node, []engine.Replacement) {
 	cp := root.Clone()
 	first := make(map[plan.Fingerprint]int, len(views))
 	for i := len(views) - 1; i >= 0; i-- {
 		first[views[i].Fingerprint] = i // of equal views the first applies
 	}
 	var occ []occurrence
-	// find appends the occurrences under n, ancestors before descendants;
-	// unless deep, it does not look beneath an occurrence.
-	var find func(n *plan.Node, depth, parent int, deep bool)
-	find = func(n *plan.Node, depth, parent int, deep bool) {
+	// find appends the occurrences under n, the copy of o, ancestors
+	// before descendants; unless deep, it does not look beneath an
+	// occurrence.
+	var find func(n, o *plan.Node, depth, parent int, deep bool)
+	find = func(n, o *plan.Node, depth, parent int, deep bool) {
 		if n.Op == plan.OpScan {
 			return // a base table or a view: nothing to replace
 		}
 		if v, ok := first[plan.NormalizedFingerprint(n)]; ok {
-			occ = append(occ, occurrence{node: n, view: v, depth: depth, parent: parent})
+			occ = append(occ, occurrence{node: n, orig: o, view: v, depth: depth, parent: parent})
 			if !deep {
 				return
 			}
 			parent = len(occ) - 1
 		}
-		for _, c := range n.Children {
-			find(c, depth+1, parent, deep)
+		for i, c := range n.Children {
+			find(c, o.Children[i], depth+1, parent, deep)
 		}
 	}
-	find(cp, 0, -1, false)
+	find(cp, root, 0, -1, false)
+	var reps []engine.Replacement
+	replace := func(o *occurrence) {
+		v := views[o.view]
+		reps = append(reps, engine.Replacement{Node: o.orig, Table: v.TableName})
+		toViewScan(o.node, v)
+	}
 
 	// When one view owns every topmost occurrence, whatever else matches
 	// lies beneath it, is ordered after it and disappears with it.
@@ -194,17 +212,17 @@ func Rewrite(root *plan.Node, views []*View) (*plan.Node, int) {
 		mixed = mixed || o.view != occ[0].view
 	}
 	if !mixed {
-		for _, o := range occ {
-			toViewScan(o.node, views[o.view])
+		for i := range occ {
+			replace(&occ[i])
 		}
-		return cp, len(occ)
+		return cp, reps
 	}
 
 	// Otherwise a view ordered earlier may match inside a topmost
 	// occurrence of a later one and spoil it: look beneath them too.
 	for k, top := 0, len(occ); k < top; k++ {
-		for _, c := range occ[k].node.Children {
-			find(c, occ[k].depth+1, k, true)
+		for i, c := range occ[k].node.Children {
+			find(c, occ[k].orig.Children[i], occ[k].depth+1, k, true)
 		}
 	}
 	shallowest := func(view int) int {
@@ -227,7 +245,6 @@ func Rewrite(root *plan.Node, views []*View) (*plan.Node, int) {
 		}
 		return va < vb
 	})
-	replaced := 0
 	for _, i := range order {
 		gone := occ[i].spoiled
 		for p := occ[i].parent; p >= 0 && !gone; p = occ[p].parent {
@@ -236,14 +253,13 @@ func Rewrite(root *plan.Node, views []*View) (*plan.Node, int) {
 		if gone {
 			continue
 		}
-		toViewScan(occ[i].node, views[occ[i].view])
+		replace(&occ[i])
 		occ[i].replaced = true
 		for p := occ[i].parent; p >= 0; p = occ[p].parent {
 			occ[p].spoiled = true
 		}
-		replaced++
 	}
-	return cp, replaced
+	return cp, reps
 }
 
 // toViewScan mutates n in place into a scan of the view's table. The

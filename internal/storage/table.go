@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 
 	"autoview/internal/catalog"
@@ -83,13 +84,17 @@ func (s *Store) Drop(name string) { delete(s.tables, name) }
 // correlated for about half the rows — real analytical data is heavily
 // correlated, which is exactly what breaks classical optimizers'
 // independence assumptions (and what the learned cost models absorb).
-// The same seed always yields the same data.
+// The same seed always yields the same data. The rows are carved from
+// one slab of values, and each string column renders each of its tokens
+// once and shares it among the rows that draw it.
 func Generate(meta *catalog.Table, rng *rand.Rand) *Table {
 	t := NewTable(meta)
-	n := meta.Stats.Rows
-	t.Rows = make([]Row, 0, n)
-	for i := 0; i < n; i++ {
-		row := make(Row, len(meta.Columns))
+	n, w := meta.Stats.Rows, len(meta.Columns)
+	vals := make([]Value, n*w)
+	t.Rows = make([]Row, n)
+	tokens := make([][]string, w) // per string column, "v<k>" by k < its rows, rendered on first draw
+	for i := range t.Rows {
+		row := Row(vals[i*w : (i+1)*w : (i+1)*w])
 		prev := 0
 		for j, col := range meta.Columns {
 			d := col.Distinct
@@ -111,10 +116,20 @@ func Generate(meta *catalog.Table, rng *rand.Rand) *Table {
 			case catalog.TypeFloat:
 				row[j] = Float(float64(k) + 0.5)
 			case catalog.TypeString:
-				row[j] = Str(fmt.Sprintf("v%d", k))
+				if tokens[j] == nil {
+					tokens[j] = make([]string, min(d, n))
+				}
+				if k >= len(tokens[j]) {
+					row[j] = Str("v" + strconv.Itoa(k))
+					break
+				}
+				if tokens[j][k] == "" {
+					tokens[j][k] = "v" + strconv.Itoa(k)
+				}
+				row[j] = Str(tokens[j][k])
 			}
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[i] = row
 	}
 	// Refresh the statistics the generators promised.
 	meta.Stats.Bytes = t.Bytes()
