@@ -29,7 +29,9 @@ func walkBytes(rows []storage.Row) int64 {
 // table's Bytes to equal the walk over the table. The meter reads sizes
 // only through those, so every Usage is the one the walk metered; an
 // FNV-64a hash of all of them, in plan order, must also equal the hash
-// the walking Bytes produced. -short runs JOB only.
+// the walking Bytes produced. Each node is also traced, its operators'
+// output in memory earlier traces used, and the traced Usage must be
+// the executed one. -short runs JOB only.
 func TestUsageMatchesRowWalk(t *testing.T) {
 	golden := map[string]string{"WK1": "413de9cd15b5b855", "WK2": "ba9b082dcbdc48c4", "JOB": "48db1bb46825ea59"}
 	ws := []*workload.Workload{workload.JOB()}
@@ -71,6 +73,13 @@ func checkBytesMatchWalk(t *testing.T, ctx string, store *storage.Store, q *plan
 		want := walkBytes(res.Rows)
 		if res.Bytes() != want || u.OutBytes != want {
 			t.Fatalf("%s: %v node: Bytes %d, OutBytes %d, row walk %d", ctx, n.Op, res.Bytes(), u.OutBytes, want)
+		}
+		tr, err := e.Trace(n)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if tr.Usage != u {
+			t.Fatalf("%s: %v node: traced usage %+v, executed %+v", ctx, n.Op, tr.Usage, u)
 		}
 		fmt.Fprintf(h, "%d %d %d %d\n", u.CPUOps, u.PeakBytes, u.OutRows, u.OutBytes)
 		nodes++

@@ -70,7 +70,8 @@ func (u Usage) TotalViewOverhead(p Pricing) float64 {
 
 // meter tracks live and peak allocated bytes plus CPU operations during a
 // single execution, and the trace of it: each node's entry and the live
-// bytes after every allocation.
+// bytes after every allocation. arena, when set, holds the operators'
+// output.
 type meter struct {
 	ops  int64
 	cur  int64
@@ -78,6 +79,7 @@ type meter struct {
 
 	nodes []nodeTrace
 	live  []int64
+	arena *arena
 }
 
 func (m *meter) op(n int64) { m.ops += n }

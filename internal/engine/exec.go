@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"autoview/internal/catalog"
 	"autoview/internal/obs"
@@ -33,6 +34,43 @@ func (r *Result) Bytes() int64 { return r.bytes }
 // Executor evaluates logical plans against a store, metering cost.
 type Executor struct {
 	Store *storage.Store
+
+	arenas sync.Pool // *arena: Trace's, each reused by a later Trace
+}
+
+// arena holds the operators' output of one traced execution. A Trace's
+// rows are never read after it returns, so the next Trace reuses the
+// memory instead of allocating it again; a nil *arena allocates, since
+// Execute's results are kept.
+type arena struct {
+	vals []storage.Value
+	rows []storage.Row
+}
+
+// values returns n zero values.
+func (a *arena) values(n int) []storage.Value {
+	if a == nil {
+		return make([]storage.Value, n)
+	}
+	if len(a.vals)+n > cap(a.vals) {
+		a.vals = make([]storage.Value, 0, max(2*cap(a.vals), n))
+	}
+	a.vals = a.vals[:len(a.vals)+n]
+	v := a.vals[len(a.vals)-n:]
+	clear(v)
+	return v
+}
+
+// rowSlice returns an empty row slice of capacity n.
+func (a *arena) rowSlice(n int) []storage.Row {
+	if a == nil {
+		return make([]storage.Row, 0, n)
+	}
+	if len(a.rows)+n > cap(a.rows) {
+		a.rows = make([]storage.Row, 0, max(2*cap(a.rows), n))
+	}
+	a.rows = a.rows[:len(a.rows)+n]
+	return a.rows[len(a.rows)-n:][:0:n]
 }
 
 // New returns an executor over the store.
@@ -40,7 +78,7 @@ func New(store *storage.Store) *Executor { return &Executor{Store: store} }
 
 // Execute runs the plan and returns its result plus metered usage.
 func (e *Executor) Execute(n *plan.Node) (*Result, Usage, error) {
-	res, tr, err := e.execute(n)
+	res, tr, err := e.execute(n, nil)
 	if err != nil {
 		return nil, Usage{}, err
 	}
@@ -58,14 +96,21 @@ func (e *Executor) Cost(n *plan.Node) (Usage, error) {
 // Usage is what Cost returns; the result rows are discarded. Compose
 // prices the plan's rewrites from it.
 func (e *Executor) Trace(n *plan.Node) (*Trace, error) {
-	_, tr, err := e.execute(n)
+	a, _ := e.arenas.Get().(*arena)
+	if a == nil {
+		a = &arena{}
+	}
+	_, tr, err := e.execute(n, a)
+	a.vals, a.rows = a.vals[:0], a.rows[:0]
+	e.arenas.Put(a)
 	return tr, err
 }
 
-// execute is the one metered run every entry point shares.
-func (e *Executor) execute(n *plan.Node) (*Result, *Trace, error) {
+// execute is the one metered run every entry point shares; the
+// operators' output comes from a (nil: allocated).
+func (e *Executor) execute(n *plan.Node, a *arena) (*Result, *Trace, error) {
 	defer obs.StartSpan("engine.exec")()
-	m := &meter{}
+	m := &meter{arena: a}
 	res, err := e.run(n, m)
 	if err != nil {
 		return nil, nil, err
@@ -169,6 +214,9 @@ func (e *Executor) runFilter(n *plan.Node, m *meter) (*Result, error) {
 	}
 	pred := compilePred(n.Pred)
 	out := &Result{Schema: n.Schema}
+	if m.arena != nil {
+		out.Rows = m.arena.rowSlice(len(in.Rows))
+	}
 	var cmps int64
 	for _, row := range in.Rows {
 		keep, c := pred(row)
@@ -189,9 +237,9 @@ func (e *Executor) runProject(n *plan.Node, m *meter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Schema: n.Schema, Rows: make([]storage.Row, 0, len(in.Rows))}
+	out := &Result{Schema: n.Schema, Rows: m.arena.rowSlice(len(in.Rows))}
 	k := len(n.Proj)
-	vals := make([]storage.Value, len(in.Rows)*k) // every output row, back to back
+	vals := m.arena.values(len(in.Rows) * k) // every output row, back to back
 	for r, row := range in.Rows {
 		// Column pruning is cheap: one op per row regardless of width.
 		m.op(1)
@@ -301,8 +349,8 @@ func (e *Executor) runJoin(n *plan.Node, m *meter) (*Result, error) {
 	// Emit, every output row carved from one slab.
 	lw, rw := len(left.Schema), len(right.Schema)
 	w := lw + rw
-	vals := make([]storage.Value, outRows*w)
-	out := &Result{Schema: n.Schema, Rows: make([]storage.Row, 0, outRows)}
+	vals := m.arena.values(outRows * w)
+	out := &Result{Schema: n.Schema, Rows: m.arena.rowSlice(outRows)}
 	var zeros storage.Row // a left join's unmatched right side
 	if leftJoin {
 		for _, c := range right.Schema {
