@@ -52,11 +52,7 @@ func (a *arena) values(n int) []storage.Value {
 	if a == nil {
 		return make([]storage.Value, n)
 	}
-	if len(a.vals)+n > cap(a.vals) {
-		a.vals = make([]storage.Value, 0, max(2*cap(a.vals), n))
-	}
-	a.vals = a.vals[:len(a.vals)+n]
-	v := a.vals[len(a.vals)-n:]
+	v := take(&a.vals, n)
 	clear(v)
 	return v
 }
@@ -66,11 +62,17 @@ func (a *arena) rowSlice(n int) []storage.Row {
 	if a == nil {
 		return make([]storage.Row, 0, n)
 	}
-	if len(a.rows)+n > cap(a.rows) {
-		a.rows = make([]storage.Row, 0, max(2*cap(a.rows), n))
+	return take(&a.rows, n)[:0:n]
+}
+
+// take extends *buf by n elements and returns them; a full buffer moves
+// to a new array, and what it handed out earlier stays where it was.
+func take[T any](buf *[]T, n int) []T {
+	if len(*buf)+n > cap(*buf) {
+		*buf = make([]T, 0, max(2*cap(*buf), n))
 	}
-	a.rows = a.rows[:len(a.rows)+n]
-	return a.rows[len(a.rows)-n:][:0:n]
+	*buf = (*buf)[:len(*buf)+n]
+	return (*buf)[len(*buf)-n:]
 }
 
 // New returns an executor over the store.
