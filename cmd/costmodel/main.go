@@ -18,53 +18,64 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"strings"
 
+	"autoview/internal/core"
 	"autoview/internal/costbase"
 	"autoview/internal/durable"
 	"autoview/internal/engine"
-	"autoview/internal/equiv"
 	"autoview/internal/featenc"
 	"autoview/internal/metrics"
 	"autoview/internal/obs"
-	"autoview/internal/rewrite"
 	"autoview/internal/widedeep"
 	"autoview/internal/workload"
-	"math/rand"
 )
 
 func main() {
-	wl := flag.String("workload", "job", "workload: job, wk1, wk2")
-	variant := flag.String("variant", "wd", "architecture: wd, nkw, nstr, nexp")
-	epochs := flag.Int("epochs", 25, "training epochs (Algorithm 1's I)")
-	savePath := flag.String("save", "", "persist trained weights to this file")
-	loadPath := flag.String("load", "", "load weights instead of training")
-	seed := flag.Int64("seed", 17, "random seed")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "costmodel:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args and writes its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("costmodel", flag.ExitOnError)
+	wl := fs.String("workload", "job", "workload: job, wk1, wk2")
+	variant := fs.String("variant", "wd", "architecture: wd, nkw, nstr, nexp")
+	epochs := fs.Int("epochs", 25, "training epochs (Algorithm 1's I)")
+	savePath := fs.String("save", "", "persist trained weights to this file")
+	loadPath := fs.String("load", "", "load weights instead of training")
+	seed := fs.Int64("seed", 17, "random seed")
 	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if err := obsFlags.Start(os.Stderr); err != nil {
-		fail(err)
+		return err
 	}
 
 	w, err := workload.Open(*wl, "", "")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	encCfg, err := pickVariant(*variant)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
-	fmt.Printf("measuring (query, view) pairs on %s...\n", w.Name)
+	fmt.Fprintf(stdout, "measuring (query, view) pairs on %s...\n", w.Name)
 	samples, err := measurePairs(w)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	trainIdx, _, testIdx := metrics.Split(len(samples), 0.7, 0.1, *seed)
-	fmt.Printf("%d pairs: %d train / %d test\n", len(samples), len(trainIdx), len(testIdx))
+	fmt.Fprintf(stdout, "%d pairs: %d train / %d test\n", len(samples), len(trainIdx), len(testIdx))
 
 	vocab := featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans()))
 	encCfg.EmbedDim, encCfg.Hidden = 16, 16
@@ -73,26 +84,26 @@ func main() {
 	if *loadPath != "" {
 		f, err := os.Open(*loadPath)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		if err := model.Load(f); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("loaded weights from %s\n", *loadPath)
+		fmt.Fprintf(stdout, "loaded weights from %s\n", *loadPath)
 	} else {
 		var train []widedeep.Sample
 		for _, i := range trainIdx {
 			train = append(train, widedeep.Sample{F: samples[i].F, Y: samples[i].Actual})
 		}
-		fmt.Printf("training %s for %d epochs...\n", widedeep.VariantName(encCfg), *epochs)
+		fmt.Fprintf(stdout, "training %s for %d epochs...\n", widedeep.VariantName(encCfg), *epochs)
 		losses, err := model.Fit(train, widedeep.TrainConfig{
 			Epochs: *epochs, LearnRate: 0.005, BatchSize: 16, Seed: *seed,
 		})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("training loss: first=%.4f last=%.4f\n", losses[0], losses[len(losses)-1])
+		fmt.Fprintf(stdout, "training loss: first=%.4f last=%.4f\n", losses[0], losses[len(losses)-1])
 	}
 
 	var y, yhat []float64
@@ -100,7 +111,7 @@ func main() {
 		y = append(y, samples[i].Actual)
 		yhat = append(yhat, model.Predict(samples[i].F))
 	}
-	fmt.Printf("held-out: MAE=%.4f cost units, MAPE=%.2f%%\n",
+	fmt.Fprintf(stdout, "held-out: MAE=%.4f cost units, MAPE=%.2f%%\n",
 		metrics.MAE(y, yhat), metrics.MAPEWithFloor(y, yhat))
 
 	if *savePath != "" {
@@ -108,47 +119,41 @@ func main() {
 		// checkpoint where /v1/admin/model would load it.
 		var buf bytes.Buffer
 		if err := model.Save(&buf); err != nil {
-			fail(err)
+			return err
 		}
 		if err := durable.WriteFile(*savePath, buf.Bytes()); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("weights saved to %s\n", *savePath)
+		fmt.Fprintf(stdout, "weights saved to %s\n", *savePath)
 	}
 
-	obsFlags.Report(os.Stdout)
+	obsFlags.Report(stdout)
+	return nil
 }
 
-// measurePairs executes every (associated query, candidate view) rewrite
-// on the engine to collect training targets.
+// measurePairs meters every (associated query, candidate view) pair of
+// w whose view rewrites the query, as core meters benefits (each from
+// the query's traced execution), and returns them as training samples.
 func measurePairs(w *workload.Workload) ([]costbase.Sample, error) {
-	st := w.Populate()
-	exec := engine.New(st)
-	mgr := rewrite.NewManager(st)
-	pricing := engine.DefaultPricing()
-	pre := equiv.Preprocess(w.Plans(), nil)
+	cfg := core.ConfigFor(w.Name)
+	cfg.Estimator = core.EstimatorActual
+	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
+	p, err := adv.BuildProblem(w.Plans(), adv.Preprocess(w.Plans()))
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := adv.Pairs(p)
+	if err != nil {
+		return nil, err
+	}
 	var out []costbase.Sample
-	for _, cand := range pre.Candidates {
-		v, err := mgr.Materialize(cand.Plan)
-		if err != nil {
-			return nil, err
+	for _, pr := range pairs {
+		if pr.Replaced == 0 {
+			continue
 		}
-		for _, qi := range cand.Queries {
-			q := w.Queries[qi].Plan
-			rw, n := rewrite.Rewrite(q, []*rewrite.View{v})
-			if n == 0 {
-				continue
-			}
-			u, err := exec.Cost(rw)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, costbase.Sample{
-				Q: q, V: cand.Plan,
-				F:      featenc.Extract(q, cand.Plan, w.Cat),
-				Actual: u.Cost(pricing) * 1e4,
-			})
-		}
+		q, v := p.Queries[pr.Query], p.Candidates[pr.Candidate].Plan
+		actual := pr.Usage.Cost(cfg.Pricing) * costbase.CostUnit
+		out = append(out, costbase.Sample{Q: q, V: v, F: featenc.Extract(q, v, w.Cat), Actual: actual})
 	}
 	return out, nil
 }
@@ -163,9 +168,4 @@ func pickVariant(name string) (featenc.Config, error) {
 		}
 	}
 	return featenc.Config{}, fmt.Errorf("unknown variant %q", name)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "costmodel:", err)
-	os.Exit(1)
 }

@@ -15,7 +15,6 @@ import (
 	"autoview/internal/engine"
 	"autoview/internal/featenc"
 	"autoview/internal/metrics"
-	"autoview/internal/rewrite"
 	"autoview/internal/workload"
 )
 
@@ -29,47 +28,35 @@ func main() {
 		len(w.Queries), len(w.Cat.Projects()))
 
 	// --- Part 1: cost estimation quality ---------------------------------
-	store := w.Populate()
-	exec := engine.New(store)
-	mgr := rewrite.NewManager(store)
-	pricing := engine.DefaultPricing()
-	adv := core.NewAdvisor(w.Cat, exec, core.WKConfig())
+	// Meter every (query, view) pair as ground truth: each A(q|v) is
+	// composed from the query's traced execution, as BuildProblem meters
+	// benefits.
+	cfg := core.WKConfig()
+	cfg.Estimator = core.EstimatorActual
+	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
 	pre := adv.Preprocess(w.Plans())
 	fmt.Printf("pre-process: |Z|=%d candidates\n", len(pre.Candidates))
-
-	// Measure every (query, view) pair on the engine as ground truth.
+	p, err := adv.BuildProblem(w.Plans(), pre)
+	if err != nil {
+		log.Fatal(err)
+	}
+	metered, err := adv.Pairs(p)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var pairs []costbase.Sample
-	for _, cand := range pre.Candidates {
-		v, err := mgr.Materialize(cand.Plan)
-		if err != nil {
-			log.Fatal(err)
+	for _, pr := range metered {
+		if pr.Replaced == 0 {
+			continue
 		}
-		for _, qi := range cand.Queries {
-			q := w.Queries[qi].Plan
-			rw, n := rewrite.Rewrite(q, []*rewrite.View{v})
-			if n == 0 {
-				continue
-			}
-			u, err := exec.Cost(rw)
-			if err != nil {
-				log.Fatal(err)
-			}
-			qu, err := exec.Cost(q)
-			if err != nil {
-				log.Fatal(err)
-			}
-			su, err := exec.Cost(cand.Plan)
-			if err != nil {
-				log.Fatal(err)
-			}
-			pairs = append(pairs, costbase.Sample{
-				Q: q, V: cand.Plan,
-				F:      featenc.Extract(q, cand.Plan, w.Cat),
-				Actual: u.Cost(pricing) * 1e4,
-				QCost:  qu.Cost(pricing) * 1e4,
-				VCost:  su.Cost(pricing) * 1e4,
-			})
-		}
+		q, v := p.Queries[pr.Query], p.Candidates[pr.Candidate]
+		pairs = append(pairs, costbase.Sample{
+			Q: q, V: v.Plan,
+			F:      featenc.Extract(q, v.Plan, w.Cat),
+			Actual: pr.Usage.Cost(cfg.Pricing) * costbase.CostUnit,
+			QCost:  p.QueryCost[pr.Query] * costbase.CostUnit,
+			VCost:  v.View.BuildUsage.Cost(cfg.Pricing) * costbase.CostUnit,
+		})
 	}
 	rng := rand.New(rand.NewSource(1))
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
@@ -78,10 +65,7 @@ func main() {
 	fmt.Printf("measured %d (query, view) pairs; %d train / %d test\n",
 		len(pairs), len(train), len(test))
 
-	scaled := pricing
-	scaled.Alpha *= 1e4
-	scaled.Beta *= 1e4
-	scaled.Gamma *= 1e4
+	scaled := costbase.UnitPricing(cfg.Pricing)
 	optEst := &costbase.OptimizerEstimator{Cat: w.Cat, Pricing: scaled}
 	dl := &costbase.DeepLearn{Cat: w.Cat, Pricing: scaled, Epochs: 25, Seed: 3}
 	if err := dl.Fit(train); err != nil {
@@ -104,7 +88,7 @@ func main() {
 	report("DeepLearn", dl)
 
 	// --- Part 2: selection driven by the learned estimator ----------------
-	cfg := core.WKConfig()
+	cfg = core.WKConfig()
 	cfg.Estimator = core.EstimatorWideDeep
 	cfg.Selector = core.SelectorRLView
 	cfg.RL.Epochs = 20

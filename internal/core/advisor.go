@@ -75,6 +75,9 @@ type Problem struct {
 	// QueryUsage[i] the metered usage it is priced from.
 	QueryCost  []float64
 	QueryUsage []engine.Usage
+	// metered holds every pair as BuildProblem metered it under
+	// EstimatorActual (nil under the other estimators).
+	metered []Pair
 	// traces[i] is the trace of that execution, which every rewrite of
 	// query i is priced from.
 	traces []*engine.Trace
@@ -161,7 +164,7 @@ func (a *Advisor) BuildProblem(queries []*plan.Node, pre *equiv.Result) (*Proble
 
 // measureQueryCosts measures the raw cost A(q) of every workload query
 // once, keeping the trace every rewrite of it is priced from, fanned out
-// like measureAll over the same read-only executor; results land in
+// like meter over the same read-only executor; results land in
 // query order and the lowest-indexed failure is the one returned.
 func (a *Advisor) measureQueryCosts(p *Problem, queries []*plan.Node) error {
 	pricing := a.Cfg.Pricing
@@ -228,8 +231,14 @@ func (a *Advisor) materializeCandidates(p *Problem, pre *equiv.Result) error {
 	return nil
 }
 
-// pairKey identifies one (associated query, candidate) pair.
-type pairKey struct{ qi, j int }
+// Pair is one (associated query, candidate) pair of a Problem and,
+// once metered, the query's usage with the candidate's view in place.
+type Pair struct {
+	Query     int          // index into Problem.Queries
+	Candidate int          // index into Problem.Candidates
+	Usage     engine.Usage // A(q|v); A(q) when the view replaced nothing
+	Replaced  int          // subtrees of the query the view replaced
+}
 
 // fillBenefits populates p.benefits[ai][j] for associated query ai and
 // candidate j under the configured estimator.
@@ -238,19 +247,19 @@ func (a *Advisor) fillBenefits(p *Problem) error {
 	pairs, assocIndex := p.benefitPairs()
 	switch a.Cfg.Estimator {
 	case EstimatorActual:
-		costs, err := a.measureAll(p, pairs)
-		if err != nil {
+		if err := a.meter(p, pairs); err != nil {
 			return err
 		}
-		for i, pk := range pairs {
-			p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - costs[i]
+		p.metered = pairs
+		for _, pr := range pairs {
+			p.benefits[assocIndex[pr.Query]][pr.Candidate] = p.QueryCost[pr.Query] - pr.Usage.Cost(pricing)
 		}
 	case EstimatorOptimizer:
 		opt := &costbase.OptimizerEstimator{Cat: a.Cat, Pricing: pricing}
-		for _, pk := range pairs {
-			est := opt.EstimateRewritten(p.Queries[pk.qi], p.Candidates[pk.j].View.Plan)
-			qEst := costbase.EstimatePlan(p.Queries[pk.qi], a.Cat).Usage().Cost(pricing)
-			p.benefits[assocIndex[pk.qi]][pk.j] = qEst - est
+		for _, pr := range pairs {
+			est := opt.EstimateRewritten(p.Queries[pr.Query], p.Candidates[pr.Candidate].View.Plan)
+			qEst := costbase.EstimatePlan(p.Queries[pr.Query], a.Cat).Usage().Cost(pricing)
+			p.benefits[assocIndex[pr.Query]][pr.Candidate] = qEst - est
 		}
 	case EstimatorWideDeep:
 		if err := a.wideDeepBenefits(p, pairs, assocIndex); err != nil {
@@ -263,9 +272,8 @@ func (a *Advisor) fillBenefits(p *Problem) error {
 }
 
 // benefitPairs allocates p.benefits (associated query × candidate) and
-// enumerates the applicable (query, candidate) pairs, returning them with
-// each associated query's row in p.benefits.
-func (p *Problem) benefitPairs() ([]pairKey, map[int]int) {
+// returns p's pairs with each associated query's row in p.benefits.
+func (p *Problem) benefitPairs() ([]Pair, map[int]int) {
 	assocIndex := make(map[int]int, len(p.AssocQueries))
 	for ai, qi := range p.AssocQueries {
 		assocIndex[qi] = ai
@@ -274,48 +282,58 @@ func (p *Problem) benefitPairs() ([]pairKey, map[int]int) {
 	for ai := range p.benefits {
 		p.benefits[ai] = make([]float64, len(p.Candidates))
 	}
-	var pairs []pairKey
-	for j, c := range p.Candidates {
-		for _, qi := range c.Queries {
-			pairs = append(pairs, pairKey{qi: qi, j: j})
-		}
-	}
-	return pairs, assocIndex
+	return p.pairs(), assocIndex
 }
 
-// measureAll meters A(q|v) for every pair, composing each from its
-// query's trace (rewrittenUsage), fanned out over Cfg.Parallelism workers
-// (nn.ParallelFor; 0 selects runtime.NumCPU()). A pair that cannot be
-// composed is executed; the executor only reads the store (views are
-// already materialized) and each execution carries its own meter, so
-// that is safe concurrently too. Results are returned in pair order so
-// downstream consumers stay deterministic.
-func (a *Advisor) measureAll(p *Problem, pairs []pairKey) ([]float64, error) {
-	obsPairsMeasured.Add(int64(len(pairs)))
-	costs := make([]float64, len(pairs))
-	errs := make([]error, len(pairs))
-	pricing := a.Cfg.Pricing
-
-	nn.ParallelFor(len(pairs), a.Cfg.Parallelism, func(i int) {
-		pk := pairs[i]
-		u, _, err := a.rewrittenUsage(p, pk.qi, []*rewrite.View{p.Candidates[pk.j].View})
-		if err != nil {
-			errs[i] = err
-			return
+// pairs enumerates p's (associated query, candidate) pairs, unmetered:
+// candidate by candidate, each over the queries of its cluster.
+func (p *Problem) pairs() []Pair {
+	var pairs []Pair
+	for j, c := range p.Candidates {
+		for _, qi := range c.Queries {
+			pairs = append(pairs, Pair{Query: qi, Candidate: j})
 		}
-		costs[i] = u.Cost(pricing)
+	}
+	return pairs
+}
+
+// Pairs returns every (associated query, candidate) pair of p with its
+// metered usage, candidate by candidate, each over its cluster's
+// queries: the pairs BuildProblem metered under EstimatorActual (shared,
+// not copied), else each metered now the same way. A(q) is
+// p.QueryCost[Query] and A(v) the candidate's View.BuildUsage.
+func (a *Advisor) Pairs(p *Problem) ([]Pair, error) {
+	if p.metered != nil {
+		return p.metered, nil
+	}
+	pairs := p.pairs()
+	return pairs, a.meter(p, pairs)
+}
+
+// meter fills in each pair's Usage and Replaced, composing each from its
+// query's trace (rewrittenUsage), fanned out over Cfg.Parallelism
+// workers (nn.ParallelFor; 0 selects runtime.NumCPU()) that each write
+// only their pair's slot. A pair that cannot be composed is executed;
+// the executor only reads the store (views are already materialized)
+// and each execution carries its own meter, so that is safe too.
+func (a *Advisor) meter(p *Problem, pairs []Pair) error {
+	obsPairsMeasured.Add(int64(len(pairs)))
+	errs := make([]error, len(pairs))
+	nn.ParallelFor(len(pairs), a.Cfg.Parallelism, func(i int) {
+		pr := &pairs[i]
+		pr.Usage, pr.Replaced, errs[i] = a.rewrittenUsage(p, pr.Query, []*rewrite.View{p.Candidates[pr.Candidate].View})
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: measuring rewritten pair: %w", err)
+			return fmt.Errorf("core: measuring rewritten pair: %w", err)
 		}
 	}
-	return costs, nil
+	return nil
 }
 
 // wideDeepBenefits measures a training fraction of pairs, trains W-D on
 // them (Algorithm 1), and predicts the rest.
-func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[int]int) error {
+func (a *Advisor) wideDeepBenefits(p *Problem, pairs []Pair, assocIndex map[int]int) error {
 	set, err := a.wdTrainingSet(p, pairs, assocIndex)
 	if err != nil {
 		return err
@@ -330,18 +348,18 @@ func (a *Advisor) wideDeepBenefits(p *Problem, pairs []pairKey, assocIndex map[i
 
 	// The held-out pairs: one batched forward.
 	scale := p.CostScale()
-	var held []pairKey
+	var held []Pair
 	var fs []featenc.Features
-	for i, pk := range pairs {
+	for i, pr := range pairs {
 		if set.inTrain[i] {
 			continue
 		}
-		held = append(held, pk)
-		fs = append(fs, set.extract(pk))
+		held = append(held, pr)
+		fs = append(fs, set.extract(pr))
 	}
 	for k, predicted := range model.PredictBatch(fs, a.Cfg.Parallelism) {
-		pk := held[k]
-		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - predicted/scale
+		pr := held[k]
+		p.benefits[assocIndex[pr.Query]][pr.Candidate] = p.QueryCost[pr.Query] - predicted/scale
 	}
 	return nil
 }
@@ -353,13 +371,13 @@ type wdTraining struct {
 	inTrain map[int]bool // pair indices measured and trained on
 	// extract returns a pair's features, precomputing each query's and
 	// candidate's plan-local features once for all pairs.
-	extract func(pairKey) featenc.Features
+	extract func(Pair) featenc.Features
 }
 
 // wdTrainingSet splits pairs into a training fraction and the rest,
 // measures the training pairs, records their measured benefits, and
 // returns them as W-D samples.
-func (a *Advisor) wdTrainingSet(p *Problem, pairs []pairKey, assocIndex map[int]int) (*wdTraining, error) {
+func (a *Advisor) wdTrainingSet(p *Problem, pairs []Pair, assocIndex map[int]int) (*wdTraining, error) {
 	frac := a.Cfg.TrainFraction
 	if frac <= 0 || frac > 1 {
 		frac = 0.7
@@ -369,18 +387,17 @@ func (a *Advisor) wdTrainingSet(p *Problem, pairs []pairKey, assocIndex map[int]
 	for _, i := range trainIdx {
 		set.inTrain[i] = true
 	}
-	var trainPairs []pairKey
-	for i, pk := range pairs {
+	var trainPairs []Pair
+	for i, pr := range pairs {
 		if set.inTrain[i] {
-			trainPairs = append(trainPairs, pk)
+			trainPairs = append(trainPairs, pr)
 		}
 	}
 
 	// Shared vocabulary across plans.
 	set.vocab = featenc.NewVocab(a.Cat, featenc.CollectPlanKeywords(p.Queries))
 
-	costs, err := a.measureAll(p, trainPairs)
-	if err != nil {
+	if err := a.meter(p, trainPairs); err != nil {
 		return nil, err
 	}
 	// Every pair, trained on or held out: plan-local features once per
@@ -388,21 +405,22 @@ func (a *Advisor) wdTrainingSet(p *Problem, pairs []pairKey, assocIndex map[int]
 	ex := featenc.NewBatchExtractor(a.Cat)
 	qFeat := make([]*featenc.PlanFeat, len(p.Queries))
 	vFeat := make([]*featenc.PlanFeat, len(p.Candidates))
-	set.extract = func(pk pairKey) featenc.Features {
-		if qFeat[pk.qi] == nil {
-			qFeat[pk.qi] = featenc.Precompute(p.Queries[pk.qi])
+	set.extract = func(pr Pair) featenc.Features {
+		if qFeat[pr.Query] == nil {
+			qFeat[pr.Query] = featenc.Precompute(p.Queries[pr.Query])
 		}
-		if vFeat[pk.j] == nil {
-			vFeat[pk.j] = featenc.Precompute(p.Candidates[pk.j].View.Plan)
+		if vFeat[pr.Candidate] == nil {
+			vFeat[pr.Candidate] = featenc.Precompute(p.Candidates[pr.Candidate].View.Plan)
 		}
-		return ex.ExtractPre(qFeat[pk.qi], vFeat[pk.j])
+		return ex.ExtractPre(qFeat[pr.Query], vFeat[pr.Candidate])
 	}
 	scale := p.CostScale()
-	for k, pk := range trainPairs {
-		cost := costs[k]
-		set.samples = append(set.samples, widedeep.Sample{F: set.extract(pk), Y: cost * scale})
+	pricing := a.Cfg.Pricing
+	for _, pr := range trainPairs {
+		cost := pr.Usage.Cost(pricing)
+		set.samples = append(set.samples, widedeep.Sample{F: set.extract(pr), Y: cost * scale})
 		// Training pairs use their measured benefit directly.
-		p.benefits[assocIndex[pk.qi]][pk.j] = p.QueryCost[pk.qi] - cost
+		p.benefits[assocIndex[pr.Query]][pr.Candidate] = p.QueryCost[pr.Query] - cost
 	}
 	if len(set.samples) == 0 {
 		return nil, fmt.Errorf("core: no W-D training pairs (workload too small?)")

@@ -69,8 +69,8 @@ func rowMultiset(rows []storage.Row) []string {
 // TestComposedPairsMatchExecution executes every single-view rewrite of
 // the three workloads — each candidate against each query of its
 // cluster that it rewrites — as the oracle of the usage BuildProblem
-// composed for it from the query's trace: all four fields must be equal,
-// with no pair executed for want of composing it. The FNV-64a hash of
+// composed for it from the query's trace, as Pairs reports it: all four
+// fields must be equal, with no pair executed for want of composing it. The FNV-64a hash of
 // the executed usages, in candidate then query order, is pinned to the
 // value it had when every pair was executed to meter it. Each rewritten
 // plan must also return the original query's rows as a multiset: the
@@ -87,13 +87,25 @@ func TestComposedPairsMatchExecution(t *testing.T) {
 	executed := obsPairsExecuted.Value()
 	for _, c := range meterCases(t) {
 		a, p := c.a, c.p
+		metered, err := a.Pairs(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		orig := make(map[int][]string)
 		h := fnv.New64a()
 		pairs := 0
-		for _, cand := range p.Candidates {
+		k := 0
+		for j, cand := range p.Candidates {
 			for _, qi := range cand.Queries {
-				views := []*rewrite.View{cand.View}
-				rw, n := rewrite.Rewrite(p.Queries[qi], views)
+				got := metered[k]
+				k++
+				if got.Query != qi || got.Candidate != j {
+					t.Fatalf("%s: pair %d is (query %d, candidate %d), want (%d, %d)", c.name, k-1, got.Query, got.Candidate, qi, j)
+				}
+				rw, n := rewrite.Rewrite(p.Queries[qi], []*rewrite.View{cand.View})
+				if got.Replaced != n {
+					t.Errorf("%s: query %d with %s: %d replaced, want %d", c.name, qi, cand.View.ID, got.Replaced, n)
+				}
 				if n == 0 {
 					continue
 				}
@@ -103,12 +115,8 @@ func TestComposedPairsMatchExecution(t *testing.T) {
 				}
 				writeUsage(h, want)
 				pairs++
-				got, _, err := a.rewrittenUsage(p, qi, views)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s: query %d with %s: composed %+v, executed %+v", c.name, qi, cand.View.ID, got, want)
+				if got.Usage != want {
+					t.Errorf("%s: query %d with %s: composed %+v, executed %+v", c.name, qi, cand.View.ID, got.Usage, want)
 				}
 				if orig[qi] == nil {
 					q, _, err := a.Exec.Execute(p.Queries[qi])
@@ -121,6 +129,9 @@ func TestComposedPairsMatchExecution(t *testing.T) {
 					t.Errorf("%s: query %d rewritten with %s returns other rows than the query", c.name, qi, cand.View.ID)
 				}
 			}
+		}
+		if k != len(metered) {
+			t.Errorf("%s: Pairs reports %d pairs, the candidates hold %d", c.name, len(metered), k)
 		}
 		g := golden[c.name]
 		if got := fmt.Sprintf("%016x", h.Sum64()); pairs != g.pairs || got != g.hash {
@@ -221,5 +232,41 @@ func TestRewrittenUsageExecutesWhatItCannotCompose(t *testing.T) {
 	}
 	if d := obsPairsExecuted.Value() - executed; d != 1 {
 		t.Fatalf("core.pairs.executed moved by %d, want 1", d)
+	}
+}
+
+// TestPairsMeterUnderAnyEstimator: on a problem built under the
+// optimizer estimator, which meters no pair, Pairs meters every pair
+// itself, with the same usages, replacement counts and order as the
+// pairs BuildProblem metered under EstimatorActual, and executes none.
+func TestPairsMeterUnderAnyEstimator(t *testing.T) {
+	w := smallWK()
+	build := func(est EstimatorKind) (*Advisor, *Problem) {
+		cfg := fastConfig()
+		cfg.Estimator = est
+		a := newAdvisor(t, w, cfg)
+		p, err := a.BuildProblem(w.Plans(), a.Preprocess(w.Plans()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, p
+	}
+	a, p := build(EstimatorActual)
+	want, err := a.Pairs(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := obsPairsExecuted.Value()
+	a, p = build(EstimatorOptimizer)
+	got, err := a.Pairs(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("Pairs under the optimizer estimator: %d pairs, %v; want the %d metered under actual, %v",
+			len(got), got, len(want), want)
+	}
+	if n := obsPairsExecuted.Value() - executed; n != 0 {
+		t.Errorf("%d pairs executed instead of composed, want 0", n)
 	}
 }

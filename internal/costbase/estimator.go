@@ -1,12 +1,27 @@
 package costbase
 
 import (
+	"autoview/internal/engine"
 	"autoview/internal/featenc"
 	"autoview/internal/plan"
 )
 
+// CostUnit is the number of cost units in a dollar. Samples carry their
+// costs in cost units, so every learner trains at O(1) magnitudes (MAPE
+// is scale-invariant; MAE reads in these units).
+const CostUnit = 1e4
+
+// UnitPricing rescales p so the costs it prices are in cost units: what
+// an analytic estimator compared against Samples is given.
+func UnitPricing(p engine.Pricing) engine.Pricing {
+	p.Beta *= CostUnit
+	p.Gamma *= CostUnit
+	p.Alpha *= CostUnit
+	return p
+}
+
 // Sample is one cost-estimation example: the query and view plans, the
-// extracted features, and the measured cost A(q|v).
+// extracted features, and the measured cost A(q|v), in cost units.
 type Sample struct {
 	Q, V   *plan.Node
 	F      featenc.Features

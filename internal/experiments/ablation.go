@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"autoview/internal/featenc"
 	"autoview/internal/metrics"
 	"autoview/internal/mvs"
 	"autoview/internal/rl"
@@ -36,12 +35,13 @@ func Ablations(s Scale) (*AblationResult, error) {
 	res := &AblationResult{}
 
 	// --- Cost model: wide vs deep vs both -------------------------------
+	// The samples and the selection instance come from one problem.
 	w := Workloads(s)[0]
 	maxPairs := 0
 	if s == Quick {
 		maxPairs = 180
 	}
-	pairs, err := buildPairs(w, maxPairs, 21)
+	pairs, p, err := buildPairs(w, s, maxPairs, 21)
 	if err != nil {
 		return nil, err
 	}
@@ -49,41 +49,23 @@ func Ablations(s Scale) (*AblationResult, error) {
 	train := pick(pairs, trainIdx)
 	test := pick(pairs, testIdx)
 	cfg := configFor(w.Name, s)
-
-	evalModel := func(mcfg widedeep.Config) (float64, error) {
-		mcfg.Encoder.EmbedDim = cfg.WDModel.Encoder.EmbedDim
-		mcfg.Encoder.Hidden = cfg.WDModel.Encoder.Hidden
-		vocab := featenc.NewVocab(w.Cat, featenc.CollectPlanKeywords(w.Plans()))
-		m := widedeep.New(vocab, mcfg, rand.New(rand.NewSource(9)))
-		samples := make([]widedeep.Sample, len(train))
-		for i, sm := range train {
-			samples[i] = widedeep.Sample{F: sm.F, Y: sm.Actual}
+	for _, m := range []struct {
+		mape *float64
+		cfg  widedeep.Config
+	}{
+		{&res.WideDeepMAPE, widedeep.Config{}},
+		{&res.WideOnlyMAPE, widedeep.Config{WideOnly: true}},
+		{&res.DeepOnlyMAPE, widedeep.Config{DeepOnly: true}},
+	} {
+		m.cfg.Encoder.EmbedDim = cfg.WDModel.Encoder.EmbedDim
+		m.cfg.Encoder.Hidden = cfg.WDModel.Encoder.Hidden
+		est := &wdAdapter{cat: w.Cat, plans: w.Plans(), cfg: m.cfg, train: cfg.WDTrain, seed: 9}
+		if _, *m.mape, err = score(est, train, test); err != nil {
+			return nil, err
 		}
-		if _, err := m.Fit(samples, cfg.WDTrain); err != nil {
-			return 0, err
-		}
-		var y, yhat []float64
-		for _, sm := range test {
-			y = append(y, sm.Actual)
-			yhat = append(yhat, m.Predict(sm.F))
-		}
-		return metrics.MAPEWithFloor(y, yhat), nil
-	}
-	if res.WideDeepMAPE, err = evalModel(widedeep.Config{}); err != nil {
-		return nil, err
-	}
-	if res.WideOnlyMAPE, err = evalModel(widedeep.Config{WideOnly: true}); err != nil {
-		return nil, err
-	}
-	if res.DeepOnlyMAPE, err = evalModel(widedeep.Config{DeepOnly: true}); err != nil {
-		return nil, err
 	}
 
 	// --- Selection ablations on the ground-truth instance ---------------
-	_, p, err := groundTruthProblem(w, s)
-	if err != nil {
-		return nil, err
-	}
 	iters := 200
 	noFreeze := mvs.IterView(p.Instance, mvs.IterOptions{
 		Iterations: iters, Rand: rand.New(rand.NewSource(3)),

@@ -6,101 +6,83 @@ import (
 	"strings"
 
 	"autoview/internal/catalog"
+	"autoview/internal/core"
 	"autoview/internal/costbase"
-	"autoview/internal/engine"
-	"autoview/internal/equiv"
 	"autoview/internal/featenc"
 	"autoview/internal/metrics"
 	"autoview/internal/plan"
-	"autoview/internal/rewrite"
 	"autoview/internal/widedeep"
 	"autoview/internal/workload"
 )
 
-// costUnitScale converts dollar costs into O(1) "cost units" so every
-// learner trains at a comparable magnitude (MAPE is scale-invariant; MAE
-// is reported in these units).
-const costUnitScale = 1e4
-
-// buildPairs measures the ground truth for cost estimation on one
-// workload. Following Section VI-B1: on JOB the rewritten queries are
-// actually executed; on the WK workloads the RealOpt approximation
-// A(q|v) ≈ A(q) − A(s) is used (executing every rewritten pair at
-// production scale was too expensive for the paper; we reproduce the
-// protocol).
-func buildPairs(w *workload.Workload, maxPairs int, seed int64) ([]costbase.Sample, error) {
-	st := w.Populate()
-	exec := engine.New(st)
-	mgr := rewrite.NewManager(st)
-	pricing := engine.DefaultPricing()
-	pre := equiv.Preprocess(w.Plans(), nil)
-
+// pairSamples returns the cost-estimation ground truth of every
+// (associated query, candidate) pair of p, in core.Advisor.Pairs order.
+// Following Section VI-B1, JOB's A(q|v) is metered (the pairs its view
+// rewrites nothing in are dropped); on the WK workloads the RealOpt
+// approximation A(q|v) ≈ A(q) − A(s) stands in, as executing every
+// rewritten pair at production scale was too expensive for the paper.
+func pairSamples(w *workload.Workload, adv *core.Advisor, p *core.Problem) ([]costbase.Sample, error) {
+	pairs, err := adv.Pairs(p)
+	if err != nil {
+		return nil, err
+	}
+	pricing := adv.Cfg.Pricing
 	useRealOpt := w.Name != "JOB"
-
-	queryCost := map[int]float64{}
 	var samples []costbase.Sample
-	for _, cand := range pre.Candidates {
-		v, err := mgr.Materialize(cand.Plan)
-		if err != nil {
-			return nil, err
-		}
-		vUsage, err := exec.Cost(cand.Plan)
-		if err != nil {
-			return nil, err
-		}
-		vCost := vUsage.Cost(pricing)
-		for _, qi := range cand.Queries {
-			q := w.Queries[qi].Plan
-			qc, ok := queryCost[qi]
-			if !ok {
-				u, err := exec.Cost(q)
-				if err != nil {
-					return nil, err
-				}
-				qc = u.Cost(pricing)
-				queryCost[qi] = qc
+	for _, pr := range pairs {
+		c := p.Candidates[pr.Candidate]
+		qc, vc := p.QueryCost[pr.Query], c.View.BuildUsage.Cost(pricing)
+		var actual float64
+		if useRealOpt {
+			actual = qc - vc
+			if actual < 0 {
+				actual = 0
 			}
-			var actual float64
-			if useRealOpt {
-				actual = qc - vCost
-				if actual < 0 {
-					actual = 0
-				}
-			} else {
-				rw, n := rewrite.Rewrite(q, []*rewrite.View{v})
-				if n == 0 {
-					continue
-				}
-				u, err := exec.Cost(rw)
-				if err != nil {
-					return nil, err
-				}
-				actual = u.Cost(pricing)
+		} else {
+			if pr.Replaced == 0 {
+				continue
 			}
-			samples = append(samples, costbase.Sample{
-				Q:      q,
-				V:      cand.Plan,
-				F:      featenc.Extract(q, cand.Plan, w.Cat),
-				Actual: actual * costUnitScale,
-				QCost:  qc * costUnitScale,
-				VCost:  vCost * costUnitScale,
-			})
+			actual = pr.Usage.Cost(pricing)
 		}
+		q := p.Queries[pr.Query]
+		samples = append(samples, costbase.Sample{
+			Q:      q,
+			V:      c.Plan,
+			F:      featenc.Extract(q, c.Plan, w.Cat),
+			Actual: actual * costbase.CostUnit,
+			QCost:  qc * costbase.CostUnit,
+			VCost:  vc * costbase.CostUnit,
+		})
+	}
+	return samples, nil
+}
+
+// buildPairs meters w's pairs on its ground-truth problem (pairSamples)
+// and, when there are more than maxPairs > 0, keeps a seeded sample of
+// maxPairs. It returns the problem too.
+func buildPairs(w *workload.Workload, s Scale, maxPairs int, seed int64) ([]costbase.Sample, *core.Problem, error) {
+	adv, p, err := groundTruthProblem(w, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	samples, err := pairSamples(w, adv, p)
+	if err != nil {
+		return nil, nil, err
 	}
 	if maxPairs > 0 && len(samples) > maxPairs {
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 		samples = samples[:maxPairs]
 	}
-	return samples, nil
+	return samples, p, nil
 }
 
-// wdAdapter exposes a Wide-Deep variant through the Estimator interface.
+// wdAdapter exposes a Wide-Deep model through the Estimator interface.
 type wdAdapter struct {
 	name  string
 	cat   *catalog.Catalog
 	plans []*plan.Node
-	enc   featenc.Config
+	cfg   widedeep.Config
 	train widedeep.TrainConfig
 	seed  int64
 	model *widedeep.Model
@@ -110,7 +92,7 @@ func (a *wdAdapter) Name() string { return a.name }
 
 func (a *wdAdapter) Fit(train []costbase.Sample) error {
 	vocab := featenc.NewVocab(a.cat, featenc.CollectPlanKeywords(a.plans))
-	a.model = widedeep.New(vocab, widedeep.Config{Encoder: a.enc}, rand.New(rand.NewSource(a.seed)))
+	a.model = widedeep.New(vocab, a.cfg, rand.New(rand.NewSource(a.seed)))
 	samples := make([]widedeep.Sample, len(train))
 	for i, s := range train {
 		samples[i] = widedeep.Sample{F: s.F, Y: s.Actual}
@@ -121,6 +103,20 @@ func (a *wdAdapter) Fit(train []costbase.Sample) error {
 
 func (a *wdAdapter) Predict(s costbase.Sample) float64 {
 	return a.model.Predict(s.F)
+}
+
+// score fits est on train and returns its MAE and MAPE on test.
+func score(est costbase.Estimator, train, test []costbase.Sample) (mae, mape float64, err error) {
+	if err := est.Fit(train); err != nil {
+		return 0, 0, err
+	}
+	y := make([]float64, len(test))
+	yhat := make([]float64, len(test))
+	for i, sm := range test {
+		y[i] = sm.Actual
+		yhat[i] = est.Predict(sm)
+	}
+	return metrics.MAE(y, yhat), metrics.MAPEWithFloor(y, yhat), nil
 }
 
 // Tab3Row is one method's errors on one workload.
@@ -149,7 +145,7 @@ func Tab3(s Scale) (*Tab3Result, error) {
 		maxPairs = 220
 	}
 	for _, w := range Workloads(s) {
-		samples, err := buildPairs(w, maxPairs, 11)
+		samples, _, err := buildPairs(w, s, maxPairs, 11)
 		if err != nil {
 			return nil, fmt.Errorf("tab3 %s: %w", w.Name, err)
 		}
@@ -161,11 +157,11 @@ func Tab3(s Scale) (*Tab3Result, error) {
 		test := pick(samples, testIdx)
 
 		cfg := configFor(w.Name, s)
-		pricing := cfg.Pricing
+		pricing := costbase.UnitPricing(cfg.Pricing)
 		encDims := cfg.WDModel.Encoder
 		estimators := []costbase.Estimator{
-			&costbase.OptimizerEstimator{Cat: w.Cat, Pricing: scaledPricing(pricing)},
-			&costbase.DeepLearn{Cat: w.Cat, Pricing: scaledPricing(pricing), Epochs: cfg.WDTrain.Epochs / 2, LR: cfg.WDTrain.LearnRate, Seed: 3},
+			&costbase.OptimizerEstimator{Cat: w.Cat, Pricing: pricing},
+			&costbase.DeepLearn{Cat: w.Cat, Pricing: pricing, Epochs: cfg.WDTrain.Epochs / 2, LR: cfg.WDTrain.LearnRate, Seed: 3},
 			&costbase.LinearRegressor{},
 			&costbase.GBM{},
 		}
@@ -177,38 +173,20 @@ func Tab3(s Scale) (*Tab3Result, error) {
 				name:  name,
 				cat:   w.Cat,
 				plans: w.Plans(),
-				enc:   variant,
+				cfg:   widedeep.Config{Encoder: variant},
 				train: cfg.WDTrain,
 				seed:  17,
 			})
 		}
 		for _, est := range estimators {
-			if err := est.Fit(train); err != nil {
+			mae, mape, err := score(est, train, test)
+			if err != nil {
 				return nil, fmt.Errorf("tab3 %s/%s: %w", w.Name, est.Name(), err)
 			}
-			y := make([]float64, len(test))
-			yhat := make([]float64, len(test))
-			for i, sm := range test {
-				y[i] = sm.Actual
-				yhat[i] = est.Predict(sm)
-			}
-			res.Rows[w.Name] = append(res.Rows[w.Name], Tab3Row{
-				Method: est.Name(),
-				MAE:    metrics.MAE(y, yhat),
-				MAPE:   metrics.MAPEWithFloor(y, yhat),
-			})
+			res.Rows[w.Name] = append(res.Rows[w.Name], Tab3Row{Method: est.Name(), MAE: mae, MAPE: mape})
 		}
 	}
 	return res, nil
-}
-
-// scaledPricing rescales the pricing so analytic estimates land in the
-// same cost units as the measured targets.
-func scaledPricing(p engine.Pricing) engine.Pricing {
-	p.Beta *= costUnitScale
-	p.Gamma *= costUnitScale
-	p.Alpha *= costUnitScale
-	return p
 }
 
 func pick(samples []costbase.Sample, idx []int) []costbase.Sample {

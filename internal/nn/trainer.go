@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -73,13 +74,12 @@ type trainReplica struct {
 	loss   float64
 }
 
-// NewTrainer builds a trainer over the canonical parameters. parallelism
-// ≤ 0 selects runtime.NumCPU(). bind is invoked once per worker and must
-// return replicas aligned index-for-index with params.
+// NewTrainer builds a trainer over the canonical parameters on
+// Workers(math.MaxInt, parallelism) replicas: parallelism ≤ 0 selects
+// runtime.NumCPU(). bind is invoked once per worker and must return
+// replicas aligned index-for-index with params.
 func NewTrainer(params []*Param, parallelism int, bind BindFunc) *Trainer {
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
+	parallelism = Workers(math.MaxInt, parallelism)
 	t := &Trainer{
 		params: params,
 		free:   make(chan int, parallelism),

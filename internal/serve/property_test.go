@@ -349,14 +349,14 @@ func TestEstimateCacheServerParallelismLevels(t *testing.T) {
 
 // TestAdviseWorkersLeaveReadersACore pins how many workers each advise
 // cycle gives the advisor, read from the serve.advise.workers gauge:
-// with Parallelism 0 the bootstrap takes GOMAXPROCS and a forced
-// re-advise max(1, GOMAXPROCS−1), while an explicit setting is used as
+// with Parallelism 0 the bootstrap takes NumCPU and a forced re-advise
+// max(1, NumCPU−1), while an explicit setting is used as
 // given. The count must change nothing: after the re-advise, every
 // server's view set and a seeded batch of /v1/estimate responses are
 // byte-identical to the Parallelism 1 server's.
 func TestAdviseWorkersLeaveReadersACore(t *testing.T) {
 	w := serveWK()
-	procs := runtime.GOMAXPROCS(0)
+	procs := runtime.NumCPU()
 
 	type outcome struct {
 		boot, readvise int

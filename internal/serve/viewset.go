@@ -3,12 +3,12 @@ package serve
 import (
 	"errors"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
 	"autoview/internal/core"
 	"autoview/internal/featenc"
+	"autoview/internal/nn"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/sqlparse"
@@ -221,15 +221,16 @@ func setGauges(g *generation) {
 // adviseWorkers is the worker count an advise cycle runs the advisor
 // with (W-D training, the held-out predictions, pair measurement, the
 // RLView episodes). An explicit core Parallelism is used as given. Under 0
-// the bootstrap takes every core, since nothing is served until it
-// finishes, and every later cycle leaves one to the readers it runs
-// beside. Training is bit-identical at any worker count, so the choice
-// never changes a model or a view set.
+// the bootstrap takes every core (runtime.NumCPU(), as nn.Workers
+// resolves 0), since nothing is served until it finishes, and every
+// later cycle leaves one to the readers it runs beside. Training is
+// bit-identical at any worker count, so the choice never changes a
+// model or a view set.
 func (s *Server) adviseWorkers(bootstrap bool) int {
 	if p := s.adv.Cfg.Parallelism; p > 0 {
 		return p
 	}
-	n := runtime.GOMAXPROCS(0)
+	n := nn.Workers(math.MaxInt, 0)
 	if !bootstrap {
 		n = max(1, n-1)
 	}
