@@ -40,7 +40,7 @@ examples-smoke:
 # configurations), PredictBatch's three steps over the same
 # operator interner and its plan-code memo (filled concurrently), the
 # served estimates' hashes pinned to the scalar kernels', and
-# the DQN's fanned-out action sweep and one RLView run's hash, pinned
+# the DQN's batched action sweep and one RLView run's hash, pinned
 # to the dense lane kernel's bits — at GOMAXPROCS 1, 2 and 8. The
 # serve line does the same for the two guarantees scheduling decides:
 # every /v1/estimate reply is computed by the model its model_version
@@ -61,7 +61,13 @@ examples-smoke:
 # model_version names answers while reloads drop the memo with its
 # mirror. The core line meters every single-view pair of JOB with
 # BuildProblem's measurements fanned out over GOMAXPROCS workers and
-# holds each usage composed from its query's trace to the executed one.
+# holds each usage composed from its query's trace to the executed one,
+# and drives core.BringUp's parallel parse, table builds and subquery
+# decomposition against a serial bring-up. The bring-up lines hold the
+# populated JOB, WK1 and WK2 stores to their pinned hashes while
+# GOMAXPROCS workers build the drawn tables, Preprocess's result to the
+# serial one at Parallelism 1, 2 and 8, and every generator's texts and
+# plans to the same bits at GOMAXPROCS 1 and 8.
 # The featenc line races encoders on one mirror's LSTM1 memo
 # (admissions, puts and evictions) and holds every operator vector to
 # a memo-less mirror's bits. The durable line races
@@ -72,7 +78,10 @@ examples-smoke:
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestEstimateRepliesNameTheirModel|TestModelVersionsAreUnique|TestHealthzReportsPublishedGenerations|TestIngestRacesClose|TestEstimateShedsPastQueueDepth|TestServeEstimateTimeout|TestServeGracefulDrain|TestTextCacheByteIdentity|TestTextCacheRacesReload|TestCacheRacingHitsReturnTheirValue|TestOpMemoRacesReload' ./internal/serve/
-	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestComposedPairsMatchExecution' ./internal/core/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestComposedPairsMatchExecution|TestBringUpMatchesSerialBringUp' ./internal/core/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestPopulateGoldenStores' ./internal/storage/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestPreprocessParallelismDeterminism' ./internal/equiv/
+	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestGeneratorsParseIndependentOfGOMAXPROCS|TestLoadQueriesReportsFirstBadQuery' ./internal/workload/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestInferOpMemo' ./internal/featenc/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestWALConcurrentAppends' ./internal/durable/
 	$(GO) test -race -short -count=1 -cpu 1,2,8 -run 'TestTrainer|TestSegmentsFold|TestLSTMLanes|TestDenseLanes|TestMulAddSegment' ./internal/nn/
@@ -102,8 +111,7 @@ test-race-full:
 # mirror's LSTM1 memo or resumes it from a memoized prefix,
 # registry enabled or disabled, the
 # DQN's warm QValues must cost exactly its result slice (BestAction:
-# nothing) at Parallelism 1 and, fanned out, the same for 8, 64 and 124
-# actions, rl.Features two slices per state, rewrite.Rewrite nothing per
+# nothing) at Parallelism 1 and 4 for 8, 64 and 124 actions, rl.Features two slices per state, rewrite.Rewrite nothing per
 # non-matching view, one LSTM forward+backward the same few allocations
 # at any sequence length, and one W-D training batch allocations linear
 # in its pairs and independent of how often its plans reuse an operator,

@@ -26,7 +26,6 @@ import (
 	"autoview/internal/core"
 	"autoview/internal/costbase"
 	"autoview/internal/durable"
-	"autoview/internal/engine"
 	"autoview/internal/featenc"
 	"autoview/internal/metrics"
 	"autoview/internal/obs"
@@ -137,8 +136,8 @@ func run(args []string, stdout io.Writer) error {
 func measurePairs(w *workload.Workload) ([]costbase.Sample, error) {
 	cfg := core.ConfigFor(w.Name)
 	cfg.Estimator = core.EstimatorActual
-	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-	p, err := adv.BuildProblem(w.Plans(), adv.Preprocess(w.Plans()))
+	adv, pre := core.BringUp(w, cfg)
+	p, err := adv.BuildProblem(w.Plans(), pre)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"autoview/internal/core"
-	"autoview/internal/engine"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/workload"
@@ -65,9 +64,7 @@ func main() {
 
 	fmt.Printf("workload %s: %d queries over %d tables\n", w.Name, len(w.Queries), w.Cat.Len())
 	start := time.Now()
-	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-
-	pre := adv.Preprocess(w.Plans())
+	adv, pre := core.BringUp(w, cfg)
 	desc := w.Describe(pre)
 	fmt.Printf("pre-process: %d subqueries, %d equivalent pairs, |Z|=%d candidates, |Q|=%d associated queries, %d overlapping pairs\n",
 		desc.Subqueries, desc.EquivalentPairs, desc.Candidates, desc.AssociatedQuery, desc.OverlappingPairs)

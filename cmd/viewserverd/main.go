@@ -58,7 +58,7 @@ func main() {
 	flag.StringVar(&o.estimator, "estimator", "wd", "benefit estimator: actual, optimizer, wd")
 	flag.StringVar(&o.selector, "selector", defaultSelector, "view selector: localsearch, rlview, bigsub, iterview, topkfreq, topkover, topkben, topknorm")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "workers for each estimate request's batched inference and, inside every advise cycle, W-D retraining, pair measurement and the RLView action sweep (0 = NumCPU for inference and the bootstrap, NumCPU-1 (at least 1) for every later cycle; 1 = serial)")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "workers for each estimate request's batched inference and, inside every advise cycle, W-D retraining, pair measurement and the RLView replay updates (0 = NumCPU for inference and the bootstrap, NumCPU-1 (at least 1) for every later cycle; 1 = serial)")
 	flag.IntVar(&o.windowSize, "window", 512, "rolling workload window capacity (queries)")
 	flag.DurationVar(&o.adviseEvery, "advise-interval", 0, "background re-advise period (0 disables the loop)")
 	flag.Float64Var(&o.utilityTol, "utility-tolerance", 0, "relative utility regression tolerated before a rotation rolls back")

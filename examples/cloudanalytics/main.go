@@ -33,8 +33,7 @@ func main() {
 	// benefits.
 	cfg := core.WKConfig()
 	cfg.Estimator = core.EstimatorActual
-	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-	pre := adv.Preprocess(w.Plans())
+	adv, pre := core.BringUp(w, cfg)
 	fmt.Printf("pre-process: |Z|=%d candidates\n", len(pre.Candidates))
 	p, err := adv.BuildProblem(w.Plans(), pre)
 	if err != nil {

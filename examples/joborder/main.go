@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"autoview/internal/core"
-	"autoview/internal/engine"
 	"autoview/internal/metrics"
 	"autoview/internal/workload"
 )
@@ -25,8 +24,7 @@ func main() {
 	cfg.RL.Epochs = 30                   // trimmed for example runtime
 	cfg.RL.LearnEvery = 2
 
-	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-	pre := adv.Preprocess(w.Plans())
+	adv, pre := core.BringUp(w, cfg)
 	fmt.Printf("pre-process: |Z|=%d candidates, %d overlapping pairs\n",
 		len(pre.Candidates), pre.OverlappingPairs())
 

@@ -29,8 +29,7 @@ func main() {
 	cfg.RL.LearnEvery = 2
 
 	// --- Day 1: advise, collecting experiences -------------------------
-	adv1 := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-	pre := adv1.Preprocess(w.Plans())
+	adv1, pre := core.BringUp(w, cfg)
 	p1, err := adv1.BuildProblem(w.Plans(), pre)
 	if err != nil {
 		log.Fatal(err)

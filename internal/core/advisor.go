@@ -18,6 +18,7 @@ import (
 	"autoview/internal/rl"
 	"autoview/internal/selbase"
 	"autoview/internal/widedeep"
+	"autoview/internal/workload"
 )
 
 // Pipeline metrics: per-run sizes land in gauges (last run wins), work
@@ -48,6 +49,16 @@ func NewAdvisor(cat *catalog.Catalog, exec *engine.Executor, cfg Config) *Adviso
 		Mgr:  rewrite.NewManager(exec.Store),
 		Cfg:  cfg,
 	}
+}
+
+// BringUp builds an advisor over w's populated store and pre-processes
+// w's queries: the data generation and pre-process stage every run of
+// the pipeline starts with. Each step spreads over the cores itself
+// (Populate's table builds, Preprocess's decomposition), so the two run
+// one after the other.
+func BringUp(w *workload.Workload, cfg Config) (*Advisor, *equiv.Result) {
+	adv := NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
+	return adv, adv.Preprocess(w.Plans())
 }
 
 // Candidate bundles one selectable view with its measurements.
@@ -112,7 +123,8 @@ func (p *Problem) TotalQueryCost() float64 {
 func (a *Advisor) Preprocess(queries []*plan.Node) *equiv.Result {
 	defer obs.StartSpan("advisor.preprocess")()
 	return equiv.Preprocess(queries, &equiv.Options{
-		MinShare: a.Cfg.MinShare,
+		MinShare:    a.Cfg.MinShare,
+		Parallelism: a.Cfg.Parallelism,
 		CostOf: func(n *plan.Node) float64 {
 			est := costbase.EstimatePlan(n, a.Cat)
 			return est.Usage().TotalViewOverhead(a.Cfg.Pricing)

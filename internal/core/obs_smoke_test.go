@@ -10,6 +10,8 @@ import (
 // advisorSpans is the span set OBSERVABILITY.md documents for one full
 // Advisor.Run; the smoke test pins the docs to the implementation.
 var advisorSpans = []string{
+	"workload.parse",
+	"storage.populate",
 	"advisor.preprocess",
 	"preprocess.decompose",
 	"preprocess.equiv_merge",

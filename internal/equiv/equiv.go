@@ -15,6 +15,7 @@ package equiv
 import (
 	"sort"
 
+	"autoview/internal/nn"
 	"autoview/internal/obs"
 	"autoview/internal/plan"
 )
@@ -112,6 +113,11 @@ type Options struct {
 	// CostOf ranks cluster members to pick the least-overhead
 	// representative. When nil, members are ranked by operator count.
 	CostOf func(*plan.Node) float64
+	// Parallelism is the number of workers that extract and fingerprint
+	// the queries' subqueries; 0 selects runtime.NumCPU(), 1 runs
+	// serially. Clusters are assembled in query order after, so the
+	// result is the same at every setting.
+	Parallelism int
 }
 
 func (o *Options) minShare() int {
@@ -119,6 +125,13 @@ func (o *Options) minShare() int {
 		return 2
 	}
 	return o.MinShare
+}
+
+func (o *Options) parallelism() int {
+	if o == nil {
+		return 0
+	}
+	return o.Parallelism
 }
 
 func (o *Options) costOf(n *plan.Node) float64 {
@@ -133,24 +146,28 @@ func (o *Options) costOf(n *plan.Node) float64 {
 func Preprocess(queries []*plan.Node, opts *Options) *Result {
 	res := &Result{Subqueries: make([][]plan.Subquery, len(queries))}
 
-	// 1. Subquery extraction.
+	// 1. Subquery extraction and fingerprinting, query by query across
+	// the workers; the members then join their clusters in query order.
 	stop := obs.StartSpan("preprocess.decompose")
-	type memberKey struct {
-		fp plan.Fingerprint
-	}
-	byFP := make(map[memberKey]*Cluster)
-	nsub := 0
-	for qi, q := range queries {
-		subs := plan.ExtractSubqueries(q)
+	subFPs := make([][]plan.Fingerprint, len(queries))
+	nn.ParallelFor(len(queries), opts.parallelism(), func(qi int) {
+		subs := plan.ExtractSubqueries(queries[qi])
 		res.Subqueries[qi] = subs
+		subFPs[qi] = make([]plan.Fingerprint, len(subs))
+		for k, s := range subs {
+			subFPs[qi][k] = plan.NormalizedFingerprint(s.Root)
+		}
+	})
+	byFP := make(map[plan.Fingerprint]*Cluster)
+	nsub := 0
+	for qi, subs := range res.Subqueries {
 		nsub += len(subs)
-		for _, s := range subs {
-			nfp := plan.NormalizedFingerprint(s.Root)
-			key := memberKey{fp: nfp}
-			c, ok := byFP[key]
+		for k, s := range subs {
+			nfp := subFPs[qi][k]
+			c, ok := byFP[nfp]
 			if !ok {
 				c = &Cluster{Fingerprint: nfp}
-				byFP[key] = c
+				byFP[nfp] = c
 			}
 			c.Members = append(c.Members, Occurrence{Query: qi, Subquery: s})
 		}

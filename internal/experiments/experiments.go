@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"autoview/internal/core"
-	"autoview/internal/engine"
 	"autoview/internal/equiv"
 	"autoview/internal/workload"
 )
@@ -27,7 +27,21 @@ const (
 )
 
 // Workloads returns the three evaluation workloads, shrunk under Quick.
+// Each scale's workloads are generated once per process; every call
+// returns the same three, so the ground-truth problem built over one of
+// them serves every experiment that asks for it.
 func Workloads(s Scale) []*workload.Workload {
+	memo.Lock()
+	defer memo.Unlock()
+	ws, ok := memo.workloads[s]
+	if !ok {
+		ws = generateWorkloads(s)
+		memo.workloads[s] = ws
+	}
+	return append([]*workload.Workload(nil), ws...)
+}
+
+func generateWorkloads(s Scale) []*workload.Workload {
 	if s == Full {
 		return []*workload.Workload{workload.JOB(), workload.WK1(), workload.WK2()}
 	}
@@ -46,6 +60,31 @@ func Workloads(s Scale) []*workload.Workload {
 	}
 }
 
+// memo holds what the experiments share within one process: each
+// scale's workloads and each (workload, scale)'s ground-truth problem.
+// The experiments only read a problem, never change it.
+var memo = struct {
+	sync.Mutex
+	workloads map[Scale][]*workload.Workload
+	problems  map[problemKey]*groundTruth
+}{
+	workloads: map[Scale][]*workload.Workload{},
+	problems:  map[problemKey]*groundTruth{},
+}
+
+type problemKey struct {
+	w *workload.Workload
+	s Scale
+}
+
+// groundTruth is one memoized groundTruthProblem result.
+type groundTruth struct {
+	once sync.Once
+	adv  *core.Advisor
+	p    *core.Problem
+	err  error
+}
+
 // configFor returns the pipeline configuration for a workload name.
 func configFor(name string, s Scale) core.Config {
 	cfg := core.ConfigFor(name)
@@ -62,14 +101,24 @@ func configFor(name string, s Scale) core.Config {
 	return cfg
 }
 
-// groundTruthProblem assembles the ILP instance with measured benefits.
+// groundTruthProblem assembles the ILP instance with measured benefits,
+// once per workload and scale.
 func groundTruthProblem(w *workload.Workload, s Scale) (*core.Advisor, *core.Problem, error) {
-	cfg := configFor(w.Name, s)
-	cfg.Estimator = core.EstimatorActual
-	adv := core.NewAdvisor(w.Cat, engine.New(w.Populate()), cfg)
-	pre := adv.Preprocess(w.Plans())
-	p, err := adv.BuildProblem(w.Plans(), pre)
-	return adv, p, err
+	memo.Lock()
+	g, ok := memo.problems[problemKey{w, s}]
+	if !ok {
+		g = &groundTruth{}
+		memo.problems[problemKey{w, s}] = g
+	}
+	memo.Unlock()
+	g.once.Do(func() {
+		cfg := configFor(w.Name, s)
+		cfg.Estimator = core.EstimatorActual
+		var pre *equiv.Result
+		g.adv, pre = core.BringUp(w, cfg)
+		g.p, g.err = g.adv.BuildProblem(w.Plans(), pre)
+	})
+	return g.adv, g.p, g.err
 }
 
 // Fig1Result is Figure 1's data: per-project redundancy and the

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"autoview/internal/mvs"
-	"autoview/internal/workload"
 )
 
 func TestParseTournamentSpec(t *testing.T) {
@@ -73,8 +72,7 @@ func FuzzTournamentSpec(f *testing.F) {
 // a seeded 12-candidate sample.
 func tournamentInstance(t *testing.T) *mvs.Instance {
 	t.Helper()
-	w := workload.JOB()
-	_, p, err := groundTruthProblem(w, Quick)
+	_, p, err := groundTruthProblem(Workloads(Quick)[0], Quick)
 	if err != nil {
 		t.Fatalf("ground truth problem: %v", err)
 	}

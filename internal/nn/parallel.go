@@ -13,7 +13,8 @@ import (
 // i-th slot of an output slice), which makes the overall result
 // independent of scheduling — the parallel run is bit-identical to the
 // serial one. This is the fan-out primitive behind the advisor's pair
-// measurement and the W-D batched predict path.
+// measurement, the W-D batched predict path and the bring-up's table
+// builds, parses and subquery decomposition.
 func ParallelFor(n, workers int, fn func(i int)) {
 	ParallelForWorker(n, workers, func(_, i int) { fn(i) })
 }

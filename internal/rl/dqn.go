@@ -106,9 +106,10 @@ type AgentConfig struct {
 	LearnRate float64
 	BatchSize int
 	// Parallelism is the number of workers per replay mini-batch
-	// (nn.Trainer) and per greedy action sweep (BestAction, QValues).
-	// 0 selects runtime.NumCPU(); 1 runs serially. Results are
-	// bit-for-bit identical for every setting.
+	// (nn.Trainer); a greedy action sweep (BestAction, QValues) is one
+	// batched forward on the caller's goroutine. 0 selects
+	// runtime.NumCPU(); 1 runs serially. Results are bit-for-bit
+	// identical for every setting.
 	Parallelism int
 	Seed        int64
 }
@@ -141,9 +142,6 @@ type Agent struct {
 	trainer *nn.Trainer
 	batch   []Experience
 	batchN  float64
-
-	// scores is BestAction's Q-vector, kept across calls.
-	scores []float64
 
 	// arenas pools inference scratch for the forward-only Q evaluation
 	// fast path (action scoring and the Learn bootstrap target, which
@@ -195,48 +193,16 @@ func (a *Agent) maxQ(feats [][]float64, out []float64) (best int, bestQ float64)
 	return best, bestQ
 }
 
-// score writes the online network's value of every action into q. The
-// rows split into contiguous chunks over Cfg.Parallelism workers, one
-// batched forward and one pooled arena each; lanes never mix and each
-// q[j] lands in the slot j owns, so the values do not depend on the
-// worker count. Called
-// from the RLView loop; the Learn bootstrap runs inside the trainer's
-// workers and sweeps serially through maxQ.
-func (a *Agent) score(feats [][]float64, q []float64) {
-	n := len(feats)
-	w := nn.Workers(n, a.Cfg.Parallelism)
-	if w <= 1 {
-		a.maxQ(feats, q)
-		return
-	}
-	nn.ParallelFor(w, w, func(c int) {
-		lo, hi := c*n/w, (c+1)*n/w
-		a.maxQ(feats[lo:hi], q[lo:hi])
-	})
-}
-
 // QValues evaluates the Q-vector Q(e) = [μ(e,a_1), ..., μ(e,a_n)].
 func (a *Agent) QValues(feats [][]float64) []float64 {
 	out := make([]float64, len(feats))
-	a.score(feats, out)
+	a.maxQ(feats, out)
 	return out
 }
 
-// BestAction returns argmax_i Q(e)[i], the lowest index on a tie. It
-// scores into a buffer the agent keeps, so it is not safe for
-// concurrent use.
+// BestAction returns argmax_i Q(e)[i], the lowest index on a tie.
 func (a *Agent) BestAction(feats [][]float64) int {
-	if cap(a.scores) < len(feats) {
-		a.scores = make([]float64, len(feats))
-	}
-	q := a.scores[:len(feats)]
-	a.score(feats, q)
-	best, bestQ := 0, math.Inf(-1)
-	for j, v := range q {
-		if v > bestQ {
-			best, bestQ = j, v
-		}
-	}
+	best, _ := a.maxQ(feats, nil)
 	return best
 }
 

@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,12 +102,12 @@ func randomFeats(rng *rand.Rand, n int) [][]float64 {
 	return feats
 }
 
-// TestScoringFanOutBitIdentical: QValues and BestAction split the rows
-// over Cfg.Parallelism workers; at every worker count and row count
-// (fewer rows than workers, rows that do not divide evenly, the
-// benchmark's |Z|) they must equal a direct Forward sweep with ==, and
-// an exact tie — the best row copied to both ends, so the copies land in
-// different workers' chunks — must go to the lowest index.
+// TestScoringFanOutBitIdentical: at every Cfg.Parallelism (which fans
+// out the replay updates, never the scoring) and row count (fewer rows
+// than workers, rows that do not divide evenly, the benchmark's |Z|),
+// QValues and BestAction must equal a direct Forward sweep with ==, and
+// an exact tie — the best row copied to both ends of the batch — must
+// go to the lowest index.
 func TestScoringFanOutBitIdentical(t *testing.T) {
 	for _, p := range []int{1, 2, 8} {
 		for _, n := range []int{1, 3, 124} {
@@ -138,11 +137,10 @@ func TestScoringFanOutBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQValuesAllocs pins the scoring cost model. Serially, once the
-// pooled arena is warm, QValues allocates its result slice and
-// BestAction (which keeps its score buffer) nothing. Fanned out, both
-// pay the goroutines of one fan-out and nothing per action: the count
-// is the same for 8, 64 and 124 actions.
+// TestQValuesAllocs pins the scoring cost model: once the pooled arena
+// is warm, QValues allocates its result slice and BestAction (which
+// scores on the arena) nothing, at any Parallelism, and the count is the
+// same for 8, 64 and 124 actions.
 func TestQValuesAllocs(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		ag := NewAgent(AgentConfig{Seed: 5, Parallelism: p}, nil)
@@ -192,17 +190,12 @@ func TestFeaturesAllocs(t *testing.T) {
 }
 
 // BenchmarkQValues is one greedy sweep over the wk1 instance's 124
-// actions (bench's rl.qvalues_us row), serially and fanned out over two
-// workers.
+// actions (bench's rl.qvalues_us row).
 func BenchmarkQValues(b *testing.B) {
-	for _, p := range []int{1, 2} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			ag := NewAgent(AgentConfig{Seed: 5, Parallelism: p}, nil)
-			feats := randomFeats(rand.New(rand.NewSource(3)), 124)
-			b.ReportAllocs()
-			for b.Loop() {
-				ag.QValues(feats)
-			}
-		})
+	ag := NewAgent(AgentConfig{Seed: 5}, nil)
+	feats := randomFeats(rand.New(rand.NewSource(3)), 124)
+	b.ReportAllocs()
+	for b.Loop() {
+		ag.QValues(feats)
 	}
 }

@@ -182,7 +182,7 @@ func TestRLViewFeasibleAndTraced(t *testing.T) {
 }
 
 // TestRLViewBitIdenticalAcrossParallelism runs Algorithm 2 end to end —
-// the fanned-out action sweep picking every greedy action, the trainer
+// the batched action sweep picking every greedy action, the trainer
 // folding replay batches whose terminal samples cost almost nothing next
 // to the bootstrapping ones — at 1, 2 and 8 workers: the utility trace,
 // and the fine-tuned weights behind it, must not differ in a single bit.

@@ -9,7 +9,8 @@ import (
 )
 
 // serveSpans is the span set OBSERVABILITY.md documents for the serving
-// and durable layers; the smoke test pins the docs to the implementation.
+// and durable layers, plus the bring-up spans a daemon's start records;
+// the smoke test pins the docs to the implementation.
 var serveSpans = []string{
 	"serve.estimate",
 	"serve.ingest",
@@ -24,6 +25,8 @@ var serveSpans = []string{
 	"durable.recover",
 	"durable.snapshot",
 	"serve.restore",
+	"workload.parse",
+	"storage.populate",
 }
 
 // TestServeSessionEmitsDocumentedSpans is the serving twin of core's

@@ -78,6 +78,18 @@ func TestTableAppendArity(t *testing.T) {
 	}
 }
 
+// populateOne populates a one-table catalog holding meta and returns the
+// table.
+func populateOne(t *testing.T, meta *catalog.Table, rng *rand.Rand) *Table {
+	t.Helper()
+	cat := catalog.New()
+	if err := cat.Add(meta); err != nil {
+		t.Fatal(err)
+	}
+	tb, _ := Populate(cat, rng).Get(meta.Name)
+	return tb
+}
+
 func TestGenerateDeterministicAndBounded(t *testing.T) {
 	meta := func() *catalog.Table {
 		return &catalog.Table{
@@ -90,8 +102,8 @@ func TestGenerateDeterministicAndBounded(t *testing.T) {
 			Stats: catalog.TableStats{Rows: 200},
 		}
 	}
-	t1 := Generate(meta(), rand.New(rand.NewSource(42)))
-	t2 := Generate(meta(), rand.New(rand.NewSource(42)))
+	t1 := populateOne(t, meta(), rand.New(rand.NewSource(42)))
+	t2 := populateOne(t, meta(), rand.New(rand.NewSource(42)))
 	if len(t1.Rows) != 200 || len(t2.Rows) != 200 {
 		t.Fatalf("row counts: %d, %d", len(t1.Rows), len(t2.Rows))
 	}
@@ -115,7 +127,7 @@ func TestGenerateDeterministicAndBounded(t *testing.T) {
 		t.Error("suspiciously few distinct values")
 	}
 	if t1.Meta.Stats.Bytes != t1.Bytes() {
-		t.Error("Generate should refresh Stats.Bytes")
+		t.Error("Populate should refresh Stats.Bytes")
 	}
 }
 
@@ -185,7 +197,7 @@ func TestGenerateCorrelationKeepsBounds(t *testing.T) {
 		},
 		Stats: catalog.TableStats{Rows: 500},
 	}
-	t1 := Generate(meta, rand.New(rand.NewSource(5)))
+	t1 := populateOne(t, meta, rand.New(rand.NewSource(5)))
 	for _, r := range t1.Rows {
 		if r[0].I < 0 || r[0].I >= 7 || r[1].I < 0 || r[1].I >= 3 {
 			t.Fatalf("out-of-bound values: %v", r)

@@ -236,14 +236,10 @@ func JOB() *Workload {
 			if mutate {
 				id += "m"
 			}
-			w.Queries = append(w.Queries, Query{
-				ID:      id,
-				Project: "job",
-				SQL:     sql,
-				Plan:    mustParse(sql, cat, id),
-			})
+			w.Queries = append(w.Queries, Query{ID: id, Project: "job", SQL: sql})
 		}
 	}
+	mustParse(w)
 	return w
 }
 

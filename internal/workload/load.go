@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"autoview/internal/catalog"
-	"autoview/internal/plan"
 )
 
 // SchemaFile is the JSON format for user-provided catalogs:
@@ -98,19 +97,13 @@ func LoadQueries(r io.Reader, cat *catalog.Catalog, name string) (*Workload, err
 	w := &Workload{Name: name, Cat: cat, DataSeed: 1}
 	project := "default"
 	var current strings.Builder
-	flush := func() error {
+	flush := func() {
 		sql := strings.TrimSpace(current.String())
 		current.Reset()
-		if sql == "" {
-			return nil
+		if sql != "" {
+			id := fmt.Sprintf("%s-q%03d", name, len(w.Queries))
+			w.Queries = append(w.Queries, Query{ID: id, Project: project, SQL: sql})
 		}
-		id := fmt.Sprintf("%s-q%03d", name, len(w.Queries))
-		p, err := plan.Parse(sql, cat)
-		if err != nil {
-			return fmt.Errorf("workload: query %s: %w", id, err)
-		}
-		w.Queries = append(w.Queries, Query{ID: id, Project: project, SQL: sql, Plan: p})
-		return nil
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		trimmed := strings.TrimSpace(line)
@@ -129,17 +122,16 @@ func LoadQueries(r io.Reader, cat *catalog.Catalog, name string) (*Workload, err
 				break
 			}
 			current.WriteString(line[:semi])
-			if err := flush(); err != nil {
-				return nil, err
-			}
+			flush()
 			line = line[semi+1:]
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
+	flush()
 	if len(w.Queries) == 0 {
 		return nil, fmt.Errorf("workload: query file contains no statements")
+	}
+	if err := parse(w.Queries, cat); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	return w, nil
 }

@@ -200,14 +200,13 @@ func WK(p WKParams) *Workload {
 				agg, f.sql, partner, f.key, g.sql, f.key, g.key)
 		}
 		sql += " group by t2.attr"
-		id := fmt.Sprintf("%s-q%04d", p.Name, qi)
 		w.Queries = append(w.Queries, Query{
-			ID:      id,
+			ID:      fmt.Sprintf("%s-q%04d", p.Name, qi),
 			Project: project,
 			SQL:     sql,
-			Plan:    mustParse(sql, cat, id),
 		})
 	}
+	mustParse(w)
 	return w
 }
 

@@ -10,10 +10,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"autoview/internal/catalog"
 	"autoview/internal/equiv"
+	"autoview/internal/nn"
+	"autoview/internal/obs"
 	"autoview/internal/plan"
 	"autoview/internal/storage"
 )
@@ -155,14 +158,29 @@ func ratio(r ProjectRedundancy) float64 {
 	return float64(r.Redundant) / float64(r.Total)
 }
 
-// mustParse parses a generated query or panics: generation bugs are
-// programming errors, not runtime conditions.
-func mustParse(sql string, cat *catalog.Catalog, id string) *plan.Node {
-	n, err := plan.Parse(sql, cat)
-	if err != nil {
-		panic(fmt.Sprintf("workload: query %s does not parse: %v\nSQL: %s", id, err, sql))
+// parse binds every query's SQL to its plan across GOMAXPROCS workers and
+// returns the error of the first query, in workload order, that does not
+// parse. The texts are drawn before, so the worker count changes no plan.
+func parse(qs []Query, cat *catalog.Catalog) error {
+	defer obs.StartSpan("workload.parse")()
+	errs := make([]error, len(qs))
+	nn.ParallelFor(len(qs), runtime.GOMAXPROCS(0), func(i int) {
+		qs[i].Plan, errs[i] = plan.Parse(qs[i].SQL, cat)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("query %s: %w", qs[i].ID, err)
+		}
 	}
-	return n
+	return nil
+}
+
+// mustParse parses a generated workload's queries or panics: generation
+// bugs are programming errors, not runtime conditions.
+func mustParse(w *Workload) {
+	if err := parse(w.Queries, w.Cat); err != nil {
+		panic("workload: " + err.Error())
+	}
 }
 
 // zipfPick draws an index in [0, n) with a Zipf-like skew: higher s means
